@@ -6,9 +6,10 @@ distance of its residual from the healthy residual distribution, then flag
 scores strictly above a threshold calibrated as a high percentile of the
 healthy training scores.
 
-Scores are always computed one sample at a time through the same code path
-`classify` uses, so a calibration score and a later classification score of
-the same sample are bit-identical.
+Every score comes from one batch kernel (`score_batch`, or its scaled core
+`_score_rows`) built from elementwise operations only, so a row's score is
+bit-identical alone or inside any batch: `score_sample` and `classify` are
+one-row views, and a calibration score equals the later classification score.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import Network, forward, load_network, mse_loss
+# scoring uses `_reconstruct`; `forward` stays bound here for bench/tracer.py to patch
+from .autoencoder import Network, _activate, forward, load_network  # noqa: F401
 from .dataset import Dataset, Label, MinMaxScaler
 from .errors import (
     DataError,
@@ -37,6 +39,7 @@ SCORER_FORMAT_VERSION = 1
 MSE_POLICY = "mse"
 MAHALANOBIS_POLICY = "mahalanobis"
 POLICY_KINDS = (MSE_POLICY, MAHALANOBIS_POLICY)
+SCORE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -66,35 +69,55 @@ class ResidualStats:
     n_fit: int
 
 
+def _reconstruct(net: Network, x: np.ndarray) -> np.ndarray:
+    """Network output for one sample (d,) or a batch (n, d), one input term at
+    a time with elementwise operations, so no row depends on the batch."""
+    if x.shape[-1] != net.in_dim:
+        raise ShapeError(f"input dim {x.shape[-1]} != network in_dim {net.in_dim}")
+    a = x
+    for w, b, spec in zip(net.weights, net.biases, net.specs):
+        z = a[..., 0:1] * w[:, 0]
+        for k in range(1, w.shape[1]):
+            z += a[..., k : k + 1] * w[:, k]
+        z += b
+        a = _activate(spec.activation, z)
+    return a
+
+
+def _row_sums(m: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over the last axis, one column at a time."""
+    acc = m[..., 0].copy()
+    for k in range(1, m.shape[-1]):
+        acc += m[..., k]
+    return acc
+
+
 def residual(net: Network, x_scaled) -> np.ndarray:
-    """r = reconstruction - input, for one scaled sample."""
+    """r = reconstruction - input, for one scaled sample (d,) or a batch (n, d)."""
     x = np.asarray(x_scaled, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError("residual expects a single sample vector")
-    out, _ = forward(net, x)
-    return out - x
+    return _reconstruct(net, x) - x
 
 
-def score_mse(net: Network, x_scaled) -> float:
-    x = np.asarray(x_scaled, dtype=np.float64)
-    out, _ = forward(net, x)
-    return mse_loss(x, out)
+def score_mse(net: Network, x_scaled):
+    """Mean squared residual: a float for one sample, an (n,) array for a batch."""
+    r = residual(net, x_scaled)
+    scores = _row_sums(r * r) / r.shape[-1]
+    return float(scores) if r.ndim == 1 else scores
 
 
-def score_mahalanobis(stats: ResidualStats, r) -> float:
-    """sqrt((r - mean)^T Sigma^{-1} (r - mean)) through the Cholesky solve."""
-    r = np.asarray(r, dtype=np.float64)
-    centered = r - stats.mean
-    solved = solve_spd(stats.chol, centered)
-    return math.sqrt(max(float(np.dot(centered, solved)), 0.0))
+def score_mahalanobis(stats: ResidualStats, r):
+    """sqrt((r - mean)^T Sigma^{-1} (r - mean)) through the Cholesky solve:
+    a float for one residual (d,), an (n,) array for a batch (n, d)."""
+    centered = np.asarray(r, dtype=np.float64) - stats.mean
+    scores = np.sqrt(np.maximum(_row_sums(centered * solve_spd(stats.chol, centered)), 0.0))
+    return float(scores) if centered.ndim == 1 else scores
 
 
 def fit_residual_stats(net: Network, ae_train_scaled: Dataset) -> ResidualStats:
     """Residual mean and jittered covariance factor over healthy samples."""
     if ae_train_scaled.n < 8:
         raise InsufficientDataError(f"residual statistics need >= 8 samples, got {ae_train_scaled.n}")
-    residuals = np.array([residual(net, row) for row in ae_train_scaled.features])
-    mean, cov = covariance(residuals)
+    mean, cov = covariance(residual(net, ae_train_scaled.features))
     try:
         factor = cholesky(cov, 0.0)
     except NotPositiveDefiniteError as exc:
@@ -137,10 +160,26 @@ class AnomalyScorer:
             raise DomainError("threshold must be finite")
 
 
-def _score_scaled(policy_kind: str, net: Network, stats: ResidualStats | None, x_scaled) -> float:
-    if policy_kind == MSE_POLICY:
-        return score_mse(net, x_scaled)
-    return score_mahalanobis(stats, residual(net, x_scaled))
+def _score_rows(net: Network, stats: ResidualStats | None, x_scaled: np.ndarray) -> np.ndarray:
+    """Scores of an (n, d) scaled batch, Mahalanobis with stats and MSE without, in row
+    blocks that keep the temporaries small (the kernel is row-exact, so no score changes)."""
+    scores = np.empty(len(x_scaled))
+    for i in range(0, len(x_scaled), SCORE_BLOCK_ROWS):
+        block = x_scaled[i : i + SCORE_BLOCK_ROWS]
+        if stats is None:
+            scores[i : i + len(block)] = score_mse(net, block)
+        else:
+            scores[i : i + len(block)] = score_mahalanobis(stats, residual(net, block))
+    return scores
+
+
+def _finite_rows(x_raw, dim: int) -> np.ndarray:
+    x = np.asarray(x_raw, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ShapeError(f"samples have shape {x.shape}, expected (n, {dim})")
+    if not np.isfinite(x).all():
+        raise DomainError("samples contain non-finite values")
+    return x
 
 
 def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: ThresholdPolicy) -> AnomalyScorer:
@@ -153,27 +192,36 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
         raise InsufficientDataError("cannot calibrate on an empty dataset")
     if ae_train.is_labeled and int(ae_train.labels.max(initial=0)) != 0:
         raise DataError("calibration data must contain only normal samples")
-    scaled = scaler.transform(ae_train.features)
+    scaled = scaler.transform(_finite_rows(ae_train.features, scaler.mins.shape[0]))
     stats = None
     if policy.kind == MAHALANOBIS_POLICY:
         stats = fit_residual_stats(net, Dataset(scaled, channel_names=ae_train.channel_names))
-    scores = [_score_scaled(policy.kind, net, stats, row) for row in scaled]
+    scores = _score_rows(net, stats, scaled)
     threshold = calibration_threshold(scores, policy.percentile)
     return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)
 
 
+def score_batch(scorer: AnomalyScorer, x_raw) -> np.ndarray:
+    """Scores of an (n, d) matrix of raw samples: scale, reconstruct, then
+    MSE or Mahalanobis. Non-finite samples raise DomainError."""
+    x = _finite_rows(x_raw, scorer.scaler.mins.shape[0])
+    return _score_rows(scorer.net, scorer.stats, scorer.scaler.transform(x))
+
+
 def score_sample(scorer: AnomalyScorer, x_raw) -> float:
+    """One-row view of `score_batch` for one raw sample (d,)."""
+    return float(score_batch(scorer, np.asarray(x_raw, dtype=np.float64)[None, ...])[0])
+
+
+def classify(scorer: AnomalyScorer, x_raw):
+    """Anomalous iff score > threshold; a tie is Normal. One raw sample (d,)
+    gives (Label, score); a matrix (n, d) gives (labels, scores) arrays."""
     x = np.asarray(x_raw, dtype=np.float64)
-    if x.shape != (scorer.scaler.mins.shape[0],):
-        raise ShapeError(f"sample has shape {x.shape}, expected ({scorer.scaler.mins.shape[0]},)")
-    return _score_scaled(scorer.policy.kind, scorer.net, scorer.stats, scorer.scaler.transform(x))
-
-
-def classify(scorer: AnomalyScorer, x_raw) -> tuple[Label, float]:
-    """Anomalous iff score > threshold; a tie is Normal."""
-    score = score_sample(scorer, x_raw)
-    label = Label.ANOMALOUS if score > scorer.threshold else Label.NORMAL
-    return label, score
+    if x.ndim == 2:
+        scores = score_batch(scorer, x)
+        return (scores > scorer.threshold).astype(np.int8), scores
+    score = score_sample(scorer, x)
+    return (Label.ANOMALOUS if score > scorer.threshold else Label.NORMAL), score
 
 
 def scorer_to_dict(scorer: AnomalyScorer, model_file: str) -> dict:
@@ -201,22 +249,29 @@ def save_scorer(scorer: AnomalyScorer, path, model_file: str) -> None:
 
 def load_scorer(path) -> AnomalyScorer:
     """Rebuild a scorer; the referenced model file is resolved relative to
-    the scorer file's directory."""
+    the scorer file's directory. An unreadable file, a missing key or an
+    array of the wrong size raises DataError."""
     path = Path(path)
-    d = json.loads(path.read_text(encoding="utf-8"))
-    if d.get("format_version") != SCORER_FORMAT_VERSION:
-        raise DataError(f"unsupported scorer format version {d.get('format_version')!r}")
-    net = load_network(path.parent / d["model_file"])
-    scaler = MinMaxScaler.from_dict(d["scaler"])
-    policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
-    stats = None
-    if policy.kind == MAHALANOBIS_POLICY:
-        mean = np.array(d["residual_mean"], dtype=np.float64)
-        dim = mean.shape[0]
-        cov = np.array(d["residual_cov"], dtype=np.float64).reshape(dim, dim)
-        try:
-            factor = cholesky(cov, 0.0)
-        except NotPositiveDefiniteError as exc:
-            raise DegenerateResidualsError(f"stored residual covariance is not factorizable: {exc}") from exc
-        stats = ResidualStats(mean=mean, cov=cov, chol=factor, n_fit=int(d["n_fit"]))
-    return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=float(d["threshold"]), stats=stats)
+    try:
+        d = json.loads(path.read_text(encoding="utf-8"))
+        if d.get("format_version") != SCORER_FORMAT_VERSION:
+            raise DataError(f"unsupported scorer format version {d.get('format_version')!r}")
+        net = load_network(path.parent / d["model_file"])
+        scaler = MinMaxScaler.from_dict(d["scaler"])
+        policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
+        threshold = float(d["threshold"])
+        stats = None
+        if policy.kind == MAHALANOBIS_POLICY:
+            dim = net.out_dim
+            mean = np.array(d["residual_mean"], dtype=np.float64).reshape(dim)
+            cov = np.array(d["residual_cov"], dtype=np.float64).reshape(dim, dim)
+            try:
+                factor = cholesky(cov, 0.0)
+            except NotPositiveDefiniteError as exc:
+                raise DegenerateResidualsError(f"stored residual covariance is not factorizable: {exc}") from exc
+            stats = ResidualStats(mean=mean, cov=cov, chol=factor, n_fit=int(d["n_fit"]))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"cannot load scorer {path}: {type(exc).__name__}: {exc}") from exc
+    if scaler.mins.shape != (net.in_dim,):
+        raise DataError(f"scorer scaler has {scaler.mins.shape[0]} channels, network expects {net.in_dim}")
+    return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)

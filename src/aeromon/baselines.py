@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -275,13 +274,8 @@ def _train_single_forest_tree(x, y, cfg: ClassifierConfig, tree_rng: Rng):
     return _grow_tree(bx, by, 0, cfg.max_depth, cfg.min_leaf, choose_features)
 
 
-def _train_forest(cfg: ClassifierConfig, x, y, seed: int, threads: int):
-    rngs = [Rng(derive_seed(seed, t)) for t in range(cfg.n_trees)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(lambda r: _train_single_forest_tree(x, y, cfg, r), rngs))
-    else:
-        trees = [_train_single_forest_tree(x, y, cfg, r) for r in rngs]
+def _train_forest(cfg: ClassifierConfig, x, y, seed: int):
+    trees = [_train_single_forest_tree(x, y, cfg, Rng(derive_seed(seed, t))) for t in range(cfg.n_trees)]
     return {"trees": trees}
 
 
@@ -327,7 +321,7 @@ def _mlp_proba(payload, x):
 # --- shared surface ---------------------------------------------------------
 
 
-def train_classifier(cfg: ClassifierConfig, train: Dataset, seed: int, threads: int = 0) -> ClassifierModel:
+def train_classifier(cfg: ClassifierConfig, train: Dataset, seed: int) -> ClassifierModel:
     """Fit one classifier on scaled, labelled data. Deterministic per seed."""
     y = train.require_labels().astype(np.float64)
     _require_both_classes(train.labels)
@@ -343,7 +337,7 @@ def train_classifier(cfg: ClassifierConfig, train: Dataset, seed: int, threads: 
     elif cfg.kind == DECISION_TREE:
         payload = _train_tree(cfg, x, y)
     elif cfg.kind == RANDOM_FOREST:
-        payload = _train_forest(cfg, x, y, seed, threads)
+        payload = _train_forest(cfg, x, y, seed)
     else:
         payload = _train_mlp(cfg, x, y, seed)
     return ClassifierModel(kind=cfg.kind, config=cfg, payload=payload)
@@ -360,17 +354,25 @@ _PROBA_FNS = {
 
 
 def predict_proba(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
+    """Anomalous-class probability of every row of an (n, d) feature matrix;
+    non-finite features raise DomainError."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("predict_proba expects a (n, d) feature matrix")
+    if not np.isfinite(x).all():
+        raise DomainError("features contain non-finite values")
     return _PROBA_FNS[model.kind](model.payload, x)
 
 
-def predict(model: ClassifierModel, x) -> tuple[Label, float]:
-    """(label, anomalous-class probability); prob > 0.5 means anomalous."""
+def predict(model: ClassifierModel, x):
+    """(label, anomalous-class probability) for one sample (d,), or (labels,
+    probabilities) arrays for a matrix (n, d); prob > 0.5 means anomalous."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2:
+        probs = predict_proba(model, x)
+        return (probs > 0.5).astype(np.int8), probs
     if x.ndim != 1:
-        raise ShapeError("predict expects a single sample vector")
+        raise ShapeError("predict expects a sample vector or a (n, d) feature matrix")
     prob = float(predict_proba(model, x[None, :])[0])
     return (Label.ANOMALOUS if prob > 0.5 else Label.NORMAL), prob
 
@@ -404,7 +406,7 @@ def _anomalous_f1(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def cross_validate(
-    cfg: ClassifierConfig, train: Dataset, folds: int = 5, seed: int = 0, threads: int = 0
+    cfg: ClassifierConfig, train: Dataset, folds: int = 5, seed: int = 0
 ) -> tuple[float, list[float]]:
     """Mean anomalous-class F1 over stratified folds (plus per-fold scores)."""
     labels = train.require_labels()
@@ -414,7 +416,7 @@ def cross_validate(
         mask = np.ones(train.n, dtype=bool)
         mask[held_out] = False
         fit_set = train.subset(np.flatnonzero(mask))
-        model = train_classifier(cfg, fit_set, derive_seed(seed, 100 + f), threads)
+        model = train_classifier(cfg, fit_set, derive_seed(seed, 100 + f))
         probs = predict_proba(model, train.features[held_out])
         pred = (probs > 0.5).astype(np.int8)
         scores.append(_anomalous_f1(pred, labels[held_out]))
@@ -422,7 +424,7 @@ def cross_validate(
 
 
 def select_model(
-    candidates: list[ClassifierConfig], train: Dataset, seed: int, folds: int = 5, threads: int = 0
+    candidates: list[ClassifierConfig], train: Dataset, seed: int, folds: int = 5
 ) -> tuple[ClassifierConfig, ClassifierModel]:
     """Pick the candidate with the highest mean CV F1 and refit on all data.
 
@@ -435,10 +437,10 @@ def select_model(
     else:
         best, best_score = None, -1.0
         for cfg in candidates:
-            mean_f1, _ = cross_validate(cfg, train, folds=folds, seed=seed, threads=threads)
+            mean_f1, _ = cross_validate(cfg, train, folds=folds, seed=seed)
             if mean_f1 > best_score:
                 best, best_score = cfg, mean_f1
-    return best, train_classifier(best, train, seed, threads)
+    return best, train_classifier(best, train, seed)
 
 
 # --- serialization ----------------------------------------------------------

@@ -8,29 +8,18 @@ same output directory; `run` executes the whole chain. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from .baselines import CLASSIFIER_KINDS, cross_validate, save_model, select_model
 from .config import PipelineConfig, default_config, load_config
-from .dataset import MinMaxScaler, apply_scaler, load_csv
+from .dataset import apply_scaler, load_csv
 from .errors import ConfigError, ToolkitError
 from .numerics import derive_seed
-from .pipeline import (
-    _OutputDir,
-    run_pipeline,
-    stage_calibrate,
-    stage_compare,
-    stage_evaluate,
-    stage_fit_scalers,
-    stage_histogram,
-    stage_ingest,
-    stage_score,
-    stage_split,
-    stage_train_ae,
-    thread_cap,
-)
+from .pipeline import _PIPELINE_STAGES, _OutputDir, run_pipeline, stage_histogram, stage_ingest, stage_score
+
+# subcommand -> stage function: pipeline stages keep their names, ingest is `generate`
+_STAGE_COMMANDS = dict(_PIPELINE_STAGES, generate=stage_ingest, score=stage_score, histogram=stage_histogram)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,23 +91,18 @@ def _grid(raw: str | None, default: list, cast):
 
 def _train_clf_command(cfg: PipelineConfig, out: _OutputDir, args) -> None:
     base = cfg.baseline_candidates(args.kind)[0]
-    kw = {}
-    if args.lr is not None:
-        kw["learning_rate"] = args.lr
-    if args.epochs is not None:
-        kw["epochs"] = args.epochs
-    if args.trees is not None:
-        kw["n_trees"] = args.trees
-    if args.features_per_split is not None:
-        kw["features_per_split"] = args.features_per_split
+    fields = {
+        "lr": "learning_rate",
+        "epochs": "epochs",
+        "trees": "n_trees",
+        "features_per_split": "features_per_split",
+        "min_leaf": "min_leaf",
+        "hidden_units": "hidden_units",
+        "batch_size": "batch_size",
+    }
+    kw = {field: getattr(args, flag) for flag, field in fields.items() if getattr(args, flag) is not None}
     if args.max_depth is not None:
         kw["max_depth"] = args.max_depth or None
-    if args.min_leaf is not None:
-        kw["min_leaf"] = args.min_leaf
-    if args.hidden_units is not None:
-        kw["hidden_units"] = args.hidden_units
-    if args.batch_size is not None:
-        kw["batch_size"] = args.batch_size
 
     ks = _grid(args.k, [base.k], int)
     l2s = _grid(args.l2, [base.l2_strength], float)
@@ -132,17 +116,13 @@ def _train_clf_command(cfg: PipelineConfig, out: _OutputDir, args) -> None:
         raise ConfigError("multiple grid values need --cv")
 
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
-    scaler = MinMaxScaler.from_dict(
-        json.loads(out.file("scaler_supervised.json").read_text(encoding="utf-8"))
-    )
-    scaled = apply_scaler(scaler, supervised)
+    scaled = apply_scaler(out.read_scaler("scaler_supervised.json"), supervised)
     seed = derive_seed(cfg.seed, 90)
-    threads = thread_cap()
     if args.cv:
         for cand in candidates:
-            mean_f1, per_fold = cross_validate(cand, scaled, folds=cfg["cv_folds"], seed=seed, threads=threads)
+            mean_f1, per_fold = cross_validate(cand, scaled, folds=cfg["cv_folds"], seed=seed)
             print(f"{cand.kind} {cand}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
-    best, model = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"], threads=threads)
+    best, model = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
     model = replace(model, scaler_ref="scaler_supervised.json")
     save_model(model, out.file(f"clf_{args.kind}.json"))
     print(f"wrote clf_{args.kind}.json (selected {best})")
@@ -158,29 +138,11 @@ def main(argv=None) -> int:
             if not args.quiet:
                 print(f"config hash {manifest.config_hash}")
             return 0
-        if args.command == "generate":
-            written = stage_ingest(cfg, out)
-        elif args.command == "split":
-            written = stage_split(cfg, out)
-        elif args.command == "fit-scalers":
-            written = stage_fit_scalers(cfg, out)
-        elif args.command == "train-ae":
-            written = stage_train_ae(cfg, out)
-        elif args.command == "calibrate":
-            written = stage_calibrate(cfg, out)
-        elif args.command == "score":
-            written = stage_score(cfg, out, input_name=args.input)
-        elif args.command == "train-clf":
+        if args.command == "train-clf":
             _train_clf_command(cfg, out, args)
             return 0
-        elif args.command == "evaluate":
-            written = stage_evaluate(cfg, out)
-        elif args.command == "compare":
-            written = stage_compare(cfg, out)
-        elif args.command == "histogram":
-            written = stage_histogram(cfg, out, input_name=args.input)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command}")
+        inputs = {"input_name": args.input} if hasattr(args, "input") else {}
+        written = _STAGE_COMMANDS[args.command](cfg, out, **inputs)
         if not args.quiet:
             print(f"wrote {', '.join(written)}")
         return 0

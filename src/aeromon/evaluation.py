@@ -222,18 +222,19 @@ def histograms_to_csv_lines(histograms: list[ChannelHistogram]) -> list[str]:
 
 
 def evaluate_model(decider, test: Dataset, model_name: str = "model") -> EvalReport:
-    """Apply a (label, score) decision closure to every test sample once.
+    """Apply a batch decision function once to the whole test feature matrix.
 
-    The decider receives one raw feature vector. AUROC is included when both
-    classes appear in the truth; with a single-class test set it is None.
+    The decider receives the raw (n, d) feature matrix and returns
+    `(decisions, scores)`: n labels (1 = anomalous) and n scores. AUROC is
+    included when both classes appear in the truth; with a single-class test
+    set it is None.
     """
     truth = test.require_labels()
-    predictions = np.empty(test.n, dtype=np.int8)
-    scores = np.empty(test.n, dtype=np.float64)
-    for i in range(test.n):
-        label, score = decider(test.features[i])
-        predictions[i] = int(label)
-        scores[i] = score
+    decisions, scores = decider(test.features)
+    predictions = np.asarray(decisions, dtype=np.int8)
+    scores = np.asarray(scores, dtype=np.float64)
+    if predictions.shape != (test.n,) or scores.shape != (test.n,):
+        raise ShapeError(f"decider returned shapes {predictions.shape} and {scores.shape}, expected ({test.n},)")
     cm = confusion(predictions, truth)
     auroc_value = None
     if 0 < int((truth == 1).sum()) < test.n:

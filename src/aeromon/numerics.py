@@ -232,19 +232,27 @@ def cholesky(a, jitter: float = 0.0) -> CholeskyFactor:
 
 
 def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:
-    """Solve (L @ L.T) x = b by forward then back substitution."""
+    """Solve (L @ L.T) x = b by forward then back substitution.
+
+    `b` is one right-hand side (d,) or a batch of rows (n, d); the result has
+    the same shape. Each substitution step subtracts one term at a time with
+    elementwise operations only, so a row's solution is bit-identical whether
+    it is solved alone or inside any batch.
+    """
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (factor.dim,):
-        raise ShapeError(f"rhs has shape {b.shape}, expected ({factor.dim},)")
+    if b.ndim not in (1, 2) or b.shape[-1] != factor.dim:
+        raise ShapeError(f"rhs has shape {b.shape}, expected ({factor.dim},) or (n, {factor.dim})")
     lower = factor.lower
-    d = factor.dim
-    y = np.zeros(d)
-    for i in range(d):
-        y[i] = (b[i] - np.dot(lower[i, :i], y[:i])) / lower[i, i]
-    x = np.zeros(d)
-    for i in range(d - 1, -1, -1):
-        x[i] = (y[i] - np.dot(lower[i + 1 :, i], x[i + 1 :])) / lower[i, i]
-    return x
+    x = np.array(b.T)  # row i holds coordinate i of every right-hand side
+    for i in range(factor.dim):  # forward: L y = b, y overwrites b
+        for k in range(i):
+            x[i] -= lower[i, k] * x[k]
+        x[i] /= lower[i, i]
+    for i in range(factor.dim - 1, -1, -1):  # back: L.T x = y, x overwrites y
+        for k in range(i + 1, factor.dim):
+            x[i] -= lower[k, i] * x[k]
+        x[i] /= lower[i, i]
+    return x.T
 
 
 def percentile(values, p: float) -> float:

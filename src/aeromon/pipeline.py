@@ -63,19 +63,6 @@ from .numerics import derive_seed
 
 MANIFEST_FORMAT_VERSION = 1
 LOCK_NAME = ".aeromon.lock"
-THREADS_ENV_VAR = "AEROMON_THREADS"
-
-
-def thread_cap() -> int:
-    """Within-stage parallelism cap from AEROMON_THREADS (0 = serial)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be >= 0, got {value}")
-    return value
 
 
 @dataclass
@@ -108,6 +95,9 @@ class _OutputDir:
 
     def file(self, name: str) -> Path:
         return self.path / name
+
+    def read_scaler(self, name: str) -> MinMaxScaler:
+        return MinMaxScaler.from_dict(json.loads(self.file(name).read_text(encoding="utf-8")))
 
     def write_json(self, name: str, payload: dict) -> None:
         self.file(name).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
@@ -182,7 +172,7 @@ def stage_fit_scalers(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
 
 
 def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
-    scaler = MinMaxScaler.from_dict(json.loads(out.file("scaler_ae.json").read_text(encoding="utf-8")))
+    scaler = out.read_scaler("scaler_ae.json")
     ae_train = apply_scaler(scaler, load_csv(out.file("ae_train.csv"), has_labels=True))
     ae_val = apply_scaler(scaler, load_csv(out.file("ae_val.csv"), has_labels=True))
     train_cfg = cfg.train_config()
@@ -195,7 +185,7 @@ def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
 
 def stage_calibrate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     net = load_network(out.file("model_ae.json"))
-    scaler = MinMaxScaler.from_dict(json.loads(out.file("scaler_ae.json").read_text(encoding="utf-8")))
+    scaler = out.read_scaler("scaler_ae.json")
     ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
     scorer = calibrate(net, scaler, ae_train, cfg.threshold_policy())
     save_scorer(scorer, out.file("scorer.json"), "model_ae.json")
@@ -206,34 +196,25 @@ def stage_score(cfg: PipelineConfig, out: _OutputDir, input_name: str = "test_fe
     """Score a feature-only CSV; never touches labels."""
     scorer = load_scorer(out.file("scorer.json"))
     features = load_csv(out.file(input_name), has_labels=False)
+    decisions, scores = classify(scorer, features.features)
     lines = ["index,score,decision"]
-    for i in range(features.n):
-        label, score = classify(scorer, features.features[i])
-        lines.append(f"{i},{score!r},{int(label)}")
+    lines += [f"{i},{float(s)!r},{int(d)}" for i, (s, d) in enumerate(zip(scores, decisions))]
     out.write_lines("scores.csv", lines)
     return ["scores.csv"]
 
 
-def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir, threads: int = 0) -> list[str]:
+def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
-    scaler = MinMaxScaler.from_dict(
-        json.loads(out.file("scaler_supervised.json").read_text(encoding="utf-8"))
-    )
-    scaled = apply_scaler(scaler, supervised)
+    scaled = apply_scaler(out.read_scaler("scaler_supervised.json"), supervised)
     written = []
     for i, kind in enumerate(cfg.baseline_kinds()):
         candidates = cfg.baseline_candidates(kind)
         seed = derive_seed(cfg.seed, STAGE_BASELINE_BASE + i)
-        _, model = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"], threads=threads)
-        model = _with_scaler_ref(model, "scaler_supervised.json")
+        _, model = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
         name = f"clf_{kind}.json"
-        save_model(model, out.file(name))
+        save_model(replace(model, scaler_ref="scaler_supervised.json"), out.file(name))
         written.append(name)
     return written
-
-
-def _with_scaler_ref(model, ref: str):
-    return replace(model, scaler_ref=ref)
 
 
 def _load_test_set(out: _OutputDir) -> Dataset:
@@ -254,24 +235,15 @@ def _load_test_set(out: _OutputDir) -> Dataset:
 def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     """The only stage that opens test_labels.csv."""
     test = _load_test_set(out)
-    written = []
-
     scorer = load_scorer(out.file("scorer.json"))
-    report = evaluate_model(lambda x: classify(scorer, x), test, model_name="ae")
-    out.write_json("report_ae.json", report.to_dict())
-    written.append("report_ae.json")
-
+    deciders = {"ae": lambda x: classify(scorer, x)}
     for kind in cfg.baseline_kinds():
         model = load_model(out.file(f"clf_{kind}.json"))
-        scaler = MinMaxScaler.from_dict(
-            json.loads(out.file(model.scaler_ref).read_text(encoding="utf-8"))
-        )
-        report = evaluate_model(
-            lambda x, m=model, s=scaler: predict(m, s.transform(x)), test, model_name=kind
-        )
-        out.write_json(f"report_{kind}.json", report.to_dict())
-        written.append(f"report_{kind}.json")
-    return written
+        scaler = out.read_scaler(model.scaler_ref)
+        deciders[kind] = lambda x, m=model, s=scaler: predict(m, s.transform(x))
+    for name, decide in deciders.items():
+        out.write_json(f"report_{name}.json", evaluate_model(decide, test, model_name=name).to_dict())
+    return [f"report_{name}.json" for name in deciders]
 
 
 def stage_compare(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
@@ -301,7 +273,7 @@ _PIPELINE_STAGES = (
     ("fit-scalers", stage_fit_scalers),
     ("train-ae", stage_train_ae),
     ("calibrate", stage_calibrate),
-    ("train-baselines", None),  # bound below: needs the thread cap
+    ("train-baselines", stage_train_baselines),
     ("evaluate", stage_evaluate),
     ("compare", stage_compare),
 )
@@ -314,7 +286,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> RunM
     manifest (flagged `partial`) lists whatever was written before the abort.
     """
     out = _OutputDir(out_dir if out_dir is not None else cfg.out_dir)
-    threads = thread_cap()
     manifest = RunManifest(config_hash=cfg.config_hash(), toolkit_version=__version__)
 
     def log(msg):
@@ -325,10 +296,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> RunM
         for stage_name, fn in _PIPELINE_STAGES:
             started = time.perf_counter()
             try:
-                if stage_name == "train-baselines":
-                    written = stage_train_baselines(cfg, out, threads=threads)
-                else:
-                    written = fn(cfg, out)
+                written = fn(cfg, out)
             except ToolkitError as exc:
                 manifest.failed_stage = stage_name
                 out.write_json("manifest.json", manifest.to_dict())

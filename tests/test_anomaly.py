@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from aeromon import anomaly
 from aeromon.anomaly import (
     MAHALANOBIS_POLICY,
     MSE_POLICY,
@@ -19,6 +20,7 @@ from aeromon.anomaly import (
     save_scorer,
     score_mahalanobis,
     score_mse,
+    score_batch,
     score_sample,
 )
 from aeromon.autoencoder import (
@@ -30,6 +32,7 @@ from aeromon.autoencoder import (
     save_network,
     train,
 )
+from aeromon.config import default_config
 from aeromon.dataset import (
     Dataset,
     Label,
@@ -37,10 +40,15 @@ from aeromon.dataset import (
     apply_scaler,
     fit_scaler,
     generate_synthetic,
+    load_csv,
+    save_csv,
     split,
 )
 from aeromon.errors import DegenerateResidualsError, DomainError, InsufficientDataError
 from aeromon.numerics import Rng, cholesky
+from aeromon.pipeline import _OutputDir, stage_score
+
+POLICIES = (MSE_POLICY, MAHALANOBIS_POLICY)
 
 
 def _identity_net():
@@ -83,6 +91,13 @@ class TestResidual:
     def test_zero_network_negates_input(self):
         x = np.full(7, 0.5)
         assert np.array_equal(residual(_zero_net(), x), -x)
+
+    def test_batch_rows_equal_single_rows(self, trained):
+        feats = trained["train_scaled"].features[:50]
+        batch = residual(trained["net"], feats)
+        assert batch.shape == feats.shape
+        for row, r in zip(feats, batch):
+            assert np.array_equal(residual(trained["net"], row), r)
 
     def test_trained_residual_matches_reported_error_scale(self, trained):
         feats = trained["train_scaled"].features
@@ -342,3 +357,74 @@ class TestScorerSerialization:
             assert back.policy == scorer.policy
             for row in trained["test"].features[:25]:
                 assert score_sample(back, row) == score_sample(scorer, row)
+
+
+class TestBatchScoring:
+    """One kernel scores every batch: a row's score never depends on the
+    batch it arrives in, so calibration, `score`, `evaluate` and `classify`
+    agree bit for bit."""
+
+    def _scorer(self, trained, kind):
+        return calibrate(trained["net"], trained["scaler"], trained["ae_train"], ThresholdPolicy(kind, 85.0))
+
+    @pytest.mark.invariant
+    def test_row_alone_equals_row_in_any_batch(self, trained, monkeypatch):
+        feats = trained["test"].features
+        order = list(range(len(feats)))
+        Rng(12).shuffle(order)
+        order = order[: len(feats) - 37]  # a shuffled batch of another size
+        for kind in POLICIES:
+            scorer = self._scorer(trained, kind)
+            full = score_batch(scorer, feats)
+            alone = np.array([score_sample(scorer, row) for row in feats])
+            assert alone.tobytes() == full.tobytes()
+            assert score_batch(scorer, feats[order]).tobytes() == full[order].tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(anomaly, "SCORE_BLOCK_ROWS", 7)  # many blocks, a short last one
+                assert score_batch(scorer, feats).tobytes() == full.tobytes()
+
+    def test_matrix_classify_matches_row_classify(self, trained):
+        feats = trained["test"].features
+        for kind in POLICIES:
+            scorer = self._scorer(trained, kind)
+            labels, scores = classify(scorer, feats)
+            assert scores.tobytes() == score_batch(scorer, feats).tobytes()
+            assert [int(classify(scorer, row)[0]) for row in feats] == labels.tolist()
+
+    def test_calibration_scores_equal_score_sample(self, trained, monkeypatch):
+        seen = []
+        real = anomaly.calibration_threshold
+        monkeypatch.setattr(anomaly, "calibration_threshold", lambda s, p: seen.append(np.array(s)) or real(s, p))
+        for kind in POLICIES:
+            scorer = self._scorer(trained, kind)
+            alone = np.array([score_sample(scorer, row) for row in trained["ae_train"].features])
+            assert seen[-1].tobytes() == alone.tobytes()
+
+    def test_scores_csv_rows_equal_classify(self, trained, tmp_path):
+        for kind in POLICIES:
+            out = _OutputDir(tmp_path / kind)
+            scorer = self._scorer(trained, kind)
+            save_network(scorer.net, out.file("model_ae.json"))
+            save_scorer(scorer, out.file("scorer.json"), "model_ae.json")
+            save_csv(trained["test"], out.file("test_features.csv"), include_labels=False)
+            stage_score(default_config(), out)
+            feats = load_csv(out.file("test_features.csv"), has_labels=False).features
+            lines = out.file("scores.csv").read_text(encoding="utf-8").splitlines()
+            assert lines[0] == "index,score,decision"
+            assert len(lines) == 1 + len(feats)
+            for i, line in enumerate(lines[1:]):
+                label, score = classify(scorer, feats[i])
+                assert line == f"{i},{score!r},{int(label)}"
+
+    def test_non_finite_samples_rejected(self, trained):
+        good = trained["test"].features[:4]
+        for kind in POLICIES:
+            scorer = self._scorer(trained, kind)
+            for bad in (np.nan, np.inf, -np.inf):
+                row = good[0].copy()
+                row[3] = bad
+                batch = good.copy()
+                batch[2, 0] = bad
+                for fn, x in ((classify, row), (score_sample, row), (classify, np.full(7, bad)), (score_batch, batch)):
+                    with pytest.raises(DomainError):
+                        fn(scorer, x)

@@ -266,13 +266,6 @@ class TestRandomForest:
             tree_labels = predict_proba(tree, queries) > 0.5
             assert np.array_equal(forest_labels, tree_labels)
 
-    def test_threaded_training_matches_serial(self):
-        ds = _blobs(11, 30, dim=3)
-        cfg = ClassifierConfig(RANDOM_FOREST, n_trees=8, features_per_split=2)
-        serial = train_classifier(cfg, ds, seed=3, threads=0)
-        threaded = train_classifier(cfg, ds, seed=3, threads=4)
-        assert serial.payload["trees"] == threaded.payload["trees"]
-
     def test_separates_blobs(self):
         ds = _blobs(13, 80)
         model = train_classifier(ClassifierConfig(RANDOM_FOREST, n_trees=25), ds, seed=1)
@@ -315,6 +308,40 @@ class TestSharedContracts:
                 label, prob = predict(model, row)
                 assert 0.0 <= prob <= 1.0
                 assert (label is Label.ANOMALOUS) == (prob > 0.5)
+
+    def test_matrix_predict_matches_row_predict(self):
+        train_ds = _blobs(34, 30)
+        test_ds = _blobs(35, 15)
+        for cfg in (ClassifierConfig(LOGREG, epochs=20), ClassifierConfig(RANDOM_FOREST, n_trees=5)):
+            model = train_classifier(cfg, train_ds, seed=0)
+            labels, probs = predict(model, test_ds.features)
+            assert np.array_equal(probs, predict_proba(model, test_ds.features))
+            assert np.array_equal(labels, (probs > 0.5).astype(np.int8))
+            for row, label, prob in zip(test_ds.features, labels, probs):
+                one_label, one_prob = predict(model, row)
+                assert int(one_label) == label
+                assert one_prob == pytest.approx(prob, rel=1e-12)
+
+    def test_non_finite_features_rejected(self):
+        train_ds = _blobs(33, 20)
+        configs = [
+            ClassifierConfig(LOGREG, epochs=10),
+            ClassifierConfig(GAUSSIAN_NB),
+            ClassifierConfig(KNN, k=3),
+            ClassifierConfig(DECISION_TREE),
+            ClassifierConfig(RANDOM_FOREST, n_trees=3),
+            ClassifierConfig(MLP, epochs=2, batch_size=16),
+        ]
+        for cfg in configs:
+            model = train_classifier(cfg, train_ds, seed=0)
+            for bad in (np.nan, np.inf, -np.inf):
+                row = train_ds.features[0].copy()
+                row[2] = bad
+                batch = train_ds.features[:5].copy()
+                batch[4, 6] = bad
+                for fn, x in ((predict, row), (predict, np.full(7, bad)), (predict_proba, batch)):
+                    with pytest.raises(DomainError):
+                        fn(model, x)
 
     def test_single_class_rejected(self):
         ds = _ds([1.0, 2.0, 3.0], [0, 0, 0])

@@ -206,6 +206,11 @@ class TestFeatureHistograms:
             assert int(count) >= 0
 
 
+def _constant(label: int, score: float):
+    """Batch decider giving every row the same label and score."""
+    return lambda x: (np.full(len(x), label), np.full(len(x), score))
+
+
 class TestEvaluateModel:
     def _test_set(self, n_normal=60, n_anom=40):
         rng = Rng(31)
@@ -216,15 +221,18 @@ class TestEvaluateModel:
     def test_perfect_decider(self):
         ds = self._test_set()
         truth = {tuple(row): int(l) for row, l in zip(ds.features, ds.labels)}
-        report = evaluate_model(
-            lambda x: (Label(truth[tuple(x)]), float(truth[tuple(x)])), ds, "oracle"
-        )
+
+        def oracle(x):
+            labels = np.array([truth[tuple(row)] for row in x])
+            return labels, labels.astype(np.float64)
+
+        report = evaluate_model(oracle, ds, "oracle")
         m = report.metrics
         assert (m.precision, m.recall, m.f1, m.accuracy) == (1.0, 1.0, 1.0, 1.0)
 
     def test_constant_normal_decider_on_imbalanced_set(self):
         ds = self._test_set(60, 40)
-        report = evaluate_model(lambda x: (Label.NORMAL, 0.0), ds, "always-normal")
+        report = evaluate_model(_constant(Label.NORMAL, 0.0), ds, "always-normal")
         assert report.metrics.accuracy == pytest.approx(0.6)
         assert report.metrics.recall == 0.0
 
@@ -232,19 +240,23 @@ class TestEvaluateModel:
     def test_confusion_totals_match_test_size(self):
         ds = self._test_set()
         rng = Rng(7)
-        report = evaluate_model(lambda x: (Label(rng.randrange(2)), rng.random()), ds, "random")
+        report = evaluate_model(
+            lambda x: (np.array([rng.randrange(2) for _ in x]), np.array([rng.random() for _ in x])),
+            ds,
+            "random",
+        )
         assert report.confusion.total == ds.n
 
     def test_score_summaries_present(self):
         ds = self._test_set()
-        report = evaluate_model(lambda x: (Label.NORMAL, float(x[0])), ds, "scorer")
+        report = evaluate_model(lambda x: (np.zeros(len(x)), x[:, 0]), ds, "scorer")
         assert set(report.score_summaries) == {"normal", "anomalous"}
         summary = report.score_summaries["normal"]
         assert summary.minimum <= summary.median <= summary.p85 <= summary.maximum
 
     def test_report_dict_schema(self):
         ds = self._test_set()
-        report = evaluate_model(lambda x: (Label.ANOMALOUS, 1.0), ds, "flagger")
+        report = evaluate_model(_constant(Label.ANOMALOUS, 1.0), ds, "flagger")
         d = report.to_dict()
         for key in ("model", "precision", "recall", "f1", "accuracy", "auroc", "confusion"):
             assert key in d
@@ -255,4 +267,20 @@ class TestEvaluateModel:
         from aeromon.errors import MissingLabelsError
 
         with pytest.raises(MissingLabelsError):
-            evaluate_model(lambda x: (Label.NORMAL, 0.0), ds)
+            evaluate_model(_constant(Label.NORMAL, 0.0), ds)
+
+    def test_decider_called_once_with_whole_matrix(self):
+        ds = self._test_set()
+        seen = []
+
+        def decider(x):
+            seen.append(x.shape)
+            return np.zeros(len(x)), np.zeros(len(x))
+
+        evaluate_model(decider, ds, "once")
+        assert seen == [ds.features.shape]
+
+    def test_wrong_length_output_rejected(self):
+        ds = self._test_set()
+        with pytest.raises(ShapeError):
+            evaluate_model(lambda x: (np.zeros(len(x) - 1), np.zeros(len(x))), ds)

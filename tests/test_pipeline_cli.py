@@ -13,7 +13,7 @@ from aeromon.cli import main
 from aeromon.config import default_config
 from aeromon.dataset import SynthConfig, generate_synthetic, save_csv
 from aeromon.errors import ConfigError
-from aeromon.pipeline import LOCK_NAME, run_pipeline, thread_cap
+from aeromon.pipeline import LOCK_NAME, run_pipeline
 
 FAST_KEYS = {
     "synth_n_samples": 600,
@@ -132,32 +132,6 @@ class TestRunPipeline:
         assert (out / "data.csv").read_bytes() == src.read_bytes()
 
 
-class TestThreadCap:
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("AEROMON_THREADS", raising=False)
-        assert thread_cap() == 0
-
-    def test_parses_positive(self, monkeypatch):
-        monkeypatch.setenv("AEROMON_THREADS", "4")
-        assert thread_cap() == 4
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("AEROMON_THREADS", "many")
-        with pytest.raises(ConfigError):
-            thread_cap()
-        monkeypatch.setenv("AEROMON_THREADS", "-1")
-        with pytest.raises(ConfigError):
-            thread_cap()
-
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("AEROMON_THREADS", raising=False)
-        out_a, _ = _run(tmp_path, "serial")
-        monkeypatch.setenv("AEROMON_THREADS", "3")
-        out_b, _ = _run(tmp_path, "threaded")
-        assert (out_a / "clf_random_forest.json").read_bytes() == (out_b / "clf_random_forest.json").read_bytes()
-        assert (out_a / "comparison.csv").read_bytes() == (out_b / "comparison.csv").read_bytes()
-
-
 class TestCliStages:
     def test_stage_chain_and_rerun_stability(self, tmp_path):
         cfg_file = _fast_config_file(tmp_path)
@@ -249,6 +223,38 @@ class TestExitCodes:
             writer.writerow(header)
             writer.writerows(body)
         assert main(base + ["train-clf", "--kind", "gaussian_nb"]) == 4
+
+
+@pytest.fixture(scope="module")
+def calibrated(tmp_path_factory):
+    """A work directory holding a calibrated scorer and test features."""
+    root = tmp_path_factory.mktemp("calibrated")
+    cfg_file = _fast_config_file(root)
+    out = root / "work"
+    for command in ("generate", "split", "fit-scalers", "train-ae", "calibrate"):
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", command]) == 0
+    return cfg_file, out
+
+
+class TestBrokenScorer:
+    @pytest.mark.parametrize("damage", ["garbage", "no_threshold", "short_cov"])
+    def test_score_exits_3(self, calibrated, tmp_path, capsys, damage):
+        cfg_file, src = calibrated
+        out = tmp_path / "work"
+        shutil.copytree(src, out)
+        path = out / "scorer.json"
+        if damage == "garbage":
+            path.write_text("{not json")
+        else:
+            d = json.loads(path.read_text())
+            if damage == "no_threshold":
+                del d["threshold"]
+            else:
+                d["residual_cov"] = d["residual_cov"][:-1]
+            path.write_text(json.dumps(d))
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "score"]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
 
 
 class TestConsoleScript:
