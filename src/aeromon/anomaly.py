@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-# scoring uses `_reconstruct`; `forward` stays bound here for bench/tracer.py to patch
-from .autoencoder import Network, _activate, forward, load_network  # noqa: F401
+# scoring uses `forward_rows`; `forward` stays bound here for bench/tracer.py to patch
+from .autoencoder import Network, forward, forward_rows, load_network  # noqa: F401
 from .dataset import Dataset, Label, MinMaxScaler
 from .errors import (
     DataError,
@@ -31,8 +31,9 @@ from .errors import (
     InsufficientDataError,
     NotPositiveDefiniteError,
     ShapeError,
+    read_json_artifact,
 )
-from .numerics import CholeskyFactor, cholesky, covariance, solve_spd
+from .numerics import CholeskyFactor, cholesky, covariance, row_sums, solve_spd
 
 SCORER_FORMAT_VERSION = 1
 
@@ -69,39 +70,16 @@ class ResidualStats:
     n_fit: int
 
 
-def _reconstruct(net: Network, x: np.ndarray) -> np.ndarray:
-    """Network output for one sample (d,) or a batch (n, d), one input term at
-    a time with elementwise operations, so no row depends on the batch."""
-    if x.shape[-1] != net.in_dim:
-        raise ShapeError(f"input dim {x.shape[-1]} != network in_dim {net.in_dim}")
-    a = x
-    for w, b, spec in zip(net.weights, net.biases, net.specs):
-        z = a[..., 0:1] * w[:, 0]
-        for k in range(1, w.shape[1]):
-            z += a[..., k : k + 1] * w[:, k]
-        z += b
-        a = _activate(spec.activation, z)
-    return a
-
-
-def _row_sums(m: np.ndarray) -> np.ndarray:
-    """Left-to-right sum over the last axis, one column at a time."""
-    acc = m[..., 0].copy()
-    for k in range(1, m.shape[-1]):
-        acc += m[..., k]
-    return acc
-
-
 def residual(net: Network, x_scaled) -> np.ndarray:
     """r = reconstruction - input, for one scaled sample (d,) or a batch (n, d)."""
     x = np.asarray(x_scaled, dtype=np.float64)
-    return _reconstruct(net, x) - x
+    return forward_rows(net, x) - x
 
 
 def score_mse(net: Network, x_scaled):
     """Mean squared residual: a float for one sample, an (n,) array for a batch."""
     r = residual(net, x_scaled)
-    scores = _row_sums(r * r) / r.shape[-1]
+    scores = row_sums(r * r) / r.shape[-1]
     return float(scores) if r.ndim == 1 else scores
 
 
@@ -109,7 +87,7 @@ def score_mahalanobis(stats: ResidualStats, r):
     """sqrt((r - mean)^T Sigma^{-1} (r - mean)) through the Cholesky solve:
     a float for one residual (d,), an (n,) array for a batch (n, d)."""
     centered = np.asarray(r, dtype=np.float64) - stats.mean
-    scores = np.sqrt(np.maximum(_row_sums(centered * solve_spd(stats.chol, centered)), 0.0))
+    scores = np.sqrt(np.maximum(row_sums(centered * solve_spd(stats.chol, centered)), 0.0))
     return float(scores) if centered.ndim == 1 else scores
 
 
@@ -252,26 +230,26 @@ def load_scorer(path) -> AnomalyScorer:
     the scorer file's directory. An unreadable file, a missing key or an
     array of the wrong size raises DataError."""
     path = Path(path)
-    try:
-        d = json.loads(path.read_text(encoding="utf-8"))
-        if d.get("format_version") != SCORER_FORMAT_VERSION:
-            raise DataError(f"unsupported scorer format version {d.get('format_version')!r}")
-        net = load_network(path.parent / d["model_file"])
-        scaler = MinMaxScaler.from_dict(d["scaler"])
-        policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
-        threshold = float(d["threshold"])
-        stats = None
-        if policy.kind == MAHALANOBIS_POLICY:
-            dim = net.out_dim
-            mean = np.array(d["residual_mean"], dtype=np.float64).reshape(dim)
-            cov = np.array(d["residual_cov"], dtype=np.float64).reshape(dim, dim)
-            try:
-                factor = cholesky(cov, 0.0)
-            except NotPositiveDefiniteError as exc:
-                raise DegenerateResidualsError(f"stored residual covariance is not factorizable: {exc}") from exc
-            stats = ResidualStats(mean=mean, cov=cov, chol=factor, n_fit=int(d["n_fit"]))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"cannot load scorer {path}: {type(exc).__name__}: {exc}") from exc
+    return read_json_artifact(path, lambda d: _scorer_from_dict(d, path.parent))
+
+
+def _scorer_from_dict(d: dict, model_dir: Path) -> AnomalyScorer:
+    if d.get("format_version") != SCORER_FORMAT_VERSION:
+        raise DataError(f"unsupported scorer format version {d.get('format_version')!r}")
+    net = load_network(model_dir / d["model_file"])
+    scaler = MinMaxScaler.from_dict(d["scaler"])
+    policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
+    threshold = float(d["threshold"])
+    stats = None
+    if policy.kind == MAHALANOBIS_POLICY:
+        dim = net.out_dim
+        mean = np.array(d["residual_mean"], dtype=np.float64).reshape(dim)
+        cov = np.array(d["residual_cov"], dtype=np.float64).reshape(dim, dim)
+        try:
+            factor = cholesky(cov, 0.0)
+        except NotPositiveDefiniteError as exc:
+            raise DegenerateResidualsError(f"stored residual covariance is not factorizable: {exc}") from exc
+        stats = ResidualStats(mean=mean, cov=cov, chol=factor, n_fit=int(d["n_fit"]))
     if scaler.mins.shape != (net.in_dim,):
         raise DataError(f"scorer scaler has {scaler.mins.shape[0]} channels, network expects {net.in_dim}")
     return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DomainError, InsufficientDataError, ShapeError
+from .errors import DataError, DomainError, InsufficientDataError, ShapeError, read_json_artifact
 from .numerics import Rng
 
 MODEL_FORMAT_VERSION = 1
@@ -156,6 +156,22 @@ def forward(net: Network, x) -> tuple[np.ndarray, list]:
         a = _activate(spec.activation, z)
         layer_cache.append((z, a))
     return a, [x, layer_cache]
+
+
+def forward_rows(net: Network, x: np.ndarray) -> np.ndarray:
+    """Network output for one sample (d,) or a batch (n, d), one input term at
+    a time with elementwise operations, so no row depends on the batch. Every
+    prediction uses it; training keeps the BLAS `forward`."""
+    if x.shape[-1] != net.in_dim:
+        raise ShapeError(f"input dim {x.shape[-1]} != network in_dim {net.in_dim}")
+    a = x
+    for w, b, spec in zip(net.weights, net.biases, net.specs):
+        z = a[..., 0:1] * w[:, 0]
+        for k in range(1, w.shape[1]):
+            z += a[..., k : k + 1] * w[:, k]
+        z += b
+        a = _activate(spec.activation, z)
+    return a
 
 
 def mse_loss(x, x_hat) -> float:
@@ -425,7 +441,7 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    return network_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_json_artifact(path, network_from_dict)
 
 
 def write_epoch_log(report: TrainReport, path) -> None:

@@ -12,18 +12,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .autoencoder import (
     AdamState,
     LayerSpec,
+    Network,
     _backprop_from_output_delta,
     _sigmoid,
     adam_step,
     forward,
+    forward_rows,
     init_network,
     network_from_dict,
     network_to_dict,
@@ -36,8 +40,9 @@ from .errors import (
     DomainError,
     ShapeError,
     StratificationError,
+    read_json_artifact,
 )
-from .numerics import Rng, derive_seed
+from .numerics import Rng, derive_seed, row_sums
 
 CLASSIFIER_FORMAT_VERSION = 1
 
@@ -47,7 +52,6 @@ KNN = "knn"
 DECISION_TREE = "decision_tree"
 RANDOM_FOREST = "random_forest"
 MLP = "mlp"
-CLASSIFIER_KINDS = (LOGREG, GAUSSIAN_NB, KNN, DECISION_TREE, RANDOM_FOREST, MLP)
 
 _NB_VARIANCE_FLOOR = 1e-9
 
@@ -93,10 +97,13 @@ class ClassifierConfig:
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    kind: str
     config: ClassifierConfig
-    payload: object
+    payload: dict
     scaler_ref: str | None = None
+
+    @property
+    def kind(self) -> str:
+        return self.config.kind
 
 
 def _require_both_classes(labels: np.ndarray) -> None:
@@ -123,7 +130,7 @@ def logreg_gradient(weights, bias, x, y, l2_strength):
     return gw, gb
 
 
-def _train_logreg(cfg: ClassifierConfig, x, y):
+def _train_logreg(cfg: ClassifierConfig, x, y, seed):
     weights = np.zeros(x.shape[1])
     bias = 0.0
     for _ in range(cfg.epochs):
@@ -134,13 +141,14 @@ def _train_logreg(cfg: ClassifierConfig, x, y):
 
 
 def _logreg_proba(payload, x):
-    return _sigmoid(x @ payload["weights"] + payload["bias"])
+    # one term at a time, not `x @ weights`, so a row's probability is batch-independent
+    return _sigmoid(row_sums(x * payload["weights"]) + payload["bias"])
 
 
 # --- gaussian naive bayes ---------------------------------------------------
 
 
-def _train_gaussian_nb(x, y):
+def _train_gaussian_nb(cfg: ClassifierConfig, x, y, seed):
     means, variances, log_priors = [], [], []
     for c in (0, 1):
         sub = x[y == c]
@@ -167,6 +175,13 @@ def _gaussian_nb_proba(payload, x):
 
 
 # --- k-nearest-neighbours ---------------------------------------------------
+
+
+def _train_knn(cfg: ClassifierConfig, x, y, seed):
+    if cfg.k > x.shape[0]:
+        raise DataError(f"k={cfg.k} exceeds training size {x.shape[0]}")
+    # integer labels, so the model file holds 0/1 and not 0.0/1.0
+    return {"train_features": x.copy(), "train_labels": y.astype(np.int8), "k": cfg.k}
 
 
 def _knn_proba(payload, x):
@@ -248,7 +263,7 @@ def _tree_proba(payload, x):
     return np.array([_tree_leaf_prob(payload["root"], row) for row in x])
 
 
-def _train_tree(cfg: ClassifierConfig, x, y):
+def _train_tree(cfg: ClassifierConfig, x, y, seed):
     all_features = list(range(x.shape[1]))
     root = _grow_tree(x, y, 0, cfg.max_depth, cfg.min_leaf, lambda: all_features)
     return {"root": root}
@@ -314,43 +329,44 @@ def _train_mlp(cfg: ClassifierConfig, x, y, seed: int):
 
 
 def _mlp_proba(payload, x):
-    out, _ = forward(payload["network"], x)
-    return out[:, 0]
+    return forward_rows(payload["network"], x)[:, 0]
 
 
 # --- shared surface ---------------------------------------------------------
+
+
+_float_array = partial(np.array, dtype=np.float64)
+_label_array = partial(np.array, dtype=np.int8)
+
+
+class _Kind(NamedTuple):
+    """How one classifier kind trains, predicts and reads its payload back."""
+
+    train: Callable  # (cfg, x, y, seed) -> payload dict
+    proba: Callable  # (payload, (n, d) x) -> (n,) anomalous-class probabilities
+    fields: dict  # payload entry -> function rebuilding it from its JSON value
+
+
+_KINDS = {
+    LOGREG: _Kind(_train_logreg, _logreg_proba, {"weights": _float_array, "bias": float}),
+    GAUSSIAN_NB: _Kind(
+        _train_gaussian_nb,
+        _gaussian_nb_proba,
+        {"means": _float_array, "variances": _float_array, "log_priors": _float_array},
+    ),
+    KNN: _Kind(_train_knn, _knn_proba, {"train_features": _float_array, "train_labels": _label_array, "k": int}),
+    DECISION_TREE: _Kind(_train_tree, _tree_proba, {"root": dict}),
+    RANDOM_FOREST: _Kind(_train_forest, _forest_proba, {"trees": list}),
+    MLP: _Kind(_train_mlp, _mlp_proba, {"network": network_from_dict}),
+}
+CLASSIFIER_KINDS = tuple(_KINDS)
 
 
 def train_classifier(cfg: ClassifierConfig, train: Dataset, seed: int) -> ClassifierModel:
     """Fit one classifier on scaled, labelled data. Deterministic per seed."""
     y = train.require_labels().astype(np.float64)
     _require_both_classes(train.labels)
-    x = train.features
-    if cfg.kind == LOGREG:
-        payload = _train_logreg(cfg, x, y)
-    elif cfg.kind == GAUSSIAN_NB:
-        payload = _train_gaussian_nb(x, y)
-    elif cfg.kind == KNN:
-        if cfg.k > train.n:
-            raise DataError(f"k={cfg.k} exceeds training size {train.n}")
-        payload = {"train_features": x.copy(), "train_labels": y.copy(), "k": cfg.k}
-    elif cfg.kind == DECISION_TREE:
-        payload = _train_tree(cfg, x, y)
-    elif cfg.kind == RANDOM_FOREST:
-        payload = _train_forest(cfg, x, y, seed)
-    else:
-        payload = _train_mlp(cfg, x, y, seed)
-    return ClassifierModel(kind=cfg.kind, config=cfg, payload=payload)
-
-
-_PROBA_FNS = {
-    LOGREG: _logreg_proba,
-    GAUSSIAN_NB: _gaussian_nb_proba,
-    KNN: _knn_proba,
-    DECISION_TREE: _tree_proba,
-    RANDOM_FOREST: _forest_proba,
-    MLP: _mlp_proba,
-}
+    return ClassifierModel(config=cfg, payload=_KINDS[cfg.kind].train(cfg, train.features, y, seed))
 
 
 def predict_proba(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
@@ -361,7 +377,7 @@ def predict_proba(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
         raise ShapeError("predict_proba expects a (n, d) feature matrix")
     if not np.isfinite(x).all():
         raise DomainError("features contain non-finite values")
-    return _PROBA_FNS[model.kind](model.payload, x)
+    return _KINDS[model.kind].proba(model.payload, x)
 
 
 def predict(model: ClassifierModel, x):
@@ -446,77 +462,32 @@ def select_model(
 # --- serialization ----------------------------------------------------------
 
 
-def _config_to_dict(cfg: ClassifierConfig) -> dict:
-    return {
-        "kind": cfg.kind,
-        "l2_strength": cfg.l2_strength,
-        "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs,
-        "k": cfg.k,
-        "max_depth": cfg.max_depth,
-        "min_leaf": cfg.min_leaf,
-        "n_trees": cfg.n_trees,
-        "features_per_split": cfg.features_per_split,
-        "bootstrap": cfg.bootstrap,
-        "hidden_units": cfg.hidden_units,
-        "batch_size": cfg.batch_size,
-    }
+def _to_json(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Network):
+        return network_to_dict(value)
+    return value
 
 
 def model_to_dict(model: ClassifierModel) -> dict:
-    d = {
+    return {
         "format_version": CLASSIFIER_FORMAT_VERSION,
         "kind": model.kind,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "scaler_ref": model.scaler_ref,
+        **{name: _to_json(value) for name, value in model.payload.items()},
     }
-    p = model.payload
-    if model.kind == LOGREG:
-        d["weights"] = [float(v) for v in p["weights"]]
-        d["bias"] = float(p["bias"])
-    elif model.kind == GAUSSIAN_NB:
-        d["means"] = [[float(v) for v in row] for row in p["means"]]
-        d["variances"] = [[float(v) for v in row] for row in p["variances"]]
-        d["log_priors"] = [float(v) for v in p["log_priors"]]
-    elif model.kind == KNN:
-        d["k"] = p["k"]
-        d["train_features"] = [[float(v) for v in row] for row in p["train_features"]]
-        d["train_labels"] = [int(v) for v in p["train_labels"]]
-    elif model.kind == DECISION_TREE:
-        d["root"] = p["root"]
-    elif model.kind == RANDOM_FOREST:
-        d["trees"] = p["trees"]
-    else:
-        d["network"] = network_to_dict(p["network"])
-    return d
 
 
 def model_from_dict(d: dict) -> ClassifierModel:
     if d.get("format_version") != CLASSIFIER_FORMAT_VERSION:
         raise DataError(f"unsupported classifier format version {d.get('format_version')!r}")
     cfg = ClassifierConfig(**d["config"])
-    kind = d["kind"]
-    if kind == LOGREG:
-        payload = {"weights": np.array(d["weights"], dtype=np.float64), "bias": float(d["bias"])}
-    elif kind == GAUSSIAN_NB:
-        payload = {
-            "means": np.array(d["means"], dtype=np.float64),
-            "variances": np.array(d["variances"], dtype=np.float64),
-            "log_priors": np.array(d["log_priors"], dtype=np.float64),
-        }
-    elif kind == KNN:
-        payload = {
-            "train_features": np.array(d["train_features"], dtype=np.float64),
-            "train_labels": np.array(d["train_labels"], dtype=np.float64),
-            "k": int(d["k"]),
-        }
-    elif kind == DECISION_TREE:
-        payload = {"root": d["root"]}
-    elif kind == RANDOM_FOREST:
-        payload = {"trees": d["trees"]}
-    else:
-        payload = {"network": network_from_dict(d["network"])}
-    return ClassifierModel(kind=kind, config=cfg, payload=payload, scaler_ref=d.get("scaler_ref"))
+    if d["kind"] != cfg.kind:
+        raise DataError(f"classifier file names kind {d['kind']!r} but its config is for {cfg.kind!r}")
+    payload = {name: rebuild(d[name]) for name, rebuild in _KINDS[cfg.kind].fields.items()}
+    return ClassifierModel(config=cfg, payload=payload, scaler_ref=d.get("scaler_ref"))
 
 
 def save_model(model: ClassifierModel, path) -> None:
@@ -524,4 +495,4 @@ def save_model(model: ClassifierModel, path) -> None:
 
 
 def load_model(path) -> ClassifierModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_json_artifact(path, model_from_dict)

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .baselines import CLASSIFIER_KINDS, cross_validate, save_model, select_model
-from .config import PipelineConfig, default_config, load_config
+from .config import BASELINE_KEYS, PipelineConfig, classifier_fields, default_config, load_config
 from .dataset import apply_scaler, load_csv
 from .errors import ConfigError, ToolkitError
 from .numerics import derive_seed
@@ -89,29 +89,29 @@ def _grid(raw: str | None, default: list, cast):
     return values
 
 
+# train-clf flag -> ClassifierConfig field
+_CLF_FLAGS = {
+    "lr": "learning_rate",
+    "epochs": "epochs",
+    "trees": "n_trees",
+    "features_per_split": "features_per_split",
+    "max_depth": "max_depth",
+    "min_leaf": "min_leaf",
+    "hidden_units": "hidden_units",
+    "batch_size": "batch_size",
+}
+
+
 def _train_clf_command(cfg: PipelineConfig, out: _OutputDir, args) -> None:
     base = cfg.baseline_candidates(args.kind)[0]
-    fields = {
-        "lr": "learning_rate",
-        "epochs": "epochs",
-        "trees": "n_trees",
-        "features_per_split": "features_per_split",
-        "min_leaf": "min_leaf",
-        "hidden_units": "hidden_units",
-        "batch_size": "batch_size",
-    }
-    kw = {field: getattr(args, flag) for flag, field in fields.items() if getattr(args, flag) is not None}
-    if args.max_depth is not None:
-        kw["max_depth"] = args.max_depth or None
-
-    ks = _grid(args.k, [base.k], int)
-    l2s = _grid(args.l2, [base.l2_strength], float)
-    if args.kind == "knn":
-        candidates = [replace(base, k=k, **kw) for k in ks]
-    elif args.kind == "logreg":
-        candidates = [replace(base, l2_strength=lam, **kw) for lam in l2s]
-    else:
+    flags = {field: getattr(args, flag) for flag, field in _CLF_FLAGS.items()}
+    kw = classifier_fields({field: value for field, value in flags.items() if value is not None})
+    grids = {"k": _grid(args.k, [base.k], int), "l2_strength": _grid(args.l2, [base.l2_strength], float)}
+    grid_field = BASELINE_KEYS[args.kind].grid_field
+    if grid_field is None:
         candidates = [replace(base, **kw)]
+    else:
+        candidates = [replace(base, **kw, **{grid_field: v}) for v in grids[grid_field]]
     if not args.cv and len(candidates) > 1:
         raise ConfigError("multiple grid values need --cv")
 

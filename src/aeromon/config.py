@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .autoencoder import TrainConfig
 from .baselines import CLASSIFIER_KINDS, ClassifierConfig
@@ -69,6 +70,50 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "mlp_batch_size": ("int", 256),
     "histogram_bins": ("int", 50),
 }
+
+
+
+class BaselineKeys(NamedTuple):
+    """Where one baseline kind's ClassifierConfig fields come from."""
+
+    fields: dict  # ClassifierConfig field -> config key
+    grid_field: str | None = None  # the field that takes one candidate per grid value
+    grid_key: str | None = None
+
+
+BASELINE_KEYS = {
+    "logreg": BaselineKeys(
+        {"learning_rate": "logreg_learning_rate", "epochs": "logreg_epochs"}, "l2_strength", "logreg_l2_grid"
+    ),
+    "gaussian_nb": BaselineKeys({}),
+    "knn": BaselineKeys({}, "k", "knn_k_grid"),
+    "decision_tree": BaselineKeys({"max_depth": "tree_max_depth", "min_leaf": "tree_min_leaf"}),
+    "random_forest": BaselineKeys(
+        {
+            "n_trees": "forest_n_trees",
+            "features_per_split": "forest_features_per_split",
+            "max_depth": "forest_max_depth",
+            "min_leaf": "forest_min_leaf",
+            "bootstrap": "forest_bootstrap",
+        }
+    ),
+    "mlp": BaselineKeys(
+        {
+            "hidden_units": "mlp_hidden_units",
+            "learning_rate": "mlp_learning_rate",
+            "epochs": "mlp_epochs",
+            "batch_size": "mlp_batch_size",
+        }
+    ),
+}
+
+
+def classifier_fields(values: dict) -> dict:
+    """ClassifierConfig keyword arguments; a max_depth of 0 means unbounded (None)."""
+    if values.get("max_depth") == 0:
+        return {**values, "max_depth": None}
+    return values
+
 
 # stage indexes for deriving per-stage seeds from the config seed
 STAGE_GENERATE = 11
@@ -186,51 +231,13 @@ class PipelineConfig:
         return ThresholdPolicy(self.resolved["threshold_policy"], self.resolved["threshold_percentile"])
 
     def baseline_candidates(self, kind: str) -> list[ClassifierConfig]:
-        r = self.resolved
-        if kind == "logreg":
-            return [
-                ClassifierConfig(
-                    "logreg",
-                    l2_strength=lam,
-                    learning_rate=r["logreg_learning_rate"],
-                    epochs=r["logreg_epochs"],
-                )
-                for lam in self.grid("logreg_l2_grid")
-            ]
-        if kind == "gaussian_nb":
-            return [ClassifierConfig("gaussian_nb")]
-        if kind == "knn":
-            return [ClassifierConfig("knn", k=k) for k in self.grid("knn_k_grid")]
-        if kind == "decision_tree":
-            return [
-                ClassifierConfig(
-                    "decision_tree",
-                    max_depth=r["tree_max_depth"] or None,
-                    min_leaf=r["tree_min_leaf"],
-                )
-            ]
-        if kind == "random_forest":
-            return [
-                ClassifierConfig(
-                    "random_forest",
-                    n_trees=r["forest_n_trees"],
-                    features_per_split=r["forest_features_per_split"],
-                    max_depth=r["forest_max_depth"] or None,
-                    min_leaf=r["forest_min_leaf"],
-                    bootstrap=r["forest_bootstrap"],
-                )
-            ]
-        if kind == "mlp":
-            return [
-                ClassifierConfig(
-                    "mlp",
-                    hidden_units=r["mlp_hidden_units"],
-                    learning_rate=r["mlp_learning_rate"],
-                    epochs=r["mlp_epochs"],
-                    batch_size=r["mlp_batch_size"],
-                )
-            ]
-        raise ConfigError(f"unknown baseline kind '{kind}'")
+        if kind not in BASELINE_KEYS:
+            raise ConfigError(f"unknown baseline kind '{kind}'")
+        keys = BASELINE_KEYS[kind]
+        fields = classifier_fields({name: self.resolved[key] for name, key in keys.fields.items()})
+        if keys.grid_field is None:
+            return [ClassifierConfig(kind, **fields)]
+        return [ClassifierConfig(kind, **fields, **{keys.grid_field: v}) for v in self.grid(keys.grid_key)]
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))

@@ -39,14 +39,6 @@ class Label(IntEnum):
 
 
 @dataclass(frozen=True)
-class TelemetrySample:
-    """One snapshot: 7 raw channel readings in CHANNELS order."""
-
-    features: tuple[float, ...]
-    label: Label | None = None
-
-
-@dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n, 7) float64
     labels: np.ndarray | None = None  # (n,) int8 with Label values
@@ -76,10 +68,6 @@ class Dataset:
     @property
     def is_labeled(self) -> bool:
         return self.labels is not None
-
-    def sample(self, i: int) -> TelemetrySample:
-        label = Label(int(self.labels[i])) if self.is_labeled else None
-        return TelemetrySample(tuple(float(v) for v in self.features[i]), label)
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

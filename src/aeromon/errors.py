@@ -4,6 +4,9 @@ Each class carries the process exit code the CLI maps it to:
 2 = configuration, 3 = data, 4 = numeric/degeneracy.
 """
 
+import json
+from pathlib import Path
+
 
 class ToolkitError(Exception):
     exit_code = 1
@@ -65,3 +68,12 @@ class DegenerateLabelsError(NumericError):
 
 class UndefinedAurocError(NumericError):
     """AUROC requested with only one class present."""
+
+
+def read_json_artifact(path, from_dict):
+    """`from_dict` of the JSON object in `path`. An unreadable or unparsable
+    file, a missing key, or a value of the wrong type or size raises DataError."""
+    try:
+        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc

@@ -57,8 +57,7 @@ class Rng:
 
     The 256-bit state is filled with four successive SplitMix64 outputs of
     the 64-bit seed, so every seed is valid. Equal seeds produce bit-identical
-    streams on every platform. Instances are not thread-safe; use `spawn`
-    to derive independent per-thread generators.
+    streams on every platform.
     """
 
     __slots__ = ("seed", "_s", "_spare_normal")
@@ -139,10 +138,6 @@ class Rng:
 
     def normals(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         return np.array([self.normal(mean, std) for _ in range(n)], dtype=np.float64)
-
-    def spawn(self, index: int) -> "Rng":
-        """Independent generator derived from (seed, index)."""
-        return Rng(derive_seed(self.seed, index))
 
 
 def _as_2d(rows) -> np.ndarray:
@@ -229,6 +224,15 @@ def cholesky(a, jitter: float = 0.0) -> CholeskyFactor:
             return CholeskyFactor(dim=d, lower=lower, jitter=j)
         j *= 10.0
     raise NotPositiveDefiniteError(f"factorization failed at jitter cap {cap:g}")
+
+
+def row_sums(m: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over the last axis, one column at a time, so a row's
+    sum is bit-identical alone or inside any batch."""
+    acc = m[..., 0].copy()
+    for k in range(1, m.shape[-1]):
+        acc += m[..., k]
+    return acc
 
 
 def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:

@@ -57,7 +57,7 @@ from .dataset import (
     save_csv,
     split,
 )
-from .errors import ConfigError, DataError, ToolkitError
+from .errors import ConfigError, DataError, ToolkitError, read_json_artifact
 from .evaluation import evaluate_model, feature_histograms, histograms_to_csv_lines
 from .numerics import derive_seed
 
@@ -97,7 +97,7 @@ class _OutputDir:
         return self.path / name
 
     def read_scaler(self, name: str) -> MinMaxScaler:
-        return MinMaxScaler.from_dict(json.loads(self.file(name).read_text(encoding="utf-8")))
+        return read_json_artifact(self.file(name), MinMaxScaler.from_dict)
 
     def write_json(self, name: str, payload: dict) -> None:
         self.file(name).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
@@ -246,14 +246,17 @@ def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     return [f"report_{name}.json" for name in deciders]
 
 
+def _comparison_row(r: dict) -> str:
+    return f"{r['model']},{r['precision']!r},{r['recall']!r},{r['f1']!r},{r['accuracy']!r}"
+
+
 def stage_compare(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     lines = ["Model,Precision,Recall,F1-score,Accuracy"]
     for name in ["ae"] + cfg.baseline_kinds():
         path = out.file(f"report_{name}.json")
         if not path.exists():
             raise DataError(f"missing report for '{name}'; run evaluate first")
-        r = json.loads(path.read_text(encoding="utf-8"))
-        lines.append(f"{r['model']},{r['precision']!r},{r['recall']!r},{r['f1']!r},{r['accuracy']!r}")
+        lines.append(read_json_artifact(path, _comparison_row))
     out.write_lines("comparison.csv", lines)
     return ["comparison.csv"]
 

@@ -24,7 +24,7 @@ from aeromon.baselines import (
     train_classifier,
 )
 from aeromon.dataset import Dataset, Label
-from aeromon.errors import ConfigError, DegenerateLabelsError, DomainError, StratificationError
+from aeromon.errors import ConfigError, DataError, DegenerateLabelsError, DomainError, StratificationError
 from aeromon.numerics import Rng
 
 
@@ -35,6 +35,18 @@ def _ds(features, labels, names=None):
     if names is None:
         names = tuple(f"f{i}" for i in range(feats.shape[1]))
     return Dataset(feats, np.asarray(labels, dtype=np.int8), names)
+
+
+def _six_configs():
+    """One small, fast configuration of every classifier kind."""
+    return [
+        ClassifierConfig(LOGREG, epochs=20),
+        ClassifierConfig(GAUSSIAN_NB),
+        ClassifierConfig(KNN, k=3),
+        ClassifierConfig(DECISION_TREE),
+        ClassifierConfig(RANDOM_FOREST, n_trees=5),
+        ClassifierConfig(MLP, epochs=10, batch_size=16, learning_rate=0.01),
+    ]
 
 
 def _blobs(seed, n_per_class, dim=7, separation=3.0):
@@ -76,7 +88,6 @@ class TestGaussianNb:
 class TestLogReg:
     def test_zero_weight_model_is_tied_normal(self):
         model = ClassifierModel(
-            kind=LOGREG,
             config=ClassifierConfig(LOGREG),
             payload={"weights": np.zeros(3), "bias": 0.0},
         )
@@ -143,6 +154,16 @@ class TestKnn:
                 _, prob = predict(model, q)
                 # quantized features force frequent exact distance ties
                 assert prob == _brute_force_knn(feats, labels.astype(float), k, q)
+
+    def test_model_file_holds_integer_labels(self):
+        model = train_classifier(ClassifierConfig(KNN, k=3), _blobs(77, 10), seed=0)
+        labels = model_to_dict(model)["train_labels"]
+        assert sorted(set(labels)) == [0, 1] and all(type(v) is int for v in labels)
+
+    def test_k_above_training_size_rejected(self):
+        six_rows = _ds([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0, 0, 0, 1, 1, 1])
+        with pytest.raises(DataError, match="exceeds training size"):
+            train_classifier(ClassifierConfig(KNN, k=7), six_rows, seed=0)
 
     def test_even_k_rejected(self):
         with pytest.raises(DomainError):
@@ -312,7 +333,7 @@ class TestSharedContracts:
     def test_matrix_predict_matches_row_predict(self):
         train_ds = _blobs(34, 30)
         test_ds = _blobs(35, 15)
-        for cfg in (ClassifierConfig(LOGREG, epochs=20), ClassifierConfig(RANDOM_FOREST, n_trees=5)):
+        for cfg in _six_configs():
             model = train_classifier(cfg, train_ds, seed=0)
             labels, probs = predict(model, test_ds.features)
             assert np.array_equal(probs, predict_proba(model, test_ds.features))
@@ -320,7 +341,9 @@ class TestSharedContracts:
             for row, label, prob in zip(test_ds.features, labels, probs):
                 one_label, one_prob = predict(model, row)
                 assert int(one_label) == label
-                assert one_prob == pytest.approx(prob, rel=1e-12)
+                assert one_prob == prob, cfg.kind  # bit for bit, whatever the batch
+            reordered = test_ds.features[::-1][:7]
+            assert np.array_equal(predict_proba(model, reordered), probs[::-1][:7]), cfg.kind
 
     def test_non_finite_features_rejected(self):
         train_ds = _blobs(33, 20)
@@ -447,6 +470,20 @@ class TestSerialization:
             assert back.kind == model.kind
             assert back.config == model.config
             assert np.array_equal(predict_proba(back, queries), predict_proba(model, queries))
+
+    def test_save_load_save_byte_identical_every_kind(self, tmp_path):
+        train_ds = _blobs(74, 20, dim=4)
+        for cfg in _six_configs():
+            first, second = tmp_path / f"{cfg.kind}_1.json", tmp_path / f"{cfg.kind}_2.json"
+            save_model(train_classifier(cfg, train_ds, seed=5), first)
+            save_model(load_model(first), second)
+            assert first.read_bytes() == second.read_bytes(), cfg.kind
+
+    def test_kind_mismatch_rejected(self):
+        d = model_to_dict(train_classifier(ClassifierConfig(LOGREG, epochs=5), _blobs(75, 10), seed=0))
+        d["kind"] = MLP
+        with pytest.raises(DataError, match="kind"):
+            model_from_dict(d)
 
     def test_dict_round_trip(self):
         ds = _blobs(73, 15, dim=3)

@@ -1,8 +1,11 @@
+import argparse
 import json
 
 import pytest
 
-from aeromon.config import default_config, load_config, resolve_config
+from aeromon.baselines import _KINDS, CLASSIFIER_KINDS, ClassifierConfig
+from aeromon.cli import _build_parser
+from aeromon.config import _SCHEMA, BASELINE_KEYS, default_config, load_config, resolve_config
 from aeromon.errors import ConfigError
 
 
@@ -114,3 +117,57 @@ class TestLoad:
         for kind in cfg.baseline_kinds():
             assert cfg.baseline_candidates(kind)
         assert len(cfg.baseline_candidates("logreg")) == 4
+
+
+class TestBaselineKeys:
+    def test_every_kind_table_lists_the_same_kinds(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        kind_flag = next(a for a in sub.choices["train-clf"]._actions if a.dest == "kind")
+        assert tuple(kind_flag.choices) == tuple(BASELINE_KEYS) == tuple(_KINDS) == CLASSIFIER_KINDS
+        # the order fixes each kind's training seed in the default run
+        assert CLASSIFIER_KINDS == ("logreg", "gaussian_nb", "knn", "decision_tree", "random_forest", "mlp")
+
+    def test_table_names_schema_keys_and_config_fields(self):
+        fields = set(ClassifierConfig.__dataclass_fields__)
+        for keys in BASELINE_KEYS.values():
+            assert set(keys.fields) <= fields and set(keys.fields.values()) <= set(_SCHEMA)
+            if keys.grid_field is not None:
+                assert keys.grid_field in fields and _SCHEMA[keys.grid_key][0].startswith("grid_")
+
+    def test_candidates_read_their_keys(self):
+        cfg = default_config(
+            {
+                "logreg_l2_grid": "0.5,2",
+                "logreg_learning_rate": 0.3,
+                "logreg_epochs": 9,
+                "knn_k_grid": "3,7",
+                "tree_max_depth": 4,
+                "tree_min_leaf": 2,
+                "forest_n_trees": 6,
+                "forest_features_per_split": 2,
+                "forest_min_leaf": 3,
+                "forest_bootstrap": False,
+                "mlp_hidden_units": 5,
+                "mlp_learning_rate": 0.02,
+                "mlp_epochs": 11,
+                "mlp_batch_size": 64,
+            }
+        )
+        assert cfg.baseline_candidates("logreg") == [
+            ClassifierConfig("logreg", l2_strength=lam, learning_rate=0.3, epochs=9) for lam in (0.5, 2.0)
+        ]
+        assert cfg.baseline_candidates("gaussian_nb") == [ClassifierConfig("gaussian_nb")]
+        assert cfg.baseline_candidates("knn") == [ClassifierConfig("knn", k=3), ClassifierConfig("knn", k=7)]
+        assert cfg.baseline_candidates("decision_tree") == [ClassifierConfig("decision_tree", max_depth=4, min_leaf=2)]
+        assert cfg.baseline_candidates("random_forest") == [
+            ClassifierConfig(
+                "random_forest", n_trees=6, features_per_split=2, max_depth=None, min_leaf=3, bootstrap=False
+            )
+        ]
+        assert cfg.baseline_candidates("mlp") == [
+            ClassifierConfig("mlp", hidden_units=5, learning_rate=0.02, epochs=11, batch_size=64)
+        ]
+        assert default_config().baseline_candidates("decision_tree")[0].max_depth is None  # 0 = unbounded
+        with pytest.raises(ConfigError):
+            cfg.baseline_candidates("svm")

@@ -46,14 +46,6 @@ def _random_dataset(seed, n, labeled=True, anomaly_fraction=0.4):
 
 
 class TestSampleAccess:
-    def test_sample_returns_row_unit(self):
-        ds = _random_dataset(3, 10)
-        s = ds.sample(4)
-        assert s.features == tuple(float(v) for v in ds.features[4])
-        assert s.label is Label(int(ds.labels[4]))
-        unlabeled = _random_dataset(3, 10, labeled=False)
-        assert unlabeled.sample(0).label is None
-
     def test_count_requires_labels(self):
         from aeromon.errors import MissingLabelsError
 

@@ -257,6 +257,53 @@ class TestBrokenScorer:
         assert not (out / "scores.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def evaluated(tmp_path_factory):
+    """A work directory after a full run with the logreg and kNN baselines."""
+    root = tmp_path_factory.mktemp("evaluated")
+    cfg_file = _fast_config_file(root, baseline_kinds="logreg,knn")
+    out = root / "work"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "run"]) == 0
+    return cfg_file, out
+
+
+def _edit_json(path, edit):
+    d = json.loads(path.read_text())
+    edit(d)
+    path.write_text(json.dumps(d))
+
+
+class TestBrokenArtifacts:
+    @pytest.mark.parametrize(
+        "command, name, damage",
+        [
+            ("calibrate", "scaler_ae.json", lambda p: p.write_text("{not json")),
+            ("calibrate", "model_ae.json", lambda p: p.write_text(p.read_text()[:100])),
+            ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d["layers"][0]["weights"].pop())),
+            ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.pop("config"))),
+            ("evaluate", "clf_logreg.json", lambda p: _edit_json(p, lambda d: d.update(kind="mlp"))),
+            ("evaluate", "scaler_supervised.json", lambda p: _edit_json(p, lambda d: d.pop("ranges"))),
+            ("compare", "report_knn.json", lambda p: p.write_text("")),
+        ],
+        ids=[
+            "garbage_scaler",
+            "truncated_model",
+            "short_model_weights",
+            "clf_without_config",
+            "clf_kind_mismatch",
+            "scaler_without_ranges",
+            "empty_report",
+        ],
+    )
+    def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):
+        cfg_file, src = evaluated
+        out = tmp_path / "work"
+        shutil.copytree(src, out)
+        damage(out / name)
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", command]) == 3
+        assert "error:" in capsys.readouterr().err
+
+
 class TestConsoleScript:
     """The `aeromon` command declared in pyproject.toml, run as a real process."""
 
