@@ -238,7 +238,10 @@ def _scorer_from_dict(d: dict, model_dir: Path) -> AnomalyScorer:
         raise DataError(f"unsupported scorer format version {d.get('format_version')!r}")
     net = load_network(model_dir / d["model_file"])
     scaler = MinMaxScaler.from_dict(d["scaler"])
-    policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
+    try:
+        policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
+    except DomainError as exc:
+        raise DataError(f"scorer policy is out of range: {exc}") from exc
     threshold = float(d["threshold"])
     stats = None
     if policy.kind == MAHALANOBIS_POLICY:

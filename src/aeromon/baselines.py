@@ -45,6 +45,7 @@ from .errors import (
 from .numerics import Rng, derive_seed, row_sums
 
 CLASSIFIER_FORMAT_VERSION = 1
+SUPERVISED_SCALER_FILE = "scaler_supervised.json"
 
 LOGREG = "logreg"
 GAUSSIAN_NB = "gaussian_nb"
@@ -97,9 +98,12 @@ class ClassifierConfig:
 
 @dataclass(frozen=True)
 class ClassifierModel:
+    """A fitted baseline; `scaler_ref` names the scaler file (in the same
+    output directory) that its training features were scaled with."""
+
     config: ClassifierConfig
     payload: dict
-    scaler_ref: str | None = None
+    scaler_ref: str = SUPERVISED_SCALER_FILE
 
     @property
     def kind(self) -> str:
@@ -276,7 +280,7 @@ def _train_single_forest_tree(x, y, cfg: ClassifierConfig, tree_rng: Rng):
     n, d = x.shape
     m = min(cfg.features_per_split, d)
     if cfg.bootstrap:
-        idx = np.array([tree_rng.randrange(n) for _ in range(n)], dtype=np.int64)
+        idx = tree_rng.integers(n, n)
         bx, by = x[idx], y[idx]
     else:
         bx, by = x, y
@@ -483,11 +487,17 @@ def model_to_dict(model: ClassifierModel) -> dict:
 def model_from_dict(d: dict) -> ClassifierModel:
     if d.get("format_version") != CLASSIFIER_FORMAT_VERSION:
         raise DataError(f"unsupported classifier format version {d.get('format_version')!r}")
-    cfg = ClassifierConfig(**d["config"])
+    try:
+        cfg = ClassifierConfig(**d["config"])
+    except DomainError as exc:
+        raise DataError(f"classifier config is out of range: {exc}") from exc
+    scaler_ref = d.get("scaler_ref")
+    if not isinstance(scaler_ref, str):
+        raise DataError(f"classifier scaler_ref must be a file name, got {scaler_ref!r}")
     if d["kind"] != cfg.kind:
         raise DataError(f"classifier file names kind {d['kind']!r} but its config is for {cfg.kind!r}")
     payload = {name: rebuild(d[name]) for name, rebuild in _KINDS[cfg.kind].fields.items()}
-    return ClassifierModel(config=cfg, payload=payload, scaler_ref=d.get("scaler_ref"))
+    return ClassifierModel(config=cfg, payload=payload, scaler_ref=scaler_ref)
 
 
 def save_model(model: ClassifierModel, path) -> None:

@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .baselines import CLASSIFIER_KINDS, cross_validate, save_model, select_model
+from .baselines import CLASSIFIER_KINDS, SUPERVISED_SCALER_FILE, cross_validate, save_model, select_model
 from .config import BASELINE_KEYS, PipelineConfig, classifier_fields, default_config, load_config
 from .dataset import apply_scaler, load_csv
 from .errors import ConfigError, ToolkitError
@@ -116,14 +116,13 @@ def _train_clf_command(cfg: PipelineConfig, out: _OutputDir, args) -> None:
         raise ConfigError("multiple grid values need --cv")
 
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
-    scaled = apply_scaler(out.read_scaler("scaler_supervised.json"), supervised)
+    scaled = apply_scaler(out.read_scaler(SUPERVISED_SCALER_FILE), supervised)
     seed = derive_seed(cfg.seed, 90)
     if args.cv:
         for cand in candidates:
             mean_f1, per_fold = cross_validate(cand, scaled, folds=cfg["cv_folds"], seed=seed)
             print(f"{cand.kind} {cand}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
     best, model = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
-    model = replace(model, scaler_ref="scaler_supervised.json")
     save_model(model, out.file(f"clf_{args.kind}.json"))
     print(f"wrote clf_{args.kind}.json (selected {best})")
 

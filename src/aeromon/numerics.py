@@ -37,6 +37,29 @@ def _splitmix64(x: int) -> tuple[int, int]:
     return x, (z ^ (z >> 31)) & _MASK64
 
 
+_SM_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_SM_MUL2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64_block(key: int, n: int) -> np.ndarray:
+    """The first n SplitMix64 outputs of state `key`, as one uint64 array.
+
+    Output k equals the k-th output of the scalar `_splitmix64` loop started
+    at `key`, bit for bit: state k is key + (k+1) * golden (mod 2**64), and
+    uint64 array arithmetic wraps exactly like the masked integer steps. The
+    mix is a bijection, so the n outputs are distinct for n <= 2**64.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(key & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= _SM_MUL1
+    z ^= z >> np.uint64(27)
+    z *= _SM_MUL2
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Stable child seed for stage / tree / fold streams.
 
@@ -58,6 +81,11 @@ class Rng:
     The 256-bit state is filled with four successive SplitMix64 outputs of
     the 64-bit seed, so every seed is valid. Equal seeds produce bit-identical
     streams on every platform.
+
+    Bulk draws (`permutation`, `shuffle`, `integers`) take one `next_u64` per
+    block as a key and expand it into a SplitMix64 block with numpy, a
+    counter-based scheme in the manner of Salmon et al. (SC'11), so their cost
+    in Python calls does not grow with the number of elements.
     """
 
     __slots__ = ("seed", "_s", "_spare_normal")
@@ -117,11 +145,34 @@ class Rng:
             if r < n:
                 return r
 
+    def permutation(self, n: int) -> np.ndarray:
+        """A uniformly random permutation of range(n) as an int64 array:
+        the stable argsort of one SplitMix64 block keyed by `next_u64`."""
+        return np.argsort(_splitmix64_block(self.next_u64(), n), kind="stable")
+
     def shuffle(self, seq) -> None:
-        """In-place Fisher-Yates shuffle of a list or 1-d array."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
+        """In-place shuffle of a list or 1-d array by one `permutation`."""
+        perm = self.permutation(len(seq))
+        if isinstance(seq, np.ndarray):
+            seq[:] = seq[perm]
+        else:
+            seq[:] = [seq[i] for i in perm.tolist()]
+
+    def integers(self, n: int, size: int) -> np.ndarray:
+        """`size` unbiased int64 values in [0, n): the bitmask rejection of
+        `randrange`, applied to whole SplitMix64 blocks (one key each) until
+        enough values are accepted."""
+        if not 1 <= n <= 2**63:
+            raise DomainError(f"integers needs 1 <= n <= 2**63, got {n}")
+        mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+        out = np.empty(size, dtype=np.int64)
+        filled = 0
+        while filled < size:
+            block = _splitmix64_block(self.next_u64(), size - filled) & mask
+            kept = block[block < np.uint64(n)]
+            out[filled : filled + kept.size] = kept
+            filled += kept.size
+        return out
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n) via partial Fisher-Yates."""

@@ -30,7 +30,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .autoencoder import (
     train,
     write_epoch_log,
 )
-from .baselines import load_model, predict, save_model, select_model
+from .baselines import SUPERVISED_SCALER_FILE, load_model, predict, save_model, select_model
 from .config import STAGE_BASELINE_BASE, STAGE_SPLIT, PipelineConfig
 from .dataset import (
     Dataset,
@@ -57,7 +57,7 @@ from .dataset import (
     save_csv,
     split,
 )
-from .errors import ConfigError, DataError, ToolkitError, read_json_artifact
+from .errors import ConfigError, DataError, ParseError, ToolkitError, read_json_artifact
 from .evaluation import evaluate_model, feature_histograms, histograms_to_csv_lines
 from .numerics import derive_seed
 
@@ -167,8 +167,8 @@ def stage_fit_scalers(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
     out.write_json("scaler_ae.json", fit_scaler(ae_train).to_dict())
-    out.write_json("scaler_supervised.json", fit_scaler(supervised).to_dict())
-    return ["scaler_ae.json", "scaler_supervised.json"]
+    out.write_json(SUPERVISED_SCALER_FILE, fit_scaler(supervised).to_dict())
+    return ["scaler_ae.json", SUPERVISED_SCALER_FILE]
 
 
 def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
@@ -205,14 +205,14 @@ def stage_score(cfg: PipelineConfig, out: _OutputDir, input_name: str = "test_fe
 
 def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
-    scaled = apply_scaler(out.read_scaler("scaler_supervised.json"), supervised)
+    scaled = apply_scaler(out.read_scaler(SUPERVISED_SCALER_FILE), supervised)
     written = []
     for i, kind in enumerate(cfg.baseline_kinds()):
         candidates = cfg.baseline_candidates(kind)
         seed = derive_seed(cfg.seed, STAGE_BASELINE_BASE + i)
         _, model = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
         name = f"clf_{kind}.json"
-        save_model(replace(model, scaler_ref="scaler_supervised.json"), out.file(name))
+        save_model(model, out.file(name))
         written.append(name)
     return written
 
@@ -225,8 +225,11 @@ def _load_test_set(out: _OutputDir) -> Dataset:
         header = next(reader)
         if header != ["index", "label"]:
             raise DataError("test_labels.csv has an unexpected header")
-        for row in reader:
-            labels.append(int(row[1]))
+        for line, row in enumerate(reader, start=2):
+            try:
+                labels.append(int(row[1]))
+            except (IndexError, ValueError):
+                raise ParseError(f"test_labels.csv line {line}: expected 'index,label', got {row!r}") from None
     if len(labels) != features.n:
         raise DataError("test label count does not match test features")
     return Dataset(features.features, np.array(labels, dtype=np.int8))

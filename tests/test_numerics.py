@@ -7,7 +7,16 @@ from aeromon.errors import (
     NotPositiveDefiniteError,
     ShapeError,
 )
-from aeromon.numerics import Rng, cholesky, covariance, derive_seed, percentile, solve_spd
+from aeromon.numerics import (
+    Rng,
+    _splitmix64,
+    _splitmix64_block,
+    cholesky,
+    covariance,
+    derive_seed,
+    percentile,
+    solve_spd,
+)
 
 REFERENCE_SEED = 20240901
 
@@ -83,6 +92,16 @@ class TestRng:
         assert sorted(a) == list(range(50))
         assert a != list(range(50))
 
+    def test_shuffle_array_in_place(self):
+        a = np.arange(200, dtype=np.int64) * 3
+        b = a.copy()
+        Rng(9).shuffle(a)
+        Rng(9).shuffle(b)
+        assert a.dtype == np.int64
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.sort(a), np.arange(200) * 3)
+        assert not np.array_equal(a, np.arange(200) * 3)
+
     def test_sample_indices_distinct(self):
         rng = Rng(13)
         for _ in range(50):
@@ -95,6 +114,98 @@ class TestRng:
         assert Rng(derive_seed(42, 3)).next_u64() != Rng(derive_seed(42, 4)).next_u64()
         assert derive_seed(42, 3) != derive_seed(42, 4)
         assert derive_seed(42, 3) != derive_seed(43, 3)
+
+
+class _CountingRng(Rng):
+    __slots__ = ("draws",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return super().next_u64()
+
+
+class TestBlockRng:
+    @pytest.mark.parametrize("key", [0, 1, 7, 2**63, 2**64 - 1, REFERENCE_SEED])
+    def test_block_equals_scalar_splitmix_loop(self, key):
+        x, expected = key, []
+        for _ in range(257):
+            x, out = _splitmix64(x)
+            expected.append(out)
+        block = _splitmix64_block(key, 257)
+        assert block.dtype == np.uint64
+        assert block.tolist() == expected
+        assert _splitmix64_block(key, 0).size == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 1000])
+    def test_permutation_is_permutation(self, n):
+        perm = Rng(3).permutation(n)
+        assert perm.dtype == np.int64
+        assert np.array_equal(np.sort(perm), np.arange(n))
+
+    def test_permutation_deterministic_per_seed(self):
+        assert np.array_equal(Rng(21).permutation(500), Rng(21).permutation(500))
+        assert not np.array_equal(Rng(21).permutation(500), Rng(22).permutation(500))
+        rng = Rng(21)
+        assert not np.array_equal(rng.permutation(500), rng.permutation(500))
+
+    @pytest.mark.parametrize("call", ["permutation", "shuffle_list", "shuffle_array", "integers"])
+    def test_each_call_advances_stream_by_one_draw(self, call):
+        rng, twin = _CountingRng(44), Rng(44)
+        for _ in range(3):
+            if call == "permutation":
+                rng.permutation(1000)
+            elif call == "shuffle_list":
+                rng.shuffle(list(range(1000)))
+            elif call == "shuffle_array":
+                rng.shuffle(np.arange(1000))
+            else:
+                rng.integers(2**20, 1000)  # a power of two: no rejections
+            twin.next_u64()
+        assert rng.draws == 3
+        assert rng.next_u64() == twin.next_u64()
+
+    def test_large_shuffle_is_one_draw(self):
+        rng = _CountingRng(5)
+        seq = np.arange(100_000, dtype=np.int64)
+        rng.shuffle(seq)
+        assert rng.draws == 1
+        assert np.array_equal(np.sort(seq), np.arange(100_000))
+
+    def test_shuffle_matches_permutation(self):
+        perm = Rng(8).permutation(64)
+        items = [f"x{i}" for i in range(64)]
+        Rng(8).shuffle(items)
+        assert items == [f"x{i}" for i in perm]
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 7, 1000, 2**63])
+    def test_integers_in_range(self, n):
+        vals = Rng(17).integers(n, 5000)
+        assert vals.dtype == np.int64 and vals.shape == (5000,)
+        assert vals.min() >= 0 and vals.max() < n
+        if n == 1:
+            assert not vals.any()
+
+    @pytest.mark.parametrize("n", [7, 16, 100])
+    def test_integers_balanced(self, n):
+        size = 20_000
+        counts = np.bincount(Rng(29).integers(n, size), minlength=n)
+        expected = size / n
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # loose bound: about 4 standard deviations above the mean of chi2(n-1)
+        assert chi2 < (n - 1) + 4.0 * (2.0 * (n - 1)) ** 0.5
+
+    def test_integers_deterministic_and_empty(self):
+        assert np.array_equal(Rng(3).integers(11, 300), Rng(3).integers(11, 300))
+        assert Rng(3).integers(11, 0).size == 0
+
+    @pytest.mark.parametrize("n", [0, -1, 2**63 + 1])
+    def test_integers_rejects_bad_n(self, n):
+        with pytest.raises(DomainError):
+            Rng(1).integers(n, 4)
 
 
 def _brute_force_covariance(rows):

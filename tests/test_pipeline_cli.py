@@ -237,7 +237,7 @@ def calibrated(tmp_path_factory):
 
 
 class TestBrokenScorer:
-    @pytest.mark.parametrize("damage", ["garbage", "no_threshold", "short_cov"])
+    @pytest.mark.parametrize("damage", ["garbage", "no_threshold", "short_cov", "unknown_policy"])
     def test_score_exits_3(self, calibrated, tmp_path, capsys, damage):
         cfg_file, src = calibrated
         out = tmp_path / "work"
@@ -249,6 +249,8 @@ class TestBrokenScorer:
             d = json.loads(path.read_text())
             if damage == "no_threshold":
                 del d["threshold"]
+            elif damage == "unknown_policy":
+                d["policy"] = "bogus"
             else:
                 d["residual_cov"] = d["residual_cov"][:-1]
             path.write_text(json.dumps(d))
@@ -273,6 +275,12 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(d))
 
 
+def _replace_first_row(path, row):
+    lines = path.read_text().splitlines()
+    lines[1] = row
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestBrokenArtifacts:
     @pytest.mark.parametrize(
         "command, name, damage",
@@ -284,6 +292,12 @@ class TestBrokenArtifacts:
             ("evaluate", "clf_logreg.json", lambda p: _edit_json(p, lambda d: d.update(kind="mlp"))),
             ("evaluate", "scaler_supervised.json", lambda p: _edit_json(p, lambda d: d.pop("ranges"))),
             ("compare", "report_knn.json", lambda p: p.write_text("")),
+            ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,x")),
+            ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0")),
+            ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.pop("scaler_ref"))),
+            ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=None))),
+            ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=5))),
+            ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d["config"].update(k=4))),
         ],
         ids=[
             "garbage_scaler",
@@ -293,6 +307,12 @@ class TestBrokenArtifacts:
             "clf_kind_mismatch",
             "scaler_without_ranges",
             "empty_report",
+            "label_not_int",
+            "label_missing",
+            "scaler_ref_missing",
+            "scaler_ref_null",
+            "scaler_ref_not_str",
+            "clf_config_out_of_range",
         ],
     )
     def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):
@@ -340,3 +360,21 @@ class TestConsoleScript:
             )
             assert proc.returncode == 2, (command, proc.stderr)
             assert "unknown config key" in proc.stderr
+
+
+def test_pipeline_run_never_imports_numpy_random(tmp_path):
+    """Every draw comes from numerics.Rng; numpy's generator module (about
+    2.5 MiB of resident memory) is never loaded, not even by numpy itself."""
+    cfg_file = _fast_config_file(tmp_path, baseline_kinds="random_forest,mlp")
+    code = (
+        "import sys\n"
+        "from aeromon.cli import main\n"
+        f"code = main(['--config', {str(cfg_file)!r}, '--out', {str(tmp_path / 'out')!r}, '--quiet', 'run'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(aeromon.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
