@@ -6,10 +6,10 @@ distance of its residual from the healthy residual distribution, then flag
 scores strictly above a threshold calibrated as a high percentile of the
 healthy training scores.
 
-Every score comes from one batch kernel (`score_batch`, or its scaled core
-`_score_rows`) built from elementwise operations only, so a row's score is
-bit-identical alone or inside any batch: `score_sample` and `classify` are
-one-row views, and a calibration score equals the later classification score.
+Every call takes an (n, d) matrix of samples, and every score comes from one
+batch kernel (`score_batch`, or its scaled core `_score_rows`) built from
+elementwise operations only, so a row's score is bit-identical alone or inside
+any batch, and a calibration score equals the later classification score.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 # scoring uses `forward_rows`; `forward` stays bound here for bench/tracer.py to patch
 from .autoencoder import Network, forward, forward_rows, load_network  # noqa: F401
-from .dataset import Dataset, Label, MinMaxScaler
+from .dataset import Dataset, MinMaxScaler
 from .errors import (
     DataError,
     DegenerateResidualsError,
@@ -71,24 +71,22 @@ class ResidualStats:
 
 
 def residual(net: Network, x_scaled) -> np.ndarray:
-    """r = reconstruction - input, for one scaled sample (d,) or a batch (n, d)."""
+    """r = reconstruction - input, for a scaled batch (n, d)."""
     x = np.asarray(x_scaled, dtype=np.float64)
     return forward_rows(net, x) - x
 
 
-def score_mse(net: Network, x_scaled):
-    """Mean squared residual: a float for one sample, an (n,) array for a batch."""
+def score_mse(net: Network, x_scaled) -> np.ndarray:
+    """Mean squared residual of every row of a scaled batch (n, d), as an (n,) array."""
     r = residual(net, x_scaled)
-    scores = row_sums(r * r) / r.shape[-1]
-    return float(scores) if r.ndim == 1 else scores
+    return row_sums(r * r) / r.shape[-1]
 
 
-def score_mahalanobis(stats: ResidualStats, r):
-    """sqrt((r - mean)^T Sigma^{-1} (r - mean)) through the Cholesky solve:
-    a float for one residual (d,), an (n,) array for a batch (n, d)."""
+def score_mahalanobis(stats: ResidualStats, r) -> np.ndarray:
+    """sqrt((r - mean)^T Sigma^{-1} (r - mean)) through the Cholesky solve,
+    for every row of a residual batch (n, d), as an (n,) array."""
     centered = np.asarray(r, dtype=np.float64) - stats.mean
-    scores = np.sqrt(np.maximum(row_sums(centered * solve_spd(stats.chol, centered)), 0.0))
-    return float(scores) if centered.ndim == 1 else scores
+    return np.sqrt(np.maximum(row_sums(centered * solve_spd(stats.chol, centered)), 0.0))
 
 
 def fit_residual_stats(net: Network, ae_train_scaled: Dataset) -> ResidualStats:
@@ -186,20 +184,11 @@ def score_batch(scorer: AnomalyScorer, x_raw) -> np.ndarray:
     return _score_rows(scorer.net, scorer.stats, scorer.scaler.transform(x))
 
 
-def score_sample(scorer: AnomalyScorer, x_raw) -> float:
-    """One-row view of `score_batch` for one raw sample (d,)."""
-    return float(score_batch(scorer, np.asarray(x_raw, dtype=np.float64)[None, ...])[0])
-
-
-def classify(scorer: AnomalyScorer, x_raw):
-    """Anomalous iff score > threshold; a tie is Normal. One raw sample (d,)
-    gives (Label, score); a matrix (n, d) gives (labels, scores) arrays."""
-    x = np.asarray(x_raw, dtype=np.float64)
-    if x.ndim == 2:
-        scores = score_batch(scorer, x)
-        return (scores > scorer.threshold).astype(np.int8), scores
-    score = score_sample(scorer, x)
-    return (Label.ANOMALOUS if score > scorer.threshold else Label.NORMAL), score
+def classify(scorer: AnomalyScorer, x_raw) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, scores) arrays for an (n, d) matrix of raw samples: anomalous
+    (1) iff score > threshold, so a tie is normal (0)."""
+    scores = score_batch(scorer, x_raw)
+    return (scores > scorer.threshold).astype(np.int8), scores
 
 
 def scorer_to_dict(scorer: AnomalyScorer, model_file: str) -> dict:

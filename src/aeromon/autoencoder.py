@@ -65,12 +65,9 @@ def _elu_prime(z):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument never overflows; both branches share it
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _activate(name, z):
@@ -123,9 +120,6 @@ class Network:
     def clone(self) -> "Network":
         return Network([w.copy() for w in self.weights], [b.copy() for b in self.biases], list(self.specs))
 
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def init_network(specs: list[LayerSpec], seed: int) -> Network:
     """Glorot-uniform weights with limit sqrt(6/(in+out)); zero biases."""
@@ -142,13 +136,10 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
 
 
 def forward(net: Network, x) -> tuple[np.ndarray, list]:
-    """Run the network; cache holds (input, [(z, a) per layer]).
-
-    Accepts a single vector (d,) or a batch (n, d); the output matches.
-    """
+    """Run the network over a batch (n, d); cache holds (input, [(z, a) per layer])."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != net.in_dim:
-        raise ShapeError(f"input dim {x.shape[-1]} != network in_dim {net.in_dim}")
+    if x.ndim != 2 or x.shape[1] != net.in_dim:
+        raise ShapeError(f"input shape {x.shape} != (n, {net.in_dim})")
     a = x
     layer_cache = []
     for w, b, spec in zip(net.weights, net.biases, net.specs):
@@ -159,16 +150,16 @@ def forward(net: Network, x) -> tuple[np.ndarray, list]:
 
 
 def forward_rows(net: Network, x: np.ndarray) -> np.ndarray:
-    """Network output for one sample (d,) or a batch (n, d), one input term at
-    a time with elementwise operations, so no row depends on the batch. Every
-    prediction uses it; training keeps the BLAS `forward`."""
-    if x.shape[-1] != net.in_dim:
-        raise ShapeError(f"input dim {x.shape[-1]} != network in_dim {net.in_dim}")
+    """Network output for a batch (n, d), one input term at a time with
+    elementwise operations, so no row depends on the batch. Every prediction
+    uses it; training keeps the BLAS `forward`."""
+    if x.ndim != 2 or x.shape[1] != net.in_dim:
+        raise ShapeError(f"input shape {x.shape} != (n, {net.in_dim})")
     a = x
     for w, b, spec in zip(net.weights, net.biases, net.specs):
-        z = a[..., 0:1] * w[:, 0]
+        z = a[:, 0:1] * w[:, 0]
         for k in range(1, w.shape[1]):
-            z += a[..., k : k + 1] * w[:, k]
+            z += a[:, k : k + 1] * w[:, k]
         z += b
         a = _activate(spec.activation, z)
     return a
@@ -185,22 +176,18 @@ def mse_loss(x, x_hat) -> float:
 
 
 def _backprop_from_output_delta(net: Network, cache, delta: np.ndarray) -> list[np.ndarray]:
-    """Gradients for every weight and bias given dL/dz at the output layer.
+    """Gradients for every weight and bias given dL/dz at the output layer,
+    one row per batch sample; each gradient sums over the rows.
 
     Returns [dW0, db0, dW1, db1, ...] in layer order.
     """
     x, layer_cache = cache
     grads_w = [None] * len(net.weights)
     grads_b = [None] * len(net.biases)
-    batched = delta.ndim == 2
     for i in range(len(net.weights) - 1, -1, -1):
         a_prev = x if i == 0 else layer_cache[i - 1][1]
-        if batched:
-            grads_w[i] = delta.T @ a_prev
-            grads_b[i] = delta.sum(axis=0)
-        else:
-            grads_w[i] = np.outer(delta, a_prev)
-            grads_b[i] = delta.copy()
+        grads_w[i] = delta.T @ a_prev
+        grads_b[i] = delta.sum(axis=0)
         if i > 0:
             z_prev, a_prev_act = layer_cache[i - 1]
             da = delta @ net.weights[i]
@@ -213,21 +200,18 @@ def _backprop_from_output_delta(net: Network, cache, delta: np.ndarray) -> list[
 
 
 def backward(net: Network, cache, x) -> list[np.ndarray]:
-    """Exact gradient of mse_loss(x, forward(net, x)) for every parameter.
-
-    For a batch, gradients are averaged over rows (the mean-loss gradient).
-    Returned list interleaves weight and bias gradients in layer order,
-    matching net.parameters().
+    """Exact gradient of mse_loss(x, forward(net, x)) for every parameter,
+    for a batch x (n, d): gradients are averaged over rows (the mean-loss
+    gradient). Returned list interleaves weight and bias gradients in layer
+    order, matching net.parameters().
     """
     x = np.asarray(x, dtype=np.float64)
     x_in, layer_cache = cache
-    if x.shape != x_in.shape:
-        raise ShapeError("cache does not match this input")
+    if x.ndim != 2 or x.shape != x_in.shape:
+        raise ShapeError("cache does not match this (n, d) input")
     z_last, a_last = layer_cache[-1]
-    d = x.shape[-1]
-    dloss_da = (2.0 / d) * (a_last - x)
-    if x.ndim == 2:
-        dloss_da = dloss_da / x.shape[0]
+    n, d = x.shape
+    dloss_da = (2.0 / d) * (a_last - x) / n
     delta = dloss_da * _activate_prime(net.specs[-1].activation, z_last, a_last)
     return _backprop_from_output_delta(net, cache, delta)
 
@@ -288,7 +272,6 @@ class TrainConfig:
     plateau_factor: float = 0.2
     min_lr: float = 1e-6
     seed: int = 0
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self):
         if self.early_stop_patience < 1 or self.plateau_patience < 1:
@@ -305,7 +288,6 @@ class TrainConfig:
 class TrainReport:
     epochs_run: int
     best_val_loss: float
-    stopped_early: bool
     history: list[tuple[float, float, float]] = field(repr=False)  # (train_mse, val_mse, lr)
 
     def __post_init__(self):
@@ -350,13 +332,11 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, Tr
     early_counter = 0
     plateau_counter = 0
     history: list[tuple[float, float, float]] = []
-    stopped_early = False
     epochs_run = 0
 
     for _epoch in range(cfg.max_epochs):
         epoch_lr = state.lr
-        if cfg.shuffle_each_epoch:
-            rng.shuffle(order)
+        rng.shuffle(order)
         sq_err_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = train_feats[order[start : start + cfg.batch_size]]
@@ -386,7 +366,6 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, Tr
                     state.lr = reduced
                 plateau_counter = 0
             if early_counter >= cfg.early_stop_patience:
-                stopped_early = True
                 break
 
     if best_weights is None:  # no epoch improved on +inf: cannot happen, but stay safe
@@ -400,7 +379,6 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, Tr
     report = TrainReport(
         epochs_run=epochs_run,
         best_val_loss=best_val,
-        stopped_early=stopped_early,
         history=history,
     )
     return best_net, report

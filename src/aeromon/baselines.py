@@ -84,6 +84,8 @@ class ClassifierConfig:
             raise DomainError(f"unknown classifier kind '{self.kind}'")
         if self.kind == KNN and (self.k < 1 or self.k % 2 == 0):
             raise DomainError("k must be odd and >= 1 to avoid vote ties")
+        if not (math.isfinite(self.l2_strength) and math.isfinite(self.learning_rate)):
+            raise DomainError("l2_strength and learning_rate must be finite")
         if self.l2_strength < 0:
             raise DomainError("l2_strength must be >= 0")
         if self.n_trees < 1 or self.features_per_split < 1 or self.min_leaf < 1:
@@ -116,13 +118,6 @@ def _require_both_classes(labels: np.ndarray) -> None:
 
 
 # --- logistic regression ----------------------------------------------------
-
-
-def logreg_loss(weights, bias, x, y, l2_strength):
-    p = _sigmoid(x @ weights + bias)
-    eps = 1e-12
-    ce = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
-    return float(ce + 0.5 * l2_strength * float(weights @ weights))
 
 
 def logreg_gradient(weights, bias, x, y, l2_strength):
@@ -384,17 +379,11 @@ def predict_proba(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
     return _KINDS[model.kind].proba(model.payload, x)
 
 
-def predict(model: ClassifierModel, x):
-    """(label, anomalous-class probability) for one sample (d,), or (labels,
-    probabilities) arrays for a matrix (n, d); prob > 0.5 means anomalous."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        probs = predict_proba(model, x)
-        return (probs > 0.5).astype(np.int8), probs
-    if x.ndim != 1:
-        raise ShapeError("predict expects a sample vector or a (n, d) feature matrix")
-    prob = float(predict_proba(model, x[None, :])[0])
-    return (Label.ANOMALOUS if prob > 0.5 else Label.NORMAL), prob
+def predict(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, anomalous-class probabilities) arrays for an (n, d) feature
+    matrix: anomalous (1) iff prob > 0.5, so a tie is normal (0)."""
+    probs = predict_proba(model, features)
+    return (probs > 0.5).astype(np.int8), probs
 
 
 def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -48,7 +50,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "ae_plateau_patience": ("int", 20),
     "ae_plateau_factor": ("float", 0.2),
     "ae_min_lr": ("float", 1e-6),
-    "ae_shuffle_each_epoch": ("bool", True),
     "threshold_policy": ("choice:" + ",".join(POLICY_KINDS), "mahalanobis"),
     "threshold_percentile": ("float", 85.0),
     "baseline_kinds": ("str", ",".join(CLASSIFIER_KINDS)),
@@ -128,8 +129,9 @@ def _coerce(key: str, kind: str, value):
             raise ConfigError(f"'{key}' must be an integer, got {value!r}")
         return value
     if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"'{key}' must be a number, got {value!r}")
+        # the bound also rejects NaN, +-inf and integers too large for a float
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
         return float(value)
     if kind == "bool":
         if not isinstance(value, bool):
@@ -156,6 +158,8 @@ def _coerce(key: str, kind: str, value):
                 out.append(int(token) if kind == "grid_int" else float(token))
             except ValueError:
                 raise ConfigError(f"'{key}' has a non-numeric entry '{token}'") from None
+            if not math.isfinite(out[-1]):
+                raise ConfigError(f"'{key}' has a non-finite entry '{token}'")
         if not out:
             raise ConfigError(f"'{key}' must name at least one value")
         return value  # keep the raw string; parsed via grid accessors

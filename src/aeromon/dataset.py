@@ -74,11 +74,6 @@ class Dataset:
         labels = self.labels[idx] if self.is_labeled else None
         return Dataset(self.features[idx], labels, self.channel_names)
 
-    def count(self, label: Label) -> int:
-        if not self.is_labeled:
-            raise MissingLabelsError("dataset has no labels")
-        return int((self.labels == int(label)).sum())
-
     def require_labels(self) -> np.ndarray:
         if not self.is_labeled:
             raise MissingLabelsError("dataset has no labels")
@@ -269,10 +264,7 @@ class MinMaxScaler:
         x = np.asarray(features, dtype=np.float64)
         safe = np.where(self.ranges > 0.0, self.ranges, 1.0)
         scaled = (x - self.mins) / safe
-        if x.ndim == 1:
-            scaled[self.degenerate_channels] = 0.0
-        else:
-            scaled[:, self.degenerate_channels] = 0.0
+        scaled[..., self.degenerate_channels] = 0.0
         return scaled
 
     def to_dict(self) -> dict:

@@ -5,6 +5,7 @@ Each class carries the process exit code the CLI maps it to:
 """
 
 import json
+import math
 from pathlib import Path
 
 
@@ -70,10 +71,21 @@ class UndefinedAurocError(NumericError):
     """AUROC requested with only one class present."""
 
 
+def _finite_float(literal: str) -> float:
+    """A JSON number or constant (NaN, Infinity, -Infinity) that must be finite."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {literal}")
+    return value
+
+
 def read_json_artifact(path, from_dict):
     """`from_dict` of the JSON object in `path`. An unreadable or unparsable
-    file, a missing key, or a value of the wrong type or size raises DataError."""
+    file, a non-finite number (NaN, Infinity, or a literal such as 1e999 or a
+    400-digit integer that overflows a float), a missing key, or a value of the
+    wrong type or size raises DataError."""
     try:
-        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        text = Path(path).read_text(encoding="utf-8")
+        return from_dict(json.loads(text, parse_constant=_finite_float, parse_float=_finite_float))
+    except (OSError, ValueError, OverflowError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc

@@ -156,15 +156,11 @@ def auroc(scores, truth) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAurocError("AUROC needs both classes present")
     order = np.argsort(scores, kind="stable")
+    # each run of equal sorted scores starting at 0-based `start` shares the
+    # 1-based midrank start + (count + 1) / 2
+    _, start, counts = np.unique(scores[order], return_index=True, return_counts=True, equal_nan=False)
     ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # midrank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat(start + (counts + 1) / 2.0, counts)
     rank_sum_pos = float(ranks[truth == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -184,12 +184,6 @@ class Rng:
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 
-    def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(low, high) for _ in range(n)], dtype=np.float64)
-
-    def normals(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        return np.array([self.normal(mean, std) for _ in range(n)], dtype=np.float64)
-
 
 def _as_2d(rows) -> np.ndarray:
     try:

@@ -27,7 +27,7 @@ from aeromon.anomaly import (
 from aeromon.autoencoder import default_autoencoder_specs, forward, init_network, load_network, mse_loss
 from aeromon.baselines import ClassifierConfig, predict, train_classifier
 from aeromon.config import default_config, resolve_config
-from aeromon.dataset import Dataset, Label, MinMaxScaler, load_csv
+from aeromon.dataset import Dataset, MinMaxScaler, load_csv
 from aeromon.evaluation import auroc, confusion, metrics
 from aeromon.numerics import Rng
 from aeromon.pipeline import run_pipeline
@@ -78,7 +78,8 @@ class TestCriterion1Gradients:
         worst = 0.0
         for trial in range(25):
             net = init_network(default_autoencoder_specs(), seed=5000 + trial)
-            x = Rng(6000 + trial).uniforms(7)
+            rng = Rng(6000 + trial)
+            x = np.array([[rng.random() for _ in range(7)]])  # one-row batch
             _, cache = forward(net, x)
             analytic = backward(net, cache, x)
             numeric = _central_difference_grads(net, x)
@@ -123,7 +124,7 @@ class TestCriterion2Oracles:
                     (sum((a - b) ** 2 for a, b in zip(row, q)), i) for i, row in enumerate(feats)
                 )
                 expected = sum(labels[i] for _, i in ranked[:k]) / k
-                knn_exact &= predict(model, q)[1] == expected
+                knn_exact &= predict(model, q[None])[1][0] == expected
 
         # metrics vs hand-tallied confusion matrices
         metrics_exact = True
@@ -168,7 +169,7 @@ class TestCriterion3Calibration:
             frac = sum(1 for s in scores if s > t) / n
             sweep_ok &= 0.15 - 2.0 / n <= frac <= 0.15
 
-        # the real pipeline calibration set, both policies, via classify()
+        # the real pipeline calibration set, both policies, via one classify() batch
         out = full_run["out"]
         net = load_network(out / "model_ae.json")
         scaler = MinMaxScaler.from_dict(json.loads((out / "scaler_ae.json").read_text()))
@@ -178,9 +179,7 @@ class TestCriterion3Calibration:
         fractions = {}
         for kind in (MSE_POLICY, MAHALANOBIS_POLICY):
             scorer = calibrate(net, scaler, ae_train, ThresholdPolicy(kind, 85.0))
-            flagged = sum(
-                1 for row in ae_train.features if classify(scorer, row)[0] is Label.ANOMALOUS
-            )
+            flagged = int(classify(scorer, ae_train.features)[0].sum())
             fractions[kind] = flagged / n
             pipeline_ok &= 0.15 - 2.0 / n <= flagged / n <= 0.15
 

@@ -21,7 +21,6 @@ from aeromon.anomaly import (
     score_mahalanobis,
     score_mse,
     score_batch,
-    score_sample,
 )
 from aeromon.autoencoder import (
     LayerSpec,
@@ -44,7 +43,7 @@ from aeromon.dataset import (
     save_csv,
     split,
 )
-from aeromon.errors import DegenerateResidualsError, DomainError, InsufficientDataError
+from aeromon.errors import DegenerateResidualsError, DomainError, InsufficientDataError, ShapeError
 from aeromon.numerics import Rng, cholesky
 from aeromon.pipeline import _OutputDir, stage_score
 
@@ -85,11 +84,11 @@ def trained():
 
 class TestResidual:
     def test_perfect_reconstructor_zero_residual(self):
-        x = np.linspace(0.1, 0.7, 7)
-        assert np.array_equal(residual(_identity_net(), x), np.zeros(7))
+        x = np.linspace(0.1, 0.7, 7)[None]
+        assert np.array_equal(residual(_identity_net(), x), np.zeros((1, 7)))
 
     def test_zero_network_negates_input(self):
-        x = np.full(7, 0.5)
+        x = np.full((1, 7), 0.5)
         assert np.array_equal(residual(_zero_net(), x), -x)
 
     def test_batch_rows_equal_single_rows(self, trained):
@@ -97,11 +96,15 @@ class TestResidual:
         batch = residual(trained["net"], feats)
         assert batch.shape == feats.shape
         for row, r in zip(feats, batch):
-            assert np.array_equal(residual(trained["net"], row), r)
+            assert np.array_equal(residual(trained["net"], row[None])[0], r)
+
+    def test_one_sample_vector_rejected(self):
+        with pytest.raises(ShapeError):
+            residual(_identity_net(), np.full(7, 0.5))
 
     def test_trained_residual_matches_reported_error_scale(self, trained):
         feats = trained["train_scaled"].features
-        per_sample = np.array([score_mse(trained["net"], row) for row in feats])
+        per_sample = score_mse(trained["net"], feats)
         final_train_mse = trained["report"].history[-1][0]
         assert per_sample.mean() < 3.0 * final_train_mse
         assert per_sample.mean() > final_train_mse / 3.0
@@ -109,18 +112,18 @@ class TestResidual:
 
 class TestScoreMse:
     def test_perfect_reconstruction_scores_zero(self):
-        assert score_mse(_identity_net(), np.full(7, 0.3)) == 0.0
+        assert score_mse(_identity_net(), np.full((1, 7), 0.3)).tolist() == [0.0]
 
     def test_equals_residual_mse_against_zero(self, trained):
-        x = trained["train_scaled"].features[3]
+        x = trained["train_scaled"].features[3:4]
         r = residual(trained["net"], x)
-        assert score_mse(trained["net"], x) == pytest.approx(float(np.mean(r * r)), abs=1e-15)
+        assert score_mse(trained["net"], x)[0] == pytest.approx(float(np.mean(r * r)), abs=1e-15)
 
     def test_mean_score_matches_plain_loop_recompute(self, trained):
         # independent oracle: pure-Python accumulation, no vectorized loss
         net = trained["net"]
         feats = trained["train_scaled"].features
-        mean_score = float(np.mean([score_mse(net, row) for row in feats]))
+        mean_score = float(np.mean(score_mse(net, feats)))
         total = 0.0
         for row in feats:
             out = row
@@ -185,11 +188,11 @@ class TestScoreMahalanobis:
 
     def test_zero_at_the_mean(self):
         stats = self._stats(np.eye(3), mean=[0.2, -0.1, 0.4])
-        assert score_mahalanobis(stats, [0.2, -0.1, 0.4]) == 0.0
+        assert score_mahalanobis(stats, [[0.2, -0.1, 0.4]]).tolist() == [0.0]
 
     def test_diagonal_two_dim_rig(self):
         stats = self._stats([[4.0, 0.0], [0.0, 1.0]])
-        assert score_mahalanobis(stats, [2.0, 1.0]) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert score_mahalanobis(stats, [[2.0, 1.0]])[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     @pytest.mark.invariant
     def test_identity_covariance_is_euclidean_norm(self):
@@ -197,12 +200,12 @@ class TestScoreMahalanobis:
         stats = self._stats(np.eye(7))
         for _ in range(50):
             r = np.array([rng.normal() for _ in range(7)])
-            assert score_mahalanobis(stats, r) == pytest.approx(float(np.linalg.norm(r)), abs=1e-10)
+            assert score_mahalanobis(stats, r[None])[0] == pytest.approx(float(np.linalg.norm(r)), abs=1e-10)
 
     def test_centered_before_whitening(self):
         mean = np.array([1.0, 1.0])
         stats = self._stats(np.eye(2), mean=mean)
-        assert score_mahalanobis(stats, [1.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
+        assert score_mahalanobis(stats, [[1.0, 2.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCalibrationThreshold:
@@ -246,9 +249,7 @@ class TestCalibrate:
         assert n >= 1000
         for kind in (MSE_POLICY, MAHALANOBIS_POLICY):
             scorer = calibrate(trained["net"], trained["scaler"], trained["ae_train"], ThresholdPolicy(kind, 85.0))
-            flagged = sum(
-                1 for row in trained["ae_train"].features if classify(scorer, row)[0] is Label.ANOMALOUS
-            )
+            flagged = int(classify(scorer, trained["ae_train"].features)[0].sum())
             assert 0.15 - 2.0 / n <= flagged / n <= 0.15
 
     def test_threshold_invariant_under_row_permutation(self, trained):
@@ -286,23 +287,19 @@ class TestClassify:
         scorer = calibrate(trained["net"], trained["scaler"], trained["ae_train"], ThresholdPolicy(MSE_POLICY, 85.0))
         # the threshold is an order statistic of the calibration scores, so
         # some training sample scores exactly at it
-        at_threshold = [
-            row
-            for row in trained["ae_train"].features
-            if score_sample(scorer, row) == scorer.threshold
-        ]
-        assert at_threshold
+        feats = trained["ae_train"].features
+        at_threshold = feats[score_batch(scorer, feats) == scorer.threshold]
+        assert len(at_threshold)
         for row in at_threshold:
-            label, score = classify(scorer, row)
-            assert label is Label.NORMAL
-            assert score == scorer.threshold
+            labels, scores = classify(scorer, row[None])
+            assert labels.tolist() == [Label.NORMAL]
+            assert scores[0] == scorer.threshold
 
     def test_train_samples_at_or_below_threshold_are_normal(self, trained):
         scorer = calibrate(trained["net"], trained["scaler"], trained["ae_train"], ThresholdPolicy(MSE_POLICY, 85.0))
-        for row in trained["ae_train"].features[:200]:
-            label, score = classify(scorer, row)
-            if score <= scorer.threshold:
-                assert label is Label.NORMAL
+        labels, scores = classify(scorer, trained["ae_train"].features[:200])
+        assert (scores <= scorer.threshold).any()
+        assert not labels[scores <= scorer.threshold].any()
 
     def test_severe_fault_flagged(self, trained):
         scorer = calibrate(
@@ -311,20 +308,20 @@ class TestClassify:
         healthy = trained["ae_train"].features[0].copy()
         faulted = healthy.copy()
         faulted[-1] -= 200.0  # torque collapse far beyond the healthy margin
-        label, _ = classify(scorer, faulted)
-        assert label is Label.ANOMALOUS
+        labels, _ = classify(scorer, faulted[None])
+        assert labels.tolist() == [Label.ANOMALOUS]
 
     @pytest.mark.invariant
     def test_classify_is_pure(self, trained):
         scorer = calibrate(
             trained["net"], trained["scaler"], trained["ae_train"], ThresholdPolicy(MAHALANOBIS_POLICY, 85.0)
         )
-        row = trained["test"].features[5]
+        row = trained["test"].features[5:6]
         first = classify(scorer, row)
         for _ in range(5):
             again = classify(scorer, row)
-            assert again[0] is first[0]
-            assert again[1] == first[1]
+            assert again[0].tobytes() == first[0].tobytes()
+            assert again[1].tobytes() == first[1].tobytes()
 
     def test_mahalanobis_recall_not_far_below_mse(self, trained):
         # soft expectation: covariance-aware scoring should not lose recall;
@@ -333,11 +330,7 @@ class TestClassify:
         for kind in (MSE_POLICY, MAHALANOBIS_POLICY):
             scorer = calibrate(trained["net"], trained["scaler"], trained["ae_train"], ThresholdPolicy(kind, 85.0))
             test = trained["test"]
-            hits = sum(
-                1
-                for i in range(test.n)
-                if test.labels[i] == 1 and classify(scorer, test.features[i])[0] is Label.ANOMALOUS
-            )
+            hits = int(classify(scorer, test.features)[0][test.labels == 1].sum())
             recalls[kind] = hits / max(1, int((test.labels == 1).sum()))
         if recalls[MAHALANOBIS_POLICY] < recalls[MSE_POLICY] - 0.02:
             warnings.warn(
@@ -355,8 +348,8 @@ class TestScorerSerialization:
             back = load_scorer(tmp_path / f"scorer_{kind}.json")
             assert back.threshold == scorer.threshold
             assert back.policy == scorer.policy
-            for row in trained["test"].features[:25]:
-                assert score_sample(back, row) == score_sample(scorer, row)
+            feats = trained["test"].features[:25]
+            assert score_batch(back, feats).tobytes() == score_batch(scorer, feats).tobytes()
 
 
 class TestBatchScoring:
@@ -376,7 +369,7 @@ class TestBatchScoring:
         for kind in POLICIES:
             scorer = self._scorer(trained, kind)
             full = score_batch(scorer, feats)
-            alone = np.array([score_sample(scorer, row) for row in feats])
+            alone = np.array([score_batch(scorer, row[None])[0] for row in feats])
             assert alone.tobytes() == full.tobytes()
             assert score_batch(scorer, feats[order]).tobytes() == full[order].tobytes()
             with monkeypatch.context() as m:
@@ -389,15 +382,15 @@ class TestBatchScoring:
             scorer = self._scorer(trained, kind)
             labels, scores = classify(scorer, feats)
             assert scores.tobytes() == score_batch(scorer, feats).tobytes()
-            assert [int(classify(scorer, row)[0]) for row in feats] == labels.tolist()
+            assert [int(classify(scorer, row[None])[0][0]) for row in feats] == labels.tolist()
 
-    def test_calibration_scores_equal_score_sample(self, trained, monkeypatch):
+    def test_calibration_scores_equal_one_row_scores(self, trained, monkeypatch):
         seen = []
         real = anomaly.calibration_threshold
         monkeypatch.setattr(anomaly, "calibration_threshold", lambda s, p: seen.append(np.array(s)) or real(s, p))
         for kind in POLICIES:
             scorer = self._scorer(trained, kind)
-            alone = np.array([score_sample(scorer, row) for row in trained["ae_train"].features])
+            alone = np.array([score_batch(scorer, row[None])[0] for row in trained["ae_train"].features])
             assert seen[-1].tobytes() == alone.tobytes()
 
     def test_scores_csv_rows_equal_classify(self, trained, tmp_path):
@@ -413,8 +406,8 @@ class TestBatchScoring:
             assert lines[0] == "index,score,decision"
             assert len(lines) == 1 + len(feats)
             for i, line in enumerate(lines[1:]):
-                label, score = classify(scorer, feats[i])
-                assert line == f"{i},{score!r},{int(label)}"
+                labels, scores = classify(scorer, feats[i : i + 1])
+                assert line == f"{i},{float(scores[0])!r},{int(labels[0])}"
 
     def test_non_finite_samples_rejected(self, trained):
         good = trained["test"].features[:4]
@@ -425,6 +418,14 @@ class TestBatchScoring:
                 row[3] = bad
                 batch = good.copy()
                 batch[2, 0] = bad
-                for fn, x in ((classify, row), (score_sample, row), (classify, np.full(7, bad)), (score_batch, batch)):
+                for fn, x in ((classify, row[None]), (classify, np.full((1, 7), bad)), (score_batch, batch)):
                     with pytest.raises(DomainError):
                         fn(scorer, x)
+
+    def test_one_sample_vector_rejected(self, trained):
+        scorer = self._scorer(trained, MAHALANOBIS_POLICY)
+        row = trained["test"].features[0]
+        for fn in (classify, score_batch):
+            with pytest.raises(ShapeError):
+                fn(scorer, row)
+        assert classify(scorer, row[None])[1].shape == (1,)

@@ -1,0 +1,86 @@
+"""Every public function and method of the package has a caller in the package.
+
+API that only the tests call is dead weight: it has to be kept correct and
+documented, yet no run of the program uses it. This test parses each module
+of `src/aeromon` and fails on any public (no leading underscore) top-level
+function or method that nothing in the package refers to outside its own
+definition: a function is referred to by a name it is read through or by an
+attribute, a method only by an attribute (`obj.method`).
+"""
+
+import ast
+from pathlib import Path
+
+import aeromon
+
+SRC = Path(aeromon.__file__).resolve().parent
+
+# "module.name" -> why it may have no caller inside the package
+ALLOWED = {
+    "cli.main": "the console-script entry point (`[project.scripts]` in pyproject.toml)",
+}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_definitions(tree):
+    """(qualified name, def node, is method) of every public top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def _references(modules):
+    """(module, line, name, is attribute) of every read name and every attribute in the package."""
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield module, node.lineno, node.id, False
+            elif isinstance(node, ast.Attribute):
+                yield module, node.lineno, node.attr, True
+
+
+def _unreferenced(modules):
+    refs = list(_references(modules))
+    unused = []
+    for module, tree in modules.items():
+        for qualname, node, is_method in _public_definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and (attr or not is_method) and not (m == module and line in own)
+                for m, line, name, attr in refs
+            ):
+                unused.append(f"{module}.{qualname}")
+    return unused
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    unused = [name for name in _unreferenced(_modules()) if name not in ALLOWED]
+    assert unused == [], f"public API with no caller in src/aeromon (delete it or call it): {unused}"
+
+
+def test_allow_list_names_real_definitions():
+    defined = {
+        f"{module}.{qualname}" for module, tree in _modules().items() for qualname, _, _ in _public_definitions(tree)
+    }
+    assert set(ALLOWED) <= defined
+
+
+def test_detects_a_function_only_tests_call():
+    modules = _modules()
+    modules["extra"] = ast.parse(
+        "def used():\n    return 1\n\n"
+        "def only_tests():\n    return used()\n\n"
+        "class Box:\n    def peek(self):\n        return self.peek()\n\n"
+        "def loop(values):\n    for peek in values:\n        print(peek)\n"
+    )
+    unused = set(_unreferenced(modules))
+    # recursion is not a caller, and a variable named like a method is not a reference to it
+    assert {"extra.only_tests", "extra.Box.peek"} <= unused
+    assert "extra.used" not in unused

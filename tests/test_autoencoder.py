@@ -8,6 +8,7 @@ from aeromon.autoencoder import (
     LayerSpec,
     Network,
     TrainConfig,
+    _sigmoid,
     adam_step,
     backward,
     default_autoencoder_specs,
@@ -44,6 +45,22 @@ def finite_difference_grads(net, x, h=1e-5):
     return grads
 
 
+def _one_row(seed, dim=7):
+    """One (1, dim) batch of uniform [0, 1) draws."""
+    rng = Rng(seed)
+    return np.array([[rng.random() for _ in range(dim)]])
+
+
+def masked_sigmoid(z):
+    """Reference logistic: each sign handled in its own branch, by masks."""
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def max_relative_error(analytic, numeric):
     worst = 0.0
     for a, f in zip(analytic, numeric):
@@ -55,8 +72,9 @@ def max_relative_error(analytic, numeric):
 class TestInit:
     def test_parameter_count_default_topology(self):
         net = init_network(default_autoencoder_specs(), seed=0)
-        assert net.parameter_count() == (7 * 5 + 5) + (5 * 3 + 3) + (3 * 5 + 5) + (5 * 7 + 7)
-        assert net.parameter_count() == 120
+        count = sum(p.size for p in net.parameters())
+        assert count == (7 * 5 + 5) + (5 * 3 + 3) + (3 * 5 + 5) + (5 * 7 + 7)
+        assert count == 120
 
     def test_deterministic_per_seed(self):
         a = init_network(default_autoencoder_specs(), seed=4)
@@ -87,36 +105,50 @@ class TestForward:
             [np.zeros(s.out_dim) for s in specs],
             specs,
         )
-        out, _ = forward(net, np.arange(7.0))
-        assert np.array_equal(out, np.zeros(7))
+        out, _ = forward(net, np.arange(7.0)[None])
+        assert np.array_equal(out, np.zeros((1, 7)))
 
     def test_identity_layer(self):
         net = Network([np.eye(7)], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
-        x = np.linspace(-1, 1, 7)
+        x = np.linspace(-1, 1, 7)[None]
         out, _ = forward(net, x)
         assert np.array_equal(out, x)
 
     def test_elu_negative_branch(self):
         net = Network([np.eye(1)], [np.zeros(1)], [LayerSpec(1, 1, "elu")])
-        out, _ = forward(net, np.array([-1.0]))
-        assert out[0] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-12)
-        assert out[0] == pytest.approx(-0.632121, abs=1e-6)
+        out, _ = forward(net, np.array([[-1.0]]))
+        assert out[0, 0] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-12)
+        assert out[0, 0] == pytest.approx(-0.632121, abs=1e-6)
+
+    def test_sigmoid_equals_masked_reference(self):
+        rng = Rng(71)
+        z = np.array([rng.normal(0.0, 8.0) for _ in range(20000)])
+        edges = [0.0, 36.0, 710.0, 745.0, 1e-300, np.inf]
+        z = np.concatenate([z, edges, [-v for v in edges], [np.nan]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _sigmoid(z), masked_sigmoid(z)
+        number = ~np.isnan(want)
+        assert got[number].tobytes() == want[number].tobytes()  # bit for bit
+        assert np.isnan(got[~number]).all() and number[:-1].all()  # NaN stays NaN (its sign bit may differ)
+        assert np.signbit(z[-len(edges) - 1]) and got[-len(edges) - 1] == 0.5  # -0.0
 
     def test_batch_matches_per_row(self):
-        # batch evaluation is a training-loop optimization; it agrees with the
-        # per-vector path to rounding (BLAS kernels differ by shape)
+        # batch evaluation is a training-loop optimization; it agrees with
+        # one-row batches to rounding (BLAS kernels differ by shape)
         net = init_network(default_autoencoder_specs(), seed=3)
         rng = Rng(5)
         batch = np.array([[rng.random() for _ in range(7)] for _ in range(9)])
         out_batch, _ = forward(net, batch)
         for i in range(9):
-            out_row, _ = forward(net, batch[i])
-            assert np.allclose(out_batch[i], out_row, atol=1e-12)
+            out_row, _ = forward(net, batch[i : i + 1])
+            assert np.allclose(out_batch[i], out_row[0], atol=1e-12)
 
     def test_shape_mismatch(self):
         net = init_network(default_autoencoder_specs(), seed=0)
         with pytest.raises(ShapeError):
-            forward(net, np.zeros(6))
+            forward(net, np.zeros((1, 6)))
+        with pytest.raises(ShapeError):
+            forward(net, np.zeros(7))  # one sample must come as a (1, d) batch
 
 
 class TestMseLoss:
@@ -137,7 +169,7 @@ class TestMseLoss:
 class TestBackward:
     def test_zero_gradient_at_perfect_reconstruction(self):
         net = Network([np.eye(7)], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
-        x = np.linspace(0.1, 0.7, 7)
+        x = np.linspace(0.1, 0.7, 7)[None]
         _, cache = forward(net, x)
         grads = backward(net, cache, x)
         for g in grads:
@@ -145,7 +177,7 @@ class TestBackward:
 
     def test_matches_finite_differences(self):
         net = init_network(default_autoencoder_specs(), seed=17)
-        x = Rng(29).uniforms(7)
+        x = _one_row(29)
         _, cache = forward(net, x)
         analytic = backward(net, cache, x)
         numeric = finite_difference_grads(net, x)
@@ -155,7 +187,7 @@ class TestBackward:
         # single identity layer; scaling the residual (x_hat - x) by c must
         # scale the weight gradient by c at a fixed forward cache
         net = Network([np.eye(3) * 0.5], [np.zeros(3)], [LayerSpec(3, 3, "identity")])
-        x0 = np.array([0.2, 0.4, 0.6])
+        x0 = np.array([[0.2, 0.4, 0.6]])
         out, cache = forward(net, x0)
         x1 = out - (out - x0) * 3.0  # residual scaled by 3
         g0 = backward(net, cache, x0)
@@ -171,17 +203,24 @@ class TestBackward:
         batch_grads = backward(net, cache, batch)
         sums = [np.zeros_like(g) for g in batch_grads]
         for i in range(5):
-            _, row_cache = forward(net, batch[i])
-            for s, g in zip(sums, backward(net, row_cache, batch[i])):
+            _, row_cache = forward(net, batch[i : i + 1])
+            for s, g in zip(sums, backward(net, row_cache, batch[i : i + 1])):
                 s += g
         for bg, s in zip(batch_grads, sums):
             assert np.allclose(bg, s / 5.0, atol=1e-14)
+
+    def test_one_sample_vector_rejected(self):
+        net = init_network(default_autoencoder_specs(), seed=23)
+        x = np.full((1, 7), 0.5)
+        _, cache = forward(net, x)
+        with pytest.raises(ShapeError):
+            backward(net, cache, x[0])
 
     @pytest.mark.invariant
     def test_gradient_check_over_seeded_pairs(self):
         for trial in range(25):
             net = init_network(default_autoencoder_specs(), seed=1000 + trial)
-            x = Rng(2000 + trial).uniforms(7)
+            x = _one_row(2000 + trial)
             _, cache = forward(net, x)
             assert max_relative_error(backward(net, cache, x), finite_difference_grads(net, x)) < 1e-4
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aeromon.autoencoder import _sigmoid
 from aeromon.baselines import (
     DECISION_TREE,
     GAUSSIAN_NB,
@@ -13,7 +14,6 @@ from aeromon.baselines import (
     cross_validate,
     load_model,
     logreg_gradient,
-    logreg_loss,
     model_from_dict,
     model_to_dict,
     predict,
@@ -24,7 +24,7 @@ from aeromon.baselines import (
     train_classifier,
 )
 from aeromon.dataset import Dataset, Label
-from aeromon.errors import ConfigError, DataError, DegenerateLabelsError, DomainError, StratificationError
+from aeromon.errors import ConfigError, DataError, DegenerateLabelsError, DomainError, ShapeError, StratificationError
 from aeromon.numerics import Rng
 
 
@@ -47,6 +47,14 @@ def _six_configs():
         ClassifierConfig(RANDOM_FOREST, n_trees=5),
         ClassifierConfig(MLP, epochs=10, batch_size=16, learning_rate=0.01),
     ]
+
+
+def logreg_loss(weights, bias, x, y, l2_strength):
+    """Mean cross-entropy plus (l2/2)*||w||^2: the loss `logreg_gradient` differentiates."""
+    p = _sigmoid(x @ weights + bias)
+    eps = 1e-12
+    ce = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
+    return float(ce + 0.5 * l2_strength * float(weights @ weights))
 
 
 def _blobs(seed, n_per_class, dim=7, separation=3.0):
@@ -75,9 +83,9 @@ class TestGaussianNb:
         # likelihood ratio at x=9 is overwhelmingly anomalous
         ds = _ds([0.0] * 5 + [10.0] * 5, [0] * 5 + [1] * 5)
         model = train_classifier(ClassifierConfig(GAUSSIAN_NB), ds, seed=0)
-        label, prob = predict(model, np.array([9.0]))
-        assert label is Label.ANOMALOUS
-        assert prob > 0.99
+        labels, probs = predict(model, np.array([[9.0]]))
+        assert labels.tolist() == [Label.ANOMALOUS]
+        assert probs[0] > 0.99
 
     def test_priors_reflect_imbalance(self):
         ds = _ds([0.0] * 9 + [10.0], [0] * 9 + [1])
@@ -91,9 +99,9 @@ class TestLogReg:
             config=ClassifierConfig(LOGREG),
             payload={"weights": np.zeros(3), "bias": 0.0},
         )
-        label, prob = predict(model, np.zeros(3))
-        assert prob == 0.5
-        assert label is Label.NORMAL
+        labels, probs = predict(model, np.zeros((1, 3)))
+        assert probs.tolist() == [0.5]
+        assert labels.tolist() == [Label.NORMAL]
 
     def test_learns_separable_data(self):
         ds = _blobs(3, 60, dim=3)
@@ -136,9 +144,9 @@ class TestKnn:
     def test_single_neighbour_rig(self):
         ds = _ds([0.0, 1.0], [0, 1])
         model = train_classifier(ClassifierConfig(KNN, k=1), ds, seed=0)
-        label, prob = predict(model, np.array([0.1]))
-        assert label is Label.NORMAL
-        assert prob == 0.0
+        labels, probs = predict(model, np.array([[0.1]]))
+        assert labels.tolist() == [Label.NORMAL]
+        assert probs.tolist() == [0.0]
 
     @pytest.mark.invariant
     def test_matches_brute_force_scan(self):
@@ -151,7 +159,7 @@ class TestKnn:
             model = train_classifier(ClassifierConfig(KNN, k=k), ds, seed=0)
             for _ in range(40):
                 q = np.array([round(rng.uniform(0, 4)) / 2.0 for _ in range(3)])
-                _, prob = predict(model, q)
+                prob = predict(model, q[None])[1][0]
                 # quantized features force frequent exact distance ties
                 assert prob == _brute_force_knn(feats, labels.astype(float), k, q)
 
@@ -325,10 +333,9 @@ class TestSharedContracts:
         ]
         for cfg in configs:
             model = train_classifier(cfg, train_ds, seed=0)
-            for row in test_ds.features:
-                label, prob = predict(model, row)
-                assert 0.0 <= prob <= 1.0
-                assert (label is Label.ANOMALOUS) == (prob > 0.5)
+            labels, probs = predict(model, test_ds.features)
+            assert ((probs >= 0.0) & (probs <= 1.0)).all()
+            assert np.array_equal(labels == Label.ANOMALOUS, probs > 0.5)
 
     def test_matrix_predict_matches_row_predict(self):
         train_ds = _blobs(34, 30)
@@ -339,9 +346,9 @@ class TestSharedContracts:
             assert np.array_equal(probs, predict_proba(model, test_ds.features))
             assert np.array_equal(labels, (probs > 0.5).astype(np.int8))
             for row, label, prob in zip(test_ds.features, labels, probs):
-                one_label, one_prob = predict(model, row)
-                assert int(one_label) == label
-                assert one_prob == prob, cfg.kind  # bit for bit, whatever the batch
+                one_labels, one_probs = predict(model, row[None])
+                assert one_labels.tolist() == [label]
+                assert one_probs[0] == prob, cfg.kind  # bit for bit, whatever the batch
             reordered = test_ds.features[::-1][:7]
             assert np.array_equal(predict_proba(model, reordered), probs[::-1][:7]), cfg.kind
 
@@ -362,9 +369,17 @@ class TestSharedContracts:
                 row[2] = bad
                 batch = train_ds.features[:5].copy()
                 batch[4, 6] = bad
-                for fn, x in ((predict, row), (predict, np.full(7, bad)), (predict_proba, batch)):
+                for fn, x in ((predict, row[None]), (predict, np.full((1, 7), bad)), (predict_proba, batch)):
                     with pytest.raises(DomainError):
                         fn(model, x)
+
+    def test_one_sample_vector_rejected(self):
+        train_ds = _blobs(36, 20)
+        for cfg in _six_configs():
+            model = train_classifier(cfg, train_ds, seed=0)
+            for fn in (predict, predict_proba):
+                with pytest.raises(ShapeError):
+                    fn(model, train_ds.features[0])
 
     def test_single_class_rejected(self):
         ds = _ds([1.0, 2.0, 3.0], [0, 0, 0])

@@ -59,6 +59,18 @@ class TestResolve:
         with pytest.raises(ConfigError):
             resolve_config({"knn_k_grid": "1,a"})
 
+    def test_non_finite_numbers_rejected(self, tmp_path):
+        for bad in (float("nan"), float("inf"), float("-inf"), 10**400):
+            with pytest.raises(ConfigError, match="ae_learning_rate"):
+                resolve_config({"ae_learning_rate": bad})
+        for grid in ("0,nan", "inf", "0.1,-inf"):
+            with pytest.raises(ConfigError, match="logreg_l2_grid"):
+                resolve_config({"logreg_l2_grid": grid})
+        path = tmp_path / "cfg.json"
+        path.write_text('{"synth_mgt_severity": NaN}')
+        with pytest.raises(ConfigError, match="synth_mgt_severity"):
+            load_config(path)
+
     def test_bad_baseline_kind(self):
         with pytest.raises(ConfigError, match="svm"):
             resolve_config({"baseline_kinds": "logreg,svm"})
@@ -108,6 +120,21 @@ class TestLoad:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+    def test_every_stage_key_reaches_its_derived_config(self):
+        # a key that validates and hashes but never reaches the code it names
+        # silently does nothing when set
+        split_keys = {"ae_val_fraction"}  # read by the split stage, not by TrainConfig
+        for prefix, derive in (("ae_", "train_config"), ("synth_", "synth_config")):
+            keys = [k for k in _SCHEMA if k.startswith(prefix) and k not in split_keys]
+            assert keys
+            for key in keys:
+                kind, value = _SCHEMA[key]
+                changed = not value if kind == "bool" else value + 1 if kind == "int" else value * 2
+                field = key[len(prefix) :]
+                before = getattr(getattr(default_config(), derive)(), field)
+                after = getattr(getattr(resolve_config({key: changed}), derive)(), field)
+                assert after != before, key
 
     def test_derived_configs_construct(self):
         cfg = default_config({"synth_n_samples": 500})

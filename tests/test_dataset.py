@@ -45,12 +45,16 @@ def _random_dataset(seed, n, labeled=True, anomaly_fraction=0.4):
     return Dataset(feats, labels)
 
 
+def _count(ds, label):
+    return int((ds.require_labels() == label).sum())
+
+
 class TestSampleAccess:
-    def test_count_requires_labels(self):
+    def test_require_labels_rejects_unlabeled(self):
         from aeromon.errors import MissingLabelsError
 
         with pytest.raises(MissingLabelsError):
-            _random_dataset(1, 5, labeled=False).count(Label.NORMAL)
+            _random_dataset(1, 5, labeled=False).require_labels()
 
 
 class TestLoadCsv:
@@ -136,8 +140,8 @@ class TestSplit:
         ds = self._labeled(12, 8)
         res = split(ds, test_fraction=0.10, seed=5)
         assert res.test.n == 2
-        assert res.test.count(Label.NORMAL) == 1
-        assert res.test.count(Label.ANOMALOUS) == 1
+        assert _count(res.test, Label.NORMAL) == 1
+        assert _count(res.test, Label.ANOMALOUS) == 1
 
     def test_same_seed_identical_membership(self):
         ds = self._labeled(60, 40)
@@ -164,8 +168,8 @@ class TestSplit:
             assert abs(res.test.n - round(0.10 * ds.n)) <= 1
             # per-class ratio within one sample of the global ratio
             for c in (Label.NORMAL, Label.ANOMALOUS):
-                expected = 0.10 * ds.count(c)
-                assert abs(res.test.count(c) - expected) <= 1
+                expected = 0.10 * _count(ds, c)
+                assert abs(_count(res.test, c) - expected) <= 1
             ae_all = set(res.ae_train_indices) | set(res.ae_val_indices)
             assert not set(res.ae_train_indices) & set(res.ae_val_indices)
             normals_in_train = {i for i in res.supervised_indices if ds.labels[i] == 0}
@@ -183,10 +187,10 @@ class TestSplit:
         ds = self._labeled(4456, 2970, seed=77)
         res = split(ds, test_fraction=0.10, ae_val_fraction=0.10, seed=3)
         assert res.test.n == round(0.10 * ds.n)
-        normals_after_test = ds.count(Label.NORMAL) - res.test.count(Label.NORMAL)
+        normals_after_test = _count(ds, Label.NORMAL) - _count(res.test, Label.NORMAL)
         assert res.ae_val.n == round(0.10 * normals_after_test)
         assert res.ae_train.n == normals_after_test - res.ae_val.n
-        assert res.ae_train.n == pytest.approx(0.9 * 0.9 * ds.count(Label.NORMAL), rel=0.01)
+        assert res.ae_train.n == pytest.approx(0.9 * 0.9 * _count(ds, Label.NORMAL), rel=0.01)
 
     def test_small_class_rejected(self):
         feats = np.zeros((5, 7))
@@ -262,8 +266,8 @@ class TestScaler:
 class TestSynthetic:
     def test_exact_class_counts(self):
         ds = generate_synthetic(SynthConfig(n_samples=1000, anomaly_fraction=0.4, seed=7))
-        assert ds.count(Label.ANOMALOUS) == 400
-        assert ds.count(Label.NORMAL) == 600
+        assert _count(ds, Label.ANOMALOUS) == 400
+        assert _count(ds, Label.NORMAL) == 600
 
     def test_depressed_torque_shifts_anomalous_mean(self):
         ds = generate_synthetic(SynthConfig(n_samples=4000, seed=7))

@@ -224,6 +224,16 @@ class TestExitCodes:
             writer.writerows(body)
         assert main(base + ["train-clf", "--kind", "gaussian_nb"]) == 4
 
+    def test_non_finite_train_clf_flag_is_rejected(self, tmp_path):
+        cfg_file = _fast_config_file(tmp_path)
+        out = tmp_path / "work"
+        base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
+        for command in ("generate", "split", "fit-scalers"):
+            assert main(base + [command]) == 0
+        for flags in (["--lr", "nan"], ["--l2", "inf"]):
+            assert main(base + ["train-clf", "--kind", "logreg", *flags]) == 4
+        assert not (out / "clf_logreg.json").exists()
+
 
 @pytest.fixture(scope="module")
 def calibrated(tmp_path_factory):
@@ -236,8 +246,18 @@ def calibrated(tmp_path_factory):
     return cfg_file, out
 
 
+def _set_literal(path, keys, literal):
+    """Write the JSON text `literal` (e.g. NaN, 1e999) at the nested position `keys`."""
+    d = json.loads(path.read_text())
+    holder = d
+    for key in keys[:-1]:
+        holder = holder[key]
+    holder[keys[-1]] = "@literal@"
+    path.write_text(json.dumps(d).replace('"@literal@"', literal))
+
+
 class TestBrokenScorer:
-    @pytest.mark.parametrize("damage", ["garbage", "no_threshold", "short_cov", "unknown_policy"])
+    @pytest.mark.parametrize("damage", ["garbage", "no_threshold", "short_cov", "unknown_policy", "nan_scaler"])
     def test_score_exits_3(self, calibrated, tmp_path, capsys, damage):
         cfg_file, src = calibrated
         out = tmp_path / "work"
@@ -245,6 +265,8 @@ class TestBrokenScorer:
         path = out / "scorer.json"
         if damage == "garbage":
             path.write_text("{not json")
+        elif damage == "nan_scaler":
+            _set_literal(path, ["scaler", "mins", 0], "NaN")
         else:
             d = json.loads(path.read_text())
             if damage == "no_threshold":
@@ -298,6 +320,10 @@ class TestBrokenArtifacts:
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=None))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=5))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d["config"].update(k=4))),
+            ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["layers", 0, "weights", 0], "Infinity")),
+            ("evaluate", "clf_logreg.json", lambda p: _set_literal(p, ["weights", 0], "1e999")),
+            ("evaluate", "scaler_supervised.json", lambda p: _set_literal(p, ["ranges", 2], "-Infinity")),
+            ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["layers", 1, "biases", 0], "1" + "0" * 400)),
         ],
         ids=[
             "garbage_scaler",
@@ -313,6 +339,10 @@ class TestBrokenArtifacts:
             "scaler_ref_null",
             "scaler_ref_not_str",
             "clf_config_out_of_range",
+            "infinite_model_weight",
+            "overflowing_clf_weight",
+            "infinite_scaler_range",
+            "overflowing_int_bias",
         ],
     )
     def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):
