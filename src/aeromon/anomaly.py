@@ -14,7 +14,6 @@ any batch, and a calibration score equals the later classification score.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +31,7 @@ from .errors import (
     NotPositiveDefiniteError,
     ShapeError,
     read_json_artifact,
+    write_json_artifact,
 )
 from .numerics import CholeskyFactor, cholesky, covariance, row_sums, solve_spd
 
@@ -211,7 +211,7 @@ def scorer_to_dict(scorer: AnomalyScorer, model_file: str) -> dict:
 
 
 def save_scorer(scorer: AnomalyScorer, path, model_file: str) -> None:
-    Path(path).write_text(json.dumps(scorer_to_dict(scorer, model_file), sort_keys=True), encoding="utf-8")
+    write_json_artifact(path, scorer_to_dict(scorer, model_file))
 
 
 def load_scorer(path) -> AnomalyScorer:

@@ -9,14 +9,13 @@ Training is single-threaded and bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DomainError, InsufficientDataError, ShapeError, read_json_artifact
+from .errors import DataError, DomainError, InsufficientDataError, ShapeError, read_json_artifact, write_json_artifact
 from .numerics import Rng
 
 MODEL_FORMAT_VERSION = 1
@@ -415,7 +414,7 @@ def network_from_dict(d: dict) -> Network:
 
 
 def save_network(net: Network, path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net), sort_keys=True), encoding="utf-8")
+    write_json_artifact(path, network_to_dict(net))
 
 
 def load_network(path) -> Network:

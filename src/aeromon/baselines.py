@@ -10,11 +10,9 @@ anomalous iff that probability exceeds 0.5 (ties go to normal).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,6 +39,7 @@ from .errors import (
     ShapeError,
     StratificationError,
     read_json_artifact,
+    write_json_artifact,
 )
 from .numerics import Rng, derive_seed, row_sums
 
@@ -55,6 +54,7 @@ RANDOM_FOREST = "random_forest"
 MLP = "mlp"
 
 _NB_VARIANCE_FLOOR = 1e-9
+_KNN_BLOCK = 64  # test rows per distance matrix
 
 
 @dataclass(frozen=True)
@@ -183,72 +183,74 @@ def _train_knn(cfg: ClassifierConfig, x, y, seed):
     return {"train_features": x.copy(), "train_labels": y.astype(np.int8), "k": cfg.k}
 
 
+def _knn_neighbours(train_x, q, k):
+    """(b, n_train) mask of the k nearest training rows of each query row;
+    among tied distances the lower training index wins, as in a stable argsort."""
+    d2 = np.zeros((q.shape[0], train_x.shape[0]))
+    for j in range(train_x.shape[1]):
+        # column by column: the additions of a row sum over j, in its order
+        d2 += (train_x[:, j] - q[:, j, None]) ** 2
+    kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+    closer, tied = d2 < kth, d2 == kth
+    slots = k - closer.sum(axis=1, keepdims=True)
+    return closer | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= slots))
+
+
 def _knn_proba(payload, x):
-    train_x, train_y, k = payload["train_features"], payload["train_labels"], payload["k"]
+    train_x, positive, k = payload["train_features"], payload["train_labels"] == 1, payload["k"]
     out = np.empty(x.shape[0])
-    for i, q in enumerate(x):
-        d2 = ((train_x - q) ** 2).sum(axis=1)
-        # stable sort: among tied distances the lower training index wins
-        nearest = np.argsort(d2, kind="stable")[:k]
-        out[i] = train_y[nearest].mean()
+    for start in range(0, x.shape[0], _KNN_BLOCK):
+        nearest = _knn_neighbours(train_x, x[start : start + _KNN_BLOCK], k)
+        out[start : start + _KNN_BLOCK] = np.count_nonzero(nearest & positive, axis=1) / k
     return out
 
 
 # --- CART decision tree -----------------------------------------------------
 
 
-def _best_split(x, y, feature_ids, min_leaf):
-    """Highest Gini gain over midpoint thresholds of the candidate features.
-
-    Ties resolve to the lowest feature id (candidates are scanned in
-    ascending order) and then the lowest threshold.
-    """
-    n = y.size
-    pos = int(y.sum())
+def _best_split(x, y, order, feature_ids, min_leaf):
+    """(feature, threshold) of the highest Gini gain over midpoint thresholds, or
+    None. `order[f]` lists the node's rows by ascending feature f, so the m
+    candidates are scored in one (m, n-1) pass; the flat argmax breaks ties to
+    the lowest feature id (candidates ascend), then the lowest threshold."""
+    n = order.shape[1]
+    rows = order[feature_ids]
+    sv = x[rows, np.asarray(feature_ids)[:, None]]
+    cum_pos = np.cumsum(y[rows], axis=1)
+    pos = int(cum_pos[0, -1])
     p1 = pos / n
     gini_parent = 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
-    best = None
-    for f in feature_ids:
-        vals = x[:, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        cum_pos = np.cumsum(y[order])
-        bounds = np.flatnonzero(sv[:-1] < sv[1:])
-        if bounds.size == 0:
-            continue
-        nl = bounds + 1
-        nr = n - nl
-        keep = (nl >= min_leaf) & (nr >= min_leaf)
-        if not keep.any():
-            continue
-        bounds, nl, nr = bounds[keep], nl[keep], nr[keep]
-        pl = cum_pos[bounds]
-        pr = pos - pl
-        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-        gains = gini_parent - (nl / n) * gini_l - (nr / n) * gini_r
-        j = int(np.argmax(gains))
-        if gains[j] > 0.0 and (best is None or gains[j] > best[0]):
-            threshold = (sv[bounds[j]] + sv[bounds[j] + 1]) / 2.0
-            best = (float(gains[j]), int(f), float(threshold))
-    return best
+    nl = np.arange(1, n)
+    nr = n - nl
+    pl = cum_pos[:, :-1]
+    pr = pos - pl
+    gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+    gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+    gains = gini_parent - (nl / n) * gini_l - (nr / n) * gini_r
+    gains[~((sv[:, :-1] < sv[:, 1:]) & (nl >= min_leaf) & (nr >= min_leaf))] = -np.inf
+    f, b = divmod(int(np.argmax(gains)), n - 1)
+    if not gains[f, b] > 0.0:
+        return None
+    return int(feature_ids[f]), float((sv[f, b] + sv[f, b + 1]) / 2.0)
 
 
-def _grow_tree(x, y, depth, max_depth, min_leaf, choose_features):
-    n = y.size
-    pos = int(y.sum())
+def _grow_tree(x, y, order, depth, max_depth, min_leaf, choose_features):
+    """Preorder growth from `order`, the (d, n) presort of the node's rows. One
+    mask filters every row of `order` and keeps it sorted, so nodes never sort."""
+    d, n = order.shape
+    pos = int(y[order[0]].sum())
     if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
         return {"leaf": pos / n, "n": int(n)}
-    best = _best_split(x, y, choose_features(), min_leaf)
+    best = _best_split(x, y, order, choose_features(), min_leaf)
     if best is None:
         return {"leaf": pos / n, "n": int(n)}
-    _, feature, threshold = best
-    mask = x[:, feature] <= threshold
+    feature, threshold = best
+    goes_left = x[order, feature] <= threshold
     return {
         "feature": feature,
         "threshold": threshold,
-        "left": _grow_tree(x[mask], y[mask], depth + 1, max_depth, min_leaf, choose_features),
-        "right": _grow_tree(x[~mask], y[~mask], depth + 1, max_depth, min_leaf, choose_features),
+        "left": _grow_tree(x, y, order[goes_left].reshape(d, -1), depth + 1, max_depth, min_leaf, choose_features),
+        "right": _grow_tree(x, y, order[~goes_left].reshape(d, -1), depth + 1, max_depth, min_leaf, choose_features),
     }
 
 
@@ -264,8 +266,8 @@ def _tree_proba(payload, x):
 
 def _train_tree(cfg: ClassifierConfig, x, y, seed):
     all_features = list(range(x.shape[1]))
-    root = _grow_tree(x, y, 0, cfg.max_depth, cfg.min_leaf, lambda: all_features)
-    return {"root": root}
+    order = np.argsort(x, axis=0, kind="stable").T
+    return {"root": _grow_tree(x, y, order, 0, cfg.max_depth, cfg.min_leaf, lambda: all_features)}
 
 
 # --- random forest ----------------------------------------------------------
@@ -285,7 +287,8 @@ def _train_single_forest_tree(x, y, cfg: ClassifierConfig, tree_rng: Rng):
             return list(range(d))
         return sorted(tree_rng.sample_indices(d, m))
 
-    return _grow_tree(bx, by, 0, cfg.max_depth, cfg.min_leaf, choose_features)
+    order = np.argsort(bx, axis=0, kind="stable").T
+    return _grow_tree(bx, by, order, 0, cfg.max_depth, cfg.min_leaf, choose_features)
 
 
 def _train_forest(cfg: ClassifierConfig, x, y, seed: int):
@@ -490,7 +493,7 @@ def model_from_dict(d: dict) -> ClassifierModel:
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True), encoding="utf-8")
+    write_json_artifact(path, model_to_dict(model))
 
 
 def load_model(path) -> ClassifierModel:

@@ -89,3 +89,12 @@ def read_json_artifact(path, from_dict):
         return from_dict(json.loads(text, parse_constant=_finite_float, parse_float=_finite_float))
     except (OSError, ValueError, OverflowError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def write_json_artifact(path, payload) -> None:
+    """Write `payload` as sorted-key JSON; a NaN or infinity raises DomainError and writes nothing."""
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+    Path(path).write_text(text, encoding="utf-8")

@@ -27,7 +27,6 @@ Fixed artifact names inside the output directory:
 from __future__ import annotations
 
 import csv
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -57,7 +56,7 @@ from .dataset import (
     save_csv,
     split,
 )
-from .errors import ConfigError, DataError, ParseError, ToolkitError, read_json_artifact
+from .errors import ConfigError, DataError, ParseError, ToolkitError, read_json_artifact, write_json_artifact
 from .evaluation import evaluate_model, feature_histograms, histograms_to_csv_lines
 from .numerics import derive_seed
 
@@ -100,7 +99,7 @@ class _OutputDir:
         return read_json_artifact(self.file(name), MinMaxScaler.from_dict)
 
     def write_json(self, name: str, payload: dict) -> None:
-        self.file(name).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        write_json_artifact(self.file(name), payload)
 
     def write_lines(self, name: str, lines: list[str]) -> None:
         self.file(name).write_text("\n".join(lines) + "\n", encoding="utf-8")

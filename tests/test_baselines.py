@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aeromon import baselines
 from aeromon.autoencoder import _sigmoid
 from aeromon.baselines import (
     DECISION_TREE,
@@ -163,6 +164,24 @@ class TestKnn:
                 # quantized features force frequent exact distance ties
                 assert prob == _brute_force_knn(feats, labels.astype(float), k, q)
 
+    @pytest.mark.invariant
+    def test_neighbour_sets_match_stable_argsort(self):
+        rng = Rng(23)
+        # three levels per feature: 27 distinct points, so most distances tie
+        train_x = np.array([[round(rng.uniform(0, 2)) / 2.0 for _ in range(3)] for _ in range(150)])
+        train_y = np.array([1 if rng.random() < 0.4 else 0 for _ in range(150)], dtype=np.int8)
+        queries = np.array([[round(rng.uniform(0, 2)) / 2.0 for _ in range(3)] for _ in range(150)])
+        for k in (1, 3, 7):
+            mask = baselines._knn_neighbours(train_x, queries, k)
+            want = []
+            for q, row in zip(queries, mask):
+                nearest = np.argsort(((train_x - q) ** 2).sum(axis=1), kind="stable")[:k]
+                assert np.flatnonzero(row).tolist() == sorted(nearest.tolist())
+                want.append(train_y[nearest].mean())
+            # 150 rows span three scoring blocks
+            model = train_classifier(ClassifierConfig(KNN, k=k), Dataset(train_x, train_y, ("a", "b", "c")), seed=0)
+            assert predict_proba(model, queries).tolist() == want
+
     def test_model_file_holds_integer_labels(self):
         model = train_classifier(ClassifierConfig(KNN, k=3), _blobs(77, 10), seed=0)
         labels = model_to_dict(model)["train_labels"]
@@ -224,6 +243,117 @@ def _reference_predict(tree, row):
         _, f, thr, left, right = tree
         tree = left if row[f] <= thr else right
     return tree[1]
+
+
+def per_node_sort_best_split(x, y, feature_ids, min_leaf):
+    """Reference split search: a stable argsort of every candidate feature at
+    every node, scanned feature by feature (lowest id, then lowest threshold)."""
+    n = y.size
+    pos = int(y.sum())
+    p1 = pos / n
+    gini_parent = 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
+    best = None
+    for f in feature_ids:
+        vals = x[:, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        cum_pos = np.cumsum(y[order])
+        bounds = np.flatnonzero(sv[:-1] < sv[1:])
+        if bounds.size == 0:
+            continue
+        nl = bounds + 1
+        nr = n - nl
+        keep = (nl >= min_leaf) & (nr >= min_leaf)
+        if not keep.any():
+            continue
+        bounds, nl, nr = bounds[keep], nl[keep], nr[keep]
+        pl = cum_pos[bounds]
+        pr = pos - pl
+        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+        gains = gini_parent - (nl / n) * gini_l - (nr / n) * gini_r
+        j = int(np.argmax(gains))
+        if gains[j] > 0.0 and (best is None or gains[j] > best[0]):
+            threshold = (sv[bounds[j]] + sv[bounds[j] + 1]) / 2.0
+            best = (float(gains[j]), int(f), float(threshold))
+    return best
+
+
+def per_node_sort_grow_tree(x, y, depth, max_depth, min_leaf, choose_features):
+    """Reference grower: copies the node's rows into each child and re-sorts there."""
+    n = y.size
+    pos = int(y.sum())
+    if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+        return {"leaf": pos / n, "n": int(n)}
+    best = per_node_sort_best_split(x, y, choose_features(), min_leaf)
+    if best is None:
+        return {"leaf": pos / n, "n": int(n)}
+    _, feature, threshold = best
+    mask = x[:, feature] <= threshold
+    return {
+        "feature": feature,
+        "threshold": threshold,
+        "left": per_node_sort_grow_tree(x[mask], y[mask], depth + 1, max_depth, min_leaf, choose_features),
+        "right": per_node_sort_grow_tree(x[~mask], y[~mask], depth + 1, max_depth, min_leaf, choose_features),
+    }
+
+
+def _tie_heavy_rig(seed, n=150, dim=7):
+    """Features rounded to tenths (many ties); feature 3 is constant."""
+    rng = Rng(seed)
+    x = np.array([[round(rng.uniform(0, 1), 1) for _ in range(dim)] for _ in range(n)])
+    x[:, 3] = 0.5
+    y = [int((v[0] + v[1] > 1.0) != (rng.random() < 0.15)) for v in x]
+    return Dataset(x, np.array(y, dtype=np.int8), tuple(f"f{i}" for i in range(dim)))
+
+
+def _zero_gain_rig():
+    """Feature 2 splits off a pure block; the other child is an XOR square
+    (duplicated), where every split gains exactly 0."""
+    xor = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]] * 2
+    x = np.array(xor + [[0.5, 0.5, 1.0]] * 5)
+    return Dataset(x, np.array([0, 1, 1, 0] * 2 + [1] * 5, dtype=np.int8), ("a", "b", "c"))
+
+
+def _walk_leaves(node):
+    if "leaf" in node:
+        return [node]
+    return _walk_leaves(node["left"]) + _walk_leaves(node["right"])
+
+
+class TestPresortedGrowerOracle:
+    """Every tree equals, as a nested dict, the tree the per-node-sort
+    reference grows from the same rows and the same feature draws."""
+
+    def _assert_matches_reference(self, monkeypatch, cfg, ds, seed):
+        got = train_classifier(cfg, ds, seed).payload
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "_grow_tree", lambda x, y, order, *rest: per_node_sort_grow_tree(x, y, *rest))
+            want = train_classifier(cfg, ds, seed).payload
+        assert got == want
+        return got
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("growth", [{}, {"min_leaf": 3}, {"max_depth": 4}])
+    def test_decision_tree(self, monkeypatch, growth):
+        for seed in (1, 2):
+            self._assert_matches_reference(monkeypatch, ClassifierConfig(DECISION_TREE, **growth), _tie_heavy_rig(seed), 0)
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("features_per_split", [1, 2, 3, 7])
+    @pytest.mark.parametrize("growth", [{}, {"min_leaf": 3}, {"max_depth": 4}])
+    def test_random_forest(self, monkeypatch, bootstrap, features_per_split, growth):
+        cfg = ClassifierConfig(
+            RANDOM_FOREST, n_trees=4, features_per_split=features_per_split, bootstrap=bootstrap, **growth
+        )
+        self._assert_matches_reference(monkeypatch, cfg, _tie_heavy_rig(3), 11)
+
+    def test_zero_gain_node_is_a_leaf(self, monkeypatch):
+        payload = self._assert_matches_reference(monkeypatch, ClassifierConfig(DECISION_TREE), _zero_gain_rig(), 0)
+        root = payload["root"]
+        assert root["feature"] == 2
+        assert {"leaf": 0.5, "n": 8} in _walk_leaves(root)
 
 
 class TestDecisionTree:

@@ -234,6 +234,16 @@ class TestExitCodes:
             assert main(base + ["train-clf", "--kind", "logreg", *flags]) == 4
         assert not (out / "clf_logreg.json").exists()
 
+    def test_diverged_fit_is_not_written(self, tmp_path):
+        cfg_file = _fast_config_file(tmp_path)
+        out = tmp_path / "work"
+        base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
+        for command in ("generate", "split", "fit-scalers"):
+            assert main(base + [command]) == 0
+        # the weights overflow to inf and then NaN; the writer refuses them
+        assert main(base + ["train-clf", "--kind", "mlp", "--lr", "1e300", "--epochs", "3"]) == 4
+        assert not (out / "clf_mlp.json").exists()
+
 
 @pytest.fixture(scope="module")
 def calibrated(tmp_path_factory):
