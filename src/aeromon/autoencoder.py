@@ -299,6 +299,8 @@ def _dataset_mse(net: Network, feats: np.ndarray) -> float:
     return mse_loss(feats, out)
 
 
+# a diverged fit surfaces once, as the writer's DomainError, not as numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, TrainReport]:
     """Mini-batch training with early stopping and best-weight restoration.
 

@@ -30,7 +30,7 @@ from .autoencoder import (
     network_from_dict,
     network_to_dict,
 )
-from .dataset import Dataset, Label
+from .dataset import N_CHANNELS, Dataset, Label
 from .errors import (
     ConfigError,
     DataError,
@@ -54,7 +54,7 @@ RANDOM_FOREST = "random_forest"
 MLP = "mlp"
 
 _NB_VARIANCE_FLOOR = 1e-9
-_KNN_BLOCK = 64  # test rows per distance matrix
+_KNN_BLOCK_ELEMS = 2**17  # distance-matrix entries per block of test rows (1 MiB of float64)
 
 
 @dataclass(frozen=True)
@@ -198,10 +198,11 @@ def _knn_neighbours(train_x, q, k):
 
 def _knn_proba(payload, x):
     train_x, positive, k = payload["train_features"], payload["train_labels"] == 1, payload["k"]
+    block = max(1, _KNN_BLOCK_ELEMS // train_x.shape[0])
     out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _KNN_BLOCK):
-        nearest = _knn_neighbours(train_x, x[start : start + _KNN_BLOCK], k)
-        out[start : start + _KNN_BLOCK] = np.count_nonzero(nearest & positive, axis=1) / k
+    for start in range(0, x.shape[0], block):
+        nearest = _knn_neighbours(train_x, x[start : start + block], k)
+        out[start : start + block] = np.count_nonzero(nearest & positive, axis=1) / k
     return out
 
 
@@ -234,40 +235,89 @@ def _best_split(x, y, order, feature_ids, min_leaf):
     return int(feature_ids[f]), float((sv[f, b] + sv[f, b + 1]) / 2.0)
 
 
-def _grow_tree(x, y, order, depth, max_depth, min_leaf, choose_features):
-    """Preorder growth from `order`, the (d, n) presort of the node's rows. One
-    mask filters every row of `order` and keeps it sorted, so nodes never sort."""
-    d, n = order.shape
-    pos = int(y[order[0]].sum())
-    if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-        return {"leaf": pos / n, "n": int(n)}
-    best = _best_split(x, y, order, choose_features(), min_leaf)
-    if best is None:
-        return {"leaf": pos / n, "n": int(n)}
-    feature, threshold = best
-    goes_left = x[order, feature] <= threshold
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "left": _grow_tree(x, y, order[goes_left].reshape(d, -1), depth + 1, max_depth, min_leaf, choose_features),
-        "right": _grow_tree(x, y, order[~goes_left].reshape(d, -1), depth + 1, max_depth, min_leaf, choose_features),
-    }
+class _Tree(NamedTuple):
+    """One CART tree as five equal-length arrays in preorder. Node i sends a row
+    with x[feature[i]] <= threshold[i] to node left[i], else to right[i];
+    feature -1 marks a leaf, and leaf[i] is the anomalous fraction of the
+    training rows that reached leaf i (0 at a split)."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf: np.ndarray
 
 
-def _tree_leaf_prob(node, row):
-    while "feature" in node:
-        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
-    return node["leaf"]
+def _grow_tree(x, y, order, max_depth, min_leaf, choose_features) -> _Tree:
+    """Preorder growth from `order`, the (d, n) presort of the rows. One mask
+    filters every row of a node's order and keeps it sorted, so nodes never sort."""
+    nodes = []  # [feature, threshold, left, right, leaf] per node, in preorder
+
+    def grow(order, depth):
+        d, n = order.shape
+        pos = int(y[order[0]].sum())
+        node = [-1, 0.0, -1, -1, pos / n]
+        nodes.append(node)
+        if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+            return
+        best = _best_split(x, y, order, choose_features(), min_leaf)
+        if best is None:
+            return
+        feature, threshold = best
+        goes_left = x[order, feature] <= threshold
+        node[:] = feature, threshold, len(nodes), -1, 0.0  # the left child comes next
+        grow(order[goes_left].reshape(d, -1), depth + 1)
+        node[3] = len(nodes)  # the right child follows the left subtree
+        grow(order[~goes_left].reshape(d, -1), depth + 1)
+
+    grow(order, 0)
+    return _Tree(*map(np.array, zip(*nodes)))
+
+
+def _tree_leaves(tree: _Tree, x) -> np.ndarray:
+    """Leaf index of every row of x. All rows move down one level at a time,
+    and a row goes left when x <= threshold."""
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    rows = np.arange(x.shape[0])
+    while (rows := rows[tree.feature[node[rows]] >= 0]).size:  # rows still at a split
+        at = node[rows]
+        node[rows] = np.where(x[rows, tree.feature[at]] <= tree.threshold[at], tree.left[at], tree.right[at])
+    return node
 
 
 def _tree_proba(payload, x):
-    return np.array([_tree_leaf_prob(payload["root"], row) for row in x])
+    tree = payload["root"]
+    return tree.leaf[_tree_leaves(tree, x)]
 
 
 def _train_tree(cfg: ClassifierConfig, x, y, seed):
     all_features = list(range(x.shape[1]))
     order = np.argsort(x, axis=0, kind="stable").T
-    return {"root": _grow_tree(x, y, order, 0, cfg.max_depth, cfg.min_leaf, lambda: all_features)}
+    return {"root": _grow_tree(x, y, order, cfg.max_depth, cfg.min_leaf, lambda: all_features)}
+
+
+def _tree_from_json(d: dict) -> _Tree:
+    """A tree from its JSON arrays. Anything that could send a row anywhere but
+    down to one leaf raises DataError: empty or unequal arrays, a feature
+    outside [-1, N_CHANNELS) (the telemetry width), a child index not after its parent or past the
+    end (so no cycle), or a leaf fraction outside [0, 1]."""
+    feature, left, right = (np.array(d[name]) for name in ("feature", "left", "right"))
+    threshold, leaf = (np.array(d[name], dtype=np.float64) for name in ("threshold", "leaf"))
+    tree = _Tree(feature, threshold, left, right, leaf)
+    n = feature.size
+    if n == 0 or any(column.shape != (n,) for column in tree):
+        raise DataError("tree arrays must be non-empty and of equal length")
+    if any(column.dtype.kind != "i" for column in (feature, left, right)):
+        raise DataError("tree feature, left and right must hold integers")
+    if ((feature < -1) | (feature >= N_CHANNELS)).any():
+        raise DataError(f"tree feature outside [-1, {N_CHANNELS})")
+    inner = np.flatnonzero(feature >= 0)
+    for child in (left[inner], right[inner]):
+        if ((child <= inner) | (child >= n)).any():
+            raise DataError("tree child index must come after its parent and inside the tree")
+    if not (np.isfinite(threshold).all() and ((leaf >= 0.0) & (leaf <= 1.0)).all()):
+        raise DataError("tree thresholds must be finite and leaf fractions in [0, 1]")
+    return tree
 
 
 # --- random forest ----------------------------------------------------------
@@ -288,7 +338,7 @@ def _train_single_forest_tree(x, y, cfg: ClassifierConfig, tree_rng: Rng):
         return sorted(tree_rng.sample_indices(d, m))
 
     order = np.argsort(bx, axis=0, kind="stable").T
-    return _grow_tree(bx, by, order, 0, cfg.max_depth, cfg.min_leaf, choose_features)
+    return _grow_tree(bx, by, order, cfg.max_depth, cfg.min_leaf, choose_features)
 
 
 def _train_forest(cfg: ClassifierConfig, x, y, seed: int):
@@ -300,8 +350,14 @@ def _forest_proba(payload, x):
     trees = payload["trees"]
     votes = np.zeros(x.shape[0])
     for tree in trees:
-        votes += np.array([1.0 if _tree_leaf_prob(tree, row) > 0.5 else 0.0 for row in x])
+        votes += tree.leaf[_tree_leaves(tree, x)] > 0.5
     return votes / len(trees)
+
+
+def _read_forest(d, cfg: ClassifierConfig):
+    if len(d["trees"]) != cfg.n_trees:
+        raise DataError(f"forest file holds {len(d['trees'])} trees but its config says {cfg.n_trees}")
+    return {"trees": [_tree_from_json(tree) for tree in d["trees"]]}
 
 
 # --- single-hidden-layer perceptron ----------------------------------------
@@ -346,20 +402,25 @@ class _Kind(NamedTuple):
 
     train: Callable  # (cfg, x, y, seed) -> payload dict
     proba: Callable  # (payload, (n, d) x) -> (n,) anomalous-class probabilities
-    fields: dict  # payload entry -> function rebuilding it from its JSON value
+    read: Callable  # (file dict, cfg) -> payload dict
+
+
+def _fields(**rebuild):
+    """A payload reader that rebuilds each named entry from its JSON value."""
+    return lambda d, cfg: {name: fn(d[name]) for name, fn in rebuild.items()}
 
 
 _KINDS = {
-    LOGREG: _Kind(_train_logreg, _logreg_proba, {"weights": _float_array, "bias": float}),
+    LOGREG: _Kind(_train_logreg, _logreg_proba, _fields(weights=_float_array, bias=float)),
     GAUSSIAN_NB: _Kind(
         _train_gaussian_nb,
         _gaussian_nb_proba,
-        {"means": _float_array, "variances": _float_array, "log_priors": _float_array},
+        _fields(means=_float_array, variances=_float_array, log_priors=_float_array),
     ),
-    KNN: _Kind(_train_knn, _knn_proba, {"train_features": _float_array, "train_labels": _label_array, "k": int}),
-    DECISION_TREE: _Kind(_train_tree, _tree_proba, {"root": dict}),
-    RANDOM_FOREST: _Kind(_train_forest, _forest_proba, {"trees": list}),
-    MLP: _Kind(_train_mlp, _mlp_proba, {"network": network_from_dict}),
+    KNN: _Kind(_train_knn, _knn_proba, _fields(train_features=_float_array, train_labels=_label_array, k=int)),
+    DECISION_TREE: _Kind(_train_tree, _tree_proba, _fields(root=_tree_from_json)),
+    RANDOM_FOREST: _Kind(_train_forest, _forest_proba, _read_forest),
+    MLP: _Kind(_train_mlp, _mlp_proba, _fields(network=network_from_dict)),
 }
 CLASSIFIER_KINDS = tuple(_KINDS)
 
@@ -368,7 +429,10 @@ def train_classifier(cfg: ClassifierConfig, train: Dataset, seed: int) -> Classi
     """Fit one classifier on scaled, labelled data. Deterministic per seed."""
     y = train.require_labels().astype(np.float64)
     _require_both_classes(train.labels)
-    return ClassifierModel(config=cfg, payload=_KINDS[cfg.kind].train(cfg, train.features, y, seed))
+    # a diverged fit surfaces once, as the writer's DomainError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        payload = _KINDS[cfg.kind].train(cfg, train.features, y, seed)
+    return ClassifierModel(config=cfg, payload=payload)
 
 
 def predict_proba(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
@@ -463,6 +527,10 @@ def _to_json(value):
         return value.tolist()
     if isinstance(value, Network):
         return network_to_dict(value)
+    if isinstance(value, _Tree):
+        return {name: column.tolist() for name, column in value._asdict().items()}
+    if isinstance(value, list):
+        return [_to_json(item) for item in value]
     return value
 
 
@@ -488,8 +556,7 @@ def model_from_dict(d: dict) -> ClassifierModel:
         raise DataError(f"classifier scaler_ref must be a file name, got {scaler_ref!r}")
     if d["kind"] != cfg.kind:
         raise DataError(f"classifier file names kind {d['kind']!r} but its config is for {cfg.kind!r}")
-    payload = {name: rebuild(d[name]) for name, rebuild in _KINDS[cfg.kind].fields.items()}
-    return ClassifierModel(config=cfg, payload=payload, scaler_ref=scaler_ref)
+    return ClassifierModel(config=cfg, payload=_KINDS[cfg.kind].read(d, cfg), scaler_ref=scaler_ref)
 
 
 def save_model(model: ClassifierModel, path) -> None:

@@ -165,7 +165,9 @@ class TestKnn:
                 assert prob == _brute_force_knn(feats, labels.astype(float), k, q)
 
     @pytest.mark.invariant
-    def test_neighbour_sets_match_stable_argsort(self):
+    def test_neighbour_sets_match_stable_argsort(self, monkeypatch):
+        # 64 test rows per block against 150 training rows: the 150 queries span three scoring blocks
+        monkeypatch.setattr(baselines, "_KNN_BLOCK_ELEMS", 64 * 150)
         rng = Rng(23)
         # three levels per feature: 27 distinct points, so most distances tie
         train_x = np.array([[round(rng.uniform(0, 2)) / 2.0 for _ in range(3)] for _ in range(150)])
@@ -178,7 +180,6 @@ class TestKnn:
                 nearest = np.argsort(((train_x - q) ** 2).sum(axis=1), kind="stable")[:k]
                 assert np.flatnonzero(row).tolist() == sorted(nearest.tolist())
                 want.append(train_y[nearest].mean())
-            # 150 rows span three scoring blocks
             model = train_classifier(ClassifierConfig(KNN, k=k), Dataset(train_x, train_y, ("a", "b", "c")), seed=0)
             assert predict_proba(model, queries).tolist() == want
 
@@ -280,14 +281,15 @@ def per_node_sort_best_split(x, y, feature_ids, min_leaf):
 
 
 def per_node_sort_grow_tree(x, y, depth, max_depth, min_leaf, choose_features):
-    """Reference grower: copies the node's rows into each child and re-sorts there."""
+    """Reference grower: copies the node's rows into each child and re-sorts
+    there, and returns the tree as nested dicts."""
     n = y.size
     pos = int(y.sum())
     if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-        return {"leaf": pos / n, "n": int(n)}
+        return {"leaf": pos / n}
     best = per_node_sort_best_split(x, y, choose_features(), min_leaf)
     if best is None:
-        return {"leaf": pos / n, "n": int(n)}
+        return {"leaf": pos / n}
     _, feature, threshold = best
     mask = x[:, feature] <= threshold
     return {
@@ -315,10 +317,27 @@ def _zero_gain_rig():
     return Dataset(x, np.array([0, 1, 1, 0] * 2 + [1] * 5, dtype=np.int8), ("a", "b", "c"))
 
 
-def _walk_leaves(node):
-    if "leaf" in node:
-        return [node]
-    return _walk_leaves(node["left"]) + _walk_leaves(node["right"])
+def nested_tree(tree, i=0):
+    """The flat preorder arrays of a tree as nested dicts, from node i down."""
+    if tree.feature[i] < 0:
+        return {"leaf": float(tree.leaf[i])}
+    return {
+        "feature": int(tree.feature[i]),
+        "threshold": float(tree.threshold[i]),
+        "left": nested_tree(tree, tree.left[i]),
+        "right": nested_tree(tree, tree.right[i]),
+    }
+
+
+def nested_leaf_prob(node, row):
+    """Scoring oracle: one row walked down one nested-dict tree."""
+    while "feature" in node:
+        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+    return node["leaf"]
+
+
+def _leaf_sizes(tree, x):
+    return np.bincount(baselines._tree_leaves(tree, x), minlength=tree.feature.size)
 
 
 class TestPresortedGrowerOracle:
@@ -326,12 +345,13 @@ class TestPresortedGrowerOracle:
     reference grows from the same rows and the same feature draws."""
 
     def _assert_matches_reference(self, monkeypatch, cfg, ds, seed):
-        got = train_classifier(cfg, ds, seed).payload
+        payload = train_classifier(cfg, ds, seed).payload
+        got = {name: nested_tree(t) if name == "root" else list(map(nested_tree, t)) for name, t in payload.items()}
         with monkeypatch.context() as patch:
-            patch.setattr(baselines, "_grow_tree", lambda x, y, order, *rest: per_node_sort_grow_tree(x, y, *rest))
+            patch.setattr(baselines, "_grow_tree", lambda x, y, order, *rest: per_node_sort_grow_tree(x, y, 0, *rest))
             want = train_classifier(cfg, ds, seed).payload
         assert got == want
-        return got
+        return payload
 
     @pytest.mark.invariant
     @pytest.mark.parametrize("growth", [{}, {"min_leaf": 3}, {"max_depth": 4}])
@@ -350,20 +370,51 @@ class TestPresortedGrowerOracle:
         self._assert_matches_reference(monkeypatch, cfg, _tie_heavy_rig(3), 11)
 
     def test_zero_gain_node_is_a_leaf(self, monkeypatch):
-        payload = self._assert_matches_reference(monkeypatch, ClassifierConfig(DECISION_TREE), _zero_gain_rig(), 0)
-        root = payload["root"]
-        assert root["feature"] == 2
-        assert {"leaf": 0.5, "n": 8} in _walk_leaves(root)
+        ds = _zero_gain_rig()
+        tree = self._assert_matches_reference(monkeypatch, ClassifierConfig(DECISION_TREE), ds, 0)["root"]
+        assert tree.feature[0] == 2
+        leaves = np.flatnonzero(tree.feature < 0)
+        assert (0.5, 8) in zip(tree.leaf[leaves].tolist(), _leaf_sizes(tree, ds.features)[leaves].tolist())
+
+
+class TestTreeScoringOracle:
+    """predict_proba of both tree kinds equals, bit for bit, a walk of each row
+    down the nested-dict trees, also for rows that sit exactly on a threshold."""
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("cfg", [ClassifierConfig(DECISION_TREE), ClassifierConfig(RANDOM_FOREST, n_trees=9)])
+    def test_equals_nested_walk(self, cfg):
+        ds = _tie_heavy_rig(4)
+        model = train_classifier(cfg, ds, seed=2)
+        trees = [model.payload["root"]] if cfg.kind == DECISION_TREE else model.payload["trees"]
+        on_threshold = []
+        for tree in trees:
+            for i in np.flatnonzero(tree.feature >= 0):
+                row = ds.features[i % ds.n].copy()
+                row[tree.feature[i]] = tree.threshold[i]
+                on_threshold.append(row)
+        queries = np.vstack([ds.features, _tie_heavy_rig(5).features, on_threshold])
+        nested = [nested_tree(tree) for tree in trees]
+        if cfg.kind == DECISION_TREE:
+            want = [nested_leaf_prob(nested[0], row) for row in queries]
+        else:
+            votes = np.zeros(len(queries))
+            for node in nested:
+                votes += np.array([1.0 if nested_leaf_prob(node, row) > 0.5 else 0.0 for row in queries])
+            want = (votes / len(nested)).tolist()
+        assert predict_proba(model, queries).tolist() == want
 
 
 class TestDecisionTree:
     def test_one_dimensional_separable(self):
         ds = _ds([0.1, 0.2, 0.3, 0.7, 0.8, 0.9], [0, 0, 0, 1, 1, 1])
         model = train_classifier(ClassifierConfig(DECISION_TREE), ds, seed=0)
-        root = model.payload["root"]
-        assert root["feature"] == 0
-        assert root["threshold"] == 0.5
-        assert "leaf" in root["left"] and "leaf" in root["right"]
+        assert nested_tree(model.payload["root"]) == {
+            "feature": 0,
+            "threshold": 0.5,
+            "left": {"leaf": 0.0},
+            "right": {"leaf": 1.0},
+        }
         pred = (predict_proba(model, ds.features) > 0.5).astype(int)
         assert (pred == ds.labels).all()
 
@@ -389,16 +440,13 @@ class TestDecisionTree:
     def test_max_depth_and_min_leaf_respected(self):
         ds = _blobs(5, 50, dim=2, separation=1.0)
         model = train_classifier(ClassifierConfig(DECISION_TREE, max_depth=2, min_leaf=5), ds, seed=0)
-
-        def check(node, depth):
-            if "leaf" in node:
-                assert node["n"] >= 5
-                assert depth <= 2
-                return
-            check(node["left"], depth + 1)
-            check(node["right"], depth + 1)
-
-        check(model.payload["root"], 0)
+        tree = model.payload["root"]
+        depth = np.zeros(tree.feature.size, dtype=int)
+        for i in np.flatnonzero(tree.feature >= 0):  # preorder: a parent precedes its children
+            depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+        leaves = tree.feature < 0
+        assert (_leaf_sizes(tree, ds.features)[leaves] >= 5).all()
+        assert (depth[leaves] <= 2).all() and depth.max() == 2
 
 
 class TestRandomForest:
@@ -407,10 +455,10 @@ class TestRandomForest:
         cfg = ClassifierConfig(RANDOM_FOREST, n_trees=11, features_per_split=2)
         a = train_classifier(cfg, ds, seed=5)
         b = train_classifier(cfg, ds, seed=5)
-        assert a.payload["trees"] == b.payload["trees"]
+        assert model_to_dict(a) == model_to_dict(b)
         assert np.array_equal(predict_proba(a, ds.features), predict_proba(b, ds.features))
         c = train_classifier(cfg, ds, seed=6)
-        assert a.payload["trees"] != c.payload["trees"]
+        assert model_to_dict(a)["trees"] != model_to_dict(c)["trees"]
 
     @pytest.mark.invariant
     def test_single_full_tree_reduces_to_plain_cart(self):
@@ -634,4 +682,4 @@ class TestSerialization:
         ds = _blobs(73, 15, dim=3)
         model = train_classifier(ClassifierConfig(DECISION_TREE), ds, seed=0)
         back = model_from_dict(model_to_dict(model))
-        assert back.payload["root"] == model.payload["root"]
+        assert nested_tree(back.payload["root"]) == nested_tree(model.payload["root"])

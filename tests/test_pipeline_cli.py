@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -240,9 +241,15 @@ class TestExitCodes:
         base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
         for command in ("generate", "split", "fit-scalers"):
             assert main(base + [command]) == 0
-        # the weights overflow to inf and then NaN; the writer refuses them
-        assert main(base + ["train-clf", "--kind", "mlp", "--lr", "1e300", "--epochs", "3"]) == 4
+        # the weights overflow to inf and then NaN; the writer refuses them, and
+        # its error is the only message: no numpy warning escapes the fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(base + ["train-clf", "--kind", "mlp", "--lr", "1e300", "--epochs", "3"]) == 4
+            _fast_config_file(tmp_path, ae_learning_rate=1e300)  # rewrites cfg_file
+            assert main(base + ["train-ae"]) == 4
         assert not (out / "clf_mlp.json").exists()
+        assert not (out / "model_ae.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -293,9 +300,9 @@ class TestBrokenScorer:
 
 @pytest.fixture(scope="module")
 def evaluated(tmp_path_factory):
-    """A work directory after a full run with the logreg and kNN baselines."""
+    """A work directory after a full run with the logreg, kNN, tree and forest baselines."""
     root = tmp_path_factory.mktemp("evaluated")
-    cfg_file = _fast_config_file(root, baseline_kinds="logreg,knn")
+    cfg_file = _fast_config_file(root, baseline_kinds="logreg,knn,decision_tree,random_forest")
     out = root / "work"
     assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "run"]) == 0
     return cfg_file, out
@@ -311,6 +318,11 @@ def _replace_first_row(path, row):
     lines = path.read_text().splitlines()
     lines[1] = row
     path.write_text("\n".join(lines) + "\n")
+
+
+_EMPTY_TREE = dict.fromkeys(("feature", "threshold", "left", "right", "leaf"), [])
+# a tree as nested dicts, as older versions wrote tree files
+_NESTED_TREE = {"feature": 0, "threshold": 0.5, "left": {"leaf": 0.0, "n": 3}, "right": {"leaf": 1.0, "n": 3}}
 
 
 class TestBrokenArtifacts:
@@ -334,6 +346,19 @@ class TestBrokenArtifacts:
             ("evaluate", "clf_logreg.json", lambda p: _set_literal(p, ["weights", 0], "1e999")),
             ("evaluate", "scaler_supervised.json", lambda p: _set_literal(p, ["ranges", 2], "-Infinity")),
             ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["layers", 1, "biases", 0], "1" + "0" * 400)),
+            ("evaluate", "clf_decision_tree.json", lambda p: _set_literal(p, ["root", "feature", 0], "9")),
+            ("evaluate", "clf_decision_tree.json", lambda p: _set_literal(p, ["root", "feature", 0], "-2")),
+            ("evaluate", "clf_decision_tree.json", lambda p: _edit_json(p, lambda d: d["root"].pop("leaf"))),
+            ("evaluate", "clf_decision_tree.json", lambda p: _edit_json(p, lambda d: d["root"]["leaf"].pop())),
+            ("evaluate", "clf_decision_tree.json", lambda p: _edit_json(p, lambda d: d.update(root=_EMPTY_TREE))),
+            ("evaluate", "clf_decision_tree.json", lambda p: _set_literal(p, ["root", "left", 0], "0")),
+            ("evaluate", "clf_decision_tree.json", lambda p: _set_literal(p, ["root", "right", 0], "1000000")),
+            ("evaluate", "clf_decision_tree.json", lambda p: _set_literal(p, ["root", "leaf", -1], "1.5")),
+            ("evaluate", "clf_decision_tree.json", lambda p: _set_literal(p, ["root", "feature", 0], "0.5")),
+            ("evaluate", "clf_decision_tree.json", lambda p: _edit_json(p, lambda d: d.update(root=_NESTED_TREE))),
+            ("evaluate", "clf_random_forest.json", lambda p: _edit_json(p, lambda d: d.update(trees=[]))),
+            ("evaluate", "clf_random_forest.json", lambda p: _edit_json(p, lambda d: d["trees"].pop())),
+            ("evaluate", "clf_random_forest.json", lambda p: _set_literal(p, ["trees", 3, "feature", 0], "9")),
         ],
         ids=[
             "garbage_scaler",
@@ -353,6 +378,19 @@ class TestBrokenArtifacts:
             "overflowing_clf_weight",
             "infinite_scaler_range",
             "overflowing_int_bias",
+            "tree_feature_past_channels",
+            "tree_feature_below_leaf_mark",
+            "tree_without_leaf_array",
+            "tree_arrays_unequal",
+            "tree_arrays_empty",
+            "tree_child_cycles_to_itself",
+            "tree_child_past_end",
+            "tree_leaf_fraction_above_one",
+            "tree_feature_not_integer",
+            "tree_in_nested_format",
+            "forest_without_trees",
+            "forest_tree_missing",
+            "forest_tree_feature_past_channels",
         ],
     )
     def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):
