@@ -171,7 +171,7 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
     scaled = scaler.transform(_finite_rows(ae_train.features, scaler.mins.shape[0]))
     stats = None
     if policy.kind == MAHALANOBIS_POLICY:
-        stats = fit_residual_stats(net, Dataset(scaled, channel_names=ae_train.channel_names))
+        stats = fit_residual_stats(net, Dataset(scaled))
     scores = _score_rows(net, stats, scaled)
     threshold = calibration_threshold(scores, policy.percentile)
     return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)

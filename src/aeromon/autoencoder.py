@@ -369,9 +369,8 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, Tr
             if early_counter >= cfg.early_stop_patience:
                 break
 
-    if best_weights is None:  # no epoch improved on +inf: cannot happen, but stay safe
-        best_weights = (work.weights, work.biases)
-        best_val = history[-1][1]
+    if best_weights is None:
+        raise DomainError("autoencoder training diverged: no epoch reached a finite validation loss")
     best_net = Network(
         [w.copy() for w in best_weights[0]],
         [b.copy() for b in best_weights[1]],

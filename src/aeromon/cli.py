@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .baselines import CLASSIFIER_KINDS, SUPERVISED_SCALER_FILE, cross_validate, save_model, select_model
-from .config import BASELINE_KEYS, PipelineConfig, classifier_fields, default_config, load_config
+from .baselines import CLASSIFIER_KINDS, SUPERVISED_SCALER_FILE, ClassifierConfig
+from .baselines import cross_validate, save_model, select_model
+from .config import PipelineConfig, baseline_key, default_config, load_config
 from .dataset import apply_scaler, load_csv
 from .errors import ConfigError, ToolkitError
 from .numerics import derive_seed
@@ -45,16 +45,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_clf = sub.add_parser("train-clf", help="train one supervised baseline standalone")
     p_clf.add_argument("--kind", required=True, choices=CLASSIFIER_KINDS)
     p_clf.add_argument("--cv", action="store_true", help="select over the grid flags by cross-validated F1")
-    p_clf.add_argument("--k", default=None, help="k-NN neighbour count (comma grid with --cv)")
-    p_clf.add_argument("--l2", default=None, help="logreg L2 strength (comma grid with --cv)")
-    p_clf.add_argument("--lr", type=float, default=None, help="learning rate (logreg/mlp)")
-    p_clf.add_argument("--epochs", type=int, default=None, help="training epochs (logreg/mlp)")
-    p_clf.add_argument("--trees", type=int, default=None, help="forest size")
-    p_clf.add_argument("--features-per-split", type=int, default=None)
-    p_clf.add_argument("--max-depth", type=int, default=None, help="0 means unbounded")
-    p_clf.add_argument("--min-leaf", type=int, default=None)
-    p_clf.add_argument("--hidden-units", type=int, default=None)
-    p_clf.add_argument("--batch-size", type=int, default=None)
+    # each hyperparameter flag's dest is its ClassifierConfig field; it overrides the kind's config key
+    p_clf.add_argument("--k", help="k-NN neighbour count (comma grid with --cv)")
+    p_clf.add_argument("--l2", dest="l2_strength", help="logreg L2 strength (comma grid with --cv)")
+    p_clf.add_argument("--lr", dest="learning_rate", type=float, help="learning rate (logreg/mlp)")
+    p_clf.add_argument("--epochs", type=int, help="training epochs (logreg/mlp)")
+    p_clf.add_argument("--trees", dest="n_trees", type=int, help="forest size")
+    p_clf.add_argument("--features-per-split", type=int)
+    p_clf.add_argument("--max-depth", type=int, help="0 means unbounded")
+    p_clf.add_argument("--min-leaf", type=int)
+    p_clf.add_argument("--hidden-units", type=int)
+    p_clf.add_argument("--batch-size", type=int)
 
     sub.add_parser("evaluate", help="evaluate the scorer and every configured baseline on the test set")
     sub.add_parser("compare", help="assemble the per-model comparison CSV")
@@ -72,46 +73,19 @@ def _resolve(args) -> PipelineConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
+    if args.command == "train-clf":
+        for name, value in vars(args).items():
+            if name != "kind" and name in ClassifierConfig.__dataclass_fields__ and value is not None:
+                overrides[baseline_key(args.kind, name)] = value
     if args.config is not None:
         return load_config(args.config, overrides)
     return default_config(overrides)
 
 
-def _grid(raw: str | None, default: list, cast):
-    if raw is None:
-        return default
-    try:
-        values = [cast(t.strip()) for t in raw.split(",") if t.strip()]
-    except ValueError:
-        raise ConfigError(f"invalid grid value {raw!r}") from None
-    if not values:
-        raise ConfigError("grid flag names no values")
-    return values
-
-
-# train-clf flag -> ClassifierConfig field
-_CLF_FLAGS = {
-    "lr": "learning_rate",
-    "epochs": "epochs",
-    "trees": "n_trees",
-    "features_per_split": "features_per_split",
-    "max_depth": "max_depth",
-    "min_leaf": "min_leaf",
-    "hidden_units": "hidden_units",
-    "batch_size": "batch_size",
-}
-
-
 def _train_clf_command(cfg: PipelineConfig, out: _OutputDir, args) -> None:
-    base = cfg.baseline_candidates(args.kind)[0]
-    flags = {field: getattr(args, flag) for flag, field in _CLF_FLAGS.items()}
-    kw = classifier_fields({field: value for field, value in flags.items() if value is not None})
-    grids = {"k": _grid(args.k, [base.k], int), "l2_strength": _grid(args.l2, [base.l2_strength], float)}
-    grid_field = BASELINE_KEYS[args.kind].grid_field
-    if grid_field is None:
-        candidates = [replace(base, **kw)]
-    else:
-        candidates = [replace(base, **kw, **{grid_field: v}) for v in grids[grid_field]]
+    candidates = cfg.baseline_candidates(args.kind)
+    if args.k is None and args.l2_strength is None:
+        candidates = candidates[:1]  # the config's grid is for the pipeline; standalone takes its first value
     if not args.cv and len(candidates) > 1:
         raise ConfigError("multiple grid values need --cv")
 

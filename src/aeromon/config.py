@@ -12,9 +12,8 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
 
 from .autoencoder import TrainConfig
 from .baselines import CLASSIFIER_KINDS, ClassifierConfig
@@ -23,7 +22,12 @@ from .dataset import SynthConfig
 from .errors import ConfigError
 from .numerics import derive_seed
 
-SOURCES = ("synthetic", "csv")
+
+def _section_schema(prefix: str, cls) -> dict[str, tuple[str, object]]:
+    """One key per dataclass field: prefix + name, its annotated type, its default.
+    `seed` is derived from the config seed, so it has no key."""
+    return {prefix + f.name: (f.type, f.default) for f in fields(cls) if f.name != "seed"}
+
 
 # key -> (type, default); grids are comma-separated numbers in the file
 _SCHEMA: dict[str, tuple[str, object]] = {
@@ -33,23 +37,8 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "seed": ("int", 0),
     "test_fraction": ("float", 0.10),
     "ae_val_fraction": ("float", 0.10),
-    "synth_n_samples": ("int", 20000),
-    "synth_anomaly_fraction": ("float", 0.40),
-    "synth_oat_low": ("float", -5.0),
-    "synth_oat_high": ("float", 35.0),
-    "synth_demand_low": ("float", 0.30),
-    "synth_demand_high": ("float", 1.00),
-    "synth_torque_severity": ("float", 1.0),
-    "synth_mgt_severity": ("float", 1.0),
-    "synth_coupling_severity": ("float", 1.0),
-    "synth_coupling_gap": ("float", 0.10),
-    "ae_max_epochs": ("int", 200),
-    "ae_batch_size": ("int", 1024),
-    "ae_learning_rate": ("float", 1e-3),
-    "ae_early_stop_patience": ("int", 25),
-    "ae_plateau_patience": ("int", 20),
-    "ae_plateau_factor": ("float", 0.2),
-    "ae_min_lr": ("float", 1e-6),
+    **_section_schema("synth_", SynthConfig),
+    **_section_schema("ae_", TrainConfig),
     "threshold_policy": ("choice:" + ",".join(POLICY_KINDS), "mahalanobis"),
     "threshold_percentile": ("float", 85.0),
     "baseline_kinds": ("str", ",".join(CLASSIFIER_KINDS)),
@@ -72,48 +61,24 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "histogram_bins": ("int", 50),
 }
 
-
-
-class BaselineKeys(NamedTuple):
-    """Where one baseline kind's ClassifierConfig fields come from."""
-
-    fields: dict  # ClassifierConfig field -> config key
-    grid_field: str | None = None  # the field that takes one candidate per grid value
-    grid_key: str | None = None
-
-
-BASELINE_KEYS = {
-    "logreg": BaselineKeys(
-        {"learning_rate": "logreg_learning_rate", "epochs": "logreg_epochs"}, "l2_strength", "logreg_l2_grid"
-    ),
-    "gaussian_nb": BaselineKeys({}),
-    "knn": BaselineKeys({}, "k", "knn_k_grid"),
-    "decision_tree": BaselineKeys({"max_depth": "tree_max_depth", "min_leaf": "tree_min_leaf"}),
-    "random_forest": BaselineKeys(
-        {
-            "n_trees": "forest_n_trees",
-            "features_per_split": "forest_features_per_split",
-            "max_depth": "forest_max_depth",
-            "min_leaf": "forest_min_leaf",
-            "bootstrap": "forest_bootstrap",
-        }
-    ),
-    "mlp": BaselineKeys(
-        {
-            "hidden_units": "mlp_hidden_units",
-            "learning_rate": "mlp_learning_rate",
-            "epochs": "mlp_epochs",
-            "batch_size": "mlp_batch_size",
-        }
-    ),
+# baseline kind -> the prefix of its keys; each key is the prefix plus a ClassifierConfig field
+_BASELINE_PREFIXES = {
+    "logreg": "logreg_",
+    "gaussian_nb": "gaussian_nb_",
+    "knn": "knn_",
+    "decision_tree": "tree_",
+    "random_forest": "forest_",
+    "mlp": "mlp_",
 }
+# baseline kind -> (the field that takes one candidate per grid value, the grid key)
+_BASELINE_GRIDS = {"logreg": ("l2_strength", "logreg_l2_grid"), "knn": ("k", "knn_k_grid")}
 
 
-def classifier_fields(values: dict) -> dict:
-    """ClassifierConfig keyword arguments; a max_depth of 0 means unbounded (None)."""
-    if values.get("max_depth") == 0:
-        return {**values, "max_depth": None}
-    return values
+def baseline_key(kind: str, name: str) -> str:
+    """The config key that sets ClassifierConfig field `name` of a `kind` baseline;
+    a kind that has no such key gets a name that resolve_config rejects."""
+    grid_field, grid_key = _BASELINE_GRIDS.get(kind, (None, None))
+    return grid_key if name == grid_field else _BASELINE_PREFIXES[kind] + name
 
 
 # stage indexes for deriving per-stage seeds from the config seed
@@ -121,6 +86,26 @@ STAGE_GENERATE = 11
 STAGE_SPLIT = 12
 STAGE_AE = 13
 STAGE_BASELINE_BASE = 20
+
+
+def _parse_grid(key: str, kind: str, value) -> list:
+    """The numbers of a comma-separated grid string; empty entries are skipped."""
+    if not isinstance(value, str):
+        raise ConfigError(f"'{key}' must be a comma-separated string, got {value!r}")
+    out = []
+    for token in value.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        try:
+            out.append(int(token) if kind == "grid_int" else float(token))
+        except ValueError:
+            raise ConfigError(f"'{key}' has a non-numeric entry '{token}'") from None
+        if not math.isfinite(out[-1]):
+            raise ConfigError(f"'{key}' has a non-finite entry '{token}'")
+    if not out:
+        raise ConfigError(f"'{key}' must name at least one value")
+    return out
 
 
 def _coerce(key: str, kind: str, value):
@@ -147,22 +132,8 @@ def _coerce(key: str, kind: str, value):
             raise ConfigError(f"'{key}' must be one of {choices}, got {value!r}")
         return value
     if kind in ("grid_float", "grid_int"):
-        if not isinstance(value, str):
-            raise ConfigError(f"'{key}' must be a comma-separated string, got {value!r}")
-        out = []
-        for token in value.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                out.append(int(token) if kind == "grid_int" else float(token))
-            except ValueError:
-                raise ConfigError(f"'{key}' has a non-numeric entry '{token}'") from None
-            if not math.isfinite(out[-1]):
-                raise ConfigError(f"'{key}' has a non-finite entry '{token}'")
-        if not out:
-            raise ConfigError(f"'{key}' must name at least one value")
-        return value  # keep the raw string; parsed via grid accessors
+        _parse_grid(key, kind, value)
+        return value  # keep the raw string; parsed via PipelineConfig.grid
     raise ConfigError(f"internal: unknown schema type {kind}")
 
 
@@ -189,9 +160,7 @@ class PipelineConfig:
         return self.resolved["out_dir"]
 
     def grid(self, key: str) -> list:
-        kind = _SCHEMA[key][0]
-        cast = int if kind == "grid_int" else float
-        return [cast(t.strip()) for t in self.resolved[key].split(",") if t.strip()]
+        return _parse_grid(key, _SCHEMA[key][0], self.resolved[key])
 
     def baseline_kinds(self) -> list[str]:
         kinds = [t.strip() for t in self.resolved["baseline_kinds"].split(",") if t.strip()]
@@ -202,46 +171,32 @@ class PipelineConfig:
             raise ConfigError("baseline_kinds lists a kind twice")
         return kinds
 
+    def _section(self, prefix: str, cls, **fixed):
+        """`cls` built from every key that is `prefix` plus one of its field names."""
+        values = {f.name: self.resolved[prefix + f.name] for f in fields(cls) if prefix + f.name in self.resolved}
+        return cls(**{**values, **fixed})
+
     def synth_config(self) -> SynthConfig:
-        r = self.resolved
-        return SynthConfig(
-            n_samples=r["synth_n_samples"],
-            anomaly_fraction=r["synth_anomaly_fraction"],
-            seed=derive_seed(self.seed, STAGE_GENERATE),
-            oat_low=r["synth_oat_low"],
-            oat_high=r["synth_oat_high"],
-            demand_low=r["synth_demand_low"],
-            demand_high=r["synth_demand_high"],
-            torque_severity=r["synth_torque_severity"],
-            mgt_severity=r["synth_mgt_severity"],
-            coupling_severity=r["synth_coupling_severity"],
-            coupling_gap=r["synth_coupling_gap"],
-        )
+        return self._section("synth_", SynthConfig, seed=derive_seed(self.seed, STAGE_GENERATE))
 
     def train_config(self) -> TrainConfig:
-        r = self.resolved
-        return TrainConfig(
-            max_epochs=r["ae_max_epochs"],
-            batch_size=r["ae_batch_size"],
-            learning_rate=r["ae_learning_rate"],
-            early_stop_patience=r["ae_early_stop_patience"],
-            plateau_patience=r["ae_plateau_patience"],
-            plateau_factor=r["ae_plateau_factor"],
-            min_lr=r["ae_min_lr"],
-            seed=derive_seed(self.seed, STAGE_AE),
-        )
+        return self._section("ae_", TrainConfig, seed=derive_seed(self.seed, STAGE_AE))
 
     def threshold_policy(self) -> ThresholdPolicy:
         return ThresholdPolicy(self.resolved["threshold_policy"], self.resolved["threshold_percentile"])
 
     def baseline_candidates(self, kind: str) -> list[ClassifierConfig]:
-        if kind not in BASELINE_KEYS:
+        """One ClassifierConfig per value of the kind's grid key (one if it has none)."""
+        if kind not in _BASELINE_PREFIXES:
             raise ConfigError(f"unknown baseline kind '{kind}'")
-        keys = BASELINE_KEYS[kind]
-        fields = classifier_fields({name: self.resolved[key] for name, key in keys.fields.items()})
-        if keys.grid_field is None:
-            return [ClassifierConfig(kind, **fields)]
-        return [ClassifierConfig(kind, **fields, **{keys.grid_field: v}) for v in self.grid(keys.grid_key)]
+        prefix = _BASELINE_PREFIXES[kind]
+        fixed = {"kind": kind}
+        if self.resolved.get(prefix + "max_depth") == 0:
+            fixed["max_depth"] = None  # 0 = unbounded
+        if kind not in _BASELINE_GRIDS:
+            return [self._section(prefix, ClassifierConfig, **fixed)]
+        grid_field, grid_key = _BASELINE_GRIDS[kind]
+        return [self._section(prefix, ClassifierConfig, **fixed, **{grid_field: v}) for v in self.grid(grid_key)]
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))

@@ -40,14 +40,13 @@ class Label(IntEnum):
 
 @dataclass(frozen=True)
 class Dataset:
-    features: np.ndarray  # (n, 7) float64
+    features: np.ndarray  # (n, d) float64; telemetry has d = 7, in CHANNELS order
     labels: np.ndarray | None = None  # (n,) int8 with Label values
-    channel_names: tuple[str, ...] = CHANNELS
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != len(self.channel_names):
-            raise DomainError(f"features must be (n, {len(self.channel_names)}), got {feats.shape}")
+        if feats.ndim != 2:
+            raise DomainError(f"features must be an (n, d) matrix, got shape {feats.shape}")
         if not np.isfinite(feats).all():
             raise DomainError("features contain non-finite values")
         feats.setflags(write=False)
@@ -72,7 +71,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         labels = self.labels[idx] if self.is_labeled else None
-        return Dataset(self.features[idx], labels, self.channel_names)
+        return Dataset(self.features[idx], labels)
 
     def require_labels(self) -> np.ndarray:
         if not self.is_labeled:
@@ -287,7 +286,7 @@ def apply_scaler(scaler: MinMaxScaler, data: Dataset) -> Dataset:
     """x' = (x - min) / range per channel. Out-of-range values are NOT
     clamped: a test reading outside the fit range lands outside [0, 1],
     which is exactly the signal an anomaly detector needs."""
-    return Dataset(scaler.transform(data.features), data.labels, data.channel_names)
+    return Dataset(scaler.transform(data.features), data.labels)
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,7 @@ class SynthConfig:
     shift entirely.
     """
 
-    n_samples: int
+    n_samples: int = 20000
     anomaly_fraction: float = 0.40
     seed: int = 0
     oat_low: float = -5.0

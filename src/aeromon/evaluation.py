@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import CHANNELS, Dataset
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -186,7 +186,7 @@ def feature_histograms(data: Dataset, bins: int = 50) -> list[ChannelHistogram]:
     if bins < 2:
         raise DomainError("need at least 2 bins")
     out = []
-    for j, name in enumerate(data.channel_names):
+    for j, name in enumerate(CHANNELS):
         col = data.features[:, j]
         lo, hi = float(col.min()), float(col.max())
         if lo == hi:

@@ -115,7 +115,7 @@ class TestCriterion2Oracles:
         knn_exact = True
         feats = np.array([[rng.randrange(8) / 2.0 for _ in range(3)] for _ in range(200)])
         labels = np.array([rng.randrange(2) for _ in range(200)], dtype=np.int8)
-        ds = Dataset(feats, labels, ("a", "b", "c"))
+        ds = Dataset(feats, labels)
         for k in (1, 3, 5, 7):
             model = train_classifier(ClassifierConfig("knn", k=k), ds, seed=0)
             for _ in range(30):

@@ -29,13 +29,11 @@ from aeromon.errors import ConfigError, DataError, DegenerateLabelsError, Domain
 from aeromon.numerics import Rng
 
 
-def _ds(features, labels, names=None):
+def _ds(features, labels):
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim == 1:
         feats = feats[:, None]
-    if names is None:
-        names = tuple(f"f{i}" for i in range(feats.shape[1]))
-    return Dataset(feats, np.asarray(labels, dtype=np.int8), names)
+    return Dataset(feats, np.asarray(labels, dtype=np.int8))
 
 
 def _six_configs():
@@ -68,8 +66,7 @@ def _blobs(seed, n_per_class, dim=7, separation=3.0):
     order = list(range(len(rows)))
     rng.shuffle(order)
     feats = np.array(rows)[order]
-    names = tuple(f"f{i}" for i in range(dim))
-    return Dataset(feats, np.array(labels, dtype=np.int8)[order], names)
+    return Dataset(feats, np.array(labels, dtype=np.int8)[order])
 
 
 class TestGaussianNb:
@@ -155,7 +152,7 @@ class TestKnn:
         n = 200
         feats = np.array([[round(rng.uniform(0, 4)) / 2.0 for _ in range(3)] for _ in range(n)])
         labels = np.array([1 if rng.random() < 0.4 else 0 for _ in range(n)], dtype=np.int8)
-        ds = Dataset(feats, labels, ("a", "b", "c"))
+        ds = Dataset(feats, labels)
         for k in (1, 3, 5):
             model = train_classifier(ClassifierConfig(KNN, k=k), ds, seed=0)
             for _ in range(40):
@@ -180,7 +177,7 @@ class TestKnn:
                 nearest = np.argsort(((train_x - q) ** 2).sum(axis=1), kind="stable")[:k]
                 assert np.flatnonzero(row).tolist() == sorted(nearest.tolist())
                 want.append(train_y[nearest].mean())
-            model = train_classifier(ClassifierConfig(KNN, k=k), Dataset(train_x, train_y, ("a", "b", "c")), seed=0)
+            model = train_classifier(ClassifierConfig(KNN, k=k), Dataset(train_x, train_y), seed=0)
             assert predict_proba(model, queries).tolist() == want
 
     def test_model_file_holds_integer_labels(self):
@@ -306,7 +303,7 @@ def _tie_heavy_rig(seed, n=150, dim=7):
     x = np.array([[round(rng.uniform(0, 1), 1) for _ in range(dim)] for _ in range(n)])
     x[:, 3] = 0.5
     y = [int((v[0] + v[1] > 1.0) != (rng.random() < 0.15)) for v in x]
-    return Dataset(x, np.array(y, dtype=np.int8), tuple(f"f{i}" for i in range(dim)))
+    return Dataset(x, np.array(y, dtype=np.int8))
 
 
 def _zero_gain_rig():
@@ -314,7 +311,7 @@ def _zero_gain_rig():
     (duplicated), where every split gains exactly 0."""
     xor = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]] * 2
     x = np.array(xor + [[0.5, 0.5, 1.0]] * 5)
-    return Dataset(x, np.array([0, 1, 1, 0] * 2 + [1] * 5, dtype=np.int8), ("a", "b", "c"))
+    return Dataset(x, np.array([0, 1, 1, 0] * 2 + [1] * 5, dtype=np.int8))
 
 
 def nested_tree(tree, i=0):
@@ -425,12 +422,12 @@ class TestDecisionTree:
         sets = []
         x1 = np.array([[round(rng.uniform(0, 3), 1)] for _ in range(40)])
         y1 = [1 if v[0] > 1.4 and rng.random() > 0.1 else 0 for v in x1]
-        sets.append((x1, y1, ("a",)))
+        sets.append((x1, y1))
         x2 = np.array([[round(rng.uniform(0, 2), 1), round(rng.uniform(0, 2), 1)] for _ in range(60)])
         y2 = [1 if (v[0] > 1.0) != (v[1] > 1.0) else 0 for v in x2]
-        sets.append((x2, y2, ("a", "b")))
-        for x, y, names in sets:
-            ds = Dataset(x, np.array(y, dtype=np.int8), names)
+        sets.append((x2, y2))
+        for x, y in sets:
+            ds = Dataset(x, np.array(y, dtype=np.int8))
             model = train_classifier(ClassifierConfig(DECISION_TREE), ds, seed=0)
             reference = _reference_tree(x, list(map(int, y)))
             for row in x:
@@ -624,7 +621,7 @@ class TestSelectModel:
             for _ in range(150):
                 rows.append([rng.normal(c * 1.2, 1.0) for _ in range(2)])
                 labels.append(c if rng.random() > 0.15 else 1 - c)
-        ds = Dataset(np.array(rows), np.array(labels, dtype=np.int8), ("a", "b"))
+        ds = Dataset(np.array(rows), np.array(labels, dtype=np.int8))
         k1, k5 = ClassifierConfig(KNN, k=1), ClassifierConfig(KNN, k=5)
         f1_k1, _ = cross_validate(k1, ds, folds=5, seed=7)
         f1_k5, _ = cross_validate(k5, ds, folds=5, seed=7)

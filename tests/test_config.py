@@ -4,8 +4,16 @@ import json
 import pytest
 
 from aeromon.baselines import _KINDS, CLASSIFIER_KINDS, ClassifierConfig
-from aeromon.cli import _build_parser
-from aeromon.config import _SCHEMA, BASELINE_KEYS, default_config, load_config, resolve_config
+from aeromon.cli import _build_parser, _resolve
+from aeromon.config import (
+    _BASELINE_GRIDS,
+    _BASELINE_PREFIXES,
+    _SCHEMA,
+    baseline_key,
+    default_config,
+    load_config,
+    resolve_config,
+)
 from aeromon.errors import ConfigError
 
 
@@ -98,6 +106,10 @@ class TestHash:
             changed = resolve_config({key: value})
             assert changed.config_hash() != base.config_hash(), key
 
+    def test_default_hash_is_pinned(self):
+        # the hash run manifests record: a drifted default or derived key moves it
+        assert default_config().config_hash() == "c0e91a19303b3d078e07d21389c4cb079870d5e2684b97558327f9b0203ebf7a"
+
     def test_explicit_default_hashes_like_implicit(self):
         # writing out a default value is not a config change
         assert resolve_config({"seed": 0}).config_hash() == default_config().config_hash()
@@ -151,16 +163,31 @@ class TestBaselineKeys:
         parser = _build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         kind_flag = next(a for a in sub.choices["train-clf"]._actions if a.dest == "kind")
-        assert tuple(kind_flag.choices) == tuple(BASELINE_KEYS) == tuple(_KINDS) == CLASSIFIER_KINDS
+        assert tuple(kind_flag.choices) == tuple(_BASELINE_PREFIXES) == tuple(_KINDS) == CLASSIFIER_KINDS
         # the order fixes each kind's training seed in the default run
         assert CLASSIFIER_KINDS == ("logreg", "gaussian_nb", "knn", "decision_tree", "random_forest", "mlp")
 
+    def test_train_clf_flags_override_the_kinds_keys(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        # a flag whose dest names no ClassifierConfig field would be dropped silently
+        dests = {a.dest for a in sub.choices["train-clf"]._actions} - {"help", "kind", "cv"}
+        assert dests <= set(ClassifierConfig.__dataclass_fields__)
+        args = parser.parse_args(["train-clf", "--kind", "random_forest", "--trees", "5", "--max-depth", "3"])
+        assert _resolve(args).baseline_candidates("random_forest") == [
+            ClassifierConfig("random_forest", n_trees=5, max_depth=3)
+        ]
+
     def test_table_names_schema_keys_and_config_fields(self):
-        fields = set(ClassifierConfig.__dataclass_fields__)
-        for keys in BASELINE_KEYS.values():
-            assert set(keys.fields) <= fields and set(keys.fields.values()) <= set(_SCHEMA)
-            if keys.grid_field is not None:
-                assert keys.grid_field in fields and _SCHEMA[keys.grid_key][0].startswith("grid_")
+        # a key under a kind's prefix that names no field would silently miss its model
+        fields = set(ClassifierConfig.__dataclass_fields__) - {"kind"}
+        for kind, prefix in _BASELINE_PREFIXES.items():
+            grid_field, grid_key = _BASELINE_GRIDS.get(kind, (None, None))
+            for key in (k for k in _SCHEMA if k.startswith(prefix)):
+                assert key == grid_key or key[len(prefix) :] in fields, key
+                assert baseline_key(kind, grid_field if key == grid_key else key[len(prefix) :]) == key
+            if grid_key is not None:
+                assert grid_field in fields and _SCHEMA[grid_key][0].startswith("grid_")
 
     def test_candidates_read_their_keys(self):
         cfg = default_config(

@@ -225,17 +225,21 @@ class TestExitCodes:
             writer.writerows(body)
         assert main(base + ["train-clf", "--kind", "gaussian_nb"]) == 4
 
-    def test_non_finite_train_clf_flag_is_rejected(self, tmp_path):
+    def test_non_finite_train_clf_flag_is_rejected(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path)
         out = tmp_path / "work"
         base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
         for command in ("generate", "split", "fit-scalers"):
             assert main(base + [command]) == 0
-        for flags in (["--lr", "nan"], ["--l2", "inf"]):
-            assert main(base + ["train-clf", "--kind", "logreg", *flags]) == 4
+        # a flag overrides the kind's config key and is validated like that key in a file;
+        # a flag the kind has no key for is rejected, not ignored
+        for kind, flags in (("logreg", ["--lr", "nan"]), ("logreg", ["--l2", "inf"]), ("knn", ["--trees", "5"])):
+            assert main(base + ["train-clf", "--kind", kind, *flags]) == 2
+        assert "knn_n_trees" in capsys.readouterr().err
         assert not (out / "clf_logreg.json").exists()
+        assert not (out / "clf_knn.json").exists()
 
-    def test_diverged_fit_is_not_written(self, tmp_path):
+    def test_diverged_fit_is_not_written(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path)
         out = tmp_path / "work"
         base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
@@ -247,7 +251,9 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert main(base + ["train-clf", "--kind", "mlp", "--lr", "1e300", "--epochs", "3"]) == 4
             _fast_config_file(tmp_path, ae_learning_rate=1e300)  # rewrites cfg_file
+            capsys.readouterr()
             assert main(base + ["train-ae"]) == 4
+        assert "autoencoder training diverged" in capsys.readouterr().err
         assert not (out / "clf_mlp.json").exists()
         assert not (out / "model_ae.json").exists()
 
