@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .dataset import write_csv
 from .errors import DataError, DomainError, InsufficientDataError, ShapeError, read_json_artifact, write_json_artifact
 from .numerics import Rng
 
@@ -423,7 +423,6 @@ def load_network(path) -> Network:
 
 
 def write_epoch_log(report: TrainReport, path) -> None:
-    lines = ["epoch,train_mse,val_mse,lr"]
-    for i, (train_mse, val_mse, lr) in enumerate(report.history, start=1):
-        lines.append(f"{i},{train_mse!r},{val_mse!r},{lr!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    history = np.array(report.history, dtype=np.float64).reshape(-1, 3)
+    epochs = np.arange(1, len(history) + 1)
+    write_csv(path, "epoch,train_mse,val_mse,lr", "{},{!r},{!r},{!r}\n", epochs, *history.T)

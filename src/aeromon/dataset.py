@@ -9,9 +9,12 @@ labelled normal/anomalous. Datasets are immutable after construction.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from .errors import (
     ParseError,
     SchemaError,
     StratificationError,
+    write_atomic,
 )
 from .numerics import Rng
 
@@ -31,6 +35,13 @@ CHANNELS = ("oat", "mgt", "pa", "ias", "np", "cs", "ot")
 N_CHANNELS = len(CHANNELS)
 
 _LABEL_TOKENS = {"0": 0, "normal": 0, "1": 1, "anomalous": 1}
+# characters of a label cell the fast reader keeps; a cell this long or longer is rejected
+_LABEL_WIDTH = 16
+# one parsed row: the channel values under "x", then the label cell if the file has one
+_ROW_DTYPES = {
+    False: np.dtype([("x", np.float64, (N_CHANNELS,))]),
+    True: np.dtype([("x", np.float64, (N_CHANNELS,)), ("label", f"U{_LABEL_WIDTH}")]),
+}
 
 
 class Label(IntEnum):
@@ -79,52 +90,119 @@ class Dataset:
         return self.labels
 
 
+def _check_header(path: Path, fh, expected: list[str]) -> None:
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise InsufficientDataError(f"{path}: file is empty") from None
+    header = [h.strip().lower() for h in header]
+    for i, name in enumerate(expected):
+        if i >= len(header):
+            raise SchemaError(f"{path}: missing column '{name}'")
+        if header[i] != name:
+            raise SchemaError(f"{path}: expected column '{name}' at position {i + 1}, found '{header[i]}'")
+    if len(header) > len(expected):
+        raise SchemaError(f"{path}: unexpected extra column '{header[len(expected)]}'")
+
+
+def _check_rows(path: Path, has_labels: bool) -> None:
+    """Raise the ParseError of the first data row that breaks a rule of
+    `load_csv`, rows counted as csv records after the header. Only called
+    once the fast parse has found a problem; it reports, it builds nothing."""
+    n_cells = N_CHANNELS + has_labels
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for rownum, cells in enumerate(reader, start=1):
+            if len(cells) != n_cells:
+                raise ParseError(f"{path}: row {rownum} has {len(cells)} cells, expected {n_cells}")
+            numbers = cells[:N_CHANNELS]
+            try:
+                values = [float(c) for c in numbers]
+            except ValueError:
+                raise ParseError(f"{path}: row {rownum} contains a non-numeric cell") from None
+            # float() also takes digit-group underscores and non-ASCII digits; numpy's parser does not
+            if any("_" in c or not c.strip().isascii() for c in numbers):
+                raise ParseError(f"{path}: row {rownum} contains a non-numeric cell")
+            if not all(math.isfinite(v) for v in values):
+                raise ParseError(f"{path}: row {rownum} contains a non-finite value")
+            if has_labels:
+                cell = cells[N_CHANNELS]
+                if len(cell) >= _LABEL_WIDTH or cell.strip().lower() not in _LABEL_TOKENS:
+                    raise ParseError(f"{path}: row {rownum} has unrecognized label '{cell}'")
+
+
+def _label_codes(cells: np.ndarray) -> np.ndarray | None:
+    """Label values of a column of label cells, or None if any cell is not a
+    label token or may have been cut to the field width."""
+    tokens, inverse = np.unique(cells, return_inverse=True)
+    codes = [_LABEL_TOKENS.get(t.strip().lower()) if len(t) < _LABEL_WIDTH else None for t in tokens.tolist()]
+    if None in codes:
+        return None
+    return np.array(codes, dtype=np.int8)[inverse]
+
+
 def load_csv(path, has_labels: bool) -> Dataset:
     """Read telemetry from `oat,mgt,pa,ias,np,cs,ot[,label]` CSV.
 
     Labels parse case-insensitively from {normal, anomalous} or {0, 1}.
     Row numbers in errors count data rows (header excluded).
+
+    The body goes through numpy's C parser straight from the file, one pass.
+    Anything it cannot vouch for (a parse error, a blank line, a non-finite
+    value, an unknown or over-long label) sends the file to `_check_rows`,
+    which finds and reports the first bad row.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"telemetry file not found: {path}")
     expected = list(CHANNELS) + (["label"] if has_labels else [])
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        _check_header(path, fh, expected)
+        # counts the lines the parser reads: it skips blank lines, which are errors here
+        lines_read = itertools.count()
+        lines = map(itemgetter(0), zip(fh, lines_read))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InsufficientDataError(f"{path}: file is empty") from None
-        header = [h.strip().lower() for h in header]
-        for i, name in enumerate(expected):
-            if i >= len(header):
-                raise SchemaError(f"{path}: missing column '{name}'")
-            if header[i] != name:
-                raise SchemaError(f"{path}: expected column '{name}' at position {i + 1}, found '{header[i]}'")
-        if len(header) > len(expected):
-            raise SchemaError(f"{path}: unexpected extra column '{header[len(expected)]}'")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # numpy warns on an empty body
+                table = np.loadtxt(
+                    lines, dtype=_ROW_DTYPES[has_labels], delimiter=",", comments=None, quotechar='"', ndmin=1
+                )
+        except ValueError:
+            table = None
+        n_lines = next(lines_read)
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        for rownum, cells in enumerate(reader, start=1):
-            if len(cells) != len(expected):
-                raise ParseError(f"{path}: row {rownum} has {len(cells)} cells, expected {len(expected)}")
-            try:
-                values = [float(c) for c in cells[:N_CHANNELS]]
-            except ValueError:
-                raise ParseError(f"{path}: row {rownum} contains a non-numeric cell") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ParseError(f"{path}: row {rownum} contains a non-finite value")
-            rows.append(values)
-            if has_labels:
-                token = cells[N_CHANNELS].strip().lower()
-                if token not in _LABEL_TOKENS:
-                    raise ParseError(f"{path}: row {rownum} has unrecognized label '{cells[N_CHANNELS]}'")
-                labels.append(_LABEL_TOKENS[token])
-
-    if not rows:
+    labels = None
+    readable = table is not None and np.isfinite(table["x"]).all()
+    if readable and has_labels:
+        labels = _label_codes(table["label"])
+        readable = labels is not None
+    if not readable or len(table) != n_lines:
+        _check_rows(path, has_labels)
+    if not readable:
+        raise ParseError(f"{path}: a row cannot be parsed")
+    if not len(table):
         raise InsufficientDataError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels, dtype=np.int8) if has_labels else None)
+    return Dataset(table["x"], labels)
+
+
+_WRITE_BLOCK_ROWS = 1024
+
+
+def write_csv(path, header: str, row_format: str, *columns) -> None:
+    """Write `header`, then one line `row_format.format(*cells)` per row (the
+    format ends in a newline), through `write_atomic`. Columns are 1-D arrays
+    of one length. Rows are formatted and joined per block; each column's block
+    becomes Python numbers by one `.tolist()`, so `{!r}` of a float cell is its
+    shortest round-trip repr."""
+
+    def chunks():
+        yield header + "\n"
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            block = [c[start : start + _WRITE_BLOCK_ROWS].tolist() for c in columns]
+            yield "".join(map(row_format.format, *block))
+
+    write_atomic(path, chunks())
 
 
 def save_csv(data: Dataset, path, include_labels: bool | None = None) -> None:
@@ -133,15 +211,10 @@ def save_csv(data: Dataset, path, include_labels: bool | None = None) -> None:
         include_labels = data.is_labeled
     if include_labels and not data.is_labeled:
         raise MissingLabelsError("cannot write labels: dataset has none")
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(CHANNELS) + (["label"] if include_labels else []))
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.features[i]]
-            if include_labels:
-                row.append(str(int(data.labels[i])))
-            writer.writerow(row)
+    header = ",".join(CHANNELS) + (",label" if include_labels else "")
+    row_format = ",".join(["{!r}"] * data.features.shape[1] + ["{}"] * include_labels) + "\n"
+    columns = list(data.features.T) + ([data.labels] if include_labels else [])
+    write_csv(path, header, row_format, *columns)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ Each class carries the process exit code the CLI maps it to:
 
 import json
 import math
+import os
 from pathlib import Path
 
 
@@ -97,4 +98,27 @@ def write_json_artifact(path, payload) -> None:
         text = json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
-    Path(path).write_text(text, encoding="utf-8")
+    write_atomic(path, text)
+
+
+def write_atomic(path, content) -> None:
+    """Write `content`, a string or an iterable of string chunks, to `path` in
+    UTF-8 with no newline translation. The text goes to a temporary file in the
+    same directory, which then replaces `path` in one rename: a reader, or the
+    next stage after a crash, sees the old file or the whole new one, never a
+    part. If anything raises, the temporary file is removed and `path` is left
+    as it was. (A rename is atomic against a killed process, not a power cut:
+    nothing is fsynced.)"""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                fh.writelines(content)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

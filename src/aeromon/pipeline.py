@@ -55,8 +55,17 @@ from .dataset import (
     load_csv,
     save_csv,
     split,
+    write_csv,
 )
-from .errors import ConfigError, DataError, ParseError, ToolkitError, read_json_artifact, write_json_artifact
+from .errors import (
+    ConfigError,
+    DataError,
+    ParseError,
+    ToolkitError,
+    read_json_artifact,
+    write_atomic,
+    write_json_artifact,
+)
 from .evaluation import evaluate_model, feature_histograms, histograms_to_csv_lines
 from .numerics import derive_seed
 
@@ -102,7 +111,7 @@ class _OutputDir:
         write_json_artifact(self.file(name), payload)
 
     def write_lines(self, name: str, lines: list[str]) -> None:
-        self.file(name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_atomic(self.file(name), "\n".join(lines) + "\n")
 
 
 class _Lock:
@@ -153,9 +162,8 @@ def stage_split(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
         seed=derive_seed(cfg.seed, STAGE_SPLIT),
     )
     save_csv(result.test, out.file("test_features.csv"), include_labels=False)
-    lines = ["index,label"]
-    lines += [f"{i},{int(lbl)}" for i, lbl in enumerate(result.test.labels)]
-    out.write_lines("test_labels.csv", lines)
+    labels = result.test.labels
+    write_csv(out.file("test_labels.csv"), "index,label", "{},{}\n", np.arange(len(labels)), labels)
     save_csv(result.supervised_train, out.file("supervised_train.csv"))
     save_csv(result.ae_train, out.file("ae_train.csv"))
     save_csv(result.ae_val, out.file("ae_val.csv"))
@@ -196,17 +204,18 @@ def stage_score(cfg: PipelineConfig, out: _OutputDir, input_name: str = "test_fe
     scorer = load_scorer(out.file("scorer.json"))
     features = load_csv(out.file(input_name), has_labels=False)
     decisions, scores = classify(scorer, features.features)
-    lines = ["index,score,decision"]
-    lines += [f"{i},{float(s)!r},{int(d)}" for i, (s, d) in enumerate(zip(scores, decisions))]
-    out.write_lines("scores.csv", lines)
+    write_csv(out.file("scores.csv"), "index,score,decision", "{},{!r},{}\n", np.arange(len(scores)), scores, decisions)
     return ["scores.csv"]
 
 
 def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
+    kinds = cfg.baseline_kinds()
+    if not kinds:
+        return []
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
     scaled = apply_scaler(out.read_scaler(SUPERVISED_SCALER_FILE), supervised)
     written = []
-    for i, kind in enumerate(cfg.baseline_kinds()):
+    for i, kind in enumerate(kinds):
         candidates = cfg.baseline_candidates(kind)
         seed = derive_seed(cfg.seed, STAGE_BASELINE_BASE + i)
         _, model = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
@@ -217,21 +226,25 @@ def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
 
 
 def _load_test_set(out: _OutputDir) -> Dataset:
+    """Test features with their labels. test_labels.csv must hold one
+    `index,label` row per feature row, indexes 0..n-1 in order, labels 0 or 1."""
     features = load_csv(out.file("test_features.csv"), has_labels=False)
-    labels = []
-    with open(out.file("test_labels.csv"), encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "label"]:
-            raise DataError("test_labels.csv has an unexpected header")
-        for line, row in enumerate(reader, start=2):
-            try:
-                labels.append(int(row[1]))
-            except (IndexError, ValueError):
-                raise ParseError(f"test_labels.csv line {line}: expected 'index,label', got {row!r}") from None
-    if len(labels) != features.n:
-        raise DataError("test label count does not match test features")
-    return Dataset(features.features, np.array(labels, dtype=np.int8))
+    path = out.file("test_labels.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        if next(csv.reader(fh), None) != ["index", "label"]:
+            raise DataError(f"{path}: expected the header 'index,label'")
+        try:
+            table = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"{path}: expected 'index,label' rows of integers: {exc}") from None
+    if table.shape[1] != 2 or len(table) != features.n:
+        raise DataError(f"{path}: expected {features.n} 'index,label' rows, one per test feature row")
+    index, labels = table.T
+    if not np.array_equal(index, np.arange(features.n)):
+        raise DataError(f"{path}: the index column must count 0..{features.n - 1} in order")
+    if not np.isin(labels, (0, 1)).all():
+        raise DataError(f"{path}: labels must be 0 (normal) or 1 (anomalous)")
+    return Dataset(features.features, labels)
 
 
 def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:

@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -15,11 +18,14 @@ from aeromon.dataset import (
     split,
 )
 from aeromon.errors import (
+    DataError,
     DomainError,
     InsufficientDataError,
+    MissingLabelsError,
     ParseError,
     SchemaError,
     StratificationError,
+    write_atomic,
 )
 from aeromon.numerics import Rng
 
@@ -124,6 +130,198 @@ class TestLoadCsv:
         p2 = tmp_path / "rt2.csv"
         save_csv(back, p2)
         assert p2.read_bytes() == p.read_bytes()
+
+
+# --- reference CSV reader and writer: the row-at-a-time code load_csv and
+# save_csv replaced, kept as oracles for the vectorized paths ----------------
+
+_REFERENCE_LABELS = {"0": 0, "normal": 0, "1": 1, "anomalous": 1}
+
+
+def _reference_load_csv(path, has_labels):
+    expected = list(CHANNELS) + (["label"] if has_labels else [])
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InsufficientDataError(f"{path}: file is empty") from None
+        header = [h.strip().lower() for h in header]
+        for i, name in enumerate(expected):
+            if i >= len(header):
+                raise SchemaError(f"{path}: missing column '{name}'")
+            if header[i] != name:
+                raise SchemaError(f"{path}: expected column '{name}' at position {i + 1}, found '{header[i]}'")
+        if len(header) > len(expected):
+            raise SchemaError(f"{path}: unexpected extra column '{header[len(expected)]}'")
+        rows, labels = [], []
+        for rownum, cells in enumerate(reader, start=1):
+            if len(cells) != len(expected):
+                raise ParseError(f"{path}: row {rownum} has {len(cells)} cells, expected {len(expected)}")
+            try:
+                values = [float(c) for c in cells[:7]]
+            except ValueError:
+                raise ParseError(f"{path}: row {rownum} contains a non-numeric cell") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ParseError(f"{path}: row {rownum} contains a non-finite value")
+            rows.append(values)
+            if has_labels:
+                token = cells[7].strip().lower()
+                if token not in _REFERENCE_LABELS:
+                    raise ParseError(f"{path}: row {rownum} has unrecognized label '{cells[7]}'")
+                labels.append(_REFERENCE_LABELS[token])
+    if not rows:
+        raise InsufficientDataError(f"{path}: no data rows")
+    return Dataset(np.array(rows), np.array(labels, dtype=np.int8) if has_labels else None)
+
+
+def _reference_save_csv(data, path, include_labels):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(CHANNELS) + (["label"] if include_labels else []))
+        for i in range(data.n):
+            row = [repr(float(v)) for v in data.features[i]]
+            if include_labels:
+                row.append(str(int(data.labels[i])))
+            writer.writerow(row)
+
+
+def _outcome(loader, path, has_labels):
+    """The dataset's bytes, or the exception type and message (which names the row)."""
+    try:
+        ds = loader(path, has_labels)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome being compared
+        return type(exc), str(exc)
+    return ds.features.tobytes(), None if ds.labels is None else ds.labels.tobytes()
+
+
+_ROW = "1.5,-2,3e2,0.25,5,6,7"
+_LABELED = HEADER + ",label\n"
+# name -> (file text, has_labels); each must load the same way through both readers
+_PARITY_CASES = {
+    "plain": (_LABELED + f"{_ROW},0\n{_ROW},anomalous\n", True),
+    "no_final_newline": (_LABELED + f"{_ROW},0\n{_ROW},1", True),
+    "blank_line_mid_file": (_LABELED + f"{_ROW},0\n\n{_ROW},1\n", True),
+    "blank_line_at_end": (_LABELED + f"{_ROW},0\n{_ROW},1\n\n", True),
+    "blank_line_first": (HEADER + f"\n\n{_ROW}\n", False),
+    "whitespace_line": (HEADER + f"\n{_ROW}\n  \n", False),
+    "hash_row": (_LABELED + f"{_ROW},0\n#{_ROW},1\n", True),
+    "quoted_cells": (_LABELED + '"1.5","-2",3e2,0.25,5,6,"7","Normal"\n', True),
+    "quoted_delimiter_in_label": (_LABELED + f'{_ROW},"normal,1"\n', True),
+    "quoted_line_break_in_number": (HEADER + '\n"1\n",2,3,4,5,6,7\n', False),
+    "quoted_line_break_in_label": (_LABELED + f'{_ROW},"nor\nmal"\n', True),
+    "quote_after_space": (_LABELED + f'{_ROW}, "normal"\n', True),
+    "crlf": (HEADER + f",label\r\n{_ROW},0\r\n{_ROW},1\r\n", True),
+    "cr_only": (HEADER + f",label\r{_ROW},0\r{_ROW},1\r", True),
+    "blank_crlf_line": (HEADER + f"\r\n{_ROW}\r\n\r\n", False),
+    "spaces_around_cells": (_LABELED + " 1.5 , -2 ,3e2,\t0.25,5,6,7 ,  ANOMALOUS \n", True),
+    "nan_cell": (HEADER + f"\n{_ROW}\n1,NaN,3,4,5,6,7\n", False),
+    "inf_cell": (HEADER + "\n1,2,-inf,4,5,6,7\n", False),
+    "overflowing_cell": (HEADER + "\n1,2,3,4,1e999,6,7\n", False),
+    "non_finite_then_bad_label": (_LABELED + f"{_ROW},0\n{_ROW},maybe\n1,nan,3,4,5,6,7,0\n", True),
+    "too_few_cells": (HEADER + f"\n{_ROW}\n1,2,3,4,5,6\n", False),
+    "too_many_cells": (HEADER + f"\n{_ROW},8\n", False),
+    "trailing_comma": (HEADER + f"\n{_ROW},\n", False),
+    "empty_cell": (HEADER + "\n1,,3,4,5,6,7\n", False),
+    "unknown_label": (_LABELED + f"{_ROW},0\n{_ROW},maybe\n", True),
+    "empty_label": (_LABELED + f"{_ROW},\n", True),
+    # cut to the 16-character field, this cell would read as "anomalous"
+    "label_longer_than_field": (_LABELED + f"{_ROW},anomalous{' ' * 7}{'x' * 30}\n", True),
+    "hex_cell": (HEADER + "\n0x10,2,3,4,5,6,7\n", False),
+    "header_only": (HEADER + "\n", False),
+    "header_only_labeled": (_LABELED, True),
+    "empty_file": ("", False),
+    "wrong_header": ("oat,mgt,pa,ias,np,cs,torque\n" + _ROW + "\n", False),
+}
+
+
+class TestCsvParity:
+    """load_csv and save_csv against the row-at-a-time reference code."""
+
+    @pytest.mark.parametrize("name", sorted(_PARITY_CASES))
+    def test_loaders_agree(self, tmp_path, name):
+        text, has_labels = _PARITY_CASES[name]
+        p = tmp_path / "in.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_csv, p, has_labels) == _outcome(_reference_load_csv, p, has_labels)
+
+    @pytest.mark.parametrize(
+        "cell, has_labels",
+        [
+            ("1_0", False),  # float() takes digit-group underscores
+            ("\u0661", False),  # ARABIC-INDIC DIGIT ONE: float() takes non-ASCII digits
+            (" " * 10 + "normal", True),  # a valid label padded to the field width
+            (" " * 20 + "normal", True),  # ... and past it, which the field would cut to blanks
+        ],
+        ids=["underscore_digits", "non_ascii_digit", "label_padded_to_field_width", "label_padded_past_it"],
+    )
+    def test_rejected_where_the_reference_accepts(self, tmp_path, cell, has_labels):
+        row = f"{_ROW},{cell}" if has_labels else f"{cell},2,3,4,5,6,7"
+        p = _write(tmp_path, HEADER + (",label" if has_labels else "") + f"\n{_ROW}{',0' * has_labels}\n{row}\n")
+        _reference_load_csv(p, has_labels)
+        with pytest.raises(ParseError, match="row 2"):
+            load_csv(p, has_labels)
+
+    def test_trailing_nul_of_a_label_is_dropped(self, tmp_path):
+        # numpy strings cannot end in NUL, so the reader sees "normal"
+        p = _write(tmp_path, _LABELED + f"{_ROW},normal\x00\n")
+        with pytest.raises(ParseError, match="row 1"):
+            _reference_load_csv(p, True)
+        assert list(load_csv(p, True).labels) == [0]
+
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="not found"):
+            load_csv(tmp_path / "absent.csv", has_labels=False)
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_many_rows_agree(self, tmp_path, labeled):
+        # more rows than one write block, so block joins are covered
+        ds = _random_dataset(5, 2500, labeled=labeled)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        save_csv(ds, ours)
+        _reference_save_csv(ds, ref, labeled)
+        assert ours.read_bytes() == ref.read_bytes()
+        assert _outcome(load_csv, ours, labeled) == _outcome(_reference_load_csv, ours, labeled)
+
+    def test_save_matches_reference_writer_on_edge_floats(self, tmp_path):
+        values = [-0.0, 5e-324, 1e16, 1e-05, 0.1, 1.7976931348623157e308, -1.7976931348623157e308]
+        feats = np.array([values[i:] + values[:i] for i in range(len(values))])  # every value in every column
+        ds = Dataset(feats, np.array([i % 2 for i in range(len(feats))], dtype=np.int8))
+        for include_labels in (True, False):
+            ours, ref = tmp_path / f"ours{include_labels}.csv", tmp_path / f"ref{include_labels}.csv"
+            save_csv(ds, ours, include_labels=include_labels)
+            _reference_save_csv(ds, ref, include_labels)
+            assert ours.read_bytes() == ref.read_bytes()
+            back = load_csv(ours, has_labels=include_labels)
+            assert back.features.tobytes() == ds.features.tobytes()
+
+    def test_save_without_labels_refuses_label_request(self, tmp_path):
+        with pytest.raises(MissingLabelsError):
+            save_csv(_random_dataset(1, 4, labeled=False), tmp_path / "x.csv", include_labels=True)
+
+
+class TestWriteAtomic:
+    def test_failed_writer_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "data.csv"
+        target.write_text("old contents\n")
+
+        def chunks():
+            yield "half of the new"
+            raise RuntimeError("writer died")
+
+        with pytest.raises(RuntimeError, match="writer died"):
+            write_atomic(target, chunks())
+        assert target.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+    def test_replaces_whole_file(self, tmp_path):
+        target = tmp_path / "x.txt"
+        target.write_text("a much longer old text\n")
+        write_atomic(target, ["new", "\r\n"])
+        assert target.read_bytes() == b"new\r\n"
+        write_atomic(target, "str")
+        assert target.read_bytes() == b"str"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
 
 class TestSplit:

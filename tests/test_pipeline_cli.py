@@ -14,7 +14,7 @@ from aeromon.cli import main
 from aeromon.config import default_config
 from aeromon.dataset import SynthConfig, generate_synthetic, save_csv
 from aeromon.errors import ConfigError
-from aeromon.pipeline import LOCK_NAME, run_pipeline
+from aeromon.pipeline import LOCK_NAME, _OutputDir, run_pipeline, stage_train_baselines
 
 FAST_KEYS = {
     "synth_n_samples": 600,
@@ -155,6 +155,16 @@ class TestCliStages:
         assert main(base + ["score"]) == 0
         assert (Path(out) / "scorer.json").read_bytes() == scorer_before
         assert (Path(out) / "scores.csv").read_bytes() == scores_before
+
+    def test_no_baselines_reads_no_training_set(self, tmp_path):
+        cfg_file = _fast_config_file(tmp_path, baseline_kinds="")
+        out = tmp_path / "work"
+        base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
+        for command in ("generate", "split", "fit-scalers"):
+            assert main(base + [command]) == 0
+        (out / "supervised_train.csv").unlink()
+        cfg = default_config({**FAST_KEYS, "baseline_kinds": ""})
+        assert stage_train_baselines(cfg, _OutputDir(out)) == []
 
     def test_score_reads_features_only(self, tmp_path):
         cfg_file = _fast_config_file(tmp_path)
@@ -326,6 +336,12 @@ def _replace_first_row(path, row):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _swap_first_rows(path):
+    lines = path.read_text().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("\n".join(lines) + "\n")
+
+
 _EMPTY_TREE = dict.fromkeys(("feature", "threshold", "left", "right", "leaf"), [])
 # a tree as nested dicts, as older versions wrote tree files
 _NESTED_TREE = {"feature": 0, "threshold": 0.5, "left": {"leaf": 0.0, "n": 3}, "right": {"leaf": 1.0, "n": 3}}
@@ -344,6 +360,9 @@ class TestBrokenArtifacts:
             ("compare", "report_knn.json", lambda p: p.write_text("")),
             ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,x")),
             ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0")),
+            ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,2")),
+            ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,300")),
+            ("evaluate", "test_labels.csv", _swap_first_rows),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.pop("scaler_ref"))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=None))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=5))),
@@ -376,6 +395,9 @@ class TestBrokenArtifacts:
             "empty_report",
             "label_not_int",
             "label_missing",
+            "label_two",
+            "label_overflows_int8",
+            "label_rows_reordered",
             "scaler_ref_missing",
             "scaler_ref_null",
             "scaler_ref_not_str",
