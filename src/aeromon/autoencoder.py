@@ -126,10 +126,7 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
     weights, biases = [], []
     for spec in specs:
         limit = math.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        w = np.array(
-            [[rng.uniform(-limit, limit) for _ in range(spec.in_dim)] for _ in range(spec.out_dim)]
-        )
-        weights.append(w)
+        weights.append(rng.uniform(-limit, limit, spec.out_dim * spec.in_dim).reshape(spec.out_dim, spec.in_dim))
         biases.append(np.zeros(spec.out_dim))
     return Network(weights, biases, specs)
 

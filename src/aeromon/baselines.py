@@ -327,18 +327,12 @@ def _train_single_forest_tree(x, y, cfg: ClassifierConfig, tree_rng: Rng):
     n, d = x.shape
     m = min(cfg.features_per_split, d)
     if cfg.bootstrap:
-        idx = tree_rng.integers(n, n)
+        idx = tree_rng.randrange(n, n)
         bx, by = x[idx], y[idx]
     else:
         bx, by = x, y
-
-    def choose_features():
-        if m == d:
-            return list(range(d))
-        return sorted(tree_rng.sample_indices(d, m))
-
     order = np.argsort(bx, axis=0, kind="stable").T
-    return _grow_tree(bx, by, order, cfg.max_depth, cfg.min_leaf, choose_features)
+    return _grow_tree(bx, by, order, cfg.max_depth, cfg.min_leaf, lambda: tree_rng.sample_indices(d, m))
 
 
 def _train_forest(cfg: ClassifierConfig, x, y, seed: int):

@@ -199,7 +199,10 @@ class PipelineConfig:
         return [self._section(prefix, ClassifierConfig, **fixed, **{grid_field: v}) for v in self.grid(grid_key)]
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the experiment: every resolved key but `out_dir`, so a run
+        hashes the same whichever directory it writes to."""
+        experiment = {k: v for k, v in self.resolved.items() if k != "out_dir"}
+        canonical = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -157,28 +157,31 @@ def load_csv(path, has_labels: bool) -> Dataset:
     if not path.exists():
         raise DataError(f"telemetry file not found: {path}")
     expected = list(CHANNELS) + (["label"] if has_labels else [])
-    with open(path, newline="", encoding="utf-8") as fh:
-        _check_header(path, fh, expected)
-        # counts the lines the parser reads: it skips blank lines, which are errors here
-        lines_read = itertools.count()
-        lines = map(itemgetter(0), zip(fh, lines_read))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # numpy warns on an empty body
-                table = np.loadtxt(
-                    lines, dtype=_ROW_DTYPES[has_labels], delimiter=",", comments=None, quotechar='"', ndmin=1
-                )
-        except ValueError:
-            table = None
-        n_lines = next(lines_read)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            _check_header(path, fh, expected)
+            # counts the lines the parser reads: it skips blank lines, which are errors here
+            lines_read = itertools.count()
+            lines = map(itemgetter(0), zip(fh, lines_read))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # numpy warns on an empty body
+                    table = np.loadtxt(
+                        lines, dtype=_ROW_DTYPES[has_labels], delimiter=",", comments=None, quotechar='"', ndmin=1
+                    )
+            except ValueError:  # also a UnicodeDecodeError, which _check_rows meets again
+                table = None
+            n_lines = next(lines_read)
 
-    labels = None
-    readable = table is not None and np.isfinite(table["x"]).all()
-    if readable and has_labels:
-        labels = _label_codes(table["label"])
-        readable = labels is not None
-    if not readable or len(table) != n_lines:
-        _check_rows(path, has_labels)
+        labels = None
+        readable = table is not None and np.isfinite(table["x"]).all()
+        if readable and has_labels:
+            labels = _label_codes(table["label"])
+            readable = labels is not None
+        if not readable or len(table) != n_lines:
+            _check_rows(path, has_labels)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: the file is not UTF-8 text") from None
     if not readable:
         raise ParseError(f"{path}: a row cannot be parsed")
     if not len(table):
@@ -278,20 +281,15 @@ def split(
     total_take = _round_half_up(test_fraction * data.n)
     take = _largest_remainder_take({c: idx.size for c, idx in class_indices.items()}, test_fraction, total_take)
 
-    test_parts, train_parts = [], []
-    for c in (0, 1):
-        pool = list(class_indices[c])
-        rng.shuffle(pool)
-        test_parts.append(pool[: take[c]])
-        train_parts.append(pool[take[c] :])
-    test_idx = np.sort(np.concatenate([np.asarray(p, dtype=np.int64) for p in test_parts]))
-    train_idx = np.sort(np.concatenate([np.asarray(p, dtype=np.int64) for p in train_parts]))
+    pools = [idx[rng.permutation(idx.size)] for idx in class_indices.values()]
+    test_idx = np.sort(np.concatenate([pool[: take[c]] for c, pool in enumerate(pools)]))
+    train_idx = np.sort(np.concatenate([pool[take[c] :] for c, pool in enumerate(pools)]))
 
-    normal_train = [i for i in train_parts[0]]
-    n_val = _round_half_up(ae_val_fraction * len(normal_train))
-    rng.shuffle(normal_train)
-    ae_val_idx = np.sort(np.asarray(normal_train[:n_val], dtype=np.int64))
-    ae_train_idx = np.sort(np.asarray(normal_train[n_val:], dtype=np.int64))
+    normal_train = pools[0][take[0] :]
+    normal_train = normal_train[rng.permutation(normal_train.size)]
+    n_val = _round_half_up(ae_val_fraction * normal_train.size)
+    ae_val_idx = np.sort(normal_train[:n_val])
+    ae_train_idx = np.sort(normal_train[n_val:])
 
     return SplitResult(
         test=data.subset(test_idx),
@@ -395,94 +393,66 @@ class SynthConfig:
             raise DomainError("coupling_gap must be non-negative and smaller than half the demand band")
 
 
-# Healthy-regime model: a latent power demand u and the ambient temperature
-# drive every internal channel; the constants below set channel scales and
-# noise floors. Output torque follows the design-torque curve _DT(u), so a
-# healthy torque margin is zero-mean noise.
-_IAS_NOISE = 3.0
-_NP_NOISE = 8.0
-_CS_NOISE = 0.25
-_PA_NOISE = 8.0
-_MGT_NOISE = 6.0
-_OT_NOISE = 8.0
-
-
-def _design_torque(u: float) -> float:
-    return 300.0 + 420.0 * u
-
-
-def _healthy_channels(rng: Rng, cfg: SynthConfig) -> tuple[dict, float]:
-    u = rng.uniform(cfg.demand_low, cfg.demand_high)
-    oat = rng.uniform(cfg.oat_low, cfg.oat_high)
-    ias = 40.0 + 110.0 * u + rng.normal(0.0, _IAS_NOISE)
-    np_ = 160.0 + 620.0 * u + rng.normal(0.0, _NP_NOISE)
-    cs = 86.0 + 12.0 * u + 0.04 * (oat - 15.0) + rng.normal(0.0, _CS_NOISE)
-    pa = 860.0 - 2.4 * (oat - 15.0) - 45.0 * u + rng.normal(0.0, _PA_NOISE)
-    mgt = 440.0 + 0.38 * (np_ - 160.0) + 1.1 * (oat - 15.0) + rng.normal(0.0, _MGT_NOISE)
-    ot = _design_torque(u) + rng.normal(0.0, _OT_NOISE)
-    return {"oat": oat, "mgt": mgt, "pa": pa, "ias": ias, "np": np_, "cs": cs, "ot": ot}, u
-
-
-def _decohered_demand(rng: Rng, cfg: SynthConfig, u: float) -> float:
-    """Independent latent demand at least coupling_gap away from the true one,
-    so a coupling fault never degenerates into a relabelled healthy sample."""
-    while True:
-        candidate = rng.uniform(cfg.demand_low, cfg.demand_high)
-        if abs(candidate - u) >= cfg.coupling_gap:
-            return candidate
-
-
-def _apply_fault(rng: Rng, cfg: SynthConfig, ch: dict, u: float) -> dict:
-    """One of three documented fault transforms, chosen uniformly.
-
-    0: torque-margin depression, ot drops at least 60 * severity below design.
-    1: over-temperature drift on mgt.
-    2: coupling break: cs/np/pa are regenerated from independent latent
-       demands with inflated noise, distorting cross-channel covariance
-       while barely moving the marginals.
-    """
-    kind = rng.randrange(3)
-    out = dict(ch)
-    if kind == 0:
-        out["ot"] = ch["ot"] - cfg.torque_severity * (60.0 + abs(rng.normal(0.0, 15.0)))
-    elif kind == 1:
-        out["mgt"] = ch["mgt"] + cfg.mgt_severity * (45.0 + abs(rng.normal(0.0, 12.0)))
-    else:
-        boost = 1.0 + cfg.coupling_severity
-        u_cs = _decohered_demand(rng, cfg, u)
-        u_np = _decohered_demand(rng, cfg, u)
-        u_pa = _decohered_demand(rng, cfg, u)
-        oat = ch["oat"]
-        out["cs"] = 86.0 + 12.0 * u_cs + 0.04 * (oat - 15.0) + rng.normal(0.0, _CS_NOISE * boost)
-        out["np"] = 160.0 + 620.0 * u_np + rng.normal(0.0, _NP_NOISE * boost)
-        out["pa"] = 860.0 - 2.4 * (oat - 15.0) - 45.0 * u_pa + rng.normal(0.0, _PA_NOISE * boost)
+def _decohered_demand(rng: Rng, cfg: SynthConfig, u: np.ndarray) -> np.ndarray:
+    """Independent latent demands, each at least coupling_gap away from the
+    true one, so a coupling fault never degenerates into a relabelled healthy
+    sample. Rejected rows are redrawn, one block for all of them per round."""
+    out = rng.uniform(cfg.demand_low, cfg.demand_high, u.size)
+    redo = np.flatnonzero(np.abs(out - u) < cfg.coupling_gap)
+    while redo.size:
+        out[redo] = rng.uniform(cfg.demand_low, cfg.demand_high, redo.size)
+        redo = redo[np.abs(out[redo] - u[redo]) < cfg.coupling_gap]
     return out
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
     """Seeded stand-in telemetry with exact class counts.
 
-    round(anomaly_fraction * n) samples receive a fault transform; the rest
-    are healthy draws. Sample order is a seeded shuffle of the two blocks so
-    classes interleave. Bit-identical output for identical configs.
+    Healthy model: a latent power demand u and the ambient temperature oat
+    drive every internal channel; the constants set channel scales and noise
+    floors. Output torque follows the design-torque curve 300 + 420 u, so a
+    healthy torque margin is zero-mean noise.
+
+    round(anomaly_fraction * n) samples receive one of three fault
+    transforms, chosen uniformly:
+      0: torque-margin depression, ot drops at least 60 * severity below design.
+      1: over-temperature drift on mgt.
+      2: coupling break: cs/np/pa are regenerated from independent latent
+         demands with noise scaled by 1 + severity, distorting cross-channel
+         covariance while barely moving the marginals.
+    The rest are healthy draws. Each channel is drawn as one column for all
+    rows, and the faults apply by index masks. Sample order is a seeded
+    permutation of the two blocks so classes interleave. Identical configs
+    give identical output.
     """
-    n_anom = _round_half_up(cfg.anomaly_fraction * cfg.n_samples)
-    n_norm = cfg.n_samples - n_anom
+    n = cfg.n_samples
+    n_anom = _round_half_up(cfg.anomaly_fraction * n)
     rng = Rng(cfg.seed)
 
-    rows = np.empty((cfg.n_samples, N_CHANNELS))
-    labels = np.empty(cfg.n_samples, dtype=np.int8)
-    for i in range(n_norm):
-        ch, _ = _healthy_channels(rng, cfg)
-        rows[i] = [ch[name] for name in CHANNELS]
-        labels[i] = int(Label.NORMAL)
-    for i in range(n_norm, cfg.n_samples):
-        ch, u = _healthy_channels(rng, cfg)
-        ch = _apply_fault(rng, cfg, ch, u)
-        rows[i] = [ch[name] for name in CHANNELS]
-        labels[i] = int(Label.ANOMALOUS)
+    u = rng.uniform(cfg.demand_low, cfg.demand_high, n)
+    oat = rng.uniform(cfg.oat_low, cfg.oat_high, n)
+    ias = 40.0 + 110.0 * u + rng.normal(0.0, 3.0, n)
+    np_ = 160.0 + 620.0 * u + rng.normal(0.0, 8.0, n)
+    cs = 86.0 + 12.0 * u + 0.04 * (oat - 15.0) + rng.normal(0.0, 0.25, n)
+    pa = 860.0 - 2.4 * (oat - 15.0) - 45.0 * u + rng.normal(0.0, 8.0, n)
+    mgt = 440.0 + 0.38 * (np_ - 160.0) + 1.1 * (oat - 15.0) + rng.normal(0.0, 6.0, n)
+    ot = 300.0 + 420.0 * u + rng.normal(0.0, 8.0, n)
 
-    order = list(range(cfg.n_samples))
-    rng.shuffle(order)
-    order = np.asarray(order, dtype=np.int64)
-    return Dataset(rows[order], labels[order])
+    kind = rng.randrange(3, n_anom)
+    faulty = np.arange(n - n_anom, n)
+    rows = faulty[kind == 0]
+    ot[rows] -= cfg.torque_severity * (60.0 + np.abs(rng.normal(0.0, 15.0, rows.size)))
+    rows = faulty[kind == 1]
+    mgt[rows] += cfg.mgt_severity * (45.0 + np.abs(rng.normal(0.0, 12.0, rows.size)))
+    rows = faulty[kind == 2]
+    boost = 1.0 + cfg.coupling_severity
+    u_cs, u_np, u_pa = (_decohered_demand(rng, cfg, u[rows]) for _ in range(3))
+    oat_c = oat[rows] - 15.0
+    cs[rows] = 86.0 + 12.0 * u_cs + 0.04 * oat_c + rng.normal(0.0, 0.25 * boost, rows.size)
+    np_[rows] = 160.0 + 620.0 * u_np + rng.normal(0.0, 8.0 * boost, rows.size)
+    pa[rows] = 860.0 - 2.4 * oat_c - 45.0 * u_pa + rng.normal(0.0, 8.0 * boost, rows.size)
+
+    features = np.column_stack((oat, mgt, pa, ias, np_, cs, ot))
+    labels = (np.arange(n) >= n - n_anom).astype(np.int8)
+    order = rng.permutation(n)
+    return Dataset(features[order], labels[order])

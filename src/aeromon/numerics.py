@@ -1,8 +1,11 @@
 """Deterministic small-scale linear algebra, statistics, and random numbers.
 
 Everything is double precision. Matrices are C-order (row-major) float64
-ndarrays. All functions are pure; results are bit-identical across platforms
-for identical inputs, which is what makes whole pipeline runs replayable.
+ndarrays. All functions are pure; results are bit-identical for identical
+inputs on the same machine and numpy/BLAS build, which is what makes whole
+pipeline runs replayable. Random numbers come from one counter-based
+generator, `Rng`: every draw is a SplitMix64 block computed with numpy, and
+normals use numpy's `log` and `sqrt`.
 """
 
 from __future__ import annotations
@@ -28,127 +31,107 @@ JITTER_BASE_FACTOR = 1e-10
 JITTER_CAP_FACTOR = 1e-3
 
 
-def _splitmix64(x: int) -> tuple[int, int]:
-    """One SplitMix64 step: returns (advanced state, output)."""
-    x = (x + _GOLDEN) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x, (z ^ (z >> 31)) & _MASK64
-
-
-_SM_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM_MUL2 = np.uint64(0x94D049BB133111EB)
+_SM_MUL1 = 0xBF58476D1CE4E5B9
+_SM_MUL2 = 0x94D049BB133111EB
 
 
 def _splitmix64_block(key: int, n: int) -> np.ndarray:
     """The first n SplitMix64 outputs of state `key`, as one uint64 array.
 
-    Output k equals the k-th output of the scalar `_splitmix64` loop started
-    at `key`, bit for bit: state k is key + (k+1) * golden (mod 2**64), and
-    uint64 array arithmetic wraps exactly like the masked integer steps. The
-    mix is a bijection, so the n outputs are distinct for n <= 2**64.
+    Output i mixes state key + (i+1) * golden (mod 2**64); uint64 array
+    arithmetic wraps like masked integer steps. The mix is a bijection, so
+    the n outputs are distinct for n <= 2**64.
     """
     z = np.arange(1, n + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(key & _MASK64)
     z ^= z >> np.uint64(30)
-    z *= _SM_MUL1
+    z *= np.uint64(_SM_MUL1)
     z ^= z >> np.uint64(27)
-    z *= _SM_MUL2
+    z *= np.uint64(_SM_MUL2)
     z ^= z >> np.uint64(31)
     return z
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Stable child seed for stage / tree / fold streams.
+    """Stable child seed for stage / tree / fold streams and for each draw
+    of an `Rng`: the first SplitMix64 output of state seed ^ (index+1)*golden.
 
     Mixing (seed, index) through SplitMix64 keeps child streams decorrelated
-    even for consecutive indices.
+    even for consecutive indices. Computed with Python ints: a one-element
+    numpy block would cost more than the rest of a small draw.
     """
-    x = (seed ^ (((index + 1) * _GOLDEN) & _MASK64)) & _MASK64
-    _, out = _splitmix64(x)
-    return out
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
+    z = ((seed ^ ((index + 1) * _GOLDEN)) + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * _SM_MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _SM_MUL2) & _MASK64
+    return z ^ (z >> 31)
 
 
 class Rng:
-    """xoshiro256** generator, seeded through SplitMix64.
+    """Counter-based generator in the manner of Salmon et al. (SC'11).
 
-    The 256-bit state is filled with four successive SplitMix64 outputs of
-    the 64-bit seed, so every seed is valid. Equal seeds produce bit-identical
-    streams on every platform.
-
-    Bulk draws (`permutation`, `shuffle`, `integers`) take one `next_u64` per
-    block as a key and expand it into a SplitMix64 block with numpy, a
-    counter-based scheme in the manner of Salmon et al. (SC'11), so their cost
-    in Python calls does not grow with the number of elements.
+    The state is (seed, draws). Draw k is the SplitMix64 block keyed by
+    derive_seed(seed, k), so a draw costs a fixed number of numpy calls
+    whatever its size, and can be recomputed from the seed and its index
+    alone. Every method returns arrays; equal seeds give identical draws on
+    one machine and numpy build.
     """
 
-    __slots__ = ("seed", "_s", "_spare_normal")
+    __slots__ = ("seed", "draws")
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        state = []
-        x = self.seed
-        for _ in range(4):
-            x, out = _splitmix64(x)
-            state.append(out)
-        if not any(state):
-            state[0] = 1  # the all-zero state is the one forbidden state
-        self._s = state
-        self._spare_normal: float | None = None
+        self.draws = 0
 
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+    def _block(self, size: int) -> np.ndarray:
+        key = derive_seed(self.seed, self.draws)
+        self.draws += 1
+        return _splitmix64_block(key, size)
 
-    def random(self) -> float:
-        """Uniform double in [0, 1) built from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+    def random(self, size: int) -> np.ndarray:
+        """`size` uniform doubles in [0, 1), each from the top 53 bits of one output."""
+        return (self._block(size) >> np.uint64(11)) * 2.0**-53
 
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        return low + (high - low) * self.random(size)
 
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        """Gaussian draw via Box-Muller; the paired value is cached."""
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-        else:
-            u1 = 1.0 - self.random()  # (0, 1]: keeps log() finite
-            u2 = self.random()
-            r = math.sqrt(-2.0 * math.log(u1))
-            z = r * math.cos(2.0 * math.pi * u2)
-            self._spare_normal = r * math.sin(2.0 * math.pi * u2)
-        return mean + std * z
+    def normal(self, mean: float, std: float, size: int) -> np.ndarray:
+        """`size` Gaussian draws by the Marsaglia polar method over whole
+        blocks: a block holds one candidate pair in [-1, 1)^2 per missing
+        value, and each pair inside the unit disc (but not at its centre)
+        gives two normals."""
+        out = np.empty(size)
+        filled = 0
+        while filled < size:
+            v = 2.0 * self.random(2 * (size - filled)) - 1.0
+            v1, v2 = v[0::2], v[1::2]
+            s = v1 * v1 + v2 * v2
+            keep = (s > 0.0) & (s < 1.0)
+            f = np.sqrt(-2.0 * np.log(s[keep]) / s[keep])
+            z = np.concatenate((v1[keep] * f, v2[keep] * f))[: size - filled]
+            out[filled : filled + z.size] = z
+            filled += z.size
+        return mean + std * out
 
-    def randrange(self, n: int) -> int:
-        """Unbiased integer in [0, n) via bitmask rejection."""
-        if n <= 0:
-            raise DomainError("randrange needs n >= 1")
-        mask = (1 << (n - 1).bit_length()) - 1 if n > 1 else 0
-        while True:
-            r = self.next_u64() & mask
-            if r < n:
-                return r
+    def randrange(self, n: int, size: int) -> np.ndarray:
+        """`size` unbiased int64 values in [0, n): bitmask rejection applied
+        to whole blocks until enough values are accepted."""
+        if not 1 <= n <= 2**63:
+            raise DomainError(f"randrange needs 1 <= n <= 2**63, got {n}")
+        mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+        out = np.empty(size, dtype=np.int64)
+        filled = 0
+        while filled < size:
+            block = self._block(size - filled) & mask
+            kept = block[block < np.uint64(n)]
+            out[filled : filled + kept.size] = kept
+            filled += kept.size
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n) as an int64 array:
-        the stable argsort of one SplitMix64 block keyed by `next_u64`."""
-        return np.argsort(_splitmix64_block(self.next_u64(), n), kind="stable")
+        the stable argsort of one block."""
+        return np.argsort(self._block(n), kind="stable")
 
     def shuffle(self, seq) -> None:
         """In-place shuffle of a list or 1-d array by one `permutation`."""
@@ -158,31 +141,11 @@ class Rng:
         else:
             seq[:] = [seq[i] for i in perm.tolist()]
 
-    def integers(self, n: int, size: int) -> np.ndarray:
-        """`size` unbiased int64 values in [0, n): the bitmask rejection of
-        `randrange`, applied to whole SplitMix64 blocks (one key each) until
-        enough values are accepted."""
-        if not 1 <= n <= 2**63:
-            raise DomainError(f"integers needs 1 <= n <= 2**63, got {n}")
-        mask = np.uint64((1 << (n - 1).bit_length()) - 1)
-        out = np.empty(size, dtype=np.int64)
-        filled = 0
-        while filled < size:
-            block = _splitmix64_block(self.next_u64(), size - filled) & mask
-            kept = block[block < np.uint64(n)]
-            out[filled : filled + kept.size] = kept
-            filled += kept.size
-        return out
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n) via partial Fisher-Yates."""
+    def sample_indices(self, n: int, k: int) -> np.ndarray:
+        """k distinct indices from range(n), ascending: the first k of one `permutation`."""
         if not 0 <= k <= n:
             raise DomainError(f"cannot sample {k} of {n}")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.randrange(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        return np.sort(self.permutation(n)[:k])
 
 
 def _as_2d(rows) -> np.ndarray:

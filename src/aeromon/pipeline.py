@@ -231,11 +231,11 @@ def _load_test_set(out: _OutputDir) -> Dataset:
     features = load_csv(out.file("test_features.csv"), has_labels=False)
     path = out.file("test_labels.csv")
     with open(path, newline="", encoding="utf-8") as fh:
-        if next(csv.reader(fh), None) != ["index", "label"]:
-            raise DataError(f"{path}: expected the header 'index,label'")
         try:
+            if next(csv.reader(fh), None) != ["index", "label"]:
+                raise DataError(f"{path}: expected the header 'index,label'")
             table = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
+        except ValueError as exc:  # a UnicodeDecodeError (not UTF-8) too
             raise ParseError(f"{path}: expected 'index,label' rows of integers: {exc}") from None
     if table.shape[1] != 2 or len(table) != features.n:
         raise DataError(f"{path}: expected {features.n} 'index,label' rows, one per test feature row")

@@ -29,7 +29,6 @@ from aeromon.baselines import ClassifierConfig, predict, train_classifier
 from aeromon.config import default_config, resolve_config
 from aeromon.dataset import Dataset, MinMaxScaler, load_csv
 from aeromon.evaluation import auroc, confusion, metrics
-from aeromon.numerics import Rng
 from aeromon.pipeline import run_pipeline
 
 ACCEPTANCE_SEED = 7
@@ -78,7 +77,7 @@ class TestCriterion1Gradients:
         worst = 0.0
         for trial in range(25):
             net = init_network(default_autoencoder_specs(), seed=5000 + trial)
-            rng = Rng(6000 + trial)
+            rng = np.random.default_rng(6000 + trial)
             x = np.array([[rng.random() for _ in range(7)]])  # one-row batch
             _, cache = forward(net, x)
             analytic = backward(net, cache, x)
@@ -96,14 +95,14 @@ class TestCriterion1Gradients:
 class TestCriterion2Oracles:
     def test_oracle_equivalence(self):
         started = time.perf_counter()
-        rng = Rng(321)
+        rng = np.random.default_rng(321)
 
         # AUROC vs brute-force pair counting, half credit for ties
         auroc_exact = True
         for _ in range(200):
-            n = 4 + rng.randrange(57)
-            scores = [rng.randrange(10) / 3.0 for _ in range(n)]
-            truth = [rng.randrange(2) for _ in range(n)]
+            n = 4 + rng.integers(57)
+            scores = [rng.integers(10) / 3.0 for _ in range(n)]
+            truth = [rng.integers(2) for _ in range(n)]
             if sum(truth) in (0, n):
                 truth[0] = 1 - truth[0]
             pos = [s for s, t in zip(scores, truth) if t == 1]
@@ -113,13 +112,13 @@ class TestCriterion2Oracles:
 
         # k-NN vs brute-force all-pairs scan with the index tie rule
         knn_exact = True
-        feats = np.array([[rng.randrange(8) / 2.0 for _ in range(3)] for _ in range(200)])
-        labels = np.array([rng.randrange(2) for _ in range(200)], dtype=np.int8)
+        feats = np.array([[rng.integers(8) / 2.0 for _ in range(3)] for _ in range(200)])
+        labels = np.array([rng.integers(2) for _ in range(200)], dtype=np.int8)
         ds = Dataset(feats, labels)
         for k in (1, 3, 5, 7):
             model = train_classifier(ClassifierConfig("knn", k=k), ds, seed=0)
             for _ in range(30):
-                q = np.array([rng.randrange(8) / 2.0 for _ in range(3)])
+                q = np.array([rng.integers(8) / 2.0 for _ in range(3)])
                 ranked = sorted(
                     (sum((a - b) ** 2 for a, b in zip(row, q)), i) for i, row in enumerate(feats)
                 )
@@ -161,7 +160,7 @@ class TestCriterion2Oracles:
 class TestCriterion3Calibration:
     def test_flagged_fraction_band(self, full_run):
         # raw score lists across awkward n residues (tie-free by construction)
-        rng = Rng(98)
+        rng = np.random.default_rng(98)
         sweep_ok = True
         for n in (1000, 1001, 1002, 1003, 1006, 1007, 1013, 1024, 2000, 5000, 20000):
             scores = [rng.random() for _ in range(n)]

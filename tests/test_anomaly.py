@@ -44,7 +44,7 @@ from aeromon.dataset import (
     split,
 )
 from aeromon.errors import DegenerateResidualsError, DomainError, InsufficientDataError, ShapeError
-from aeromon.numerics import Rng, cholesky
+from aeromon.numerics import cholesky
 from aeromon.pipeline import _OutputDir, stage_score
 
 POLICIES = (MSE_POLICY, MAHALANOBIS_POLICY)
@@ -163,7 +163,7 @@ class TestResidualStats:
 
     def test_recovers_generator_covariance(self):
         # zero net: residual = -x, so residual covariance equals data covariance
-        rng = Rng(55)
+        rng = np.random.default_rng(55)
         sigmas = np.array([0.5, 1.0, 1.5, 2.0, 0.8, 1.2, 0.3])
         feats = np.array([[rng.normal(0.0, s) for s in sigmas] for _ in range(10_000)])
         stats = fit_residual_stats(_zero_net(), Dataset(feats))
@@ -196,7 +196,7 @@ class TestScoreMahalanobis:
 
     @pytest.mark.invariant
     def test_identity_covariance_is_euclidean_norm(self):
-        rng = Rng(91)
+        rng = np.random.default_rng(91)
         stats = self._stats(np.eye(7))
         for _ in range(50):
             r = np.array([rng.normal() for _ in range(7)])
@@ -210,7 +210,7 @@ class TestScoreMahalanobis:
 
 class TestCalibrationThreshold:
     def test_max_percentile_flags_nothing(self):
-        rng = Rng(8)
+        rng = np.random.default_rng(8)
         scores = [rng.random() for _ in range(500)]
         threshold = calibration_threshold(scores, 100.0)
         assert threshold == max(scores)
@@ -218,13 +218,13 @@ class TestCalibrationThreshold:
 
     @pytest.mark.invariant
     def test_monotone_in_percentile(self):
-        rng = Rng(14)
+        rng = np.random.default_rng(14)
         scores = [rng.random() for _ in range(777)]
         thresholds = [calibration_threshold(scores, p) for p in (50.0, 75.0, 85.0, 95.0, 99.0)]
         assert thresholds == sorted(thresholds)
 
     def test_permutation_invariant(self):
-        rng = Rng(15)
+        rng = np.random.default_rng(15)
         scores = [rng.random() for _ in range(321)]
         shuffled = list(scores)
         rng.shuffle(shuffled)
@@ -234,7 +234,7 @@ class TestCalibrationThreshold:
     def test_strictly_above_fraction_band(self):
         # tie-free scores: flagged fraction floor(0.15*(n-1))/n sits in
         # [0.15 - 2/n, 0.15] for every n, including awkward residues mod 20
-        rng = Rng(16)
+        rng = np.random.default_rng(16)
         for n in (1000, 1001, 1002, 1003, 1007, 1024, 2000, 4999, 20000):
             scores = [rng.random() for _ in range(n)]
             t = calibration_threshold(scores, 85.0)
@@ -256,7 +256,7 @@ class TestCalibrate:
         policy = ThresholdPolicy(MSE_POLICY, 85.0)
         base = calibrate(trained["net"], trained["scaler"], trained["ae_train"], policy)
         order = list(range(trained["ae_train"].n))
-        Rng(4).shuffle(order)
+        np.random.default_rng(4).shuffle(order)
         permuted = trained["ae_train"].subset(order)
         again = calibrate(trained["net"], trained["scaler"], permuted, policy)
         assert base.threshold == again.threshold
@@ -364,7 +364,7 @@ class TestBatchScoring:
     def test_row_alone_equals_row_in_any_batch(self, trained, monkeypatch):
         feats = trained["test"].features
         order = list(range(len(feats)))
-        Rng(12).shuffle(order)
+        np.random.default_rng(12).shuffle(order)
         order = order[: len(feats) - 37]  # a shuffled batch of another size
         for kind in POLICIES:
             scorer = self._scorer(trained, kind)

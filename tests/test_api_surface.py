@@ -9,11 +9,16 @@ attribute, a method only by an attribute (`obj.method`).
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import aeromon
+from aeromon.numerics import Rng
 
 SRC = Path(aeromon.__file__).resolve().parent
+BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 # "module.name" -> why it may have no caller inside the package
 ALLOWED = {
@@ -84,3 +89,22 @@ def test_detects_a_function_only_tests_call():
     # recursion is not a caller, and a variable named like a method is not a reference to it
     assert {"extra.only_tests", "extra.Box.peek"} <= unused
     assert "extra.used" not in unused
+
+
+def test_bench_trace_targets_resolve():
+    """`bench/run.py --trace 1` patches each of its TARGETS by name, and the bench
+    tests read `Rng.randrange`: a rename in the package must fail here."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH_TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        del sys.modules[spec.name]
+    for target in tracer.TARGETS:
+        owner = importlib.import_module(f"aeromon.{target.module}")
+        *classes, name = target.attr.split(".")
+        for cls_name in classes:
+            owner = getattr(owner, cls_name)
+        assert callable(vars(owner).get(name)), f"{target.module}.{target.attr}"
+    assert callable(vars(Rng).get("randrange"))

@@ -23,7 +23,6 @@ from aeromon.autoencoder import (
 )
 from aeromon.dataset import Dataset, SynthConfig, apply_scaler, fit_scaler, generate_synthetic, split
 from aeromon.errors import DomainError, InsufficientDataError, ShapeError
-from aeromon.numerics import Rng
 
 
 def finite_difference_grads(net, x, h=1e-5):
@@ -47,7 +46,7 @@ def finite_difference_grads(net, x, h=1e-5):
 
 def _one_row(seed, dim=7):
     """One (1, dim) batch of uniform [0, 1) draws."""
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     return np.array([[rng.random() for _ in range(dim)]])
 
 
@@ -121,7 +120,7 @@ class TestForward:
         assert out[0, 0] == pytest.approx(-0.632121, abs=1e-6)
 
     def test_sigmoid_equals_masked_reference(self):
-        rng = Rng(71)
+        rng = np.random.default_rng(71)
         z = np.array([rng.normal(0.0, 8.0) for _ in range(20000)])
         edges = [0.0, 36.0, 710.0, 745.0, 1e-300, np.inf]
         z = np.concatenate([z, edges, [-v for v in edges], [np.nan]])
@@ -136,7 +135,7 @@ class TestForward:
         # batch evaluation is a training-loop optimization; it agrees with
         # one-row batches to rounding (BLAS kernels differ by shape)
         net = init_network(default_autoencoder_specs(), seed=3)
-        rng = Rng(5)
+        rng = np.random.default_rng(5)
         batch = np.array([[rng.random() for _ in range(7)] for _ in range(9)])
         out_batch, _ = forward(net, batch)
         for i in range(9):
@@ -197,7 +196,7 @@ class TestBackward:
 
     def test_batch_gradient_is_mean_of_rows(self):
         net = init_network(default_autoencoder_specs(), seed=23)
-        rng = Rng(31)
+        rng = np.random.default_rng(31)
         batch = np.array([[rng.random() for _ in range(7)] for _ in range(5)])
         _, cache = forward(net, batch)
         batch_grads = backward(net, cache, batch)
@@ -295,10 +294,10 @@ class TestTrain:
         variance = float(train_ds.features.var(axis=0).mean())
         assert report.best_val_loss < 0.10 * variance
         # loose desk-scale echo of fleet-scale convergence: the bulk of the
-        # improvement lands roughly within the first 50 of the 200 epochs
+        # improvement lands within the first 50 of the 200 epochs
         assert report.epochs_run <= 200
-        val_at_50 = report.history[49][1]
-        assert val_at_50 < 2.0 * report.best_val_loss
+        val_first, val_at_50 = report.history[0][1], report.history[49][1]
+        assert val_first - val_at_50 >= 0.9 * (val_first - report.best_val_loss)
 
     @pytest.mark.invariant
     def test_loss_mostly_non_increasing_and_best_is_min(self):

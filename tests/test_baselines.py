@@ -26,7 +26,6 @@ from aeromon.baselines import (
 )
 from aeromon.dataset import Dataset, Label
 from aeromon.errors import ConfigError, DataError, DegenerateLabelsError, DomainError, ShapeError, StratificationError
-from aeromon.numerics import Rng
 
 
 def _ds(features, labels):
@@ -57,7 +56,7 @@ def logreg_loss(weights, bias, x, y, l2_strength):
 
 
 def _blobs(seed, n_per_class, dim=7, separation=3.0):
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     rows, labels = [], []
     for c in (0, 1):
         for _ in range(n_per_class):
@@ -109,7 +108,7 @@ class TestLogReg:
 
     @pytest.mark.invariant
     def test_gradient_matches_finite_differences(self):
-        rng = Rng(41)
+        rng = np.random.default_rng(41)
         x = np.array([[rng.normal() for _ in range(4)] for _ in range(30)])
         y = np.array([1.0 if rng.random() < 0.5 else 0.0 for _ in range(30)])
         for lam in (0.0, 0.1):
@@ -148,7 +147,7 @@ class TestKnn:
 
     @pytest.mark.invariant
     def test_matches_brute_force_scan(self):
-        rng = Rng(17)
+        rng = np.random.default_rng(17)
         n = 200
         feats = np.array([[round(rng.uniform(0, 4)) / 2.0 for _ in range(3)] for _ in range(n)])
         labels = np.array([1 if rng.random() < 0.4 else 0 for _ in range(n)], dtype=np.int8)
@@ -165,7 +164,7 @@ class TestKnn:
     def test_neighbour_sets_match_stable_argsort(self, monkeypatch):
         # 64 test rows per block against 150 training rows: the 150 queries span three scoring blocks
         monkeypatch.setattr(baselines, "_KNN_BLOCK_ELEMS", 64 * 150)
-        rng = Rng(23)
+        rng = np.random.default_rng(23)
         # three levels per feature: 27 distinct points, so most distances tie
         train_x = np.array([[round(rng.uniform(0, 2)) / 2.0 for _ in range(3)] for _ in range(150)])
         train_y = np.array([1 if rng.random() < 0.4 else 0 for _ in range(150)], dtype=np.int8)
@@ -299,7 +298,7 @@ def per_node_sort_grow_tree(x, y, depth, max_depth, min_leaf, choose_features):
 
 def _tie_heavy_rig(seed, n=150, dim=7):
     """Features rounded to tenths (many ties); feature 3 is constant."""
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     x = np.array([[round(rng.uniform(0, 1), 1) for _ in range(dim)] for _ in range(n)])
     x[:, 3] = 0.5
     y = [int((v[0] + v[1] > 1.0) != (rng.random() < 0.15)) for v in x]
@@ -417,7 +416,7 @@ class TestDecisionTree:
 
     @pytest.mark.invariant
     def test_matches_exhaustive_reference_1d_and_2d(self):
-        rng = Rng(59)
+        rng = np.random.default_rng(59)
         # 1-d toy with duplicated values, 2-d toy with interacting features
         sets = []
         x1 = np.array([[round(rng.uniform(0, 3), 1)] for _ in range(40)])
@@ -615,7 +614,7 @@ class TestSelectModel:
 
     def test_smoother_k_wins_on_noisy_data(self):
         # overlapping blobs with label noise: k=1 memorizes noise, k=5 smooths
-        rng = Rng(61)
+        rng = np.random.default_rng(61)
         rows, labels = [], []
         for c in (0, 1):
             for _ in range(150):

@@ -108,7 +108,7 @@ class TestHash:
 
     def test_default_hash_is_pinned(self):
         # the hash run manifests record: a drifted default or derived key moves it
-        assert default_config().config_hash() == "c0e91a19303b3d078e07d21389c4cb079870d5e2684b97558327f9b0203ebf7a"
+        assert default_config().config_hash() == "6224735890da398ac751f5ee1b65eb663c6e06c9c8ce369a89785fff468c4616"
 
     def test_explicit_default_hashes_like_implicit(self):
         # writing out a default value is not a config change

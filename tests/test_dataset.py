@@ -27,7 +27,6 @@ from aeromon.errors import (
     StratificationError,
     write_atomic,
 )
-from aeromon.numerics import Rng
 
 HEADER = ",".join(CHANNELS)
 
@@ -39,7 +38,7 @@ def _write(tmp_path, text, name="data.csv"):
 
 
 def _random_dataset(seed, n, labeled=True, anomaly_fraction=0.4):
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     feats = np.array([[rng.normal(10.0, 4.0) for _ in range(7)] for _ in range(n)])
     if not labeled:
         return Dataset(feats)
@@ -326,7 +325,7 @@ class TestWriteAtomic:
 
 class TestSplit:
     def _labeled(self, n_normal, n_anom, seed=1):
-        rng = Rng(seed)
+        rng = np.random.default_rng(seed)
         feats = np.array([[rng.normal() for _ in range(7)] for _ in range(n_normal + n_anom)])
         labels = np.array([0] * n_normal + [1] * n_anom, dtype=np.int8)
         order = list(range(n_normal + n_anom))
@@ -471,6 +470,23 @@ class TestSynthetic:
         ds = generate_synthetic(SynthConfig(n_samples=4000, seed=7))
         ot = ds.features[:, CHANNELS.index("ot")]
         assert ot[ds.labels == 1].mean() < ot[ds.labels == 0].mean()
+
+    def test_channel_means_match_the_model(self):
+        # means of the documented model, u ~ U(0.3, 1) and oat ~ U(-5, 35); a third of
+        # the faults each move ot by -(60 + E|N(0, 15)|) and mgt by +(45 + E|N(0, 12)|).
+        # A swapped column or a dropped fault misses by many standard errors.
+        ds = generate_synthetic(SynthConfig(n_samples=20000, seed=7))
+        healthy, faulty = ds.features[ds.labels == 0], ds.features[ds.labels == 1]
+        expected = {"oat": 15.0, "mgt": 593.14, "pa": 830.75, "ias": 111.5, "np": 563.0, "cs": 93.8, "ot": 573.0}
+        for j, name in enumerate(CHANNELS):
+            se = healthy[:, j].std() / math.sqrt(len(healthy))
+            assert abs(healthy[:, j].mean() - expected[name]) < 4.0 * se, name
+        half_normal = math.sqrt(2.0 / math.pi)  # E|N(0, 1)|
+        shifts = {"ot": -(60.0 + 15.0 * half_normal) / 3.0, "mgt": (45.0 + 12.0 * half_normal) / 3.0}
+        for name, shift in shifts.items():
+            h, f = healthy[:, CHANNELS.index(name)], faulty[:, CHANNELS.index(name)]
+            se = math.sqrt(h.var() / len(h) + f.var() / len(f))
+            assert abs(f.mean() - h.mean() - shift) < 4.0 * se, name
 
     def test_bit_identical_for_equal_seeds(self):
         cfg = SynthConfig(n_samples=500, seed=123)

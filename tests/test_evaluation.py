@@ -12,7 +12,6 @@ from aeromon.evaluation import (
     histograms_to_csv_lines,
     metrics,
 )
-from aeromon.numerics import Rng
 
 
 def _brute_force_auroc(scores, truth):
@@ -80,13 +79,13 @@ class TestMetrics:
 
     @pytest.mark.invariant
     def test_f1_bounded_by_precision_and_recall(self):
-        rng = Rng(3)
+        rng = np.random.default_rng(3)
         for _ in range(200):
             cm = ConfusionMatrix(
-                tp=rng.randrange(50) + 1,
-                fp=rng.randrange(50),
-                fn=rng.randrange(50),
-                tn=rng.randrange(50),
+                tp=rng.integers(50) + 1,
+                fp=rng.integers(50),
+                fn=rng.integers(50),
+                tn=rng.integers(50),
             )
             m = metrics(cm)
             if not m.degenerate:
@@ -94,9 +93,9 @@ class TestMetrics:
 
     @pytest.mark.invariant
     def test_permutation_invariance(self):
-        rng = Rng(5)
-        pred = [rng.randrange(2) for _ in range(60)]
-        truth = [rng.randrange(2) for _ in range(60)]
+        rng = np.random.default_rng(5)
+        pred = [rng.integers(2) for _ in range(60)]
+        truth = [rng.integers(2) for _ in range(60)]
         base = metrics(confusion(pred, truth))
         order = list(range(60))
         rng.shuffle(order)
@@ -121,12 +120,12 @@ class TestAuroc:
 
     @pytest.mark.invariant
     def test_matches_brute_force_with_ties(self):
-        rng = Rng(11)
+        rng = np.random.default_rng(11)
         for trial in range(60):
-            n = 5 + rng.randrange(96)
+            n = 5 + rng.integers(96)
             # coarse quantization forces plenty of exact ties
-            scores = [rng.randrange(12) / 4.0 for _ in range(n)]
-            truth = [rng.randrange(2) for _ in range(n)]
+            scores = [rng.integers(12) / 4.0 for _ in range(n)]
+            truth = [rng.integers(2) for _ in range(n)]
             if sum(truth) in (0, n):
                 truth[0] = 1 - truth[0]
             assert auroc(scores, truth) == _brute_force_auroc(scores, truth)
@@ -135,23 +134,23 @@ class TestAuroc:
     def test_heavy_ties_match_brute_force(self):
         # two or three distinct scores over up to 400 samples: every rank is a
         # midrank of a long run, including runs at both ends of the order
-        rng = Rng(19)
+        rng = np.random.default_rng(19)
         for trial in range(30):
-            n = 2 + rng.randrange(399)
+            n = 2 + rng.integers(399)
             levels = 2 + trial % 2
-            scores = [float(rng.randrange(levels)) for _ in range(n)]
-            truth = [rng.randrange(2) for _ in range(n)]
+            scores = [float(rng.integers(levels)) for _ in range(n)]
+            truth = [rng.integers(2) for _ in range(n)]
             truth[0], truth[-1] = 0, 1
             assert auroc(scores, truth) == _brute_force_auroc(scores, truth)
         assert auroc([1.0] * 299 + [0.0], [0, 1] * 150) == _brute_force_auroc([1.0] * 299 + [0.0], [0, 1] * 150)
 
     @pytest.mark.invariant
     def test_negation_symmetry_for_tie_free_scores(self):
-        rng = Rng(13)
+        rng = np.random.default_rng(13)
         for _ in range(20):
             n = 30
             scores = list({rng.random() for _ in range(2 * n)})[:n]
-            truth = [rng.randrange(2) for _ in range(len(scores))]
+            truth = [rng.integers(2) for _ in range(len(scores))]
             if sum(truth) in (0, len(scores)):
                 truth[0] = 1 - truth[0]
             a = auroc(scores, truth)
@@ -159,7 +158,7 @@ class TestAuroc:
             assert a + b == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_threshold_sweep_trapezoid(self):
-        rng = Rng(17)
+        rng = np.random.default_rng(17)
         scores = [rng.random() for _ in range(200)]
         truth = [1 if rng.random() < 0.4 else 0 for _ in range(200)]
         thresholds = sorted(set(scores), reverse=True)
@@ -179,9 +178,9 @@ class TestAuroc:
 
 class TestFeatureHistograms:
     def _toy(self):
-        rng = Rng(23)
+        rng = np.random.default_rng(23)
         feats = np.array([[rng.uniform(0, 10) for _ in range(7)] for _ in range(400)])
-        labels = np.array([rng.randrange(2) for _ in range(400)], dtype=np.int8)
+        labels = np.array([rng.integers(2) for _ in range(400)], dtype=np.int8)
         # depress output torque for anomalous rows
         feats[labels == 1, CHANNELS.index("ot")] -= 6.0
         return Dataset(feats, labels)
@@ -195,7 +194,7 @@ class TestFeatureHistograms:
 
     def test_constant_channel_single_bin(self):
         feats = np.zeros((50, 7))
-        rng = Rng(1)
+        rng = np.random.default_rng(1)
         feats[:, 1:] = np.array([[rng.random() for _ in range(6)] for _ in range(50)])
         labels = np.array([0, 1] * 25, dtype=np.int8)
         hist = feature_histograms(Dataset(feats, labels), bins=10)[0]
@@ -228,7 +227,7 @@ def _constant(label: int, score: float):
 
 class TestEvaluateModel:
     def _test_set(self, n_normal=60, n_anom=40):
-        rng = Rng(31)
+        rng = np.random.default_rng(31)
         feats = np.array([[rng.normal() for _ in range(7)] for _ in range(n_normal + n_anom)])
         labels = np.array([0] * n_normal + [1] * n_anom, dtype=np.int8)
         return Dataset(feats, labels)
@@ -254,9 +253,9 @@ class TestEvaluateModel:
     @pytest.mark.invariant
     def test_confusion_totals_match_test_size(self):
         ds = self._test_set()
-        rng = Rng(7)
+        rng = np.random.default_rng(7)
         report = evaluate_model(
-            lambda x: (np.array([rng.randrange(2) for _ in x]), np.array([rng.random() for _ in x])),
+            lambda x: (np.array([rng.integers(2) for _ in x]), np.array([rng.random() for _ in x])),
             ds,
             "random",
         )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from aeromon.errors import (
 )
 from aeromon.numerics import (
     Rng,
-    _splitmix64,
     _splitmix64_block,
     cholesky,
     covariance,
@@ -19,69 +20,108 @@ from aeromon.numerics import (
 )
 
 REFERENCE_SEED = 20240901
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _reference_stream(seed, count):
-    """Independent re-derivation of the generator: SplitMix64 seeding feeding
-    the xoshiro256** recurrence, written without reusing library code."""
-    mask = 0xFFFFFFFFFFFFFFFF
-    state = []
-    x = seed & mask
-    for _ in range(4):
-        x = (x + 0x9E3779B97F4A7C15) & mask
-        z = x
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        state.append((z ^ (z >> 31)) & mask)
+def _splitmix64(x):
+    """One scalar SplitMix64 step in Python ints: (advanced state, output).
+    The oracle of `_splitmix64_block` and of `derive_seed`."""
+    x = (x + _GOLDEN) & _MASK
+    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x, (z ^ (z >> 31)) & _MASK
 
-    def rotl(v, k):
-        return ((v << k) | (v >> (64 - k))) & mask
 
+def _reference_stream(seed, draw, count):
+    """Independent re-derivation of draw `draw` of `Rng(seed)`, written without
+    reusing library code: the key is the first SplitMix64 output of state
+    seed ^ (draw+1)*golden, and the draw is the SplitMix64 loop started at it."""
+    _, x = _splitmix64((seed ^ ((draw + 1) * _GOLDEN)) & _MASK)
     out = []
     for _ in range(count):
-        out.append((rotl((state[1] * 5) & mask, 7) * 9) & mask)
-        t = (state[1] << 17) & mask
-        state[2] ^= state[0]
-        state[3] ^= state[1]
-        state[1] ^= state[2]
-        state[0] ^= state[3]
-        state[2] ^= t
-        state[3] = rotl(state[3], 45)
+        x, value = _splitmix64(x)
+        out.append(value)
     return out
 
 
 class TestRng:
     def test_reference_seed_first_outputs_pinned(self):
         rng = Rng(REFERENCE_SEED)
-        got = [rng.next_u64() for _ in range(4)]
-        assert got == _reference_stream(REFERENCE_SEED, 4)
+        expected = [(v >> 11) * 2.0**-53 for v in _reference_stream(REFERENCE_SEED, 0, 4)]
+        assert rng.random(4).tolist() == expected
+        # n = 2**63 rejects nothing: each value is an output's low 63 bits
+        expected = [v & (2**63 - 1) for v in _reference_stream(REFERENCE_SEED, 1, 4)]
+        assert rng.randrange(2**63, 4).tolist() == expected
+        assert rng.draws == 2
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, -3, 2**70 + 5, REFERENCE_SEED])
+    def test_derive_seed_matches_scalar_splitmix(self, seed):
+        for index in (0, 1, 90, 2**40):
+            _, expected = _splitmix64((seed ^ ((index + 1) * _GOLDEN)) & _MASK)
+            assert derive_seed(seed, index) == expected
 
     @pytest.mark.invariant
     def test_equal_seeds_bit_identical_streams(self):
         for seed in (0, 1, 7, 2**63, REFERENCE_SEED):
             a, b = Rng(seed), Rng(seed)
-            assert [a.next_u64() for _ in range(64)] == [b.next_u64() for _ in range(64)]
-            assert [a.random() for _ in range(16)] == [b.random() for _ in range(16)]
-            assert [a.normal() for _ in range(16)] == [b.normal() for _ in range(16)]
+            assert np.array_equal(a.random(64), b.random(64))
+            assert np.array_equal(a.normal(0.0, 1.0, 16), b.normal(0.0, 1.0, 16))
+            assert np.array_equal(a.randrange(7, 16), b.randrange(7, 16))
+            assert np.array_equal(a.uniform(-2.0, 3.0, 16), b.uniform(-2.0, 3.0, 16))
 
     def test_random_in_unit_interval(self):
-        rng = Rng(3)
-        vals = [rng.random() for _ in range(2000)]
-        assert all(0.0 <= v < 1.0 for v in vals)
-        assert 0.45 < sum(vals) / len(vals) < 0.55
+        vals = Rng(3).random(2000)
+        assert vals.shape == (2000,)
+        assert ((0.0 <= vals) & (vals < 1.0)).all()
+        assert 0.45 < vals.mean() < 0.55
 
     def test_normal_moments(self):
-        rng = Rng(11)
-        vals = np.array([rng.normal() for _ in range(20000)])
+        vals = Rng(11).normal(0.0, 1.0, 20000)
+        assert vals.shape == (20000,)
         assert abs(vals.mean()) < 0.03
         assert abs(vals.std() - 1.0) < 0.03
+        scaled = Rng(11).normal(5.0, 2.0, 20000)
+        assert np.allclose(scaled, 5.0 + 2.0 * vals, rtol=0.0, atol=1e-12)
+
+    def test_normal_is_polar_method_over_reference_blocks(self):
+        # math.log may differ from numpy's log in the last place, hence the tolerance
+        size, draws_used = 3, set()
+        for seed in range(REFERENCE_SEED, REFERENCE_SEED + 20):
+            rng = Rng(seed)
+            got = rng.normal(0.0, 1.0, size)
+            expected, draw = [], 0
+            while len(expected) < size:
+                block = _reference_stream(seed, draw, 2 * (size - len(expected)))
+                u = [2.0 * ((v >> 11) * 2.0**-53) - 1.0 for v in block]
+                pairs = [(v1, v2, v1 * v1 + v2 * v2) for v1, v2 in zip(u[0::2], u[1::2])]
+                pairs = [(v1, v2, math.sqrt(-2.0 * math.log(s) / s)) for v1, v2, s in pairs if 0.0 < s < 1.0]
+                normals = [v1 * f for v1, _, f in pairs] + [v2 * f for _, v2, f in pairs]
+                expected += normals[: size - len(expected)]
+                draw += 1
+            assert rng.draws == draw
+            assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+            draws_used.add(draw)
+        assert max(draws_used) > 1  # some seed's first block fell short and was topped up
 
     def test_randrange_bounds_and_coverage(self):
-        rng = Rng(5)
-        seen = {rng.randrange(7) for _ in range(500)}
-        assert seen == set(range(7))
+        vals = Rng(5).randrange(7, 500)
+        assert set(vals.tolist()) == set(range(7))
         with pytest.raises(DomainError):
-            rng.randrange(0)
+            Rng(5).randrange(0, 4)
+
+    def test_randrange_rejection_redraws_the_shortfall(self):
+        # n = 5 keeps an output's low 3 bits when they are below 5, so blocks reject
+        size = 40
+        rng = Rng(REFERENCE_SEED)
+        got = rng.randrange(5, size).tolist()
+        expected, draw = [], 0
+        while len(expected) < size:
+            expected += [v & 7 for v in _reference_stream(REFERENCE_SEED, draw, size - len(expected)) if v & 7 < 5]
+            draw += 1
+        assert draw > 1
+        assert rng.draws == draw
+        assert got == expected
 
     def test_shuffle_is_permutation_and_deterministic(self):
         a = list(range(50))
@@ -106,26 +146,17 @@ class TestRng:
         rng = Rng(13)
         for _ in range(50):
             picked = rng.sample_indices(7, 3)
-            assert len(set(picked)) == 3
-            assert all(0 <= i < 7 for i in picked)
+            assert picked.tolist() == sorted(set(picked.tolist()))
+            assert len(picked) == 3 and 0 <= picked.min() and picked.max() < 7
+        assert rng.sample_indices(7, 7).tolist() == list(range(7))
+        with pytest.raises(DomainError):
+            rng.sample_indices(3, 4)
 
     def test_derive_seed_deterministic_and_decorrelated(self):
         assert derive_seed(42, 3) == derive_seed(42, 3)
-        assert Rng(derive_seed(42, 3)).next_u64() != Rng(derive_seed(42, 4)).next_u64()
+        assert Rng(derive_seed(42, 3)).random(1) != Rng(derive_seed(42, 4)).random(1)
         assert derive_seed(42, 3) != derive_seed(42, 4)
         assert derive_seed(42, 3) != derive_seed(43, 3)
-
-
-class _CountingRng(Rng):
-    __slots__ = ("draws",)
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
-
-    def next_u64(self):
-        self.draws += 1
-        return super().next_u64()
 
 
 class TestBlockRng:
@@ -152,9 +183,11 @@ class TestBlockRng:
         rng = Rng(21)
         assert not np.array_equal(rng.permutation(500), rng.permutation(500))
 
-    @pytest.mark.parametrize("call", ["permutation", "shuffle_list", "shuffle_array", "integers"])
+    @pytest.mark.parametrize(
+        "call", ["permutation", "shuffle_list", "shuffle_array", "integers", "random", "normal", "sample_indices"]
+    )
     def test_each_call_advances_stream_by_one_draw(self, call):
-        rng, twin = _CountingRng(44), Rng(44)
+        rng, twin = Rng(44), Rng(44)
         for _ in range(3):
             if call == "permutation":
                 rng.permutation(1000)
@@ -162,14 +195,20 @@ class TestBlockRng:
                 rng.shuffle(list(range(1000)))
             elif call == "shuffle_array":
                 rng.shuffle(np.arange(1000))
+            elif call == "random":
+                rng.uniform(-1.0, 1.0, 1000)
+            elif call == "normal":
+                rng.normal(0.0, 1.0, 1000)  # 1000 candidate pairs: one block suffices here
+            elif call == "sample_indices":
+                rng.sample_indices(1000, 10)
             else:
-                rng.integers(2**20, 1000)  # a power of two: no rejections
-            twin.next_u64()
+                rng.randrange(2**20, 1000)  # a power of two: no rejections
         assert rng.draws == 3
-        assert rng.next_u64() == twin.next_u64()
+        twin.draws = 3
+        assert np.array_equal(rng.random(8), twin.random(8))
 
     def test_large_shuffle_is_one_draw(self):
-        rng = _CountingRng(5)
+        rng = Rng(5)
         seq = np.arange(100_000, dtype=np.int64)
         rng.shuffle(seq)
         assert rng.draws == 1
@@ -183,7 +222,7 @@ class TestBlockRng:
 
     @pytest.mark.parametrize("n", [1, 2, 64, 7, 1000, 2**63])
     def test_integers_in_range(self, n):
-        vals = Rng(17).integers(n, 5000)
+        vals = Rng(17).randrange(n, 5000)
         assert vals.dtype == np.int64 and vals.shape == (5000,)
         assert vals.min() >= 0 and vals.max() < n
         if n == 1:
@@ -192,20 +231,20 @@ class TestBlockRng:
     @pytest.mark.parametrize("n", [7, 16, 100])
     def test_integers_balanced(self, n):
         size = 20_000
-        counts = np.bincount(Rng(29).integers(n, size), minlength=n)
+        counts = np.bincount(Rng(29).randrange(n, size), minlength=n)
         expected = size / n
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         # loose bound: about 4 standard deviations above the mean of chi2(n-1)
         assert chi2 < (n - 1) + 4.0 * (2.0 * (n - 1)) ** 0.5
 
     def test_integers_deterministic_and_empty(self):
-        assert np.array_equal(Rng(3).integers(11, 300), Rng(3).integers(11, 300))
-        assert Rng(3).integers(11, 0).size == 0
+        assert np.array_equal(Rng(3).randrange(11, 300), Rng(3).randrange(11, 300))
+        assert Rng(3).randrange(11, 0).size == 0
 
     @pytest.mark.parametrize("n", [0, -1, 2**63 + 1])
     def test_integers_rejects_bad_n(self, n):
         with pytest.raises(DomainError):
-            Rng(1).integers(n, 4)
+            Rng(1).randrange(n, 4)
 
 
 def _brute_force_covariance(rows):
@@ -235,7 +274,7 @@ class TestCovariance:
         assert np.array_equal(cov, np.zeros((3, 3)))
 
     def test_matches_brute_force_double_loop(self):
-        rng = Rng(101)
+        rng = np.random.default_rng(101)
         rows = [[rng.normal(2.0, 3.0) for _ in range(4)] for _ in range(50)]
         mean, cov = covariance(rows)
         ref_mean, ref_cov = _brute_force_covariance(rows)
@@ -245,7 +284,7 @@ class TestCovariance:
     @pytest.mark.invariant
     def test_exactly_symmetric_nonnegative_diagonal(self):
         for seed in range(10):
-            rng = Rng(seed)
+            rng = np.random.default_rng(seed)
             rows = [[rng.normal() for _ in range(5)] for _ in range(30)]
             _, cov = covariance(rows)
             assert np.array_equal(cov, cov.T)
@@ -277,7 +316,7 @@ class TestCholesky:
         assert np.array_equal(factor.lower, np.array([[2.0, 0.0], [0.0, 1.0]]))
 
     def test_reconstructs_random_spd(self):
-        rng = Rng(7)
+        rng = np.random.default_rng(7)
         for d in (2, 3, 5, 7):
             a = _random_spd(rng, d)
             factor = cholesky(a)
@@ -317,7 +356,7 @@ class TestSolveSpd:
         assert np.array_equal(solve_spd(factor, [4.0, 1.0]), [1.0, 1.0])
 
     def test_residual_of_random_system(self):
-        rng = Rng(23)
+        rng = np.random.default_rng(23)
         for d in (2, 4, 7):
             a = _random_spd(rng, d)
             b = np.array([rng.normal() for _ in range(d)])
@@ -327,7 +366,7 @@ class TestSolveSpd:
     @pytest.mark.invariant
     def test_round_trip_recovers_solution(self):
         # solve_spd(cholesky(A, 0), A @ x0) == x0 for seeded SPD systems, d <= 10
-        rng = Rng(31)
+        rng = np.random.default_rng(31)
         for trial in range(40):
             d = 1 + trial % 10
             a = _random_spd(rng, d)
@@ -360,7 +399,7 @@ class TestPercentile:
 
     @pytest.mark.invariant
     def test_monotone_in_p_and_permutation_invariant(self):
-        rng = Rng(77)
+        rng = np.random.default_rng(77)
         vals = [rng.normal() for _ in range(41)]
         ps = [0.0, 10.0, 25.0, 50.0, 75.0, 85.0, 95.0, 100.0]
         results = [percentile(vals, p) for p in ps]
@@ -379,7 +418,7 @@ class TestPercentile:
             percentile([1.0], 100.5)
 
     def test_agrees_with_numpy_linear(self):
-        rng = Rng(123)
+        rng = np.random.default_rng(123)
         vals = [rng.uniform(-10, 10) for _ in range(37)]
         for p in (1.0, 12.3, 50.0, 85.0, 99.9):
             assert percentile(vals, p) == pytest.approx(float(np.percentile(vals, p)), abs=1e-12)

@@ -54,14 +54,17 @@ class TestRunPipeline:
 
     @pytest.mark.invariant
     def test_reruns_are_byte_identical(self, tmp_path):
-        # identical config (including out_dir): snapshot, rerun, compare
+        # identical config: snapshot, rerun into the same and into a second
+        # directory, compare every file but the timings in run_log.csv
         out, manifest_a = _run(tmp_path, "a")
         names = sorted(manifest_a.artifacts) + ["manifest.json"]
         snapshot = {name: (out / name).read_bytes() for name in names}
-        _, manifest_b = _run(tmp_path, "a")
-        assert manifest_a.config_hash == manifest_b.config_hash
-        for name in names:
-            assert (out / name).read_bytes() == snapshot[name], name
+        for second in ("a", "b"):
+            out_b, manifest_b = _run(tmp_path, second)
+            assert manifest_a.config_hash == manifest_b.config_hash
+            assert sorted(p.name for p in out_b.iterdir()) == sorted(names + ["run_log.csv"])
+            for name in names:
+                assert (out_b / name).read_bytes() == snapshot[name], (second, name)
 
     def test_seed_changes_outputs_and_hash(self, tmp_path):
         out_a, manifest_a = _run(tmp_path, "a")
@@ -336,6 +339,13 @@ def _replace_first_row(path, row):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _put_byte_ff(path):
+    # the second byte of the first data row becomes 0xff, which is never UTF-8
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n") + 2] = 0xFF
+    path.write_bytes(bytes(data))
+
+
 def _swap_first_rows(path):
     lines = path.read_text().splitlines()
     lines[1], lines[2] = lines[2], lines[1]
@@ -363,6 +373,8 @@ class TestBrokenArtifacts:
             ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,2")),
             ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,300")),
             ("evaluate", "test_labels.csv", _swap_first_rows),
+            ("evaluate", "test_labels.csv", _put_byte_ff),
+            ("score", "test_features.csv", _put_byte_ff),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.pop("scaler_ref"))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=None))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=5))),
@@ -398,6 +410,8 @@ class TestBrokenArtifacts:
             "label_two",
             "label_overflows_int8",
             "label_rows_reordered",
+            "labels_not_utf8",
+            "features_not_utf8",
             "scaler_ref_missing",
             "scaler_ref_null",
             "scaler_ref_not_str",
