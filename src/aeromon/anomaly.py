@@ -95,7 +95,7 @@ def fit_residual_stats(net: Network, ae_train_scaled: Dataset) -> ResidualStats:
         raise InsufficientDataError(f"residual statistics need >= 8 samples, got {ae_train_scaled.n}")
     mean, cov = covariance(residual(net, ae_train_scaled.features))
     try:
-        factor = cholesky(cov, 0.0)
+        factor = cholesky(cov)
     except NotPositiveDefiniteError as exc:
         raise DegenerateResidualsError(f"residual covariance is not factorizable: {exc}") from exc
     return ResidualStats(mean=mean, cov=cov, chol=factor, n_fit=ae_train_scaled.n)
@@ -216,8 +216,8 @@ def save_scorer(scorer: AnomalyScorer, path, model_file: str) -> None:
 
 def load_scorer(path) -> AnomalyScorer:
     """Rebuild a scorer; the referenced model file is resolved relative to
-    the scorer file's directory. An unreadable file, a missing key or an
-    array of the wrong size raises DataError."""
+    the scorer file's directory. An unreadable file, a missing key, an
+    array of the wrong size or a value out of range raises DataError."""
     path = Path(path)
     return read_json_artifact(path, lambda d: _scorer_from_dict(d, path.parent))
 
@@ -227,10 +227,7 @@ def _scorer_from_dict(d: dict, model_dir: Path) -> AnomalyScorer:
         raise DataError(f"unsupported scorer format version {d.get('format_version')!r}")
     net = load_network(model_dir / d["model_file"])
     scaler = MinMaxScaler.from_dict(d["scaler"])
-    try:
-        policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
-    except DomainError as exc:
-        raise DataError(f"scorer policy is out of range: {exc}") from exc
+    policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
     threshold = float(d["threshold"])
     stats = None
     if policy.kind == MAHALANOBIS_POLICY:
@@ -238,7 +235,7 @@ def _scorer_from_dict(d: dict, model_dir: Path) -> AnomalyScorer:
         mean = np.array(d["residual_mean"], dtype=np.float64).reshape(dim)
         cov = np.array(d["residual_cov"], dtype=np.float64).reshape(dim, dim)
         try:
-            factor = cholesky(cov, 0.0)
+            factor = cholesky(cov)
         except NotPositiveDefiniteError as exc:
             raise DegenerateResidualsError(f"stored residual covariance is not factorizable: {exc}") from exc
         stats = ResidualStats(mean=mean, cov=cov, chol=factor, n_fit=int(d["n_fit"]))

@@ -10,7 +10,7 @@ Training is single-threaded and bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,17 +280,6 @@ class TrainConfig:
             raise DomainError("batch_size and max_epochs must be >= 1")
 
 
-@dataclass(frozen=True)
-class TrainReport:
-    epochs_run: int
-    best_val_loss: float
-    history: list[tuple[float, float, float]] = field(repr=False)  # (train_mse, val_mse, lr)
-
-    def __post_init__(self):
-        if self.history and min(v for _, v, _ in self.history) != self.best_val_loss:
-            raise DomainError("best_val_loss must equal the minimum of the val history")
-
-
 def _dataset_mse(net: Network, feats: np.ndarray) -> float:
     out, _ = forward(net, feats)
     return mse_loss(feats, out)
@@ -298,7 +287,7 @@ def _dataset_mse(net: Network, feats: np.ndarray) -> float:
 
 # a diverged fit surfaces once, as the writer's DomainError, not as numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, TrainReport]:
+def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, list[tuple[float, float, float]]]:
     """Mini-batch training with early stopping and best-weight restoration.
 
     Per epoch: seeded shuffle, Adam step per batch (last short batch kept,
@@ -306,7 +295,8 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, Tr
     the validation set. Validation loss must improve by more than 1e-7 to
     reset the patience counters. The plateau scheduler multiplies the
     learning rate by plateau_factor, skipping any reduction that would land
-    below min_lr. Weights from the best validation epoch are returned.
+    below min_lr. Returns the weights of the best validation epoch and the
+    history, one (train_mse, val_mse, lr) per epoch run.
     """
     train_feats = ae_train.features
     val_feats = ae_val.features
@@ -325,12 +315,11 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, Tr
     # strict minimum drives weight restoration; the tolerance-gated tracker
     # drives patience, so sub-tolerance dips never postpone stopping
     best_val = math.inf
-    best_weights = None
+    best = None
     patience_best = math.inf
     early_counter = 0
     plateau_counter = 0
     history: list[tuple[float, float, float]] = []
-    epochs_run = 0
 
     for _epoch in range(cfg.max_epochs):
         epoch_lr = state.lr
@@ -346,11 +335,10 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, Tr
         train_mse = sq_err_sum / (n * work.in_dim)
         val_mse = _dataset_mse(work, val_feats)
         history.append((train_mse, val_mse, epoch_lr))
-        epochs_run += 1
 
         if val_mse < best_val:
             best_val = val_mse
-            best_weights = ([w.copy() for w in work.weights], [b.copy() for b in work.biases])
+            best = work.clone()
         if val_mse < patience_best - IMPROVEMENT_TOL:
             patience_best = val_mse
             early_counter = 0
@@ -366,19 +354,9 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, Tr
             if early_counter >= cfg.early_stop_patience:
                 break
 
-    if best_weights is None:
+    if best is None:
         raise DomainError("autoencoder training diverged: no epoch reached a finite validation loss")
-    best_net = Network(
-        [w.copy() for w in best_weights[0]],
-        [b.copy() for b in best_weights[1]],
-        list(work.specs),
-    )
-    report = TrainReport(
-        epochs_run=epochs_run,
-        best_val_loss=best_val,
-        history=history,
-    )
-    return best_net, report
+    return best, history
 
 
 def network_to_dict(net: Network) -> dict:
@@ -419,7 +397,7 @@ def load_network(path) -> Network:
     return read_json_artifact(path, network_from_dict)
 
 
-def write_epoch_log(report: TrainReport, path) -> None:
-    history = np.array(report.history, dtype=np.float64).reshape(-1, 3)
+def write_epoch_log(history: list[tuple[float, float, float]], path) -> None:
+    columns = np.array(history, dtype=np.float64).reshape(-1, 3).T
     epochs = np.arange(1, len(history) + 1)
-    write_csv(path, "epoch,train_mse,val_mse,lr", "{},{!r},{!r},{!r}\n", epochs, *history.T)
+    write_csv(path, "epoch,train_mse,val_mse,lr", "{},{!r},{!r},{!r}\n", epochs, *columns)

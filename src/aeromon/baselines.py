@@ -41,6 +41,7 @@ from .errors import (
     read_json_artifact,
     write_json_artifact,
 )
+from .evaluation import confusion
 from .numerics import Rng, derive_seed, row_sums
 
 CLASSIFIER_FORMAT_VERSION = 1
@@ -467,9 +468,10 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
 
 
 def _anomalous_f1(pred: np.ndarray, truth: np.ndarray) -> float:
-    tp = int(((pred == 1) & (truth == 1)).sum())
-    fp = int(((pred == 1) & (truth == 0)).sum())
-    fn = int(((pred == 0) & (truth == 1)).sum())
+    # 2tp / (2tp + fp + fn), not `metrics`' 2pr / (p + r): the two round
+    # differently, and a rounding flip could change which candidate wins
+    cm = confusion(pred, truth)
+    tp, fp, fn = cm["tp"], cm["fp"], cm["fn"]
     if 2 * tp + fp + fn == 0:
         return 0.0
     return 2.0 * tp / (2.0 * tp + fp + fn)
@@ -495,22 +497,21 @@ def cross_validate(
 
 def select_model(
     candidates: list[ClassifierConfig], train: Dataset, seed: int, folds: int = 5
-) -> tuple[ClassifierConfig, ClassifierModel]:
+) -> tuple[ClassifierConfig, ClassifierModel, list[tuple[float, list[float]]]]:
     """Pick the candidate with the highest mean CV F1 and refit on all data.
 
-    Ties go to the earliest candidate. A single candidate skips CV.
+    Also returns each candidate's `cross_validate` result, in candidate order.
+    Ties go to the earliest candidate. A single candidate skips CV, and its
+    result list is empty.
     """
     if not candidates:
         raise ConfigError("select_model needs at least one candidate")
-    if len(candidates) == 1:
-        best = candidates[0]
-    else:
-        best, best_score = None, -1.0
-        for cfg in candidates:
-            mean_f1, _ = cross_validate(cfg, train, folds=folds, seed=seed)
-            if mean_f1 > best_score:
-                best, best_score = cfg, mean_f1
-    return best, train_classifier(best, train, seed)
+    best, scores = candidates[0], []
+    if len(candidates) > 1:
+        scores = [cross_validate(cfg, train, folds=folds, seed=seed) for cfg in candidates]
+        means = [mean_f1 for mean_f1, _ in scores]
+        best = candidates[means.index(max(means))]
+    return best, train_classifier(best, train, seed), scores
 
 
 # --- serialization ----------------------------------------------------------
@@ -541,10 +542,7 @@ def model_to_dict(model: ClassifierModel) -> dict:
 def model_from_dict(d: dict) -> ClassifierModel:
     if d.get("format_version") != CLASSIFIER_FORMAT_VERSION:
         raise DataError(f"unsupported classifier format version {d.get('format_version')!r}")
-    try:
-        cfg = ClassifierConfig(**d["config"])
-    except DomainError as exc:
-        raise DataError(f"classifier config is out of range: {exc}") from exc
+    cfg = ClassifierConfig(**d["config"])
     scaler_ref = d.get("scaler_ref")
     if not isinstance(scaler_ref, str):
         raise DataError(f"classifier scaler_ref must be a file name, got {scaler_ref!r}")

@@ -92,11 +92,12 @@ def _train_clf_command(cfg: PipelineConfig, out: _OutputDir, args) -> None:
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
     scaled = apply_scaler(out.read_scaler(SUPERVISED_SCALER_FILE), supervised)
     seed = derive_seed(cfg.seed, 90)
+    best, model, scores = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
     if args.cv:
-        for cand in candidates:
-            mean_f1, per_fold = cross_validate(cand, scaled, folds=cfg["cv_folds"], seed=seed)
+        # a single candidate skips CV in select_model; --cv still reports its score
+        scores = scores or [cross_validate(candidates[0], scaled, folds=cfg["cv_folds"], seed=seed)]
+        for cand, (mean_f1, per_fold) in zip(candidates, scores):
             print(f"{cand.kind} {cand}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
-    best, model = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
     save_model(model, out.file(f"clf_{args.kind}.json"))
     print(f"wrote clf_{args.kind}.json (selected {best})")
 

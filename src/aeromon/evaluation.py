@@ -7,7 +7,7 @@ the `degenerate` field instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,107 +21,34 @@ from .errors import (
 from .numerics import percentile
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
-            raise DomainError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
-
-
-@dataclass(frozen=True)
-class Metrics:
-    precision: float
-    recall: float
-    f1: float
-    accuracy: float
-    auroc: float | None = None
-    degenerate: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ScoreSummary:
-    """Distribution of decision scores within one true class."""
-
-    minimum: float
-    median: float
-    p85: float
-    maximum: float
-
-    @classmethod
-    def of(cls, scores) -> "ScoreSummary":
-        return cls(
-            minimum=float(np.min(scores)),
-            median=percentile(scores, 50.0),
-            p85=percentile(scores, 85.0),
-            maximum=float(np.max(scores)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "median": self.median,
-            "p85": self.p85,
-            "max": self.maximum,
-        }
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    model: str
-    metrics: Metrics
-    confusion: ConfusionMatrix
-    score_summaries: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "precision": self.metrics.precision,
-            "recall": self.metrics.recall,
-            "f1": self.metrics.f1,
-            "accuracy": self.metrics.accuracy,
-            "auroc": self.metrics.auroc,
-            "confusion": self.confusion.to_dict(),
-            "degenerate": list(self.metrics.degenerate),
-            "scores": {name: s.to_dict() for name, s in self.score_summaries.items()},
-        }
-
-
-def confusion(pred, truth) -> ConfusionMatrix:
+def confusion(pred, truth) -> dict:
+    """{"tp", "fp", "fn", "tn"} counts of predictions against truth, as Python ints."""
     pred = np.asarray(pred, dtype=np.int8)
     truth = np.asarray(truth, dtype=np.int8)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ShapeError("prediction and truth vectors must have equal length")
     if pred.size == 0:
         raise InsufficientDataError("cannot build a confusion matrix from zero samples")
-    return ConfusionMatrix(
-        tp=int(((pred == 1) & (truth == 1)).sum()),
-        fp=int(((pred == 1) & (truth == 0)).sum()),
-        fn=int(((pred == 0) & (truth == 1)).sum()),
-        tn=int(((pred == 0) & (truth == 0)).sum()),
-    )
+    return {
+        "tp": int(((pred == 1) & (truth == 1)).sum()),
+        "fp": int(((pred == 1) & (truth == 0)).sum()),
+        "fn": int(((pred == 0) & (truth == 1)).sum()),
+        "tn": int(((pred == 0) & (truth == 0)).sum()),
+    }
 
 
-def metrics(cm: ConfusionMatrix, auroc_value: float | None = None) -> Metrics:
+def metrics(cm: dict) -> dict:
+    """Precision, recall, F1 and accuracy of a confusion count, plus the
+    `degenerate` list of the ratios whose denominator was zero."""
+    tp, fp, fn, tn = cm["tp"], cm["fp"], cm["fn"], cm["tn"]
     degenerate = []
-    if cm.tp + cm.fp > 0:
-        precision = cm.tp / (cm.tp + cm.fp)
+    if tp + fp > 0:
+        precision = tp / (tp + fp)
     else:
         precision = 0.0
         degenerate.append("precision")
-    if cm.tp + cm.fn > 0:
-        recall = cm.tp / (cm.tp + cm.fn)
+    if tp + fn > 0:
+        recall = tp / (tp + fn)
     else:
         recall = 0.0
         degenerate.append("recall")
@@ -130,15 +57,8 @@ def metrics(cm: ConfusionMatrix, auroc_value: float | None = None) -> Metrics:
     else:
         f1 = 0.0
         degenerate.append("f1")
-    accuracy = (cm.tp + cm.tn) / cm.total
-    return Metrics(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        accuracy=accuracy,
-        auroc=auroc_value,
-        degenerate=tuple(degenerate),
-    )
+    accuracy = (tp + tn) / (tp + fp + fn + tn)
+    return {"precision": precision, "recall": recall, "f1": f1, "accuracy": accuracy, "degenerate": degenerate}
 
 
 def auroc(scores, truth) -> float:
@@ -217,8 +137,19 @@ def histograms_to_csv_lines(histograms: list[ChannelHistogram]) -> list[str]:
     return lines
 
 
-def evaluate_model(decider, test: Dataset, model_name: str = "model") -> EvalReport:
-    """Apply a batch decision function once to the whole test feature matrix.
+def _score_summary(scores: np.ndarray) -> dict:
+    """Distribution of decision scores within one true class."""
+    return {
+        "min": float(np.min(scores)),
+        "median": percentile(scores, 50.0),
+        "p85": percentile(scores, 85.0),
+        "max": float(np.max(scores)),
+    }
+
+
+def evaluate_model(decider, test: Dataset, model_name: str = "model") -> dict:
+    """Apply a batch decision function once to the whole test feature matrix
+    and return the report that `report_<model_name>.json` holds.
 
     The decider receives the raw (n, d) feature matrix and returns
     `(decisions, scores)`: n labels (1 = anomalous) and n scores. AUROC is
@@ -239,10 +170,5 @@ def evaluate_model(decider, test: Dataset, model_name: str = "model") -> EvalRep
     for cls, name in ((0, "normal"), (1, "anomalous")):
         cls_scores = scores[truth == cls]
         if cls_scores.size:
-            summaries[name] = ScoreSummary.of(cls_scores)
-    return EvalReport(
-        model=model_name,
-        metrics=metrics(cm, auroc_value),
-        confusion=cm,
-        score_summaries=summaries,
-    )
+            summaries[name] = _score_summary(cls_scores)
+    return {"model": model_name, **metrics(cm), "auroc": auroc_value, "confusion": cm, "scores": summaries}

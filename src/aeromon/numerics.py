@@ -201,13 +201,13 @@ def _factor_lower(a: np.ndarray) -> np.ndarray | None:
     return lower
 
 
-def cholesky(a, jitter: float = 0.0) -> CholeskyFactor:
+def cholesky(a) -> CholeskyFactor:
     """Cholesky factorization with escalating diagonal jitter.
 
     The unjittered matrix is tried first. On failure, jitter starts at
-    `jitter` (or 1e-10 * trace/d when `jitter` is 0), escalates by factors
-    of 10, and gives up past the cap 1e-3 * trace/d. A matrix whose trace
-    is not positive cannot be positive definite, so it fails immediately.
+    1e-10 * trace/d, escalates by factors of 10, and gives up past the cap
+    1e-3 * trace/d. A matrix whose trace is not positive cannot be positive
+    definite, so it fails immediately.
     """
     a = _as_2d(a)
     d = a.shape[0]
@@ -224,7 +224,7 @@ def cholesky(a, jitter: float = 0.0) -> CholeskyFactor:
     cap = JITTER_CAP_FACTOR * scale
     if cap <= 0.0:
         raise NotPositiveDefiniteError("matrix has non-positive trace; cannot jitter")
-    j = jitter if jitter > 0.0 else JITTER_BASE_FACTOR * scale
+    j = JITTER_BASE_FACTOR * scale
     eye = np.eye(d)
     while j <= cap:
         lower = _factor_lower(a + j * eye)

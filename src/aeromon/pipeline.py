@@ -184,9 +184,9 @@ def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     ae_val = apply_scaler(scaler, load_csv(out.file("ae_val.csv"), has_labels=True))
     train_cfg = cfg.train_config()
     net = init_network(default_autoencoder_specs(), train_cfg.seed)
-    best, report = train(net, ae_train, ae_val, train_cfg)
+    best, history = train(net, ae_train, ae_val, train_cfg)
     save_network(best, out.file("model_ae.json"))
-    write_epoch_log(report, out.file("ae_training_log.csv"))
+    write_epoch_log(history, out.file("ae_training_log.csv"))
     return ["model_ae.json", "ae_training_log.csv"]
 
 
@@ -218,7 +218,7 @@ def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     for i, kind in enumerate(kinds):
         candidates = cfg.baseline_candidates(kind)
         seed = derive_seed(cfg.seed, STAGE_BASELINE_BASE + i)
-        _, model = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
+        _, model, _ = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
         name = f"clf_{kind}.json"
         save_model(model, out.file(name))
         written.append(name)
@@ -257,7 +257,7 @@ def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
         scaler = out.read_scaler(model.scaler_ref)
         deciders[kind] = lambda x, m=model, s=scaler: predict(m, s.transform(x))
     for name, decide in deciders.items():
-        out.write_json(f"report_{name}.json", evaluate_model(decide, test, model_name=name).to_dict())
+        out.write_json(f"report_{name}.json", evaluate_model(decide, test, model_name=name))
     return [f"report_{name}.json" for name in deciders]
 
 

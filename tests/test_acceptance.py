@@ -134,7 +134,7 @@ class TestCriterion2Oracles:
         ]
         for pred, truth, (tp, fp, fn, tn) in tallies:
             cm = confusion(pred, truth)
-            metrics_exact &= (cm.tp, cm.fp, cm.fn, cm.tn) == (tp, fp, fn, tn)
+            metrics_exact &= (cm["tp"], cm["fp"], cm["fn"], cm["tn"]) == (tp, fp, fn, tn)
             m = metrics(cm)
             expected_precision = tp / (tp + fp) if tp + fp else 0.0
             expected_recall = tp / (tp + fn) if tp + fn else 0.0
@@ -142,8 +142,9 @@ class TestCriterion2Oracles:
                 expected_f1 = 2 * expected_precision * expected_recall / (expected_precision + expected_recall)
             else:
                 expected_f1 = 0.0
-            metrics_exact &= (m.precision, m.recall, m.f1) == (expected_precision, expected_recall, expected_f1)
-            metrics_exact &= m.accuracy == (tp + tn) / (tp + fp + fn + tn)
+            expected_prf = (expected_precision, expected_recall, expected_f1)
+            metrics_exact &= (m["precision"], m["recall"], m["f1"]) == expected_prf
+            metrics_exact &= m["accuracy"] == (tp + tn) / (tp + fp + fn + tn)
 
         elapsed = time.perf_counter() - started
         ok = auroc_exact and knn_exact and metrics_exact and elapsed < 10.0

@@ -66,7 +66,7 @@ def trained():
     scaler = fit_scaler(res.ae_train)
     train_scaled = apply_scaler(scaler, res.ae_train)
     val_scaled = apply_scaler(scaler, res.ae_val)
-    net, report = train(
+    net, history = train(
         init_network(default_autoencoder_specs(), seed=18),
         train_scaled,
         val_scaled,
@@ -74,7 +74,7 @@ def trained():
     )
     return {
         "net": net,
-        "report": report,
+        "history": history,
         "scaler": scaler,
         "ae_train": res.ae_train,
         "train_scaled": train_scaled,
@@ -105,7 +105,7 @@ class TestResidual:
     def test_trained_residual_matches_reported_error_scale(self, trained):
         feats = trained["train_scaled"].features
         per_sample = score_mse(trained["net"], feats)
-        final_train_mse = trained["report"].history[-1][0]
+        final_train_mse = trained["history"][-1][0]
         assert per_sample.mean() < 3.0 * final_train_mse
         assert per_sample.mean() > final_train_mse / 3.0
 

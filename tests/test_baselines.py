@@ -608,9 +608,10 @@ class TestSelectModel:
     def test_single_candidate_refit(self):
         ds = _blobs(51, 20)
         cfg = ClassifierConfig(GAUSSIAN_NB)
-        best, model = select_model([cfg], ds, seed=0)
+        best, model, scores = select_model([cfg], ds, seed=0)
         assert best is cfg
         assert model.kind == GAUSSIAN_NB
+        assert scores == []
 
     def test_smoother_k_wins_on_noisy_data(self):
         # overlapping blobs with label noise: k=1 memorizes noise, k=5 smooths
@@ -622,16 +623,17 @@ class TestSelectModel:
                 labels.append(c if rng.random() > 0.15 else 1 - c)
         ds = Dataset(np.array(rows), np.array(labels, dtype=np.int8))
         k1, k5 = ClassifierConfig(KNN, k=1), ClassifierConfig(KNN, k=5)
-        f1_k1, _ = cross_validate(k1, ds, folds=5, seed=7)
-        f1_k5, _ = cross_validate(k5, ds, folds=5, seed=7)
-        assert f1_k5 > f1_k1
-        best, _ = select_model([k1, k5], ds, seed=7)
+        cv_k1 = cross_validate(k1, ds, folds=5, seed=7)
+        cv_k5 = cross_validate(k5, ds, folds=5, seed=7)
+        assert cv_k5[0] > cv_k1[0]
+        best, _, scores = select_model([k1, k5], ds, seed=7)
         assert best is k5
+        assert scores == [cv_k1, cv_k5]
 
     def test_tie_goes_to_first_listed(self):
         ds = _blobs(52, 20)  # trivially separable: every candidate scores 1.0
         candidates = [ClassifierConfig(KNN, k=3), ClassifierConfig(KNN, k=5)]
-        best, _ = select_model(candidates, ds, seed=1)
+        best, _, _ = select_model(candidates, ds, seed=1)
         assert best is candidates[0]
 
     def test_empty_candidates_rejected(self):

@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from aeromon.dataset import CHANNELS, Dataset, Label
 from aeromon.errors import InsufficientDataError, ShapeError, UndefinedAurocError
 from aeromon.evaluation import (
-    ConfusionMatrix,
     auroc,
     confusion,
     evaluate_model,
@@ -30,19 +31,19 @@ def _brute_force_auroc(scores, truth):
 class TestConfusion:
     def test_all_anomalous_correct(self):
         cm = confusion([1, 1, 1, 1], [1, 1, 1, 1])
-        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (4, 0, 0, 0)
+        assert (cm["tp"], cm["fp"], cm["fn"], cm["tn"]) == (4, 0, 0, 0)
 
     def test_complement_predictions(self):
         cm = confusion([1, 0, 1, 0], [0, 1, 0, 1])
-        assert cm.tp == 0 and cm.tn == 0
-        assert cm.fp == 2 and cm.fn == 2
+        assert cm["tp"] == 0 and cm["tn"] == 0
+        assert cm["fp"] == 2 and cm["fn"] == 2
 
     def test_hand_tallied_mixed_case(self):
         pred = [1, 0, 1, 1, 0, 0, 1, 0]
         truth = [1, 1, 0, 1, 0, 1, 1, 0]
         # tally by hand: tp rows 0,3,6; fp row 2; fn rows 1,5; tn rows 4,7
         cm = confusion(pred, truth)
-        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (3, 1, 2, 2)
+        assert (cm["tp"], cm["fp"], cm["fn"], cm["tn"]) == (3, 1, 2, 2)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -55,12 +56,12 @@ class TestConfusion:
 
 class TestMetrics:
     def test_direct_formula_arithmetic(self):
-        m = metrics(ConfusionMatrix(tp=90, fp=10, fn=20, tn=80))
-        assert m.precision == pytest.approx(0.9)
-        assert m.recall == pytest.approx(0.81818, abs=5e-6)
-        assert m.f1 == pytest.approx(0.85714, abs=5e-6)
-        assert m.accuracy == pytest.approx(0.85)
-        assert m.degenerate == ()
+        m = metrics({"tp": 90, "fp": 10, "fn": 20, "tn": 80})
+        assert m["precision"] == pytest.approx(0.9)
+        assert m["recall"] == pytest.approx(0.81818, abs=5e-6)
+        assert m["f1"] == pytest.approx(0.85714, abs=5e-6)
+        assert m["accuracy"] == pytest.approx(0.85)
+        assert m["degenerate"] == []
 
     def test_reference_operating_point_is_self_consistent(self):
         # the comparison-table operating point used for the conditional
@@ -71,25 +72,25 @@ class TestMetrics:
         assert f1 == pytest.approx(0.8505, abs=5e-5)
 
     def test_zero_denominator_flags(self):
-        m = metrics(ConfusionMatrix(tp=0, fp=0, fn=0, tn=5))
-        assert m.precision == 0.0
-        assert m.recall == 0.0
-        assert m.f1 == 0.0
-        assert set(m.degenerate) == {"precision", "recall", "f1"}
+        m = metrics({"tp": 0, "fp": 0, "fn": 0, "tn": 5})
+        assert m["precision"] == 0.0
+        assert m["recall"] == 0.0
+        assert m["f1"] == 0.0
+        assert set(m["degenerate"]) == {"precision", "recall", "f1"}
 
     @pytest.mark.invariant
     def test_f1_bounded_by_precision_and_recall(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            cm = ConfusionMatrix(
-                tp=rng.integers(50) + 1,
-                fp=rng.integers(50),
-                fn=rng.integers(50),
-                tn=rng.integers(50),
-            )
+            cm = {
+                "tp": rng.integers(50) + 1,
+                "fp": rng.integers(50),
+                "fn": rng.integers(50),
+                "tn": rng.integers(50),
+            }
             m = metrics(cm)
-            if not m.degenerate:
-                assert min(m.precision, m.recall) - 1e-12 <= m.f1 <= max(m.precision, m.recall) + 1e-12
+            if not m["degenerate"]:
+                assert min(m["precision"], m["recall"]) - 1e-12 <= m["f1"] <= max(m["precision"], m["recall"]) + 1e-12
 
     @pytest.mark.invariant
     def test_permutation_invariance(self):
@@ -240,15 +241,14 @@ class TestEvaluateModel:
             labels = np.array([truth[tuple(row)] for row in x])
             return labels, labels.astype(np.float64)
 
-        report = evaluate_model(oracle, ds, "oracle")
-        m = report.metrics
-        assert (m.precision, m.recall, m.f1, m.accuracy) == (1.0, 1.0, 1.0, 1.0)
+        m = evaluate_model(oracle, ds, "oracle")
+        assert (m["precision"], m["recall"], m["f1"], m["accuracy"]) == (1.0, 1.0, 1.0, 1.0)
 
     def test_constant_normal_decider_on_imbalanced_set(self):
         ds = self._test_set(60, 40)
         report = evaluate_model(_constant(Label.NORMAL, 0.0), ds, "always-normal")
-        assert report.metrics.accuracy == pytest.approx(0.6)
-        assert report.metrics.recall == 0.0
+        assert report["accuracy"] == pytest.approx(0.6)
+        assert report["recall"] == 0.0
 
     @pytest.mark.invariant
     def test_confusion_totals_match_test_size(self):
@@ -259,22 +259,46 @@ class TestEvaluateModel:
             ds,
             "random",
         )
-        assert report.confusion.total == ds.n
+        assert sum(report["confusion"].values()) == ds.n
 
     def test_score_summaries_present(self):
         ds = self._test_set()
         report = evaluate_model(lambda x: (np.zeros(len(x)), x[:, 0]), ds, "scorer")
-        assert set(report.score_summaries) == {"normal", "anomalous"}
-        summary = report.score_summaries["normal"]
-        assert summary.minimum <= summary.median <= summary.p85 <= summary.maximum
+        assert set(report["scores"]) == {"normal", "anomalous"}
+        summary = report["scores"]["normal"]
+        assert summary["min"] <= summary["median"] <= summary["p85"] <= summary["max"]
 
     def test_report_dict_schema(self):
         ds = self._test_set()
         report = evaluate_model(_constant(Label.ANOMALOUS, 1.0), ds, "flagger")
-        d = report.to_dict()
         for key in ("model", "precision", "recall", "f1", "accuracy", "auroc", "confusion"):
-            assert key in d
-        assert set(d["confusion"]) == {"tp", "fp", "fn", "tn"}
+            assert key in report
+        assert set(report["confusion"]) == {"tp", "fp", "fn", "tn"}
+
+        # the hand tally of TestConfusion, with integer scores:
+        # anomalous rows 0,1,3,5,6 score 9,4,8,3,7; normal rows 2,4,7 score 6,0,2
+        truth = np.array([1, 1, 0, 1, 0, 1, 1, 0], dtype=np.int8)
+        pred = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+        scores = np.array([9.0, 4.0, 6.0, 8.0, 0.0, 3.0, 7.0, 2.0])
+        r = evaluate_model(lambda x: (pred, scores), Dataset(np.zeros((8, 7)), truth), "hand")
+        assert r == {
+            "model": "hand",
+            "precision": 0.75,  # 3 / (3 + 1)
+            "recall": 0.6,  # 3 / (3 + 2)
+            "f1": 2.0 * 0.75 * 0.6 / (0.75 + 0.6),
+            "accuracy": 0.625,  # (3 + 2) / 8
+            "auroc": 13 / 15,  # anomalous-over-normal pairs: 3 + 2 + 3 + 2 + 3 of 5 * 3
+            "confusion": {"tp": 3, "fp": 1, "fn": 2, "tn": 2},
+            "degenerate": [],
+            # median and p85 interpolate at ranks 0.5 (n-1) and 0.85 (n-1)
+            "scores": {
+                "normal": {"min": 0.0, "median": 2.0, "p85": 4.8, "max": 6.0},
+                "anomalous": {"min": 3.0, "median": 7.0, "p85": 8.4, "max": 9.0},
+            },
+        }
+        # only plain Python values go into the report file
+        assert r == json.loads(json.dumps(r, sort_keys=True, allow_nan=False))
+        assert type(r["confusion"]["tp"]) is int and type(r["f1"]) is float
 
     def test_unlabeled_rejected(self):
         ds = Dataset(np.zeros((5, 7)))

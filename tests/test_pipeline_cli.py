@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import aeromon
+from aeromon import baselines
 from aeromon.cli import main
 from aeromon.config import default_config
-from aeromon.dataset import SynthConfig, generate_synthetic, save_csv
+from aeromon.dataset import SynthConfig, apply_scaler, generate_synthetic, load_csv, save_csv
 from aeromon.errors import ConfigError
+from aeromon.numerics import derive_seed
 from aeromon.pipeline import LOCK_NAME, _OutputDir, run_pipeline, stage_train_baselines
 
 FAST_KEYS = {
@@ -182,16 +184,33 @@ class TestCliStages:
         assert lines[0] == "index,score,decision"
         assert len(lines) > 1
 
-    def test_train_clf_cv_selects_over_grid(self, tmp_path, capsys):
+    def test_train_clf_cv_selects_over_grid(self, tmp_path, capsys, monkeypatch):
         cfg_file = _fast_config_file(tmp_path)
         out = str(tmp_path / "work")
         base = ["--config", str(cfg_file), "--out", out, "--quiet"]
         for command in ("generate", "split", "fit-scalers"):
             assert main(base + [command]) == 0
+        capsys.readouterr()
+        fits = []
+        fit = baselines.train_classifier
+        monkeypatch.setattr(baselines, "train_classifier", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
         assert main(base + ["train-clf", "--kind", "knn", "--k", "1,5", "--cv"]) == 0
-        printed = capsys.readouterr().out
-        assert "mean F1" in printed
+        monkeypatch.undo()
+        printed = capsys.readouterr().out.splitlines()
+        assert len(fits) == 2 * 5 + 1  # each candidate on each fold, then one refit of the winner
         assert (Path(out) / "clf_knn.json").exists()
+
+        # one line per candidate with its own cross_validate result, then the written file
+        candidates = default_config({**FAST_KEYS, "knn_k_grid": "1,5"}).baseline_candidates("knn")
+        scaler = _OutputDir(out).read_scaler(baselines.SUPERVISED_SCALER_FILE)
+        scaled = apply_scaler(scaler, load_csv(Path(out) / "supervised_train.csv", has_labels=True))
+        cv = [baselines.cross_validate(c, scaled, folds=5, seed=derive_seed(7, 90)) for c in candidates]
+        means = [mean_f1 for mean_f1, _ in cv]
+        best = candidates[means.index(max(means))]
+        assert printed == [
+            f"knn {c}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}"
+            for c, (mean_f1, per_fold) in zip(candidates, cv)
+        ] + [f"wrote clf_knn.json (selected {best})"]
 
     def test_run_command(self, tmp_path):
         cfg_file = _fast_config_file(tmp_path)
@@ -396,6 +415,11 @@ class TestBrokenArtifacts:
             ("evaluate", "clf_random_forest.json", lambda p: _edit_json(p, lambda d: d.update(trees=[]))),
             ("evaluate", "clf_random_forest.json", lambda p: _edit_json(p, lambda d: d["trees"].pop())),
             ("evaluate", "clf_random_forest.json", lambda p: _set_literal(p, ["trees", 3, "feature", 0], "9")),
+            ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d["activations"].__setitem__(0, "relu"))),
+            ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["topology", 1], "0")),
+            ("calibrate", "scaler_ae.json", lambda p: _set_literal(p, ["ranges", 0], "-1.0")),
+            ("calibrate", "scaler_ae.json", lambda p: _edit_json(p, lambda d: d["mins"].pop())),
+            ("score", "scorer.json", lambda p: _edit_json(p, lambda d: d.update(threshold="nan"))),
         ],
         ids=[
             "garbage_scaler",
@@ -433,6 +457,11 @@ class TestBrokenArtifacts:
             "forest_without_trees",
             "forest_tree_missing",
             "forest_tree_feature_past_channels",
+            "unknown_activation",
+            "zero_layer_width",
+            "negative_scaler_range",
+            "scaler_mins_short",
+            "nan_threshold",
         ],
     )
     def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):
