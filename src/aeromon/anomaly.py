@@ -201,11 +201,13 @@ def scorer_to_dict(scorer: AnomalyScorer, model_file: str) -> dict:
         "scaler": scorer.scaler.to_dict(),
         "residual_mean": None,
         "residual_cov": None,
+        "residual_jitter": None,
         "n_fit": None,
     }
     if scorer.stats is not None:
         d["residual_mean"] = [float(v) for v in scorer.stats.mean]
         d["residual_cov"] = [float(v) for v in scorer.stats.cov.ravel(order="C")]
+        d["residual_jitter"] = scorer.stats.chol.jitter
         d["n_fit"] = scorer.stats.n_fit
     return d
 

@@ -18,7 +18,7 @@ from .dataset import write_csv
 from .errors import DataError, DomainError, InsufficientDataError, ShapeError, read_json_artifact, write_json_artifact
 from .numerics import Rng
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # Validation loss must drop by more than this to count as an improvement
 # for both early stopping and the plateau scheduler.
@@ -85,21 +85,35 @@ def _activate_prime(name, z, a):
     return np.ones_like(z)
 
 
-class Network:
-    """Ordered affine layers; weights are (out_dim, in_dim), row-major."""
+def _layer_views(flat: np.ndarray, specs: list[LayerSpec]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's (out_dim, in_dim) weights and (out_dim,) biases as views into
+    one flat vector that holds, layer by layer, the weights row-major, then the biases."""
+    weights, biases, start = [], [], 0
+    for spec in specs:
+        end = start + spec.out_dim * spec.in_dim
+        weights.append(flat[start:end].reshape(spec.out_dim, spec.in_dim))
+        biases.append(flat[end : end + spec.out_dim])
+        start = end + spec.out_dim
+    return weights, biases
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], specs: list[LayerSpec]):
-        if not (len(weights) == len(biases) == len(specs)):
-            raise ShapeError("layer lists must have equal length")
-        for w, b, spec in zip(weights, biases, specs):
-            if w.shape != (spec.out_dim, spec.in_dim) or b.shape != (spec.out_dim,):
-                raise ShapeError(f"layer arrays do not match spec {spec}")
+
+class Network:
+    """Ordered affine layers over one flat float64 parameter vector `params`;
+    `weights[i]` ((out_dim, in_dim), row-major) and `biases[i]` are views into it."""
+
+    def __init__(self, params: np.ndarray, specs: list[LayerSpec]):
+        if not specs:
+            raise ShapeError("a network needs at least one layer")
         for prev, nxt in zip(specs, specs[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise ShapeError(f"layer chain breaks: {prev.out_dim} -> {nxt.in_dim}")
-        self.weights = weights
-        self.biases = biases
+        size = sum(spec.out_dim * (spec.in_dim + 1) for spec in specs)
+        params = np.asarray(params, dtype=np.float64)
+        if params.shape != (size,):
+            raise ShapeError(f"the layers need {size} parameters, got an array of shape {params.shape}")
+        self.params = params
         self.specs = specs
+        self.weights, self.biases = _layer_views(params, specs)
 
     @property
     def in_dim(self) -> int:
@@ -109,26 +123,18 @@ class Network:
     def out_dim(self) -> int:
         return self.specs[-1].out_dim
 
-    def parameters(self) -> list[np.ndarray]:
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
-
     def clone(self) -> "Network":
-        return Network([w.copy() for w in self.weights], [b.copy() for b in self.biases], list(self.specs))
+        return Network(self.params.copy(), list(self.specs))
 
 
 def init_network(specs: list[LayerSpec], seed: int) -> Network:
     """Glorot-uniform weights with limit sqrt(6/(in+out)); zero biases."""
     rng = Rng(seed)
-    weights, biases = [], []
+    pieces = []
     for spec in specs:
         limit = math.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        weights.append(rng.uniform(-limit, limit, spec.out_dim * spec.in_dim).reshape(spec.out_dim, spec.in_dim))
-        biases.append(np.zeros(spec.out_dim))
-    return Network(weights, biases, specs)
+        pieces += [rng.uniform(-limit, limit, spec.out_dim * spec.in_dim), np.zeros(spec.out_dim)]
+    return Network(np.concatenate(pieces), specs)
 
 
 def forward(net: Network, x) -> tuple[np.ndarray, list]:
@@ -171,35 +177,27 @@ def mse_loss(x, x_hat) -> float:
     return float(np.mean(diff * diff))
 
 
-def _backprop_from_output_delta(net: Network, cache, delta: np.ndarray) -> list[np.ndarray]:
-    """Gradients for every weight and bias given dL/dz at the output layer,
-    one row per batch sample; each gradient sums over the rows.
-
-    Returns [dW0, db0, dW1, db1, ...] in layer order.
-    """
+def _backprop_from_output_delta(net: Network, cache, delta: np.ndarray) -> np.ndarray:
+    """Gradient of every parameter given dL/dz at the output layer, one row per
+    batch sample; each gradient sums over the rows. Laid out like `net.params`."""
     x, layer_cache = cache
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
-    for i in range(len(net.weights) - 1, -1, -1):
+    grad = np.empty_like(net.params)
+    grad_w, grad_b = _layer_views(grad, net.specs)
+    for i in range(len(net.specs) - 1, -1, -1):
         a_prev = x if i == 0 else layer_cache[i - 1][1]
-        grads_w[i] = delta.T @ a_prev
-        grads_b[i] = delta.sum(axis=0)
+        grad_w[i][...] = delta.T @ a_prev
+        grad_b[i][...] = delta.sum(axis=0)
         if i > 0:
             z_prev, a_prev_act = layer_cache[i - 1]
             da = delta @ net.weights[i]
             delta = da * _activate_prime(net.specs[i - 1].activation, z_prev, a_prev_act)
-    grads = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.append(gw)
-        grads.append(gb)
-    return grads
+    return grad
 
 
-def backward(net: Network, cache, x) -> list[np.ndarray]:
+def backward(net: Network, cache, x) -> np.ndarray:
     """Exact gradient of mse_loss(x, forward(net, x)) for every parameter,
     for a batch x (n, d): gradients are averaged over rows (the mean-loss
-    gradient). Returned list interleaves weight and bias gradients in layer
-    order, matching net.parameters().
+    gradient). The vector is laid out like `net.params`.
     """
     x = np.asarray(x, dtype=np.float64)
     x_in, layer_cache = cache
@@ -214,10 +212,10 @@ def backward(net: Network, cache, x) -> list[np.ndarray]:
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators mirroring every parameter."""
+    """First/second-moment accumulators, each laid out like the parameter vector."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int
     lr: float
     beta1: float = 0.9
@@ -225,37 +223,28 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
+    def for_params(cls, params: np.ndarray, lr: float) -> "AdamState":
         if lr <= 0:
             raise DomainError("learning rate must be positive")
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            t=0,
-            lr=lr,
-        )
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), t=0, lr=lr)
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]):
-    """Standard bias-corrected Adam update, applied in place.
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
+    """Standard bias-corrected Adam update of a parameter vector, applied in place.
 
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
     """
-    if len(params) != len(state.m) or len(grads) != len(params):
+    if params.shape != state.m.shape or grads.shape != params.shape:
         raise ShapeError("params/grads do not match optimizer state")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.shape:
-            raise ShapeError("gradient shape mismatch")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (grads * grads)
+    params -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
 
 
 @dataclass(frozen=True)
@@ -306,8 +295,7 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
         raise DataError("reconstruction training data must contain only normal samples")
 
     work = net.clone()
-    params = work.parameters()
-    state = AdamState.for_params(params, cfg.learning_rate)
+    state = AdamState.for_params(work.params, cfg.learning_rate)
     rng = Rng(cfg.seed)
 
     n = train_feats.shape[0]
@@ -331,7 +319,7 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
             diff = out - batch
             sq_err_sum += float((diff * diff).sum())
             grads = backward(work, cache, batch)
-            adam_step(state, params, grads)
+            adam_step(state, work.params, grads)
         train_mse = sq_err_sum / (n * work.in_dim)
         val_mse = _dataset_mse(work, val_feats)
         history.append((train_mse, val_mse, epoch_lr))
@@ -360,33 +348,22 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
 
 
 def network_to_dict(net: Network) -> dict:
-    topology = [net.specs[0].in_dim] + [s.out_dim for s in net.specs]
     return {
         "format_version": MODEL_FORMAT_VERSION,
-        "topology": topology,
+        "topology": [net.in_dim] + [s.out_dim for s in net.specs],
         "activations": [s.activation for s in net.specs],
-        "layers": [
-            {
-                "weights": [float(v) for v in w.ravel(order="C")],
-                "biases": [float(v) for v in b],
-            }
-            for w, b in zip(net.weights, net.biases)
-        ],
+        "params": net.params.tolist(),
     }
 
 
 def network_from_dict(d: dict) -> Network:
     if d.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {d.get('format_version')!r}")
-    topology = d["topology"]
-    specs = [
-        LayerSpec(topology[i], topology[i + 1], act) for i, act in enumerate(d["activations"])
-    ]
-    weights, biases = [], []
-    for spec, layer in zip(specs, d["layers"]):
-        weights.append(np.array(layer["weights"], dtype=np.float64).reshape(spec.out_dim, spec.in_dim))
-        biases.append(np.array(layer["biases"], dtype=np.float64))
-    return Network(weights, biases, specs)
+    topology, activations = d["topology"], d["activations"]
+    if len(topology) != len(activations) + 1:
+        raise ShapeError(f"a network of {len(activations)} activations needs {len(activations) + 1} topology widths")
+    specs = [LayerSpec(n_in, n_out, act) for n_in, n_out, act in zip(topology, topology[1:], activations)]
+    return Network(d["params"], specs)
 
 
 def save_network(net: Network, path) -> None:

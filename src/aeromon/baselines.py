@@ -363,8 +363,7 @@ def _train_mlp(cfg: ClassifierConfig, x, y, seed: int):
         [LayerSpec(x.shape[1], cfg.hidden_units, "elu"), LayerSpec(cfg.hidden_units, 1, "sigmoid")],
         seed,
     )
-    params = net.parameters()
-    state = AdamState.for_params(params, cfg.learning_rate)
+    state = AdamState.for_params(net.params, cfg.learning_rate)
     rng = Rng(derive_seed(seed, 1))
     order = np.arange(x.shape[0])
     target = y.astype(np.float64).reshape(-1, 1)
@@ -377,7 +376,7 @@ def _train_mlp(cfg: ClassifierConfig, x, y, seed: int):
             # sigmoid + cross-entropy: dL/dz at the output is (p - y)/batch
             delta = (out - yb) / rows.size
             grads = _backprop_from_output_delta(net, cache, delta)
-            adam_step(state, params, grads)
+            adam_step(state, net.params, grads)
     return {"network": net}
 
 

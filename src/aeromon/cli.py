@@ -15,7 +15,6 @@ from .baselines import cross_validate, save_model, select_model
 from .config import PipelineConfig, baseline_key, default_config, load_config
 from .dataset import apply_scaler, load_csv
 from .errors import ConfigError, ToolkitError
-from .numerics import derive_seed
 from .pipeline import _PIPELINE_STAGES, _OutputDir, run_pipeline, stage_histogram, stage_ingest, stage_score
 
 # subcommand -> stage function: pipeline stages keep their names, ingest is `generate`
@@ -44,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_clf = sub.add_parser("train-clf", help="train one supervised baseline standalone")
     p_clf.add_argument("--kind", required=True, choices=CLASSIFIER_KINDS)
-    p_clf.add_argument("--cv", action="store_true", help="select over the grid flags by cross-validated F1")
+    p_clf.add_argument("--cv", action="store_true", help="pick the best grid value (flags, else config) by CV F1")
     # each hyperparameter flag's dest is its ClassifierConfig field; it overrides the kind's config key
     p_clf.add_argument("--k", help="k-NN neighbour count (comma grid with --cv)")
     p_clf.add_argument("--l2", dest="l2_strength", help="logreg L2 strength (comma grid with --cv)")
@@ -84,14 +83,14 @@ def _resolve(args) -> PipelineConfig:
 
 def _train_clf_command(cfg: PipelineConfig, out: _OutputDir, args) -> None:
     candidates = cfg.baseline_candidates(args.kind)
-    if args.k is None and args.l2_strength is None:
-        candidates = candidates[:1]  # the config's grid is for the pipeline; standalone takes its first value
+    if not args.cv and args.k is None and args.l2_strength is None:
+        candidates = candidates[:1]  # without --cv, the config's grid gives its first value
     if not args.cv and len(candidates) > 1:
         raise ConfigError("multiple grid values need --cv")
 
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
     scaled = apply_scaler(out.read_scaler(SUPERVISED_SCALER_FILE), supervised)
-    seed = derive_seed(cfg.seed, 90)
+    seed = cfg.baseline_seed(args.kind)
     best, model, scores = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
     if args.cv:
         # a single candidate skips CV in select_model; --cv still reports its score

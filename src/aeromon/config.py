@@ -198,6 +198,11 @@ class PipelineConfig:
         grid_field, grid_key = _BASELINE_GRIDS[kind]
         return [self._section(prefix, ClassifierConfig, **fixed, **{grid_field: v}) for v in self.grid(grid_key)]
 
+    def baseline_seed(self, kind: str) -> int:
+        """A baseline's training seed, keyed by its kind, so `run` and `train-clf`
+        fit a kind alike whatever else `baseline_kinds` lists."""
+        return derive_seed(self.seed, STAGE_BASELINE_BASE + CLASSIFIER_KINDS.index(kind))
+
     def config_hash(self) -> str:
         """SHA-256 of the experiment: every resolved key but `out_dir`, so a run
         hashes the same whichever directory it writes to."""

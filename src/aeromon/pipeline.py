@@ -45,7 +45,7 @@ from .autoencoder import (
     write_epoch_log,
 )
 from .baselines import SUPERVISED_SCALER_FILE, load_model, predict, save_model, select_model
-from .config import STAGE_BASELINE_BASE, STAGE_SPLIT, PipelineConfig
+from .config import STAGE_SPLIT, PipelineConfig
 from .dataset import (
     Dataset,
     MinMaxScaler,
@@ -214,15 +214,11 @@ def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
         return []
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
     scaled = apply_scaler(out.read_scaler(SUPERVISED_SCALER_FILE), supervised)
-    written = []
-    for i, kind in enumerate(kinds):
+    for kind in kinds:
         candidates = cfg.baseline_candidates(kind)
-        seed = derive_seed(cfg.seed, STAGE_BASELINE_BASE + i)
-        _, model, _ = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
-        name = f"clf_{kind}.json"
-        save_model(model, out.file(name))
-        written.append(name)
-    return written
+        _, model, _ = select_model(candidates, scaled, seed=cfg.baseline_seed(kind), folds=cfg["cv_folds"])
+        save_model(model, out.file(f"clf_{kind}.json"))
+    return [f"clf_{kind}.json" for kind in kinds]
 
 
 def _load_test_set(out: _OutputDir) -> Dataset:

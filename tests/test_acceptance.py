@@ -53,19 +53,15 @@ def full_run(tmp_path_factory):
 
 
 def _central_difference_grads(net, x, h=1e-5):
-    grads = []
-    for arr in net.parameters():
-        g = np.zeros_like(arr)
-        flat, gflat = arr.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = mse_loss(x, forward(net, x)[0])
-            flat[i] = orig - h
-            lm = mse_loss(x, forward(net, x)[0])
-            flat[i] = orig
-            gflat[i] = (lp - lm) / (2.0 * h)
-        grads.append(g)
+    grads = np.zeros_like(net.params)
+    for i in range(net.params.size):
+        orig = net.params[i]
+        net.params[i] = orig + h
+        lp = mse_loss(x, forward(net, x)[0])
+        net.params[i] = orig - h
+        lm = mse_loss(x, forward(net, x)[0])
+        net.params[i] = orig
+        grads[i] = (lp - lm) / (2.0 * h)
     return grads
 
 
@@ -82,9 +78,8 @@ class TestCriterion1Gradients:
             _, cache = forward(net, x)
             analytic = backward(net, cache, x)
             numeric = _central_difference_grads(net, x)
-            for a, f in zip(analytic, numeric):
-                denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
-                worst = max(worst, float((np.abs(a - f) / denom).max()))
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+            worst = max(worst, float((np.abs(analytic - numeric) / denom).max()))
         elapsed = time.perf_counter() - started
         ok = worst < 1e-4 and elapsed < 5.0
         assert _report(1, "gradient matches central differences", ok, f"max rel err {worst:.2e}, {elapsed:.1f}s")
@@ -192,6 +187,10 @@ class TestCriterion3Calibration:
         )
         assert sweep_ok
         assert pipeline_ok
+
+    def test_default_scorer_needs_no_jitter(self, full_run):
+        scorer = json.loads((full_run["out"] / "scorer.json").read_text())
+        assert scorer["residual_jitter"] == 0.0
 
 
 class TestCriterion4SyntheticEndToEnd:

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -35,6 +36,7 @@ from aeromon.config import default_config
 from aeromon.dataset import (
     Dataset,
     Label,
+    MinMaxScaler,
     SynthConfig,
     apply_scaler,
     fit_scaler,
@@ -51,11 +53,11 @@ POLICIES = (MSE_POLICY, MAHALANOBIS_POLICY)
 
 
 def _identity_net():
-    return Network([np.eye(7)], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
+    return Network(np.concatenate([np.eye(7).ravel(), np.zeros(7)]), [LayerSpec(7, 7, "identity")])
 
 
 def _zero_net():
-    return Network([np.zeros((7, 7))], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
+    return Network(np.zeros(7 * 7 + 7), [LayerSpec(7, 7, "identity")])
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +352,21 @@ class TestScorerSerialization:
             assert back.policy == scorer.policy
             feats = trained["test"].features[:25]
             assert score_batch(back, feats).tobytes() == score_batch(scorer, feats).tobytes()
+
+    def test_residual_jitter_recorded(self, tmp_path):
+        # zero net and identity scaler: the residual is -x. Channels 0 and 1 are
+        # equal with unit variance, exactly in floating point, so the residual
+        # covariance is singular and factors only with jitter
+        feats = np.random.default_rng(3).random((17, 7))
+        feats[:, 0] = feats[:, 1] = [1.0] * 8 + [-1.0] * 8 + [0.0]
+        data, scaler = Dataset(feats), MinMaxScaler(np.zeros(7), np.ones(7))
+        written = {}
+        for kind in POLICIES:
+            scorer = calibrate(_zero_net(), scaler, data, ThresholdPolicy(kind, 85.0))
+            save_scorer(scorer, tmp_path / "scorer.json", "model.json")
+            written[kind] = json.loads((tmp_path / "scorer.json").read_text())["residual_jitter"]
+        assert written[MSE_POLICY] is None
+        assert written[MAHALANOBIS_POLICY] == scorer.stats.chol.jitter > 0.0
 
 
 class TestBatchScoring:

@@ -27,21 +27,22 @@ from aeromon.errors import DomainError, InsufficientDataError, ShapeError
 
 def finite_difference_grads(net, x, h=1e-5):
     """Central-difference gradient of the reconstruction MSE, parameter by
-    parameter. Independent of the analytic backward pass."""
-    grads = []
-    for arr in net.parameters():
-        g = np.zeros_like(arr)
-        flat, gflat = arr.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = mse_loss(x, forward(net, x)[0])
-            flat[i] = orig - h
-            lm = mse_loss(x, forward(net, x)[0])
-            flat[i] = orig
-            gflat[i] = (lp - lm) / (2.0 * h)
-        grads.append(g)
+    parameter, laid out like net.params. Independent of the analytic backward pass."""
+    grads = np.zeros_like(net.params)
+    for i in range(net.params.size):
+        orig = net.params[i]
+        net.params[i] = orig + h
+        lp = mse_loss(x, forward(net, x)[0])
+        net.params[i] = orig - h
+        lm = mse_loss(x, forward(net, x)[0])
+        net.params[i] = orig
+        grads[i] = (lp - lm) / (2.0 * h)
     return grads
+
+
+def _net(weights, biases, specs):
+    """A network from per-layer weight and bias arrays, packed in the params layout."""
+    return Network(np.concatenate([part for w, b in zip(weights, biases) for part in (w.ravel(), b)]), specs)
 
 
 def _one_row(seed, dim=7):
@@ -61,17 +62,14 @@ def masked_sigmoid(z):
 
 
 def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for a, f in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
-        worst = max(worst, float((np.abs(a - f) / denom).max()))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    return float((np.abs(analytic - numeric) / denom).max())
 
 
 class TestInit:
     def test_parameter_count_default_topology(self):
         net = init_network(default_autoencoder_specs(), seed=0)
-        count = sum(p.size for p in net.parameters())
+        count = net.params.size
         assert count == (7 * 5 + 5) + (5 * 3 + 3) + (3 * 5 + 5) + (5 * 7 + 7)
         assert count == 120
 
@@ -99,22 +97,18 @@ class TestInit:
 class TestForward:
     def test_zero_network_outputs_zero(self):
         specs = default_autoencoder_specs()
-        net = Network(
-            [np.zeros((s.out_dim, s.in_dim)) for s in specs],
-            [np.zeros(s.out_dim) for s in specs],
-            specs,
-        )
+        net = _net([np.zeros((s.out_dim, s.in_dim)) for s in specs], [np.zeros(s.out_dim) for s in specs], specs)
         out, _ = forward(net, np.arange(7.0)[None])
         assert np.array_equal(out, np.zeros((1, 7)))
 
     def test_identity_layer(self):
-        net = Network([np.eye(7)], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
+        net = _net([np.eye(7)], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
         x = np.linspace(-1, 1, 7)[None]
         out, _ = forward(net, x)
         assert np.array_equal(out, x)
 
     def test_elu_negative_branch(self):
-        net = Network([np.eye(1)], [np.zeros(1)], [LayerSpec(1, 1, "elu")])
+        net = _net([np.eye(1)], [np.zeros(1)], [LayerSpec(1, 1, "elu")])
         out, _ = forward(net, np.array([[-1.0]]))
         assert out[0, 0] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-12)
         assert out[0, 0] == pytest.approx(-0.632121, abs=1e-6)
@@ -167,12 +161,11 @@ class TestMseLoss:
 
 class TestBackward:
     def test_zero_gradient_at_perfect_reconstruction(self):
-        net = Network([np.eye(7)], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
+        net = _net([np.eye(7)], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
         x = np.linspace(0.1, 0.7, 7)[None]
         _, cache = forward(net, x)
         grads = backward(net, cache, x)
-        for g in grads:
-            assert np.array_equal(g, np.zeros_like(g))
+        assert np.array_equal(grads, np.zeros_like(grads))
 
     def test_matches_finite_differences(self):
         net = init_network(default_autoencoder_specs(), seed=17)
@@ -185,14 +178,14 @@ class TestBackward:
     def test_residual_scaling_is_linear(self):
         # single identity layer; scaling the residual (x_hat - x) by c must
         # scale the weight gradient by c at a fixed forward cache
-        net = Network([np.eye(3) * 0.5], [np.zeros(3)], [LayerSpec(3, 3, "identity")])
+        net = _net([np.eye(3) * 0.5], [np.zeros(3)], [LayerSpec(3, 3, "identity")])
         x0 = np.array([[0.2, 0.4, 0.6]])
         out, cache = forward(net, x0)
         x1 = out - (out - x0) * 3.0  # residual scaled by 3
         g0 = backward(net, cache, x0)
         g1 = backward(net, cache, x1)
-        assert np.allclose(g1[0], 3.0 * g0[0], atol=1e-12)
-        assert np.allclose(g1[1], 3.0 * g0[1], atol=1e-12)
+        assert np.allclose(g1[:9], 3.0 * g0[:9], atol=1e-12)  # the weights
+        assert np.allclose(g1[9:], 3.0 * g0[9:], atol=1e-12)  # the biases
 
     def test_batch_gradient_is_mean_of_rows(self):
         net = init_network(default_autoencoder_specs(), seed=23)
@@ -200,13 +193,11 @@ class TestBackward:
         batch = np.array([[rng.random() for _ in range(7)] for _ in range(5)])
         _, cache = forward(net, batch)
         batch_grads = backward(net, cache, batch)
-        sums = [np.zeros_like(g) for g in batch_grads]
+        sums = np.zeros_like(batch_grads)
         for i in range(5):
             _, row_cache = forward(net, batch[i : i + 1])
-            for s, g in zip(sums, backward(net, row_cache, batch[i : i + 1])):
-                s += g
-        for bg, s in zip(batch_grads, sums):
-            assert np.allclose(bg, s / 5.0, atol=1e-14)
+            sums += backward(net, row_cache, batch[i : i + 1])
+        assert np.allclose(batch_grads, sums / 5.0, atol=1e-14)
 
     def test_one_sample_vector_rejected(self):
         net = init_network(default_autoencoder_specs(), seed=23)
@@ -226,10 +217,10 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = [np.array([1.0, -2.0])]
+        params = np.array([1.0, -2.0])
         state = AdamState.for_params(params, lr=0.001)
-        adam_step(state, params, [np.zeros(2)])
-        assert np.array_equal(params[0], [1.0, -2.0])
+        adam_step(state, params, np.zeros(2))
+        assert np.array_equal(params, [1.0, -2.0])
         assert state.t == 1
 
     def test_first_step_hand_computed(self):
@@ -237,31 +228,41 @@ class TestAdam:
         # restores m_hat=g, v_hat=g^2, so the update is lr*g/(|g|+eps)
         g = 0.37
         lr = 0.001
-        params = [np.array([2.0])]
+        params = np.array([2.0])
         state = AdamState.for_params(params, lr=lr)
-        adam_step(state, params, [np.array([g])])
+        adam_step(state, params, np.array([g]))
         expected = 2.0 - lr * g / (abs(g) + 1e-8)
-        assert params[0][0] == pytest.approx(expected, abs=1e-15)
-        assert abs(2.0 - params[0][0]) == pytest.approx(lr, rel=1e-6)
+        assert params[0] == pytest.approx(expected, abs=1e-15)
+        assert abs(2.0 - params[0]) == pytest.approx(lr, rel=1e-6)
 
     def test_deterministic(self):
         def run():
-            params = [np.array([0.5, 0.5]), np.array([[1.0, 2.0]])]
+            params = np.array([0.5, 0.5, 1.0, 2.0])
             state = AdamState.for_params(params, lr=0.01)
             for i in range(10):
-                grads = [np.array([0.1 * i, -0.2]), np.array([[0.3, 0.05 * i]])]
-                adam_step(state, params, grads)
+                adam_step(state, params, np.array([0.1 * i, -0.2, 0.3, 0.05 * i]))
             return params
 
-        a, b = run(), run()
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        params = [np.zeros(2)]
+        params = np.zeros(2)
         state = AdamState.for_params(params, lr=0.01)
         with pytest.raises(ShapeError):
-            adam_step(state, params, [np.zeros(3)])
+            adam_step(state, params, np.zeros(3))
+
+    def test_step_on_network_params_moves_its_output(self):
+        # weights and biases are views into net.params, so an in-place step
+        # reaches forward; a clone owns its own copy
+        net = init_network(default_autoencoder_specs(), seed=21)
+        twin = net.clone()
+        assert not np.shares_memory(twin.params, net.params)
+        x = _one_row(22)
+        before = forward(net, x)[0]
+        _, cache = forward(net, x)
+        adam_step(AdamState.for_params(net.params, lr=0.01), net.params, backward(net, cache, x))
+        assert not np.array_equal(forward(net, x)[0], before)
+        assert np.array_equal(forward(twin, x)[0], before)
 
 
 def _constant_sets(n=256, dim=7):

@@ -164,7 +164,7 @@ class TestBaselineKeys:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         kind_flag = next(a for a in sub.choices["train-clf"]._actions if a.dest == "kind")
         assert tuple(kind_flag.choices) == tuple(_BASELINE_PREFIXES) == tuple(_KINDS) == CLASSIFIER_KINDS
-        # the order fixes each kind's training seed in the default run
+        # the order fixes each kind's training seed (PipelineConfig.baseline_seed) in every run
         assert CLASSIFIER_KINDS == ("logreg", "gaussian_nb", "knn", "decision_tree", "random_forest", "mlp")
 
     def test_train_clf_flags_override_the_kinds_keys(self):

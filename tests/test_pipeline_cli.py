@@ -12,7 +12,7 @@ import pytest
 import aeromon
 from aeromon import baselines
 from aeromon.cli import main
-from aeromon.config import default_config
+from aeromon.config import STAGE_BASELINE_BASE, default_config
 from aeromon.dataset import SynthConfig, apply_scaler, generate_synthetic, load_csv, save_csv
 from aeromon.errors import ConfigError
 from aeromon.numerics import derive_seed
@@ -73,6 +73,13 @@ class TestRunPipeline:
         out_b, manifest_b = _run(tmp_path, "b", seed=8)
         assert manifest_a.config_hash != manifest_b.config_hash
         assert (out_a / "data.csv").read_bytes() != (out_b / "data.csv").read_bytes()
+
+    def test_baseline_seed_is_keyed_by_kind(self, tmp_path):
+        # a kind trains alike whatever else baseline_kinds lists
+        out_all, _ = _run(tmp_path, "all")
+        out_one, _ = _run(tmp_path, "one", baseline_kinds="random_forest")
+        forest = "clf_random_forest.json"
+        assert (out_one / forest).read_bytes() == (out_all / forest).read_bytes()
 
     def test_comparison_has_one_row_per_model(self, tmp_path):
         out, _ = _run(tmp_path, "a")
@@ -204,13 +211,28 @@ class TestCliStages:
         candidates = default_config({**FAST_KEYS, "knn_k_grid": "1,5"}).baseline_candidates("knn")
         scaler = _OutputDir(out).read_scaler(baselines.SUPERVISED_SCALER_FILE)
         scaled = apply_scaler(scaler, load_csv(Path(out) / "supervised_train.csv", has_labels=True))
-        cv = [baselines.cross_validate(c, scaled, folds=5, seed=derive_seed(7, 90)) for c in candidates]
+        seed = derive_seed(7, STAGE_BASELINE_BASE + baselines.CLASSIFIER_KINDS.index("knn"))
+        cv = [baselines.cross_validate(c, scaled, folds=5, seed=seed) for c in candidates]
         means = [mean_f1 for mean_f1, _ in cv]
         best = candidates[means.index(max(means))]
         assert printed == [
             f"knn {c}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}"
             for c, (mean_f1, per_fold) in zip(candidates, cv)
         ] + [f"wrote clf_knn.json (selected {best})"]
+
+    def test_train_clf_reproduces_the_pipelines_files(self, tmp_path, capsys):
+        # a two-value logreg grid: with --cv and no grid flag, train-clf selects over it
+        cfg_file = _fast_config_file(tmp_path, logreg_l2_grid="0,0.1")
+        out = tmp_path / "work"
+        base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
+        assert main(base + ["run"]) == 0
+        for kind, flags in (("random_forest", []), ("mlp", []), ("logreg", ["--cv"])):
+            written = (out / f"clf_{kind}.json").read_bytes()
+            (out / f"clf_{kind}.json").unlink()
+            capsys.readouterr()
+            assert main(base + ["train-clf", "--kind", kind, *flags]) == 0
+            assert (out / f"clf_{kind}.json").read_bytes() == written, kind
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 1  # one line per grid value, then the file
 
     def test_run_command(self, tmp_path):
         cfg_file = _fast_config_file(tmp_path)
@@ -338,9 +360,9 @@ class TestBrokenScorer:
 
 @pytest.fixture(scope="module")
 def evaluated(tmp_path_factory):
-    """A work directory after a full run with the logreg, kNN, tree and forest baselines."""
+    """A work directory after a full run with the logreg, kNN, tree, forest and MLP baselines."""
     root = tmp_path_factory.mktemp("evaluated")
-    cfg_file = _fast_config_file(root, baseline_kinds="logreg,knn,decision_tree,random_forest")
+    cfg_file = _fast_config_file(root, baseline_kinds="logreg,knn,decision_tree,random_forest,mlp")
     out = root / "work"
     assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "run"]) == 0
     return cfg_file, out
@@ -350,6 +372,16 @@ def _edit_json(path, edit):
     d = json.loads(path.read_text())
     edit(d)
     path.write_text(json.dumps(d))
+
+
+def _to_format_v1(net):
+    """Rewrite a network dict in place into the version-1 layout: a list of per-layer dicts."""
+    flat, layers = net.pop("params"), []
+    for n_in, n_out in zip(net["topology"], net["topology"][1:]):
+        end = n_out * (n_in + 1)
+        layers.append({"weights": flat[: end - n_out], "biases": flat[end - n_out : end]})
+        flat = flat[end:]
+    net.update(format_version=1, layers=layers)
 
 
 def _replace_first_row(path, row):
@@ -372,6 +404,7 @@ def _swap_first_rows(path):
 
 
 _EMPTY_TREE = dict.fromkeys(("feature", "threshold", "left", "right", "leaf"), [])
+_NO_LAYERS = {"topology": [7], "activations": [], "params": []}
 # a tree as nested dicts, as older versions wrote tree files
 _NESTED_TREE = {"feature": 0, "threshold": 0.5, "left": {"leaf": 0.0, "n": 3}, "right": {"leaf": 1.0, "n": 3}}
 
@@ -382,7 +415,7 @@ class TestBrokenArtifacts:
         [
             ("calibrate", "scaler_ae.json", lambda p: p.write_text("{not json")),
             ("calibrate", "model_ae.json", lambda p: p.write_text(p.read_text()[:100])),
-            ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d["layers"][0]["weights"].pop())),
+            ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d["params"].pop(0))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.pop("config"))),
             ("evaluate", "clf_logreg.json", lambda p: _edit_json(p, lambda d: d.update(kind="mlp"))),
             ("evaluate", "scaler_supervised.json", lambda p: _edit_json(p, lambda d: d.pop("ranges"))),
@@ -398,10 +431,11 @@ class TestBrokenArtifacts:
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=None))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=5))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d["config"].update(k=4))),
-            ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["layers", 0, "weights", 0], "Infinity")),
+            ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["params", 0], "Infinity")),
             ("evaluate", "clf_logreg.json", lambda p: _set_literal(p, ["weights", 0], "1e999")),
             ("evaluate", "scaler_supervised.json", lambda p: _set_literal(p, ["ranges", 2], "-Infinity")),
-            ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["layers", 1, "biases", 0], "1" + "0" * 400)),
+            # params[55] is layer 1's first bias, after 7*5+5 and 5*3 entries
+            ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["params", 55], "1" + "0" * 400)),
             ("evaluate", "clf_decision_tree.json", lambda p: _set_literal(p, ["root", "feature", 0], "9")),
             ("evaluate", "clf_decision_tree.json", lambda p: _set_literal(p, ["root", "feature", 0], "-2")),
             ("evaluate", "clf_decision_tree.json", lambda p: _edit_json(p, lambda d: d["root"].pop("leaf"))),
@@ -417,6 +451,17 @@ class TestBrokenArtifacts:
             ("evaluate", "clf_random_forest.json", lambda p: _set_literal(p, ["trees", 3, "feature", 0], "9")),
             ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d["activations"].__setitem__(0, "relu"))),
             ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["topology", 1], "0")),
+            ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d["activations"].append("identity"))),
+            ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d["topology"].pop())),
+            ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d.update(params=d["params"][:-42]))),
+            ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d["params"].append(0.0))),
+            ("calibrate", "model_ae.json", lambda p: _edit_json(p, _to_format_v1)),
+            ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d.update(_NO_LAYERS))),
+            ("evaluate", "clf_mlp.json", lambda p: _edit_json(p, lambda d: d["network"]["activations"].append("elu"))),
+            ("evaluate", "clf_mlp.json", lambda p: _edit_json(p, lambda d: d["network"]["topology"].pop())),
+            ("evaluate", "clf_mlp.json", lambda p: _edit_json(p, lambda d: d["network"]["params"].pop())),
+            ("evaluate", "clf_mlp.json", lambda p: _edit_json(p, lambda d: d["network"]["params"].append(0.0))),
+            ("evaluate", "clf_mlp.json", lambda p: _edit_json(p, lambda d: _to_format_v1(d["network"]))),
             ("calibrate", "scaler_ae.json", lambda p: _set_literal(p, ["ranges", 0], "-1.0")),
             ("calibrate", "scaler_ae.json", lambda p: _edit_json(p, lambda d: d["mins"].pop())),
             ("score", "scorer.json", lambda p: _edit_json(p, lambda d: d.update(threshold="nan"))),
@@ -459,6 +504,17 @@ class TestBrokenArtifacts:
             "forest_tree_feature_past_channels",
             "unknown_activation",
             "zero_layer_width",
+            "model_activation_extra",
+            "model_topology_short",
+            "model_params_short_a_layer",
+            "model_params_long",
+            "model_format_v1",
+            "model_without_layers",
+            "mlp_activation_extra",
+            "mlp_topology_short",
+            "mlp_params_short",
+            "mlp_params_long",
+            "mlp_format_v1",
             "negative_scaler_range",
             "scaler_mins_short",
             "nan_threshold",
