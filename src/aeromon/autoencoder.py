@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import write_csv
 from .errors import DataError, DomainError, InsufficientDataError, ShapeError, read_json_artifact, write_json_artifact
 from .numerics import Rng
 
@@ -373,8 +372,3 @@ def save_network(net: Network, path) -> None:
 def load_network(path) -> Network:
     return read_json_artifact(path, network_from_dict)
 
-
-def write_epoch_log(history: list[tuple[float, float, float]], path) -> None:
-    columns = np.array(history, dtype=np.float64).reshape(-1, 3).T
-    epochs = np.arange(1, len(history) + 1)
-    write_csv(path, "epoch,train_mse,val_mse,lr", "{},{!r},{!r},{!r}\n", epochs, *columns)

@@ -44,8 +44,7 @@ from .errors import (
 from .evaluation import confusion
 from .numerics import Rng, derive_seed, row_sums
 
-CLASSIFIER_FORMAT_VERSION = 1
-SUPERVISED_SCALER_FILE = "scaler_supervised.json"
+CLASSIFIER_FORMAT_VERSION = 2
 
 LOGREG = "logreg"
 GAUSSIAN_NB = "gaussian_nb"
@@ -101,12 +100,10 @@ class ClassifierConfig:
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    """A fitted baseline; `scaler_ref` names the scaler file (in the same
-    output directory) that its training features were scaled with."""
+    """A fitted baseline: its config and the arrays its kind predicts from."""
 
     config: ClassifierConfig
     payload: dict
-    scaler_ref: str = SUPERVISED_SCALER_FILE
 
     @property
     def kind(self) -> str:
@@ -531,9 +528,7 @@ def _to_json(value):
 def model_to_dict(model: ClassifierModel) -> dict:
     return {
         "format_version": CLASSIFIER_FORMAT_VERSION,
-        "kind": model.kind,
         "config": asdict(model.config),
-        "scaler_ref": model.scaler_ref,
         **{name: _to_json(value) for name, value in model.payload.items()},
     }
 
@@ -542,12 +537,7 @@ def model_from_dict(d: dict) -> ClassifierModel:
     if d.get("format_version") != CLASSIFIER_FORMAT_VERSION:
         raise DataError(f"unsupported classifier format version {d.get('format_version')!r}")
     cfg = ClassifierConfig(**d["config"])
-    scaler_ref = d.get("scaler_ref")
-    if not isinstance(scaler_ref, str):
-        raise DataError(f"classifier scaler_ref must be a file name, got {scaler_ref!r}")
-    if d["kind"] != cfg.kind:
-        raise DataError(f"classifier file names kind {d['kind']!r} but its config is for {cfg.kind!r}")
-    return ClassifierModel(config=cfg, payload=_KINDS[cfg.kind].read(d, cfg), scaler_ref=scaler_ref)
+    return ClassifierModel(config=cfg, payload=_KINDS[cfg.kind].read(d, cfg))
 
 
 def save_model(model: ClassifierModel, path) -> None:

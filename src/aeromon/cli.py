@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .baselines import CLASSIFIER_KINDS, SUPERVISED_SCALER_FILE, ClassifierConfig
-from .baselines import cross_validate, save_model, select_model
+from .baselines import CLASSIFIER_KINDS, ClassifierConfig
 from .config import PipelineConfig, baseline_key, default_config, load_config
-from .dataset import apply_scaler, load_csv
-from .errors import ConfigError, ToolkitError
-from .pipeline import _PIPELINE_STAGES, _OutputDir, run_pipeline, stage_histogram, stage_ingest, stage_score
+from .errors import ToolkitError
+from .pipeline import _PIPELINE_STAGES, _OutputDir, run_pipeline, scaled_supervised_train, train_baseline
+from .pipeline import stage_histogram, stage_ingest, stage_score
 
 # subcommand -> stage function: pipeline stages keep their names, ingest is `generate`
 _STAGE_COMMANDS = dict(_PIPELINE_STAGES, generate=stage_ingest, score=stage_score, histogram=stage_histogram)
@@ -43,10 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_clf = sub.add_parser("train-clf", help="train one supervised baseline standalone")
     p_clf.add_argument("--kind", required=True, choices=CLASSIFIER_KINDS)
-    p_clf.add_argument("--cv", action="store_true", help="pick the best grid value (flags, else config) by CV F1")
     # each hyperparameter flag's dest is its ClassifierConfig field; it overrides the kind's config key
-    p_clf.add_argument("--k", help="k-NN neighbour count (comma grid with --cv)")
-    p_clf.add_argument("--l2", dest="l2_strength", help="logreg L2 strength (comma grid with --cv)")
+    p_clf.add_argument("--k", help="k-NN neighbour count (a comma grid is selected over by CV F1)")
+    p_clf.add_argument("--l2", dest="l2_strength", help="logreg L2 strength (a comma grid is selected over by CV F1)")
     p_clf.add_argument("--lr", dest="learning_rate", type=float, help="learning rate (logreg/mlp)")
     p_clf.add_argument("--epochs", type=int, help="training epochs (logreg/mlp)")
     p_clf.add_argument("--trees", dest="n_trees", type=int, help="forest size")
@@ -81,24 +79,11 @@ def _resolve(args) -> PipelineConfig:
     return default_config(overrides)
 
 
-def _train_clf_command(cfg: PipelineConfig, out: _OutputDir, args) -> None:
-    candidates = cfg.baseline_candidates(args.kind)
-    if not args.cv and args.k is None and args.l2_strength is None:
-        candidates = candidates[:1]  # without --cv, the config's grid gives its first value
-    if not args.cv and len(candidates) > 1:
-        raise ConfigError("multiple grid values need --cv")
-
-    supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
-    scaled = apply_scaler(out.read_scaler(SUPERVISED_SCALER_FILE), supervised)
-    seed = cfg.baseline_seed(args.kind)
-    best, model, scores = select_model(candidates, scaled, seed=seed, folds=cfg["cv_folds"])
-    if args.cv:
-        # a single candidate skips CV in select_model; --cv still reports its score
-        scores = scores or [cross_validate(candidates[0], scaled, folds=cfg["cv_folds"], seed=seed)]
-        for cand, (mean_f1, per_fold) in zip(candidates, scores):
-            print(f"{cand.kind} {cand}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
-    save_model(model, out.file(f"clf_{args.kind}.json"))
-    print(f"wrote clf_{args.kind}.json (selected {best})")
+def _train_clf_command(cfg: PipelineConfig, out: _OutputDir, kind: str) -> None:
+    best, cv = train_baseline(cfg, out, kind, scaled_supervised_train(out))
+    for cand, (mean_f1, per_fold) in cv:
+        print(f"{kind} {cand}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
+    print(f"wrote clf_{kind}.json (selected {best})")
 
 
 def main(argv=None) -> int:
@@ -112,7 +97,7 @@ def main(argv=None) -> int:
                 print(f"config hash {manifest.config_hash}")
             return 0
         if args.command == "train-clf":
-            _train_clf_command(cfg, out, args)
+            _train_clf_command(cfg, out, args.kind)
             return 0
         inputs = {"input_name": args.input} if hasattr(args, "input") else {}
         written = _STAGE_COMMANDS[args.command](cfg, out, **inputs)

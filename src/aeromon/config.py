@@ -13,13 +13,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from .autoencoder import TrainConfig
 from .baselines import CLASSIFIER_KINDS, ClassifierConfig
 from .anomaly import POLICY_KINDS, ThresholdPolicy
 from .dataset import SynthConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .numerics import derive_seed
 
 
@@ -249,8 +250,6 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError("test_fraction must lie in (0, 1)")
     if not 0.0 <= resolved["ae_val_fraction"] < 1.0:
         raise ConfigError("ae_val_fraction must lie in [0, 1)")
-    if not 0.0 < resolved["threshold_percentile"] < 100.0:
-        raise ConfigError("threshold_percentile must lie in (0, 100)")
     if resolved["cv_folds"] < 2:
         raise ConfigError("cv_folds must be >= 2")
     if resolved["histogram_bins"] < 2:
@@ -258,6 +257,14 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> PipelineConfig:
 
     cfg = PipelineConfig(resolved=resolved)
     cfg.baseline_kinds()  # validates the kind list eagerly
+    # build every section once, so an out-of-range value fails here and not mid-run
+    sections = {"synth_*": cfg.synth_config, "ae_*": cfg.train_config, "threshold_*": cfg.threshold_policy}
+    sections.update({f"{kind} baseline": partial(cfg.baseline_candidates, kind) for kind in CLASSIFIER_KINDS})
+    for keys, build in sections.items():
+        try:
+            build()
+        except DomainError as exc:
+            raise ConfigError(f"{keys} keys: {exc}") from None
     return cfg
 
 

@@ -12,7 +12,7 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from operator import itemgetter
 from pathlib import Path
@@ -228,10 +228,6 @@ class SplitResult:
     supervised_train: Dataset
     ae_train: Dataset
     ae_val: Dataset
-    test_indices: np.ndarray = field(repr=False, default=None)
-    supervised_indices: np.ndarray = field(repr=False, default=None)
-    ae_train_indices: np.ndarray = field(repr=False, default=None)
-    ae_val_indices: np.ndarray = field(repr=False, default=None)
 
 
 def _round_half_up(x: float) -> int:
@@ -296,10 +292,6 @@ def split(
         supervised_train=data.subset(train_idx),
         ae_train=data.subset(ae_train_idx),
         ae_val=data.subset(ae_val_idx),
-        test_indices=test_idx,
-        supervised_indices=train_idx,
-        ae_train_indices=ae_train_idx,
-        ae_val_indices=ae_val_idx,
     )
 
 

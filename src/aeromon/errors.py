@@ -84,12 +84,14 @@ def read_json_artifact(path, from_dict):
     """`from_dict` of the JSON object in `path`. An unreadable or unparsable
     file, a non-finite number (NaN, Infinity, or a literal such as 1e999 or a
     400-digit integer that overflows a float), a missing key, or a value of the
-    wrong type, size or range (a DomainError or ShapeError of `from_dict`)
-    raises DataError."""
+    wrong type, size or range (a DataError, DomainError or ShapeError of
+    `from_dict`) raises a DataError that names the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         return from_dict(json.loads(text, parse_constant=_finite_float, parse_float=_finite_float))
-    except (OSError, ValueError, OverflowError, KeyError, TypeError, AttributeError, DomainError, ShapeError) as exc:
+    except (
+        OSError, ValueError, OverflowError, KeyError, TypeError, AttributeError, DataError, DomainError, ShapeError
+    ) as exc:
         raise DataError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 

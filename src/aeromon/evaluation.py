@@ -7,8 +7,6 @@ the `degenerate` field instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import CHANNELS, Dataset
@@ -86,16 +84,10 @@ def auroc(scores, truth) -> float:
     return u / (n_pos * n_neg)
 
 
-@dataclass(frozen=True)
-class ChannelHistogram:
-    channel: str
-    edges: np.ndarray  # bins + 1 boundaries
-    counts_normal: np.ndarray
-    counts_anomalous: np.ndarray
-
-
-def feature_histograms(data: Dataset, bins: int = 50) -> list[ChannelHistogram]:
-    """Per-channel, per-class counts over equal-width bins.
+def feature_histograms(data: Dataset, bins: int = 50) -> tuple[np.ndarray, ...]:
+    """Per-channel, per-class counts over equal-width bins, as the six columns
+    channel, class ("normal", then "anomalous"), bin index, bin left edge, bin
+    right edge and count, one row per channel, class and bin.
 
     Bins span each channel's observed range across both classes; a constant
     channel puts all mass into a single bin.
@@ -105,36 +97,15 @@ def feature_histograms(data: Dataset, bins: int = 50) -> list[ChannelHistogram]:
         raise InsufficientDataError("cannot histogram an empty dataset")
     if bins < 2:
         raise DomainError("need at least 2 bins")
-    out = []
-    for j, name in enumerate(CHANNELS):
-        col = data.features[:, j]
+    parts = []
+    for name, col in zip(CHANNELS, data.features.T):
         lo, hi = float(col.min()), float(col.max())
-        if lo == hi:
-            edges = np.array([lo, lo + 1.0])
-        else:
-            edges = np.linspace(lo, hi, bins + 1)
-        normal, _ = np.histogram(col[labels == 0], bins=edges)
-        anomalous, _ = np.histogram(col[labels == 1], bins=edges)
-        out.append(
-            ChannelHistogram(
-                channel=name,
-                edges=edges,
-                counts_normal=normal,
-                counts_anomalous=anomalous,
-            )
-        )
-    return out
-
-
-def histograms_to_csv_lines(histograms: list[ChannelHistogram]) -> list[str]:
-    lines = ["channel,class,bin_index,bin_left,bin_right,count"]
-    for h in histograms:
-        for cls_name, counts in (("normal", h.counts_normal), ("anomalous", h.counts_anomalous)):
-            for b, count in enumerate(counts):
-                lines.append(
-                    f"{h.channel},{cls_name},{b},{float(h.edges[b])!r},{float(h.edges[b + 1])!r},{int(count)}"
-                )
-    return lines
+        edges = np.array([lo, lo + 1.0]) if lo == hi else np.linspace(lo, hi, bins + 1)
+        for cls_name, cls in (("normal", 0), ("anomalous", 1)):
+            counts, _ = np.histogram(col[labels == cls], bins=edges)
+            k = counts.size
+            parts.append((np.full(k, name), np.full(k, cls_name), np.arange(k), edges[:-1], edges[1:], counts))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _score_summary(scores: np.ndarray) -> dict:

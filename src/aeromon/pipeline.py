@@ -20,6 +20,8 @@ Fixed artifact names inside the output directory:
     clf_<kind>.json             fitted baseline classifiers
     report_<name>.json          per-model evaluation reports
     comparison.csv              Model,Precision,Recall,F1-score,Accuracy
+    scores.csv                  index,score,decision (score stage)
+    histograms.csv              channel,class,bin_index,bin_left,bin_right,count (histogram stage)
     manifest.json               config hash + artifact list (deterministic)
     run_log.csv                 per-stage wall-clock timing (not hashed)
 """
@@ -42,9 +44,8 @@ from .autoencoder import (
     load_network,
     save_network,
     train,
-    write_epoch_log,
 )
-from .baselines import SUPERVISED_SCALER_FILE, load_model, predict, save_model, select_model
+from .baselines import load_model, predict, save_model, select_model
 from .config import STAGE_SPLIT, PipelineConfig
 from .dataset import (
     Dataset,
@@ -63,10 +64,9 @@ from .errors import (
     ParseError,
     ToolkitError,
     read_json_artifact,
-    write_atomic,
     write_json_artifact,
 )
-from .evaluation import evaluate_model, feature_histograms, histograms_to_csv_lines
+from .evaluation import evaluate_model, feature_histograms
 from .numerics import derive_seed
 
 MANIFEST_FORMAT_VERSION = 1
@@ -109,9 +109,6 @@ class _OutputDir:
 
     def write_json(self, name: str, payload: dict) -> None:
         write_json_artifact(self.file(name), payload)
-
-    def write_lines(self, name: str, lines: list[str]) -> None:
-        write_atomic(self.file(name), "\n".join(lines) + "\n")
 
 
 class _Lock:
@@ -174,8 +171,8 @@ def stage_fit_scalers(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
     out.write_json("scaler_ae.json", fit_scaler(ae_train).to_dict())
-    out.write_json(SUPERVISED_SCALER_FILE, fit_scaler(supervised).to_dict())
-    return ["scaler_ae.json", SUPERVISED_SCALER_FILE]
+    out.write_json("scaler_supervised.json", fit_scaler(supervised).to_dict())
+    return ["scaler_ae.json", "scaler_supervised.json"]
 
 
 def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
@@ -186,7 +183,8 @@ def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     net = init_network(default_autoencoder_specs(), train_cfg.seed)
     best, history = train(net, ae_train, ae_val, train_cfg)
     save_network(best, out.file("model_ae.json"))
-    write_epoch_log(history, out.file("ae_training_log.csv"))
+    log_columns = np.arange(1, len(history) + 1), *np.array(history).T
+    write_csv(out.file("ae_training_log.csv"), "epoch,train_mse,val_mse,lr", "{},{!r},{!r},{!r}\n", *log_columns)
     return ["model_ae.json", "ae_training_log.csv"]
 
 
@@ -208,16 +206,29 @@ def stage_score(cfg: PipelineConfig, out: _OutputDir, input_name: str = "test_fe
     return ["scores.csv"]
 
 
+def scaled_supervised_train(out: _OutputDir) -> Dataset:
+    """supervised_train.csv scaled by scaler_supervised.json: what every baseline trains on."""
+    supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
+    return apply_scaler(out.read_scaler("scaler_supervised.json"), supervised)
+
+
+def train_baseline(cfg: PipelineConfig, out: _OutputDir, kind: str, train_set: Dataset) -> tuple:
+    """Fit the `kind` baseline on `train_set` and write clf_<kind>.json. A grid
+    of more than one value is selected over by CV F1. Returns the chosen
+    candidate and (candidate, cross_validate result) per candidate, none for one."""
+    candidates = cfg.baseline_candidates(kind)
+    best, model, scores = select_model(candidates, train_set, seed=cfg.baseline_seed(kind), folds=cfg["cv_folds"])
+    save_model(model, out.file(f"clf_{kind}.json"))
+    return best, list(zip(candidates, scores))
+
+
 def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     kinds = cfg.baseline_kinds()
     if not kinds:
         return []
-    supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
-    scaled = apply_scaler(out.read_scaler(SUPERVISED_SCALER_FILE), supervised)
+    train_set = scaled_supervised_train(out)
     for kind in kinds:
-        candidates = cfg.baseline_candidates(kind)
-        _, model, _ = select_model(candidates, scaled, seed=cfg.baseline_seed(kind), folds=cfg["cv_folds"])
-        save_model(model, out.file(f"clf_{kind}.json"))
+        train_baseline(cfg, out, kind, train_set)
     return [f"clf_{kind}.json" for kind in kinds]
 
 
@@ -248,34 +259,37 @@ def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     test = _load_test_set(out)
     scorer = load_scorer(out.file("scorer.json"))
     deciders = {"ae": lambda x: classify(scorer, x)}
-    for kind in cfg.baseline_kinds():
+    kinds = cfg.baseline_kinds()
+    scaler = out.read_scaler("scaler_supervised.json") if kinds else None
+    for kind in kinds:
         model = load_model(out.file(f"clf_{kind}.json"))
-        scaler = out.read_scaler(model.scaler_ref)
-        deciders[kind] = lambda x, m=model, s=scaler: predict(m, s.transform(x))
+        deciders[kind] = lambda x, m=model: predict(m, scaler.transform(x))
     for name, decide in deciders.items():
         out.write_json(f"report_{name}.json", evaluate_model(decide, test, model_name=name))
     return [f"report_{name}.json" for name in deciders]
 
 
-def _comparison_row(r: dict) -> str:
-    return f"{r['model']},{r['precision']!r},{r['recall']!r},{r['f1']!r},{r['accuracy']!r}"
+def _comparison_row(r: dict) -> tuple:
+    return (r["model"], *(float(r[key]) for key in ("precision", "recall", "f1", "accuracy")))
 
 
 def stage_compare(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
-    lines = ["Model,Precision,Recall,F1-score,Accuracy"]
+    rows = []
     for name in ["ae"] + cfg.baseline_kinds():
         path = out.file(f"report_{name}.json")
         if not path.exists():
             raise DataError(f"missing report for '{name}'; run evaluate first")
-        lines.append(read_json_artifact(path, _comparison_row))
-    out.write_lines("comparison.csv", lines)
+        rows.append(read_json_artifact(path, _comparison_row))
+    header = "Model,Precision,Recall,F1-score,Accuracy"
+    write_csv(out.file("comparison.csv"), header, "{},{!r},{!r},{!r},{!r}\n", *map(np.array, zip(*rows)))
     return ["comparison.csv"]
 
 
 def stage_histogram(cfg: PipelineConfig, out: _OutputDir, input_name: str = "data.csv") -> list[str]:
     data = load_csv(out.file(input_name), has_labels=True)
-    hists = feature_histograms(data, bins=cfg["histogram_bins"])
-    out.write_lines("histograms.csv", histograms_to_csv_lines(hists))
+    columns = feature_histograms(data, bins=cfg["histogram_bins"])
+    header = "channel,class,bin_index,bin_left,bin_right,count"
+    write_csv(out.file("histograms.csv"), header, "{},{},{},{!r},{!r},{}\n", *columns)
     return ["histograms.csv"]
 
 
@@ -320,9 +334,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> RunM
             log(f"[{stage_name}] wrote {', '.join(written)} ({manifest.stage_seconds[stage_name]:.2f}s)")
 
         out.write_json("manifest.json", manifest.to_dict())
-        timing_lines = ["stage,seconds"]
-        timing_lines += [f"{name},{secs:.3f}" for name, secs in manifest.stage_seconds.items()]
-        out.write_lines("run_log.csv", timing_lines)
+        timings = map(np.array, zip(*manifest.stage_seconds.items()))
+        write_csv(out.file("run_log.csv"), "stage,seconds", "{},{:.3f}\n", *timings)
 
     missing = [a for a in manifest.artifacts if not out.file(a).exists()]
     if missing:

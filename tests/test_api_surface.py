@@ -1,11 +1,13 @@
-"""Every public function and method of the package has a caller in the package.
+"""Every public function, method and record field of the package has a reader in the package.
 
-API that only the tests call is dead weight: it has to be kept correct and
+API that only the tests use is dead weight: it has to be kept correct and
 documented, yet no run of the program uses it. This test parses each module
 of `src/aeromon` and fails on any public (no leading underscore) top-level
 function or method that nothing in the package refers to outside its own
 definition: a function is referred to by a name it is read through or by an
-attribute, a method only by an attribute (`obj.method`).
+attribute, a method only by an attribute (`obj.method`). It also fails on any
+public field of a dataclass or NamedTuple that the package never reads as an
+attribute (`obj.field`).
 """
 
 import ast
@@ -63,6 +65,55 @@ def _unreferenced(modules):
             ):
                 unused.append(f"{module}.{qualname}")
     return unused
+
+
+def _public_fields(tree):
+    """(qualified name, field name) of every public field of a dataclass or NamedTuple."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        markers = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list] + node.bases
+        if not any(isinstance(m, ast.Name) and m.id in ("dataclass", "NamedTuple") for m in markers):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                if not item.target.id.startswith("_"):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _unread_fields(modules):
+    read = {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}.{qualname}"
+        for module, tree in modules.items()
+        for qualname, name in _public_fields(tree)
+        if name not in read
+    ]
+
+
+def test_every_public_field_is_read_in_the_package():
+    unread = _unread_fields(_modules())
+    assert unread == [], f"record fields that src/aeromon never reads (delete them or read them): {unread}"
+
+
+def test_detects_a_field_only_tests_read():
+    modules = _modules()
+    modules["extra"] = ast.parse(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n\n"
+        "@dataclass(frozen=True)\nclass Rec:\n    used: int\n    only_tests: int = 0\n\n"
+        "class Pair(NamedTuple):\n    left: int\n    spare: int\n\n"
+        "def use(rec, pair, obj):\n    obj.spare = 1\n    return rec.used + pair.left\n"
+    )
+    unread = set(_unread_fields(modules))
+    # an attribute that is only assigned is not a read
+    assert {"extra.Rec.only_tests", "extra.Pair.spare"} <= unread
+    assert not {"extra.Rec.used", "extra.Pair.left"} & unread
 
 
 def test_every_public_function_has_a_caller_in_the_package():

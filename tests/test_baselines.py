@@ -9,6 +9,7 @@ from aeromon.baselines import (
     KNN,
     LOGREG,
     MLP,
+    CLASSIFIER_FORMAT_VERSION,
     RANDOM_FOREST,
     ClassifierConfig,
     ClassifierModel,
@@ -670,11 +671,14 @@ class TestSerialization:
             save_model(load_model(first), second)
             assert first.read_bytes() == second.read_bytes(), cfg.kind
 
-    def test_kind_mismatch_rejected(self):
-        d = model_to_dict(train_classifier(ClassifierConfig(LOGREG, epochs=5), _blobs(75, 10), seed=0))
-        d["kind"] = MLP
-        with pytest.raises(DataError, match="kind"):
-            model_from_dict(d)
+    def test_file_holds_version_config_and_payload(self):
+        model = train_classifier(ClassifierConfig(LOGREG, epochs=5), _blobs(75, 10), seed=0)
+        d = model_to_dict(model)
+        assert set(d) == {"format_version", "config", "weights", "bias"}
+        assert d["format_version"] == CLASSIFIER_FORMAT_VERSION == 2
+        assert d["config"]["kind"] == LOGREG
+        with pytest.raises(DataError, match="format version 1"):
+            model_from_dict({**d, "format_version": 1})
 
     def test_dict_round_trip(self):
         ds = _blobs(73, 15, dim=3)

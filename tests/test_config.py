@@ -171,7 +171,7 @@ class TestBaselineKeys:
         parser = _build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         # a flag whose dest names no ClassifierConfig field would be dropped silently
-        dests = {a.dest for a in sub.choices["train-clf"]._actions} - {"help", "kind", "cv"}
+        dests = {a.dest for a in sub.choices["train-clf"]._actions} - {"help", "kind"}
         assert dests <= set(ClassifierConfig.__dataclass_fields__)
         args = parser.parse_args(["train-clf", "--kind", "random_forest", "--trees", "5", "--max-depth", "3"])
         assert _resolve(args).baseline_candidates("random_forest") == [

@@ -50,6 +50,15 @@ def _random_dataset(seed, n, labeled=True, anomaly_fraction=0.4):
     return Dataset(feats, labels)
 
 
+def _source_rows(ds, part):
+    """Index in `ds` of each row of `part`, found by looking the row up; the rows of `ds` must be distinct."""
+    index = {row.tobytes(): i for i, row in enumerate(ds.features)}
+    assert len(index) == ds.n
+    rows = np.array([index[row.tobytes()] for row in part.features], dtype=np.int64)
+    assert np.array_equal(ds.labels[rows], part.labels)
+    return rows
+
+
 def _count(ds, label):
     return int((ds.require_labels() == label).sum())
 
@@ -344,22 +353,20 @@ class TestSplit:
         ds = self._labeled(60, 40)
         a = split(ds, seed=9)
         b = split(ds, seed=9)
-        for fa, fb in (
-            (a.test_indices, b.test_indices),
-            (a.supervised_indices, b.supervised_indices),
-            (a.ae_train_indices, b.ae_train_indices),
-            (a.ae_val_indices, b.ae_val_indices),
-        ):
-            assert np.array_equal(fa, fb)
+        for part in ("test", "supervised_train", "ae_train", "ae_val"):
+            assert np.array_equal(_source_rows(ds, getattr(a, part)), _source_rows(ds, getattr(b, part)))
         c = split(ds, seed=10)
-        assert not np.array_equal(a.test_indices, c.test_indices)
+        assert not np.array_equal(_source_rows(ds, a.test), _source_rows(ds, c.test))
 
     @pytest.mark.invariant
     def test_partition_laws(self):
         for seed in (0, 3, 11):
             ds = self._labeled(130 + seed, 70, seed=seed + 50)
             res = split(ds, seed=seed)
-            test, train = set(res.test_indices), set(res.supervised_indices)
+            test_idx, train_idx, ae_train_idx, ae_val_idx = (
+                _source_rows(ds, part) for part in (res.test, res.supervised_train, res.ae_train, res.ae_val)
+            )
+            test, train = set(test_idx), set(train_idx)
             assert not test & train
             assert test | train == set(range(ds.n))
             assert abs(res.test.n - round(0.10 * ds.n)) <= 1
@@ -367,9 +374,9 @@ class TestSplit:
             for c in (Label.NORMAL, Label.ANOMALOUS):
                 expected = 0.10 * _count(ds, c)
                 assert abs(_count(res.test, c) - expected) <= 1
-            ae_all = set(res.ae_train_indices) | set(res.ae_val_indices)
-            assert not set(res.ae_train_indices) & set(res.ae_val_indices)
-            normals_in_train = {i for i in res.supervised_indices if ds.labels[i] == 0}
+            ae_all = set(ae_train_idx) | set(ae_val_idx)
+            assert not set(ae_train_idx) & set(ae_val_idx)
+            normals_in_train = {i for i in train_idx if ds.labels[i] == 0}
             assert ae_all == normals_in_train
 
     @pytest.mark.invariant

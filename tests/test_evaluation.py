@@ -3,16 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from aeromon.dataset import CHANNELS, Dataset, Label
+from aeromon.config import default_config
+from aeromon.dataset import CHANNELS, Dataset, Label, save_csv
 from aeromon.errors import InsufficientDataError, ShapeError, UndefinedAurocError
 from aeromon.evaluation import (
     auroc,
     confusion,
     evaluate_model,
     feature_histograms,
-    histograms_to_csv_lines,
     metrics,
 )
+from aeromon.pipeline import _OutputDir, stage_histogram
 
 
 def _brute_force_auroc(scores, truth):
@@ -177,6 +178,14 @@ class TestAuroc:
         assert auroc(scores, truth) == pytest.approx(area, abs=1e-12)
 
 
+def _channel_bins(columns, channel, cls):
+    """(left edges, right edges, counts) of one channel and class ("normal" or "anomalous")."""
+    names, classes, index, left, right, counts = columns
+    rows = (names == channel) & (classes == cls)
+    assert np.array_equal(index[rows], np.arange(rows.sum()))
+    return left[rows], right[rows], counts[rows]
+
+
 class TestFeatureHistograms:
     def _toy(self):
         rng = np.random.default_rng(23)
@@ -189,30 +198,38 @@ class TestFeatureHistograms:
     @pytest.mark.invariant
     def test_counts_conserved_per_class(self):
         ds = self._toy()
-        for h in feature_histograms(ds, bins=20):
-            assert int(h.counts_normal.sum()) == int((ds.labels == Label.NORMAL).sum())
-            assert int(h.counts_anomalous.sum()) == int((ds.labels == Label.ANOMALOUS).sum())
+        columns = feature_histograms(ds, bins=20)
+        assert set(columns[0]) == set(CHANNELS)
+        for channel in CHANNELS:
+            _, _, normal = _channel_bins(columns, channel, "normal")
+            _, _, anomalous = _channel_bins(columns, channel, "anomalous")
+            assert int(normal.sum()) == int((ds.labels == Label.NORMAL).sum())
+            assert int(anomalous.sum()) == int((ds.labels == Label.ANOMALOUS).sum())
 
     def test_constant_channel_single_bin(self):
         feats = np.zeros((50, 7))
         rng = np.random.default_rng(1)
         feats[:, 1:] = np.array([[rng.random() for _ in range(6)] for _ in range(50)])
         labels = np.array([0, 1] * 25, dtype=np.int8)
-        hist = feature_histograms(Dataset(feats, labels), bins=10)[0]
-        assert hist.counts_normal.sum() == 25
-        assert (hist.counts_normal > 0).sum() == 1
+        _, _, counts_normal = _channel_bins(feature_histograms(Dataset(feats, labels), bins=10), CHANNELS[0], "normal")
+        assert counts_normal.sum() == 25
+        assert (counts_normal > 0).sum() == 1
 
     def test_depressed_torque_shifts_left(self):
         ds = self._toy()
-        hist = [h for h in feature_histograms(ds, bins=30) if h.channel == "ot"][0]
-        centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
-        mean_normal = float((centers * hist.counts_normal).sum() / hist.counts_normal.sum())
-        mean_anom = float((centers * hist.counts_anomalous).sum() / hist.counts_anomalous.sum())
+        columns = feature_histograms(ds, bins=30)
+        left, right, counts_normal = _channel_bins(columns, "ot", "normal")
+        left_a, right_a, counts_anomalous = _channel_bins(columns, "ot", "anomalous")
+        assert np.array_equal(left, left_a) and np.array_equal(right, right_a)  # both classes share the bins
+        centers = (left + right) / 2.0
+        mean_normal = float((centers * counts_normal).sum() / counts_normal.sum())
+        mean_anom = float((centers * counts_anomalous).sum() / counts_anomalous.sum())
         assert mean_anom < mean_normal
 
-    def test_csv_lines_shape(self):
-        ds = self._toy()
-        lines = histograms_to_csv_lines(feature_histograms(ds, bins=5))
+    def test_csv_lines_shape(self, tmp_path):
+        save_csv(self._toy(), tmp_path / "data.csv")
+        stage_histogram(default_config({"histogram_bins": 5}), _OutputDir(tmp_path))
+        lines = (tmp_path / "histograms.csv").read_text().splitlines()
         assert lines[0] == "channel,class,bin_index,bin_left,bin_right,count"
         assert len(lines) == 1 + 7 * 2 * 5
         for line in lines[1:]:

@@ -201,7 +201,7 @@ class TestCliStages:
         fits = []
         fit = baselines.train_classifier
         monkeypatch.setattr(baselines, "train_classifier", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
-        assert main(base + ["train-clf", "--kind", "knn", "--k", "1,5", "--cv"]) == 0
+        assert main(base + ["train-clf", "--kind", "knn", "--k", "1,5"]) == 0
         monkeypatch.undo()
         printed = capsys.readouterr().out.splitlines()
         assert len(fits) == 2 * 5 + 1  # each candidate on each fold, then one refit of the winner
@@ -209,7 +209,7 @@ class TestCliStages:
 
         # one line per candidate with its own cross_validate result, then the written file
         candidates = default_config({**FAST_KEYS, "knn_k_grid": "1,5"}).baseline_candidates("knn")
-        scaler = _OutputDir(out).read_scaler(baselines.SUPERVISED_SCALER_FILE)
+        scaler = _OutputDir(out).read_scaler("scaler_supervised.json")
         scaled = apply_scaler(scaler, load_csv(Path(out) / "supervised_train.csv", has_labels=True))
         seed = derive_seed(7, STAGE_BASELINE_BASE + baselines.CLASSIFIER_KINDS.index("knn"))
         cv = [baselines.cross_validate(c, scaled, folds=5, seed=seed) for c in candidates]
@@ -221,16 +221,16 @@ class TestCliStages:
         ] + [f"wrote clf_knn.json (selected {best})"]
 
     def test_train_clf_reproduces_the_pipelines_files(self, tmp_path, capsys):
-        # a two-value logreg grid: with --cv and no grid flag, train-clf selects over it
+        # a two-value logreg grid: with no grid flag, train-clf selects over it as run does
         cfg_file = _fast_config_file(tmp_path, logreg_l2_grid="0,0.1")
         out = tmp_path / "work"
         base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
         assert main(base + ["run"]) == 0
-        for kind, flags in (("random_forest", []), ("mlp", []), ("logreg", ["--cv"])):
+        for kind in ("random_forest", "mlp", "logreg"):
             written = (out / f"clf_{kind}.json").read_bytes()
             (out / f"clf_{kind}.json").unlink()
             capsys.readouterr()
-            assert main(base + ["train-clf", "--kind", kind, *flags]) == 0
+            assert main(base + ["train-clf", "--kind", kind]) == 0
             assert (out / f"clf_{kind}.json").read_bytes() == written, kind
         assert len(capsys.readouterr().out.splitlines()) == 2 + 1  # one line per grid value, then the file
 
@@ -278,6 +278,25 @@ class TestExitCodes:
             writer.writerow(header)
             writer.writerows(body)
         assert main(base + ["train-clf", "--kind", "gaussian_nb"]) == 4
+
+    @pytest.mark.parametrize(
+        "key, value, keys",
+        [
+            ("synth_n_samples", 50, "synth_*"),
+            ("ae_learning_rate", -1, "ae_*"),
+            ("ae_plateau_factor", 1.5, "ae_*"),
+            ("threshold_percentile", 100, "threshold_*"),
+            ("forest_n_trees", 0, "random_forest baseline"),
+            ("knn_k_grid", "4", "knn baseline"),
+            ("mlp_hidden_units", 0, "mlp baseline"),
+        ],
+    )
+    def test_out_of_range_value_is_2_before_any_stage(self, tmp_path, capsys, key, value, keys):
+        cfg_file = _fast_config_file(tmp_path, **{key: value})
+        out = tmp_path / "work"
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "run"]) == 2
+        assert f"error: {keys} keys:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_train_clf_flag_is_rejected(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path)
@@ -417,9 +436,10 @@ class TestBrokenArtifacts:
             ("calibrate", "model_ae.json", lambda p: p.write_text(p.read_text()[:100])),
             ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d["params"].pop(0))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.pop("config"))),
-            ("evaluate", "clf_logreg.json", lambda p: _edit_json(p, lambda d: d.update(kind="mlp"))),
+            ("evaluate", "clf_logreg.json", lambda p: _edit_json(p, lambda d: d.update(format_version=1))),
             ("evaluate", "scaler_supervised.json", lambda p: _edit_json(p, lambda d: d.pop("ranges"))),
             ("compare", "report_knn.json", lambda p: p.write_text("")),
+            ("compare", "report_knn.json", lambda p: _edit_json(p, lambda d: d.update(f1=None))),
             ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,x")),
             ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0")),
             ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,2")),
@@ -427,9 +447,6 @@ class TestBrokenArtifacts:
             ("evaluate", "test_labels.csv", _swap_first_rows),
             ("evaluate", "test_labels.csv", _put_byte_ff),
             ("score", "test_features.csv", _put_byte_ff),
-            ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.pop("scaler_ref"))),
-            ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=None))),
-            ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.update(scaler_ref=5))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d["config"].update(k=4))),
             ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["params", 0], "Infinity")),
             ("evaluate", "clf_logreg.json", lambda p: _set_literal(p, ["weights", 0], "1e999")),
@@ -471,9 +488,10 @@ class TestBrokenArtifacts:
             "truncated_model",
             "short_model_weights",
             "clf_without_config",
-            "clf_kind_mismatch",
+            "clf_format_v1",
             "scaler_without_ranges",
             "empty_report",
+            "report_f1_null",
             "label_not_int",
             "label_missing",
             "label_two",
@@ -481,9 +499,6 @@ class TestBrokenArtifacts:
             "label_rows_reordered",
             "labels_not_utf8",
             "features_not_utf8",
-            "scaler_ref_missing",
-            "scaler_ref_null",
-            "scaler_ref_not_str",
             "clf_config_out_of_range",
             "infinite_model_weight",
             "overflowing_clf_weight",
@@ -527,6 +542,24 @@ class TestBrokenArtifacts:
         damage(out / name)
         assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", command]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name, damage",
+        [
+            ("evaluate", "clf_mlp.json", lambda d: _to_format_v1(d["network"])),
+            ("calibrate", "model_ae.json", _to_format_v1),
+        ],
+        ids=["mlp_format_v1", "model_format_v1"],
+    )
+    def test_reader_error_names_its_file(self, evaluated, tmp_path, capsys, command, name, damage):
+        cfg_file, src = evaluated
+        out = tmp_path / "work"
+        shutil.copytree(src, out)
+        _edit_json(out / name, damage)
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", command]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot load {out / name}:" in err
+        assert "unsupported model format version 1" in err
 
 
 class TestConsoleScript:
