@@ -14,14 +14,15 @@ any batch, and a calibration score equals the later classification score.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 # scoring uses `forward_rows`; `forward` stays bound here for bench/tracer.py to patch
-from .autoencoder import Network, forward, forward_rows, load_network  # noqa: F401
+from .autoencoder import Network, forward, forward_rows, network_to_dict  # noqa: F401
 from .dataset import Dataset, MinMaxScaler
 from .errors import (
     DataError,
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .numerics import CholeskyFactor, cholesky, covariance, row_sums, solve_spd
 
-SCORER_FORMAT_VERSION = 1
+SCORER_FORMAT_VERSION = 2
 
 MSE_POLICY = "mse"
 MAHALANOBIS_POLICY = "mahalanobis"
@@ -191,13 +192,18 @@ def classify(scorer: AnomalyScorer, x_raw) -> tuple[np.ndarray, np.ndarray]:
     return (scores > scorer.threshold).astype(np.int8), scores
 
 
-def scorer_to_dict(scorer: AnomalyScorer, model_file: str) -> dict:
+def _network_sha256(net: Network) -> str:
+    """First 16 hex digits of the sha256 of the text `save_network` writes for `net`."""
+    return hashlib.sha256(json.dumps(network_to_dict(net), sort_keys=True).encode()).hexdigest()[:16]
+
+
+def scorer_to_dict(scorer: AnomalyScorer) -> dict:
     d = {
         "format_version": SCORER_FORMAT_VERSION,
         "policy": scorer.policy.kind,
         "percentile": scorer.policy.percentile,
         "threshold": scorer.threshold,
-        "model_file": model_file,
+        "network_sha256": _network_sha256(scorer.net),
         "scaler": scorer.scaler.to_dict(),
         "residual_mean": None,
         "residual_cov": None,
@@ -212,22 +218,22 @@ def scorer_to_dict(scorer: AnomalyScorer, model_file: str) -> dict:
     return d
 
 
-def save_scorer(scorer: AnomalyScorer, path, model_file: str) -> None:
-    write_json_artifact(path, scorer_to_dict(scorer, model_file))
+def save_scorer(scorer: AnomalyScorer, path) -> None:
+    write_json_artifact(path, scorer_to_dict(scorer))
 
 
-def load_scorer(path) -> AnomalyScorer:
-    """Rebuild a scorer; the referenced model file is resolved relative to
-    the scorer file's directory. An unreadable file, a missing key, an
-    array of the wrong size or a value out of range raises DataError."""
-    path = Path(path)
-    return read_json_artifact(path, lambda d: _scorer_from_dict(d, path.parent))
+def load_scorer(path, net: Network) -> AnomalyScorer:
+    """Rebuild a scorer around `net`, the network it was calibrated on. An
+    unreadable file, a missing key, an array of the wrong size, a value out of
+    range or a `network_sha256` that is not `net`'s raises DataError."""
+    return read_json_artifact(path, lambda d: _scorer_from_dict(d, net))
 
 
-def _scorer_from_dict(d: dict, model_dir: Path) -> AnomalyScorer:
+def _scorer_from_dict(d: dict, net: Network) -> AnomalyScorer:
     if d.get("format_version") != SCORER_FORMAT_VERSION:
         raise DataError(f"unsupported scorer format version {d.get('format_version')!r}")
-    net = load_network(model_dir / d["model_file"])
+    if d["network_sha256"] != _network_sha256(net):
+        raise DataError("calibrated on another network; rerun calibrate")
     scaler = MinMaxScaler.from_dict(d["scaler"])
     policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
     threshold = float(d["threshold"])

@@ -281,10 +281,11 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
     Per epoch: seeded shuffle, Adam step per batch (last short batch kept,
     gradient averaged over its actual size), then a full-precision pass over
     the validation set. Validation loss must improve by more than 1e-7 to
-    reset the patience counters. The plateau scheduler multiplies the
-    learning rate by plateau_factor, skipping any reduction that would land
-    below min_lr. Returns the weights of the best validation epoch and the
-    history, one (train_mse, val_mse, lr) per epoch run.
+    reset the count of stale epochs. Every plateau_patience stale epochs the
+    learning rate is multiplied by plateau_factor, skipping any reduction that
+    would land below min_lr; early_stop_patience stale epochs stop training.
+    Returns the weights of the best validation epoch and the history, one
+    (train_mse, val_mse, lr) per epoch run.
     """
     train_feats = ae_train.features
     val_feats = ae_val.features
@@ -304,8 +305,7 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
     best_val = math.inf
     best = None
     patience_best = math.inf
-    early_counter = 0
-    plateau_counter = 0
+    stale = 0  # epochs since the last improvement
     history: list[tuple[float, float, float]] = []
 
     for _epoch in range(cfg.max_epochs):
@@ -328,17 +328,12 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
             best = work.clone()
         if val_mse < patience_best - IMPROVEMENT_TOL:
             patience_best = val_mse
-            early_counter = 0
-            plateau_counter = 0
+            stale = 0
         else:
-            early_counter += 1
-            plateau_counter += 1
-            if plateau_counter >= cfg.plateau_patience:
-                reduced = state.lr * cfg.plateau_factor
-                if reduced >= cfg.min_lr:
-                    state.lr = reduced
-                plateau_counter = 0
-            if early_counter >= cfg.early_stop_patience:
+            stale += 1
+            if stale % cfg.plateau_patience == 0 and state.lr * cfg.plateau_factor >= cfg.min_lr:
+                state.lr *= cfg.plateau_factor
+            if stale >= cfg.early_stop_patience:
                 break
 
     if best is None:

@@ -1,9 +1,10 @@
 """Supervised fault classifiers trained on labelled, scaled telemetry.
 
 Six binary classifiers, each deterministic for a fixed seed: logistic
-regression (full-batch gradient descent on L2-regularized cross-entropy),
-Gaussian naive Bayes, k-nearest-neighbours, a CART decision tree with Gini
-impurity, a bootstrap random forest, and a single-hidden-layer perceptron.
+regression (a one-layer sigmoid network fitted by full-batch gradient descent
+on L2-regularized cross-entropy), Gaussian naive Bayes, k-nearest-neighbours,
+a CART decision tree with Gini impurity, a bootstrap random forest, and a
+single-hidden-layer perceptron (logreg with an ELU hidden layer).
 Everything predicts a probability for the anomalous class; the label is
 anomalous iff that probability exceeds 0.5 (ties go to normal).
 """
@@ -44,7 +45,7 @@ from .errors import (
 from .evaluation import confusion
 from .numerics import Rng, derive_seed, row_sums
 
-CLASSIFIER_FORMAT_VERSION = 2
+CLASSIFIER_FORMAT_VERSION = 3
 
 LOGREG = "logreg"
 GAUSSIAN_NB = "gaussian_nb"
@@ -118,28 +119,23 @@ def _require_both_classes(labels: np.ndarray) -> None:
 # --- logistic regression ----------------------------------------------------
 
 
-def logreg_gradient(weights, bias, x, y, l2_strength):
-    """Gradient of the mean cross-entropy plus (l2/2)*||w||^2 (bias free)."""
-    p = _sigmoid(x @ weights + bias)
-    diff = p - y
-    gw = x.T @ diff / x.shape[0] + l2_strength * weights
-    gb = float(diff.mean())
-    return gw, gb
-
-
 def _train_logreg(cfg: ClassifierConfig, x, y, seed):
-    weights = np.zeros(x.shape[1])
-    bias = 0.0
+    n, d = x.shape
+    net = Network(np.zeros(d + 1), [LayerSpec(d, 1, "sigmoid")])
+    target = y.reshape(-1, 1)
     for _ in range(cfg.epochs):
-        gw, gb = logreg_gradient(weights, bias, x, y, cfg.l2_strength)
-        weights -= cfg.learning_rate * gw
-        bias -= cfg.learning_rate * gb
-    return {"weights": weights, "bias": bias}
+        out, cache = forward(net, x)
+        # sigmoid + cross-entropy: dL/dz at the output is p - y. Summed over the
+        # rows, then divided, the mean gradient rounds as x.T @ (p - y) / n
+        grads = _backprop_from_output_delta(net, cache, out - target) / n
+        grads[:d] += cfg.l2_strength * net.params[:d]  # (l2/2)*||w||^2; the bias is not regularized
+        net.params -= cfg.learning_rate * grads
+    return {"network": net}
 
 
-def _logreg_proba(payload, x):
-    # one term at a time, not `x @ weights`, so a row's probability is batch-independent
-    return _sigmoid(row_sums(x * payload["weights"]) + payload["bias"])
+def _network_proba(payload, x):
+    """The output unit of a logreg or mlp network, through the row-exact `forward_rows`."""
+    return forward_rows(payload["network"], x)[:, 0]
 
 
 # --- gaussian naive bayes ---------------------------------------------------
@@ -160,15 +156,12 @@ def _train_gaussian_nb(cfg: ClassifierConfig, x, y, seed):
 
 
 def _gaussian_nb_proba(payload, x):
-    logliks = []
-    for c in (0, 1):
-        mean, var = payload["means"][c], payload["variances"][c]
-        ll = -0.5 * (np.log(2.0 * math.pi * var) + (x - mean) ** 2 / var).sum(axis=1)
-        logliks.append(ll + payload["log_priors"][c])
-    l0, l1 = logliks
-    top = np.maximum(l0, l1)
-    e0, e1 = np.exp(l0 - top), np.exp(l1 - top)
-    return e1 / (e0 + e1)
+    l0, l1 = (
+        -0.5 * row_sums(np.log(2.0 * math.pi * var) + (x - mean) ** 2 / var) + log_prior
+        for mean, var, log_prior in zip(payload["means"], payload["variances"], payload["log_priors"])
+    )
+    # the posterior e^l1 / (e^l0 + e^l1) is the logistic of the log-likelihood gap
+    return _sigmoid(l1 - l0)
 
 
 # --- k-nearest-neighbours ---------------------------------------------------
@@ -377,10 +370,6 @@ def _train_mlp(cfg: ClassifierConfig, x, y, seed: int):
     return {"network": net}
 
 
-def _mlp_proba(payload, x):
-    return forward_rows(payload["network"], x)[:, 0]
-
-
 # --- shared surface ---------------------------------------------------------
 
 
@@ -402,7 +391,7 @@ def _fields(**rebuild):
 
 
 _KINDS = {
-    LOGREG: _Kind(_train_logreg, _logreg_proba, _fields(weights=_float_array, bias=float)),
+    LOGREG: _Kind(_train_logreg, _network_proba, _fields(network=network_from_dict)),
     GAUSSIAN_NB: _Kind(
         _train_gaussian_nb,
         _gaussian_nb_proba,
@@ -411,7 +400,7 @@ _KINDS = {
     KNN: _Kind(_train_knn, _knn_proba, _fields(train_features=_float_array, train_labels=_label_array, k=int)),
     DECISION_TREE: _Kind(_train_tree, _tree_proba, _fields(root=_tree_from_json)),
     RANDOM_FOREST: _Kind(_train_forest, _forest_proba, _read_forest),
-    MLP: _Kind(_train_mlp, _mlp_proba, _fields(network=network_from_dict)),
+    MLP: _Kind(_train_mlp, _network_proba, _fields(network=network_from_dict)),
 }
 CLASSIFIER_KINDS = tuple(_KINDS)
 
@@ -485,8 +474,7 @@ def cross_validate(
         mask[held_out] = False
         fit_set = train.subset(np.flatnonzero(mask))
         model = train_classifier(cfg, fit_set, derive_seed(seed, 100 + f))
-        probs = predict_proba(model, train.features[held_out])
-        pred = (probs > 0.5).astype(np.int8)
+        pred, _ = predict(model, train.features[held_out])
         scores.append(_anomalous_f1(pred, labels[held_out]))
     return sum(scores) / folds, scores
 

@@ -246,10 +246,9 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> PipelineConfig:
         if "csv_path" in explicit and raw["csv_path"]:
             raise ConfigError("both csv and synthetic sources configured: csv_path is set")
 
-    if not 0.0 < resolved["test_fraction"] < 1.0:
-        raise ConfigError("test_fraction must lie in (0, 1)")
-    if not 0.0 <= resolved["ae_val_fraction"] < 1.0:
-        raise ConfigError("ae_val_fraction must lie in [0, 1)")
+    for key in ("test_fraction", "ae_val_fraction"):
+        if not 0.0 < resolved[key] < 1.0:
+            raise ConfigError(f"{key} must lie in (0, 1)")
     if resolved["cv_folds"] < 2:
         raise ConfigError("cv_folds must be >= 2")
     if resolved["histogram_bins"] < 2:

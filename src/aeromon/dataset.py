@@ -263,10 +263,11 @@ def split(
     within one sample of the global class ratio. Normals of the remaining
     supervised training set are split again: ae_val_fraction held out for
     validation, the rest for reconstruction training. Membership is decided
-    by a seeded shuffle; each part keeps original row order.
+    by a seeded shuffle; each part keeps original row order. A part that
+    would be empty raises InsufficientDataError.
     """
     labels = data.require_labels()
-    if not 0.0 < test_fraction < 1.0 or not 0.0 <= ae_val_fraction < 1.0:
+    if not (0.0 < test_fraction < 1.0 and 0.0 < ae_val_fraction < 1.0):
         raise DomainError("split fractions must lie in (0, 1)")
     class_indices = {c: np.flatnonzero(labels == c) for c in (0, 1)}
     for c, idx in class_indices.items():
@@ -284,15 +285,16 @@ def split(
     normal_train = pools[0][take[0] :]
     normal_train = normal_train[rng.permutation(normal_train.size)]
     n_val = _round_half_up(ae_val_fraction * normal_train.size)
-    ae_val_idx = np.sort(normal_train[:n_val])
-    ae_train_idx = np.sort(normal_train[n_val:])
-
-    return SplitResult(
-        test=data.subset(test_idx),
-        supervised_train=data.subset(train_idx),
-        ae_train=data.subset(ae_train_idx),
-        ae_val=data.subset(ae_val_idx),
-    )
+    parts = {
+        "test": test_idx,
+        "supervised_train": train_idx,
+        "ae_train": np.sort(normal_train[n_val:]),
+        "ae_val": np.sort(normal_train[:n_val]),
+    }
+    for name, idx in parts.items():
+        if idx.size == 0:
+            raise InsufficientDataError(f"the {name} part of the split would be empty")
+    return SplitResult(**{name: data.subset(idx) for name, idx in parts.items()})
 
 
 @dataclass(frozen=True)

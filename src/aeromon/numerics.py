@@ -25,8 +25,7 @@ from .errors import (
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Diagonal loading used by cholesky(): escalation starts at 1e-10 * trace/d
-# (unless the caller supplies a start) and is capped at 1e-3 * trace/d.
+# Diagonal loading used by cholesky(): escalation starts at 1e-10 * trace/d and is capped at 1e-3 * trace/d.
 JITTER_BASE_FACTOR = 1e-10
 JITTER_CAP_FACTOR = 1e-3
 

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .anomaly import calibrate, classify, load_scorer, save_scorer
+from .anomaly import AnomalyScorer, calibrate, classify, load_scorer, save_scorer
 from .autoencoder import (
     default_autoencoder_specs,
     init_network,
@@ -106,6 +106,9 @@ class _OutputDir:
 
     def read_scaler(self, name: str) -> MinMaxScaler:
         return read_json_artifact(self.file(name), MinMaxScaler.from_dict)
+
+    def read_scorer(self) -> AnomalyScorer:
+        return load_scorer(self.file("scorer.json"), load_network(self.file("model_ae.json")))
 
     def write_json(self, name: str, payload: dict) -> None:
         write_json_artifact(self.file(name), payload)
@@ -193,13 +196,13 @@ def stage_calibrate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     scaler = out.read_scaler("scaler_ae.json")
     ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
     scorer = calibrate(net, scaler, ae_train, cfg.threshold_policy())
-    save_scorer(scorer, out.file("scorer.json"), "model_ae.json")
+    save_scorer(scorer, out.file("scorer.json"))
     return ["scorer.json"]
 
 
 def stage_score(cfg: PipelineConfig, out: _OutputDir, input_name: str = "test_features.csv") -> list[str]:
     """Score a feature-only CSV; never touches labels."""
-    scorer = load_scorer(out.file("scorer.json"))
+    scorer = out.read_scorer()
     features = load_csv(out.file(input_name), has_labels=False)
     decisions, scores = classify(scorer, features.features)
     write_csv(out.file("scores.csv"), "index,score,decision", "{},{!r},{}\n", np.arange(len(scores)), scores, decisions)
@@ -257,12 +260,15 @@ def _load_test_set(out: _OutputDir) -> Dataset:
 def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     """The only stage that opens test_labels.csv."""
     test = _load_test_set(out)
-    scorer = load_scorer(out.file("scorer.json"))
+    scorer = out.read_scorer()
     deciders = {"ae": lambda x: classify(scorer, x)}
     kinds = cfg.baseline_kinds()
     scaler = out.read_scaler("scaler_supervised.json") if kinds else None
     for kind in kinds:
-        model = load_model(out.file(f"clf_{kind}.json"))
+        path = out.file(f"clf_{kind}.json")
+        model = load_model(path)
+        if model.kind != kind:
+            raise DataError(f"{path} holds a '{model.kind}' classifier, not '{kind}'")
         deciders[kind] = lambda x, m=model: predict(m, scaler.transform(x))
     for name, decide in deciders.items():
         out.write_json(f"report_{name}.json", evaluate_model(decide, test, model_name=name))

@@ -45,7 +45,7 @@ from aeromon.dataset import (
     save_csv,
     split,
 )
-from aeromon.errors import DegenerateResidualsError, DomainError, InsufficientDataError, ShapeError
+from aeromon.errors import DataError, DegenerateResidualsError, DomainError, InsufficientDataError, ShapeError
 from aeromon.numerics import cholesky
 from aeromon.pipeline import _OutputDir, stage_score
 
@@ -345,13 +345,20 @@ class TestScorerSerialization:
     def test_round_trip_bit_identical(self, tmp_path, trained):
         for kind in (MSE_POLICY, MAHALANOBIS_POLICY):
             scorer = calibrate(trained["net"], trained["scaler"], trained["ae_train"], ThresholdPolicy(kind, 85.0))
-            save_network(scorer.net, tmp_path / "model.json")
-            save_scorer(scorer, tmp_path / f"scorer_{kind}.json", "model.json")
-            back = load_scorer(tmp_path / f"scorer_{kind}.json")
+            save_scorer(scorer, tmp_path / f"scorer_{kind}.json")
+            back = load_scorer(tmp_path / f"scorer_{kind}.json", scorer.net)
             assert back.threshold == scorer.threshold
             assert back.policy == scorer.policy
             feats = trained["test"].features[:25]
             assert score_batch(back, feats).tobytes() == score_batch(scorer, feats).tobytes()
+
+    def test_other_network_rejected(self, tmp_path, trained):
+        scorer = calibrate(trained["net"], trained["scaler"], trained["ae_train"], ThresholdPolicy(MSE_POLICY, 85.0))
+        save_scorer(scorer, tmp_path / "scorer.json")
+        other = scorer.net.clone()
+        other.params[0] = np.nextafter(other.params[0], np.inf)  # one ulp moves the digest
+        with pytest.raises(DataError, match="calibrated on another network"):
+            load_scorer(tmp_path / "scorer.json", other)
 
     def test_residual_jitter_recorded(self, tmp_path):
         # zero net and identity scaler: the residual is -x. Channels 0 and 1 are
@@ -363,7 +370,7 @@ class TestScorerSerialization:
         written = {}
         for kind in POLICIES:
             scorer = calibrate(_zero_net(), scaler, data, ThresholdPolicy(kind, 85.0))
-            save_scorer(scorer, tmp_path / "scorer.json", "model.json")
+            save_scorer(scorer, tmp_path / "scorer.json")
             written[kind] = json.loads((tmp_path / "scorer.json").read_text())["residual_jitter"]
         assert written[MSE_POLICY] is None
         assert written[MAHALANOBIS_POLICY] == scorer.stats.chol.jitter > 0.0
@@ -415,7 +422,7 @@ class TestBatchScoring:
             out = _OutputDir(tmp_path / kind)
             scorer = self._scorer(trained, kind)
             save_network(scorer.net, out.file("model_ae.json"))
-            save_scorer(scorer, out.file("scorer.json"), "model_ae.json")
+            save_scorer(scorer, out.file("scorer.json"))
             save_csv(trained["test"], out.file("test_features.csv"), include_labels=False)
             stage_score(default_config(), out)
             feats = load_csv(out.file("test_features.csv"), has_labels=False).features

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aeromon.autoencoder import (
+    IMPROVEMENT_TOL,
     AdamState,
     LayerSpec,
     Network,
@@ -333,6 +334,43 @@ class TestTrain:
         distinct = sorted(set(lrs), reverse=True)
         for hi, lo in zip(distinct, distinct[1:]):
             assert lo == hi * cfg.plateau_factor
+
+    @pytest.mark.invariant
+    def test_schedule_replays_from_validation_losses(self):
+        """The lr of every epoch and the stop epoch follow from the recorded
+        validation losses by the documented rule, replayed here with separate
+        counters for the plateau and the early stop."""
+        train_ds, val_ds = _scaled_normal_sets(n=800, seed=5)
+        cfg = TrainConfig(
+            max_epochs=300,
+            batch_size=128,
+            learning_rate=0.01,
+            plateau_patience=2,
+            early_stop_patience=10,
+            min_lr=1e-5,
+            seed=5,
+        )
+        _, history = train(init_network(default_autoencoder_specs(), seed=5), train_ds, val_ds, cfg)
+        lr, best, since_best, since_cut, attempts = cfg.learning_rate, math.inf, 0, 0, 0
+        lrs, stop = [], None
+        for epoch, (_, val, _) in enumerate(history, start=1):
+            lrs.append(lr)
+            if val < best - IMPROVEMENT_TOL:
+                best, since_best, since_cut = val, 0, 0
+                continue
+            since_best += 1
+            since_cut += 1
+            if since_cut == cfg.plateau_patience:
+                since_cut, attempts = 0, attempts + 1
+                if lr * cfg.plateau_factor >= cfg.min_lr:
+                    lr *= cfg.plateau_factor
+            if since_best >= cfg.early_stop_patience:
+                stop = epoch
+                break
+        assert [lr for _, _, lr in history] == lrs
+        assert stop == len(history) < cfg.max_epochs
+        # reductions were made, and at least one was skipped at the min_lr floor
+        assert attempts > len(set(lrs)) - 1 >= 2
 
     @pytest.mark.invariant
     def test_best_weights_restored(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aeromon import baselines
-from aeromon.autoencoder import _sigmoid
+from aeromon.autoencoder import LayerSpec, Network, _sigmoid
 from aeromon.baselines import (
     DECISION_TREE,
     GAUSSIAN_NB,
@@ -15,7 +15,6 @@ from aeromon.baselines import (
     ClassifierModel,
     cross_validate,
     load_model,
-    logreg_gradient,
     model_from_dict,
     model_to_dict,
     predict,
@@ -48,8 +47,17 @@ def _six_configs():
     ]
 
 
+def reference_logreg_gradient(weights, bias, x, y, l2_strength):
+    """Gradient of the mean cross-entropy plus (l2/2)*||w||^2 (bias free), in closed form."""
+    p = _sigmoid(x @ weights + bias)
+    diff = p - y
+    gw = x.T @ diff / x.shape[0] + l2_strength * weights
+    gb = float(diff.mean())
+    return gw, gb
+
+
 def logreg_loss(weights, bias, x, y, l2_strength):
-    """Mean cross-entropy plus (l2/2)*||w||^2: the loss `logreg_gradient` differentiates."""
+    """Mean cross-entropy plus (l2/2)*||w||^2: the loss `reference_logreg_gradient` differentiates."""
     p = _sigmoid(x @ weights + bias)
     eps = 1e-12
     ce = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
@@ -90,12 +98,32 @@ class TestGaussianNb:
         model = train_classifier(ClassifierConfig(GAUSSIAN_NB), ds, seed=0)
         assert model.payload["log_priors"][0] == pytest.approx(np.log(0.9))
 
+    @pytest.mark.invariant
+    def test_posterior_equals_max_shifted_softmax(self):
+        """The posterior is the logistic of the log-likelihood gap, bit for bit
+        the two-class softmax shifted by the larger log-likelihood, also at gaps
+        of +-800 where an unshifted exp would overflow."""
+        rng = np.random.default_rng(29)
+        means, variances = rng.normal(size=(2, 2)), rng.uniform(0.5, 2.0, size=(2, 2))
+        x = np.vstack([rng.normal(scale=3.0, size=(200, 2)), [[0.0, 0.0]]])
+        for shift in (0.0, 800.0, -800.0):
+            log_priors = np.log([0.6, 0.4]) + [0.0, shift]
+            payload = {"means": means, "variances": variances, "log_priors": log_priors}
+            model = ClassifierModel(config=ClassifierConfig(GAUSSIAN_NB), payload=payload)
+            l0, l1 = (
+                -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var).sum(axis=1) + prior
+                for mean, var, prior in zip(means, variances, log_priors)
+            )
+            top = np.maximum(l0, l1)
+            e0, e1 = np.exp(l0 - top), np.exp(l1 - top)
+            assert predict_proba(model, x).tobytes() == (e1 / (e0 + e1)).tobytes()
+
 
 class TestLogReg:
     def test_zero_weight_model_is_tied_normal(self):
         model = ClassifierModel(
             config=ClassifierConfig(LOGREG),
-            payload={"weights": np.zeros(3), "bias": 0.0},
+            payload={"network": Network(np.zeros(4), [LayerSpec(3, 1, "sigmoid")])},
         )
         labels, probs = predict(model, np.zeros((1, 3)))
         assert probs.tolist() == [0.5]
@@ -115,7 +143,7 @@ class TestLogReg:
         for lam in (0.0, 0.1):
             w = np.array([rng.normal() for _ in range(4)])
             b = rng.normal()
-            gw, gb = logreg_gradient(w, b, x, y, lam)
+            gw, gb = reference_logreg_gradient(w, b, x, y, lam)
             h = 1e-6
             for i in range(4):
                 wp, wm = w.copy(), w.copy()
@@ -125,6 +153,22 @@ class TestLogReg:
                 assert abs(gw[i] - fd) / max(abs(fd), 1e-6) < 1e-4
             fd_b = (logreg_loss(w, b + h, x, y, lam) - logreg_loss(w, b - h, x, y, lam)) / (2 * h)
             assert abs(gb - fd_b) / max(abs(fd_b), 1e-6) < 1e-4
+
+    @pytest.mark.invariant
+    def test_network_fit_equals_closed_form_descent(self):
+        """Training through the network's forward and backprop takes the same
+        steps, bit for bit, as descent on the closed-form gradient."""
+        ds = _blobs(43, 40, dim=5, separation=1.0)
+        y = ds.labels.astype(np.float64)
+        for lam in (0.0, 0.1):
+            cfg = ClassifierConfig(LOGREG, l2_strength=lam, learning_rate=0.3, epochs=60)
+            w, b = np.zeros(5), 0.0
+            for _ in range(cfg.epochs):
+                gw, gb = reference_logreg_gradient(w, b, ds.features, y, lam)
+                w -= cfg.learning_rate * gw
+                b -= cfg.learning_rate * gb
+            params = train_classifier(cfg, ds, seed=0).payload["network"].params
+            assert params.tobytes() == np.append(w, b).tobytes()
 
 
 def _brute_force_knn(train_x, train_y, k, query):
@@ -674,11 +718,13 @@ class TestSerialization:
     def test_file_holds_version_config_and_payload(self):
         model = train_classifier(ClassifierConfig(LOGREG, epochs=5), _blobs(75, 10), seed=0)
         d = model_to_dict(model)
-        assert set(d) == {"format_version", "config", "weights", "bias"}
-        assert d["format_version"] == CLASSIFIER_FORMAT_VERSION == 2
+        assert set(d) == {"format_version", "config", "network"}
+        assert d["format_version"] == CLASSIFIER_FORMAT_VERSION == 3
         assert d["config"]["kind"] == LOGREG
-        with pytest.raises(DataError, match="format version 1"):
-            model_from_dict({**d, "format_version": 1})
+        assert d["network"]["topology"] == [7, 1] and d["network"]["activations"] == ["sigmoid"]
+        assert len(d["network"]["params"]) == 8
+        with pytest.raises(DataError, match="format version 2"):
+            model_from_dict({**d, "format_version": 2})
 
     def test_dict_round_trip(self):
         ds = _blobs(73, 15, dim=3)

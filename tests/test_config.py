@@ -57,6 +57,8 @@ class TestResolve:
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
             resolve_config({"test_fraction": 0.0})
+        with pytest.raises(ConfigError, match="ae_val_fraction"):
+            resolve_config({"ae_val_fraction": 0.0})
         with pytest.raises(ConfigError):
             resolve_config({"threshold_percentile": 100.0})
 

@@ -402,6 +402,17 @@ class TestSplit:
         with pytest.raises(StratificationError):
             split(ds, seed=0)
 
+    def test_empty_part_rejected(self):
+        ds = self._labeled(60, 40)
+        with pytest.raises(DomainError):
+            split(ds, ae_val_fraction=0.0, seed=0)
+        # each fraction rounds one part to no rows
+        for part, fractions in (("test", (0.001, 0.1)), ("ae_val", (0.1, 0.001)), ("ae_train", (0.1, 0.999))):
+            with pytest.raises(InsufficientDataError, match=f"the {part} part"):
+                split(ds, test_fraction=fractions[0], ae_val_fraction=fractions[1], seed=0)
+        with pytest.raises(InsufficientDataError, match="the supervised_train part"):
+            split(self._labeled(4, 2), test_fraction=0.99, seed=0)
+
 
 class TestScaler:
     def _single_channel(self, values):

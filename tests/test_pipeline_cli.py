@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -298,6 +299,22 @@ class TestExitCodes:
         assert f"error: {keys} keys:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_ae_val_fraction_is_2_before_any_stage(self, tmp_path, capsys):
+        cfg_file = _fast_config_file(tmp_path, ae_val_fraction=0)
+        out = tmp_path / "work"
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "run"]) == 2
+        assert "ae_val_fraction must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_test_part_is_3_at_split(self, tmp_path, capsys):
+        # 0.0001 of 600 rows rounds to an empty test set
+        cfg_file = _fast_config_file(tmp_path, test_fraction=0.0001)
+        out = tmp_path / "work"
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "run"]) == 3
+        err = capsys.readouterr().err
+        assert "stage 'split' failed" in err and "test part of the split would be empty" in err
+        assert json.loads((out / "manifest.json").read_text())["artifacts"] == ["data.csv"]
+
     def test_non_finite_train_clf_flag_is_rejected(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path)
         out = tmp_path / "work"
@@ -353,7 +370,9 @@ def _set_literal(path, keys, literal):
 
 
 class TestBrokenScorer:
-    @pytest.mark.parametrize("damage", ["garbage", "no_threshold", "short_cov", "unknown_policy", "nan_scaler"])
+    @pytest.mark.parametrize(
+        "damage", ["garbage", "no_threshold", "short_cov", "unknown_policy", "nan_scaler", "format_v1", "no_digest"]
+    )
     def test_score_exits_3(self, calibrated, tmp_path, capsys, damage):
         cfg_file, src = calibrated
         out = tmp_path / "work"
@@ -369,12 +388,37 @@ class TestBrokenScorer:
                 del d["threshold"]
             elif damage == "unknown_policy":
                 d["policy"] = "bogus"
+            elif damage == "format_v1":
+                d["format_version"] = 1
+            elif damage == "no_digest":
+                del d["network_sha256"]
             else:
                 d["residual_cov"] = d["residual_cov"][:-1]
             path.write_text(json.dumps(d))
         assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "score"]) == 3
         assert "error:" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
+
+
+class TestStaleScorer:
+    def test_digest_is_the_network_files_sha256_prefix(self, calibrated):
+        _, out = calibrated
+        digest = json.loads((out / "scorer.json").read_text())["network_sha256"]
+        assert digest == hashlib.sha256((out / "model_ae.json").read_bytes()).hexdigest()[:16]
+
+    def test_retrained_network_exits_3(self, calibrated, tmp_path, capsys):
+        cfg_file, src = calibrated
+        out = tmp_path / "work"
+        shutil.copytree(src, out)
+        base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
+        assert main(base + ["train-ae"]) == 0  # the same seed writes the same network
+        assert main(base + ["score"]) == 0
+        assert main(["--seed", "8", *base, "train-ae"]) == 0
+        for command in ("score", "evaluate"):
+            assert main(base + [command]) == 3
+            assert "calibrated on another network; rerun calibrate" in capsys.readouterr().err
+        assert main(base + ["calibrate"]) == 0
+        assert main(base + ["score"]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -449,7 +493,7 @@ class TestBrokenArtifacts:
             ("score", "test_features.csv", _put_byte_ff),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d["config"].update(k=4))),
             ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["params", 0], "Infinity")),
-            ("evaluate", "clf_logreg.json", lambda p: _set_literal(p, ["weights", 0], "1e999")),
+            ("evaluate", "clf_logreg.json", lambda p: _set_literal(p, ["network", "params", 0], "1e999")),
             ("evaluate", "scaler_supervised.json", lambda p: _set_literal(p, ["ranges", 2], "-Infinity")),
             # params[55] is layer 1's first bias, after 7*5+5 and 5*3 entries
             ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["params", 55], "1" + "0" * 400)),
@@ -482,6 +526,8 @@ class TestBrokenArtifacts:
             ("calibrate", "scaler_ae.json", lambda p: _set_literal(p, ["ranges", 0], "-1.0")),
             ("calibrate", "scaler_ae.json", lambda p: _edit_json(p, lambda d: d["mins"].pop())),
             ("score", "scorer.json", lambda p: _edit_json(p, lambda d: d.update(threshold="nan"))),
+            ("evaluate", "clf_logreg.json", lambda p: shutil.copyfile(p.with_name("clf_knn.json"), p)),
+            ("evaluate", "clf_logreg.json", lambda p: shutil.copyfile(p.with_name("clf_mlp.json"), p)),
         ],
         ids=[
             "garbage_scaler",
@@ -533,6 +579,8 @@ class TestBrokenArtifacts:
             "negative_scaler_range",
             "scaler_mins_short",
             "nan_threshold",
+            "knn_file_as_logreg",
+            "mlp_file_as_logreg",
         ],
     )
     def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):
