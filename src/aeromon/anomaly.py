@@ -24,16 +24,7 @@ import numpy as np
 # scoring uses `forward_rows`; `forward` stays bound here for bench/tracer.py to patch
 from .autoencoder import Network, forward, forward_rows, network_to_dict  # noqa: F401
 from .dataset import Dataset, MinMaxScaler
-from .errors import (
-    DataError,
-    DegenerateResidualsError,
-    DomainError,
-    InsufficientDataError,
-    NotPositiveDefiniteError,
-    ShapeError,
-    read_json_artifact,
-    write_json_artifact,
-)
+from .errors import DataError, DomainError, ShapeError, read_json_artifact, write_json_artifact
 from .numerics import CholeskyFactor, cholesky, covariance, row_sums, solve_spd
 
 SCORER_FORMAT_VERSION = 2
@@ -93,13 +84,9 @@ def score_mahalanobis(stats: ResidualStats, r) -> np.ndarray:
 def fit_residual_stats(net: Network, ae_train_scaled: Dataset) -> ResidualStats:
     """Residual mean and jittered covariance factor over healthy samples."""
     if ae_train_scaled.n < 8:
-        raise InsufficientDataError(f"residual statistics need >= 8 samples, got {ae_train_scaled.n}")
+        raise DataError(f"residual statistics need >= 8 samples, got {ae_train_scaled.n}")
     mean, cov = covariance(residual(net, ae_train_scaled.features))
-    try:
-        factor = cholesky(cov)
-    except NotPositiveDefiniteError as exc:
-        raise DegenerateResidualsError(f"residual covariance is not factorizable: {exc}") from exc
-    return ResidualStats(mean=mean, cov=cov, chol=factor, n_fit=ae_train_scaled.n)
+    return ResidualStats(mean=mean, cov=cov, chol=cholesky(cov), n_fit=ae_train_scaled.n)
 
 
 def calibration_threshold(scores, p: float) -> float:
@@ -115,7 +102,7 @@ def calibration_threshold(scores, p: float) -> float:
         raise DomainError("calibration percentile must lie in (0, 100]")
     s = np.sort(np.asarray(scores, dtype=np.float64).ravel())
     if s.size == 0:
-        raise InsufficientDataError("cannot calibrate on an empty score list")
+        raise DataError("cannot calibrate on an empty score list")
     rank = int(math.ceil((p / 100.0) * (s.size - 1)))
     return float(s[rank])
 
@@ -166,7 +153,7 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
     calibration and classification share one transformation.
     """
     if ae_train.n == 0:
-        raise InsufficientDataError("cannot calibrate on an empty dataset")
+        raise DataError("cannot calibrate on an empty dataset")
     if ae_train.is_labeled and int(ae_train.labels.max(initial=0)) != 0:
         raise DataError("calibration data must contain only normal samples")
     scaled = scaler.transform(_finite_rows(ae_train.features, scaler.mins.shape[0]))
@@ -242,11 +229,7 @@ def _scorer_from_dict(d: dict, net: Network) -> AnomalyScorer:
         dim = net.out_dim
         mean = np.array(d["residual_mean"], dtype=np.float64).reshape(dim)
         cov = np.array(d["residual_cov"], dtype=np.float64).reshape(dim, dim)
-        try:
-            factor = cholesky(cov)
-        except NotPositiveDefiniteError as exc:
-            raise DegenerateResidualsError(f"stored residual covariance is not factorizable: {exc}") from exc
-        stats = ResidualStats(mean=mean, cov=cov, chol=factor, n_fit=int(d["n_fit"]))
+        stats = ResidualStats(mean=mean, cov=cov, chol=cholesky(cov), n_fit=int(d["n_fit"]))
     if scaler.mins.shape != (net.in_dim,):
         raise DataError(f"scorer scaler has {scaler.mins.shape[0]} channels, network expects {net.in_dim}")
     return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, InsufficientDataError, ShapeError, read_json_artifact, write_json_artifact
+from .errors import DataError, DomainError, ShapeError, read_json_artifact, write_json_artifact
 from .numerics import Rng
 
 MODEL_FORMAT_VERSION = 2
@@ -290,7 +290,7 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
     train_feats = ae_train.features
     val_feats = ae_val.features
     if train_feats.shape[0] == 0 or val_feats.shape[0] == 0:
-        raise InsufficientDataError("training and validation sets must be non-empty")
+        raise DataError("training and validation sets must be non-empty")
     if ae_train.is_labeled and int(ae_train.labels.max(initial=0)) != 0:
         raise DataError("reconstruction training data must contain only normal samples")
 

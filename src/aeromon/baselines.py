@@ -33,14 +33,7 @@ from .autoencoder import (
 )
 from .dataset import N_CHANNELS, Dataset, Label
 from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateLabelsError,
-    DomainError,
-    ShapeError,
-    StratificationError,
-    read_json_artifact,
-    write_json_artifact,
+    ConfigError, DataError, DomainError, NumericError, ShapeError, read_json_artifact, write_json_artifact
 )
 from .evaluation import confusion
 from .numerics import Rng, derive_seed, row_sums
@@ -113,15 +106,19 @@ class ClassifierModel:
 
 def _require_both_classes(labels: np.ndarray) -> None:
     if labels.min(initial=1) == labels.max(initial=0):
-        raise DegenerateLabelsError("training data contains a single class")
+        raise NumericError("training data contains a single class")
 
 
 # --- logistic regression ----------------------------------------------------
 
 
+def _logreg_layers(cfg: ClassifierConfig, d: int) -> list[LayerSpec]:
+    return [LayerSpec(d, 1, "sigmoid")]
+
+
 def _train_logreg(cfg: ClassifierConfig, x, y, seed):
     n, d = x.shape
-    net = Network(np.zeros(d + 1), [LayerSpec(d, 1, "sigmoid")])
+    net = Network(np.zeros(d + 1), _logreg_layers(cfg, d))
     target = y.reshape(-1, 1)
     for _ in range(cfg.epochs):
         out, cache = forward(net, x)
@@ -348,11 +345,12 @@ def _read_forest(d, cfg: ClassifierConfig):
 # --- single-hidden-layer perceptron ----------------------------------------
 
 
+def _mlp_layers(cfg: ClassifierConfig, d: int) -> list[LayerSpec]:
+    return [LayerSpec(d, cfg.hidden_units, "elu"), LayerSpec(cfg.hidden_units, 1, "sigmoid")]
+
+
 def _train_mlp(cfg: ClassifierConfig, x, y, seed: int):
-    net = init_network(
-        [LayerSpec(x.shape[1], cfg.hidden_units, "elu"), LayerSpec(cfg.hidden_units, 1, "sigmoid")],
-        seed,
-    )
+    net = init_network(_mlp_layers(cfg, x.shape[1]), seed)
     state = AdamState.for_params(net.params, cfg.learning_rate)
     rng = Rng(derive_seed(seed, 1))
     order = np.arange(x.shape[0])
@@ -390,8 +388,23 @@ def _fields(**rebuild):
     return lambda d, cfg: {name: fn(d[name]) for name, fn in rebuild.items()}
 
 
+def _network_reader(layers: Callable):
+    """A payload reader for a network kind: the file's network must have the
+    layers `layers(cfg, d)` that the kind trains from the file's config on
+    d-channel samples, d being the network's input width."""
+
+    def read(d, cfg):
+        net = network_from_dict(d["network"])
+        expected = layers(cfg, net.in_dim)
+        if net.specs != expected:
+            raise DataError(f"a {cfg.kind} network must have the layers {expected}, found {net.specs}")
+        return {"network": net}
+
+    return read
+
+
 _KINDS = {
-    LOGREG: _Kind(_train_logreg, _network_proba, _fields(network=network_from_dict)),
+    LOGREG: _Kind(_train_logreg, _network_proba, _network_reader(_logreg_layers)),
     GAUSSIAN_NB: _Kind(
         _train_gaussian_nb,
         _gaussian_nb_proba,
@@ -400,7 +413,7 @@ _KINDS = {
     KNN: _Kind(_train_knn, _knn_proba, _fields(train_features=_float_array, train_labels=_label_array, k=int)),
     DECISION_TREE: _Kind(_train_tree, _tree_proba, _fields(root=_tree_from_json)),
     RANDOM_FOREST: _Kind(_train_forest, _forest_proba, _read_forest),
-    MLP: _Kind(_train_mlp, _network_proba, _fields(network=network_from_dict)),
+    MLP: _Kind(_train_mlp, _network_proba, _network_reader(_mlp_layers)),
 }
 CLASSIFIER_KINDS = tuple(_KINDS)
 
@@ -445,7 +458,7 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
     for c in (0, 1):
         idx = [int(i) for i in np.flatnonzero(labels == c)]
         if len(idx) < folds:
-            raise StratificationError(f"class {Label(c).name} has {len(idx)} members, fewer than {folds} folds")
+            raise DataError(f"class {Label(c).name} has {len(idx)} members, fewer than {folds} folds")
         Rng(derive_seed(seed, c)).shuffle(idx)
         for f in range(folds):
             assignments[f].extend(idx[f::folds])

@@ -19,16 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DomainError,
-    InsufficientDataError,
-    MissingLabelsError,
-    ParseError,
-    SchemaError,
-    StratificationError,
-    write_atomic,
-)
+from .errors import DataError, DomainError, write_atomic
 from .numerics import Rng
 
 CHANNELS = ("oat", "mgt", "pa", "ias", "np", "cs", "ot")
@@ -86,7 +77,7 @@ class Dataset:
 
     def require_labels(self) -> np.ndarray:
         if not self.is_labeled:
-            raise MissingLabelsError("dataset has no labels")
+            raise DataError("dataset has no labels")
         return self.labels
 
 
@@ -94,19 +85,19 @@ def _check_header(path: Path, fh, expected: list[str]) -> None:
     try:
         header = next(csv.reader(fh))
     except StopIteration:
-        raise InsufficientDataError(f"{path}: file is empty") from None
+        raise DataError(f"{path}: file is empty") from None
     header = [h.strip().lower() for h in header]
     for i, name in enumerate(expected):
         if i >= len(header):
-            raise SchemaError(f"{path}: missing column '{name}'")
+            raise DataError(f"{path}: missing column '{name}'")
         if header[i] != name:
-            raise SchemaError(f"{path}: expected column '{name}' at position {i + 1}, found '{header[i]}'")
+            raise DataError(f"{path}: expected column '{name}' at position {i + 1}, found '{header[i]}'")
     if len(header) > len(expected):
-        raise SchemaError(f"{path}: unexpected extra column '{header[len(expected)]}'")
+        raise DataError(f"{path}: unexpected extra column '{header[len(expected)]}'")
 
 
 def _check_rows(path: Path, has_labels: bool) -> None:
-    """Raise the ParseError of the first data row that breaks a rule of
+    """Raise the DataError of the first data row that breaks a rule of
     `load_csv`, rows counted as csv records after the header. Only called
     once the fast parse has found a problem; it reports, it builds nothing."""
     n_cells = N_CHANNELS + has_labels
@@ -115,21 +106,21 @@ def _check_rows(path: Path, has_labels: bool) -> None:
         next(reader)
         for rownum, cells in enumerate(reader, start=1):
             if len(cells) != n_cells:
-                raise ParseError(f"{path}: row {rownum} has {len(cells)} cells, expected {n_cells}")
+                raise DataError(f"{path}: row {rownum} has {len(cells)} cells, expected {n_cells}")
             numbers = cells[:N_CHANNELS]
             try:
                 values = [float(c) for c in numbers]
             except ValueError:
-                raise ParseError(f"{path}: row {rownum} contains a non-numeric cell") from None
+                raise DataError(f"{path}: row {rownum} contains a non-numeric cell") from None
             # float() also takes digit-group underscores and non-ASCII digits; numpy's parser does not
             if any("_" in c or not c.strip().isascii() for c in numbers):
-                raise ParseError(f"{path}: row {rownum} contains a non-numeric cell")
+                raise DataError(f"{path}: row {rownum} contains a non-numeric cell")
             if not all(math.isfinite(v) for v in values):
-                raise ParseError(f"{path}: row {rownum} contains a non-finite value")
+                raise DataError(f"{path}: row {rownum} contains a non-finite value")
             if has_labels:
                 cell = cells[N_CHANNELS]
                 if len(cell) >= _LABEL_WIDTH or cell.strip().lower() not in _LABEL_TOKENS:
-                    raise ParseError(f"{path}: row {rownum} has unrecognized label '{cell}'")
+                    raise DataError(f"{path}: row {rownum} has unrecognized label '{cell}'")
 
 
 def _label_codes(cells: np.ndarray) -> np.ndarray | None:
@@ -181,11 +172,11 @@ def load_csv(path, has_labels: bool) -> Dataset:
         if not readable or len(table) != n_lines:
             _check_rows(path, has_labels)
     except UnicodeDecodeError:
-        raise ParseError(f"{path}: the file is not UTF-8 text") from None
+        raise DataError(f"{path}: the file is not UTF-8 text") from None
     if not readable:
-        raise ParseError(f"{path}: a row cannot be parsed")
+        raise DataError(f"{path}: a row cannot be parsed")
     if not len(table):
-        raise InsufficientDataError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     return Dataset(table["x"], labels)
 
 
@@ -213,7 +204,7 @@ def save_csv(data: Dataset, path, include_labels: bool | None = None) -> None:
     if include_labels is None:
         include_labels = data.is_labeled
     if include_labels and not data.is_labeled:
-        raise MissingLabelsError("cannot write labels: dataset has none")
+        raise DataError("cannot write labels: dataset has none")
     header = ",".join(CHANNELS) + (",label" if include_labels else "")
     row_format = ",".join(["{!r}"] * data.features.shape[1] + ["{}"] * include_labels) + "\n"
     columns = list(data.features.T) + ([data.labels] if include_labels else [])
@@ -264,7 +255,7 @@ def split(
     supervised training set are split again: ae_val_fraction held out for
     validation, the rest for reconstruction training. Membership is decided
     by a seeded shuffle; each part keeps original row order. A part that
-    would be empty raises InsufficientDataError.
+    would be empty raises DataError.
     """
     labels = data.require_labels()
     if not (0.0 < test_fraction < 1.0 and 0.0 < ae_val_fraction < 1.0):
@@ -272,7 +263,7 @@ def split(
     class_indices = {c: np.flatnonzero(labels == c) for c in (0, 1)}
     for c, idx in class_indices.items():
         if idx.size < 2:
-            raise StratificationError(f"class {Label(c).name} has {idx.size} member(s), need >= 2")
+            raise DataError(f"class {Label(c).name} has {idx.size} member(s), need >= 2")
 
     rng = Rng(seed)
     total_take = _round_half_up(test_fraction * data.n)
@@ -293,7 +284,7 @@ def split(
     }
     for name, idx in parts.items():
         if idx.size == 0:
-            raise InsufficientDataError(f"the {name} part of the split would be empty")
+            raise DataError(f"the {name} part of the split would be empty")
     return SplitResult(**{name: data.subset(idx) for name, idx in parts.items()})
 
 
@@ -341,7 +332,7 @@ class MinMaxScaler:
 
 def fit_scaler(train: Dataset) -> MinMaxScaler:
     if train.n == 0:
-        raise InsufficientDataError("cannot fit scaler on an empty dataset")
+        raise DataError("cannot fit scaler on an empty dataset")
     mins = train.features.min(axis=0)
     ranges = train.features.max(axis=0) - mins
     return MinMaxScaler(mins, ranges)

@@ -1,7 +1,12 @@
 """Exception hierarchy shared by every stage.
 
-Each class carries the process exit code the CLI maps it to:
-2 = configuration, 3 = data, 4 = numeric/degeneracy.
+The CLI exits with the `exit_code` of the error it catches. A caller may
+catch one class per exit code: `ConfigError` (2, invalid configuration),
+`DataError` (3, a bad input file, artifact or sample count) and
+`NumericError` (4, a numeric failure or degeneracy). The message says which
+rule was broken. `ShapeError` and `DomainError` are the two `NumericError`s
+that `read_json_artifact` (and config resolution) catch by type to re-raise
+as data (or config) errors; `ToolkitError` is the common base.
 """
 
 import json
@@ -21,30 +26,14 @@ class ConfigError(ToolkitError):
 
 
 class DataError(ToolkitError):
+    """Bad input: schema, parse, too few samples, missing labels, broken artifact."""
+
     exit_code = 3
 
 
-class SchemaError(DataError):
-    """CSV header does not match the documented column layout."""
-
-
-class ParseError(DataError):
-    """A data cell could not be parsed; message cites the row."""
-
-
-class InsufficientDataError(DataError):
-    """Operation needs more samples than were provided."""
-
-
-class StratificationError(DataError):
-    """A class is too small to split or fold as requested."""
-
-
-class MissingLabelsError(DataError):
-    """Labels required but absent."""
-
-
 class NumericError(ToolkitError):
+    """Numeric failure: a matrix that is not positive definite, a single-class fit, an undefined metric."""
+
     exit_code = 4
 
 
@@ -54,22 +43,6 @@ class ShapeError(NumericError):
 
 class DomainError(NumericError):
     """Argument outside its mathematical domain."""
-
-
-class NotPositiveDefiniteError(NumericError):
-    """Factorization failed even at the jitter cap."""
-
-
-class DegenerateResidualsError(NumericError):
-    """Reconstruction residuals have no usable covariance."""
-
-
-class DegenerateLabelsError(NumericError):
-    """Training data contains a single class."""
-
-
-class UndefinedAurocError(NumericError):
-    """AUROC requested with only one class present."""
 
 
 def _finite_float(literal: str) -> float:

@@ -10,12 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import CHANNELS, Dataset
-from .errors import (
-    DomainError,
-    InsufficientDataError,
-    ShapeError,
-    UndefinedAurocError,
-)
+from .errors import DataError, DomainError, NumericError, ShapeError
 from .numerics import percentile
 
 
@@ -26,7 +21,7 @@ def confusion(pred, truth) -> dict:
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ShapeError("prediction and truth vectors must have equal length")
     if pred.size == 0:
-        raise InsufficientDataError("cannot build a confusion matrix from zero samples")
+        raise DataError("cannot build a confusion matrix from zero samples")
     return {
         "tp": int(((pred == 1) & (truth == 1)).sum()),
         "fp": int(((pred == 1) & (truth == 0)).sum()),
@@ -72,7 +67,7 @@ def auroc(scores, truth) -> float:
     n_pos = int((truth == 1).sum())
     n_neg = int((truth == 0).sum())
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedAurocError("AUROC needs both classes present")
+        raise NumericError("AUROC needs both classes present")
     order = np.argsort(scores, kind="stable")
     # each run of equal sorted scores starting at 0-based `start` shares the
     # 1-based midrank start + (count + 1) / 2
@@ -94,7 +89,7 @@ def feature_histograms(data: Dataset, bins: int = 50) -> tuple[np.ndarray, ...]:
     """
     labels = data.require_labels()
     if data.n == 0:
-        raise InsufficientDataError("cannot histogram an empty dataset")
+        raise DataError("cannot histogram an empty dataset")
     if bins < 2:
         raise DomainError("need at least 2 bins")
     parts = []

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InsufficientDataError,
-    NotPositiveDefiniteError,
-    ShapeError,
-)
+from .errors import DataError, DomainError, NumericError, ShapeError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -166,7 +161,7 @@ def covariance(rows) -> tuple[np.ndarray, np.ndarray]:
     x = _as_2d(rows)
     n, d = x.shape
     if n < 2:
-        raise InsufficientDataError(f"covariance needs >= 2 rows, got {n}")
+        raise DataError(f"covariance needs >= 2 rows, got {n}")
     if not np.isfinite(x).all():
         raise DomainError("covariance input contains non-finite values")
     mean = x.mean(axis=0)
@@ -206,7 +201,8 @@ def cholesky(a) -> CholeskyFactor:
     The unjittered matrix is tried first. On failure, jitter starts at
     1e-10 * trace/d, escalates by factors of 10, and gives up past the cap
     1e-3 * trace/d. A matrix whose trace is not positive cannot be positive
-    definite, so it fails immediately.
+    definite, so it fails immediately. Failure raises NumericError; the only
+    matrices factored here are residual covariances, so its message says so.
     """
     a = _as_2d(a)
     d = a.shape[0]
@@ -222,7 +218,7 @@ def cholesky(a) -> CholeskyFactor:
     scale = float(np.trace(a)) / d if d > 0 else 0.0
     cap = JITTER_CAP_FACTOR * scale
     if cap <= 0.0:
-        raise NotPositiveDefiniteError("matrix has non-positive trace; cannot jitter")
+        raise NumericError("covariance is not positive definite: its trace is not positive")
     j = JITTER_BASE_FACTOR * scale
     eye = np.eye(d)
     while j <= cap:
@@ -230,7 +226,7 @@ def cholesky(a) -> CholeskyFactor:
         if lower is not None:
             return CholeskyFactor(dim=d, lower=lower, jitter=j)
         j *= 10.0
-    raise NotPositiveDefiniteError(f"factorization failed at jitter cap {cap:g}")
+    raise NumericError(f"covariance is not positive definite: factorization failed at jitter cap {cap:g}")
 
 
 def row_sums(m: np.ndarray) -> np.ndarray:
@@ -276,7 +272,7 @@ def percentile(values, p: float) -> float:
         raise DomainError(f"percentile p={p} outside [0, 100]")
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
-        raise InsufficientDataError("percentile of an empty list")
+        raise DataError("percentile of an empty list")
     if not np.isfinite(v).all():
         raise DomainError("percentile input contains non-finite values")
     s = np.sort(v)

@@ -58,14 +58,7 @@ from .dataset import (
     split,
     write_csv,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    ParseError,
-    ToolkitError,
-    read_json_artifact,
-    write_json_artifact,
-)
+from .errors import ConfigError, DataError, ToolkitError, read_json_artifact, write_json_artifact
 from .evaluation import evaluate_model, feature_histograms
 from .numerics import derive_seed
 
@@ -240,13 +233,13 @@ def _load_test_set(out: _OutputDir) -> Dataset:
     `index,label` row per feature row, indexes 0..n-1 in order, labels 0 or 1."""
     features = load_csv(out.file("test_features.csv"), has_labels=False)
     path = out.file("test_labels.csv")
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
             if next(csv.reader(fh), None) != ["index", "label"]:
                 raise DataError(f"{path}: expected the header 'index,label'")
             table = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:  # a UnicodeDecodeError (not UTF-8) too
-            raise ParseError(f"{path}: expected 'index,label' rows of integers: {exc}") from None
+    except (OSError, ValueError) as exc:  # a missing file; a UnicodeDecodeError (not UTF-8) too
+        raise DataError(f"{path}: cannot read 'index,label' rows of integers: {exc}") from None
     if table.shape[1] != 2 or len(table) != features.n:
         raise DataError(f"{path}: expected {features.n} 'index,label' rows, one per test feature row")
     index, labels = table.T

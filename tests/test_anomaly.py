@@ -45,7 +45,7 @@ from aeromon.dataset import (
     save_csv,
     split,
 )
-from aeromon.errors import DataError, DegenerateResidualsError, DomainError, InsufficientDataError, ShapeError
+from aeromon.errors import DataError, DomainError, NumericError, ShapeError
 from aeromon.numerics import cholesky
 from aeromon.pipeline import _OutputDir, stage_score
 
@@ -146,7 +146,8 @@ class TestResidualStats:
         feats = np.tile(np.linspace(0.1, 0.7, 7), (20, 1))
         try:
             stats = fit_residual_stats(_zero_net(), Dataset(feats))
-        except DegenerateResidualsError:
+        except NumericError as exc:  # not a ShapeError or any other numeric failure
+            assert str(exc).startswith("covariance is not positive definite")
             return
         assert stats.chol.jitter > 0.0
         assert np.abs(stats.cov).max() < 1e-20
@@ -155,12 +156,12 @@ class TestResidualStats:
         # all-zero features make the residual covariance exactly zero, which
         # cannot be rescued by jitter (non-positive trace)
         feats = np.zeros((20, 7))
-        with pytest.raises(DegenerateResidualsError):
+        with pytest.raises(NumericError, match="^covariance is not positive definite: its trace is not positive$"):
             fit_residual_stats(_zero_net(), Dataset(feats))
 
     def test_minimum_sample_count(self):
         feats = np.random.default_rng(0).random((5, 7))
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="residual statistics need >= 8 samples, got 5"):
             fit_residual_stats(_zero_net(), Dataset(feats))
 
     def test_recovers_generator_covariance(self):

@@ -7,7 +7,8 @@ function or method that nothing in the package refers to outside its own
 definition: a function is referred to by a name it is read through or by an
 attribute, a method only by an attribute (`obj.method`). It also fails on any
 public field of a dataclass or NamedTuple that the package never reads as an
-attribute (`obj.field`).
+attribute (`obj.field`), and on any error class that neither sets its own exit
+code nor is caught by name.
 """
 
 import ast
@@ -140,6 +141,48 @@ def test_detects_a_function_only_tests_call():
     # recursion is not a caller, and a variable named like a method is not a reference to it
     assert {"extra.only_tests", "extra.Box.peek"} <= unused
     assert "extra.used" not in unused
+
+
+def _name_only_errors(modules):
+    """Classes defined in `errors` that neither set their own `exit_code` nor are
+    named in an `except` clause of the package: nothing tells them apart from their base."""
+    caught = {
+        name.id
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in ast.walk(node.type)
+        if isinstance(name, ast.Name)
+    }
+    return [
+        node.name
+        for node in modules["errors"].body
+        if isinstance(node, ast.ClassDef)
+        and node.name not in caught
+        and not any(
+            isinstance(target, ast.Name) and target.id == "exit_code"
+            for item in node.body
+            if isinstance(item, ast.Assign)
+            for target in item.targets
+        )
+    ]
+
+
+def test_every_error_class_has_an_exit_code_or_a_catcher():
+    extra = _name_only_errors(_modules())
+    assert extra == [], f"error classes no code tells apart from their base (raise the base instead): {extra}"
+
+
+def test_detects_a_name_only_error_class():
+    modules = {
+        "errors": ast.parse(
+            "class Base(Exception):\n    exit_code = 3\n\n"
+            "class NameOnly(Base):\n    pass\n\n"
+            "class Caught(Base):\n    pass\n"
+        ),
+        "user": ast.parse("try:\n    pass\nexcept (ValueError, Caught):\n    raise NameOnly('x')\n"),
+    }
+    assert _name_only_errors(modules) == ["NameOnly"]
 
 
 def test_bench_trace_targets_resolve():

@@ -23,7 +23,7 @@ from aeromon.autoencoder import (
     train,
 )
 from aeromon.dataset import Dataset, SynthConfig, apply_scaler, fit_scaler, generate_synthetic, split
-from aeromon.errors import DomainError, InsufficientDataError, ShapeError
+from aeromon.errors import DataError, DomainError, ShapeError
 
 
 def finite_difference_grads(net, x, h=1e-5):
@@ -404,9 +404,9 @@ class TestTrain:
         ds = Dataset(np.zeros((0, 7)))
         full = Dataset(np.full((4, 7), 0.5))
         net = init_network(default_autoencoder_specs(), seed=0)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="training and validation sets must be non-empty"):
             train(net, ds, full, TrainConfig(seed=0))
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="training and validation sets must be non-empty"):
             train(net, full, ds, TrainConfig(seed=0))
 
     def test_config_validation(self):

@@ -25,7 +25,7 @@ from aeromon.baselines import (
     train_classifier,
 )
 from aeromon.dataset import Dataset, Label
-from aeromon.errors import ConfigError, DataError, DegenerateLabelsError, DomainError, ShapeError, StratificationError
+from aeromon.errors import ConfigError, DataError, DomainError, NumericError, ShapeError
 
 
 def _ds(features, labels):
@@ -602,7 +602,7 @@ class TestSharedContracts:
 
     def test_single_class_rejected(self):
         ds = _ds([1.0, 2.0, 3.0], [0, 0, 0])
-        with pytest.raises(DegenerateLabelsError):
+        with pytest.raises(NumericError, match="training data contains a single class"):
             train_classifier(ClassifierConfig(GAUSSIAN_NB), ds, seed=0)
 
 
@@ -645,7 +645,7 @@ class TestCrossValidation:
 
     def test_small_class_rejected(self):
         ds = _ds([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0, 0, 0, 0, 1, 1])
-        with pytest.raises(StratificationError):
+        with pytest.raises(DataError, match="class NORMAL has 4 members, fewer than 5 folds"):
             cross_validate(ClassifierConfig(KNN, k=1), ds, folds=5, seed=0)
 
 

@@ -17,16 +17,7 @@ from aeromon.dataset import (
     save_csv,
     split,
 )
-from aeromon.errors import (
-    DataError,
-    DomainError,
-    InsufficientDataError,
-    MissingLabelsError,
-    ParseError,
-    SchemaError,
-    StratificationError,
-    write_atomic,
-)
+from aeromon.errors import DataError, DomainError, write_atomic
 
 HEADER = ",".join(CHANNELS)
 
@@ -65,9 +56,7 @@ def _count(ds, label):
 
 class TestSampleAccess:
     def test_require_labels_rejects_unlabeled(self):
-        from aeromon.errors import MissingLabelsError
-
-        with pytest.raises(MissingLabelsError):
+        with pytest.raises(DataError, match="dataset has no labels"):
             _random_dataset(1, 5, labeled=False).require_labels()
 
 
@@ -90,40 +79,40 @@ class TestLoadCsv:
 
     def test_nan_cell_cites_row(self, tmp_path):
         p = _write(tmp_path, HEADER + "\n1,2,3,4,5,6,7\n1,NaN,3,4,5,6,7\n")
-        with pytest.raises(ParseError, match="row 2"):
+        with pytest.raises(DataError, match="row 2 contains a non-finite value"):
             load_csv(p, has_labels=False)
 
     def test_non_numeric_cell_cites_row(self, tmp_path):
         p = _write(tmp_path, HEADER + "\n1,2,x,4,5,6,7\n")
-        with pytest.raises(ParseError, match="row 1"):
+        with pytest.raises(DataError, match="row 1 contains a non-numeric cell"):
             load_csv(p, has_labels=False)
 
     def test_missing_column_named(self, tmp_path):
         p = _write(tmp_path, "oat,mgt,pa,ias,np,cs\n1,2,3,4,5,6\n")
-        with pytest.raises(SchemaError, match="ot"):
+        with pytest.raises(DataError, match="missing column 'ot'"):
             load_csv(p, has_labels=False)
 
     def test_extra_column_named(self, tmp_path):
         p = _write(tmp_path, HEADER + ",bogus\n1,2,3,4,5,6,7,9\n")
-        with pytest.raises(SchemaError, match="bogus"):
+        with pytest.raises(DataError, match="unexpected extra column 'bogus'"):
             load_csv(p, has_labels=False)
 
     def test_label_column_required_when_requested(self, tmp_path):
         p = _write(tmp_path, HEADER + "\n1,2,3,4,5,6,7\n")
-        with pytest.raises(SchemaError, match="label"):
+        with pytest.raises(DataError, match="missing column 'label'"):
             load_csv(p, has_labels=True)
 
     def test_empty_file(self, tmp_path):
         p = _write(tmp_path, "")
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="file is empty"):
             load_csv(p, has_labels=False)
         p2 = _write(tmp_path, HEADER + "\n", "h.csv")
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="no data rows"):
             load_csv(p2, has_labels=False)
 
     def test_bad_label_token(self, tmp_path):
         p = _write(tmp_path, HEADER + ",label\n1,2,3,4,5,6,7,maybe\n")
-        with pytest.raises(ParseError, match="row 1"):
+        with pytest.raises(DataError, match="row 1 has unrecognized label 'maybe'"):
             load_csv(p, has_labels=True)
 
     @pytest.mark.invariant
@@ -153,33 +142,33 @@ def _reference_load_csv(path, has_labels):
         try:
             header = next(reader)
         except StopIteration:
-            raise InsufficientDataError(f"{path}: file is empty") from None
+            raise DataError(f"{path}: file is empty") from None
         header = [h.strip().lower() for h in header]
         for i, name in enumerate(expected):
             if i >= len(header):
-                raise SchemaError(f"{path}: missing column '{name}'")
+                raise DataError(f"{path}: missing column '{name}'")
             if header[i] != name:
-                raise SchemaError(f"{path}: expected column '{name}' at position {i + 1}, found '{header[i]}'")
+                raise DataError(f"{path}: expected column '{name}' at position {i + 1}, found '{header[i]}'")
         if len(header) > len(expected):
-            raise SchemaError(f"{path}: unexpected extra column '{header[len(expected)]}'")
+            raise DataError(f"{path}: unexpected extra column '{header[len(expected)]}'")
         rows, labels = [], []
         for rownum, cells in enumerate(reader, start=1):
             if len(cells) != len(expected):
-                raise ParseError(f"{path}: row {rownum} has {len(cells)} cells, expected {len(expected)}")
+                raise DataError(f"{path}: row {rownum} has {len(cells)} cells, expected {len(expected)}")
             try:
                 values = [float(c) for c in cells[:7]]
             except ValueError:
-                raise ParseError(f"{path}: row {rownum} contains a non-numeric cell") from None
+                raise DataError(f"{path}: row {rownum} contains a non-numeric cell") from None
             if not all(math.isfinite(v) for v in values):
-                raise ParseError(f"{path}: row {rownum} contains a non-finite value")
+                raise DataError(f"{path}: row {rownum} contains a non-finite value")
             rows.append(values)
             if has_labels:
                 token = cells[7].strip().lower()
                 if token not in _REFERENCE_LABELS:
-                    raise ParseError(f"{path}: row {rownum} has unrecognized label '{cells[7]}'")
+                    raise DataError(f"{path}: row {rownum} has unrecognized label '{cells[7]}'")
                 labels.append(_REFERENCE_LABELS[token])
     if not rows:
-        raise InsufficientDataError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(labels, dtype=np.int8) if has_labels else None)
 
 
@@ -267,13 +256,13 @@ class TestCsvParity:
         row = f"{_ROW},{cell}" if has_labels else f"{cell},2,3,4,5,6,7"
         p = _write(tmp_path, HEADER + (",label" if has_labels else "") + f"\n{_ROW}{',0' * has_labels}\n{row}\n")
         _reference_load_csv(p, has_labels)
-        with pytest.raises(ParseError, match="row 2"):
+        with pytest.raises(DataError, match="row 2 (contains a non-numeric cell|has unrecognized label)"):
             load_csv(p, has_labels)
 
     def test_trailing_nul_of_a_label_is_dropped(self, tmp_path):
         # numpy strings cannot end in NUL, so the reader sees "normal"
         p = _write(tmp_path, _LABELED + f"{_ROW},normal\x00\n")
-        with pytest.raises(ParseError, match="row 1"):
+        with pytest.raises(DataError, match="row 1 has unrecognized label"):
             _reference_load_csv(p, True)
         assert list(load_csv(p, True).labels) == [0]
 
@@ -304,7 +293,7 @@ class TestCsvParity:
             assert back.features.tobytes() == ds.features.tobytes()
 
     def test_save_without_labels_refuses_label_request(self, tmp_path):
-        with pytest.raises(MissingLabelsError):
+        with pytest.raises(DataError, match="cannot write labels: dataset has none"):
             save_csv(_random_dataset(1, 4, labeled=False), tmp_path / "x.csv", include_labels=True)
 
 
@@ -399,7 +388,7 @@ class TestSplit:
     def test_small_class_rejected(self):
         feats = np.zeros((5, 7))
         ds = Dataset(feats, np.array([0, 0, 0, 0, 1], dtype=np.int8))
-        with pytest.raises(StratificationError):
+        with pytest.raises(DataError, match=r"class ANOMALOUS has 1 member\(s\), need >= 2"):
             split(ds, seed=0)
 
     def test_empty_part_rejected(self):
@@ -408,9 +397,9 @@ class TestSplit:
             split(ds, ae_val_fraction=0.0, seed=0)
         # each fraction rounds one part to no rows
         for part, fractions in (("test", (0.001, 0.1)), ("ae_val", (0.1, 0.001)), ("ae_train", (0.1, 0.999))):
-            with pytest.raises(InsufficientDataError, match=f"the {part} part"):
+            with pytest.raises(DataError, match=f"the {part} part"):
                 split(ds, test_fraction=fractions[0], ae_val_fraction=fractions[1], seed=0)
-        with pytest.raises(InsufficientDataError, match="the supervised_train part"):
+        with pytest.raises(DataError, match="the supervised_train part"):
             split(self._labeled(4, 2), test_fraction=0.99, seed=0)
 
 
@@ -433,7 +422,7 @@ class TestScaler:
         assert (scaled.features[:, 0] == 0.0).all()
 
     def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="cannot fit scaler on an empty dataset"):
             fit_scaler(Dataset(np.zeros((0, 7))))
 
     def test_midpoint_maps_to_half(self):

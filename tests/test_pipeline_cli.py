@@ -399,6 +399,33 @@ class TestBrokenScorer:
         assert "error:" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
 
+    @pytest.mark.parametrize(
+        "damage, code, message",
+        [
+            # symmetric with a negative trace: no jitter can factor it, a numeric error
+            (
+                lambda cov, dim: [-1.0 if i % (dim + 1) == 0 else 0.0 for i in range(dim * dim)],
+                4,
+                "error: covariance is not positive definite",
+            ),
+            # one off-diagonal entry changed: not symmetric, a broken file
+            (lambda cov, dim: [v + (i == 1) for i, v in enumerate(cov)], 3, "ShapeError: matrix is not symmetric"),
+        ],
+        ids=["negative_identity", "asymmetric"],
+    )
+    def test_stored_covariance_exit_code(self, calibrated, tmp_path, capsys, damage, code, message):
+        cfg_file, src = calibrated
+        out = tmp_path / "work"
+        shutil.copytree(src, out)
+        path = out / "scorer.json"
+        d = json.loads(path.read_text())
+        assert d["policy"] == "mahalanobis"
+        d["residual_cov"] = damage(d["residual_cov"], len(d["residual_mean"]))
+        path.write_text(json.dumps(d))
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "score"]) == code
+        assert message in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
+
 
 class TestStaleScorer:
     def test_digest_is_the_network_files_sha256_prefix(self, calibrated):
@@ -445,6 +472,16 @@ def _to_format_v1(net):
         layers.append({"weights": flat[: end - n_out], "biases": flat[end - n_out : end]})
         flat = flat[end:]
     net.update(format_version=1, layers=layers)
+
+
+def _copy_network(src_name):
+    """Damage: replace the file's `network` with the one in `src_name`, a sibling file."""
+    return lambda p: _edit_json(p, lambda d: d.update(network=json.loads(p.with_name(src_name).read_text())["network"]))
+
+
+def _widen_hidden_layer(d):
+    """Damage: the MLP file's config asks for one more hidden unit than its network has."""
+    d["config"]["hidden_units"] += 1
 
 
 def _replace_first_row(path, row):
@@ -528,6 +565,10 @@ class TestBrokenArtifacts:
             ("score", "scorer.json", lambda p: _edit_json(p, lambda d: d.update(threshold="nan"))),
             ("evaluate", "clf_logreg.json", lambda p: shutil.copyfile(p.with_name("clf_knn.json"), p)),
             ("evaluate", "clf_logreg.json", lambda p: shutil.copyfile(p.with_name("clf_mlp.json"), p)),
+            ("evaluate", "test_labels.csv", lambda p: p.unlink()),
+            ("evaluate", "clf_logreg.json", _copy_network("clf_mlp.json")),
+            ("evaluate", "clf_mlp.json", _copy_network("clf_logreg.json")),
+            ("evaluate", "clf_mlp.json", lambda p: _edit_json(p, _widen_hidden_layer)),
         ],
         ids=[
             "garbage_scaler",
@@ -581,6 +622,10 @@ class TestBrokenArtifacts:
             "nan_threshold",
             "knn_file_as_logreg",
             "mlp_file_as_logreg",
+            "labels_file_missing",
+            "mlp_network_in_logreg",
+            "logreg_network_in_mlp",
+            "mlp_hidden_units_mismatch",
         ],
     )
     def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):
