@@ -31,7 +31,7 @@ from .autoencoder import (
     network_from_dict,
     network_to_dict,
 )
-from .dataset import N_CHANNELS, Dataset, Label
+from .dataset import Dataset, Label
 from .errors import (
     ConfigError, DataError, DomainError, NumericError, ShapeError, read_json_artifact, write_json_artifact
 )
@@ -130,9 +130,9 @@ def _train_logreg(cfg: ClassifierConfig, x, y, seed):
     return {"network": net}
 
 
-def _network_proba(payload, x):
+def _network_proba(model, x):
     """The output unit of a logreg or mlp network, through the row-exact `forward_rows`."""
-    return forward_rows(payload["network"], x)[:, 0]
+    return forward_rows(model.payload["network"], x)[:, 0]
 
 
 # --- gaussian naive bayes ---------------------------------------------------
@@ -152,13 +152,24 @@ def _train_gaussian_nb(cfg: ClassifierConfig, x, y, seed):
     }
 
 
-def _gaussian_nb_proba(payload, x):
+def _gaussian_nb_proba(model, x):
+    p = model.payload
     l0, l1 = (
         -0.5 * row_sums(np.log(2.0 * math.pi * var) + (x - mean) ** 2 / var) + log_prior
-        for mean, var, log_prior in zip(payload["means"], payload["variances"], payload["log_priors"])
+        for mean, var, log_prior in zip(p["means"], p["variances"], p["log_priors"])
     )
     # the posterior e^l1 / (e^l0 + e^l1) is the logistic of the log-likelihood gap
     return _sigmoid(l1 - l0)
+
+
+def _read_gaussian_nb(d, cfg: ClassifierConfig, n_channels: int):
+    names = ("means", "variances", "log_priors")
+    means, variances, log_priors = (np.array(d[name], dtype=np.float64) for name in names)
+    if means.shape != (2, n_channels) or variances.shape != (2, n_channels) or log_priors.shape != (2,):
+        raise DataError(f"gaussian_nb means and variances must be (2, {n_channels}) and log_priors (2,)")
+    if not ((variances > 0.0).all() and (log_priors <= 0.0).all()):
+        raise DataError("gaussian_nb variances must be > 0 and log_priors <= 0")
+    return {"means": means, "variances": variances, "log_priors": log_priors}
 
 
 # --- k-nearest-neighbours ---------------------------------------------------
@@ -168,7 +179,17 @@ def _train_knn(cfg: ClassifierConfig, x, y, seed):
     if cfg.k > x.shape[0]:
         raise DataError(f"k={cfg.k} exceeds training size {x.shape[0]}")
     # integer labels, so the model file holds 0/1 and not 0.0/1.0
-    return {"train_features": x.copy(), "train_labels": y.astype(np.int8), "k": cfg.k}
+    return {"train_features": x.copy(), "train_labels": y.astype(np.int8)}
+
+
+def _read_knn(d, cfg: ClassifierConfig, n_channels: int):
+    """kNN's training rows; `k` comes from the config (a stray `k` key in the file is ignored)."""
+    x, y = np.array(d["train_features"], dtype=np.float64), np.array(d["train_labels"])
+    if x.ndim != 2 or x.shape[1] != n_channels or y.shape != (x.shape[0],) or not np.isin(y, (0, 1)).all():
+        raise DataError(f"knn train_features must be (m, {n_channels}), with one 0/1 train_labels entry per row")
+    if cfg.k > x.shape[0]:
+        raise DataError(f"k={cfg.k} exceeds training size {x.shape[0]}")
+    return {"train_features": x, "train_labels": y.astype(np.int8)}
 
 
 def _knn_neighbours(train_x, q, k):
@@ -184,8 +205,8 @@ def _knn_neighbours(train_x, q, k):
     return closer | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= slots))
 
 
-def _knn_proba(payload, x):
-    train_x, positive, k = payload["train_features"], payload["train_labels"] == 1, payload["k"]
+def _knn_proba(model, x):
+    train_x, positive, k = model.payload["train_features"], model.payload["train_labels"] == 1, model.config.k
     block = max(1, _KNN_BLOCK_ELEMS // train_x.shape[0])
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], block):
@@ -273,8 +294,8 @@ def _tree_leaves(tree: _Tree, x) -> np.ndarray:
     return node
 
 
-def _tree_proba(payload, x):
-    tree = payload["root"]
+def _tree_proba(model, x):
+    tree = model.payload["root"]
     return tree.leaf[_tree_leaves(tree, x)]
 
 
@@ -284,10 +305,10 @@ def _train_tree(cfg: ClassifierConfig, x, y, seed):
     return {"root": _grow_tree(x, y, order, cfg.max_depth, cfg.min_leaf, lambda: all_features)}
 
 
-def _tree_from_json(d: dict) -> _Tree:
+def _tree_from_json(d: dict, n_channels: int) -> _Tree:
     """A tree from its JSON arrays. Anything that could send a row anywhere but
     down to one leaf raises DataError: empty or unequal arrays, a feature
-    outside [-1, N_CHANNELS) (the telemetry width), a child index not after its parent or past the
+    outside [-1, n_channels), a child index not after its parent or past the
     end (so no cycle), or a leaf fraction outside [0, 1]."""
     feature, left, right = (np.array(d[name]) for name in ("feature", "left", "right"))
     threshold, leaf = (np.array(d[name], dtype=np.float64) for name in ("threshold", "leaf"))
@@ -297,8 +318,8 @@ def _tree_from_json(d: dict) -> _Tree:
         raise DataError("tree arrays must be non-empty and of equal length")
     if any(column.dtype.kind != "i" for column in (feature, left, right)):
         raise DataError("tree feature, left and right must hold integers")
-    if ((feature < -1) | (feature >= N_CHANNELS)).any():
-        raise DataError(f"tree feature outside [-1, {N_CHANNELS})")
+    if ((feature < -1) | (feature >= n_channels)).any():
+        raise DataError(f"tree feature outside [-1, {n_channels})")
     inner = np.flatnonzero(feature >= 0)
     for child in (left[inner], right[inner]):
         if ((child <= inner) | (child >= n)).any():
@@ -328,18 +349,18 @@ def _train_forest(cfg: ClassifierConfig, x, y, seed: int):
     return {"trees": trees}
 
 
-def _forest_proba(payload, x):
-    trees = payload["trees"]
+def _forest_proba(model, x):
+    trees = model.payload["trees"]
     votes = np.zeros(x.shape[0])
     for tree in trees:
         votes += tree.leaf[_tree_leaves(tree, x)] > 0.5
     return votes / len(trees)
 
 
-def _read_forest(d, cfg: ClassifierConfig):
+def _read_forest(d, cfg: ClassifierConfig, n_channels: int):
     if len(d["trees"]) != cfg.n_trees:
         raise DataError(f"forest file holds {len(d['trees'])} trees but its config says {cfg.n_trees}")
-    return {"trees": [_tree_from_json(tree) for tree in d["trees"]]}
+    return {"trees": [_tree_from_json(tree, n_channels) for tree in d["trees"]]}
 
 
 # --- single-hidden-layer perceptron ----------------------------------------
@@ -371,31 +392,22 @@ def _train_mlp(cfg: ClassifierConfig, x, y, seed: int):
 # --- shared surface ---------------------------------------------------------
 
 
-_float_array = partial(np.array, dtype=np.float64)
-_label_array = partial(np.array, dtype=np.int8)
-
-
 class _Kind(NamedTuple):
     """How one classifier kind trains, predicts and reads its payload back."""
 
     train: Callable  # (cfg, x, y, seed) -> payload dict
-    proba: Callable  # (payload, (n, d) x) -> (n,) anomalous-class probabilities
-    read: Callable  # (file dict, cfg) -> payload dict
-
-
-def _fields(**rebuild):
-    """A payload reader that rebuilds each named entry from its JSON value."""
-    return lambda d, cfg: {name: fn(d[name]) for name, fn in rebuild.items()}
+    proba: Callable  # (model, (n, d) x) -> (n,) anomalous-class probabilities
+    read: Callable  # (file dict, cfg, n_channels) -> payload dict of a model for n_channels-wide samples
 
 
 def _network_reader(layers: Callable):
     """A payload reader for a network kind: the file's network must have the
-    layers `layers(cfg, d)` that the kind trains from the file's config on
-    d-channel samples, d being the network's input width."""
+    layers `layers(cfg, n_channels)` that the kind trains from the file's
+    config on n_channels-wide samples."""
 
-    def read(d, cfg):
+    def read(d, cfg, n_channels):
         net = network_from_dict(d["network"])
-        expected = layers(cfg, net.in_dim)
+        expected = layers(cfg, n_channels)
         if net.specs != expected:
             raise DataError(f"a {cfg.kind} network must have the layers {expected}, found {net.specs}")
         return {"network": net}
@@ -405,13 +417,9 @@ def _network_reader(layers: Callable):
 
 _KINDS = {
     LOGREG: _Kind(_train_logreg, _network_proba, _network_reader(_logreg_layers)),
-    GAUSSIAN_NB: _Kind(
-        _train_gaussian_nb,
-        _gaussian_nb_proba,
-        _fields(means=_float_array, variances=_float_array, log_priors=_float_array),
-    ),
-    KNN: _Kind(_train_knn, _knn_proba, _fields(train_features=_float_array, train_labels=_label_array, k=int)),
-    DECISION_TREE: _Kind(_train_tree, _tree_proba, _fields(root=_tree_from_json)),
+    GAUSSIAN_NB: _Kind(_train_gaussian_nb, _gaussian_nb_proba, _read_gaussian_nb),
+    KNN: _Kind(_train_knn, _knn_proba, _read_knn),
+    DECISION_TREE: _Kind(_train_tree, _tree_proba, lambda d, cfg, n: {"root": _tree_from_json(d["root"], n)}),
     RANDOM_FOREST: _Kind(_train_forest, _forest_proba, _read_forest),
     MLP: _Kind(_train_mlp, _network_proba, _network_reader(_mlp_layers)),
 }
@@ -436,7 +444,7 @@ def predict_proba(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
         raise ShapeError("predict_proba expects a (n, d) feature matrix")
     if not np.isfinite(x).all():
         raise DomainError("features contain non-finite values")
-    return _KINDS[model.kind].proba(model.payload, x)
+    return _KINDS[model.kind].proba(model, x)
 
 
 def predict(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -534,16 +542,17 @@ def model_to_dict(model: ClassifierModel) -> dict:
     }
 
 
-def model_from_dict(d: dict) -> ClassifierModel:
+def model_from_dict(d: dict, n_channels: int) -> ClassifierModel:
+    """The classifier in `d`, which must predict from n_channels-wide samples."""
     if d.get("format_version") != CLASSIFIER_FORMAT_VERSION:
         raise DataError(f"unsupported classifier format version {d.get('format_version')!r}")
     cfg = ClassifierConfig(**d["config"])
-    return ClassifierModel(config=cfg, payload=_KINDS[cfg.kind].read(d, cfg))
+    return ClassifierModel(config=cfg, payload=_KINDS[cfg.kind].read(d, cfg, n_channels))
 
 
 def save_model(model: ClassifierModel, path) -> None:
     write_json_artifact(path, model_to_dict(model))
 
 
-def load_model(path) -> ClassifierModel:
-    return read_json_artifact(path, model_from_dict)
+def load_model(path, n_channels: int) -> ClassifierModel:
+    return read_json_artifact(path, partial(model_from_dict, n_channels=n_channels))

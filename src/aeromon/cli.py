@@ -94,7 +94,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             manifest = run_pipeline(cfg, out_dir=out.path, quiet=args.quiet)
             if not args.quiet:
-                print(f"config hash {manifest.config_hash}")
+                print(f"config hash {manifest['config_hash']}")
             return 0
         if args.command == "train-clf":
             _train_clf_command(cfg, out, args.kind)

@@ -1,15 +1,15 @@
 """End-to-end orchestration with file-based stage handoff.
 
 Every stage reads and writes files inside one output directory, so stages
-can be re-run standalone and compared by hash. Test features and test labels
-travel in separate files: nothing before the evaluate stage opens the label
-file, and the scoring stage consumes features only.
+can be re-run standalone and compared by hash. The labelled test split is
+written twice: `test.csv` with its labels, which only the evaluate stage
+opens, and `test_features.csv` without them, which the scoring stage reads.
 
 Fixed artifact names inside the output directory:
 
     data.csv                    labelled source telemetry
-    test_features.csv           held-out features (no labels)
-    test_labels.csv             held-out labels, index-aligned
+    test.csv                    labelled held-out test split (evaluate only)
+    test_features.csv           the same rows without labels (score)
     supervised_train.csv        labelled 90% training split
     ae_train.csv, ae_val.csv    normal-only reconstruction splits
     scaler_ae.json              min-max fit on ae_train
@@ -28,10 +28,9 @@ Fixed artifact names inside the output directory:
 
 from __future__ import annotations
 
-import csv
 import os
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -66,29 +65,6 @@ MANIFEST_FORMAT_VERSION = 1
 LOCK_NAME = ".aeromon.lock"
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    toolkit_version: str
-    artifacts: list[str] = field(default_factory=list)
-    stage_seconds: dict = field(default_factory=dict)
-    failed_stage: str | None = None
-
-    def to_dict(self) -> dict:
-        # stage timings go to run_log.csv, not here: the manifest file must
-        # be byte-identical across reruns of the same config
-        d = {
-            "format_version": MANIFEST_FORMAT_VERSION,
-            "config_hash": self.config_hash,
-            "toolkit_version": self.toolkit_version,
-            "artifacts": sorted(self.artifacts),
-        }
-        if self.failed_stage is not None:
-            d["partial"] = True
-            d["failed_stage"] = self.failed_stage
-        return d
-
-
 class _OutputDir:
     def __init__(self, path):
         self.path = Path(path)
@@ -107,30 +83,21 @@ class _OutputDir:
         write_json_artifact(self.file(name), payload)
 
 
-class _Lock:
+@contextmanager
+def _locked(out: _OutputDir):
     """Rejects a second concurrent run on the same output directory."""
-
-    def __init__(self, out: _OutputDir):
-        self.lock_path = out.file(LOCK_NAME)
-
-    def __enter__(self):
-        try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"output directory is locked by another run ({self.lock_path}); "
-                "remove the lock file if that run is dead"
-            ) from None
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        return self
-
-    def __exit__(self, *exc_info):
-        try:
-            self.lock_path.unlink()
-        except FileNotFoundError:
-            pass
-        return False
+    path = out.file(LOCK_NAME)
+    try:
+        with open(path, "x", encoding="ascii") as fh:
+            fh.write(str(os.getpid()))
+    except FileExistsError:
+        raise ConfigError(
+            f"output directory is locked by another run ({path}); remove the lock file if that run is dead"
+        ) from None
+    try:
+        yield
+    finally:
+        path.unlink(missing_ok=True)
 
 
 # --- standalone stages -------------------------------------------------------
@@ -154,13 +121,12 @@ def stage_split(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
         ae_val_fraction=cfg["ae_val_fraction"],
         seed=derive_seed(cfg.seed, STAGE_SPLIT),
     )
+    save_csv(result.test, out.file("test.csv"))
     save_csv(result.test, out.file("test_features.csv"), include_labels=False)
-    labels = result.test.labels
-    write_csv(out.file("test_labels.csv"), "index,label", "{},{}\n", np.arange(len(labels)), labels)
     save_csv(result.supervised_train, out.file("supervised_train.csv"))
     save_csv(result.ae_train, out.file("ae_train.csv"))
     save_csv(result.ae_val, out.file("ae_val.csv"))
-    return ["test_features.csv", "test_labels.csv", "supervised_train.csv", "ae_train.csv", "ae_val.csv"]
+    return ["test.csv", "test_features.csv", "supervised_train.csv", "ae_train.csv", "ae_val.csv"]
 
 
 def stage_fit_scalers(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
@@ -228,38 +194,16 @@ def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     return [f"clf_{kind}.json" for kind in kinds]
 
 
-def _load_test_set(out: _OutputDir) -> Dataset:
-    """Test features with their labels. test_labels.csv must hold one
-    `index,label` row per feature row, indexes 0..n-1 in order, labels 0 or 1."""
-    features = load_csv(out.file("test_features.csv"), has_labels=False)
-    path = out.file("test_labels.csv")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            if next(csv.reader(fh), None) != ["index", "label"]:
-                raise DataError(f"{path}: expected the header 'index,label'")
-            table = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError) as exc:  # a missing file; a UnicodeDecodeError (not UTF-8) too
-        raise DataError(f"{path}: cannot read 'index,label' rows of integers: {exc}") from None
-    if table.shape[1] != 2 or len(table) != features.n:
-        raise DataError(f"{path}: expected {features.n} 'index,label' rows, one per test feature row")
-    index, labels = table.T
-    if not np.array_equal(index, np.arange(features.n)):
-        raise DataError(f"{path}: the index column must count 0..{features.n - 1} in order")
-    if not np.isin(labels, (0, 1)).all():
-        raise DataError(f"{path}: labels must be 0 (normal) or 1 (anomalous)")
-    return Dataset(features.features, labels)
-
-
 def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
-    """The only stage that opens test_labels.csv."""
-    test = _load_test_set(out)
+    """The only stage that opens test.csv, the labelled test split."""
+    test = load_csv(out.file("test.csv"), has_labels=True)
     scorer = out.read_scorer()
     deciders = {"ae": lambda x: classify(scorer, x)}
     kinds = cfg.baseline_kinds()
     scaler = out.read_scaler("scaler_supervised.json") if kinds else None
     for kind in kinds:
         path = out.file(f"clf_{kind}.json")
-        model = load_model(path)
+        model = load_model(path, len(scaler.mins))
         if model.kind != kind:
             raise DataError(f"{path} holds a '{model.kind}' classifier, not '{kind}'")
         deciders[kind] = lambda x, m=model: predict(m, scaler.transform(x))
@@ -306,37 +250,41 @@ _PIPELINE_STAGES = (
 )
 
 
-def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> RunManifest:
+def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> dict:
     """Execute every stage in order; bit-identical outputs for a fixed config.
+    Returns the manifest, the dict written to manifest.json.
 
     A stage failure aborts the run with the stage name attached; the partial
     manifest (flagged `partial`) lists whatever was written before the abort.
     """
     out = _OutputDir(out_dir if out_dir is not None else cfg.out_dir)
-    manifest = RunManifest(config_hash=cfg.config_hash(), toolkit_version=__version__)
-
-    def log(msg):
-        if not quiet:
-            print(msg)
-
-    with _Lock(out):
+    # stage timings go to run_log.csv, not here: the manifest file must be
+    # byte-identical across reruns of the same config
+    manifest = {
+        "format_version": MANIFEST_FORMAT_VERSION,
+        "config_hash": cfg.config_hash(),
+        "toolkit_version": __version__,
+        "artifacts": [],
+    }
+    stage_seconds = {}
+    with _locked(out):
         for stage_name, fn in _PIPELINE_STAGES:
             started = time.perf_counter()
             try:
                 written = fn(cfg, out)
             except ToolkitError as exc:
-                manifest.failed_stage = stage_name
-                out.write_json("manifest.json", manifest.to_dict())
+                out.write_json("manifest.json", {**manifest, "partial": True, "failed_stage": stage_name})
                 raise type(exc)(f"stage '{stage_name}' failed: {exc}") from exc
-            manifest.artifacts.extend(written)
-            manifest.stage_seconds[stage_name] = time.perf_counter() - started
-            log(f"[{stage_name}] wrote {', '.join(written)} ({manifest.stage_seconds[stage_name]:.2f}s)")
+            manifest["artifacts"] = sorted(manifest["artifacts"] + written)
+            stage_seconds[stage_name] = time.perf_counter() - started
+            if not quiet:
+                print(f"[{stage_name}] wrote {', '.join(written)} ({stage_seconds[stage_name]:.2f}s)")
 
-        out.write_json("manifest.json", manifest.to_dict())
-        timings = map(np.array, zip(*manifest.stage_seconds.items()))
+        out.write_json("manifest.json", manifest)
+        timings = map(np.array, zip(*stage_seconds.items()))
         write_csv(out.file("run_log.csv"), "stage,seconds", "{},{:.3f}\n", *timings)
 
-    missing = [a for a in manifest.artifacts if not out.file(a).exists()]
+    missing = [a for a in manifest["artifacts"] if not out.file(a).exists()]
     if missing:
         raise DataError(f"manifest lists artifacts that were not written: {missing}")
     return manifest

@@ -246,7 +246,7 @@ class TestCriterion6Determinism:
     def test_rerun_is_byte_identical(self, full_run):
         out = full_run["out"]
         report_names = sorted(
-            name for name in full_run["manifest"].artifacts if name.startswith("report_")
+            name for name in full_run["manifest"]["artifacts"] if name.startswith("report_")
         )
         report_names.append("comparison.csv")
         report_names.append("manifest.json")

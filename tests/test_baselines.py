@@ -702,7 +702,7 @@ class TestSerialization:
             model = train_classifier(cfg, train_ds, seed=3)
             path = tmp_path / f"{cfg.kind}.json"
             save_model(model, path)
-            back = load_model(path)
+            back = load_model(path, 4)
             assert back.kind == model.kind
             assert back.config == model.config
             assert np.array_equal(predict_proba(back, queries), predict_proba(model, queries))
@@ -712,7 +712,7 @@ class TestSerialization:
         for cfg in _six_configs():
             first, second = tmp_path / f"{cfg.kind}_1.json", tmp_path / f"{cfg.kind}_2.json"
             save_model(train_classifier(cfg, train_ds, seed=5), first)
-            save_model(load_model(first), second)
+            save_model(load_model(first, 4), second)
             assert first.read_bytes() == second.read_bytes(), cfg.kind
 
     def test_file_holds_version_config_and_payload(self):
@@ -724,10 +724,30 @@ class TestSerialization:
         assert d["network"]["topology"] == [7, 1] and d["network"]["activations"] == ["sigmoid"]
         assert len(d["network"]["params"]) == 8
         with pytest.raises(DataError, match="format version 2"):
-            model_from_dict({**d, "format_version": 2})
+            model_from_dict({**d, "format_version": 2}, 7)
 
     def test_dict_round_trip(self):
         ds = _blobs(73, 15, dim=3)
         model = train_classifier(ClassifierConfig(DECISION_TREE), ds, seed=0)
-        back = model_from_dict(model_to_dict(model))
+        back = model_from_dict(model_to_dict(model), 3)
         assert nested_tree(back.payload["root"]) == nested_tree(model.payload["root"])
+
+    @pytest.mark.parametrize("kind", [LOGREG, GAUSSIAN_NB, KNN, MLP])
+    def test_file_of_another_width_rejected(self, kind):
+        cfg = next(c for c in _six_configs() if c.kind == kind)
+        d = model_to_dict(train_classifier(cfg, _blobs(76, 10, dim=4), seed=0))
+        model_from_dict(d, 4)
+        for n_channels in (3, 5):
+            with pytest.raises(DataError):
+                model_from_dict(d, n_channels)
+
+    def test_knn_takes_k_from_its_config(self):
+        train_ds, queries = _blobs(77, 10, dim=4), _blobs(78, 5, dim=4).features
+        model = train_classifier(ClassifierConfig(KNN, k=3), train_ds, seed=0)
+        d = model_to_dict(model)
+        assert "k" not in d
+        # a version-3 file written before k moved to the config alone still loads; its k is ignored
+        back = model_from_dict({**d, "k": 9}, 4)
+        assert np.array_equal(predict_proba(back, queries), predict_proba(model, queries))
+        with pytest.raises(DataError, match="k=21 exceeds training size 20"):
+            model_from_dict({**d, "config": {**d["config"], "k": 21}}, 4)

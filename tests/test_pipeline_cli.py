@@ -49,22 +49,26 @@ def _run(tmp_path, name, **extra):
 class TestRunPipeline:
     def test_all_artifacts_exist(self, tmp_path):
         out, manifest = _run(tmp_path, "a")
-        for name in manifest.artifacts:
+        for name in manifest["artifacts"]:
             assert (out / name).exists(), name
-        assert (out / "manifest.json").exists()
+        assert manifest == json.loads((out / "manifest.json").read_text())
         assert (out / "run_log.csv").exists()
         assert not (out / LOCK_NAME).exists()
+        # the labelled test split and the features-only file hold the same features, bit for bit
+        test = load_csv(out / "test.csv", has_labels=True)
+        features = load_csv(out / "test_features.csv", has_labels=False).features
+        assert test.features.tobytes() == features.tobytes()
 
     @pytest.mark.invariant
     def test_reruns_are_byte_identical(self, tmp_path):
         # identical config: snapshot, rerun into the same and into a second
         # directory, compare every file but the timings in run_log.csv
         out, manifest_a = _run(tmp_path, "a")
-        names = sorted(manifest_a.artifacts) + ["manifest.json"]
+        names = sorted(manifest_a["artifacts"]) + ["manifest.json"]
         snapshot = {name: (out / name).read_bytes() for name in names}
         for second in ("a", "b"):
             out_b, manifest_b = _run(tmp_path, second)
-            assert manifest_a.config_hash == manifest_b.config_hash
+            assert manifest_a["config_hash"] == manifest_b["config_hash"]
             assert sorted(p.name for p in out_b.iterdir()) == sorted(names + ["run_log.csv"])
             for name in names:
                 assert (out_b / name).read_bytes() == snapshot[name], (second, name)
@@ -72,7 +76,7 @@ class TestRunPipeline:
     def test_seed_changes_outputs_and_hash(self, tmp_path):
         out_a, manifest_a = _run(tmp_path, "a")
         out_b, manifest_b = _run(tmp_path, "b", seed=8)
-        assert manifest_a.config_hash != manifest_b.config_hash
+        assert manifest_a["config_hash"] != manifest_b["config_hash"]
         assert (out_a / "data.csv").read_bytes() != (out_b / "data.csv").read_bytes()
 
     def test_baseline_seed_is_keyed_by_kind(self, tmp_path):
@@ -142,7 +146,7 @@ class TestRunPipeline:
             }
         )
         manifest = run_pipeline(cfg, quiet=True)
-        assert "comparison.csv" in manifest.artifacts
+        assert "comparison.csv" in manifest["artifacts"]
         assert (out / "data.csv").read_bytes() == src.read_bytes()
 
 
@@ -185,8 +189,8 @@ class TestCliStages:
         base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
         for command in ("generate", "split", "fit-scalers", "train-ae", "calibrate"):
             assert main(base + [command]) == 0
-        # destroying the label file must not affect scoring
-        (out / "test_labels.csv").write_text("corrupted\n")
+        # destroying the labelled test split must not affect scoring
+        (out / "test.csv").write_text("corrupted\n")
         assert main(base + ["score"]) == 0
         lines = (out / "scores.csv").read_text().strip().split("\n")
         assert lines[0] == "index,score,decision"
@@ -450,9 +454,9 @@ class TestStaleScorer:
 
 @pytest.fixture(scope="module")
 def evaluated(tmp_path_factory):
-    """A work directory after a full run with the logreg, kNN, tree, forest and MLP baselines."""
+    """A work directory after a full run with all six baselines."""
     root = tmp_path_factory.mktemp("evaluated")
-    cfg_file = _fast_config_file(root, baseline_kinds="logreg,knn,decision_tree,random_forest,mlp")
+    cfg_file = _fast_config_file(root)
     out = root / "work"
     assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "run"]) == 0
     return cfg_file, out
@@ -497,10 +501,25 @@ def _put_byte_ff(path):
     path.write_bytes(bytes(data))
 
 
-def _swap_first_rows(path):
-    lines = path.read_text().splitlines()
-    lines[1], lines[2] = lines[2], lines[1]
-    path.write_text("\n".join(lines) + "\n")
+def _set_first_label(path, cell):
+    """Damage: the label cell of a labelled CSV's first data row becomes `cell`."""
+    first = path.read_text().splitlines()[1]
+    _replace_first_row(path, first.rsplit(",", 1)[0] + "," + cell)
+
+
+def _narrow(*keys):
+    """Damage: drop the last column of each (rows, channels) array under `keys`."""
+    return lambda p: _edit_json(p, lambda d: [row.pop() for key in keys for row in d[key]])
+
+
+def _k_above_rows(d):
+    """Damage: the kNN file's config asks for more neighbours (an odd count) than it has training rows."""
+    d["config"]["k"] = 2 * len(d["train_labels"]) + 1
+
+
+def _narrow_logreg_network(d):
+    """Damage: a logreg network for 6 channels: topology [6, 1], 6 weights and the bias."""
+    d["network"].update(topology=[6, 1], params=d["network"]["params"][1:])
 
 
 _EMPTY_TREE = dict.fromkeys(("feature", "threshold", "left", "right", "leaf"), [])
@@ -521,12 +540,11 @@ class TestBrokenArtifacts:
             ("evaluate", "scaler_supervised.json", lambda p: _edit_json(p, lambda d: d.pop("ranges"))),
             ("compare", "report_knn.json", lambda p: p.write_text("")),
             ("compare", "report_knn.json", lambda p: _edit_json(p, lambda d: d.update(f1=None))),
-            ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,x")),
-            ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0")),
-            ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,2")),
-            ("evaluate", "test_labels.csv", lambda p: _replace_first_row(p, "0,300")),
-            ("evaluate", "test_labels.csv", _swap_first_rows),
-            ("evaluate", "test_labels.csv", _put_byte_ff),
+            ("evaluate", "test.csv", lambda p: _set_first_label(p, "x")),
+            ("evaluate", "test.csv", lambda p: _replace_first_row(p, "0")),
+            ("evaluate", "test.csv", lambda p: _set_first_label(p, "2")),
+            ("evaluate", "test.csv", lambda p: _set_first_label(p, "300")),
+            ("evaluate", "test.csv", _put_byte_ff),
             ("score", "test_features.csv", _put_byte_ff),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d["config"].update(k=4))),
             ("calibrate", "model_ae.json", lambda p: _set_literal(p, ["params", 0], "Infinity")),
@@ -565,10 +583,16 @@ class TestBrokenArtifacts:
             ("score", "scorer.json", lambda p: _edit_json(p, lambda d: d.update(threshold="nan"))),
             ("evaluate", "clf_logreg.json", lambda p: shutil.copyfile(p.with_name("clf_knn.json"), p)),
             ("evaluate", "clf_logreg.json", lambda p: shutil.copyfile(p.with_name("clf_mlp.json"), p)),
-            ("evaluate", "test_labels.csv", lambda p: p.unlink()),
+            ("evaluate", "test.csv", lambda p: p.unlink()),
             ("evaluate", "clf_logreg.json", _copy_network("clf_mlp.json")),
             ("evaluate", "clf_mlp.json", _copy_network("clf_logreg.json")),
             ("evaluate", "clf_mlp.json", lambda p: _edit_json(p, _widen_hidden_layer)),
+            ("evaluate", "clf_gaussian_nb.json", lambda p: _set_literal(p, ["variances", 0, 0], "0.0")),
+            ("evaluate", "clf_gaussian_nb.json", _narrow("means", "variances")),
+            ("evaluate", "clf_knn.json", _narrow("train_features")),
+            ("evaluate", "clf_knn.json", lambda p: _set_literal(p, ["train_labels", 0], "2")),
+            ("evaluate", "clf_knn.json", lambda p: _edit_json(p, _k_above_rows)),
+            ("evaluate", "clf_logreg.json", lambda p: _edit_json(p, _narrow_logreg_network)),
         ],
         ids=[
             "garbage_scaler",
@@ -583,7 +607,6 @@ class TestBrokenArtifacts:
             "label_missing",
             "label_two",
             "label_overflows_int8",
-            "label_rows_reordered",
             "labels_not_utf8",
             "features_not_utf8",
             "clf_config_out_of_range",
@@ -626,6 +649,12 @@ class TestBrokenArtifacts:
             "mlp_network_in_logreg",
             "logreg_network_in_mlp",
             "mlp_hidden_units_mismatch",
+            "nb_zero_variance",
+            "nb_means_narrow",
+            "knn_features_narrow",
+            "knn_label_not_0_or_1",
+            "knn_k_above_rows",
+            "logreg_network_narrow",
         ],
     )
     def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):
