@@ -3,8 +3,9 @@
 A trained reconstruction network plus a normals-fitted scaler become a
 classifier: score each sample by reconstruction MSE or by the Mahalanobis
 distance of its residual from the healthy residual distribution, then flag
-scores strictly above a threshold calibrated as a high percentile of the
-healthy training scores.
+scores strictly above the p-th percentile of the healthy training scores,
+taken as the order statistic at rank ceil(p/100 * (n-1)) (`order_statistic`), so
+between (100-p)% - 2/n and (100-p)% of tie-free training scores are flagged.
 
 Every call takes an (n, d) matrix of samples, and every score comes from one
 batch kernel (`score_batch`, or its scaled core `_score_rows`) built from
@@ -25,7 +26,7 @@ import numpy as np
 from .autoencoder import Network, forward, forward_rows, network_to_dict  # noqa: F401
 from .dataset import Dataset, MinMaxScaler
 from .errors import DataError, DomainError, ShapeError, read_json_artifact, write_json_artifact
-from .numerics import CholeskyFactor, cholesky, covariance, row_sums, solve_spd
+from .numerics import CholeskyFactor, cholesky, covariance, order_statistic, row_sums, solve_spd
 
 SCORER_FORMAT_VERSION = 2
 
@@ -89,24 +90,6 @@ def fit_residual_stats(net: Network, ae_train_scaled: Dataset) -> ResidualStats:
     return ResidualStats(mean=mean, cov=cov, chol=cholesky(cov), n_fit=ae_train_scaled.n)
 
 
-def calibration_threshold(scores, p: float) -> float:
-    """Threshold = the order statistic at rank ceil(p/100 * (n-1)).
-
-    Taking the upper flanking order statistic (instead of interpolating
-    between ranks) guarantees that the strictly-above fraction of the
-    calibration scores is floor((1-p/100)*(n-1))/n for tie-free scores:
-    never above (100-p)%, and within 2/n below it. p=100 is accepted here
-    and yields the maximum score (nothing strictly above).
-    """
-    if not 0.0 < p <= 100.0:
-        raise DomainError("calibration percentile must lie in (0, 100]")
-    s = np.sort(np.asarray(scores, dtype=np.float64).ravel())
-    if s.size == 0:
-        raise DataError("cannot calibrate on an empty score list")
-    rank = int(math.ceil((p / 100.0) * (s.size - 1)))
-    return float(s[rank])
-
-
 @dataclass(frozen=True)
 class AnomalyScorer:
     """Self-contained decision rule: network + scaler + threshold (+stats)."""
@@ -161,7 +144,7 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
     if policy.kind == MAHALANOBIS_POLICY:
         stats = fit_residual_stats(net, Dataset(scaled))
     scores = _score_rows(net, stats, scaled)
-    threshold = calibration_threshold(scores, policy.percentile)
+    threshold = order_statistic(scores, policy.percentile)
     return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .dataset import CHANNELS, Dataset
 from .errors import DataError, DomainError, NumericError, ShapeError
-from .numerics import percentile
+from .numerics import order_statistic
 
 
 def confusion(pred, truth) -> dict:
@@ -104,13 +104,9 @@ def feature_histograms(data: Dataset, bins: int = 50) -> tuple[np.ndarray, ...]:
 
 
 def _score_summary(scores: np.ndarray) -> dict:
-    """Distribution of decision scores within one true class."""
-    return {
-        "min": float(np.min(scores)),
-        "median": percentile(scores, 50.0),
-        "p85": percentile(scores, 85.0),
-        "max": float(np.max(scores)),
-    }
+    """Distribution of decision scores within one true class, as the order
+    statistics that the anomaly threshold is calibrated by."""
+    return {key: order_statistic(scores, p) for key, p in (("min", 0), ("median", 50), ("p85", 85), ("max", 100))}
 
 
 def evaluate_model(decider, test: Dataset, model_name: str = "model") -> dict:

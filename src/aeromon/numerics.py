@@ -5,7 +5,7 @@ ndarrays. All functions are pure; results are bit-identical for identical
 inputs on the same machine and numpy/BLAS build, which is what makes whole
 pipeline runs replayable. Random numbers come from one counter-based
 generator, `Rng`: every draw is a SplitMix64 block computed with numpy, and
-normals use numpy's `log` and `sqrt`.
+normals use numpy's `log` and `sqrt`. Quantiles are order statistics.
 """
 
 from __future__ import annotations
@@ -262,23 +262,15 @@ def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:
     return x.T
 
 
-def percentile(values, p: float) -> float:
-    """Percentile by linear interpolation between closest ranks.
-
-    rank = (p/100) * (n-1); the result interpolates between the flanking
-    order statistics. p=0 gives the minimum, p=100 the maximum.
-    """
+def order_statistic(values, p: float) -> float:
+    """The sorted value at rank ceil(p/100 * (n-1)), never interpolated: at most
+    n-1-ceil(p/100 * (n-1)) values lie above it, ties or not. p=0 gives the
+    minimum, p=100 the maximum. Calibration and report summaries both use it."""
     if not 0.0 <= p <= 100.0:
-        raise DomainError(f"percentile p={p} outside [0, 100]")
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise DataError("percentile of an empty list")
-    if not np.isfinite(v).all():
-        raise DomainError("percentile input contains non-finite values")
-    s = np.sort(v)
-    rank = (p / 100.0) * (s.size - 1)
-    lo = int(math.floor(rank))
-    frac = rank - lo
-    if frac == 0.0:
-        return float(s[lo])
-    return float(s[lo] + frac * (s[lo + 1] - s[lo]))
+        raise DomainError(f"order statistic p={p} outside [0, 100]")
+    s = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    if s.size == 0:
+        raise DataError("order statistic of an empty list")
+    if not np.isfinite(s).all():
+        raise DomainError("order statistic input contains non-finite values")
+    return float(s[math.ceil((p / 100.0) * (s.size - 1))])

@@ -37,16 +37,11 @@ import numpy as np
 
 from . import __version__
 from .anomaly import AnomalyScorer, calibrate, classify, load_scorer, save_scorer
-from .autoencoder import (
-    default_autoencoder_specs,
-    init_network,
-    load_network,
-    save_network,
-    train,
-)
+from .autoencoder import Network, default_autoencoder_specs, init_network, load_network, save_network, train
 from .baselines import load_model, predict, save_model, select_model
 from .config import STAGE_SPLIT, PipelineConfig
 from .dataset import (
+    CHANNELS,
     Dataset,
     MinMaxScaler,
     apply_scaler,
@@ -74,10 +69,23 @@ class _OutputDir:
         return self.path / name
 
     def read_scaler(self, name: str) -> MinMaxScaler:
-        return read_json_artifact(self.file(name), MinMaxScaler.from_dict)
+        """A scaler file, which must scale the telemetry channels."""
+        path = self.file(name)
+        scaler = read_json_artifact(path, MinMaxScaler.from_dict)
+        if len(scaler.mins) != len(CHANNELS):
+            raise DataError(f"{path} scales {len(scaler.mins)} channels, not the {len(CHANNELS)} telemetry channels")
+        return scaler
+
+    def read_network(self) -> Network:
+        """model_ae.json, which must have the layers that train-ae trains."""
+        path, expected = self.file("model_ae.json"), default_autoencoder_specs()
+        net = load_network(path)
+        if net.specs != expected:
+            raise DataError(f"{path}: an autoencoder must have the layers {expected}, found {net.specs}")
+        return net
 
     def read_scorer(self) -> AnomalyScorer:
-        return load_scorer(self.file("scorer.json"), load_network(self.file("model_ae.json")))
+        return load_scorer(self.file("scorer.json"), self.read_network())
 
     def write_json(self, name: str, payload: dict) -> None:
         write_json_artifact(self.file(name), payload)
@@ -151,10 +159,9 @@ def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
 
 
 def stage_calibrate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
-    net = load_network(out.file("model_ae.json"))
     scaler = out.read_scaler("scaler_ae.json")
     ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
-    scorer = calibrate(net, scaler, ae_train, cfg.threshold_policy())
+    scorer = calibrate(out.read_network(), scaler, ae_train, cfg.threshold_policy())
     save_scorer(scorer, out.file("scorer.json"))
     return ["scorer.json"]
 

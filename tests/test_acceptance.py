@@ -21,7 +21,6 @@ from aeromon.anomaly import (
     MSE_POLICY,
     ThresholdPolicy,
     calibrate,
-    calibration_threshold,
     classify,
 )
 from aeromon.autoencoder import default_autoencoder_specs, forward, init_network, load_network, mse_loss
@@ -29,6 +28,7 @@ from aeromon.baselines import ClassifierConfig, predict, train_classifier
 from aeromon.config import default_config, resolve_config
 from aeromon.dataset import Dataset, MinMaxScaler, load_csv
 from aeromon.evaluation import auroc, confusion, metrics
+from aeromon.numerics import order_statistic
 from aeromon.pipeline import run_pipeline
 
 ACCEPTANCE_SEED = 7
@@ -160,7 +160,7 @@ class TestCriterion3Calibration:
         sweep_ok = True
         for n in (1000, 1001, 1002, 1003, 1006, 1007, 1013, 1024, 2000, 5000, 20000):
             scores = [rng.random() for _ in range(n)]
-            t = calibration_threshold(scores, 85.0)
+            t = order_statistic(scores, 85.0)
             frac = sum(1 for s in scores if s > t) / n
             sweep_ok &= 0.15 - 2.0 / n <= frac <= 0.15
 

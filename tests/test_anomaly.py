@@ -13,7 +13,6 @@ from aeromon.anomaly import (
     ResidualStats,
     ThresholdPolicy,
     calibrate,
-    calibration_threshold,
     classify,
     fit_residual_stats,
     load_scorer,
@@ -46,7 +45,7 @@ from aeromon.dataset import (
     split,
 )
 from aeromon.errors import DataError, DomainError, NumericError, ShapeError
-from aeromon.numerics import cholesky
+from aeromon.numerics import cholesky, order_statistic
 from aeromon.pipeline import _OutputDir, stage_score
 
 POLICIES = (MSE_POLICY, MAHALANOBIS_POLICY)
@@ -215,7 +214,7 @@ class TestCalibrationThreshold:
     def test_max_percentile_flags_nothing(self):
         rng = np.random.default_rng(8)
         scores = [rng.random() for _ in range(500)]
-        threshold = calibration_threshold(scores, 100.0)
+        threshold = order_statistic(scores, 100.0)
         assert threshold == max(scores)
         assert sum(1 for s in scores if s > threshold) == 0
 
@@ -223,7 +222,7 @@ class TestCalibrationThreshold:
     def test_monotone_in_percentile(self):
         rng = np.random.default_rng(14)
         scores = [rng.random() for _ in range(777)]
-        thresholds = [calibration_threshold(scores, p) for p in (50.0, 75.0, 85.0, 95.0, 99.0)]
+        thresholds = [order_statistic(scores, p) for p in (50.0, 75.0, 85.0, 95.0, 99.0)]
         assert thresholds == sorted(thresholds)
 
     def test_permutation_invariant(self):
@@ -231,7 +230,7 @@ class TestCalibrationThreshold:
         scores = [rng.random() for _ in range(321)]
         shuffled = list(scores)
         rng.shuffle(shuffled)
-        assert calibration_threshold(scores, 85.0) == calibration_threshold(shuffled, 85.0)
+        assert order_statistic(scores, 85.0) == order_statistic(shuffled, 85.0)
 
     @pytest.mark.invariant
     def test_strictly_above_fraction_band(self):
@@ -240,7 +239,7 @@ class TestCalibrationThreshold:
         rng = np.random.default_rng(16)
         for n in (1000, 1001, 1002, 1003, 1007, 1024, 2000, 4999, 20000):
             scores = [rng.random() for _ in range(n)]
-            t = calibration_threshold(scores, 85.0)
+            t = order_statistic(scores, 85.0)
             frac = sum(1 for s in scores if s > t) / n
             assert 0.15 - 2.0 / n <= frac <= 0.15
 
@@ -411,8 +410,8 @@ class TestBatchScoring:
 
     def test_calibration_scores_equal_one_row_scores(self, trained, monkeypatch):
         seen = []
-        real = anomaly.calibration_threshold
-        monkeypatch.setattr(anomaly, "calibration_threshold", lambda s, p: seen.append(np.array(s)) or real(s, p))
+        real = anomaly.order_statistic
+        monkeypatch.setattr(anomaly, "order_statistic", lambda s, p: seen.append(np.array(s)) or real(s, p))
         for kind in POLICIES:
             scorer = self._scorer(trained, kind)
             alone = np.array([score_batch(scorer, row[None])[0] for row in trained["ae_train"].features])

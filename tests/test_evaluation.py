@@ -307,10 +307,10 @@ class TestEvaluateModel:
             "auroc": 13 / 15,  # anomalous-over-normal pairs: 3 + 2 + 3 + 2 + 3 of 5 * 3
             "confusion": {"tp": 3, "fp": 1, "fn": 2, "tn": 2},
             "degenerate": [],
-            # median and p85 interpolate at ranks 0.5 (n-1) and 0.85 (n-1)
+            # median and p85 are the sorted scores at ranks ceil(0.5 (n-1)) and ceil(0.85 (n-1))
             "scores": {
-                "normal": {"min": 0.0, "median": 2.0, "p85": 4.8, "max": 6.0},
-                "anomalous": {"min": 3.0, "median": 7.0, "p85": 8.4, "max": 9.0},
+                "normal": {"min": 0.0, "median": 2.0, "p85": 6.0, "max": 6.0},
+                "anomalous": {"min": 3.0, "median": 7.0, "p85": 9.0, "max": 9.0},
             },
         }
         # only plain Python values go into the report file

@@ -10,7 +10,7 @@ from aeromon.numerics import (
     cholesky,
     covariance,
     derive_seed,
-    percentile,
+    order_statistic,
     solve_spd,
 )
 
@@ -378,43 +378,48 @@ class TestSolveSpd:
 
 
 class TestPercentile:
+    """`order_statistic`: the sorted value at rank ceil(p/100 * (n-1))."""
+
     def test_singleton(self):
         for p in (0.0, 37.5, 85.0, 100.0):
-            assert percentile([7.0], p) == 7.0
+            assert order_statistic([7.0], p) == 7.0
 
     def test_hand_evaluated_ranks(self):
-        # rank = 0.85 * 99 = 84.15 over 1..100 -> 85 + 0.15
-        assert percentile(list(range(1, 101)), 85.0) == pytest.approx(85.15, abs=1e-12)
-        # rank = 0.5 * 3 = 1.5 over {1,2,3,4}
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == pytest.approx(2.5, abs=1e-12)
+        # rank = ceil(0.85 * 99) = ceil(84.15) = 85 over 1..100
+        assert order_statistic(list(range(1, 101)), 85.0) == 86.0
+        # rank = ceil(0.5 * 3) = 2 over {1,2,3,4}
+        assert order_statistic([1.0, 2.0, 3.0, 4.0], 50.0) == 3.0
 
     def test_endpoints(self):
         vals = [5.0, -2.0, 9.0, 0.5]
-        assert percentile(vals, 0.0) == -2.0
-        assert percentile(vals, 100.0) == 9.0
+        assert order_statistic(vals, 0.0) == -2.0
+        assert order_statistic(vals, 100.0) == 9.0
 
     @pytest.mark.invariant
     def test_monotone_in_p_and_permutation_invariant(self):
         rng = np.random.default_rng(77)
         vals = [rng.normal() for _ in range(41)]
         ps = [0.0, 10.0, 25.0, 50.0, 75.0, 85.0, 95.0, 100.0]
-        results = [percentile(vals, p) for p in ps]
+        results = [order_statistic(vals, p) for p in ps]
         assert results == sorted(results)
         shuffled = list(vals)
         rng.shuffle(shuffled)
         for p in ps:
-            assert percentile(shuffled, p) == percentile(vals, p)
+            assert order_statistic(shuffled, p) == order_statistic(vals, p)
 
     def test_errors(self):
-        with pytest.raises(DataError, match="percentile of an empty list"):
-            percentile([], 50.0)
-        with pytest.raises(DomainError):
-            percentile([1.0], -0.1)
-        with pytest.raises(DomainError):
-            percentile([1.0], 100.5)
+        with pytest.raises(DataError, match="order statistic of an empty list"):
+            order_statistic([], 50.0)
+        with pytest.raises(DomainError, match="outside"):
+            order_statistic([1.0], -0.1)
+        with pytest.raises(DomainError, match="outside"):
+            order_statistic([1.0], 100.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="non-finite"):
+                order_statistic([1.0, bad, 2.0], 85.0)
 
-    def test_agrees_with_numpy_linear(self):
+    def test_agrees_with_numpy_higher(self):
         rng = np.random.default_rng(123)
-        vals = [rng.uniform(-10, 10) for _ in range(37)]
-        for p in (1.0, 12.3, 50.0, 85.0, 99.9):
-            assert percentile(vals, p) == pytest.approx(float(np.percentile(vals, p)), abs=1e-12)
+        vals = [rng.uniform(-10, 10) for _ in range(37)] + [1.5] * 5  # with ties
+        for p in (0.0, 1.0, 12.3, 50.0, 85.0, 99.9, 100.0):
+            assert order_statistic(vals, p) == float(np.percentile(vals, p, method="higher"))

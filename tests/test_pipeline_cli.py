@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -8,10 +9,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aeromon
 from aeromon import baselines
+from aeromon.anomaly import score_batch
+from aeromon.autoencoder import LayerSpec, init_network, save_network
 from aeromon.cli import main
 from aeromon.config import STAGE_BASELINE_BASE, default_config
 from aeromon.dataset import SynthConfig, apply_scaler, generate_synthetic, load_csv, save_csv
@@ -462,6 +466,25 @@ def evaluated(tmp_path_factory):
     return cfg_file, out
 
 
+@pytest.mark.invariant
+def test_threshold_covers_healthy_p85_iff_at_most_15_percent_flagged(evaluated):
+    """threshold >= report_ae's healthy p85 exactly when at most n-1-ceil(0.85 (n-1))
+    of the n healthy test rows are flagged; checked for the calibrated threshold, for
+    every healthy score and for the float just below each."""
+    _, out = evaluated
+    report = json.loads((out / "report_ae.json").read_text())
+    p85, cm = report["scores"]["normal"]["p85"], report["confusion"]
+    test = load_csv(out / "test.csv", has_labels=True)
+    scorer = _OutputDir(out).read_scorer()
+    healthy = np.sort(score_batch(scorer, test.features[test.labels == 0]))
+    n = healthy.size
+    assert n == cm["fp"] + cm["tn"] and healthy.max() > healthy.min()
+    allowed = n - 1 - math.ceil(0.85 * (n - 1))
+    assert (scorer.threshold >= p85) == (cm["fp"] <= allowed)
+    for t in [scorer.threshold, *healthy, *np.nextafter(healthy, -np.inf)]:
+        assert (t >= p85) == (int((healthy > t).sum()) <= allowed)
+
+
 def _edit_json(path, edit):
     d = json.loads(path.read_text())
     edit(d)
@@ -522,6 +545,18 @@ def _narrow_logreg_network(d):
     d["network"].update(topology=[6, 1], params=d["network"]["params"][1:])
 
 
+def _narrow_scaler(p):
+    """Damage: a scaler file for 6 channels: the last entry of `mins` and of `ranges` dropped."""
+    _edit_json(p, lambda d: [d[key].pop() for key in ("mins", "ranges")])
+
+
+def _put_network(layers):
+    """Damage: the file holds a fresh network of `layers`, (in_dim, out_dim, activation) triples."""
+    return lambda p: save_network(init_network([LayerSpec(*layer) for layer in layers], 0), p)
+
+
+_SIX_WIDE_AE = ((6, 5, "elu"), (5, 3, "identity"), (3, 5, "elu"), (5, 6, "identity"))
+_SIGMOID_7_3_7 = ((7, 3, "sigmoid"), (3, 7, "identity"))
 _EMPTY_TREE = dict.fromkeys(("feature", "threshold", "left", "right", "leaf"), [])
 _NO_LAYERS = {"topology": [7], "activations": [], "params": []}
 # a tree as nested dicts, as older versions wrote tree files
@@ -593,6 +628,14 @@ class TestBrokenArtifacts:
             ("evaluate", "clf_knn.json", lambda p: _set_literal(p, ["train_labels", 0], "2")),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, _k_above_rows)),
             ("evaluate", "clf_logreg.json", lambda p: _edit_json(p, _narrow_logreg_network)),
+            ("train-ae", "scaler_ae.json", _narrow_scaler),
+            ("calibrate", "scaler_ae.json", _narrow_scaler),
+            ("train-clf --kind gaussian_nb", "scaler_supervised.json", _narrow_scaler),
+            ("evaluate", "scaler_supervised.json", _narrow_scaler),
+            ("calibrate", "model_ae.json", _put_network(_SIX_WIDE_AE)),
+            ("evaluate", "model_ae.json", _put_network(_SIX_WIDE_AE)),
+            ("calibrate", "model_ae.json", _put_network(_SIGMOID_7_3_7)),
+            ("score", "model_ae.json", _put_network(_SIGMOID_7_3_7)),
         ],
         ids=[
             "garbage_scaler",
@@ -655,6 +698,14 @@ class TestBrokenArtifacts:
             "knn_label_not_0_or_1",
             "knn_k_above_rows",
             "logreg_network_narrow",
+            "scaler_ae_narrow_train_ae",
+            "scaler_ae_narrow_calibrate",
+            "scaler_supervised_narrow_train_clf",
+            "scaler_supervised_narrow_evaluate",
+            "ae_six_wide_calibrate",
+            "ae_six_wide_evaluate",
+            "ae_sigmoid_7_3_7_calibrate",
+            "ae_sigmoid_7_3_7_score",
         ],
     )
     def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):
@@ -662,8 +713,9 @@ class TestBrokenArtifacts:
         out = tmp_path / "work"
         shutil.copytree(src, out)
         damage(out / name)
-        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", command]) == 3
-        assert "error:" in capsys.readouterr().err
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", *command.split()]) == 3
+        err = capsys.readouterr().err
+        assert "error:" in err and name in err
 
     @pytest.mark.parametrize(
         "command, name, damage",
