@@ -65,7 +65,8 @@ def _elu_prime(z):
 def _sigmoid(z):
     # exp of a non-positive argument never overflows; both branches share it
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    den = 1.0 + e
+    return np.where(z >= 0.0, 1.0 / den, e / den)
 
 
 def _activate(name, z):

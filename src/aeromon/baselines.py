@@ -49,6 +49,7 @@ MLP = "mlp"
 
 _NB_VARIANCE_FLOOR = 1e-9
 _KNN_BLOCK_ELEMS = 2**17  # distance-matrix entries per block of test rows (1 MiB of float64)
+_DRAW_CHUNK = 256  # forest feature subsets per draw call; a tree has ~90 splits at n=2000, ~310 at n=20000
 
 
 @dataclass(frozen=True)
@@ -218,30 +219,34 @@ def _knn_proba(model, x):
 # --- CART decision tree -----------------------------------------------------
 
 
-def _best_split(x, y, order, feature_ids, min_leaf):
-    """(feature, threshold) of the highest Gini gain over midpoint thresholds, or
-    None. `order[f]` lists the node's rows by ascending feature f, so the m
-    candidates are scored in one (m, n-1) pass; the flat argmax breaks ties to
-    the lowest feature id (candidates ascend), then the lowest threshold."""
+def _best_split(x, y, order, feature_ids, min_leaf, pos, sizes):
+    """(feature, threshold, running positive count along that feature's order)
+    of the highest Gini gain over midpoint thresholds, or None. `order[f]`
+    lists the node's rows, `pos` of them positive, by ascending feature f, so
+    the m candidates (an int array) are scored in one (m, n-1) pass; `sizes`
+    starts with 1, 2, ..., n-1. The flat argmax breaks ties to the lowest feature id
+    (candidates ascend), then the lowest threshold. Features are finite, so a
+    position that is not strictly below the next value is no boundary."""
     n = order.shape[1]
     rows = order[feature_ids]
-    sv = x[rows, np.asarray(feature_ids)[:, None]]
-    cum_pos = np.cumsum(y[rows], axis=1)
-    pos = int(cum_pos[0, -1])
+    sv = x[rows, feature_ids[:, None]]
+    cum_pos = y[rows].cumsum(axis=1)
     p1 = pos / n
     gini_parent = 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
-    nl = np.arange(1, n)
+    nl = sizes[: n - 1]
     nr = n - nl
     pl = cum_pos[:, :-1]
     pr = pos - pl
     gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
     gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
     gains = gini_parent - (nl / n) * gini_l - (nr / n) * gini_r
-    gains[~((sv[:, :-1] < sv[:, 1:]) & (nl >= min_leaf) & (nr >= min_leaf))] = -np.inf
-    f, b = divmod(int(np.argmax(gains)), n - 1)
+    gains[sv[:, :-1] >= sv[:, 1:]] = -np.inf
+    gains[:, : min_leaf - 1] = -np.inf  # left child under min_leaf rows
+    gains[:, n - min_leaf :] = -np.inf  # right child under min_leaf rows
+    f, b = divmod(int(gains.argmax()), n - 1)
     if not gains[f, b] > 0.0:
         return None
-    return int(feature_ids[f]), float((sv[f, b] + sv[f, b + 1]) / 2.0)
+    return int(feature_ids[f]), float((sv[f, b] + sv[f, b + 1]) / 2.0), cum_pos[f]
 
 
 class _Tree(NamedTuple):
@@ -261,25 +266,29 @@ def _grow_tree(x, y, order, max_depth, min_leaf, choose_features) -> _Tree:
     """Preorder growth from `order`, the (d, n) presort of the rows. One mask
     filters every row of a node's order and keeps it sorted, so nodes never sort."""
     nodes = []  # [feature, threshold, left, right, leaf] per node, in preorder
+    sizes = np.arange(1, order.shape[1])  # left-child sizes; each node's split search takes a prefix
 
-    def grow(order, depth):
+    def grow(order, pos, depth):
         d, n = order.shape
-        pos = int(y[order[0]].sum())
         node = [-1, 0.0, -1, -1, pos / n]
         nodes.append(node)
         if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
             return
-        best = _best_split(x, y, order, choose_features(), min_leaf)
+        best = _best_split(x, y, order, choose_features(), min_leaf, pos, sizes)
         if best is None:
             return
-        feature, threshold = best
-        goes_left = x[order, feature] <= threshold
+        feature, threshold, cum_pos = best
+        goes_left = x[:, feature][order] <= threshold  # one take from a column view: cheaper than x[order, feature]
         node[:] = feature, threshold, len(nodes), -1, 0.0  # the left child comes next
-        grow(order[goes_left].reshape(d, -1), depth + 1)
+        left = order[goes_left].reshape(d, -1)
+        # the left rows lead the feature's order; counting them, not the split
+        # position, stays right if the midpoint rounds onto the upper value
+        left_pos = int(cum_pos[left.shape[1] - 1])
+        grow(left, left_pos, depth + 1)
         node[3] = len(nodes)  # the right child follows the left subtree
-        grow(order[~goes_left].reshape(d, -1), depth + 1)
+        grow(order[~goes_left].reshape(d, -1), pos - left_pos, depth + 1)
 
-    grow(order, 0)
+    grow(order, int(y.sum()), 0)
     return _Tree(*map(np.array, zip(*nodes)))
 
 
@@ -300,7 +309,7 @@ def _tree_proba(model, x):
 
 
 def _train_tree(cfg: ClassifierConfig, x, y, seed):
-    all_features = list(range(x.shape[1]))
+    all_features = np.arange(x.shape[1])
     order = np.argsort(x, axis=0, kind="stable").T
     return {"root": _grow_tree(x, y, order, cfg.max_depth, cfg.min_leaf, lambda: all_features)}
 
@@ -341,7 +350,15 @@ def _train_single_forest_tree(x, y, cfg: ClassifierConfig, tree_rng: Rng):
     else:
         bx, by = x, y
     order = np.argsort(bx, axis=0, kind="stable").T
-    return _grow_tree(bx, by, order, cfg.max_depth, cfg.min_leaf, lambda: tree_rng.sample_indices(d, m))
+    return _grow_tree(bx, by, order, cfg.max_depth, cfg.min_leaf, partial(next, _feature_draws(tree_rng, d, m)))
+
+
+def _feature_draws(rng: Rng, d: int, m: int):
+    """The endless stream of a forest tree's per-split feature subsets, drawn
+    `_DRAW_CHUNK` at a time. Draws past the tree's last split are wasted, which
+    is harmless: nothing else draws from the tree's `Rng`."""
+    while True:
+        yield from rng.sample_indices(d, m, _DRAW_CHUNK)
 
 
 def _train_forest(cfg: ClassifierConfig, x, y, seed: int):

@@ -4,8 +4,10 @@ Everything is double precision. Matrices are C-order (row-major) float64
 ndarrays. All functions are pure; results are bit-identical for identical
 inputs on the same machine and numpy/BLAS build, which is what makes whole
 pipeline runs replayable. Random numbers come from one counter-based
-generator, `Rng`: every draw is a SplitMix64 block computed with numpy, and
-normals use numpy's `log` and `sqrt`. Quantiles are order statistics.
+generator, `Rng`: every draw is a SplitMix64 block computed with numpy, a
+run of consecutive draws (one forest tree's feature subsets) can be computed
+as one 2-d block, and normals use numpy's `log` and `sqrt`. Quantiles are
+order statistics.
 """
 
 from __future__ import annotations
@@ -29,22 +31,27 @@ _SM_MUL1 = 0xBF58476D1CE4E5B9
 _SM_MUL2 = 0x94D049BB133111EB
 
 
-def _splitmix64_block(key: int, n: int) -> np.ndarray:
-    """The first n SplitMix64 outputs of state `key`, as one uint64 array.
-
-    Output i mixes state key + (i+1) * golden (mod 2**64); uint64 array
-    arithmetic wraps like masked integer steps. The mix is a bijection, so
-    the n outputs are distinct for n <= 2**64.
-    """
-    z = np.arange(1, n + 1, dtype=np.uint64)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(key & _MASK64)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of each element of the uint64 array z, in place
+    (uint64 arithmetic wraps like masked integer steps); returns z."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_SM_MUL1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_SM_MUL2)
     z ^= z >> np.uint64(31)
     return z
+
+
+def _splitmix64_block(key: int, n: int) -> np.ndarray:
+    """The first n SplitMix64 outputs of state `key`, as one uint64 array.
+
+    Output i mixes state key + (i+1) * golden (mod 2**64). The mix is a
+    bijection, so the n outputs are distinct for n <= 2**64.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(key & _MASK64)
+    return _mix64(z)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -67,8 +74,9 @@ class Rng:
     The state is (seed, draws). Draw k is the SplitMix64 block keyed by
     derive_seed(seed, k), so a draw costs a fixed number of numpy calls
     whatever its size, and can be recomputed from the seed and its index
-    alone. Every method returns arrays; equal seeds give identical draws on
-    one machine and numpy build.
+    alone. For the same reason `sample_indices` takes any number of
+    consecutive draws in one pass. Every method returns arrays; equal seeds
+    give identical draws on one machine and numpy build.
     """
 
     __slots__ = ("seed", "draws")
@@ -135,11 +143,22 @@ class Rng:
         else:
             seq[:] = [seq[i] for i in perm.tolist()]
 
-    def sample_indices(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), ascending: the first k of one `permutation`."""
+    def sample_indices(self, n: int, k: int, rows: int) -> np.ndarray:
+        """`rows` samples of k distinct indices from range(n), as a (rows, k)
+        int64 array of ascending rows, taking `rows` draws. Row i is the first
+        k of the `permutation(n)` that draw `draws + i` would give, sorted.
+        All rows come from one pass: the keys `derive_seed(seed, draws + i)`
+        as a uint64 array, one (rows, n) SplitMix64 block, and one stable
+        argsort along its rows."""
         if not 0 <= k <= n:
             raise DomainError(f"cannot sample {k} of {n}")
-        return np.sort(self.permutation(n)[:k])
+        index = np.arange(self.draws + 1, self.draws + rows + 1, dtype=np.uint64)
+        self.draws += rows
+        keys = index * np.uint64(_GOLDEN)  # derive_seed, elementwise
+        keys ^= np.uint64(self.seed)
+        keys += np.uint64(_GOLDEN)
+        block = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + _mix64(keys)[:, None]
+        return np.sort(np.argsort(_mix64(block), axis=1, kind="stable")[:, :k], axis=1)
 
 
 def _as_2d(rows) -> np.ndarray:

@@ -91,17 +91,39 @@ class _OutputDir:
         write_json_artifact(self.file(name), payload)
 
 
+def _dead_lock_holder(path: Path) -> int | None:
+    """The pid in the lock file if it names no process any more, else None."""
+    try:
+        pid = int(path.read_text(encoding="ascii"))
+        if pid > 0:  # kill(0 or a negative pid) would signal a process group
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError):  # no file, no pid written yet, or another user's live process
+        pass
+    return None
+
+
 @contextmanager
 def _locked(out: _OutputDir):
-    """Rejects a second concurrent run on the same output directory."""
+    """Rejects a second concurrent run on the same output directory. A lock
+    whose process is gone is taken over, after removing the temporary files
+    that process's unfinished atomic writes left."""
     path = out.file(LOCK_NAME)
-    try:
-        with open(path, "x", encoding="ascii") as fh:
-            fh.write(str(os.getpid()))
-    except FileExistsError:
-        raise ConfigError(
-            f"output directory is locked by another run ({path}); remove the lock file if that run is dead"
-        ) from None
+    for attempt in range(2):
+        try:
+            with open(path, "x", encoding="ascii") as fh:
+                fh.write(str(os.getpid()))
+            break
+        except FileExistsError:
+            dead = _dead_lock_holder(path) if attempt == 0 else None
+            if dead is None:
+                raise ConfigError(
+                    f"output directory is locked by another run ({path}); remove the lock file if that run is dead"
+                ) from None
+            for tmp in out.path.glob(f".*.{dead}.????????.tmp"):
+                tmp.unlink(missing_ok=True)
+            path.unlink(missing_ok=True)
     try:
         yield
     finally:

@@ -26,6 +26,7 @@ from aeromon.baselines import (
 )
 from aeromon.dataset import Dataset, Label
 from aeromon.errors import ConfigError, DataError, DomainError, NumericError, ShapeError
+from aeromon.numerics import Rng, derive_seed
 
 
 def _ds(features, labels):
@@ -416,6 +417,34 @@ class TestPresortedGrowerOracle:
         assert tree.feature[0] == 2
         leaves = np.flatnonzero(tree.feature < 0)
         assert (0.5, 8) in zip(tree.leaf[leaves].tolist(), _leaf_sizes(tree, ds.features)[leaves].tolist())
+
+
+class TestForestDrawOrder:
+    """Every forest tree equals, array for array, the tree grown from the same
+    bootstrap with one `permutation` draw per split, in preorder. The grower
+    oracle above feeds both of its sides one chooser, so only this test sees
+    the order in which the chunked draws reach the splits."""
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("chunk", [1, 4, baselines._DRAW_CHUNK])
+    @pytest.mark.parametrize("features_per_split", [2, 3])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_equals_per_split_permutation_draws(self, monkeypatch, chunk, features_per_split, bootstrap):
+        monkeypatch.setattr(baselines, "_DRAW_CHUNK", chunk)
+        cfg = ClassifierConfig(RANDOM_FOREST, n_trees=5, features_per_split=features_per_split, bootstrap=bootstrap)
+        ds = _tie_heavy_rig(6)
+        x, y, n = ds.features, ds.labels, ds.n
+        got = baselines._train_forest(cfg, x, y, 5)["trees"]
+        for t, tree in enumerate(got):
+            rng = Rng(derive_seed(5, t))
+            idx = rng.randrange(n, n) if bootstrap else np.arange(n)
+            order = np.argsort(x[idx], axis=0, kind="stable").T
+            want = baselines._grow_tree(
+                x[idx], y[idx], order, None, 1, lambda: np.sort(rng.permutation(7)[:features_per_split])
+            )
+            assert (tree.feature >= 0).sum() > 4  # enough splits to span several chunks of 4
+            for column, expected in zip(tree, want):
+                assert column.dtype == expected.dtype and np.array_equal(column, expected)
 
 
 class TestTreeScoringOracle:

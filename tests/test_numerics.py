@@ -139,13 +139,28 @@ class TestRng:
 
     def test_sample_indices_distinct(self):
         rng = Rng(13)
-        for _ in range(50):
-            picked = rng.sample_indices(7, 3)
-            assert picked.tolist() == sorted(set(picked.tolist()))
-            assert len(picked) == 3 and 0 <= picked.min() and picked.max() < 7
-        assert rng.sample_indices(7, 7).tolist() == list(range(7))
+        picked = rng.sample_indices(7, 3, 50)
+        assert picked.shape == (50, 3) and picked.dtype == np.int64
+        for row in picked.tolist():
+            assert row == sorted(set(row))
+            assert 0 <= row[0] and row[-1] < 7
+        assert rng.sample_indices(7, 7, 2).tolist() == [list(range(7))] * 2
+        assert rng.sample_indices(7, 3, 0).shape == (0, 3)
         with pytest.raises(DomainError):
-            rng.sample_indices(3, 4)
+            rng.sample_indices(3, 4, 1)
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+    def test_sample_indices_rows_equal_sequential_permutations(self, seed):
+        """Row i of a chunk is the sorted first k of the permutation that draw
+        `draws + i` gives, so chunks of any size continue one stream."""
+        rng, twin = Rng(seed), Rng(seed)
+        rng.randrange(150, 150)  # a forest tree's bootstrap draw comes first
+        twin.randrange(150, 150)
+        got = np.vstack([rng.sample_indices(7, 3, rows) for rows in (1, 256, 0, 5, 1000, 3)])
+        want = [np.sort(twin.permutation(7)[:3]).tolist() for _ in range(len(got))]
+        assert got.tolist() == want
+        assert rng.draws == twin.draws
 
     def test_derive_seed_deterministic_and_decorrelated(self):
         assert derive_seed(42, 3) == derive_seed(42, 3)
@@ -195,7 +210,7 @@ class TestBlockRng:
             elif call == "normal":
                 rng.normal(0.0, 1.0, 1000)  # 1000 candidate pairs: one block suffices here
             elif call == "sample_indices":
-                rng.sample_indices(1000, 10)
+                rng.sample_indices(1000, 10, 1)
             else:
                 rng.randrange(2**20, 1000)  # a power of two: no rejections
         assert rng.draws == 3

@@ -21,7 +21,7 @@ from aeromon.config import STAGE_BASELINE_BASE, default_config
 from aeromon.dataset import SynthConfig, apply_scaler, generate_synthetic, load_csv, save_csv
 from aeromon.errors import ConfigError
 from aeromon.numerics import derive_seed
-from aeromon.pipeline import LOCK_NAME, _OutputDir, run_pipeline, stage_train_baselines
+from aeromon.pipeline import LOCK_NAME, _locked, _OutputDir, run_pipeline, stage_train_baselines
 
 FAST_KEYS = {
     "synth_n_samples": 600,
@@ -101,10 +101,28 @@ class TestRunPipeline:
     def test_lock_rejects_concurrent_run(self, tmp_path):
         out = tmp_path / "locked"
         out.mkdir()
-        (out / LOCK_NAME).write_text("123")
+        (out / LOCK_NAME).write_text(str(os.getpid()))  # a live process holds the lock
         cfg = default_config({**FAST_KEYS, "out_dir": str(out)})
         with pytest.raises(ConfigError, match="locked"):
             run_pipeline(cfg, quiet=True)
+        assert (out / LOCK_NAME).read_text() == str(os.getpid())
+
+    def test_lock_of_dead_process_is_taken_over(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait(timeout=60)
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / LOCK_NAME).write_text(str(child.pid))
+        leftover = out / f".data.csv.{child.pid}.0badcafe.tmp"  # a killed write_atomic's file
+        leftover.write_text("half a file")
+        others = [out / f".data.csv.{os.getpid()}.0badcafe.tmp", out / f".data.csv.{child.pid}.tmp"]
+        for path in others:
+            path.write_text("not the dead run's")
+        with _locked(_OutputDir(out)):
+            assert (out / LOCK_NAME).read_text() == str(os.getpid())
+            assert not leftover.exists()
+            assert all(path.exists() for path in others)
+        assert not (out / LOCK_NAME).exists()
 
     def test_failed_stage_writes_partial_manifest(self, tmp_path):
         out = tmp_path / "broken"
