@@ -25,8 +25,8 @@ import numpy as np
 # scoring uses `forward_rows`; `forward` stays bound here for bench/tracer.py to patch
 from .autoencoder import Network, forward, forward_rows, network_to_dict  # noqa: F401
 from .dataset import Dataset, MinMaxScaler
-from .errors import DataError, DomainError, ShapeError, read_json_artifact, write_json_artifact
-from .numerics import CholeskyFactor, cholesky, covariance, order_statistic, row_sums, solve_spd
+from .errors import DataError, DomainError, read_json_artifact, write_json_artifact
+from .numerics import CholeskyFactor, as_matrix, cholesky, covariance, order_statistic, row_sums, solve_spd
 
 SCORER_FORMAT_VERSION = 2
 
@@ -120,15 +120,6 @@ def _score_rows(net: Network, stats: ResidualStats | None, x_scaled: np.ndarray)
     return scores
 
 
-def _finite_rows(x_raw, dim: int) -> np.ndarray:
-    x = np.asarray(x_raw, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ShapeError(f"samples have shape {x.shape}, expected (n, {dim})")
-    if not np.isfinite(x).all():
-        raise DomainError("samples contain non-finite values")
-    return x
-
-
 def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: ThresholdPolicy) -> AnomalyScorer:
     """Score every healthy training sample and set the percentile threshold.
 
@@ -139,7 +130,7 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
         raise DataError("cannot calibrate on an empty dataset")
     if ae_train.is_labeled and int(ae_train.labels.max(initial=0)) != 0:
         raise DataError("calibration data must contain only normal samples")
-    scaled = scaler.transform(_finite_rows(ae_train.features, scaler.mins.shape[0]))
+    scaled = scaler.transform(as_matrix(ae_train.features, scaler.mins.shape[0]))
     stats = None
     if policy.kind == MAHALANOBIS_POLICY:
         stats = fit_residual_stats(net, Dataset(scaled))
@@ -151,7 +142,7 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
 def score_batch(scorer: AnomalyScorer, x_raw) -> np.ndarray:
     """Scores of an (n, d) matrix of raw samples: scale, reconstruct, then
     MSE or Mahalanobis. Non-finite samples raise DomainError."""
-    x = _finite_rows(x_raw, scorer.scaler.mins.shape[0])
+    x = as_matrix(x_raw, scorer.scaler.mins.shape[0])
     return _score_rows(scorer.net, scorer.stats, scorer.scaler.transform(x))
 
 

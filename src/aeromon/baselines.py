@@ -32,11 +32,9 @@ from .autoencoder import (
     network_to_dict,
 )
 from .dataset import Dataset, Label
-from .errors import (
-    ConfigError, DataError, DomainError, NumericError, ShapeError, read_json_artifact, write_json_artifact
-)
+from .errors import ConfigError, DataError, DomainError, NumericError, read_json_artifact, write_json_artifact
 from .evaluation import confusion
-from .numerics import Rng, derive_seed, row_sums
+from .numerics import Rng, as_matrix, derive_seed, row_sums
 
 CLASSIFIER_FORMAT_VERSION = 3
 
@@ -95,10 +93,12 @@ class ClassifierConfig:
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    """A fitted baseline: its config and the arrays its kind predicts from."""
+    """A fitted baseline: its config, the arrays its kind predicts from, and
+    the width of the samples it predicts from."""
 
     config: ClassifierConfig
     payload: dict
+    n_channels: int
 
     @property
     def kind(self) -> str:
@@ -246,7 +246,10 @@ def _best_split(x, y, order, feature_ids, min_leaf, pos, sizes):
     f, b = divmod(int(gains.argmax()), n - 1)
     if not gains[f, b] > 0.0:
         return None
-    return int(feature_ids[f]), float((sv[f, b] + sv[f, b + 1]) / 2.0), cum_pos[f]
+    lo, hi = float(sv[f, b]), float(sv[f, b + 1])
+    mid = (lo + hi) / 2.0
+    # a midpoint that rounds onto hi (or overflows) would send every row one way
+    return int(feature_ids[f]), mid if lo <= mid < hi else lo, cum_pos[f]
 
 
 class _Tree(NamedTuple):
@@ -281,8 +284,7 @@ def _grow_tree(x, y, order, max_depth, min_leaf, choose_features) -> _Tree:
         goes_left = x[:, feature][order] <= threshold  # one take from a column view: cheaper than x[order, feature]
         node[:] = feature, threshold, len(nodes), -1, 0.0  # the left child comes next
         left = order[goes_left].reshape(d, -1)
-        # the left rows lead the feature's order; counting them, not the split
-        # position, stays right if the midpoint rounds onto the upper value
+        # the left rows lead the feature's order
         left_pos = int(cum_pos[left.shape[1] - 1])
         grow(left, left_pos, depth + 1)
         node[3] = len(nodes)  # the right child follows the left subtree
@@ -450,18 +452,13 @@ def train_classifier(cfg: ClassifierConfig, train: Dataset, seed: int) -> Classi
     # a diverged fit surfaces once, as the writer's DomainError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         payload = _KINDS[cfg.kind].train(cfg, train.features, y, seed)
-    return ClassifierModel(config=cfg, payload=payload)
+    return ClassifierModel(config=cfg, payload=payload, n_channels=train.features.shape[1])
 
 
 def predict_proba(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
-    """Anomalous-class probability of every row of an (n, d) feature matrix;
-    non-finite features raise DomainError."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError("predict_proba expects a (n, d) feature matrix")
-    if not np.isfinite(x).all():
-        raise DomainError("features contain non-finite values")
-    return _KINDS[model.kind].proba(model, x)
+    """Anomalous-class probability of every row of an (n, d) feature matrix, d
+    the model's width; another shape raises ShapeError, a non-finite value DomainError."""
+    return _KINDS[model.kind].proba(model, as_matrix(features, model.n_channels))
 
 
 def predict(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -479,15 +476,14 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
     """
     if folds < 2:
         raise DomainError("need at least 2 folds")
-    assignments: list[list[int]] = [[] for _ in range(folds)]
+    fold_of = np.full(len(labels), -1)
     for c in (0, 1):
-        idx = [int(i) for i in np.flatnonzero(labels == c)]
-        if len(idx) < folds:
-            raise DataError(f"class {Label(c).name} has {len(idx)} members, fewer than {folds} folds")
+        idx = np.flatnonzero(labels == c)
+        if idx.size < folds:
+            raise DataError(f"class {Label(c).name} has {idx.size} members, fewer than {folds} folds")
         Rng(derive_seed(seed, c)).shuffle(idx)
-        for f in range(folds):
-            assignments[f].extend(idx[f::folds])
-    return [np.sort(np.array(a, dtype=np.int64)) for a in assignments]
+        fold_of[idx] = np.arange(idx.size) % folds
+    return [np.flatnonzero(fold_of == f) for f in range(folds)]
 
 
 def _anomalous_f1(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -564,7 +560,7 @@ def model_from_dict(d: dict, n_channels: int) -> ClassifierModel:
     if d.get("format_version") != CLASSIFIER_FORMAT_VERSION:
         raise DataError(f"unsupported classifier format version {d.get('format_version')!r}")
     cfg = ClassifierConfig(**d["config"])
-    return ClassifierModel(config=cfg, payload=_KINDS[cfg.kind].read(d, cfg, n_channels))
+    return ClassifierModel(config=cfg, payload=_KINDS[cfg.kind].read(d, cfg, n_channels), n_channels=n_channels)
 
 
 def save_model(model: ClassifierModel, path) -> None:

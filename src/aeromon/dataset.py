@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DomainError, write_atomic
-from .numerics import Rng
+from .numerics import Rng, as_matrix
 
 CHANNELS = ("oat", "mgt", "pa", "ias", "np", "cs", "ot")
 N_CHANNELS = len(CHANNELS)
@@ -46,11 +46,7 @@ class Dataset:
     labels: np.ndarray | None = None  # (n,) int8 with Label values
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        if feats.ndim != 2:
-            raise DomainError(f"features must be an (n, d) matrix, got shape {feats.shape}")
-        if not np.isfinite(feats).all():
-            raise DomainError("features contain non-finite values")
+        feats = as_matrix(self.features)
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         if self.labels is not None:

@@ -7,7 +7,8 @@ pipeline runs replayable. Random numbers come from one counter-based
 generator, `Rng`: every draw is a SplitMix64 block computed with numpy, a
 run of consecutive draws (one forest tree's feature subsets) can be computed
 as one 2-d block, and normals use numpy's `log` and `sqrt`. Quantiles are
-order statistics.
+order statistics. Every sample matrix the package takes is checked by one
+function, `as_matrix`.
 """
 
 from __future__ import annotations
@@ -161,13 +162,20 @@ class Rng:
         return np.sort(np.argsort(_mix64(block), axis=1, kind="stable")[:, :k], axis=1)
 
 
-def _as_2d(rows) -> np.ndarray:
+def as_matrix(rows, width: int | None = None) -> np.ndarray:
+    """`rows` as a C-order float64 (n, d) array, with d == width if a width is
+    given: the one check of every sample matrix the package takes. Ragged or
+    non-numeric rows, another shape or another width raise ShapeError; a NaN
+    or an infinity raises DomainError."""
+    expected = f"(n, {'d' if width is None else width})"
     try:
-        x = np.asarray(rows, dtype=np.float64)
+        x = np.ascontiguousarray(rows, dtype=np.float64)
     except (ValueError, TypeError) as exc:
-        raise ShapeError(f"rows are ragged or non-numeric: {exc}") from None
-    if x.ndim != 2:
-        raise ShapeError(f"expected a 2-d row collection, got ndim={x.ndim}")
+        raise ShapeError(f"samples are ragged or non-numeric, expected {expected}: {exc}") from None
+    if x.ndim != 2 or (width is not None and x.shape[1] != width):
+        raise ShapeError(f"samples have shape {x.shape}, expected {expected}")
+    if not np.isfinite(x).all():
+        raise DomainError("samples contain non-finite values")
     return x
 
 
@@ -177,12 +185,10 @@ def covariance(rows) -> tuple[np.ndarray, np.ndarray]:
     The returned matrix is exactly symmetric: the upper triangle is computed
     and mirrored, so cov[i, j] == cov[j, i] holds bit-for-bit.
     """
-    x = _as_2d(rows)
+    x = as_matrix(rows)
     n, d = x.shape
     if n < 2:
         raise DataError(f"covariance needs >= 2 rows, got {n}")
-    if not np.isfinite(x).all():
-        raise DomainError("covariance input contains non-finite values")
     mean = x.mean(axis=0)
     xc = x - mean
     cov = (xc.T @ xc) / (n - 1)
@@ -223,7 +229,7 @@ def cholesky(a) -> CholeskyFactor:
     definite, so it fails immediately. Failure raises NumericError; the only
     matrices factored here are residual covariances, so its message says so.
     """
-    a = _as_2d(a)
+    a = as_matrix(a)
     d = a.shape[0]
     if a.shape[1] != d:
         raise ShapeError(f"matrix is {a.shape}, expected square")

@@ -110,7 +110,7 @@ class TestGaussianNb:
         for shift in (0.0, 800.0, -800.0):
             log_priors = np.log([0.6, 0.4]) + [0.0, shift]
             payload = {"means": means, "variances": variances, "log_priors": log_priors}
-            model = ClassifierModel(config=ClassifierConfig(GAUSSIAN_NB), payload=payload)
+            model = ClassifierModel(config=ClassifierConfig(GAUSSIAN_NB), payload=payload, n_channels=2)
             l0, l1 = (
                 -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var).sum(axis=1) + prior
                 for mean, var, prior in zip(means, variances, log_priors)
@@ -125,6 +125,7 @@ class TestLogReg:
         model = ClassifierModel(
             config=ClassifierConfig(LOGREG),
             payload={"network": Network(np.zeros(4), [LayerSpec(3, 1, "sigmoid")])},
+            n_channels=3,
         )
         labels, probs = predict(model, np.zeros((1, 3)))
         assert probs.tolist() == [0.5]
@@ -518,6 +519,22 @@ class TestDecisionTree:
         assert (_leaf_sizes(tree, ds.features)[leaves] >= 5).all()
         assert (depth[leaves] <= 2).all() and depth.max() == 2
 
+    _ONE_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(_ONE_ABOVE_ONE, float(np.nextafter(_ONE_ABOVE_ONE, 2.0))), (-1.7e308, -1.6e308), (1.6e308, 1.7e308)],
+        ids=["adjacent_doubles", "sum_overflows_low", "sum_overflows_high"],
+    )
+    def test_split_whose_midpoint_is_not_between_the_values(self, a, b):
+        """(a + b) / 2 rounds onto b for adjacent doubles and overflows near the
+        largest double; the threshold is then a, and the split still separates."""
+        ds = _ds([a, a, b, b], [0, 0, 1, 1])
+        model = train_classifier(ClassifierConfig(DECISION_TREE), ds, seed=0)
+        tree = model.payload["root"]
+        assert tree.feature.size == 3 and tree.threshold[0] == a
+        assert predict(model, ds.features)[0].tolist() == [0, 0, 1, 1]
+
 
 class TestRandomForest:
     def test_deterministic_ensemble(self):
@@ -653,6 +670,16 @@ class TestCrossValidation:
         per_class = {c: [int((ds.labels[f] == c).sum()) for f in folds] for c in (0, 1)}
         for counts in per_class.values():
             assert max(counts) - min(counts) <= 1
+
+    def test_folds_deal_each_shuffled_class_round_robin(self):
+        labels = _blobs(43, 23).labels
+        expected = [[] for _ in range(4)]
+        for c in (0, 1):
+            idx = np.flatnonzero(labels == c)
+            idx = idx[Rng(derive_seed(9, c)).permutation(idx.size)]
+            for f in range(4):
+                expected[f] += idx[f::4].tolist()
+        assert [fold.tolist() for fold in stratified_folds(labels, 4, seed=9)] == [sorted(e) for e in expected]
 
     def test_perfectly_separable_tree_scores_one(self):
         # exhaustive check first: a single threshold separates the classes

@@ -1,0 +1,95 @@
+"""One rule for every matrix of samples the package takes (`numerics.as_matrix`).
+
+Each entry point that takes samples is called with each fault of one good
+(n, 7) matrix: a shape fault raises ShapeError and names the expected width,
+and a NaN or an infinity raises DomainError. A matrix of another width than
+the model's is a shape fault, like a bare vector, never a silent answer.
+"""
+
+import numpy as np
+import pytest
+
+from aeromon.anomaly import MAHALANOBIS_POLICY, MSE_POLICY, ThresholdPolicy, calibrate, classify, score_batch
+from aeromon.autoencoder import default_autoencoder_specs, init_network
+from aeromon.baselines import CLASSIFIER_KINDS, ClassifierConfig, predict, predict_proba, train_classifier
+from aeromon.dataset import Dataset, SynthConfig, apply_scaler, fit_scaler, generate_synthetic
+from aeromon.errors import DomainError, ShapeError
+from aeromon.numerics import as_matrix, covariance
+
+POLICIES = (MSE_POLICY, MAHALANOBIS_POLICY)
+
+
+def _with(good, row, col, value):
+    bad = good.copy()
+    bad[row, col] = value
+    return bad
+
+
+# fault name -> (samples from the good matrix, error class, is a width fault)
+FAULTS = {
+    "vector": (lambda good: good[0], ShapeError, False),
+    "ragged": (lambda good: [good[0].tolist(), good[1, :-1].tolist()], ShapeError, False),
+    "one_column_too_many": (lambda good: np.hstack([good, good[:, :1]]), ShapeError, True),
+    "one_column_too_few": (lambda good: good[:, :-1], ShapeError, True),
+    "nan": (lambda good: _with(good, 2, 3, np.nan), DomainError, False),
+    "inf": (lambda good: _with(good, 4, 6, np.inf), DomainError, False),
+}
+
+
+@pytest.fixture(scope="module")
+def entries():
+    """entry name -> (call on a sample matrix, a good matrix for it)."""
+    data = generate_synthetic(SynthConfig(n_samples=300, seed=5))
+    normals = Dataset(data.features[data.labels == 0])
+    scaler = fit_scaler(normals)
+    scaled = apply_scaler(scaler, data)
+    net = init_network(default_autoencoder_specs(), seed=5)
+    good = data.features[:6]
+    table = {
+        "Dataset": (Dataset, good),
+        "covariance": (covariance, good),
+        "calibrate": (lambda x: calibrate(net, scaler, Dataset(x), ThresholdPolicy(MSE_POLICY)), good),
+    }
+    for policy in POLICIES:
+        scorer = calibrate(net, scaler, normals, ThresholdPolicy(policy))
+        table[f"classify-{policy}"] = (lambda x, s=scorer: classify(s, x), good)
+        table[f"score_batch-{policy}"] = (lambda x, s=scorer: score_batch(s, x), good)
+    for kind in CLASSIFIER_KINDS:
+        model = train_classifier(ClassifierConfig(kind, epochs=5, n_trees=3, k=3), scaled, seed=5)
+        table[f"predict-{kind}"] = (lambda x, m=model: predict(m, x), scaled.features[:6])
+        table[f"predict_proba-{kind}"] = (lambda x, m=model: predict_proba(m, x), scaled.features[:6])
+    return table
+
+
+# entry name -> the width it expects, or None for any width
+WIDTHS = {"Dataset": None, "covariance": None, "calibrate": 7}
+WIDTHS.update({f"{fn}-{policy}": 7 for fn in ("classify", "score_batch") for policy in POLICIES})
+WIDTHS.update({f"{fn}-{kind}": 7 for fn in ("predict", "predict_proba") for kind in CLASSIFIER_KINDS})
+CASES = [
+    (entry, fault)
+    for entry, width in WIDTHS.items()
+    for fault, (_, _, width_fault) in FAULTS.items()
+    # no width, no width fault; calibrate's Dataset has rejected every fault but the width
+    if (width_fault and width is not None) or (not width_fault and entry != "calibrate")
+]
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("entry, fault", CASES)
+def test_every_entry_point_applies_the_one_rule(entries, entry, fault):
+    call, good = entries[entry]
+    make, error, _ = FAULTS[fault]
+    call(good)  # the good matrix passes
+    width = WIDTHS[entry]
+    expected = rf"expected \(n, {'d' if width is None else width}\)" if error is ShapeError else "non-finite"
+    with pytest.raises(error, match=expected):
+        call(make(good))
+
+
+def test_as_matrix_returns_a_c_order_float64_matrix():
+    x = as_matrix(np.arange(12, dtype=np.int32).reshape(3, 4).T, width=3)
+    assert x.dtype == np.float64 and x.flags.c_contiguous and x.shape == (4, 3)
+    same = np.zeros((2, 5))
+    assert as_matrix(same) is same
+    with pytest.raises(ShapeError, match=r"expected \(n, d\)"):
+        as_matrix([["a", "b"]])
