@@ -13,11 +13,7 @@ import sys
 from .baselines import CLASSIFIER_KINDS, ClassifierConfig
 from .config import PipelineConfig, baseline_key, default_config, load_config
 from .errors import ToolkitError
-from .pipeline import _PIPELINE_STAGES, _OutputDir, run_pipeline, scaled_supervised_train, train_baseline
-from .pipeline import stage_histogram, stage_ingest, stage_score
-
-# subcommand -> stage function: pipeline stages keep their names, ingest is `generate`
-_STAGE_COMMANDS = dict(_PIPELINE_STAGES, generate=stage_ingest, score=stage_score, histogram=stage_histogram)
+from .pipeline import run_pipeline, run_stage
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("calibrate", help="calibrate the anomaly threshold on healthy training scores")
 
     p_score = sub.add_parser("score", help="score a feature-only CSV (never reads labels)")
-    p_score.add_argument("--input", default="test_features.csv", help="feature CSV inside the output directory")
+    p_score.add_argument("--input", dest="input_name", help="feature CSV inside the output directory")
 
     p_clf = sub.add_parser("train-clf", help="train one supervised baseline standalone")
     p_clf.add_argument("--kind", required=True, choices=CLASSIFIER_KINDS)
@@ -58,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("compare", help="assemble the per-model comparison CSV")
 
     p_hist = sub.add_parser("histogram", help="per-channel class-conditional histogram export")
-    p_hist.add_argument("--input", default="data.csv", help="labelled CSV inside the output directory")
+    p_hist.add_argument("--input", dest="input_name", help="labelled CSV inside the output directory")
 
     sub.add_parser("run", help="execute the full pipeline")
     return parser
@@ -79,30 +75,17 @@ def _resolve(args) -> PipelineConfig:
     return default_config(overrides)
 
 
-def _train_clf_command(cfg: PipelineConfig, out: _OutputDir, kind: str) -> None:
-    best, cv = train_baseline(cfg, out, kind, scaled_supervised_train(out))
-    for cand, (mean_f1, per_fold) in cv:
-        print(f"{kind} {cand}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
-    print(f"wrote clf_{kind}.json (selected {best})")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        out = _OutputDir(args.out if args.out is not None else cfg.out_dir)
         if args.command == "run":
-            manifest = run_pipeline(cfg, out_dir=out.path, quiet=args.quiet)
+            manifest = run_pipeline(cfg, quiet=args.quiet)
             if not args.quiet:
                 print(f"config hash {manifest['config_hash']}")
-            return 0
-        if args.command == "train-clf":
-            _train_clf_command(cfg, out, args.kind)
-            return 0
-        inputs = {"input_name": args.input} if hasattr(args, "input") else {}
-        written = _STAGE_COMMANDS[args.command](cfg, out, **inputs)
-        if not args.quiet:
-            print(f"wrote {', '.join(written)}")
+        else:
+            inputs = {k: v for k, v in vars(args).items() if k in ("input_name", "kind") and v is not None}
+            run_stage(cfg, "ingest" if args.command == "generate" else args.command, args.quiet, **inputs)
         return 0
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """End-to-end orchestration with file-based stage handoff.
 
 Every stage reads and writes files inside one output directory, so stages
-can be re-run standalone and compared by hash. The labelled test split is
-written twice: `test.csv` with its labels, which only the evaluate stage
+can be re-run standalone and compared by hash. Every command, `run` or one
+stage, holds the lock `.aeromon.lock` while it runs. The labelled test split
+is written twice: `test.csv` with its labels, which only the evaluate stage
 opens, and `test_features.csv` without them, which the scoring stage reads.
 
 Fixed artifact names inside the output directory:
@@ -23,7 +24,7 @@ Fixed artifact names inside the output directory:
     scores.csv                  index,score,decision (score stage)
     histograms.csv              channel,class,bin_index,bin_left,bin_right,count (histogram stage)
     manifest.json               config hash + artifact list (deterministic)
-    run_log.csv                 per-stage wall-clock timing (not hashed)
+    run_log.csv                 stage,seconds appended by every stage, standalone or in run (not hashed)
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class _OutputDir:
     def read_scorer(self) -> AnomalyScorer:
         return load_scorer(self.file("scorer.json"), self.read_network())
 
-    def write_json(self, name: str, payload: dict) -> None:
-        write_json_artifact(self.file(name), payload)
-
 
 def _dead_lock_holder(path: Path) -> int | None:
     """The pid in the lock file if it names no process any more, else None."""
@@ -106,7 +104,7 @@ def _dead_lock_holder(path: Path) -> int | None:
 
 @contextmanager
 def _locked(out: _OutputDir):
-    """Rejects a second concurrent run on the same output directory. A lock
+    """Rejects a second concurrent command on the same output directory. A lock
     whose process is gone is taken over, after removing the temporary files
     that process's unfinished atomic writes left."""
     path = out.file(LOCK_NAME)
@@ -162,8 +160,8 @@ def stage_split(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
 def stage_fit_scalers(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
-    out.write_json("scaler_ae.json", fit_scaler(ae_train).to_dict())
-    out.write_json("scaler_supervised.json", fit_scaler(supervised).to_dict())
+    write_json_artifact(out.file("scaler_ae.json"), fit_scaler(ae_train).to_dict())
+    write_json_artifact(out.file("scaler_supervised.json"), fit_scaler(supervised).to_dict())
     return ["scaler_ae.json", "scaler_supervised.json"]
 
 
@@ -213,11 +211,18 @@ def train_baseline(cfg: PipelineConfig, out: _OutputDir, kind: str, train_set: D
     return best, list(zip(candidates, scores))
 
 
+def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> list[str]:
+    """train-baselines for one kind; prints each grid candidate's CV F1 and the one selected."""
+    best, cv = train_baseline(cfg, out, kind, scaled_supervised_train(out))
+    for cand, (mean_f1, per_fold) in cv:
+        print(f"{kind} {cand}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
+    print(f"wrote clf_{kind}.json (selected {best})")
+    return [f"clf_{kind}.json"]
+
+
 def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     kinds = cfg.baseline_kinds()
-    if not kinds:
-        return []
-    train_set = scaled_supervised_train(out)
+    train_set = scaled_supervised_train(out) if kinds else None  # no baselines, no supervised_train.csv read
     for kind in kinds:
         train_baseline(cfg, out, kind, train_set)
     return [f"clf_{kind}.json" for kind in kinds]
@@ -237,7 +242,7 @@ def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
             raise DataError(f"{path} holds a '{model.kind}' classifier, not '{kind}'")
         deciders[kind] = lambda x, m=model: predict(m, scaler.transform(x))
     for name, decide in deciders.items():
-        out.write_json(f"report_{name}.json", evaluate_model(decide, test, model_name=name))
+        write_json_artifact(out.file(f"report_{name}.json"), evaluate_model(decide, test, model_name=name))
     return [f"report_{name}.json" for name in deciders]
 
 
@@ -265,7 +270,7 @@ def stage_histogram(cfg: PipelineConfig, out: _OutputDir, input_name: str = "dat
     return ["histograms.csv"]
 
 
-# --- full pipeline -----------------------------------------------------------
+# --- stage runner ------------------------------------------------------------
 
 _PIPELINE_STAGES = (
     ("ingest", stage_ingest),
@@ -277,6 +282,29 @@ _PIPELINE_STAGES = (
     ("evaluate", stage_evaluate),
     ("compare", stage_compare),
 )
+
+# what one command runs alone: run's stages but train-baselines, whose one-kind form is train-clf
+_STAGES = {name: fn for name, fn in _PIPELINE_STAGES if fn is not stage_train_baselines}
+_STAGES.update({"score": stage_score, "train-clf": stage_train_clf, "histogram": stage_histogram})
+
+
+def _run_stage(cfg: PipelineConfig, out: _OutputDir, name: str, fn, quiet: bool, **inputs) -> list[str]:
+    """Run one stage under the caller's lock, log its time and return the names it wrote."""
+    started = time.perf_counter()
+    written = fn(cfg, out, **inputs)
+    seconds = time.perf_counter() - started
+    with open(out.file("run_log.csv"), "a", encoding="utf-8", newline="") as log:
+        log.write(("" if log.tell() else "stage,seconds\n") + f"{name},{seconds:.3f}\n")
+    if not quiet:
+        print(f"[{name}] wrote {', '.join(written)} ({seconds:.2f}s)")
+    return written
+
+
+def run_stage(cfg: PipelineConfig, name: str, quiet: bool, **inputs) -> list[str]:
+    """Run the stage `name` of `_STAGES` alone, holding cfg.out_dir's lock; returns the names it wrote."""
+    out = _OutputDir(cfg.out_dir)
+    with _locked(out):
+        return _run_stage(cfg, out, name, _STAGES[name], quiet, **inputs)
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> dict:
@@ -295,25 +323,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> dict
         "toolkit_version": __version__,
         "artifacts": [],
     }
-    stage_seconds = {}
     with _locked(out):
-        for stage_name, fn in _PIPELINE_STAGES:
-            started = time.perf_counter()
+        for name, fn in _PIPELINE_STAGES:
             try:
-                written = fn(cfg, out)
+                written = _run_stage(cfg, out, name, fn, quiet)
             except ToolkitError as exc:
-                out.write_json("manifest.json", {**manifest, "partial": True, "failed_stage": stage_name})
-                raise type(exc)(f"stage '{stage_name}' failed: {exc}") from exc
+                write_json_artifact(out.file("manifest.json"), {**manifest, "partial": True, "failed_stage": name})
+                raise type(exc)(f"stage '{name}' failed: {exc}") from exc
             manifest["artifacts"] = sorted(manifest["artifacts"] + written)
-            stage_seconds[stage_name] = time.perf_counter() - started
-            if not quiet:
-                print(f"[{stage_name}] wrote {', '.join(written)} ({stage_seconds[stage_name]:.2f}s)")
-
-        out.write_json("manifest.json", manifest)
-        timings = map(np.array, zip(*stage_seconds.items()))
-        write_csv(out.file("run_log.csv"), "stage,seconds", "{},{:.3f}\n", *timings)
-
-    missing = [a for a in manifest["artifacts"] if not out.file(a).exists()]
-    if missing:
-        raise DataError(f"manifest lists artifacts that were not written: {missing}")
+        write_json_artifact(out.file("manifest.json"), manifest)
     return manifest

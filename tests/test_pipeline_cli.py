@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -16,12 +17,13 @@ import aeromon
 from aeromon import baselines
 from aeromon.anomaly import score_batch
 from aeromon.autoencoder import LayerSpec, init_network, save_network
-from aeromon.cli import main
+from aeromon.cli import _build_parser, main
 from aeromon.config import STAGE_BASELINE_BASE, default_config
 from aeromon.dataset import SynthConfig, apply_scaler, generate_synthetic, load_csv, save_csv
 from aeromon.errors import ConfigError
 from aeromon.numerics import derive_seed
-from aeromon.pipeline import LOCK_NAME, _locked, _OutputDir, run_pipeline, stage_train_baselines
+from aeromon.pipeline import _PIPELINE_STAGES, _STAGES, LOCK_NAME, _locked, _OutputDir, run_pipeline
+from aeromon.pipeline import stage_train_baselines
 
 FAST_KEYS = {
     "synth_n_samples": 600,
@@ -43,11 +45,44 @@ def _fast_config_file(tmp_path, **extra):
     return path
 
 
+# every command but `run`, in an order that runs each on the files the ones before it wrote
+STANDALONE = (
+    "generate",
+    "split",
+    "fit-scalers",
+    "train-ae",
+    "calibrate",
+    "score",
+    "score --input test_features.csv",
+    *(f"train-clf --kind {kind}" for kind in baselines.CLASSIFIER_KINDS),
+    "evaluate",
+    "compare",
+    "histogram",
+    "histogram --input test.csv",
+)
+
+
 def _run(tmp_path, name, **extra):
     out = tmp_path / name
     cfg = default_config({**FAST_KEYS, **extra, "out_dir": str(out)})
     manifest = run_pipeline(cfg, quiet=True)
     return out, manifest
+
+
+def _dead_lock(tmp_path):
+    """An output directory locked by an exited process: (directory, that process's
+    unfinished write, temporary files that are not its)."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait(timeout=60)
+    out = tmp_path / "stale"
+    out.mkdir()
+    (out / LOCK_NAME).write_text(str(child.pid))
+    leftover = out / f".data.csv.{child.pid}.0badcafe.tmp"  # a killed write_atomic's file
+    leftover.write_text("half a file")
+    others = [out / f".data.csv.{os.getpid()}.0badcafe.tmp", out / f".data.csv.{child.pid}.tmp"]
+    for path in others:
+        path.write_text("not the dead run's")
+    return out, leftover, others
 
 
 class TestRunPipeline:
@@ -108,16 +143,7 @@ class TestRunPipeline:
         assert (out / LOCK_NAME).read_text() == str(os.getpid())
 
     def test_lock_of_dead_process_is_taken_over(self, tmp_path):
-        child = subprocess.Popen([sys.executable, "-c", ""])
-        child.wait(timeout=60)
-        out = tmp_path / "stale"
-        out.mkdir()
-        (out / LOCK_NAME).write_text(str(child.pid))
-        leftover = out / f".data.csv.{child.pid}.0badcafe.tmp"  # a killed write_atomic's file
-        leftover.write_text("half a file")
-        others = [out / f".data.csv.{os.getpid()}.0badcafe.tmp", out / f".data.csv.{child.pid}.tmp"]
-        for path in others:
-            path.write_text("not the dead run's")
+        out, leftover, others = _dead_lock(tmp_path)
         with _locked(_OutputDir(out)):
             assert (out / LOCK_NAME).read_text() == str(os.getpid())
             assert not leftover.exists()
@@ -383,6 +409,75 @@ def calibrated(tmp_path_factory):
     for command in ("generate", "split", "fit-scalers", "train-ae", "calibrate"):
         assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", command]) == 0
     return cfg_file, out
+
+
+def _files(out):
+    """name -> (bytes, mtime, inode) of each file but the run log and the lock;
+    an atomic write replaces the inode even when the bytes come out the same."""
+    stats = {p.name: (p, p.stat()) for p in out.iterdir() if p.name not in ("run_log.csv", LOCK_NAME)}
+    return {name: (p.read_bytes(), st.st_mtime_ns, st.st_ino) for name, (p, st) in stats.items()}
+
+
+def _reported(printed):
+    """The names listed by each `[stage] wrote a, b (0.12s)` progress line."""
+    lines = re.findall(r"^\[[a-z-]+\] wrote (.*) \(\d+\.\d\ds\)$", printed, re.MULTILINE)
+    return {name for line in lines for name in line.split(", ")}
+
+
+class TestStageRunner:
+    """`run` and every standalone command lock, time and log through one runner."""
+
+    @pytest.mark.parametrize("command", STANDALONE)
+    def test_live_lock_stops_every_command(self, evaluated, tmp_path, capsys, command):
+        cfg_file, src = evaluated
+        out = tmp_path / "work"
+        shutil.copytree(src, out)
+        (out / LOCK_NAME).write_text(str(os.getpid()))  # a live process holds the lock
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", *command.split()]) == 2
+        assert "error: output directory is locked by another run" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_standalone_command_takes_over_a_dead_lock(self, tmp_path):
+        out, leftover, others = _dead_lock(tmp_path)
+        assert main(["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet", "generate"]) == 0
+        assert (out / "data.csv").exists()
+        assert not leftover.exists()
+        assert all(path.exists() for path in others)
+        assert not (out / LOCK_NAME).exists()
+
+    def test_each_command_writes_exactly_the_names_it_reports(self, tmp_path, capsys):
+        cfg_file = _fast_config_file(tmp_path)
+        for out, commands in ((tmp_path / "full", ["run"]), (tmp_path / "work", STANDALONE)):
+            out.mkdir()
+            for command in commands:
+                before = _files(out)
+                capsys.readouterr()
+                assert main(["--config", str(cfg_file), "--out", str(out), *command.split()]) == 0, command
+                after = _files(out)
+                changed = {name for name in before.keys() | after.keys() if before.get(name) != after.get(name)}
+                reported = _reported(capsys.readouterr().out) | ({"manifest.json"} if command == "run" else set())
+                assert changed == reported, command
+
+    def test_run_log_is_one_append_only_log(self, tmp_path):
+        out = tmp_path / "work"
+        base = ["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet"]
+        for command in ("generate", "split"):
+            assert main(base + [command]) == 0
+        standalone = (out / "run_log.csv").read_text()
+        assert [line.split(",")[0] for line in standalone.splitlines()] == ["stage", "ingest", "split"]
+        assert main(base + ["run"]) == 0
+        log = (out / "run_log.csv").read_text()
+        assert log.startswith(standalone)
+        rows = log[len(standalone) :].splitlines()
+        assert [row.split(",")[0] for row in rows] == [name for name, _ in _PIPELINE_STAGES]
+        assert all(re.fullmatch(r"[a-z-]+,\d+\.\d{3}", row) for row in standalone.splitlines()[1:] + rows)
+
+    def test_runner_table_matches_the_parser(self):
+        parser = _build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(_STAGES) == {"ingest" if c == "generate" else c for c in commands} - {"run"}
+        assert {command.split()[0] for command in STANDALONE} == set(commands) - {"run"}
 
 
 def _set_literal(path, keys, literal):
