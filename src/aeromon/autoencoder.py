@@ -77,12 +77,25 @@ def _activate(name, z):
     return z
 
 
-def _activate_prime(name, z, a):
+def _times_prime(name, delta, z, a):
+    """delta times the activation's derivative at z (a is the activation of z).
+    An identity layer's derivative is 1 and x * 1.0 == x for every double, so
+    its delta comes back as it is."""
     if name == "elu":
-        return _elu_prime(z)
+        return delta * _elu_prime(z)
     if name == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(z)
+        return delta * (a * (1.0 - a))
+    return delta
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0) of an (n, k) matrix, bit for bit. On a C-order matrix of
+    two or more columns, sum adds whole rows in order, one inner call per row,
+    and einsum makes the same adds in one call. With one column (or another
+    memory order) sum adds pairwise and einsum does not, so those keep sum."""
+    if a.shape[1] > 1 and a.flags.c_contiguous:
+        return np.einsum("ij->j", a)
+    return a.sum(axis=0)
 
 
 def _layer_views(flat: np.ndarray, specs: list[LayerSpec]) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -186,11 +199,10 @@ def _backprop_from_output_delta(net: Network, cache, delta: np.ndarray) -> np.nd
     for i in range(len(net.specs) - 1, -1, -1):
         a_prev = x if i == 0 else layer_cache[i - 1][1]
         grad_w[i][...] = delta.T @ a_prev
-        grad_b[i][...] = delta.sum(axis=0)
+        grad_b[i][...] = _column_sums(delta)
         if i > 0:
             z_prev, a_prev_act = layer_cache[i - 1]
-            da = delta @ net.weights[i]
-            delta = da * _activate_prime(net.specs[i - 1].activation, z_prev, a_prev_act)
+            delta = _times_prime(net.specs[i - 1].activation, delta @ net.weights[i], z_prev, a_prev_act)
     return grad
 
 
@@ -206,7 +218,7 @@ def backward(net: Network, cache, x) -> np.ndarray:
     z_last, a_last = layer_cache[-1]
     n, d = x.shape
     dloss_da = (2.0 / d) * (a_last - x) / n
-    delta = dloss_da * _activate_prime(net.specs[-1].activation, z_last, a_last)
+    delta = _times_prime(net.specs[-1].activation, dloss_da, z_last, a_last)
     return _backprop_from_output_delta(net, cache, delta)
 
 

@@ -216,7 +216,7 @@ def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> list[str
     best, cv = train_baseline(cfg, out, kind, scaled_supervised_train(out))
     for cand, (mean_f1, per_fold) in cv:
         print(f"{kind} {cand}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
-    print(f"wrote clf_{kind}.json (selected {best})")
+    print(f"selected {best}")
     return [f"clf_{kind}.json"]
 
 

@@ -9,6 +9,8 @@ from aeromon.autoencoder import (
     LayerSpec,
     Network,
     TrainConfig,
+    _backprop_from_output_delta,
+    _column_sums,
     _sigmoid,
     adam_step,
     backward,
@@ -160,6 +162,25 @@ class TestMseLoss:
             mse_loss([1.0], [1.0, 2.0])
 
 
+def reference_backprop(net, cache, delta):
+    """The textbook backward pass from dL/dz at the output: each hidden delta is
+    multiplied by its activation's derivative array (ones for identity) and each
+    bias gradient is `delta.sum(axis=0)`. The oracle of the library's shortcuts."""
+    primes = {
+        "elu": lambda z, a: np.where(z > 0.0, 1.0, np.exp(z)),
+        "sigmoid": lambda z, a: a * (1.0 - a),
+        "identity": lambda z, a: np.ones_like(z),
+    }
+    x, layer_cache = cache
+    grads = []
+    for i in range(len(net.specs) - 1, -1, -1):
+        a_prev = x if i == 0 else layer_cache[i - 1][1]
+        grads[:0] = [(delta.T @ a_prev).ravel(), delta.sum(axis=0)]
+        if i > 0:
+            delta = (delta @ net.weights[i]) * primes[net.specs[i - 1].activation](*layer_cache[i - 1])
+    return np.concatenate(grads)
+
+
 class TestBackward:
     def test_zero_gradient_at_perfect_reconstruction(self):
         net = _net([np.eye(7)], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
@@ -199,6 +220,42 @@ class TestBackward:
             _, row_cache = forward(net, batch[i : i + 1])
             sums += backward(net, row_cache, batch[i : i + 1])
         assert np.allclose(batch_grads, sums / 5.0, atol=1e-14)
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("rows", [1, 2, 5, 256, 764, 1024])
+    def test_backprop_bit_equals_reference(self, rows):
+        """Skipping identity derivatives and summing biases with `_column_sums`
+        change no bit of any gradient: the autoencoder's (identity bottleneck
+        and output), a sigmoid one's and an MLP's (one sigmoid output column)."""
+        rng = np.random.default_rng(rows)
+        x = rng.random((rows, 7))
+        sigmoid_specs = [LayerSpec(7, 5, "sigmoid"), LayerSpec(5, 3, "identity"), LayerSpec(3, 7, "sigmoid")]
+        for seed in (3, 4):
+            for specs in (default_autoencoder_specs(), sigmoid_specs):
+                net = init_network(specs, seed=seed)
+                out, cache = forward(net, x)
+                primes_out = out * (1.0 - out) if specs[-1].activation == "sigmoid" else np.ones_like(out)
+                delta = (2.0 / 7) * (out - x) / rows * primes_out
+                assert backward(net, cache, x).tobytes() == reference_backprop(net, cache, delta).tobytes()
+            mlp = init_network([LayerSpec(7, 8, "elu"), LayerSpec(8, 1, "sigmoid")], seed=seed)
+            out, cache = forward(mlp, x)
+            delta = (out - (x[:, :1] > 0.5)) / rows
+            want = reference_backprop(mlp, cache, delta).tobytes()
+            assert _backprop_from_output_delta(mlp, cache, delta).tobytes() == want
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 764, 1024, 4860])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 16])
+    def test_column_sums_bit_equal_sum(self, n, k):
+        """`_column_sums` is `sum(axis=0)` bit for bit, on values of mixed
+        magnitude with signed zeros and subnormals, in either memory order."""
+        rng = np.random.default_rng(1000 * n + k)
+        a = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-300, 300, size=(n, k))
+        pick = rng.random((n, k))
+        a[pick < 0.1] = -0.0
+        a[pick > 0.9] = 5e-324 * rng.integers(-10**6, 10**6, size=int((pick > 0.9).sum()))
+        for m in (a, np.asfortranarray(a), np.full((n, k), -0.0)):
+            assert _column_sums(m).tobytes() == m.sum(axis=0).tobytes()
 
     def test_one_sample_vector_rejected(self):
         net = init_network(default_autoencoder_specs(), seed=23)

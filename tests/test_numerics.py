@@ -187,6 +187,19 @@ class TestBlockRng:
         assert perm.dtype == np.int64
         assert np.array_equal(np.sort(perm), np.arange(n))
 
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, 20000])
+    def test_permutation_keys_are_distinct(self, n):
+        """`permutation` argsorts one block with numpy's default, unstable sort.
+        That gives the stable order only because no two values of a block tie."""
+        for key in (0, 1, 7, 2**63, 2**64 - 1, REFERENCE_SEED):
+            assert np.unique(_splitmix64_block(key, n)).size == n
+        for seed in (0, 7, 2**64 - 1):
+            rng = Rng(seed)
+            for draw in range(3):
+                block = _splitmix64_block(derive_seed(seed, draw), n)
+                assert np.array_equal(rng.permutation(n), np.argsort(block, kind="stable"))
+
     def test_permutation_deterministic_per_seed(self):
         assert np.array_equal(Rng(21).permutation(500), Rng(21).permutation(500))
         assert not np.array_equal(Rng(21).permutation(500), Rng(22).permutation(500))

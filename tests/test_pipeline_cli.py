@@ -260,7 +260,7 @@ class TestCliStages:
         assert len(fits) == 2 * 5 + 1  # each candidate on each fold, then one refit of the winner
         assert (Path(out) / "clf_knn.json").exists()
 
-        # one line per candidate with its own cross_validate result, then the written file
+        # one line per candidate with its own cross_validate result, then the selected one
         candidates = default_config({**FAST_KEYS, "knn_k_grid": "1,5"}).baseline_candidates("knn")
         scaler = _OutputDir(out).read_scaler("scaler_supervised.json")
         scaled = apply_scaler(scaler, load_csv(Path(out) / "supervised_train.csv", has_labels=True))
@@ -271,7 +271,7 @@ class TestCliStages:
         assert printed == [
             f"knn {c}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}"
             for c, (mean_f1, per_fold) in zip(candidates, cv)
-        ] + [f"wrote clf_knn.json (selected {best})"]
+        ] + [f"selected {best}"]
 
     def test_train_clf_reproduces_the_pipelines_files(self, tmp_path, capsys):
         # a two-value logreg grid: with no grid flag, train-clf selects over it as run does
@@ -285,7 +285,7 @@ class TestCliStages:
             capsys.readouterr()
             assert main(base + ["train-clf", "--kind", kind]) == 0
             assert (out / f"clf_{kind}.json").read_bytes() == written, kind
-        assert len(capsys.readouterr().out.splitlines()) == 2 + 1  # one line per grid value, then the file
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 1  # one line per grid value, then the selected one
 
     def test_run_command(self, tmp_path):
         cfg_file = _fast_config_file(tmp_path)
