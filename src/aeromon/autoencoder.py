@@ -25,6 +25,11 @@ IMPROVEMENT_TOL = 1e-7
 
 ACTIVATIONS = ("elu", "identity", "sigmoid")
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -230,9 +235,6 @@ class AdamState:
     v: np.ndarray
     t: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float) -> "AdamState":
@@ -250,13 +252,13 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
     if params.shape != state.m.shape or grads.shape != params.shape:
         raise ShapeError("params/grads do not match optimizer state")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grads * grads)
-    params -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (grads * grads)
+    params -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -354,22 +356,25 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
     return best, history
 
 
+def _layer_header(specs: list[LayerSpec]) -> dict:
+    """The `topology` and `activations` entries of a network file of the layers `specs`."""
+    return {"topology": [specs[0].in_dim] + [s.out_dim for s in specs], "activations": [s.activation for s in specs]}
+
+
 def network_to_dict(net: Network) -> dict:
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "topology": [net.in_dim] + [s.out_dim for s in net.specs],
-        "activations": [s.activation for s in net.specs],
-        "params": net.params.tolist(),
-    }
+    return {"format_version": MODEL_FORMAT_VERSION, **_layer_header(net.specs), "params": net.params.tolist()}
 
 
-def network_from_dict(d: dict) -> Network:
+def network_from_dict(d: dict, specs: list[LayerSpec]) -> Network:
+    """The network in `d`, which must have the layers `specs` its caller trains:
+    `default_autoencoder_specs()` for model_ae.json (`load_network`), or the
+    kind's layers at the file's config and width for clf_<kind>.json."""
     if d.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {d.get('format_version')!r}")
-    topology, activations = d["topology"], d["activations"]
-    if len(topology) != len(activations) + 1:
-        raise ShapeError(f"a network of {len(activations)} activations needs {len(activations) + 1} topology widths")
-    specs = [LayerSpec(n_in, n_out, act) for n_in, n_out, act in zip(topology, topology[1:], activations)]
+    expected = _layer_header(specs)
+    found = {key: d[key] for key in expected}
+    if found != expected:
+        raise DataError(f"the network must have the layers {expected}, found {found}")
     return Network(d["params"], specs)
 
 
@@ -378,5 +383,5 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    return read_json_artifact(path, network_from_dict)
+    return read_json_artifact(path, lambda d: network_from_dict(d, default_autoencoder_specs()))
 

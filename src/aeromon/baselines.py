@@ -34,7 +34,7 @@ from .autoencoder import (
 from .dataset import Dataset, Label
 from .errors import ConfigError, DataError, DomainError, NumericError, read_json_artifact, write_json_artifact
 from .evaluation import confusion
-from .numerics import Rng, as_matrix, derive_seed, row_sums
+from .numerics import Rng, as_labels, as_matrix, derive_seed, row_sums
 
 CLASSIFIER_FORMAT_VERSION = 3
 
@@ -136,6 +136,11 @@ def _network_proba(model, x):
     return forward_rows(model.payload["network"], x)[:, 0]
 
 
+def _read_network(layers, d, cfg: ClassifierConfig, n_channels: int):
+    """A logreg or mlp file's network, which must have the layers `layers(cfg, n_channels)` the kind trains."""
+    return {"network": network_from_dict(d["network"], layers(cfg, n_channels))}
+
+
 # --- gaussian naive bayes ---------------------------------------------------
 
 
@@ -185,12 +190,12 @@ def _train_knn(cfg: ClassifierConfig, x, y, seed):
 
 def _read_knn(d, cfg: ClassifierConfig, n_channels: int):
     """kNN's training rows; `k` comes from the config (a stray `k` key in the file is ignored)."""
-    x, y = np.array(d["train_features"], dtype=np.float64), np.array(d["train_labels"])
-    if x.ndim != 2 or x.shape[1] != n_channels or y.shape != (x.shape[0],) or not np.isin(y, (0, 1)).all():
-        raise DataError(f"knn train_features must be (m, {n_channels}), with one 0/1 train_labels entry per row")
+    x = np.array(d["train_features"], dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != n_channels:
+        raise DataError(f"knn train_features must be (m, {n_channels})")
     if cfg.k > x.shape[0]:
         raise DataError(f"k={cfg.k} exceeds training size {x.shape[0]}")
-    return {"train_features": x, "train_labels": y.astype(np.int8)}
+    return {"train_features": x, "train_labels": as_labels(d["train_labels"], x.shape[0])}
 
 
 def _knn_neighbours(train_x, q, k):
@@ -419,28 +424,13 @@ class _Kind(NamedTuple):
     read: Callable  # (file dict, cfg, n_channels) -> payload dict of a model for n_channels-wide samples
 
 
-def _network_reader(layers: Callable):
-    """A payload reader for a network kind: the file's network must have the
-    layers `layers(cfg, n_channels)` that the kind trains from the file's
-    config on n_channels-wide samples."""
-
-    def read(d, cfg, n_channels):
-        net = network_from_dict(d["network"])
-        expected = layers(cfg, n_channels)
-        if net.specs != expected:
-            raise DataError(f"a {cfg.kind} network must have the layers {expected}, found {net.specs}")
-        return {"network": net}
-
-    return read
-
-
 _KINDS = {
-    LOGREG: _Kind(_train_logreg, _network_proba, _network_reader(_logreg_layers)),
+    LOGREG: _Kind(_train_logreg, _network_proba, partial(_read_network, _logreg_layers)),
     GAUSSIAN_NB: _Kind(_train_gaussian_nb, _gaussian_nb_proba, _read_gaussian_nb),
     KNN: _Kind(_train_knn, _knn_proba, _read_knn),
     DECISION_TREE: _Kind(_train_tree, _tree_proba, lambda d, cfg, n: {"root": _tree_from_json(d["root"], n)}),
     RANDOM_FOREST: _Kind(_train_forest, _forest_proba, _read_forest),
-    MLP: _Kind(_train_mlp, _network_proba, _network_reader(_mlp_layers)),
+    MLP: _Kind(_train_mlp, _network_proba, partial(_read_network, _mlp_layers)),
 }
 CLASSIFIER_KINDS = tuple(_KINDS)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DomainError, write_atomic
-from .numerics import Rng, as_matrix
+from .numerics import Rng, as_labels, as_matrix
 
 CHANNELS = ("oat", "mgt", "pa", "ias", "np", "cs", "ot")
 N_CHANNELS = len(CHANNELS)
@@ -50,11 +50,7 @@ class Dataset:
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int8)
-            if labels.shape != (feats.shape[0],):
-                raise DomainError("labels length must match features")
-            if not np.isin(labels, (0, 1)).all():
-                raise DomainError("labels must be 0 (normal) or 1 (anomalous)")
+            labels = as_labels(self.labels, feats.shape[0])
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
 

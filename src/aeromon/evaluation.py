@@ -11,15 +11,13 @@ import numpy as np
 
 from .dataset import CHANNELS, Dataset
 from .errors import DataError, DomainError, NumericError, ShapeError
-from .numerics import order_statistic
+from .numerics import as_labels, order_statistic
 
 
 def confusion(pred, truth) -> dict:
     """{"tp", "fp", "fn", "tn"} counts of predictions against truth, as Python ints."""
-    pred = np.asarray(pred, dtype=np.int8)
-    truth = np.asarray(truth, dtype=np.int8)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ShapeError("prediction and truth vectors must have equal length")
+    truth = as_labels(truth)
+    pred = as_labels(pred, truth.size)
     if pred.size == 0:
         raise DataError("cannot build a confusion matrix from zero samples")
     return {
@@ -61,8 +59,8 @@ def auroc(scores, truth) -> float:
     normal one, and the trapezoid area under the threshold-sweep ROC curve.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.int8)
-    if scores.shape != truth.shape or scores.ndim != 1:
+    truth = as_labels(truth)
+    if scores.shape != truth.shape:
         raise ShapeError("scores and truth must be equal-length vectors")
     n_pos = int((truth == 1).sum())
     n_neg = int((truth == 0).sum())
@@ -120,10 +118,10 @@ def evaluate_model(decider, test: Dataset, model_name: str = "model") -> dict:
     """
     truth = test.require_labels()
     decisions, scores = decider(test.features)
-    predictions = np.asarray(decisions, dtype=np.int8)
+    predictions = as_labels(decisions, test.n)
     scores = np.asarray(scores, dtype=np.float64)
-    if predictions.shape != (test.n,) or scores.shape != (test.n,):
-        raise ShapeError(f"decider returned shapes {predictions.shape} and {scores.shape}, expected ({test.n},)")
+    if scores.shape != (test.n,):
+        raise ShapeError(f"decider returned scores of shape {scores.shape}, expected ({test.n},)")
     cm = confusion(predictions, truth)
     auroc_value = None
     if 0 < int((truth == 1).sum()) < test.n:

@@ -9,7 +9,8 @@ run of consecutive draws (one forest tree's feature subsets) can be computed
 as one 2-d block, and normals use numpy's `log` and `sqrt`. A block's values
 never tie, so a permutation, the argsort of one block, takes the fastest
 sort kind. Quantiles are order statistics. Every sample matrix the package
-takes is checked by one function, `as_matrix`.
+takes is checked by one function, `as_matrix`, and every label or decision
+vector by another, `as_labels`.
 """
 
 from __future__ import annotations
@@ -179,6 +180,23 @@ def as_matrix(rows, width: int | None = None) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DomainError("samples contain non-finite values")
     return x
+
+
+def as_labels(values, n: int | None = None) -> np.ndarray:
+    """`values` as an int8 (n,) array of 0/1 labels or decisions, of length n
+    if one is given: the one check of every label vector the package takes.
+    Another shape raises ShapeError; a value that is not exactly 0 or 1,
+    judged as given (256 or 0.7 is refused, not cast to 0), raises DomainError."""
+    expected = f"({'n' if n is None else n},)"
+    try:
+        v = np.asarray(values)
+    except ValueError as exc:
+        raise ShapeError(f"labels are ragged, expected {expected}: {exc}") from None
+    if v.ndim != 1 or (n is not None and v.shape[0] != n):
+        raise ShapeError(f"labels have shape {v.shape}, expected {expected}")
+    if not ((v == 0) | (v == 1)).all():
+        raise DomainError("labels must be 0 (normal) or 1 (anomalous)")
+    return v.astype(np.int8, copy=False)
 
 
 def covariance(rows) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .anomaly import AnomalyScorer, calibrate, classify, load_scorer, save_scorer
-from .autoencoder import Network, default_autoencoder_specs, init_network, load_network, save_network, train
+from .autoencoder import default_autoencoder_specs, init_network, load_network, save_network, train
 from .baselines import load_model, predict, save_model, select_model
 from .config import STAGE_SPLIT, PipelineConfig
 from .dataset import (
@@ -77,16 +77,8 @@ class _OutputDir:
             raise DataError(f"{path} scales {len(scaler.mins)} channels, not the {len(CHANNELS)} telemetry channels")
         return scaler
 
-    def read_network(self) -> Network:
-        """model_ae.json, which must have the layers that train-ae trains."""
-        path, expected = self.file("model_ae.json"), default_autoencoder_specs()
-        net = load_network(path)
-        if net.specs != expected:
-            raise DataError(f"{path}: an autoencoder must have the layers {expected}, found {net.specs}")
-        return net
-
     def read_scorer(self) -> AnomalyScorer:
-        return load_scorer(self.file("scorer.json"), self.read_network())
+        return load_scorer(self.file("scorer.json"), load_network(self.file("model_ae.json")))
 
 
 def _dead_lock_holder(path: Path) -> int | None:
@@ -181,7 +173,7 @@ def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
 def stage_calibrate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     scaler = out.read_scaler("scaler_ae.json")
     ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
-    scorer = calibrate(out.read_network(), scaler, ae_train, cfg.threshold_policy())
+    scorer = calibrate(load_network(out.file("model_ae.json")), scaler, ae_train, cfg.threshold_policy())
     save_scorer(scorer, out.file("scorer.json"))
     return ["scorer.json"]
 

@@ -492,6 +492,6 @@ class TestSerialization:
 
     def test_dict_round_trip_preserves_specs(self):
         net = init_network(default_autoencoder_specs(), seed=6)
-        back = network_from_dict(network_to_dict(net))
+        back = network_from_dict(network_to_dict(net), net.specs)
         assert [s.activation for s in back.specs] == ["elu", "identity", "elu", "identity"]
         assert back.specs == net.specs

@@ -16,11 +16,18 @@ import pytest
 import aeromon
 from aeromon import baselines
 from aeromon.anomaly import score_batch
-from aeromon.autoencoder import LayerSpec, init_network, save_network
+from aeromon.autoencoder import (
+    LayerSpec,
+    default_autoencoder_specs,
+    init_network,
+    network_from_dict,
+    network_to_dict,
+    save_network,
+)
 from aeromon.cli import _build_parser, main
 from aeromon.config import STAGE_BASELINE_BASE, default_config
 from aeromon.dataset import SynthConfig, apply_scaler, generate_synthetic, load_csv, save_csv
-from aeromon.errors import ConfigError
+from aeromon.errors import ConfigError, DataError, ShapeError
 from aeromon.numerics import derive_seed
 from aeromon.pipeline import _PIPELINE_STAGES, _STAGES, LOCK_NAME, _locked, _OutputDir, run_pipeline
 from aeromon.pipeline import stage_train_baselines
@@ -847,6 +854,77 @@ class TestBrokenArtifacts:
         err = capsys.readouterr().err
         assert f"cannot load {out / name}:" in err
         assert "unsupported model format version 1" in err
+
+
+def _layers_changed(edit):
+    """A fault of the layers: `edit` changes `topology` and `activations`, and
+    `params` then gets the length those layers need, so the network is whole
+    in itself and only the one layer rule can refuse it."""
+
+    def fault(net):
+        edit(net["topology"], net["activations"])
+        widths = net["topology"]
+        net["params"] = [0.25] * sum(n_out * (n_in + 1) for n_in, n_out in zip(widths, widths[1:]))
+
+    return fault
+
+
+# fault name -> in-place edit of a network dict
+NETWORK_FAULTS = {
+    "activation_changed": _layers_changed(lambda t, a: a.__setitem__(-1, "identity" if a[-1] != "identity" else "elu")),
+    "width_changed": _layers_changed(lambda t, a: t.__setitem__(1, t[1] + 1)),
+    "layer_added": _layers_changed(lambda t, a: (t.append(t[-1]), a.append("identity"))),
+    "layer_dropped": _layers_changed(lambda t, a: (t.pop(), a.pop())),
+    "activations_short": lambda net: net["activations"].pop(),
+    "params_short": lambda net: net["params"].pop(),
+}
+# (command, file) of every reader of a network file; a clf_<kind>.json holds its network under "network"
+NETWORK_READERS = [
+    ("calibrate", "model_ae.json"),
+    ("score", "model_ae.json"),
+    ("evaluate", "model_ae.json"),
+    ("evaluate", "clf_logreg.json"),
+    ("evaluate", "clf_mlp.json"),
+]
+
+
+class TestOneNetworkRule:
+    """Every reader of a network file applies one rule, `network_from_dict`'s:
+    the file's layers are those its caller trains."""
+
+    @pytest.mark.parametrize("fault", [None, *NETWORK_FAULTS])
+    @pytest.mark.parametrize("command, name", NETWORK_READERS)
+    def test_every_reader_refuses_every_fault(self, evaluated, tmp_path, capsys, command, name, fault):
+        cfg_file, src = evaluated
+        out = tmp_path / "work"
+        shutil.copytree(src, out)
+        if fault is not None:
+            _edit_json(out / name, lambda d: NETWORK_FAULTS[fault](d if name == "model_ae.json" else d["network"]))
+        code = main(["--config", str(cfg_file), "--out", str(out), "--quiet", command])
+        err = capsys.readouterr().err
+        if fault is None:
+            assert code == 0, err
+        else:
+            assert code == 3 and f"cannot load {out / name}:" in err
+
+    @pytest.mark.parametrize("fault", [None, *NETWORK_FAULTS])
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            default_autoencoder_specs(),
+            baselines._logreg_layers(baselines.ClassifierConfig("logreg"), 7),
+            baselines._mlp_layers(baselines.ClassifierConfig("mlp"), 7),
+        ],
+        ids=["ae", "logreg", "mlp"],
+    )
+    def test_network_from_dict_takes_exactly_its_specs(self, specs, fault):
+        d = network_to_dict(init_network(specs, 3))
+        if fault is None:
+            assert network_from_dict(d, specs).specs == specs
+        else:
+            NETWORK_FAULTS[fault](d)
+            with pytest.raises((DataError, ShapeError)):
+                network_from_dict(d, specs)
 
 
 class TestConsoleScript:

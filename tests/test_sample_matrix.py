@@ -1,9 +1,13 @@
-"""One rule for every matrix of samples the package takes (`numerics.as_matrix`).
+"""One rule for every matrix of samples the package takes (`numerics.as_matrix`),
+and one for every vector of labels or decisions (`numerics.as_labels`).
 
 Each entry point that takes samples is called with each fault of one good
 (n, 7) matrix: a shape fault raises ShapeError and names the expected width,
 and a NaN or an infinity raises DomainError. A matrix of another width than
 the model's is a shape fault, like a bare vector, never a silent answer.
+Likewise each entry point that takes labels or decisions refuses a vector of
+another shape (ShapeError) or a value that is not exactly 0 or 1
+(DomainError), before any cast could turn 256 into 0 or 0.7 into 0.
 """
 
 import numpy as np
@@ -14,7 +18,8 @@ from aeromon.autoencoder import default_autoencoder_specs, init_network
 from aeromon.baselines import CLASSIFIER_KINDS, ClassifierConfig, predict, predict_proba, train_classifier
 from aeromon.dataset import Dataset, SynthConfig, apply_scaler, fit_scaler, generate_synthetic
 from aeromon.errors import DomainError, ShapeError
-from aeromon.numerics import as_matrix, covariance
+from aeromon.evaluation import auroc, confusion, evaluate_model
+from aeromon.numerics import as_labels, as_matrix, covariance
 
 POLICIES = (MSE_POLICY, MAHALANOBIS_POLICY)
 
@@ -93,3 +98,53 @@ def test_as_matrix_returns_a_c_order_float64_matrix():
     assert as_matrix(same) is same
     with pytest.raises(ShapeError, match=r"expected \(n, d\)"):
         as_matrix([["a", "b"]])
+
+
+_GOOD_LABELS = [0, 1, 1]
+_THREE_ROWS = generate_synthetic(SynthConfig(n_samples=100, seed=5)).features[:3]
+# entry name -> call on a label or decision vector; [0, 1, 1] is good for each
+LABEL_ENTRIES = {
+    "as_labels": lambda v: as_labels(v, 3),
+    "Dataset": lambda v: Dataset(_THREE_ROWS, v),
+    "confusion-pred": lambda v: confusion(v, _GOOD_LABELS),
+    "confusion-truth": lambda v: confusion(_GOOD_LABELS, v),
+    "auroc-truth": lambda v: auroc([0.1, 0.9, 0.5], v),
+    "evaluate_model-decisions": lambda v: evaluate_model(
+        lambda x: (v, np.zeros(3)), Dataset(_THREE_ROWS, _GOOD_LABELS)
+    ),
+}
+# fault name -> (label vector, error class)
+LABEL_FAULTS = {
+    "int_256": (np.array([0, 1, 256]), DomainError),
+    "list_256": ([0, 1, 256], DomainError),
+    "int_257": ([0, 1, 257], DomainError),
+    "int_minus_255": ([0, 1, -255], DomainError),
+    "fraction": ([0.0, 1.0, 0.7], DomainError),
+    "mixed": ([256, 1, 0.6], DomainError),
+    "two_float": ([2.0, 0.9, 1.0], DomainError),
+    "nan": ([0, 1, np.nan], DomainError),
+    "text": (["0", "1", "1"], DomainError),
+    "short": ([0, 1], ShapeError),
+    "matrix": ([[0, 1, 1]], ShapeError),
+    "ragged": ([0, [1, 1], 0], ShapeError),
+}
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("fault", LABEL_FAULTS)
+@pytest.mark.parametrize("entry", LABEL_ENTRIES)
+def test_every_label_entry_point_applies_the_one_rule(entry, fault):
+    call = LABEL_ENTRIES[entry]
+    call(_GOOD_LABELS)  # the good vector passes
+    values, error = LABEL_FAULTS[fault]
+    with pytest.raises(error):
+        call(values)
+
+
+def test_as_labels_returns_the_values_as_int8():
+    for values in ([0, 1, 1], [0.0, 1.0, 1.0], [False, True, True], np.array([0, 1, 1], dtype=np.int64)):
+        labels = as_labels(values)
+        assert labels.dtype == np.int8 and labels.tolist() == [0, 1, 1]
+    same = np.array([1, 0], dtype=np.int8)
+    assert as_labels(same, 2) is same
+    assert Dataset(_THREE_ROWS, np.array([0, 1, 1])).labels.tolist() == _GOOD_LABELS
