@@ -7,10 +7,10 @@ scores strictly above the p-th percentile of the healthy training scores,
 taken as the order statistic at rank ceil(p/100 * (n-1)) (`order_statistic`), so
 between (100-p)% - 2/n and (100-p)% of tie-free training scores are flagged.
 
-Every call takes an (n, d) matrix of samples, and every score comes from one
-batch kernel (`score_batch`, or its scaled core `_score_rows`) built from
-elementwise operations only, so a row's score is bit-identical alone or inside
-any batch, and a calibration score equals the later classification score.
+Every call takes an (n, d) matrix of samples. `classify` and `calibrate` score
+through one batch kernel, `_score_rows`, built from elementwise operations
+only, so a row's score is bit-identical alone or inside any batch, and a
+calibration score equals the later classification score.
 """
 
 from __future__ import annotations
@@ -82,12 +82,13 @@ def score_mahalanobis(stats: ResidualStats, r) -> np.ndarray:
     return np.sqrt(np.maximum(row_sums(centered * solve_spd(stats.chol, centered)), 0.0))
 
 
-def fit_residual_stats(net: Network, ae_train_scaled: Dataset) -> ResidualStats:
-    """Residual mean and jittered covariance factor over healthy samples."""
-    if ae_train_scaled.n < 8:
-        raise DataError(f"residual statistics need >= 8 samples, got {ae_train_scaled.n}")
-    mean, cov = covariance(residual(net, ae_train_scaled.features))
-    return ResidualStats(mean=mean, cov=cov, chol=cholesky(cov), n_fit=ae_train_scaled.n)
+def fit_residual_stats(net: Network, x_scaled: np.ndarray) -> ResidualStats:
+    """Residual mean and jittered covariance factor over scaled healthy samples (n, d)."""
+    n = len(x_scaled)
+    if n < 8:
+        raise DataError(f"residual statistics need >= 8 samples, got {n}")
+    mean, cov = covariance(residual(net, x_scaled))
+    return ResidualStats(mean=mean, cov=cov, chol=cholesky(cov), n_fit=n)
 
 
 @dataclass(frozen=True)
@@ -133,23 +134,18 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
     scaled = scaler.transform(as_matrix(ae_train.features, scaler.mins.shape[0]))
     stats = None
     if policy.kind == MAHALANOBIS_POLICY:
-        stats = fit_residual_stats(net, Dataset(scaled))
+        stats = fit_residual_stats(net, scaled)
     scores = _score_rows(net, stats, scaled)
     threshold = order_statistic(scores, policy.percentile)
     return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)
 
 
-def score_batch(scorer: AnomalyScorer, x_raw) -> np.ndarray:
-    """Scores of an (n, d) matrix of raw samples: scale, reconstruct, then
-    MSE or Mahalanobis. Non-finite samples raise DomainError."""
-    x = as_matrix(x_raw, scorer.scaler.mins.shape[0])
-    return _score_rows(scorer.net, scorer.stats, scorer.scaler.transform(x))
-
-
 def classify(scorer: AnomalyScorer, x_raw) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, scores) arrays for an (n, d) matrix of raw samples: anomalous
-    (1) iff score > threshold, so a tie is normal (0)."""
-    scores = score_batch(scorer, x_raw)
+    """(labels, scores) arrays for an (n, d) matrix of raw samples: scale,
+    reconstruct, score by MSE or Mahalanobis, then anomalous (1) iff
+    score > threshold, so a tie is normal (0). Non-finite samples raise DomainError."""
+    x = as_matrix(x_raw, scorer.scaler.mins.shape[0])
+    scores = _score_rows(scorer.net, scorer.stats, scorer.scaler.transform(x))
     return (scores > scorer.threshold).astype(np.int8), scores
 
 

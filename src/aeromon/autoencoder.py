@@ -283,11 +283,6 @@ class TrainConfig:
             raise DomainError("batch_size and max_epochs must be >= 1")
 
 
-def _dataset_mse(net: Network, feats: np.ndarray) -> float:
-    out, _ = forward(net, feats)
-    return mse_loss(feats, out)
-
-
 # a diverged fit surfaces once, as the writer's DomainError, not as numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, list[tuple[float, float, float]]]:
@@ -335,7 +330,7 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
             grads = backward(work, cache, batch)
             adam_step(state, work.params, grads)
         train_mse = sq_err_sum / (n * work.in_dim)
-        val_mse = _dataset_mse(work, val_feats)
+        val_mse = mse_loss(val_feats, forward(work, val_feats)[0])
         history.append((train_mse, val_mse, epoch_lr))
 
         if val_mse < best_val:

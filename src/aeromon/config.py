@@ -134,7 +134,7 @@ def _coerce(key: str, kind: str, value):
         return value
     if kind in ("grid_float", "grid_int"):
         _parse_grid(key, kind, value)
-        return value  # keep the raw string; parsed via PipelineConfig.grid
+        return value  # keep the raw string; baseline_candidates parses it
     raise ConfigError(f"internal: unknown schema type {kind}")
 
 
@@ -147,21 +147,6 @@ class PipelineConfig:
 
     def __getitem__(self, key: str):
         return self.resolved[key]
-
-    @property
-    def seed(self) -> int:
-        return self.resolved["seed"]
-
-    @property
-    def source(self) -> str:
-        return self.resolved["source"]
-
-    @property
-    def out_dir(self) -> str:
-        return self.resolved["out_dir"]
-
-    def grid(self, key: str) -> list:
-        return _parse_grid(key, _SCHEMA[key][0], self.resolved[key])
 
     def baseline_kinds(self) -> list[str]:
         kinds = [t.strip() for t in self.resolved["baseline_kinds"].split(",") if t.strip()]
@@ -178,10 +163,10 @@ class PipelineConfig:
         return cls(**{**values, **fixed})
 
     def synth_config(self) -> SynthConfig:
-        return self._section("synth_", SynthConfig, seed=derive_seed(self.seed, STAGE_GENERATE))
+        return self._section("synth_", SynthConfig, seed=derive_seed(self.resolved["seed"], STAGE_GENERATE))
 
     def train_config(self) -> TrainConfig:
-        return self._section("ae_", TrainConfig, seed=derive_seed(self.seed, STAGE_AE))
+        return self._section("ae_", TrainConfig, seed=derive_seed(self.resolved["seed"], STAGE_AE))
 
     def threshold_policy(self) -> ThresholdPolicy:
         return ThresholdPolicy(self.resolved["threshold_policy"], self.resolved["threshold_percentile"])
@@ -197,12 +182,13 @@ class PipelineConfig:
         if kind not in _BASELINE_GRIDS:
             return [self._section(prefix, ClassifierConfig, **fixed)]
         grid_field, grid_key = _BASELINE_GRIDS[kind]
-        return [self._section(prefix, ClassifierConfig, **fixed, **{grid_field: v}) for v in self.grid(grid_key)]
+        values = _parse_grid(grid_key, _SCHEMA[grid_key][0], self.resolved[grid_key])
+        return [self._section(prefix, ClassifierConfig, **fixed, **{grid_field: v}) for v in values]
 
     def baseline_seed(self, kind: str) -> int:
         """A baseline's training seed, keyed by its kind, so `run` and `train-clf`
         fit a kind alike whatever else `baseline_kinds` lists."""
-        return derive_seed(self.seed, STAGE_BASELINE_BASE + CLASSIFIER_KINDS.index(kind))
+        return derive_seed(self.resolved["seed"], STAGE_BASELINE_BASE + CLASSIFIER_KINDS.index(kind))
 
     def config_hash(self) -> str:
         """SHA-256 of the experiment: every resolved key but `out_dir`, so a run

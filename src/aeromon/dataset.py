@@ -3,7 +3,8 @@
 A sample is one 7-channel engine snapshot: outside air temperature (oat),
 mean gas temperature (mgt), power available (pa), indicated airspeed (ias),
 net power (np), compressor speed (cs), and output torque (ot), optionally
-labelled normal/anomalous. Datasets are immutable after construction.
+labelled normal/anomalous. A Dataset's arrays are read-only views, which
+may share memory with the arrays its caller passed in.
 """
 
 from __future__ import annotations
@@ -46,11 +47,12 @@ class Dataset:
     labels: np.ndarray | None = None  # (n,) int8 with Label values
 
     def __post_init__(self):
-        feats = as_matrix(self.features)
+        # views, as the checks may return the caller's own array, which must stay writeable
+        feats = as_matrix(self.features).view()
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         if self.labels is not None:
-            labels = as_labels(self.labels, feats.shape[0])
+            labels = as_labels(self.labels, feats.shape[0]).view()
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
 
@@ -93,7 +95,7 @@ def _check_rows(path: Path, has_labels: bool) -> None:
     `load_csv`, rows counted as csv records after the header. Only called
     once the fast parse has found a problem; it reports, it builds nothing."""
     n_cells = N_CHANNELS + has_labels
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for rownum, cells in enumerate(reader, start=1):
@@ -129,7 +131,8 @@ def load_csv(path, has_labels: bool) -> Dataset:
     """Read telemetry from `oat,mgt,pa,ias,np,cs,ot[,label]` CSV.
 
     Labels parse case-insensitively from {normal, anomalous} or {0, 1}.
-    Row numbers in errors count data rows (header excluded).
+    Row numbers in errors count data rows (header excluded). A leading UTF-8
+    byte-order mark is skipped.
 
     The body goes through numpy's C parser straight from the file, one pass.
     Anything it cannot vouch for (a parse error, a blank line, a non-finite
@@ -141,7 +144,7 @@ def load_csv(path, has_labels: bool) -> Dataset:
         raise DataError(f"telemetry file not found: {path}")
     expected = list(CHANNELS) + (["label"] if has_labels else [])
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             _check_header(path, fh, expected)
             # counts the lines the parser reads: it skips blank lines, which are errors here
             lines_read = itertools.count()
@@ -303,15 +306,11 @@ class MinMaxScaler:
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "ranges", ranges)
 
-    @property
-    def degenerate_channels(self) -> np.ndarray:
-        return self.ranges == 0.0
-
     def transform(self, features: np.ndarray) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
         safe = np.where(self.ranges > 0.0, self.ranges, 1.0)
         scaled = (x - self.mins) / safe
-        scaled[..., self.degenerate_channels] = 0.0
+        scaled[..., self.ranges == 0.0] = 0.0
         return scaled
 
     def to_dict(self) -> dict:

@@ -77,6 +77,16 @@ def write_json_artifact(path, payload) -> None:
     write_atomic(path, text)
 
 
+# the temporary file `write_atomic` writes `name` through in process `pid`; `token` is 8 hex digits
+_TMP_NAME = ".{name}.{pid}.{token}.tmp"
+
+
+def remove_unfinished_writes(directory, pid: int) -> None:
+    """Remove what unfinished `write_atomic` calls of the dead process `pid` left in `directory`."""
+    for tmp in Path(directory).glob(_TMP_NAME.format(name="*", pid=pid, token="????????")):
+        tmp.unlink(missing_ok=True)
+
+
 def write_atomic(path, content) -> None:
     """Write `content`, a string or an iterable of string chunks, to `path` in
     UTF-8 with no newline translation. The text goes to a temporary file in the
@@ -86,7 +96,7 @@ def write_atomic(path, content) -> None:
     as it was. (A rename is atomic against a killed process, not a power cut:
     nothing is fsynced.)"""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    tmp = path.with_name(_TMP_NAME.format(name=path.name, pid=os.getpid(), token=os.urandom(4).hex()))
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:

@@ -54,6 +54,7 @@ from .dataset import (
     write_csv,
 )
 from .errors import ConfigError, DataError, ToolkitError, read_json_artifact, write_json_artifact
+from .errors import remove_unfinished_writes
 from .evaluation import evaluate_model, feature_histograms
 from .numerics import derive_seed
 
@@ -111,8 +112,7 @@ def _locked(out: _OutputDir):
                 raise ConfigError(
                     f"output directory is locked by another run ({path}); remove the lock file if that run is dead"
                 ) from None
-            for tmp in out.path.glob(f".*.{dead}.????????.tmp"):
-                tmp.unlink(missing_ok=True)
+            remove_unfinished_writes(out.path, dead)
             path.unlink(missing_ok=True)
     try:
         yield
@@ -125,7 +125,7 @@ def _locked(out: _OutputDir):
 
 def stage_ingest(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
     """Generate synthetic telemetry or normalize the configured CSV."""
-    if cfg.source == "synthetic":
+    if cfg["source"] == "synthetic":
         data = generate_synthetic(cfg.synth_config())
     else:
         data = load_csv(cfg["csv_path"], has_labels=True)
@@ -139,7 +139,7 @@ def stage_split(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
         data,
         test_fraction=cfg["test_fraction"],
         ae_val_fraction=cfg["ae_val_fraction"],
-        seed=derive_seed(cfg.seed, STAGE_SPLIT),
+        seed=derive_seed(cfg["seed"], STAGE_SPLIT),
     )
     save_csv(result.test, out.file("test.csv"))
     save_csv(result.test, out.file("test_features.csv"), include_labels=False)
@@ -293,8 +293,8 @@ def _run_stage(cfg: PipelineConfig, out: _OutputDir, name: str, fn, quiet: bool,
 
 
 def run_stage(cfg: PipelineConfig, name: str, quiet: bool, **inputs) -> list[str]:
-    """Run the stage `name` of `_STAGES` alone, holding cfg.out_dir's lock; returns the names it wrote."""
-    out = _OutputDir(cfg.out_dir)
+    """Run the stage `name` of `_STAGES` alone, holding the lock of cfg["out_dir"]; returns the names it wrote."""
+    out = _OutputDir(cfg["out_dir"])
     with _locked(out):
         return _run_stage(cfg, out, name, _STAGES[name], quiet, **inputs)
 
@@ -306,7 +306,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> dict
     A stage failure aborts the run with the stage name attached; the partial
     manifest (flagged `partial`) lists whatever was written before the abort.
     """
-    out = _OutputDir(out_dir if out_dir is not None else cfg.out_dir)
+    out = _OutputDir(out_dir if out_dir is not None else cfg["out_dir"])
     # stage timings go to run_log.csv, not here: the manifest file must be
     # byte-identical across reruns of the same config
     manifest = {

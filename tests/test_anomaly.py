@@ -20,7 +20,6 @@ from aeromon.anomaly import (
     save_scorer,
     score_mahalanobis,
     score_mse,
-    score_batch,
 )
 from aeromon.autoencoder import (
     LayerSpec,
@@ -144,7 +143,7 @@ class TestResidualStats:
         # sees either the degeneracy error or a pure-jitter factor
         feats = np.tile(np.linspace(0.1, 0.7, 7), (20, 1))
         try:
-            stats = fit_residual_stats(_zero_net(), Dataset(feats))
+            stats = fit_residual_stats(_zero_net(), feats)
         except NumericError as exc:  # not a ShapeError or any other numeric failure
             assert str(exc).startswith("covariance is not positive definite")
             return
@@ -156,27 +155,27 @@ class TestResidualStats:
         # cannot be rescued by jitter (non-positive trace)
         feats = np.zeros((20, 7))
         with pytest.raises(NumericError, match="^covariance is not positive definite: its trace is not positive$"):
-            fit_residual_stats(_zero_net(), Dataset(feats))
+            fit_residual_stats(_zero_net(), feats)
 
     def test_minimum_sample_count(self):
         feats = np.random.default_rng(0).random((5, 7))
         with pytest.raises(DataError, match="residual statistics need >= 8 samples, got 5"):
-            fit_residual_stats(_zero_net(), Dataset(feats))
+            fit_residual_stats(_zero_net(), feats)
 
     def test_recovers_generator_covariance(self):
         # zero net: residual = -x, so residual covariance equals data covariance
         rng = np.random.default_rng(55)
         sigmas = np.array([0.5, 1.0, 1.5, 2.0, 0.8, 1.2, 0.3])
         feats = np.array([[rng.normal(0.0, s) for s in sigmas] for _ in range(10_000)])
-        stats = fit_residual_stats(_zero_net(), Dataset(feats))
+        stats = fit_residual_stats(_zero_net(), feats)
         recovered = np.diag(stats.cov)
         assert np.abs(recovered - sigmas**2).max() / (sigmas**2).max() < 0.10
         off = stats.cov - np.diag(np.diag(stats.cov))
         assert np.abs(off).max() < 0.10 * (sigmas**2).max()
 
     def test_deterministic(self, trained):
-        a = fit_residual_stats(trained["net"], trained["train_scaled"])
-        b = fit_residual_stats(trained["net"], trained["train_scaled"])
+        a = fit_residual_stats(trained["net"], trained["train_scaled"].features)
+        b = fit_residual_stats(trained["net"], trained["train_scaled"].features)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.chol.lower, b.chol.lower)
         assert a.n_fit == b.n_fit == trained["train_scaled"].n
@@ -290,7 +289,7 @@ class TestClassify:
         # the threshold is an order statistic of the calibration scores, so
         # some training sample scores exactly at it
         feats = trained["ae_train"].features
-        at_threshold = feats[score_batch(scorer, feats) == scorer.threshold]
+        at_threshold = feats[classify(scorer, feats)[1] == scorer.threshold]
         assert len(at_threshold)
         for row in at_threshold:
             labels, scores = classify(scorer, row[None])
@@ -350,7 +349,7 @@ class TestScorerSerialization:
             assert back.threshold == scorer.threshold
             assert back.policy == scorer.policy
             feats = trained["test"].features[:25]
-            assert score_batch(back, feats).tobytes() == score_batch(scorer, feats).tobytes()
+            assert classify(back, feats)[1].tobytes() == classify(scorer, feats)[1].tobytes()
 
     def test_other_network_rejected(self, tmp_path, trained):
         scorer = calibrate(trained["net"], trained["scaler"], trained["ae_train"], ThresholdPolicy(MSE_POLICY, 85.0))
@@ -392,20 +391,20 @@ class TestBatchScoring:
         order = order[: len(feats) - 37]  # a shuffled batch of another size
         for kind in POLICIES:
             scorer = self._scorer(trained, kind)
-            full = score_batch(scorer, feats)
-            alone = np.array([score_batch(scorer, row[None])[0] for row in feats])
+            full = classify(scorer, feats)[1]
+            alone = np.array([classify(scorer, row[None])[1][0] for row in feats])
             assert alone.tobytes() == full.tobytes()
-            assert score_batch(scorer, feats[order]).tobytes() == full[order].tobytes()
+            assert classify(scorer, feats[order])[1].tobytes() == full[order].tobytes()
             with monkeypatch.context() as m:
                 m.setattr(anomaly, "SCORE_BLOCK_ROWS", 7)  # many blocks, a short last one
-                assert score_batch(scorer, feats).tobytes() == full.tobytes()
+                assert classify(scorer, feats)[1].tobytes() == full.tobytes()
 
     def test_matrix_classify_matches_row_classify(self, trained):
         feats = trained["test"].features
         for kind in POLICIES:
             scorer = self._scorer(trained, kind)
             labels, scores = classify(scorer, feats)
-            assert scores.tobytes() == score_batch(scorer, feats).tobytes()
+            assert labels.tolist() == (scores > scorer.threshold).tolist()
             assert [int(classify(scorer, row[None])[0][0]) for row in feats] == labels.tolist()
 
     def test_calibration_scores_equal_one_row_scores(self, trained, monkeypatch):
@@ -414,7 +413,7 @@ class TestBatchScoring:
         monkeypatch.setattr(anomaly, "order_statistic", lambda s, p: seen.append(np.array(s)) or real(s, p))
         for kind in POLICIES:
             scorer = self._scorer(trained, kind)
-            alone = np.array([score_batch(scorer, row[None])[0] for row in trained["ae_train"].features])
+            alone = np.array([classify(scorer, row[None])[1][0] for row in trained["ae_train"].features])
             assert seen[-1].tobytes() == alone.tobytes()
 
     def test_scores_csv_rows_equal_classify(self, trained, tmp_path):
@@ -442,14 +441,13 @@ class TestBatchScoring:
                 row[3] = bad
                 batch = good.copy()
                 batch[2, 0] = bad
-                for fn, x in ((classify, row[None]), (classify, np.full((1, 7), bad)), (score_batch, batch)):
+                for fn, x in ((classify, row[None]), (classify, np.full((1, 7), bad)), (classify, batch)):
                     with pytest.raises(DomainError):
                         fn(scorer, x)
 
     def test_one_sample_vector_rejected(self, trained):
         scorer = self._scorer(trained, MAHALANOBIS_POLICY)
         row = trained["test"].features[0]
-        for fn in (classify, score_batch):
-            with pytest.raises(ShapeError):
-                fn(scorer, row)
+        with pytest.raises(ShapeError):
+            classify(scorer, row)
         assert classify(scorer, row[None])[1].shape == (1,)

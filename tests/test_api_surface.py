@@ -7,8 +7,9 @@ function or method that nothing in the package refers to outside its own
 definition: a function is referred to by a name it is read through or by an
 attribute, a method only by an attribute (`obj.method`). It also fails on any
 public field of a dataclass or NamedTuple that the package never reads as an
-attribute (`obj.field`), and on any error class that neither sets its own exit
-code nor is caught by name.
+attribute (`obj.field`), on any error class that neither sets its own exit
+code nor is caught by name, and on any property that is a second name for an
+entry its record already serves by key.
 """
 
 import ast
@@ -183,6 +184,61 @@ def test_detects_a_name_only_error_class():
         "user": ast.parse("try:\n    pass\nexcept (ValueError, Caught):\n    raise NameOnly('x')\n"),
     }
     assert _name_only_errors(modules) == ["NameOnly"]
+
+
+def _is_key_lookup(body):
+    """True if `body`, after a docstring, is the one statement `return self.<field>["<key>"]`."""
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Subscript):
+        return False
+    lookup = body[0].value
+    return (
+        isinstance(lookup.value, ast.Attribute)
+        and isinstance(lookup.value.value, ast.Name)
+        and lookup.value.value.id == "self"
+        and isinstance(lookup.slice, ast.Constant)
+        and isinstance(lookup.slice.value, str)
+    )
+
+
+def _alias_properties(modules):
+    """Public properties whose body is `return self.<field>["<key>"]`."""
+    return [
+        f"{module}.{node.name}.{item.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and not item.name.startswith("_")
+        and any(isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list)
+        and _is_key_lookup(item.body)
+    ]
+
+
+def test_no_property_aliases_a_keyed_entry():
+    aliases = _alias_properties(_modules())
+    assert aliases == [], f"properties that rename an entry the record serves by key (read it by key): {aliases}"
+
+
+def test_detects_a_property_that_aliases_a_key():
+    modules = {
+        "extra": ast.parse(
+            "class Rec:\n"
+            "    def __getitem__(self, key):\n        return self.values[key]\n\n"
+            "    @property\n    def seed(self):\n        return self.values['seed']\n\n"
+            "    @property\n    def source(self) -> str:\n        'The data source.'\n"
+            "        return self.values['source']\n\n"
+            "    @property\n    def _hidden(self):\n        return self.values['hidden']\n\n"
+            "    @property\n    def first(self):\n        return self.items[0]\n\n"
+            "    @property\n    def size(self):\n        return self.values['n'] * 2\n\n"
+            "    @property\n    def n(self):\n        return self.features.shape[0]\n\n"
+            "    def lookup(self):\n        return self.values['seed']\n"
+        )
+    }
+    # a private name, an index, a computed value and a plain method are not aliases
+    assert _alias_properties(modules) == ["extra.Rec.seed", "extra.Rec.source"]
 
 
 def test_bench_trace_targets_resolve():

@@ -20,7 +20,7 @@ from aeromon.errors import ConfigError
 class TestResolve:
     def test_defaults_fill_every_key(self):
         cfg = default_config()
-        assert cfg.source == "synthetic"
+        assert cfg["source"] == "synthetic"
         assert cfg["synth_n_samples"] == 20000
         assert cfg["threshold_percentile"] == 85.0
         assert cfg.baseline_kinds() == [
@@ -64,10 +64,23 @@ class TestResolve:
 
     def test_grid_parsing(self):
         cfg = resolve_config({"knn_k_grid": "1, 5, 9", "logreg_l2_grid": "0,0.5"})
-        assert cfg.grid("knn_k_grid") == [1, 5, 9]
-        assert cfg.grid("logreg_l2_grid") == [0.0, 0.5]
+        assert [c.k for c in cfg.baseline_candidates("knn")] == [1, 5, 9]
+        assert [c.l2_strength for c in cfg.baseline_candidates("logreg")] == [0.0, 0.5]
         with pytest.raises(ConfigError):
             resolve_config({"knn_k_grid": "1,a"})
+
+    @pytest.mark.parametrize(
+        "grid, error",
+        [("1, ,5,", None), ("", "must name at least one value"), (" , ", "must name at least one value"),
+         (5, "must be a comma-separated string")],
+        ids=["empty_entries_skipped", "empty", "only_separators", "not_a_string"],
+    )
+    def test_grid_entries(self, grid, error):
+        if error is None:
+            assert [c.k for c in resolve_config({"knn_k_grid": grid}).baseline_candidates("knn")] == [1, 5]
+        else:
+            with pytest.raises(ConfigError, match=f"'knn_k_grid' {error}"):
+                resolve_config({"knn_k_grid": grid})
 
     def test_non_finite_numbers_rejected(self, tmp_path):
         for bad in (float("nan"), float("inf"), float("-inf"), 10**400):
@@ -89,8 +102,8 @@ class TestResolve:
 
     def test_overrides_win(self):
         cfg = resolve_config({"seed": 3}, overrides={"seed": 9, "out_dir": "elsewhere"})
-        assert cfg.seed == 9
-        assert cfg.out_dir == "elsewhere"
+        assert cfg["seed"] == 9
+        assert cfg["out_dir"] == "elsewhere"
 
 
 class TestHash:
@@ -122,7 +135,7 @@ class TestLoad:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 5, "synth_n_samples": 500}))
         cfg = load_config(path)
-        assert cfg.seed == 5
+        assert cfg["seed"] == 5
         assert cfg["synth_n_samples"] == 500
 
     def test_missing_file(self, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 
 import aeromon
 from aeromon import baselines
-from aeromon.anomaly import score_batch
+from aeromon.anomaly import classify
 from aeromon.autoencoder import (
     LayerSpec,
     default_autoencoder_specs,
@@ -76,20 +76,45 @@ def _run(tmp_path, name, **extra):
     return out, manifest
 
 
+def _child_env():
+    """The environment of a child Python that imports this aeromon."""
+    src = str(Path(aeromon.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _interrupted_write(out, hold_lock=False):
+    """Run a process that dies halfway through a `write_atomic` of data.csv in
+    `out`, holding `out`'s lock if `hold_lock`: (its pid, the temporary file it left)."""
+    code = (
+        "import contextlib, os, sys\n"
+        "from aeromon.errors import write_atomic\n"
+        "from aeromon.pipeline import _locked, _OutputDir\n"
+        "def chunks():\n"
+        "    yield 'half a file'\n"
+        "    os._exit(0)\n"
+        "out = _OutputDir(sys.argv[1])\n"
+        "with _locked(out) if sys.argv[2] == 'True' else contextlib.nullcontext():\n"
+        "    write_atomic(out.file('data.csv'), chunks())\n"
+    )
+    before = set(out.iterdir())
+    child = subprocess.Popen([sys.executable, "-c", code, str(out), str(hold_lock)], env=_child_env())
+    assert child.wait(timeout=60) == 0
+    (leftover,) = set(out.iterdir()) - before - {out / LOCK_NAME}
+    return child.pid, leftover
+
+
 def _dead_lock(tmp_path):
     """An output directory locked by an exited process: (directory, that process's
     unfinished write, temporary files that are not its)."""
-    child = subprocess.Popen([sys.executable, "-c", ""])
-    child.wait(timeout=60)
     out = tmp_path / "stale"
     out.mkdir()
-    (out / LOCK_NAME).write_text(str(child.pid))
-    leftover = out / f".data.csv.{child.pid}.0badcafe.tmp"  # a killed write_atomic's file
-    leftover.write_text("half a file")
-    others = [out / f".data.csv.{os.getpid()}.0badcafe.tmp", out / f".data.csv.{child.pid}.tmp"]
-    for path in others:
-        path.write_text("not the dead run's")
-    return out, leftover, others
+    dead, leftover = _interrupted_write(out)
+    (out / LOCK_NAME).write_text(str(dead))
+    other_pid, other = _interrupted_write(out)  # another dead process's unfinished write
+    assert other_pid != dead
+    unlike = out / f".data.csv.{dead}.tmp"  # the lock holder's pid, but not a write_atomic name
+    unlike.write_text("not the dead run's")
+    return out, leftover, [other, unlike]
 
 
 class TestRunPipeline:
@@ -453,6 +478,14 @@ class TestStageRunner:
         assert all(path.exists() for path in others)
         assert not (out / LOCK_NAME).exists()
 
+    def test_next_command_removes_a_killed_commands_write(self, tmp_path):
+        out = tmp_path / "work"
+        out.mkdir()
+        dead, leftover = _interrupted_write(out, hold_lock=True)
+        assert (out / LOCK_NAME).read_text() == str(dead) and not (out / "data.csv").exists()
+        assert main(["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet", "generate"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["data.csv", "run_log.csv"]
+
     def test_each_command_writes_exactly_the_names_it_reports(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path)
         for out, commands in ((tmp_path / "full", ["run"]), (tmp_path / "work", STANDALONE)):
@@ -596,7 +629,7 @@ def test_threshold_covers_healthy_p85_iff_at_most_15_percent_flagged(evaluated):
     p85, cm = report["scores"]["normal"]["p85"], report["confusion"]
     test = load_csv(out / "test.csv", has_labels=True)
     scorer = _OutputDir(out).read_scorer()
-    healthy = np.sort(score_batch(scorer, test.features[test.labels == 0]))
+    healthy = np.sort(classify(scorer, test.features[test.labels == 0])[1])
     n = healthy.size
     assert n == cm["fp"] + cm["tn"] and healthy.max() > healthy.min()
     allowed = n - 1 - math.ceil(0.85 * (n - 1))
@@ -950,9 +983,7 @@ class TestConsoleScript:
         installed = shutil.which("aeromon")
         if installed:
             commands.append([installed])
-        src = str(Path(aeromon.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))}
+        env = _child_env()
 
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"bogus_key": 1}))
@@ -975,9 +1006,7 @@ def test_pipeline_run_never_imports_numpy_random(tmp_path):
         f"code = main(['--config', {str(cfg_file)!r}, '--out', {str(tmp_path / 'out')!r}, '--quiet', 'run'])\n"
         "print(code, 'numpy.random' in sys.modules)\n"
     )
-    src = str(Path(aeromon.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))}
+    env = _child_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]

@@ -13,7 +13,7 @@ another shape (ShapeError) or a value that is not exactly 0 or 1
 import numpy as np
 import pytest
 
-from aeromon.anomaly import MAHALANOBIS_POLICY, MSE_POLICY, ThresholdPolicy, calibrate, classify, score_batch
+from aeromon.anomaly import MAHALANOBIS_POLICY, MSE_POLICY, ThresholdPolicy, calibrate, classify
 from aeromon.autoencoder import default_autoencoder_specs, init_network
 from aeromon.baselines import CLASSIFIER_KINDS, ClassifierConfig, predict, predict_proba, train_classifier
 from aeromon.dataset import Dataset, SynthConfig, apply_scaler, fit_scaler, generate_synthetic
@@ -58,7 +58,6 @@ def entries():
     for policy in POLICIES:
         scorer = calibrate(net, scaler, normals, ThresholdPolicy(policy))
         table[f"classify-{policy}"] = (lambda x, s=scorer: classify(s, x), good)
-        table[f"score_batch-{policy}"] = (lambda x, s=scorer: score_batch(s, x), good)
     for kind in CLASSIFIER_KINDS:
         model = train_classifier(ClassifierConfig(kind, epochs=5, n_trees=3, k=3), scaled, seed=5)
         table[f"predict-{kind}"] = (lambda x, m=model: predict(m, x), scaled.features[:6])
@@ -68,7 +67,7 @@ def entries():
 
 # entry name -> the width it expects, or None for any width
 WIDTHS = {"Dataset": None, "covariance": None, "calibrate": 7}
-WIDTHS.update({f"{fn}-{policy}": 7 for fn in ("classify", "score_batch") for policy in POLICIES})
+WIDTHS.update({f"classify-{policy}": 7 for policy in POLICIES})
 WIDTHS.update({f"{fn}-{kind}": 7 for fn in ("predict", "predict_proba") for kind in CLASSIFIER_KINDS})
 CASES = [
     (entry, fault)
