@@ -71,7 +71,7 @@ def _sigmoid(z):
     # exp of a non-positive argument never overflows; both branches share it
     e = np.exp(-np.abs(z))
     den = 1.0 + e
-    return np.where(z >= 0.0, 1.0 / den, e / den)
+    return np.where(z >= 0.0, 1.0, e) / den
 
 
 def _activate(name, z):

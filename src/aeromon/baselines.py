@@ -117,12 +117,23 @@ def _logreg_layers(cfg: ClassifierConfig, d: int) -> list[LayerSpec]:
     return [LayerSpec(d, 1, "sigmoid")]
 
 
+class FitDiverged(DomainError):
+    """A fit whose objective rose above its start; `cross_validate` reports it as None."""
+
+
 def _train_logreg(cfg: ClassifierConfig, x, y, seed):
     n, d = x.shape
     net = Network(np.zeros(d + 1), _logreg_layers(cfg, d))
     target = y.reshape(-1, 1)
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         out, cache = forward(net, x)
+        if epoch & (epoch - 1) == 0:  # epochs 0, 1, 2, 4, ...: a log pass every epoch costs what stopping saves
+            w = net.params[:d]  # the objective: mean cross-entropy plus (l2/2)*||w||^2; log(0) is inf
+            objective = -np.log(np.where(target == 1.0, out, 1.0 - out)).sum() / n + 0.5 * cfg.l2_strength * (w @ w)
+            if epoch == 0:
+                start = objective  # log 2 at zero weights, up to rounding
+            elif not objective <= start:  # risen above its start, or NaN
+                raise FitDiverged("logreg fit diverged")
         # sigmoid + cross-entropy: dL/dz at the output is p - y. Summed over the
         # rows, then divided, the mean gradient rounds as x.T @ (p - y) / n
         grads = _backprop_from_output_delta(net, cache, out - target) / n
@@ -228,9 +239,9 @@ def _best_split(x, y, order, feature_ids, min_leaf, pos, sizes):
     """(feature, threshold, running positive count along that feature's order)
     of the highest Gini gain over midpoint thresholds, or None. `order[f]`
     lists the node's rows, `pos` of them positive, by ascending feature f, so
-    the m candidates (an int array) are scored in one (m, n-1) pass; `sizes`
-    starts with 1, 2, ..., n-1. The flat argmax breaks ties to the lowest feature id
-    (candidates ascend), then the lowest threshold. Features are finite, so a
+    both children of the m candidates (an int array) are scored in one (2, m, n-1)
+    pass; `sizes` starts with 1, 2, ..., n-1. The flat argmax breaks ties to the
+    lowest feature id (candidates ascend), then the lowest threshold. Features are finite, so a
     position that is not strictly below the next value is no boundary."""
     n = order.shape[1]
     rows = order[feature_ids]
@@ -238,16 +249,18 @@ def _best_split(x, y, order, feature_ids, min_leaf, pos, sizes):
     cum_pos = y[rows].cumsum(axis=1)
     p1 = pos / n
     gini_parent = 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
-    nl = sizes[: n - 1]
-    nr = n - nl
-    pl = cum_pos[:, :-1]
-    pr = pos - pl
-    gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-    gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-    gains = gini_parent - (nl / n) * gini_l - (nr / n) * gini_r
+    # [0] left, [1] right child (sizes reversed); each element meets the per-child formula's steps in order
+    nl, pl = sizes[: n - 1], cum_pos[:, :-1]
+    counts, both = np.empty((2,) + pl.shape), np.empty((2, 1, n - 1))
+    counts[0], counts[1] = pl, pos - pl
+    both[0, 0], both[1, 0] = nl, nl[::-1]
+    gini = 1.0 - (counts / both) ** 2 - ((both - counts) / both) ** 2
+    w = (both / n) * gini
+    gains = gini_parent - w[0] - w[1]
     gains[sv[:, :-1] >= sv[:, 1:]] = -np.inf
-    gains[:, : min_leaf - 1] = -np.inf  # left child under min_leaf rows
-    gains[:, n - min_leaf :] = -np.inf  # right child under min_leaf rows
+    if min_leaf > 1:
+        gains[:, : min_leaf - 1] = -np.inf  # left child under min_leaf rows
+        gains[:, n - min_leaf :] = -np.inf  # right child under min_leaf rows
     f, b = divmod(int(gains.argmax()), n - 1)
     if not gains[f, b] > 0.0:
         return None
@@ -350,7 +363,7 @@ def _tree_from_json(d: dict, n_channels: int) -> _Tree:
 
 def _train_single_forest_tree(x, y, cfg: ClassifierConfig, tree_rng: Rng):
     n, d = x.shape
-    m = min(cfg.features_per_split, d)
+    m = min(cfg.features_per_split, d)  # the config refuses more than the 7 channels; a narrower library fit clamps
     if cfg.bootstrap:
         idx = tree_rng.randrange(n, n)
         bx, by = x[idx], y[idx]
@@ -439,8 +452,8 @@ def train_classifier(cfg: ClassifierConfig, train: Dataset, seed: int) -> Classi
     """Fit one classifier on scaled, labelled data. Deterministic per seed."""
     y = train.require_labels().astype(np.float64)
     _require_both_classes(train.labels)
-    # a diverged fit surfaces once, as the writer's DomainError, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a diverged fit surfaces once, as FitDiverged or the writer's DomainError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         payload = _KINDS[cfg.kind].train(cfg, train.features, y, seed)
     return ClassifierModel(config=cfg, payload=payload, n_channels=train.features.shape[1])
 
@@ -488,8 +501,8 @@ def _anomalous_f1(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def cross_validate(
     cfg: ClassifierConfig, train: Dataset, folds: int = 5, seed: int = 0
-) -> tuple[float, list[float]]:
-    """Mean anomalous-class F1 over stratified folds (plus per-fold scores)."""
+) -> tuple[float, list[float]] | None:
+    """Mean anomalous-class F1 over stratified folds (plus per-fold scores); None if a fit diverges."""
     labels = train.require_labels()
     fold_indices = stratified_folds(labels, folds, seed)
     scores = []
@@ -497,7 +510,10 @@ def cross_validate(
         mask = np.ones(train.n, dtype=bool)
         mask[held_out] = False
         fit_set = train.subset(np.flatnonzero(mask))
-        model = train_classifier(cfg, fit_set, derive_seed(seed, 100 + f))
+        try:
+            model = train_classifier(cfg, fit_set, derive_seed(seed, 100 + f))
+        except FitDiverged:
+            return None
         pred, _ = predict(model, train.features[held_out])
         scores.append(_anomalous_f1(pred, labels[held_out]))
     return sum(scores) / folds, scores
@@ -505,10 +521,11 @@ def cross_validate(
 
 def select_model(
     candidates: list[ClassifierConfig], train: Dataset, seed: int, folds: int = 5
-) -> tuple[ClassifierConfig, ClassifierModel, list[tuple[float, list[float]]]]:
+) -> tuple[ClassifierConfig, ClassifierModel, list[tuple[float, list[float]] | None]]:
     """Pick the candidate with the highest mean CV F1 and refit on all data.
 
-    Also returns each candidate's `cross_validate` result, in candidate order.
+    Also returns each candidate's `cross_validate` result, in candidate order. A
+    diverged (None) candidate is never selected; if all diverged, DomainError.
     Ties go to the earliest candidate. A single candidate skips CV, and its
     result list is empty.
     """
@@ -517,7 +534,9 @@ def select_model(
     best, scores = candidates[0], []
     if len(candidates) > 1:
         scores = [cross_validate(cfg, train, folds=folds, seed=seed) for cfg in candidates]
-        means = [mean_f1 for mean_f1, _ in scores]
+        if all(result is None for result in scores):
+            raise DomainError(f"every {best.kind} candidate diverged")
+        means = [-math.inf if result is None else result[0] for result in scores]
         best = candidates[means.index(max(means))]
     return best, train_classifier(best, train, seed), scores
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from .autoencoder import TrainConfig
 from .baselines import CLASSIFIER_KINDS, ClassifierConfig
 from .anomaly import POLICY_KINDS, ThresholdPolicy
-from .dataset import SynthConfig
+from .dataset import N_CHANNELS, SynthConfig
 from .errors import ConfigError, DomainError
 from .numerics import derive_seed
 
@@ -239,6 +239,8 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError("cv_folds must be >= 2")
     if resolved["histogram_bins"] < 2:
         raise ConfigError("histogram_bins must be >= 2")
+    if resolved["forest_features_per_split"] > N_CHANNELS:
+        raise ConfigError(f"forest_features_per_split must be <= {N_CHANNELS}, the telemetry channel count")
 
     cfg = PipelineConfig(resolved=resolved)
     cfg.baseline_kinds()  # validates the kind list eagerly

@@ -206,8 +206,9 @@ def train_baseline(cfg: PipelineConfig, out: _OutputDir, kind: str, train_set: D
 def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> list[str]:
     """train-baselines for one kind; prints each grid candidate's CV F1 and the one selected."""
     best, cv = train_baseline(cfg, out, kind, scaled_supervised_train(out))
-    for cand, (mean_f1, per_fold) in cv:
-        print(f"{kind} {cand}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
+    for cand, result in cv:
+        cv_f1 = "diverged" if result is None else f"mean F1 {result[0]:.4f} per-fold {[round(f, 4) for f in result[1]]}"
+        print(f"{kind} {cand}: {cv_f1}")
     print(f"selected {best}")
     return [f"clf_{kind}.json"]
 

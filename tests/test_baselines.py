@@ -24,7 +24,7 @@ from aeromon.baselines import (
     stratified_folds,
     train_classifier,
 )
-from aeromon.dataset import Dataset, Label
+from aeromon.dataset import Dataset, Label, SynthConfig, apply_scaler, fit_scaler, generate_synthetic
 from aeromon.errors import ConfigError, DataError, DomainError, NumericError, ShapeError
 from aeromon.numerics import Rng, derive_seed
 
@@ -171,6 +171,41 @@ class TestLogReg:
                 b -= cfg.learning_rate * gb
             params = train_classifier(cfg, ds, seed=0).payload["network"].params
             assert params.tobytes() == np.append(w, b).tobytes()
+
+
+def _scaled_telemetry(n, seed):
+    ds = generate_synthetic(SynthConfig(n_samples=n, seed=seed))
+    return apply_scaler(fit_scaler(ds), ds)
+
+
+class TestLogRegDivergence:
+    """At the default learning rate 2, `l2` 1 flips the weights' sign every
+    step and its objective climbs from log 2 to inf; `l2` 0.1 rises on ~46
+    epochs but never above its start, so it must stay a candidate."""
+
+    def test_diverged_candidate_is_never_selected(self):
+        # every row called anomalous gives l2=1 a higher CV F1 than l2=0.1 has
+        candidates = [ClassifierConfig(LOGREG, l2_strength=lam, learning_rate=2.0, epochs=600) for lam in (0.1, 1.0)]
+        best, model, scores = select_model(candidates, _scaled_telemetry(600, 13), seed=4)
+        assert scores[0] is not None and scores[1] is None
+        assert best == candidates[0] and model.config == candidates[0]
+
+    def test_every_candidate_diverged_is_domain_error(self):
+        ds = _scaled_telemetry(600, 13)
+        candidates = [ClassifierConfig(LOGREG, l2_strength=1.0, learning_rate=lr, epochs=600) for lr in (2.0, 1e300)]
+        with pytest.raises(DomainError, match="every logreg candidate diverged"):
+            select_model(candidates, ds, seed=4)
+        with pytest.raises(DomainError, match="logreg fit diverged"):
+            train_classifier(candidates[0], ds, seed=4)
+
+    def test_other_fit_errors_propagate(self, monkeypatch):
+        def refuse(cfg, x, y, seed):
+            raise DomainError("not a divergence")
+
+        monkeypatch.setitem(baselines._KINDS, LOGREG, baselines._KINDS[LOGREG]._replace(train=refuse))
+        candidates = [ClassifierConfig(LOGREG, l2_strength=lam) for lam in (0.0, 1.0)]
+        with pytest.raises(DomainError, match="not a divergence"):
+            select_model(candidates, _scaled_telemetry(600, 13), seed=4)
 
 
 def _brute_force_knn(train_x, train_y, k, query):
@@ -411,6 +446,16 @@ class TestPresortedGrowerOracle:
             RANDOM_FOREST, n_trees=4, features_per_split=features_per_split, bootstrap=bootstrap, **growth
         )
         self._assert_matches_reference(monkeypatch, cfg, _tie_heavy_rig(3), 11)
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("features_per_split", [1, 3, 7])
+    def test_random_forest_on_scaled_telemetry(self, monkeypatch, features_per_split, min_leaf):
+        """Scaled telemetry has few exact ties but many gains that differ in
+        the last bits, which a change in the order of the Gini arithmetic
+        would flip."""
+        cfg = ClassifierConfig(RANDOM_FOREST, n_trees=10, features_per_split=features_per_split, min_leaf=min_leaf)
+        self._assert_matches_reference(monkeypatch, cfg, _scaled_telemetry(600, 13), 11)
 
     def test_zero_gain_node_is_a_leaf(self, monkeypatch):
         ds = _zero_gain_rig()

@@ -383,6 +383,19 @@ class TestExitCodes:
         assert f"error: {keys} keys:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_forest_features_past_the_channels_is_2(self, tmp_path, capsys):
+        cfg_file = _fast_config_file(tmp_path, forest_features_per_split=8)
+        out = tmp_path / "work"
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "run"]) == 2
+        assert "forest_features_per_split must be <= 7" in capsys.readouterr().err
+        assert not out.exists()
+        base = ["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet"]
+        for command in ("generate", "split", "fit-scalers"):
+            assert main(base + [command]) == 0
+        assert main(base + ["train-clf", "--kind", "random_forest", "--features-per-split", "8"]) == 2
+        assert not (out / "clf_random_forest.json").exists()
+        assert main(base + ["train-clf", "--kind", "random_forest", "--features-per-split", "7"]) == 0
+
     def test_zero_ae_val_fraction_is_2_before_any_stage(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path, ae_val_fraction=0)
         out = tmp_path / "work"
@@ -430,6 +443,37 @@ class TestExitCodes:
         assert "autoencoder training diverged" in capsys.readouterr().err
         assert not (out / "clf_mlp.json").exists()
         assert not (out / "model_ae.json").exists()
+
+    def test_diverged_logreg_fit_is_4_and_not_written(self, tmp_path, capsys):
+        cfg_file = _fast_config_file(tmp_path)
+        out = tmp_path / "work"
+        base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
+        for command in ("generate", "split", "fit-scalers"):
+            assert main(base + [command]) == 0
+        capsys.readouterr()
+        # at learning rate 2, l2 = 1 flips the weights' sign every step; at 1e300 the
+        # outputs saturate to exactly 0 and 1, whose log raises no divide warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for flags in (["--l2", "1"], ["--lr", "1e300"]):
+                assert main(base + ["train-clf", "--kind", "logreg", *flags]) == 4
+                assert capsys.readouterr().err == "error: logreg fit diverged\n"
+        assert not (out / "clf_logreg.json").exists()
+
+    def test_diverged_candidate_is_reported_and_skipped(self, tmp_path, capsys):
+        out = tmp_path / "work"
+        base = ["--config", str(_fast_config_file(tmp_path)), "--out", str(out)]
+        for command in ("generate", "split", "fit-scalers"):
+            assert main(base + ["--quiet", command]) == 0
+        assert main(base + ["--quiet", "train-clf", "--kind", "logreg", "--l2", "0"]) == 0
+        alone = (out / "clf_logreg.json").read_bytes()
+        capsys.readouterr()
+        assert main(base + ["train-clf", "--kind", "logreg", "--l2", "0,1"]) == 0
+        zero, one = default_config({**FAST_KEYS, "logreg_l2_grid": "0,1"}).baseline_candidates("logreg")
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith(f"logreg {zero}: mean F1 ")
+        assert printed[1:3] == [f"logreg {one}: diverged", f"selected {zero}"]
+        assert (out / "clf_logreg.json").read_bytes() == alone
 
 
 @pytest.fixture(scope="module")
