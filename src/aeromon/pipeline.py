@@ -63,12 +63,20 @@ LOCK_NAME = ".aeromon.lock"
 
 
 class _OutputDir:
+    """Stages write each artifact to the path `writes(name)` gives, which appends name to `written`;
+    `file` gives a path without recording it, for reads, the lock and the run log."""
+
     def __init__(self, path):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
+        self.written: list[str] = []
 
     def file(self, name: str) -> Path:
         return self.path / name
+
+    def writes(self, name: str) -> Path:
+        self.written.append(name)
+        return self.file(name)
 
     def read_scaler(self, name: str) -> MinMaxScaler:
         """A scaler file, which must scale the telemetry channels."""
@@ -123,17 +131,16 @@ def _locked(out: _OutputDir):
 # --- standalone stages -------------------------------------------------------
 
 
-def stage_ingest(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
+def stage_ingest(cfg: PipelineConfig, out: _OutputDir) -> None:
     """Generate synthetic telemetry or normalize the configured CSV."""
     if cfg["source"] == "synthetic":
         data = generate_synthetic(cfg.synth_config())
     else:
         data = load_csv(cfg["csv_path"], has_labels=True)
-    save_csv(data, out.file("data.csv"))
-    return ["data.csv"]
+    save_csv(data, out.writes("data.csv"))
 
 
-def stage_split(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
+def stage_split(cfg: PipelineConfig, out: _OutputDir) -> None:
     data = load_csv(out.file("data.csv"), has_labels=True)
     result = split(
         data,
@@ -141,50 +148,46 @@ def stage_split(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
         ae_val_fraction=cfg["ae_val_fraction"],
         seed=derive_seed(cfg["seed"], STAGE_SPLIT),
     )
-    save_csv(result.test, out.file("test.csv"))
-    save_csv(result.test, out.file("test_features.csv"), include_labels=False)
-    save_csv(result.supervised_train, out.file("supervised_train.csv"))
-    save_csv(result.ae_train, out.file("ae_train.csv"))
-    save_csv(result.ae_val, out.file("ae_val.csv"))
-    return ["test.csv", "test_features.csv", "supervised_train.csv", "ae_train.csv", "ae_val.csv"]
+    save_csv(result.test, out.writes("test.csv"))
+    save_csv(result.test, out.writes("test_features.csv"), include_labels=False)
+    save_csv(result.supervised_train, out.writes("supervised_train.csv"))
+    save_csv(result.ae_train, out.writes("ae_train.csv"))
+    save_csv(result.ae_val, out.writes("ae_val.csv"))
 
 
-def stage_fit_scalers(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
+def stage_fit_scalers(cfg: PipelineConfig, out: _OutputDir) -> None:
     ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
     supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
-    write_json_artifact(out.file("scaler_ae.json"), fit_scaler(ae_train).to_dict())
-    write_json_artifact(out.file("scaler_supervised.json"), fit_scaler(supervised).to_dict())
-    return ["scaler_ae.json", "scaler_supervised.json"]
+    write_json_artifact(out.writes("scaler_ae.json"), fit_scaler(ae_train).to_dict())
+    write_json_artifact(out.writes("scaler_supervised.json"), fit_scaler(supervised).to_dict())
 
 
-def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
+def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> None:
     scaler = out.read_scaler("scaler_ae.json")
     ae_train = apply_scaler(scaler, load_csv(out.file("ae_train.csv"), has_labels=True))
     ae_val = apply_scaler(scaler, load_csv(out.file("ae_val.csv"), has_labels=True))
     train_cfg = cfg.train_config()
     net = init_network(default_autoencoder_specs(), train_cfg.seed)
     best, history = train(net, ae_train, ae_val, train_cfg)
-    save_network(best, out.file("model_ae.json"))
+    save_network(best, out.writes("model_ae.json"))
     log_columns = np.arange(1, len(history) + 1), *np.array(history).T
-    write_csv(out.file("ae_training_log.csv"), "epoch,train_mse,val_mse,lr", "{},{!r},{!r},{!r}\n", *log_columns)
-    return ["model_ae.json", "ae_training_log.csv"]
+    write_csv(out.writes("ae_training_log.csv"), "epoch,train_mse,val_mse,lr", "{},{!r},{!r},{!r}\n", *log_columns)
 
 
-def stage_calibrate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
+def stage_calibrate(cfg: PipelineConfig, out: _OutputDir) -> None:
     scaler = out.read_scaler("scaler_ae.json")
     ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
     scorer = calibrate(load_network(out.file("model_ae.json")), scaler, ae_train, cfg.threshold_policy())
-    save_scorer(scorer, out.file("scorer.json"))
-    return ["scorer.json"]
+    save_scorer(scorer, out.writes("scorer.json"))
 
 
-def stage_score(cfg: PipelineConfig, out: _OutputDir, input_name: str = "test_features.csv") -> list[str]:
+def stage_score(cfg: PipelineConfig, out: _OutputDir, input_name: str = "test_features.csv") -> None:
     """Score a feature-only CSV; never touches labels."""
     scorer = out.read_scorer()
     features = load_csv(out.file(input_name), has_labels=False)
     decisions, scores = classify(scorer, features.features)
-    write_csv(out.file("scores.csv"), "index,score,decision", "{},{!r},{}\n", np.arange(len(scores)), scores, decisions)
-    return ["scores.csv"]
+    columns = np.arange(len(scores)), scores, decisions
+    write_csv(out.writes("scores.csv"), "index,score,decision", "{},{!r},{}\n", *columns)
 
 
 def scaled_supervised_train(out: _OutputDir) -> Dataset:
@@ -199,29 +202,27 @@ def train_baseline(cfg: PipelineConfig, out: _OutputDir, kind: str, train_set: D
     candidate and (candidate, cross_validate result) per candidate, none for one."""
     candidates = cfg.baseline_candidates(kind)
     best, model, scores = select_model(candidates, train_set, seed=cfg.baseline_seed(kind), folds=cfg["cv_folds"])
-    save_model(model, out.file(f"clf_{kind}.json"))
+    save_model(model, out.writes(f"clf_{kind}.json"))
     return best, list(zip(candidates, scores))
 
 
-def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> list[str]:
+def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> None:
     """train-baselines for one kind; prints each grid candidate's CV F1 and the one selected."""
     best, cv = train_baseline(cfg, out, kind, scaled_supervised_train(out))
     for cand, result in cv:
         cv_f1 = "diverged" if result is None else f"mean F1 {result[0]:.4f} per-fold {[round(f, 4) for f in result[1]]}"
         print(f"{kind} {cand}: {cv_f1}")
     print(f"selected {best}")
-    return [f"clf_{kind}.json"]
 
 
-def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
+def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> None:
     kinds = cfg.baseline_kinds()
     train_set = scaled_supervised_train(out) if kinds else None  # no baselines, no supervised_train.csv read
     for kind in kinds:
         train_baseline(cfg, out, kind, train_set)
-    return [f"clf_{kind}.json" for kind in kinds]
 
 
-def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
+def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> None:
     """The only stage that opens test.csv, the labelled test split."""
     test = load_csv(out.file("test.csv"), has_labels=True)
     scorer = out.read_scorer()
@@ -235,15 +236,14 @@ def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
             raise DataError(f"{path} holds a '{model.kind}' classifier, not '{kind}'")
         deciders[kind] = lambda x, m=model: predict(m, scaler.transform(x))
     for name, decide in deciders.items():
-        write_json_artifact(out.file(f"report_{name}.json"), evaluate_model(decide, test, model_name=name))
-    return [f"report_{name}.json" for name in deciders]
+        write_json_artifact(out.writes(f"report_{name}.json"), evaluate_model(decide, test, model_name=name))
 
 
 def _comparison_row(r: dict) -> tuple:
     return (r["model"], *(float(r[key]) for key in ("precision", "recall", "f1", "accuracy")))
 
 
-def stage_compare(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
+def stage_compare(cfg: PipelineConfig, out: _OutputDir) -> None:
     rows = []
     for name in ["ae"] + cfg.baseline_kinds():
         path = out.file(f"report_{name}.json")
@@ -251,16 +251,14 @@ def stage_compare(cfg: PipelineConfig, out: _OutputDir) -> list[str]:
             raise DataError(f"missing report for '{name}'; run evaluate first")
         rows.append(read_json_artifact(path, _comparison_row))
     header = "Model,Precision,Recall,F1-score,Accuracy"
-    write_csv(out.file("comparison.csv"), header, "{},{!r},{!r},{!r},{!r}\n", *map(np.array, zip(*rows)))
-    return ["comparison.csv"]
+    write_csv(out.writes("comparison.csv"), header, "{},{!r},{!r},{!r},{!r}\n", *map(np.array, zip(*rows)))
 
 
-def stage_histogram(cfg: PipelineConfig, out: _OutputDir, input_name: str = "data.csv") -> list[str]:
+def stage_histogram(cfg: PipelineConfig, out: _OutputDir, input_name: str = "data.csv") -> None:
     data = load_csv(out.file(input_name), has_labels=True)
     columns = feature_histograms(data, bins=cfg["histogram_bins"])
     header = "channel,class,bin_index,bin_left,bin_right,count"
-    write_csv(out.file("histograms.csv"), header, "{},{},{},{!r},{!r},{}\n", *columns)
-    return ["histograms.csv"]
+    write_csv(out.writes("histograms.csv"), header, "{},{},{},{!r},{!r},{}\n", *columns)
 
 
 # --- stage runner ------------------------------------------------------------
@@ -282,22 +280,23 @@ _STAGES.update({"score": stage_score, "train-clf": stage_train_clf, "histogram":
 
 
 def _run_stage(cfg: PipelineConfig, out: _OutputDir, name: str, fn, quiet: bool, **inputs) -> list[str]:
-    """Run one stage under the caller's lock, log its time and return the names it wrote."""
+    """Run one stage under the caller's lock, log its time and return the names it wrote through `out.writes`."""
+    out.written = []
     started = time.perf_counter()
-    written = fn(cfg, out, **inputs)
+    fn(cfg, out, **inputs)
     seconds = time.perf_counter() - started
     with open(out.file("run_log.csv"), "a", encoding="utf-8", newline="") as log:
         log.write(("" if log.tell() else "stage,seconds\n") + f"{name},{seconds:.3f}\n")
     if not quiet:
-        print(f"[{name}] wrote {', '.join(written)} ({seconds:.2f}s)")
-    return written
+        print(f"[{name}] wrote {', '.join(out.written)} ({seconds:.2f}s)")
+    return out.written
 
 
-def run_stage(cfg: PipelineConfig, name: str, quiet: bool, **inputs) -> list[str]:
-    """Run the stage `name` of `_STAGES` alone, holding the lock of cfg["out_dir"]; returns the names it wrote."""
+def run_stage(cfg: PipelineConfig, name: str, quiet: bool, **inputs) -> None:
+    """Run the stage `name` of `_STAGES` alone, holding the lock of cfg["out_dir"]."""
     out = _OutputDir(cfg["out_dir"])
     with _locked(out):
-        return _run_stage(cfg, out, name, _STAGES[name], quiet, **inputs)
+        _run_stage(cfg, out, name, _STAGES[name], quiet, **inputs)
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> dict:
@@ -305,7 +304,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> dict
     Returns the manifest, the dict written to manifest.json.
 
     A stage failure aborts the run with the stage name attached; the partial
-    manifest (flagged `partial`) lists whatever was written before the abort.
+    manifest (flagged `partial`) lists only the artifacts of finished stages.
     """
     out = _OutputDir(out_dir if out_dir is not None else cfg["out_dir"])
     # stage timings go to run_log.csv, not here: the manifest file must be

@@ -205,6 +205,20 @@ class TestRunPipeline:
         assert manifest["failed_stage"] == "ingest"
         assert not (out / LOCK_NAME).exists()
 
+    def test_partial_manifest_lists_only_finished_stages(self, tmp_path):
+        # gaussian_nb is written, then logreg at l2 1 diverges in the same stage
+        out = tmp_path / "work"
+        cfg = default_config(
+            {**FAST_KEYS, "baseline_kinds": "gaussian_nb,logreg", "logreg_l2_grid": "1", "out_dir": str(out)}
+        )
+        with pytest.raises(baselines.FitDiverged, match="stage 'train-baselines' failed"):
+            run_pipeline(cfg, quiet=True)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["partial"] is True and manifest["failed_stage"] == "train-baselines"
+        assert (out / "clf_gaussian_nb.json").exists()
+        finished = {p.name for p in out.iterdir()} - {"clf_gaussian_nb.json", "manifest.json", "run_log.csv"}
+        assert manifest["artifacts"] == sorted(finished)
+
     def test_csv_source_round_trip(self, tmp_path):
         data = generate_synthetic(SynthConfig(n_samples=600, seed=3))
         src = tmp_path / "telemetry.csv"
@@ -261,7 +275,10 @@ class TestCliStages:
             assert main(base + [command]) == 0
         (out / "supervised_train.csv").unlink()
         cfg = default_config({**FAST_KEYS, "baseline_kinds": ""})
-        assert stage_train_baselines(cfg, _OutputDir(out)) == []
+        work = _OutputDir(out)
+        stage_train_baselines(cfg, work)
+        assert work.written == []
+        assert not list(out.glob("clf_*.json"))
 
     def test_score_reads_features_only(self, tmp_path):
         cfg_file = _fast_config_file(tmp_path)
@@ -495,9 +512,9 @@ def _files(out):
 
 
 def _reported(printed):
-    """The names listed by each `[stage] wrote a, b (0.12s)` progress line."""
+    """The names listed by each `[stage] wrote a, b (0.12s)` progress line, in order."""
     lines = re.findall(r"^\[[a-z-]+\] wrote (.*) \(\d+\.\d\ds\)$", printed, re.MULTILINE)
-    return {name for line in lines for name in line.split(", ")}
+    return [name for line in lines for name in line.split(", ")]
 
 
 class TestStageRunner:
@@ -540,8 +557,21 @@ class TestStageRunner:
                 assert main(["--config", str(cfg_file), "--out", str(out), *command.split()]) == 0, command
                 after = _files(out)
                 changed = {name for name in before.keys() | after.keys() if before.get(name) != after.get(name)}
-                reported = _reported(capsys.readouterr().out) | ({"manifest.json"} if command == "run" else set())
+                reported = set(_reported(capsys.readouterr().out)) | ({"manifest.json"} if command == "run" else set())
                 assert changed == reported, command
+
+    def test_names_are_reported_in_write_order(self, evaluated, tmp_path, capsys):
+        _, src = evaluated
+        out = tmp_path / "work"
+        shutil.copytree(src, out)
+        kinds = list(reversed(baselines.CLASSIFIER_KINDS))  # not the default order
+        base = ["--config", str(_fast_config_file(tmp_path, baseline_kinds=",".join(kinds))), "--out", str(out)]
+        capsys.readouterr()
+        assert main(base + ["split"]) == 0
+        split_names = ["test.csv", "test_features.csv", "supervised_train.csv", "ae_train.csv", "ae_val.csv"]
+        assert _reported(capsys.readouterr().out) == split_names
+        assert main(base + ["evaluate"]) == 0
+        assert _reported(capsys.readouterr().out) == [f"report_{name}.json" for name in ["ae", *kinds]]
 
     def test_run_log_is_one_append_only_log(self, tmp_path):
         out = tmp_path / "work"
