@@ -261,6 +261,29 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
     params -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
 
 
+def adam_epochs(net: Network, x: np.ndarray, target, batch_size: int, lr: float, rng: Rng, grads_of):
+    """Endless minibatch Adam on `net.params` in place, one epoch per iteration:
+    shuffle the rows of x (n, d) with `rng`, then one `adam_step` per slice of
+    `batch_size` rows (the last may be short) with `grads_of(net, cache,
+    target_rows)`. `target` (n, k) is the output to fit, None to reconstruct x.
+    Yields (AdamState, the epoch's summed squared output error); a caller may
+    change `state.lr` between epochs."""
+    state = AdamState.for_params(net.params, lr)
+    order = np.arange(x.shape[0])
+    while True:
+        rng.shuffle(order)
+        sq_err_sum = 0.0
+        for start in range(0, x.shape[0], batch_size):
+            rows = order[start : start + batch_size]
+            batch = x[rows]
+            batch_target = batch if target is None else target[rows]
+            out, cache = forward(net, batch)
+            diff = out - batch_target
+            sq_err_sum += float((diff * diff).sum())
+            adam_step(state, net.params, grads_of(net, cache, batch_target))
+        yield state, sq_err_sum
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 200
@@ -286,30 +309,24 @@ class TrainConfig:
 # a diverged fit surfaces once, as the writer's DomainError, not as numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, list[tuple[float, float, float]]]:
-    """Mini-batch training with early stopping and best-weight restoration.
+    """Early-stopped `adam_epochs` on normal rows that keeps the best validation weights.
 
-    Per epoch: seeded shuffle, Adam step per batch (last short batch kept,
-    gradient averaged over its actual size), then a full-precision pass over
-    the validation set. Validation loss must improve by more than 1e-7 to
-    reset the count of stale epochs. Every plateau_patience stale epochs the
-    learning rate is multiplied by plateau_factor, skipping any reduction that
-    would land below min_lr; early_stop_patience stale epochs stop training.
-    Returns the weights of the best validation epoch and the history, one
-    (train_mse, val_mse, lr) per epoch run.
+    After each epoch, a full-precision pass over the validation set, whose loss
+    must improve by more than 1e-7 to reset the count of stale epochs. Every
+    plateau_patience stale epochs the learning rate is multiplied by
+    plateau_factor, skipping any reduction that would land below min_lr;
+    early_stop_patience stale epochs stop training. Returns the weights of the
+    best validation epoch and the history, one (train_mse, val_mse, lr) per epoch run.
     """
     train_feats = ae_train.features
     val_feats = ae_val.features
     if train_feats.shape[0] == 0 or val_feats.shape[0] == 0:
         raise DataError("training and validation sets must be non-empty")
-    if ae_train.is_labeled and int(ae_train.labels.max(initial=0)) != 0:
-        raise DataError("reconstruction training data must contain only normal samples")
+    if any(part.is_labeled and int(part.labels.max(initial=0)) != 0 for part in (ae_train, ae_val)):
+        raise DataError("reconstruction training and validation data must contain only normal samples")
 
     work = net.clone()
-    state = AdamState.for_params(work.params, cfg.learning_rate)
-    rng = Rng(cfg.seed)
-
-    n = train_feats.shape[0]
-    order = np.arange(n)
+    epochs = adam_epochs(work, train_feats, None, cfg.batch_size, cfg.learning_rate, Rng(cfg.seed), backward)
     # strict minimum drives weight restoration; the tolerance-gated tracker
     # drives patience, so sub-tolerance dips never postpone stopping
     best_val = math.inf
@@ -318,20 +335,11 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
     stale = 0  # epochs since the last improvement
     history: list[tuple[float, float, float]] = []
 
-    for _epoch in range(cfg.max_epochs):
-        epoch_lr = state.lr
-        rng.shuffle(order)
-        sq_err_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = train_feats[order[start : start + cfg.batch_size]]
-            out, cache = forward(work, batch)
-            diff = out - batch
-            sq_err_sum += float((diff * diff).sum())
-            grads = backward(work, cache, batch)
-            adam_step(state, work.params, grads)
-        train_mse = sq_err_sum / (n * work.in_dim)
+    # range first: zip stops on it without advancing the generator, which would train one more epoch
+    for _epoch, (state, sq_err_sum) in zip(range(cfg.max_epochs), epochs):
+        train_mse = sq_err_sum / (train_feats.shape[0] * work.in_dim)
         val_mse = mse_loss(val_feats, forward(work, val_feats)[0])
-        history.append((train_mse, val_mse, epoch_lr))
+        history.append((train_mse, val_mse, state.lr))
 
         if val_mse < best_val:
             best_val = val_mse

@@ -19,12 +19,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .autoencoder import (
-    AdamState,
     LayerSpec,
     Network,
     _backprop_from_output_delta,
     _sigmoid,
-    adam_step,
+    adam_epochs,
     forward,
     forward_rows,
     init_network,
@@ -118,7 +117,7 @@ def _logreg_layers(cfg: ClassifierConfig, d: int) -> list[LayerSpec]:
 
 
 class FitDiverged(DomainError):
-    """A fit whose objective rose above its start; `cross_validate` reports it as None."""
+    """A logreg fit whose objective rose above its start or a non-finite mlp fit; `cross_validate` reports None."""
 
 
 def _train_logreg(cfg: ClassifierConfig, x, y, seed):
@@ -409,20 +408,13 @@ def _mlp_layers(cfg: ClassifierConfig, d: int) -> list[LayerSpec]:
 
 def _train_mlp(cfg: ClassifierConfig, x, y, seed: int):
     net = init_network(_mlp_layers(cfg, x.shape[1]), seed)
-    state = AdamState.for_params(net.params, cfg.learning_rate)
-    rng = Rng(derive_seed(seed, 1))
-    order = np.arange(x.shape[0])
-    target = y.astype(np.float64).reshape(-1, 1)
-    for _ in range(cfg.epochs):
-        rng.shuffle(order)
-        for start in range(0, x.shape[0], cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            batch, yb = x[rows], target[rows]
-            out, cache = forward(net, batch)
-            # sigmoid + cross-entropy: dL/dz at the output is (p - y)/batch
-            delta = (out - yb) / rows.size
-            grads = _backprop_from_output_delta(net, cache, delta)
-            adam_step(state, net.params, grads)
+
+    def grads(net, cache, yb):  # sigmoid + cross-entropy: dL/dz at the output is (p - y)/batch, p the cached output
+        return _backprop_from_output_delta(net, cache, (cache[1][-1][1] - yb) / yb.shape[0])
+
+    epochs = adam_epochs(net, x, y.reshape(-1, 1), cfg.batch_size, cfg.learning_rate, Rng(derive_seed(seed, 1)), grads)
+    if not all(math.isfinite(sq_err_sum) for _, (_, sq_err_sum) in zip(range(cfg.epochs), epochs)):
+        raise FitDiverged("mlp fit diverged")  # at the first non-finite epoch: NaN weights never recover
     return {"network": net}
 
 

@@ -24,8 +24,10 @@ from aeromon.autoencoder import (
     save_network,
     train,
 )
+from aeromon.baselines import ClassifierConfig, train_classifier
 from aeromon.dataset import Dataset, SynthConfig, apply_scaler, fit_scaler, generate_synthetic, split
 from aeromon.errors import DataError, DomainError, ShapeError
+from aeromon.numerics import Rng, derive_seed
 
 
 def finite_difference_grads(net, x, h=1e-5):
@@ -471,6 +473,96 @@ class TestTrain:
             TrainConfig(plateau_factor=1.5)
         with pytest.raises(DomainError):
             TrainConfig(early_stop_patience=0)
+
+
+def reference_train(net, train_feats, val_feats, cfg):
+    """`train` with its own minibatch loop, as written before the loop was
+    shared with the MLP: the oracle of `adam_epochs` under the autoencoder."""
+    work = net.clone()
+    state = AdamState.for_params(work.params, cfg.learning_rate)
+    rng = Rng(cfg.seed)
+    n = train_feats.shape[0]
+    order = np.arange(n)
+    best_val, best, patience_best, stale, history = math.inf, None, math.inf, 0, []
+    for _epoch in range(cfg.max_epochs):
+        epoch_lr = state.lr
+        rng.shuffle(order)
+        sq_err_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = train_feats[order[start : start + cfg.batch_size]]
+            out, cache = forward(work, batch)
+            diff = out - batch
+            sq_err_sum += float((diff * diff).sum())
+            adam_step(state, work.params, backward(work, cache, batch))
+        train_mse = sq_err_sum / (n * work.in_dim)
+        val_mse = mse_loss(val_feats, forward(work, val_feats)[0])
+        history.append((train_mse, val_mse, epoch_lr))
+        if val_mse < best_val:
+            best_val, best = val_mse, work.clone()
+        if val_mse < patience_best - IMPROVEMENT_TOL:
+            patience_best, stale = val_mse, 0
+        else:
+            stale += 1
+            if stale % cfg.plateau_patience == 0 and state.lr * cfg.plateau_factor >= cfg.min_lr:
+                state.lr *= cfg.plateau_factor
+            if stale >= cfg.early_stop_patience:
+                break
+    return best, history
+
+
+def reference_mlp(cfg, x, y, seed, epochs):
+    """The MLP baseline's own minibatch loop, as written before it was shared
+    with the autoencoder: the oracle of `adam_epochs` under the MLP."""
+    specs = [LayerSpec(x.shape[1], cfg.hidden_units, "elu"), LayerSpec(cfg.hidden_units, 1, "sigmoid")]
+    net = init_network(specs, seed)
+    state = AdamState.for_params(net.params, cfg.learning_rate)
+    rng = Rng(derive_seed(seed, 1))
+    order = np.arange(x.shape[0])
+    target = y.astype(np.float64).reshape(-1, 1)
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for start in range(0, x.shape[0], cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            out, cache = forward(net, x[rows])
+            delta = (out - target[rows]) / rows.size
+            adam_step(state, net.params, _backprop_from_output_delta(net, cache, delta))
+    return net.params
+
+
+class TestAdamEpochs:
+    """The autoencoder and the MLP train through one loop, `adam_epochs`; each
+    result is bit-equal to its caller's former loop at every batch size,
+    including one row, a short last batch and one batch of all n rows."""
+
+    N = 40
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("batch_size", [1, 7, N - 1, N, N + 5])
+    def test_autoencoder_bit_equals_its_own_loop(self, batch_size):
+        rng = np.random.default_rng(batch_size)
+        train_feats, val_feats = rng.random((self.N, 7)), rng.random((15, 7))
+        # a short plateau and patience make the run cut its rate and stop early
+        cfg = TrainConfig(
+            max_epochs=60, batch_size=batch_size, learning_rate=0.03, early_stop_patience=6, plateau_patience=2, seed=3
+        )
+        net = init_network(default_autoencoder_specs(), seed=batch_size)
+        best, history = train(net, Dataset(train_feats), Dataset(val_feats), cfg)
+        want_best, want_history = reference_train(net, train_feats, val_feats, cfg)
+        assert best.params.tobytes() == want_best.params.tobytes()
+        assert np.array(history).tobytes() == np.array(want_history).tobytes()
+        assert len({lr for _, _, lr in history}) > 1 and len(history) < cfg.max_epochs
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("batch_size", [1, 7, N - 1, N, N + 5])
+    def test_mlp_bit_equals_its_own_loop(self, batch_size):
+        rng = np.random.default_rng(100 + batch_size)
+        x = rng.random((self.N, 7))
+        y = (x[:, 0] + 0.3 * rng.random(self.N) > 0.6).astype(np.int8)
+        cfg = ClassifierConfig(kind="mlp", epochs=4, batch_size=batch_size)
+        params = train_classifier(cfg, Dataset(x, y), seed=batch_size).payload["network"].params
+        assert params.tobytes() == reference_mlp(cfg, x, y, batch_size, cfg.epochs).tobytes()
+        # one epoch more changes the weights, so a loop that ran one too many would fail above
+        assert params.tobytes() != reference_mlp(cfg, x, y, batch_size, cfg.epochs + 1).tobytes()
 
 
 class TestSerialization:

@@ -381,6 +381,22 @@ class TestExitCodes:
             writer.writerows(body)
         assert main(base + ["train-clf", "--kind", "gaussian_nb"]) == 4
 
+    @pytest.mark.parametrize("name", ["ae_train.csv", "ae_val.csv"])
+    def test_anomalous_reconstruction_split_is_3(self, tmp_path, capsys, name):
+        cfg_file = _fast_config_file(tmp_path)
+        out = tmp_path / "work"
+        base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
+        for command in ("generate", "split", "fit-scalers"):
+            assert main(base + [command]) == 0
+        # every row relabelled anomalous: early stopping on anomalies would pick the wrong epoch
+        path = out / name
+        header, *body = path.read_text().splitlines()
+        path.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",1" for row in body]) + "\n")
+        capsys.readouterr()
+        assert main(base + ["train-ae"]) == 3
+        assert "must contain only normal samples" in capsys.readouterr().err
+        assert not (out / "model_ae.json").exists()
+
     @pytest.mark.parametrize(
         "key, value, keys",
         [
@@ -449,13 +465,14 @@ class TestExitCodes:
         base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
         for command in ("generate", "split", "fit-scalers"):
             assert main(base + [command]) == 0
-        # the weights overflow to inf and then NaN; the writer refuses them, and
-        # its error is the only message: no numpy warning escapes the fit
+        # the weights overflow to inf and then NaN; each fit stops with its own
+        # error, the only message: no numpy warning escapes the fit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(base + ["train-clf", "--kind", "mlp", "--lr", "1e300", "--epochs", "3"]) == 4
-            _fast_config_file(tmp_path, ae_learning_rate=1e300)  # rewrites cfg_file
             capsys.readouterr()
+            assert main(base + ["train-clf", "--kind", "mlp", "--lr", "1e300", "--epochs", "3"]) == 4
+            assert capsys.readouterr().err == "error: mlp fit diverged\n"
+            _fast_config_file(tmp_path, ae_learning_rate=1e300)  # rewrites cfg_file
             assert main(base + ["train-ae"]) == 4
         assert "autoencoder training diverged" in capsys.readouterr().err
         assert not (out / "clf_mlp.json").exists()
