@@ -315,7 +315,9 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
     must improve by more than 1e-7 to reset the count of stale epochs. Every
     plateau_patience stale epochs the learning rate is multiplied by
     plateau_factor, skipping any reduction that would land below min_lr;
-    early_stop_patience stale epochs stop training. Returns the weights of the
+    early_stop_patience stale epochs stop training. An epoch whose training
+    error is not finite before any epoch reached a finite validation loss ends
+    training at once: NaN weights never recover. Returns the weights of the
     best validation epoch and the history, one (train_mse, val_mse, lr) per epoch run.
     """
     train_feats = ae_train.features
@@ -344,6 +346,8 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
         if val_mse < best_val:
             best_val = val_mse
             best = work.clone()
+        if best is None and not math.isfinite(train_mse):
+            break
         if val_mse < patience_best - IMPROVEMENT_TOL:
             patience_best = val_mse
             stale = 0

@@ -1,10 +1,13 @@
 """End-to-end orchestration with file-based stage handoff.
 
-Every stage reads and writes files inside one output directory, so stages
-can be re-run standalone and compared by hash. Every command, `run` or one
-stage, holds the lock `.aeromon.lock` while it runs. The labelled test split
-is written twice: `test.csv` with its labels, which only the evaluate stage
-opens, and `test_features.csv` without them, which the scoring stage reads.
+Every stage writes files inside one output directory, so stages can be
+re-run standalone and compared by hash. Every command, `run` or one stage,
+holds the lock `.aeromon.lock` while it runs. Within one command, a stage
+takes the CSV splits, scalers, autoencoder and scorer that an earlier stage of
+that command wrote from memory; a standalone command parses the files it
+reads. The labelled test split is written twice: `test.csv` with its labels,
+which only the evaluate stage opens, and `test_features.csv` without them,
+which the scoring stage reads.
 
 Fixed artifact names inside the output directory:
 
@@ -64,12 +67,16 @@ LOCK_NAME = ".aeromon.lock"
 
 class _OutputDir:
     """Stages write each artifact to the path `writes(name)` gives, which appends name to `written`;
-    `file` gives a path without recording it, for reads, the lock and the run log."""
+    `file` gives a path without recording it. `write(name, value, save)` saves through `writes` and,
+    while a command holds the lock, keeps value in `memo`; `read(name, load)` returns the kept value,
+    else parses the file. So a command trusts only its own writes, and outside a command (`memo` is
+    None) every read parses."""
 
     def __init__(self, path):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.written: list[str] = []
+        self.memo: dict | None = None
 
     def file(self, name: str) -> Path:
         return self.path / name
@@ -78,16 +85,30 @@ class _OutputDir:
         self.written.append(name)
         return self.file(name)
 
+    def write(self, name: str, value, save) -> None:
+        save(value, self.writes(name))
+        if self.memo is not None:
+            self.memo[name] = value
+
+    def read(self, name: str, load):
+        if self.memo is not None and name in self.memo:
+            return self.memo[name]
+        return load(self.file(name))
+
+    def read_csv(self, name: str) -> Dataset:
+        """A labelled CSV split."""
+        return self.read(name, lambda path: load_csv(path, has_labels=True))
+
     def read_scaler(self, name: str) -> MinMaxScaler:
         """A scaler file, which must scale the telemetry channels."""
         path = self.file(name)
-        scaler = read_json_artifact(path, MinMaxScaler.from_dict)
+        scaler = self.read(name, lambda p: read_json_artifact(p, MinMaxScaler.from_dict))
         if len(scaler.mins) != len(CHANNELS):
             raise DataError(f"{path} scales {len(scaler.mins)} channels, not the {len(CHANNELS)} telemetry channels")
         return scaler
 
     def read_scorer(self) -> AnomalyScorer:
-        return load_scorer(self.file("scorer.json"), load_network(self.file("model_ae.json")))
+        return self.read("scorer.json", lambda path: load_scorer(path, self.read("model_ae.json", load_network)))
 
 
 def _dead_lock_holder(path: Path) -> int | None:
@@ -122,9 +143,11 @@ def _locked(out: _OutputDir):
                 ) from None
             remove_unfinished_writes(out.path, dead)
             path.unlink(missing_ok=True)
+    out.memo = {}
     try:
         yield
     finally:
+        out.memo = None
         path.unlink(missing_ok=True)
 
 
@@ -137,48 +160,52 @@ def stage_ingest(cfg: PipelineConfig, out: _OutputDir) -> None:
         data = generate_synthetic(cfg.synth_config())
     else:
         data = load_csv(cfg["csv_path"], has_labels=True)
-    save_csv(data, out.writes("data.csv"))
+    out.write("data.csv", data, save_csv)
 
 
 def stage_split(cfg: PipelineConfig, out: _OutputDir) -> None:
-    data = load_csv(out.file("data.csv"), has_labels=True)
+    data = out.read_csv("data.csv")
     result = split(
         data,
         test_fraction=cfg["test_fraction"],
         ae_val_fraction=cfg["ae_val_fraction"],
         seed=derive_seed(cfg["seed"], STAGE_SPLIT),
     )
-    save_csv(result.test, out.writes("test.csv"))
+    out.write("test.csv", result.test, save_csv)
     save_csv(result.test, out.writes("test_features.csv"), include_labels=False)
-    save_csv(result.supervised_train, out.writes("supervised_train.csv"))
-    save_csv(result.ae_train, out.writes("ae_train.csv"))
-    save_csv(result.ae_val, out.writes("ae_val.csv"))
+    out.write("supervised_train.csv", result.supervised_train, save_csv)
+    out.write("ae_train.csv", result.ae_train, save_csv)
+    out.write("ae_val.csv", result.ae_val, save_csv)
+
+
+def _save_scaler(scaler: MinMaxScaler, path) -> None:
+    write_json_artifact(path, scaler.to_dict())
 
 
 def stage_fit_scalers(cfg: PipelineConfig, out: _OutputDir) -> None:
-    ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
-    supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
-    write_json_artifact(out.writes("scaler_ae.json"), fit_scaler(ae_train).to_dict())
-    write_json_artifact(out.writes("scaler_supervised.json"), fit_scaler(supervised).to_dict())
+    ae_train = out.read_csv("ae_train.csv")
+    supervised = out.read_csv("supervised_train.csv")
+    out.write("scaler_ae.json", fit_scaler(ae_train), _save_scaler)
+    out.write("scaler_supervised.json", fit_scaler(supervised), _save_scaler)
 
 
 def stage_train_ae(cfg: PipelineConfig, out: _OutputDir) -> None:
     scaler = out.read_scaler("scaler_ae.json")
-    ae_train = apply_scaler(scaler, load_csv(out.file("ae_train.csv"), has_labels=True))
-    ae_val = apply_scaler(scaler, load_csv(out.file("ae_val.csv"), has_labels=True))
+    ae_train = apply_scaler(scaler, out.read_csv("ae_train.csv"))
+    ae_val = apply_scaler(scaler, out.read_csv("ae_val.csv"))
     train_cfg = cfg.train_config()
     net = init_network(default_autoencoder_specs(), train_cfg.seed)
     best, history = train(net, ae_train, ae_val, train_cfg)
-    save_network(best, out.writes("model_ae.json"))
+    out.write("model_ae.json", best, save_network)
     log_columns = np.arange(1, len(history) + 1), *np.array(history).T
     write_csv(out.writes("ae_training_log.csv"), "epoch,train_mse,val_mse,lr", "{},{!r},{!r},{!r}\n", *log_columns)
 
 
 def stage_calibrate(cfg: PipelineConfig, out: _OutputDir) -> None:
     scaler = out.read_scaler("scaler_ae.json")
-    ae_train = load_csv(out.file("ae_train.csv"), has_labels=True)
-    scorer = calibrate(load_network(out.file("model_ae.json")), scaler, ae_train, cfg.threshold_policy())
-    save_scorer(scorer, out.writes("scorer.json"))
+    ae_train = out.read_csv("ae_train.csv")
+    scorer = calibrate(out.read("model_ae.json", load_network), scaler, ae_train, cfg.threshold_policy())
+    out.write("scorer.json", scorer, save_scorer)
 
 
 def stage_score(cfg: PipelineConfig, out: _OutputDir, input_name: str = "test_features.csv") -> None:
@@ -192,7 +219,7 @@ def stage_score(cfg: PipelineConfig, out: _OutputDir, input_name: str = "test_fe
 
 def scaled_supervised_train(out: _OutputDir) -> Dataset:
     """supervised_train.csv scaled by scaler_supervised.json: what every baseline trains on."""
-    supervised = load_csv(out.file("supervised_train.csv"), has_labels=True)
+    supervised = out.read_csv("supervised_train.csv")
     return apply_scaler(out.read_scaler("scaler_supervised.json"), supervised)
 
 
@@ -224,7 +251,7 @@ def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> None:
 
 def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> None:
     """The only stage that opens test.csv, the labelled test split."""
-    test = load_csv(out.file("test.csv"), has_labels=True)
+    test = out.read_csv("test.csv")
     scorer = out.read_scorer()
     deciders = {"ae": lambda x: classify(scorer, x)}
     kinds = cfg.baseline_kinds()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aeromon import autoencoder
 from aeromon.autoencoder import (
     IMPROVEMENT_TOL,
     AdamState,
@@ -458,6 +459,18 @@ class TestTrain:
         train(net, train_ds, val_ds, TrainConfig(max_epochs=3, batch_size=32, seed=8))
         for w0, w1 in zip(before, net.weights):
             assert np.array_equal(w0, w1)
+
+    def test_divergence_stops_at_the_first_non_finite_epoch(self, monkeypatch):
+        # lr 1e300: the second batch already sees overflowed weights, so epoch 1's
+        # training error is not finite, and neither is its validation loss
+        rng = np.random.default_rng(0)
+        train_ds, val_ds = Dataset(rng.random((300, 7))), Dataset(rng.random((60, 7)))
+        passes = []
+        monkeypatch.setattr(autoencoder, "mse_loss", lambda *a: passes.append(1) or mse_loss(*a))
+        net = init_network(default_autoencoder_specs(), seed=0)
+        with pytest.raises(DomainError, match="no epoch reached a finite validation loss"):
+            train(net, train_ds, val_ds, TrainConfig(batch_size=32, learning_rate=1e300, seed=0))
+        assert len(passes) == 1
 
     def test_empty_sets_rejected(self):
         ds = Dataset(np.zeros((0, 7)))

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,23 +15,25 @@ import numpy as np
 import pytest
 
 import aeromon
-from aeromon import baselines
-from aeromon.anomaly import classify
+from aeromon import baselines, dataset, errors, pipeline
+from aeromon.anomaly import classify, load_scorer
 from aeromon.autoencoder import (
+    Network,
     LayerSpec,
     default_autoencoder_specs,
     init_network,
+    load_network,
     network_from_dict,
     network_to_dict,
     save_network,
 )
 from aeromon.cli import _build_parser, main
 from aeromon.config import STAGE_BASELINE_BASE, default_config
-from aeromon.dataset import SynthConfig, apply_scaler, generate_synthetic, load_csv, save_csv
-from aeromon.errors import ConfigError, DataError, ShapeError
+from aeromon.dataset import MinMaxScaler, SynthConfig, apply_scaler, generate_synthetic, load_csv, save_csv
+from aeromon.errors import ConfigError, DataError, ShapeError, read_json_artifact
 from aeromon.numerics import derive_seed
 from aeromon.pipeline import _PIPELINE_STAGES, _STAGES, LOCK_NAME, _locked, _OutputDir, run_pipeline
-from aeromon.pipeline import stage_train_baselines
+from aeromon.pipeline import stage_calibrate, stage_compare, stage_fit_scalers, stage_train_baselines
 
 FAST_KEYS = {
     "synth_n_samples": 600,
@@ -1101,3 +1104,127 @@ def test_pipeline_run_never_imports_numpy_random(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+def _parses(monkeypatch):
+    """Wrap `load_csv` and `read_json_artifact` in every aeromon module that binds
+    them; returns the list that collects the path of each parse."""
+    parsed = []
+
+    def counted(parse):
+        return lambda path, *args, **kwargs: parsed.append(Path(path)) or parse(path, *args, **kwargs)
+
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("aeromon.")]
+    for original in (dataset.load_csv, errors.read_json_artifact):
+        wrapper = counted(original)
+        for module in modules:
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, wrapper)
+    return parsed
+
+
+def _flat(value):
+    """Every array (as dtype, shape and bytes) and scalar inside a memo value, in a fixed order."""
+    if isinstance(value, np.ndarray):
+        return [(value.dtype.str, value.shape, value.tobytes())]
+    if isinstance(value, Network):
+        return _flat(value.params) + _flat(value.specs)
+    if dataclasses.is_dataclass(value):
+        return _flat([getattr(value, field.name) for field in dataclasses.fields(value)])
+    if isinstance(value, dict):
+        return _flat([(key, value[key]) for key in sorted(value)])
+    if isinstance(value, (list, tuple)):
+        return [item for v in value for item in _flat(v)]
+    return [value.item() if isinstance(value, np.generic) else value]
+
+
+def _fresh_parse(out, name, value):
+    """The artifact `name` in `out` parsed from its file, as the memo value `value` would be."""
+    path = out / name
+    if name.endswith(".csv"):
+        return load_csv(path, has_labels=value.is_labeled)
+    if name.startswith("scaler_"):
+        return read_json_artifact(path, MinMaxScaler.from_dict)
+    if name == "model_ae.json":
+        return load_network(path)
+    return load_scorer(path, load_network(out / "model_ae.json"))  # scorer.json
+
+
+def _classifiers_and_reports(out):
+    """What `evaluate` and `compare` parse in a run at FAST_KEYS, in order."""
+    kinds = default_config(dict(FAST_KEYS)).baseline_kinds()
+    return [out / f"clf_{kind}.json" for kind in kinds] + [out / f"report_{m}.json" for m in ["ae", *kinds]]
+
+
+class TestCommandMemo:
+    """Within one command, a stage takes the splits, scalers, autoencoder and scorer
+    an earlier stage of that command wrote from memory; outside a command every
+    read parses its file."""
+
+    def test_run_parses_only_classifiers_and_reports(self, tmp_path, monkeypatch):
+        parsed = _parses(monkeypatch)
+        out, _ = _run(tmp_path, "a")
+        assert parsed == _classifiers_and_reports(out)
+
+    def test_csv_run_parses_its_source_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "telemetry.csv"
+        save_csv(generate_synthetic(SynthConfig(n_samples=600, seed=3)), src)
+        cfg = default_config({**FAST_KEYS, "source": "csv", "csv_path": str(src), "out_dir": str(tmp_path / "out")})
+        parsed = _parses(monkeypatch)
+        run_pipeline(cfg, quiet=True)
+        assert parsed == [src, *_classifiers_and_reports(tmp_path / "out")]
+
+    def test_memo_values_equal_a_fresh_parse_and_end_with_the_command(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def compare_and_look(cfg, out):
+            stage_compare(cfg, out)
+            seen.update(out=out, memo=dict(out.memo))
+
+        stages = tuple((name, compare_and_look if fn is stage_compare else fn) for name, fn in _PIPELINE_STAGES)
+        monkeypatch.setattr(pipeline, "_PIPELINE_STAGES", stages)
+        out, _ = _run(tmp_path, "a")
+        assert seen["out"].memo is None
+        memo = seen["memo"]
+        splits = ["data.csv", "test.csv", "supervised_train.csv", "ae_train.csv", "ae_val.csv"]
+        models = ["scaler_ae.json", "scaler_supervised.json", "model_ae.json", "scorer.json"]
+        assert sorted(memo) == sorted(splits + models)
+        # a later stage that changed a value it was handed would show here
+        for name, value in memo.items():
+            assert _flat(value) == _flat(_fresh_parse(out, name, value)), name
+
+    def test_standalone_command_and_unlocked_stage_parse(self, evaluated, tmp_path, monkeypatch):
+        cfg_file, src = evaluated
+        work = tmp_path / "work"
+        shutil.copytree(src, work)
+        seen = []
+
+        def calibrate_and_look(cfg, out):
+            seen.append(out)
+            stage_calibrate(cfg, out)
+
+        monkeypatch.setitem(pipeline._STAGES, "calibrate", calibrate_and_look)
+        parsed = _parses(monkeypatch)
+        assert main(["--config", str(cfg_file), "--out", str(work), "--quiet", "calibrate"]) == 0
+        assert seen[0].memo is None
+        inputs = [work / name for name in ("scaler_ae.json", "ae_train.csv", "model_ae.json")]
+        assert sorted(parsed) == sorted(inputs)
+        # the stage function called directly, with no command and no lock, parses too
+        parsed.clear()
+        out = _OutputDir(work)
+        stage_calibrate(default_config(dict(FAST_KEYS)), out)
+        assert out.memo is None and sorted(parsed) == sorted(inputs)
+
+    def test_next_command_reads_a_file_replaced_on_disk(self, evaluated, tmp_path):
+        _, src = evaluated
+        work = tmp_path / "work"
+        shutil.copytree(src, work)
+        cfg = default_config(dict(FAST_KEYS))
+        out = _OutputDir(work)
+        with _locked(out):
+            stage_fit_scalers(cfg, out)
+            fitted = out.read_scaler("scaler_ae.json")
+        shutil.copyfile(work / "scaler_supervised.json", work / "scaler_ae.json")
+        with _locked(out):
+            assert _flat(out.read_scaler("scaler_ae.json")) == _flat(out.read_scaler("scaler_supervised.json"))
+        assert _flat(fitted) != _flat(out.read_scaler("scaler_ae.json"))
