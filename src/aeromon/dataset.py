@@ -5,6 +5,11 @@ mean gas temperature (mgt), power available (pa), indicated airspeed (ias),
 net power (np), compressor speed (cs), and output torque (ot), optionally
 labelled normal/anomalous. A Dataset's arrays are read-only views, which
 may share memory with the arrays its caller passed in.
+
+`save_csv` formats each row's text once per command: a Dataset keeps its first
+save's row text (about 165 bytes a row) while it lives, and its `subset`s, so
+`split`'s parts, share those strings. A caller's writeable array is never
+cached: a Dataset over one is formatted on every save.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ class Label(IntEnum):
 class Dataset:
     features: np.ndarray  # (n, d) float64; telemetry has d = 7, in CHANNELS order
     labels: np.ndarray | None = None  # (n,) int8 with Label values
+    _text = None  # each row's channel text, once `save_csv` keeps it (not a field: never compared or shown)
 
     def __post_init__(self):
         # views, as the checks may return the caller's own array, which must stay writeable
@@ -67,7 +73,10 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         labels = self.labels[idx] if self.is_labeled else None
-        return Dataset(self.features[idx], labels)
+        part = Dataset(_read_only(self.features[idx]), labels)
+        if self._text is not None:
+            object.__setattr__(part, "_text", self._text[idx])
+        return part
 
     def require_labels(self) -> np.ndarray:
         if not self.is_labeled:
@@ -172,38 +181,60 @@ def load_csv(path, has_labels: bool) -> Dataset:
         raise DataError(f"{path}: a row cannot be parsed")
     if not len(table):
         raise DataError(f"{path}: no data rows")
-    return Dataset(table["x"], labels)
+    # no one else holds the table or the channels taken from it, so both are frozen and a save may keep their text
+    _read_only(table)
+    return Dataset(_read_only(np.ascontiguousarray(table["x"])), labels)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """Whether no one can write `a`'s values: the array owning its memory is read-only (and stays so)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.base is None and not a.flags.writeable
 
 
 _WRITE_BLOCK_ROWS = 1024
 
 
+def _format_rows(row_format: str, columns):
+    """`row_format.format(*cells)` of each row, one list per block of rows. Each column's block
+    becomes Python values by one `.tolist()`: `{!r}` of a float cell is its shortest round-trip
+    repr, and an object column of strings gives its strings."""
+    for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+        yield list(map(row_format.format, *(c[start : start + _WRITE_BLOCK_ROWS].tolist() for c in columns)))
+
+
 def write_csv(path, header: str, row_format: str, *columns) -> None:
     """Write `header`, then one line `row_format.format(*cells)` per row (the
     format ends in a newline), through `write_atomic`. Columns are 1-D arrays
-    of one length. Rows are formatted and joined per block; each column's block
-    becomes Python numbers by one `.tolist()`, so `{!r}` of a float cell is its
-    shortest round-trip repr."""
+    of one length, formatted and joined per block by `_format_rows`."""
+    write_atomic(path, itertools.chain([header + "\n"], map("".join, _format_rows(row_format, columns))))
 
-    def chunks():
-        yield header + "\n"
-        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            block = [c[start : start + _WRITE_BLOCK_ROWS].tolist() for c in columns]
-            yield "".join(map(row_format.format, *block))
 
-    write_atomic(path, chunks())
+def _row_text(features: np.ndarray) -> np.ndarray:
+    """Each row's cells, `{!r}` joined by commas, as a 1-D object array of strings."""
+    row_format = ",".join(["{!r}"] * features.shape[1])
+    return np.fromiter(itertools.chain.from_iterable(_format_rows(row_format, features.T)), object, len(features))
 
 
 def save_csv(data: Dataset, path, include_labels: bool | None = None) -> None:
-    """Write the canonical CSV layout; floats use shortest round-trip repr."""
+    """Write the canonical CSV layout; floats use shortest round-trip repr. The
+    rows' channel text is formatted once and kept on `data` if its features are `_frozen`."""
     if include_labels is None:
         include_labels = data.is_labeled
     if include_labels and not data.is_labeled:
         raise DataError("cannot write labels: dataset has none")
+    text = _row_text(data.features) if data._text is None else data._text
+    if _frozen(data.features):
+        object.__setattr__(data, "_text", text)
     header = ",".join(CHANNELS) + (",label" if include_labels else "")
-    row_format = ",".join(["{!r}"] * data.features.shape[1] + ["{}"] * include_labels) + "\n"
-    columns = list(data.features.T) + ([data.labels] if include_labels else [])
-    write_csv(path, header, row_format, *columns)
+    columns = (text, data.labels) if include_labels else (text,)
+    write_csv(path, header, "{},{}\n" if include_labels else "{}\n", *columns)
 
 
 @dataclass(frozen=True)
@@ -431,4 +462,4 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     features = np.column_stack((oat, mgt, pa, ias, np_, cs, ot))
     labels = (np.arange(n) >= n - n_anom).astype(np.int8)
     order = rng.permutation(n)
-    return Dataset(features[order], labels[order])
+    return Dataset(_read_only(features[order]), labels[order])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from aeromon import dataset
 from aeromon.dataset import (
     CHANNELS,
     Dataset,
@@ -70,6 +71,16 @@ class TestSampleAccess:
             ds.features[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             ds.labels[0] = 1
+
+    def test_a_save_shows_a_later_change_to_the_callers_array(self, tmp_path):
+        x = np.zeros((2, 7))
+        ds = Dataset(x, np.array([0, 1], dtype=np.int8))
+        path = tmp_path / "x.csv"
+        save_csv(ds, path)
+        x[0, 0] = 5.0
+        save_csv(ds, path)
+        assert path.read_text().splitlines()[1] == "5.0" + ",0.0" * 6 + ",0"
+        assert x.flags.writeable
 
 
 class TestLoadCsv:
@@ -271,6 +282,11 @@ _PARITY_CASES = {
 }
 
 
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-05, 0.1, 1.7976931348623157e308, -1.7976931348623157e308]
+# every value in every column
+_EDGE_FLOAT_ROWS = [_EDGE_FLOATS[i:] + _EDGE_FLOATS[:i] for i in range(len(_EDGE_FLOATS))]
+
+
 class TestCsvParity:
     """load_csv and save_csv against the row-at-a-time reference code."""
 
@@ -320,8 +336,7 @@ class TestCsvParity:
         assert _outcome(load_csv, ours, labeled) == _outcome(_reference_load_csv, ours, labeled)
 
     def test_save_matches_reference_writer_on_edge_floats(self, tmp_path):
-        values = [-0.0, 5e-324, 1e16, 1e-05, 0.1, 1.7976931348623157e308, -1.7976931348623157e308]
-        feats = np.array([values[i:] + values[:i] for i in range(len(values))])  # every value in every column
+        feats = np.array(_EDGE_FLOAT_ROWS)
         ds = Dataset(feats, np.array([i % 2 for i in range(len(feats))], dtype=np.int8))
         for include_labels in (True, False):
             ours, ref = tmp_path / f"ours{include_labels}.csv", tmp_path / f"ref{include_labels}.csv"
@@ -330,6 +345,46 @@ class TestCsvParity:
             assert ours.read_bytes() == ref.read_bytes()
             back = load_csv(ours, has_labels=include_labels)
             assert back.features.tobytes() == ds.features.tobytes()
+
+    @pytest.mark.parametrize("edge_floats", [False, True], ids=["random", "edge_floats"])
+    def test_split_parts_written_from_shared_text_match_reference(self, tmp_path, monkeypatch, edge_floats):
+        if edge_floats:
+            feats = np.tile(_EDGE_FLOAT_ROWS, (10, 1))
+            ds = Dataset(feats, np.arange(len(feats), dtype=np.int8) % 2)
+        else:
+            ds = _random_dataset(5, 2500)
+        # over a read-only copy, the first save keeps its row text for the parts to share
+        frozen = ds.features.copy()
+        frozen.setflags(write=False)
+        ds = Dataset(frozen, ds.labels)
+        save_csv(ds, tmp_path / "data.csv")
+        parts = split(ds, seed=4)
+
+        def unexpected(features):
+            raise AssertionError("a part's rows were formatted again")
+
+        monkeypatch.setattr(dataset, "_row_text", unexpected)
+        for name in ("test", "supervised_train", "ae_train", "ae_val"):
+            part = getattr(parts, name)
+            for include_labels in (True, False):
+                ours, ref = tmp_path / f"{name}{include_labels}.csv", tmp_path / "ref.csv"
+                save_csv(part, ours, include_labels=include_labels)
+                _reference_save_csv(part, ref, include_labels)
+                assert ours.read_bytes() == ref.read_bytes(), (name, include_labels)
+                again = tmp_path / "again.csv"
+                save_csv(part, again, include_labels=include_labels)
+                assert again.read_bytes() == ours.read_bytes()
+
+    def test_a_frozen_dataset_is_formatted_once(self, tmp_path, monkeypatch):
+        formatted = []
+        original = dataset._row_text
+        monkeypatch.setattr(dataset, "_row_text", lambda f: formatted.append(len(f)) or original(f))
+        ds = generate_synthetic(SynthConfig(n_samples=300, seed=2))
+        save_csv(ds, tmp_path / "a.csv")
+        save_csv(ds, tmp_path / "b.csv", include_labels=False)
+        save_csv(load_csv(tmp_path / "a.csv", has_labels=True), tmp_path / "c.csv")
+        assert formatted == [300, 300]
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
     def test_save_without_labels_refuses_label_request(self, tmp_path):
         with pytest.raises(DataError, match="cannot write labels: dataset has none"):

@@ -1228,3 +1228,43 @@ class TestCommandMemo:
         with _locked(out):
             assert _flat(out.read_scaler("scaler_ae.json")) == _flat(out.read_scaler("scaler_supervised.json"))
         assert _flat(fitted) != _flat(out.read_scaler("scaler_ae.json"))
+
+
+def _formatted_rows(monkeypatch):
+    """Wrap the row formatter of `save_csv`; returns the list that collects how many rows each call formats."""
+    formatted = []
+    original = dataset._row_text
+    monkeypatch.setattr(dataset, "_row_text", lambda features: formatted.append(len(features)) or original(features))
+    return formatted
+
+
+def _data_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for _ in fh) - 1
+
+
+class TestRowsFormattedOnce:
+    """A command formats each CSV row's text once: `split` writes its parts from the
+    text that `ingest` formatted, and `test_features.csv` from `test.csv`'s."""
+
+    def test_run_formats_each_row_once(self, tmp_path, monkeypatch):
+        formatted = _formatted_rows(monkeypatch)
+        _run(tmp_path, "a", baseline_kinds="")
+        assert sum(formatted) == FAST_KEYS["synth_n_samples"]
+
+    def test_csv_run_formats_its_source_rows_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "telemetry.csv"
+        save_csv(generate_synthetic(SynthConfig(n_samples=700, seed=3)), src)
+        keys = {"baseline_kinds": "", "source": "csv", "csv_path": str(src), "out_dir": str(tmp_path / "out")}
+        formatted = _formatted_rows(monkeypatch)
+        run_pipeline(default_config({**FAST_KEYS, **keys}), quiet=True)
+        assert sum(formatted) == _data_rows(src) == 700
+
+    def test_standalone_split_formats_each_part_once(self, tmp_path, monkeypatch):
+        cfg_file, work = _fast_config_file(tmp_path), tmp_path / "work"
+        assert main(["--config", str(cfg_file), "--out", str(work), "--quiet", "generate"]) == 0
+        formatted = _formatted_rows(monkeypatch)
+        assert main(["--config", str(cfg_file), "--out", str(work), "--quiet", "split"]) == 0
+        # a parsed data.csv has no text to share, so each part is formatted once, test_features.csv not at all
+        parts = ("test.csv", "supervised_train.csv", "ae_train.csv", "ae_val.csv")
+        assert sum(formatted) <= sum(_data_rows(work / name) for name in parts)
