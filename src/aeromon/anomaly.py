@@ -25,7 +25,7 @@ import numpy as np
 # scoring uses `forward_rows`; `forward` stays bound here for bench/tracer.py to patch
 from .autoencoder import Network, forward, forward_rows, network_to_dict  # noqa: F401
 from .dataset import Dataset, MinMaxScaler
-from .errors import DataError, DomainError, read_json_artifact, write_json_artifact
+from .errors import DataError, DomainError, ShapeError, read_json_artifact, write_json_artifact
 from .numerics import CholeskyFactor, as_matrix, cholesky, covariance, order_statistic, row_sums, solve_spd
 
 SCORER_FORMAT_VERSION = 2
@@ -63,22 +63,21 @@ class ResidualStats:
     n_fit: int
 
 
-def residual(net: Network, x_scaled) -> np.ndarray:
+def residual(net: Network, x_scaled: np.ndarray) -> np.ndarray:
     """r = reconstruction - input, for a scaled batch (n, d)."""
-    x = np.asarray(x_scaled, dtype=np.float64)
-    return forward_rows(net, x) - x
+    return forward_rows(net, x_scaled) - x_scaled
 
 
-def score_mse(net: Network, x_scaled) -> np.ndarray:
+def score_mse(net: Network, x_scaled: np.ndarray) -> np.ndarray:
     """Mean squared residual of every row of a scaled batch (n, d), as an (n,) array."""
     r = residual(net, x_scaled)
     return row_sums(r * r) / r.shape[-1]
 
 
-def score_mahalanobis(stats: ResidualStats, r) -> np.ndarray:
+def score_mahalanobis(stats: ResidualStats, r: np.ndarray) -> np.ndarray:
     """sqrt((r - mean)^T Sigma^{-1} (r - mean)) through the Cholesky solve,
     for every row of a residual batch (n, d), as an (n,) array."""
-    centered = np.asarray(r, dtype=np.float64) - stats.mean
+    centered = r - stats.mean
     return np.sqrt(np.maximum(row_sums(centered * solve_spd(stats.chol, centered)), 0.0))
 
 
@@ -121,6 +120,11 @@ def _score_rows(net: Network, stats: ResidualStats | None, x_scaled: np.ndarray)
     return scores
 
 
+def _require_scaler_width(scaler: MinMaxScaler, net: Network) -> None:
+    if scaler.mins.shape != (net.in_dim,):
+        raise ShapeError(f"the scaler scales {scaler.mins.shape[0]} channels, expected (n, {net.in_dim}) samples")
+
+
 def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: ThresholdPolicy) -> AnomalyScorer:
     """Score every healthy training sample and set the percentile threshold.
 
@@ -131,7 +135,8 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
         raise DataError("cannot calibrate on an empty dataset")
     if ae_train.is_labeled and int(ae_train.labels.max(initial=0)) != 0:
         raise DataError("calibration data must contain only normal samples")
-    scaled = scaler.transform(as_matrix(ae_train.features, scaler.mins.shape[0]))
+    _require_scaler_width(scaler, net)
+    scaled = scaler.transform(as_matrix(ae_train.features, net.in_dim))
     stats = None
     if policy.kind == MAHALANOBIS_POLICY:
         stats = fit_residual_stats(net, scaled)
@@ -192,6 +197,7 @@ def _scorer_from_dict(d: dict, net: Network) -> AnomalyScorer:
     if d["network_sha256"] != _network_sha256(net):
         raise DataError("calibrated on another network; rerun calibrate")
     scaler = MinMaxScaler.from_dict(d["scaler"])
+    _require_scaler_width(scaler, net)
     policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
     threshold = float(d["threshold"])
     stats = None
@@ -200,6 +206,4 @@ def _scorer_from_dict(d: dict, net: Network) -> AnomalyScorer:
         mean = np.array(d["residual_mean"], dtype=np.float64).reshape(dim)
         cov = np.array(d["residual_cov"], dtype=np.float64).reshape(dim, dim)
         stats = ResidualStats(mean=mean, cov=cov, chol=cholesky(cov), n_fit=int(d["n_fit"]))
-    if scaler.mins.shape != (net.in_dim,):
-        raise DataError(f"scorer scaler has {scaler.mins.shape[0]} channels, network expects {net.in_dim}")
     return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, ShapeError, read_json_artifact, write_json_artifact
-from .numerics import Rng
+from .numerics import Rng, as_matrix
 
 MODEL_FORMAT_VERSION = 2
 
@@ -155,11 +155,8 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
     return Network(np.concatenate(pieces), specs)
 
 
-def forward(net: Network, x) -> tuple[np.ndarray, list]:
+def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Run the network over a batch (n, d); cache holds (input, [(z, a) per layer])."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
-        raise ShapeError(f"input shape {x.shape} != (n, {net.in_dim})")
     a = x
     layer_cache = []
     for w, b, spec in zip(net.weights, net.biases, net.specs):
@@ -173,8 +170,6 @@ def forward_rows(net: Network, x: np.ndarray) -> np.ndarray:
     """Network output for a batch (n, d), one input term at a time with
     elementwise operations, so no row depends on the batch. Every prediction
     uses it; training keeps the BLAS `forward`."""
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
-        raise ShapeError(f"input shape {x.shape} != (n, {net.in_dim})")
     a = x
     for w, b, spec in zip(net.weights, net.biases, net.specs):
         z = a[:, 0:1] * w[:, 0]
@@ -185,12 +180,8 @@ def forward_rows(net: Network, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def mse_loss(x, x_hat) -> float:
+def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> float:
     """(1/d) * sum of squared coordinate errors."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise ShapeError(f"shape mismatch {x.shape} vs {x_hat.shape}")
     diff = x_hat - x
     return float(np.mean(diff * diff))
 
@@ -211,16 +202,12 @@ def _backprop_from_output_delta(net: Network, cache, delta: np.ndarray) -> np.nd
     return grad
 
 
-def backward(net: Network, cache, x) -> np.ndarray:
+def backward(net: Network, cache, x: np.ndarray) -> np.ndarray:
     """Exact gradient of mse_loss(x, forward(net, x)) for every parameter,
     for a batch x (n, d): gradients are averaged over rows (the mean-loss
     gradient). The vector is laid out like `net.params`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    x_in, layer_cache = cache
-    if x.ndim != 2 or x.shape != x_in.shape:
-        raise ShapeError("cache does not match this (n, d) input")
-    z_last, a_last = layer_cache[-1]
+    z_last, a_last = cache[1][-1]
     n, d = x.shape
     dloss_da = (2.0 / d) * (a_last - x) / n
     delta = _times_prime(net.specs[-1].activation, dloss_da, z_last, a_last)
@@ -238,8 +225,6 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float) -> "AdamState":
-        if lr <= 0:
-            raise DomainError("learning rate must be positive")
         return cls(m=np.zeros_like(params), v=np.zeros_like(params), t=0, lr=lr)
 
 
@@ -249,8 +234,6 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
     """
-    if params.shape != state.m.shape or grads.shape != params.shape:
-        raise ShapeError("params/grads do not match optimizer state")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
@@ -306,7 +289,7 @@ class TrainConfig:
             raise DomainError("batch_size and max_epochs must be >= 1")
 
 
-# a diverged fit surfaces once, as the writer's DomainError, not as numpy warnings
+# a diverged fit ends in the best finite epoch's weights or in the DomainError below, not in numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, list[tuple[float, float, float]]]:
     """Early-stopped `adam_epochs` on normal rows that keeps the best validation weights.
@@ -320,8 +303,8 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
     training at once: NaN weights never recover. Returns the weights of the
     best validation epoch and the history, one (train_mse, val_mse, lr) per epoch run.
     """
-    train_feats = ae_train.features
-    val_feats = ae_val.features
+    train_feats = as_matrix(ae_train.features, net.in_dim)
+    val_feats = as_matrix(ae_val.features, net.in_dim)
     if train_feats.shape[0] == 0 or val_feats.shape[0] == 0:
         raise DataError("training and validation sets must be non-empty")
     if any(part.is_labeled and int(part.labels.max(initial=0)) != 0 for part in (ae_train, ae_val)):

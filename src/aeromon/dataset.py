@@ -338,9 +338,8 @@ class MinMaxScaler:
         object.__setattr__(self, "ranges", ranges)
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        x = np.asarray(features, dtype=np.float64)
         safe = np.where(self.ranges > 0.0, self.ranges, 1.0)
-        scaled = (x - self.mins) / safe
+        scaled = (features - self.mins) / safe
         scaled[..., self.ranges == 0.0] = 0.0
         return scaled
 

@@ -98,10 +98,6 @@ class TestResidual:
         for row, r in zip(feats, batch):
             assert np.array_equal(residual(trained["net"], row[None])[0], r)
 
-    def test_one_sample_vector_rejected(self):
-        with pytest.raises(ShapeError):
-            residual(_identity_net(), np.full(7, 0.5))
-
     def test_trained_residual_matches_reported_error_scale(self, trained):
         feats = trained["train_scaled"].features
         per_sample = score_mse(trained["net"], feats)

@@ -797,6 +797,11 @@ def _narrow_scaler(p):
     _edit_json(p, lambda d: [d[key].pop() for key in ("mins", "ranges")])
 
 
+def _narrow_scorer_scaler(p):
+    """Damage: the scaler inside scorer.json for 6 channels, against the 7-input network."""
+    _edit_json(p, lambda d: [d["scaler"][key].pop() for key in ("mins", "ranges")])
+
+
 def _put_network(layers):
     """Damage: the file holds a fresh network of `layers`, (in_dim, out_dim, activation) triples."""
     return lambda p: save_network(init_network([LayerSpec(*layer) for layer in layers], 0), p)
@@ -879,6 +884,7 @@ class TestBrokenArtifacts:
             ("calibrate", "scaler_ae.json", _narrow_scaler),
             ("train-clf --kind gaussian_nb", "scaler_supervised.json", _narrow_scaler),
             ("evaluate", "scaler_supervised.json", _narrow_scaler),
+            ("score", "scorer.json", _narrow_scorer_scaler),
             ("calibrate", "model_ae.json", _put_network(_SIX_WIDE_AE)),
             ("evaluate", "model_ae.json", _put_network(_SIX_WIDE_AE)),
             ("calibrate", "model_ae.json", _put_network(_SIGMOID_7_3_7)),
@@ -949,6 +955,7 @@ class TestBrokenArtifacts:
             "scaler_ae_narrow_calibrate",
             "scaler_supervised_narrow_train_clf",
             "scaler_supervised_narrow_evaluate",
+            "scorer_scaler_narrow",
             "ae_six_wide_calibrate",
             "ae_six_wide_evaluate",
             "ae_sigmoid_7_3_7_calibrate",

@@ -4,8 +4,9 @@ and one for every vector of labels or decisions (`numerics.as_labels`).
 Each entry point that takes samples is called with each fault of one good
 (n, 7) matrix: a shape fault raises ShapeError and names the expected width,
 and a NaN or an infinity raises DomainError. A matrix of another width than
-the model's is a shape fault, like a bare vector, never a silent answer.
-Likewise each entry point that takes labels or decisions refuses a vector of
+the model's is a shape fault, like a bare vector, never a silent answer, and
+so is a scaler of another width than the network's. The network kernels
+behind these entry points check nothing themselves. Likewise each entry point that takes labels or decisions refuses a vector of
 another shape (ShapeError) or a value that is not exactly 0 or 1
 (DomainError), before any cast could turn 256 into 0 or 0.7 into 0.
 """
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from aeromon.anomaly import MAHALANOBIS_POLICY, MSE_POLICY, ThresholdPolicy, calibrate, classify
-from aeromon.autoencoder import default_autoencoder_specs, init_network
+from aeromon.autoencoder import TrainConfig, default_autoencoder_specs, init_network, train
 from aeromon.baselines import CLASSIFIER_KINDS, ClassifierConfig, predict, predict_proba, train_classifier
 from aeromon.dataset import Dataset, SynthConfig, apply_scaler, fit_scaler, generate_synthetic
 from aeromon.errors import DomainError, ShapeError
@@ -49,32 +50,40 @@ def entries():
     scaler = fit_scaler(normals)
     scaled = apply_scaler(scaler, data)
     net = init_network(default_autoencoder_specs(), seed=5)
-    good = data.features[:6]
+    good, good_scaled = data.features[:6], scaled.features[:6]
+    one_epoch, mse = TrainConfig(max_epochs=1, seed=5), ThresholdPolicy(MSE_POLICY)
     table = {
         "Dataset": (Dataset, good),
         "covariance": (covariance, good),
-        "calibrate": (lambda x: calibrate(net, scaler, Dataset(x), ThresholdPolicy(MSE_POLICY)), good),
+        "calibrate": (lambda x: calibrate(net, scaler, Dataset(x), mse), good),
+        # a scaler fit on the samples agrees with them, so only the network's width can refuse them
+        "calibrate-own_scaler": (lambda x: calibrate(net, fit_scaler(Dataset(x)), Dataset(x), mse), good),
+        "train-ae_train": (lambda x: train(net, Dataset(x), Dataset(good_scaled), one_epoch), good_scaled),
+        "train-ae_val": (lambda x: train(net, Dataset(good_scaled), Dataset(x), one_epoch), good_scaled),
     }
     for policy in POLICIES:
         scorer = calibrate(net, scaler, normals, ThresholdPolicy(policy))
         table[f"classify-{policy}"] = (lambda x, s=scorer: classify(s, x), good)
     for kind in CLASSIFIER_KINDS:
         model = train_classifier(ClassifierConfig(kind, epochs=5, n_trees=3, k=3), scaled, seed=5)
-        table[f"predict-{kind}"] = (lambda x, m=model: predict(m, x), scaled.features[:6])
-        table[f"predict_proba-{kind}"] = (lambda x, m=model: predict_proba(m, x), scaled.features[:6])
+        table[f"predict-{kind}"] = (lambda x, m=model: predict(m, x), good_scaled)
+        table[f"predict_proba-{kind}"] = (lambda x, m=model: predict_proba(m, x), good_scaled)
     return table
 
 
 # entry name -> the width it expects, or None for any width
-WIDTHS = {"Dataset": None, "covariance": None, "calibrate": 7}
+WIDTHS = {"Dataset": None, "covariance": None}
+# entries whose samples come as a Dataset, which has rejected every fault but the width
+THROUGH_DATASET = ("calibrate", "calibrate-own_scaler", "train-ae_train", "train-ae_val")
+WIDTHS.update(dict.fromkeys(THROUGH_DATASET, 7))
 WIDTHS.update({f"classify-{policy}": 7 for policy in POLICIES})
 WIDTHS.update({f"{fn}-{kind}": 7 for fn in ("predict", "predict_proba") for kind in CLASSIFIER_KINDS})
 CASES = [
     (entry, fault)
     for entry, width in WIDTHS.items()
     for fault, (_, _, width_fault) in FAULTS.items()
-    # no width, no width fault; calibrate's Dataset has rejected every fault but the width
-    if (width_fault and width is not None) or (not width_fault and entry != "calibrate")
+    # no width, no width fault
+    if (width_fault and width is not None) or (not width_fault and entry not in THROUGH_DATASET)
 ]
 
 
