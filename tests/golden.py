@@ -73,7 +73,7 @@ def rewrite() -> None:
         for case in CASES:
             (Path(tmp) / case).mkdir()
             cases[case] = run_case(case, Path(tmp) / case)
-    record = {"fingerprint": fingerprint(), "n_samples": N_SAMPLES, "cases": cases}
+    record = {"fingerprint": fingerprint(), "cases": cases}
     DIGESTS_FILE.write_text(json.dumps(record, indent=1) + "\n")
 
 
