@@ -501,7 +501,7 @@ def cross_validate(
     for f, held_out in enumerate(fold_indices):
         mask = np.ones(train.n, dtype=bool)
         mask[held_out] = False
-        fit_set = train.subset(np.flatnonzero(mask))
+        fit_set = Dataset(train.features[mask], labels[mask])
         try:
             model = train_classifier(cfg, fit_set, derive_seed(seed, 100 + f))
         except FitDiverged:

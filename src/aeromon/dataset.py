@@ -3,13 +3,12 @@
 A sample is one 7-channel engine snapshot: outside air temperature (oat),
 mean gas temperature (mgt), power available (pa), indicated airspeed (ias),
 net power (np), compressor speed (cs), and output torque (ot), optionally
-labelled normal/anomalous. A Dataset's arrays are read-only views, which
-may share memory with the arrays its caller passed in.
+labelled normal/anomalous. A Dataset keeps read-only copies of the arrays it
+is given, so its values never change once it is built.
 
-`save_csv` formats each row's text once per command: a Dataset keeps its first
-save's row text (about 165 bytes a row) while it lives, and its `subset`s, so
-`split`'s parts, share those strings. A caller's writeable array is never
-cached: a Dataset over one is formatted on every save.
+`save_csv` formats each row's text once per command: a Dataset keeps its row
+text (about 165 bytes a row) from first use while it lives, and its `subset`s,
+so `split`'s parts, share those strings.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
@@ -50,17 +50,21 @@ class Label(IntEnum):
 class Dataset:
     features: np.ndarray  # (n, d) float64; telemetry has d = 7, in CHANNELS order
     labels: np.ndarray | None = None  # (n,) int8 with Label values
-    _text = None  # each row's channel text, once `save_csv` keeps it (not a field: never compared or shown)
 
     def __post_init__(self):
-        # views, as the checks may return the caller's own array, which must stay writeable
-        feats = as_matrix(self.features).view()
+        # copies: the checks may return the caller's own array, which stays writeable and cannot change the dataset
+        feats = np.array(as_matrix(self.features))
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         if self.labels is not None:
-            labels = as_labels(self.labels, feats.shape[0]).view()
+            labels = np.array(as_labels(self.labels, feats.shape[0]))
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
+
+    @cached_property
+    def _text(self) -> np.ndarray:
+        """Each row's channel text, formatted on first use (not a field: never compared or shown)."""
+        return _row_text(self.features)
 
     @property
     def n(self) -> int:
@@ -71,11 +75,10 @@ class Dataset:
         return self.labels is not None
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        labels = self.labels[idx] if self.is_labeled else None
-        part = Dataset(_read_only(self.features[idx]), labels)
-        if self._text is not None:
-            object.__setattr__(part, "_text", self._text[idx])
+        """The rows `indices` picks, by numpy's rules for positions or a boolean mask; the part shares their text."""
+        labels = self.labels[indices] if self.is_labeled else None
+        part = Dataset(self.features[indices], labels)
+        part.__dict__["_text"] = self._text[indices]
         return part
 
     def require_labels(self) -> np.ndarray:
@@ -181,21 +184,7 @@ def load_csv(path, has_labels: bool) -> Dataset:
         raise DataError(f"{path}: a row cannot be parsed")
     if not len(table):
         raise DataError(f"{path}: no data rows")
-    # no one else holds the table or the channels taken from it, so both are frozen and a save may keep their text
-    _read_only(table)
-    return Dataset(_read_only(np.ascontiguousarray(table["x"])), labels)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def _frozen(a: np.ndarray) -> bool:
-    """Whether no one can write `a`'s values: the array owning its memory is read-only (and stays so)."""
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a.base is None and not a.flags.writeable
+    return Dataset(table["x"], labels)
 
 
 _WRITE_BLOCK_ROWS = 1024
@@ -224,16 +213,13 @@ def _row_text(features: np.ndarray) -> np.ndarray:
 
 def save_csv(data: Dataset, path, include_labels: bool | None = None) -> None:
     """Write the canonical CSV layout; floats use shortest round-trip repr. The
-    rows' channel text is formatted once and kept on `data` if its features are `_frozen`."""
+    rows' channel text is `data._text`, formatted once per Dataset."""
     if include_labels is None:
         include_labels = data.is_labeled
     if include_labels and not data.is_labeled:
         raise DataError("cannot write labels: dataset has none")
-    text = _row_text(data.features) if data._text is None else data._text
-    if _frozen(data.features):
-        object.__setattr__(data, "_text", text)
     header = ",".join(CHANNELS) + (",label" if include_labels else "")
-    columns = (text, data.labels) if include_labels else (text,)
+    columns = (data._text, data.labels) if include_labels else (data._text,)
     write_csv(path, header, "{},{}\n" if include_labels else "{}\n", *columns)
 
 
@@ -326,8 +312,9 @@ class MinMaxScaler:
     ranges: np.ndarray
 
     def __post_init__(self):
-        mins = np.asarray(self.mins, dtype=np.float64)
-        ranges = np.asarray(self.ranges, dtype=np.float64)
+        # copies, so the caller's arrays stay writeable and a later change to them does not reach the scaler
+        mins = np.array(self.mins, dtype=np.float64)
+        ranges = np.array(self.ranges, dtype=np.float64)
         if mins.shape != ranges.shape or mins.ndim != 1:
             raise DomainError("scaler mins/ranges must be matching vectors")
         if (ranges < 0).any():
@@ -348,7 +335,7 @@ class MinMaxScaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxScaler":
-        return cls(np.array(d["mins"], dtype=np.float64), np.array(d["ranges"], dtype=np.float64))
+        return cls(d["mins"], d["ranges"])
 
 
 def fit_scaler(train: Dataset) -> MinMaxScaler:
@@ -461,4 +448,4 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     features = np.column_stack((oat, mgt, pa, ias, np_, cs, ot))
     labels = (np.arange(n) >= n - n_anom).astype(np.int8)
     order = rng.permutation(n)
-    return Dataset(_read_only(features[order]), labels[order])
+    return Dataset(features[order], labels[order])

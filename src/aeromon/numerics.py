@@ -283,17 +283,14 @@ def row_sums(m: np.ndarray) -> np.ndarray:
     return acc
 
 
-def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:
+def solve_spd(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve (L @ L.T) x = b by forward then back substitution.
 
-    `b` is one right-hand side (d,) or a batch of rows (n, d); the result has
-    the same shape. Each substitution step subtracts one term at a time with
-    elementwise operations only, so a row's solution is bit-identical whether
-    it is solved alone or inside any batch.
+    `b` is one float64 right-hand side (d,) or a batch of rows (n, d), which the
+    caller has checked; the result has the same shape. Each substitution step
+    subtracts one term at a time with elementwise operations only, so a row's
+    solution is bit-identical whether it is solved alone or inside any batch.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim not in (1, 2) or b.shape[-1] != factor.dim:
-        raise ShapeError(f"rhs has shape {b.shape}, expected ({factor.dim},) or (n, {factor.dim})")
     lower = factor.lower
     x = np.array(b.T)  # row i holds coordinate i of every right-hand side
     for i in range(factor.dim):  # forward: L y = b, y overwrites b

@@ -61,26 +61,35 @@ class TestSampleAccess:
             _random_dataset(1, 5, labeled=False).require_labels()
 
     def test_caller_arrays_stay_writeable(self):
-        # both arrays already pass the checks unchanged, so the dataset holds views of them
+        # both arrays already pass the checks unchanged, yet the dataset holds its own read-only copies
         x, y = np.zeros((2, 7)), np.array([0, 1], dtype=np.int8)
         ds = Dataset(x, y)
         assert x.flags.writeable and y.flags.writeable
         assert not ds.features.flags.writeable and not ds.labels.flags.writeable
-        assert np.shares_memory(ds.features, x) and np.shares_memory(ds.labels, y)
         with pytest.raises(ValueError, match="read-only"):
             ds.features[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             ds.labels[0] = 1
 
-    def test_a_save_shows_a_later_change_to_the_callers_array(self, tmp_path):
-        x = np.zeros((2, 7))
-        ds = Dataset(x, np.array([0, 1], dtype=np.int8))
+    def test_a_later_change_to_the_callers_arrays_reaches_neither_the_dataset_nor_a_save(self, tmp_path):
+        x, y = np.zeros((2, 7)), np.array([0, 1], dtype=np.int8)
+        ds = Dataset(x, y)
+        x[0, 0], y[0] = 5.0, 1
+        assert (ds.features == 0.0).all() and list(ds.labels) == [0, 1]
         path = tmp_path / "x.csv"
         save_csv(ds, path)
-        x[0, 0] = 5.0
+        first = path.read_bytes()
+        x[1, 0] = 3.0
         save_csv(ds, path)
-        assert path.read_text().splitlines()[1] == "5.0" + ",0.0" * 6 + ",0"
-        assert x.flags.writeable
+        assert path.read_bytes() == first
+        assert path.read_text().splitlines()[1:] == ["0.0" + ",0.0" * 6 + ",0", "0.0" + ",0.0" * 6 + ",1"]
+
+    def test_subset_takes_a_boolean_mask_or_positions(self):
+        ds = Dataset(np.arange(21.0).reshape(3, 7), np.array([0, 1, 1], dtype=np.int8))
+        by_mask = ds.subset(np.array([True, False, True]))
+        assert by_mask.features[:, 0].tolist() == [0.0, 14.0] and list(by_mask.labels) == [0, 1]
+        by_position = ds.subset([2, 0, 2])
+        assert by_position.features[:, 0].tolist() == [14.0, 0.0, 14.0] and list(by_position.labels) == [1, 0, 1]
 
 
 class TestLoadCsv:
@@ -353,10 +362,7 @@ class TestCsvParity:
             ds = Dataset(feats, np.arange(len(feats), dtype=np.int8) % 2)
         else:
             ds = _random_dataset(5, 2500)
-        # over a read-only copy, the first save keeps its row text for the parts to share
-        frozen = ds.features.copy()
-        frozen.setflags(write=False)
-        ds = Dataset(frozen, ds.labels)
+        # the first save keeps its row text for the parts to share
         save_csv(ds, tmp_path / "data.csv")
         parts = split(ds, seed=4)
 
@@ -375,7 +381,7 @@ class TestCsvParity:
                 save_csv(part, again, include_labels=include_labels)
                 assert again.read_bytes() == ours.read_bytes()
 
-    def test_a_frozen_dataset_is_formatted_once(self, tmp_path, monkeypatch):
+    def test_a_dataset_is_formatted_once(self, tmp_path, monkeypatch):
         formatted = []
         original = dataset._row_text
         monkeypatch.setattr(dataset, "_row_text", lambda f: formatted.append(len(f)) or original(f))
@@ -383,7 +389,10 @@ class TestCsvParity:
         save_csv(ds, tmp_path / "a.csv")
         save_csv(ds, tmp_path / "b.csv", include_labels=False)
         save_csv(load_csv(tmp_path / "a.csv", has_labels=True), tmp_path / "c.csv")
-        assert formatted == [300, 300]
+        over_a_writeable_array = Dataset(np.zeros((3, 7)))
+        save_csv(over_a_writeable_array, tmp_path / "d.csv")
+        save_csv(over_a_writeable_array, tmp_path / "d.csv")
+        assert formatted == [300, 300, 3]
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
     def test_save_without_labels_refuses_label_request(self, tmp_path):
@@ -558,6 +567,15 @@ class TestScaler:
         back = MinMaxScaler.from_dict(scaler.to_dict())
         assert np.array_equal(back.mins, scaler.mins)
         assert np.array_equal(back.ranges, scaler.ranges)
+
+    def test_caller_arrays_stay_writeable_and_a_later_change_does_not_reach_the_scaler(self):
+        mins, ranges = np.zeros(7), np.ones(7)
+        scaler = MinMaxScaler(mins, ranges)
+        assert mins.flags.writeable and ranges.flags.writeable
+        assert not scaler.mins.flags.writeable and not scaler.ranges.flags.writeable
+        mins[0], ranges[0] = 5.0, 0.0
+        assert (scaler.mins == 0.0).all() and (scaler.ranges == 1.0).all()
+        assert (scaler.transform(np.full(7, 0.5)) == 0.5).all()
 
 
 class TestSynthetic:
