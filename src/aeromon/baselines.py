@@ -492,13 +492,19 @@ def _anomalous_f1(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def cross_validate(
-    cfg: ClassifierConfig, train: Dataset, folds: int = 5, seed: int = 0
+    cfg: ClassifierConfig, train: Dataset, folds: int = 5, seed: int = 0, *, beat: float = -math.inf
 ) -> tuple[float, list[float]] | None:
-    """Mean anomalous-class F1 over stratified folds (plus per-fold scores); None if a fit diverges."""
+    """Mean anomalous-class F1 over stratified folds (plus per-fold scores); None if a fit diverges.
+
+    Stops before a fold once even 1.0 on every fold left could not lift the mean above `beat`,
+    and returns that bound (summed in fold order, so never below the mean) with the scores so far."""
     labels = train.require_labels()
     fold_indices = stratified_folds(labels, folds, seed)
     scores = []
     for f, held_out in enumerate(fold_indices):
+        bound = sum(scores + [1.0] * (folds - f)) / folds
+        if bound <= beat:
+            return bound, scores
         mask = np.ones(train.n, dtype=bool)
         mask[held_out] = False
         fit_set = Dataset(train.features[mask], labels[mask])
@@ -518,18 +524,21 @@ def select_model(
 
     Also returns each candidate's `cross_validate` result, in candidate order. A
     diverged (None) candidate is never selected; if all diverged, DomainError.
-    Ties go to the earliest candidate. A single candidate skips CV, and its
-    result list is empty.
+    Ties go to the earliest candidate, so each candidate's `beat` is the best
+    mean before it, and one that can at best tie stops with fewer than `folds`
+    scores. A single candidate skips CV, and its result list is empty.
     """
     if not candidates:
         raise ConfigError("select_model needs at least one candidate")
     best, scores = candidates[0], []
     if len(candidates) > 1:
-        scores = [cross_validate(cfg, train, folds=folds, seed=seed) for cfg in candidates]
+        best_mean = -math.inf
+        for cfg in candidates:
+            scores.append(cross_validate(cfg, train, folds=folds, seed=seed, beat=best_mean))
+            if scores[-1] is not None and scores[-1][0] > best_mean:
+                best, best_mean = cfg, scores[-1][0]
         if all(result is None for result in scores):
             raise DomainError(f"every {best.kind} candidate diverged")
-        means = [-math.inf if result is None else result[0] for result in scores]
-        best = candidates[means.index(max(means))]
     return best, train_classifier(best, train, seed), scores
 
 

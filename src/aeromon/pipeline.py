@@ -32,6 +32,7 @@ Fixed artifact names inside the output directory:
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -225,8 +226,9 @@ def scaled_supervised_train(out: _OutputDir) -> Dataset:
 
 def train_baseline(cfg: PipelineConfig, out: _OutputDir, kind: str, train_set: Dataset) -> tuple:
     """Fit the `kind` baseline on `train_set` and write clf_<kind>.json. A grid
-    of more than one value is selected over by CV F1. Returns the chosen
-    candidate and (candidate, cross_validate result) per candidate, none for one."""
+    of more than one value is selected over by CV F1, a candidate that can no
+    longer win stopping early. Returns the chosen candidate and (candidate,
+    cross_validate result) per candidate, none for one."""
     candidates = cfg.baseline_candidates(kind)
     best, model, scores = select_model(candidates, train_set, seed=cfg.baseline_seed(kind), folds=cfg["cv_folds"])
     save_model(model, out.writes(f"clf_{kind}.json"))
@@ -234,10 +236,18 @@ def train_baseline(cfg: PipelineConfig, out: _OutputDir, kind: str, train_set: D
 
 
 def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> None:
-    """train-baselines for one kind; prints each grid candidate's CV F1 and the one selected."""
+    """train-baselines for one kind; prints each grid candidate's CV F1 (or
+    where it stopped, against the best mean before it) and the one selected."""
     best, cv = train_baseline(cfg, out, kind, scaled_supervised_train(out))
+    best_mean = -math.inf
     for cand, result in cv:
-        cv_f1 = "diverged" if result is None else f"mean F1 {result[0]:.4f} per-fold {[round(f, 4) for f in result[1]]}"
+        if result is None:
+            cv_f1 = "diverged"
+        elif len(result[1]) < cfg["cv_folds"]:
+            cv_f1 = f"stopped after fold {len(result[1])} (bound {result[0]:.4f} <= {best_mean:.4f})"
+        else:
+            cv_f1 = f"mean F1 {result[0]:.4f} per-fold {[round(f, 4) for f in result[1]]}"
+            best_mean = max(best_mean, result[0])
         print(f"{kind} {cand}: {cv_f1}")
     print(f"selected {best}")
 

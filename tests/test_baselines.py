@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from aeromon.baselines import (
     stratified_folds,
     train_classifier,
 )
+from aeromon.config import default_config
 from aeromon.dataset import Dataset, Label, SynthConfig, apply_scaler, fit_scaler, generate_synthetic
 from aeromon.errors import ConfigError, DataError, DomainError, NumericError, ShapeError
 from aeromon.numerics import Rng, derive_seed
@@ -750,6 +753,24 @@ class TestCrossValidation:
             cross_validate(ClassifierConfig(KNN, k=1), ds, folds=5, seed=0)
 
 
+def _noisy_blobs():
+    # overlapping blobs with label noise: k=1 memorizes noise, k=5 smooths
+    rng = np.random.default_rng(61)
+    rows, labels = [], []
+    for c in (0, 1):
+        for _ in range(150):
+            rows.append([rng.normal(c * 1.2, 1.0) for _ in range(2)])
+            labels.append(c if rng.random() > 0.15 else 1 - c)
+    return Dataset(np.array(rows), np.array(labels, dtype=np.int8))
+
+
+def _count_fits(monkeypatch):
+    fits = []
+    fit = baselines.train_classifier
+    monkeypatch.setattr(baselines, "train_classifier", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
+    return fits
+
+
 class TestSelectModel:
     def test_single_candidate_refit(self):
         ds = _blobs(51, 20)
@@ -760,14 +781,7 @@ class TestSelectModel:
         assert scores == []
 
     def test_smoother_k_wins_on_noisy_data(self):
-        # overlapping blobs with label noise: k=1 memorizes noise, k=5 smooths
-        rng = np.random.default_rng(61)
-        rows, labels = [], []
-        for c in (0, 1):
-            for _ in range(150):
-                rows.append([rng.normal(c * 1.2, 1.0) for _ in range(2)])
-                labels.append(c if rng.random() > 0.15 else 1 - c)
-        ds = Dataset(np.array(rows), np.array(labels, dtype=np.int8))
+        ds = _noisy_blobs()
         k1, k5 = ClassifierConfig(KNN, k=1), ClassifierConfig(KNN, k=5)
         cv_k1 = cross_validate(k1, ds, folds=5, seed=7)
         cv_k5 = cross_validate(k5, ds, folds=5, seed=7)
@@ -776,11 +790,67 @@ class TestSelectModel:
         assert best is k5
         assert scores == [cv_k1, cv_k5]
 
-    def test_tie_goes_to_first_listed(self):
+    def test_tie_goes_to_first_listed(self, monkeypatch):
         ds = _blobs(52, 20)  # trivially separable: every candidate scores 1.0
         candidates = [ClassifierConfig(KNN, k=3), ClassifierConfig(KNN, k=5)]
-        best, _, _ = select_model(candidates, ds, seed=1)
+        fits = _count_fits(monkeypatch)
+        best, _, scores = select_model(candidates, ds, seed=1)
         assert best is candidates[0]
+        # the second can at best tie 1.0, so it stops before its first fold
+        assert scores == [(1.0, [1.0] * 5), (1.0, [])]
+        assert len(fits) == 5 + 0 + 1
+
+    @pytest.mark.parametrize(
+        "grid, fits_pinned",
+        [
+            ("logreg", 9),  # l2 0.01 and 0.1 stop after one fold, l2 1 diverges on its first
+            ((1, 5), 11),  # each candidate beats the ones before it: nothing stops
+            ((9, 5, 3, 1), 18),  # each later k stops after fold 4
+        ],
+        ids=["logreg-default-grid", "knn-1-5", "knn-9-5-3-1"],
+    )
+    def test_racing_picks_what_exhaustive_cv_picks(self, monkeypatch, grid, fits_pinned):
+        if grid == "logreg":
+            ds, seed = _scaled_telemetry(600, 13), 4
+            candidates = default_config().baseline_candidates("logreg")
+        else:
+            ds, seed = _noisy_blobs(), 7
+            candidates = [ClassifierConfig(KNN, k=k) for k in grid]
+        exhaustive = [cross_validate(c, ds, folds=5, seed=seed) for c in candidates]
+        means = [-math.inf if result is None else result[0] for result in exhaustive]
+        expected = candidates[means.index(max(means))]
+
+        fits = _count_fits(monkeypatch)
+        best, model, results = select_model(candidates, ds, seed=seed)
+        assert len(fits) == fits_pinned
+        monkeypatch.undo()
+        assert best is expected
+        assert model_to_dict(model) == model_to_dict(train_classifier(expected, ds, seed))
+        for full, raced in zip(exhaustive, results):
+            if raced is None or len(raced[1]) == 5:
+                assert raced == full
+            else:  # stopped: a prefix of the same folds, at a bound the winner reaches
+                assert full is None or raced[1] == full[1][: len(raced[1])]
+                assert raced[0] <= max(means)
+
+    def test_bound_never_below_the_mean(self, monkeypatch):
+        # with fold scores forced, a candidate is never stopped by a beat just
+        # below its own mean: the bound, summed in fold order, is never below it
+        rng = np.random.default_rng(5)
+        fold_scores = iter([])
+        monkeypatch.setattr(baselines, "train_classifier", lambda *a: None)
+        monkeypatch.setattr(baselines, "predict", lambda *a: (None, None))
+        monkeypatch.setattr(baselines, "_anomalous_f1", lambda *a: next(fold_scores))
+        ds = _ds([float(i) for i in range(10)], [0] * 5 + [1] * 5)
+        for trial in range(3000):
+            if trial % 2:  # F1 as the folds compute it: 2tp / (2tp + fp + fn)
+                tp, wrong = rng.integers(0, 40, size=(2, 5))
+                scores = [2.0 * t / (2.0 * t + w) if 2 * t + w else 0.0 for t, w in zip(tp, wrong)]
+            else:  # any value in [0, 1], with many exact 0s and 1s
+                scores = np.where(rng.random(5) < 0.3, rng.integers(0, 2, 5), rng.random(5)).tolist()
+            mean = sum(scores) / 5
+            fold_scores = iter(scores)
+            assert cross_validate(None, ds, folds=5, beat=np.nextafter(mean, -math.inf)) == (mean, scores)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ConfigError):

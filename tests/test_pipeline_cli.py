@@ -309,21 +309,29 @@ class TestCliStages:
         assert main(base + ["train-clf", "--kind", "knn", "--k", "1,5"]) == 0
         monkeypatch.undo()
         printed = capsys.readouterr().out.splitlines()
-        assert len(fits) == 2 * 5 + 1  # each candidate on each fold, then one refit of the winner
         assert (Path(out) / "clf_knn.json").exists()
 
-        # one line per candidate with its own cross_validate result, then the selected one
+        # the racing rule replayed on each candidate's exhaustive cross_validate
+        # result: before fold f, a candidate stops once 1.0 on every fold left
+        # could not lift its mean above the best mean before it
         candidates = default_config({**FAST_KEYS, "knn_k_grid": "1,5"}).baseline_candidates("knn")
         scaler = _OutputDir(out).read_scaler("scaler_supervised.json")
         scaled = apply_scaler(scaler, load_csv(Path(out) / "supervised_train.csv", has_labels=True))
         seed = derive_seed(7, STAGE_BASELINE_BASE + baselines.CLASSIFIER_KINDS.index("knn"))
         cv = [baselines.cross_validate(c, scaled, folds=5, seed=seed) for c in candidates]
-        means = [mean_f1 for mean_f1, _ in cv]
-        best = candidates[means.index(max(means))]
-        assert printed == [
-            f"knn {c}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}"
-            for c, (mean_f1, per_fold) in zip(candidates, cv)
-        ] + [f"selected {best}"]
+        expected, expected_fits, best, best_mean = [], 1, None, -math.inf  # 1: the winner's refit
+        for c, (mean_f1, per_fold) in zip(candidates, cv):
+            bounds = [sum(per_fold[:f] + [1.0] * (5 - f)) / 5 for f in range(5)]
+            ran = next((f for f, bound in enumerate(bounds) if bound <= best_mean), 5)
+            expected_fits += ran
+            if ran < 5:
+                expected.append(f"knn {c}: stopped after fold {ran} (bound {bounds[ran]:.4f} <= {best_mean:.4f})")
+            else:
+                expected.append(f"knn {c}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
+                if mean_f1 > best_mean:
+                    best, best_mean = c, mean_f1
+        assert len(fits) == expected_fits < 2 * 5 + 1  # k=5 stops early here
+        assert printed == expected + [f"selected {best}"]
 
     def test_train_clf_reproduces_the_pipelines_files(self, tmp_path, capsys):
         # a two-value logreg grid: with no grid flag, train-clf selects over it as run does
