@@ -8,9 +8,9 @@ taken as the order statistic at rank ceil(p/100 * (n-1)) (`order_statistic`), so
 between (100-p)% - 2/n and (100-p)% of tie-free training scores are flagged.
 
 Every call takes an (n, d) matrix of samples. `classify` and `calibrate` score
-through one batch kernel, `_score_rows`, built from elementwise operations
-only, so a row's score is bit-identical alone or inside any batch, and a
-calibration score equals the later classification score.
+residuals through one batch kernel, `score_residuals`, built from elementwise
+operations only, so a row's score is bit-identical alone or inside any batch,
+and a calibration score equals the later classification score.
 """
 
 from __future__ import annotations
@@ -68,26 +68,22 @@ def residual(net: Network, x_scaled: np.ndarray) -> np.ndarray:
     return forward_rows(net, x_scaled) - x_scaled
 
 
-def score_mse(net: Network, x_scaled: np.ndarray) -> np.ndarray:
-    """Mean squared residual of every row of a scaled batch (n, d), as an (n,) array."""
-    r = residual(net, x_scaled)
-    return row_sums(r * r) / r.shape[-1]
-
-
-def score_mahalanobis(stats: ResidualStats, r: np.ndarray) -> np.ndarray:
-    """sqrt((r - mean)^T Sigma^{-1} (r - mean)) through the Cholesky solve,
-    for every row of a residual batch (n, d), as an (n,) array."""
+def score_residuals(stats: ResidualStats | None, r: np.ndarray) -> np.ndarray:
+    """Scores of every row of a residual batch (n, d), as an (n,) array: the mean
+    squared residual without stats, else sqrt((r - mean)^T Sigma^{-1} (r - mean))
+    through the Cholesky solve."""
+    if stats is None:
+        return row_sums(r * r) / r.shape[-1]
     centered = r - stats.mean
     return np.sqrt(np.maximum(row_sums(centered * solve_spd(stats.chol, centered)), 0.0))
 
 
-def fit_residual_stats(net: Network, x_scaled: np.ndarray) -> ResidualStats:
-    """Residual mean and jittered covariance factor over scaled healthy samples (n, d)."""
-    n = len(x_scaled)
-    if n < 8:
-        raise DataError(f"residual statistics need >= 8 samples, got {n}")
-    mean, cov = covariance(residual(net, x_scaled))
-    return ResidualStats(mean=mean, cov=cov, chol=cholesky(cov), n_fit=n)
+def fit_residual_stats(r: np.ndarray) -> ResidualStats:
+    """Mean and jittered covariance factor of healthy residuals (n, d)."""
+    if len(r) < 8:
+        raise DataError(f"residual statistics need >= 8 samples, got {len(r)}")
+    mean, cov = covariance(r)
+    return ResidualStats(mean=mean, cov=cov, chol=cholesky(cov), n_fit=len(r))
 
 
 @dataclass(frozen=True)
@@ -107,19 +103,6 @@ class AnomalyScorer:
             raise DomainError("threshold must be finite")
 
 
-def _score_rows(net: Network, stats: ResidualStats | None, x_scaled: np.ndarray) -> np.ndarray:
-    """Scores of an (n, d) scaled batch, Mahalanobis with stats and MSE without, in row
-    blocks that keep the temporaries small (the kernel is row-exact, so no score changes)."""
-    scores = np.empty(len(x_scaled))
-    for i in range(0, len(x_scaled), SCORE_BLOCK_ROWS):
-        block = x_scaled[i : i + SCORE_BLOCK_ROWS]
-        if stats is None:
-            scores[i : i + len(block)] = score_mse(net, block)
-        else:
-            scores[i : i + len(block)] = score_mahalanobis(stats, residual(net, block))
-    return scores
-
-
 def _require_scaler_width(scaler: MinMaxScaler, net: Network) -> None:
     if scaler.mins.shape != (net.in_dim,):
         raise ShapeError(f"the scaler scales {scaler.mins.shape[0]} channels, expected (n, {net.in_dim}) samples")
@@ -136,21 +119,22 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
     if ae_train.is_labeled and int(ae_train.labels.max(initial=0)) != 0:
         raise DataError("calibration data must contain only normal samples")
     _require_scaler_width(scaler, net)
-    scaled = scaler.transform(as_matrix(ae_train.features, net.in_dim))
-    stats = None
-    if policy.kind == MAHALANOBIS_POLICY:
-        stats = fit_residual_stats(net, scaled)
-    scores = _score_rows(net, stats, scaled)
-    threshold = order_statistic(scores, policy.percentile)
+    r = residual(net, scaler.transform(as_matrix(ae_train.features, net.in_dim)))
+    stats = fit_residual_stats(r) if policy.kind == MAHALANOBIS_POLICY else None
+    threshold = order_statistic(score_residuals(stats, r), policy.percentile)
     return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)
 
 
 def classify(scorer: AnomalyScorer, x_raw) -> tuple[np.ndarray, np.ndarray]:
     """(labels, scores) arrays for an (n, d) matrix of raw samples: scale,
-    reconstruct, score by MSE or Mahalanobis, then anomalous (1) iff
-    score > threshold, so a tie is normal (0). Non-finite samples raise DomainError."""
-    x = as_matrix(x_raw, scorer.scaler.mins.shape[0])
-    scores = _score_rows(scorer.net, scorer.stats, scorer.scaler.transform(x))
+    reconstruct, score by MSE or Mahalanobis in row blocks that keep the
+    temporaries small, then anomalous (1) iff score > threshold, so a tie is
+    normal (0). Non-finite samples raise DomainError."""
+    x = scorer.scaler.transform(as_matrix(x_raw, scorer.scaler.mins.shape[0]))
+    scores = np.empty(len(x))
+    for i in range(0, len(x), SCORE_BLOCK_ROWS):
+        block = slice(i, i + SCORE_BLOCK_ROWS)
+        scores[block] = score_residuals(scorer.stats, residual(scorer.net, x[block]))
     return (scores > scorer.threshold).astype(np.int8), scores
 
 

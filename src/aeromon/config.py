@@ -72,13 +72,13 @@ _BASELINE_PREFIXES = {
     "mlp": "mlp_",
 }
 # baseline kind -> (the field that takes one candidate per grid value, the grid key)
-_BASELINE_GRIDS = {"logreg": ("l2_strength", "logreg_l2_grid"), "knn": ("k", "knn_k_grid")}
+BASELINE_GRIDS = {"logreg": ("l2_strength", "logreg_l2_grid"), "knn": ("k", "knn_k_grid")}
 
 
 def baseline_key(kind: str, name: str) -> str:
     """The config key that sets ClassifierConfig field `name` of a `kind` baseline;
     a kind that has no such key gets a name that resolve_config rejects."""
-    grid_field, grid_key = _BASELINE_GRIDS.get(kind, (None, None))
+    grid_field, grid_key = BASELINE_GRIDS.get(kind, (None, None))
     return grid_key if name == grid_field else _BASELINE_PREFIXES[kind] + name
 
 
@@ -179,9 +179,9 @@ class PipelineConfig:
         fixed = {"kind": kind}
         if self.resolved.get(prefix + "max_depth") == 0:
             fixed["max_depth"] = None  # 0 = unbounded
-        if kind not in _BASELINE_GRIDS:
+        if kind not in BASELINE_GRIDS:
             return [self._section(prefix, ClassifierConfig, **fixed)]
-        grid_field, grid_key = _BASELINE_GRIDS[kind]
+        grid_field, grid_key = BASELINE_GRIDS[kind]
         values = _parse_grid(grid_key, _SCHEMA[grid_key][0], self.resolved[grid_key])
         return [self._section(prefix, ClassifierConfig, **fixed, **{grid_field: v}) for v in values]
 

@@ -57,13 +57,13 @@ def _splitmix64_block(key: int, n: int) -> np.ndarray:
     return _mix64(z)
 
 
-def derive_seed(seed: int, index: int) -> int:
+def derive_seed(seed: int, index: int | np.ndarray) -> int | np.ndarray:
     """Stable child seed for stage / tree / fold streams and for each draw
     of an `Rng`: the first SplitMix64 output of state seed ^ (index+1)*golden.
 
     Mixing (seed, index) through SplitMix64 keeps child streams decorrelated
-    even for consecutive indices. Computed with Python ints: a one-element
-    numpy block would cost more than the rest of a small draw.
+    even for consecutive indices. Takes Python ints (cheaper than numpy for one
+    draw), or a uint64 index array with a seed in [0, 2**64), elementwise.
     """
     z = ((seed ^ ((index + 1) * _GOLDEN)) + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _SM_MUL1) & _MASK64
@@ -156,12 +156,9 @@ class Rng:
         along its rows (a row's values are distinct, as in `permutation`)."""
         if not 0 <= k <= n:
             raise DomainError(f"cannot sample {k} of {n}")
-        index = np.arange(self.draws + 1, self.draws + rows + 1, dtype=np.uint64)
+        keys = derive_seed(self.seed, np.arange(self.draws, self.draws + rows, dtype=np.uint64))
         self.draws += rows
-        keys = index * np.uint64(_GOLDEN)  # derive_seed, elementwise
-        keys ^= np.uint64(self.seed)
-        keys += np.uint64(_GOLDEN)
-        block = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + _mix64(keys)[:, None]
+        block = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + keys[:, None]
         return np.sort(np.argsort(_mix64(block), axis=1)[:, :k], axis=1)
 
 
@@ -221,7 +218,6 @@ def covariance(rows) -> tuple[np.ndarray, np.ndarray]:
 class CholeskyFactor:
     """Lower-triangular L with (A + jitter*I) = L @ L.T."""
 
-    dim: int
     lower: np.ndarray
     jitter: float = 0.0
 
@@ -258,7 +254,7 @@ def cholesky(a) -> CholeskyFactor:
 
     lower = _factor_lower(a)
     if lower is not None:
-        return CholeskyFactor(dim=d, lower=lower, jitter=0.0)
+        return CholeskyFactor(lower=lower, jitter=0.0)
 
     scale = float(np.trace(a)) / d if d > 0 else 0.0
     cap = JITTER_CAP_FACTOR * scale
@@ -269,7 +265,7 @@ def cholesky(a) -> CholeskyFactor:
     while j <= cap:
         lower = _factor_lower(a + j * eye)
         if lower is not None:
-            return CholeskyFactor(dim=d, lower=lower, jitter=j)
+            return CholeskyFactor(lower=lower, jitter=j)
         j *= 10.0
     raise NumericError(f"covariance is not positive definite: factorization failed at jitter cap {cap:g}")
 
@@ -291,14 +287,14 @@ def solve_spd(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     subtracts one term at a time with elementwise operations only, so a row's
     solution is bit-identical whether it is solved alone or inside any batch.
     """
-    lower = factor.lower
+    lower, d = factor.lower, len(factor.lower)
     x = np.array(b.T)  # row i holds coordinate i of every right-hand side
-    for i in range(factor.dim):  # forward: L y = b, y overwrites b
+    for i in range(d):  # forward: L y = b, y overwrites b
         for k in range(i):
             x[i] -= lower[i, k] * x[k]
         x[i] /= lower[i, i]
-    for i in range(factor.dim - 1, -1, -1):  # back: L.T x = y, x overwrites y
-        for k in range(i + 1, factor.dim):
+    for i in range(d - 1, -1, -1):  # back: L.T x = y, x overwrites y
+        for k in range(i + 1, d):
             x[i] -= lower[k, i] * x[k]
         x[i] /= lower[i, i]
     return x.T

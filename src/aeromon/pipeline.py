@@ -44,7 +44,7 @@ from . import __version__
 from .anomaly import AnomalyScorer, calibrate, classify, load_scorer, save_scorer
 from .autoencoder import default_autoencoder_specs, init_network, load_network, save_network, train
 from .baselines import load_model, predict, save_model, select_model
-from .config import STAGE_SPLIT, PipelineConfig
+from .config import BASELINE_GRIDS, STAGE_SPLIT, PipelineConfig
 from .dataset import (
     CHANNELS,
     Dataset,
@@ -239,6 +239,7 @@ def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> None:
     """train-baselines for one kind; prints each grid candidate's CV F1 (or
     where it stopped, against the best mean before it) and the one selected."""
     best, cv = train_baseline(cfg, out, kind, scaled_supervised_train(out))
+    field = BASELINE_GRIDS[kind][0] if kind in BASELINE_GRIDS else "kind"
     best_mean = -math.inf
     for cand, result in cv:
         if result is None:
@@ -248,8 +249,8 @@ def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> None:
         else:
             cv_f1 = f"mean F1 {result[0]:.4f} per-fold {[round(f, 4) for f in result[1]]}"
             best_mean = max(best_mean, result[0])
-        print(f"{kind} {cand}: {cv_f1}")
-    print(f"selected {best}")
+        print(f"{kind} {field}={getattr(cand, field)}: {cv_f1}")
+    print(f"selected {field}={getattr(best, field)}")
 
 
 def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> None:

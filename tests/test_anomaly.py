@@ -18,8 +18,7 @@ from aeromon.anomaly import (
     load_scorer,
     residual,
     save_scorer,
-    score_mahalanobis,
-    score_mse,
+    score_residuals,
 )
 from aeromon.autoencoder import (
     LayerSpec,
@@ -100,7 +99,7 @@ class TestResidual:
 
     def test_trained_residual_matches_reported_error_scale(self, trained):
         feats = trained["train_scaled"].features
-        per_sample = score_mse(trained["net"], feats)
+        per_sample = score_residuals(None, residual(trained["net"], feats))
         final_train_mse = trained["history"][-1][0]
         assert per_sample.mean() < 3.0 * final_train_mse
         assert per_sample.mean() > final_train_mse / 3.0
@@ -108,18 +107,18 @@ class TestResidual:
 
 class TestScoreMse:
     def test_perfect_reconstruction_scores_zero(self):
-        assert score_mse(_identity_net(), np.full((1, 7), 0.3)).tolist() == [0.0]
+        assert score_residuals(None, residual(_identity_net(), np.full((1, 7), 0.3))).tolist() == [0.0]
 
     def test_equals_residual_mse_against_zero(self, trained):
         x = trained["train_scaled"].features[3:4]
         r = residual(trained["net"], x)
-        assert score_mse(trained["net"], x)[0] == pytest.approx(float(np.mean(r * r)), abs=1e-15)
+        assert score_residuals(None, r)[0] == pytest.approx(float(np.mean(r * r)), abs=1e-15)
 
     def test_mean_score_matches_plain_loop_recompute(self, trained):
         # independent oracle: pure-Python accumulation, no vectorized loss
         net = trained["net"]
         feats = trained["train_scaled"].features
-        mean_score = float(np.mean(score_mse(net, feats)))
+        mean_score = float(np.mean(score_residuals(None, residual(net, feats))))
         total = 0.0
         for row in feats:
             out = row
@@ -139,7 +138,7 @@ class TestResidualStats:
         # sees either the degeneracy error or a pure-jitter factor
         feats = np.tile(np.linspace(0.1, 0.7, 7), (20, 1))
         try:
-            stats = fit_residual_stats(_zero_net(), feats)
+            stats = fit_residual_stats(residual(_zero_net(), feats))
         except NumericError as exc:  # not a ShapeError or any other numeric failure
             assert str(exc).startswith("covariance is not positive definite")
             return
@@ -151,27 +150,27 @@ class TestResidualStats:
         # cannot be rescued by jitter (non-positive trace)
         feats = np.zeros((20, 7))
         with pytest.raises(NumericError, match="^covariance is not positive definite: its trace is not positive$"):
-            fit_residual_stats(_zero_net(), feats)
+            fit_residual_stats(residual(_zero_net(), feats))
 
     def test_minimum_sample_count(self):
         feats = np.random.default_rng(0).random((5, 7))
         with pytest.raises(DataError, match="residual statistics need >= 8 samples, got 5"):
-            fit_residual_stats(_zero_net(), feats)
+            fit_residual_stats(residual(_zero_net(), feats))
 
     def test_recovers_generator_covariance(self):
         # zero net: residual = -x, so residual covariance equals data covariance
         rng = np.random.default_rng(55)
         sigmas = np.array([0.5, 1.0, 1.5, 2.0, 0.8, 1.2, 0.3])
         feats = np.array([[rng.normal(0.0, s) for s in sigmas] for _ in range(10_000)])
-        stats = fit_residual_stats(_zero_net(), feats)
+        stats = fit_residual_stats(residual(_zero_net(), feats))
         recovered = np.diag(stats.cov)
         assert np.abs(recovered - sigmas**2).max() / (sigmas**2).max() < 0.10
         off = stats.cov - np.diag(np.diag(stats.cov))
         assert np.abs(off).max() < 0.10 * (sigmas**2).max()
 
     def test_deterministic(self, trained):
-        a = fit_residual_stats(trained["net"], trained["train_scaled"].features)
-        b = fit_residual_stats(trained["net"], trained["train_scaled"].features)
+        a = fit_residual_stats(residual(trained["net"], trained["train_scaled"].features))
+        b = fit_residual_stats(residual(trained["net"], trained["train_scaled"].features))
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.chol.lower, b.chol.lower)
         assert a.n_fit == b.n_fit == trained["train_scaled"].n
@@ -185,11 +184,11 @@ class TestScoreMahalanobis:
 
     def test_zero_at_the_mean(self):
         stats = self._stats(np.eye(3), mean=[0.2, -0.1, 0.4])
-        assert score_mahalanobis(stats, [[0.2, -0.1, 0.4]]).tolist() == [0.0]
+        assert score_residuals(stats, np.array([[0.2, -0.1, 0.4]])).tolist() == [0.0]
 
     def test_diagonal_two_dim_rig(self):
         stats = self._stats([[4.0, 0.0], [0.0, 1.0]])
-        assert score_mahalanobis(stats, [[2.0, 1.0]])[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert score_residuals(stats, np.array([[2.0, 1.0]]))[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     @pytest.mark.invariant
     def test_identity_covariance_is_euclidean_norm(self):
@@ -197,12 +196,12 @@ class TestScoreMahalanobis:
         stats = self._stats(np.eye(7))
         for _ in range(50):
             r = np.array([rng.normal() for _ in range(7)])
-            assert score_mahalanobis(stats, r[None])[0] == pytest.approx(float(np.linalg.norm(r)), abs=1e-10)
+            assert score_residuals(stats, r[None])[0] == pytest.approx(float(np.linalg.norm(r)), abs=1e-10)
 
     def test_centered_before_whitening(self):
         mean = np.array([1.0, 1.0])
         stats = self._stats(np.eye(2), mean=mean)
-        assert score_mahalanobis(stats, [[1.0, 2.0]])[0] == pytest.approx(1.0, abs=1e-12)
+        assert score_residuals(stats, np.array([[1.0, 2.0]]))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCalibrationThreshold:
@@ -411,6 +410,15 @@ class TestBatchScoring:
             scorer = self._scorer(trained, kind)
             alone = np.array([classify(scorer, row[None])[1][0] for row in trained["ae_train"].features])
             assert seen[-1].tobytes() == alone.tobytes()
+
+    def test_calibration_runs_the_network_once_per_row(self, trained, monkeypatch):
+        rows = []
+        real = anomaly.forward_rows
+        monkeypatch.setattr(anomaly, "forward_rows", lambda net, x: rows.append(len(x)) or real(net, x))
+        for kind in POLICIES:
+            rows.clear()
+            self._scorer(trained, kind)
+            assert sum(rows) == trained["ae_train"].n
 
     def test_scores_csv_rows_equal_classify(self, trained, tmp_path):
         for kind in POLICIES:

@@ -6,7 +6,7 @@ import pytest
 from aeromon.baselines import _KINDS, CLASSIFIER_KINDS, ClassifierConfig
 from aeromon.cli import _build_parser, _resolve
 from aeromon.config import (
-    _BASELINE_GRIDS,
+    BASELINE_GRIDS,
     _BASELINE_PREFIXES,
     _SCHEMA,
     baseline_key,
@@ -197,7 +197,7 @@ class TestBaselineKeys:
         # a key under a kind's prefix that names no field would silently miss its model
         fields = set(ClassifierConfig.__dataclass_fields__) - {"kind"}
         for kind, prefix in _BASELINE_PREFIXES.items():
-            grid_field, grid_key = _BASELINE_GRIDS.get(kind, (None, None))
+            grid_field, grid_key = BASELINE_GRIDS.get(kind, (None, None))
             for key in (k for k in _SCHEMA if k.startswith(prefix)):
                 assert key == grid_key or key[len(prefix) :] in fields, key
                 assert baseline_key(kind, grid_field if key == grid_key else key[len(prefix) :]) == key

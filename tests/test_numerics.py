@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ class TestRng:
         for index in (0, 1, 90, 2**40):
             _, expected = _splitmix64((seed ^ ((index + 1) * _GOLDEN)) & _MASK)
             assert derive_seed(seed, index) == expected
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1, REFERENCE_SEED])
+    def test_derive_seed_of_index_array_is_elementwise(self, seed):
+        # uint64 arithmetic wraps where the scalar form masks, without an overflow warning
+        index = np.array([0, 1, 90, 2**40, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys = derive_seed(seed, index)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [derive_seed(seed, int(i)) for i in index]
 
     @pytest.mark.invariant
     def test_equal_seeds_bit_identical_streams(self):

@@ -325,13 +325,13 @@ class TestCliStages:
             ran = next((f for f, bound in enumerate(bounds) if bound <= best_mean), 5)
             expected_fits += ran
             if ran < 5:
-                expected.append(f"knn {c}: stopped after fold {ran} (bound {bounds[ran]:.4f} <= {best_mean:.4f})")
+                expected.append(f"knn k={c.k}: stopped after fold {ran} (bound {bounds[ran]:.4f} <= {best_mean:.4f})")
             else:
-                expected.append(f"knn {c}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
+                expected.append(f"knn k={c.k}: mean F1 {mean_f1:.4f} per-fold {[round(f, 4) for f in per_fold]}")
                 if mean_f1 > best_mean:
                     best, best_mean = c, mean_f1
         assert len(fits) == expected_fits < 2 * 5 + 1  # k=5 stops early here
-        assert printed == expected + [f"selected {best}"]
+        assert printed == expected + [f"selected k={best.k}"]
 
     def test_train_clf_reproduces_the_pipelines_files(self, tmp_path, capsys):
         # a two-value logreg grid: with no grid flag, train-clf selects over it as run does
@@ -345,7 +345,9 @@ class TestCliStages:
             capsys.readouterr()
             assert main(base + ["train-clf", "--kind", kind]) == 0
             assert (out / f"clf_{kind}.json").read_bytes() == written, kind
-        assert len(capsys.readouterr().out.splitlines()) == 2 + 1  # one line per grid value, then the selected one
+        printed = capsys.readouterr().out.splitlines()  # one line per grid value, then the selected one
+        assert [line.split(":")[0] for line in printed[:2]] == ["logreg l2_strength=0.0", "logreg l2_strength=0.1"]
+        assert len(printed) == 2 + 1 and printed[2].startswith("selected l2_strength=")
 
     def test_run_command(self, tmp_path):
         cfg_file = _fast_config_file(tmp_path)
@@ -514,10 +516,9 @@ class TestExitCodes:
         alone = (out / "clf_logreg.json").read_bytes()
         capsys.readouterr()
         assert main(base + ["train-clf", "--kind", "logreg", "--l2", "0,1"]) == 0
-        zero, one = default_config({**FAST_KEYS, "logreg_l2_grid": "0,1"}).baseline_candidates("logreg")
         printed = capsys.readouterr().out.splitlines()
-        assert printed[0].startswith(f"logreg {zero}: mean F1 ")
-        assert printed[1:3] == [f"logreg {one}: diverged", f"selected {zero}"]
+        assert printed[0].startswith("logreg l2_strength=0.0: mean F1 ")
+        assert printed[1:3] == ["logreg l2_strength=1.0: diverged", "selected l2_strength=0.0"]
         assert (out / "clf_logreg.json").read_bytes() == alone
 
 
