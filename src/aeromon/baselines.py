@@ -235,8 +235,10 @@ def _knn_proba(model, x):
 
 
 def _best_split(x, y, order, feature_ids, min_leaf, pos, sizes):
-    """(feature, threshold, running positive count along that feature's order)
-    of the highest Gini gain over midpoint thresholds, or None. `order[f]`
+    """(feature, threshold, left-child rows, left-child positives) of the
+    highest Gini gain over midpoint thresholds, or None. The left child is a
+    prefix of the feature's order, and its counts let the grower find a leaf
+    child before building that child's order. `order[f]`
     lists the node's rows, `pos` of them positive, by ascending feature f, so
     both children of the m candidates (an int array) are scored in one (2, m, n-1)
     pass; `sizes` starts with 1, 2, ..., n-1. The flat argmax breaks ties to the
@@ -266,7 +268,7 @@ def _best_split(x, y, order, feature_ids, min_leaf, pos, sizes):
     lo, hi = float(sv[f, b]), float(sv[f, b + 1])
     mid = (lo + hi) / 2.0
     # a midpoint that rounds onto hi (or overflows) would send every row one way
-    return int(feature_ids[f]), mid if lo <= mid < hi else lo, cum_pos[f]
+    return int(feature_ids[f]), mid if lo <= mid < hi else lo, b + 1, int(cum_pos[f, b])
 
 
 class _Tree(NamedTuple):
@@ -284,30 +286,31 @@ class _Tree(NamedTuple):
 
 def _grow_tree(x, y, order, max_depth, min_leaf, choose_features) -> _Tree:
     """Preorder growth from `order`, the (d, n) presort of the rows. One mask
-    filters every row of a node's order and keeps it sorted, so nodes never sort."""
+    filters every row of a node's order and keeps it sorted, so nodes never sort.
+    Any presort serves: a split is scored only where a feature's value changes,
+    and the positives up to there do not depend on the order of tied rows.
+    A child is tested for a leaf before its order is built, so a leaf gets none."""
     nodes = []  # [feature, threshold, left, right, leaf] per node, in preorder
     sizes = np.arange(1, order.shape[1])  # left-child sizes; each node's split search takes a prefix
 
-    def grow(order, pos, depth):
-        d, n = order.shape
+    def grow(make_order, n, pos, depth):
         node = [-1, 0.0, -1, -1, pos / n]
         nodes.append(node)
         if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
             return
+        order = make_order()
         best = _best_split(x, y, order, choose_features(), min_leaf, pos, sizes)
         if best is None:
             return
-        feature, threshold, cum_pos = best
-        goes_left = x[:, feature][order] <= threshold  # one take from a column view: cheaper than x[order, feature]
+        feature, threshold, n_left, pos_left = best
+        flat = order.ravel()
+        goes_left = x[:, feature][flat] <= threshold  # one take from a column view: cheaper than x[order, feature]
         node[:] = feature, threshold, len(nodes), -1, 0.0  # the left child comes next
-        left = order[goes_left].reshape(d, -1)
-        # the left rows lead the feature's order
-        left_pos = int(cum_pos[left.shape[1] - 1])
-        grow(left, left_pos, depth + 1)
+        grow(lambda: flat.compress(goes_left).reshape(len(order), -1), n_left, pos_left, depth + 1)
         node[3] = len(nodes)  # the right child follows the left subtree
-        grow(order[~goes_left].reshape(d, -1), pos - left_pos, depth + 1)
+        grow(lambda: flat.compress(~goes_left).reshape(len(order), -1), n - n_left, pos - pos_left, depth + 1)
 
-    grow(order, int(y.sum()), 0)
+    grow(lambda: order, order.shape[1], int(y.sum()), 0)
     return _Tree(*map(np.array, zip(*nodes)))
 
 
@@ -329,7 +332,7 @@ def _tree_proba(model, x):
 
 def _train_tree(cfg: ClassifierConfig, x, y, seed):
     all_features = np.arange(x.shape[1])
-    order = np.argsort(x, axis=0, kind="stable").T
+    order = np.argsort(x.T, axis=1)
     return {"root": _grow_tree(x, y, order, cfg.max_depth, cfg.min_leaf, lambda: all_features)}
 
 
@@ -368,7 +371,7 @@ def _train_single_forest_tree(x, y, cfg: ClassifierConfig, tree_rng: Rng):
         bx, by = x[idx], y[idx]
     else:
         bx, by = x, y
-    order = np.argsort(bx, axis=0, kind="stable").T
+    order = np.argsort(bx.T, axis=1)
     return _grow_tree(bx, by, order, cfg.max_depth, cfg.min_leaf, partial(next, _feature_draws(tree_rng, d, m)))
 
 

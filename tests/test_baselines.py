@@ -1,8 +1,16 @@
+import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+import aeromon
 from aeromon import baselines
 from aeromon.autoencoder import LayerSpec, Network, _sigmoid
 from aeromon.baselines import (
@@ -494,6 +502,74 @@ class TestForestDrawOrder:
             assert (tree.feature >= 0).sum() > 4  # enough splits to span several chunks of 4
             for column, expected in zip(tree, want):
                 assert column.dtype == expected.dtype and np.array_equal(column, expected)
+
+
+def _tie_tree_digest():
+    """sha256 of the arrays of a decision tree and a 20-tree forest grown on 2000 tie-heavy rows."""
+    ds, digest = _tie_heavy_rig(8, n=2000), hashlib.sha256()
+    for cfg in (ClassifierConfig(DECISION_TREE), ClassifierConfig(RANDOM_FOREST, n_trees=20)):
+        payload = train_classifier(cfg, ds, seed=3).payload
+        for tree in payload.get("trees", [payload.get("root")]):
+            for column in tree:
+                digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+# two x86-64 levels, named as numpy names their features: numpy 2.4 dispatches on
+# the X86_V* groups, older numpy on single features
+_SSE42_LEVEL = {"SSE", "SSE2", "SSE3", "SSSE3", "SSE41", "POPCNT", "SSE42", "X86_V2"}
+_CPU_LEVELS = {
+    "SSE42": _SSE42_LEVEL,
+    "AVX2": _SSE42_LEVEL | {"AVX", "F16C", "FMA3", "AVX2", "BMI", "BMI2", "LZCNT", "MOVBE", "X86_V3"},
+}
+_CHILD_DIGEST = (
+    "from numpy._core._multiarray_umath import __cpu_features__\n"
+    "from test_baselines import _tie_tree_digest\n"
+    "print(_tie_tree_digest(), *sorted(name for name, on in __cpu_features__.items() if on))\n"
+)
+
+
+class TestPresortTieOrder:
+    """A grown tree does not depend on the order of tied rows in its presort:
+    a split is scored only where a feature's value changes, and the positives
+    up to there are the same in any order of the rows tied below it."""
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("growth", [{}, {"min_leaf": 3}, {"max_depth": 4}])
+    def test_stable_default_and_reversed_ties_grow_one_tree(self, growth):
+        ds = _tie_heavy_rig(9, n=400)
+        idx = Rng(5).randrange(ds.n, ds.n)
+        x, y = ds.features[idx], ds.labels[idx]
+        stable = np.argsort(x, axis=0, kind="stable").T
+        reversed_ties = np.array([np.lexsort((-np.arange(ds.n), column)) for column in x.T])
+        assert not np.array_equal(stable, reversed_ties)  # the bootstrap duplicates rows, so ties abound
+        trees = [
+            baselines._grow_tree(x, y, order, growth.get("max_depth"), growth.get("min_leaf", 1), lambda: np.arange(7))
+            for order in (stable, np.argsort(x.T, axis=1), reversed_ties)
+        ]
+        assert (trees[0].feature >= 0).sum() > 5
+        for tree in trees[1:]:
+            for column, expected in zip(tree, trees[0]):
+                assert column.dtype == expected.dtype and np.array_equal(column, expected)
+
+    @pytest.mark.parametrize("level", sorted(_CPU_LEVELS))
+    def test_same_trees_under_restricted_cpu_dispatch(self, level):
+        """numpy's default sort is a SIMD sort whose tie order depends on the
+        instructions it dispatches to; the trees must not."""
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("the CPU levels are x86-64 ones")
+        if not __cpu_features__.get(level):
+            pytest.skip(f"this CPU lacks {level}")
+        names = sorted(name for name in _CPU_LEVELS[level] if __cpu_features__.get(name))
+        tests, src = Path(__file__).parent, Path(aeromon.__file__).resolve().parents[1]
+        env = {**os.environ, "NPY_ENABLE_CPU_FEATURES": " ".join(names)}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _CHILD_DIGEST], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digest, *enabled = proc.stdout.split()
+        # the child dispatches to every target of the level this CPU has, and to none above it
+        assert set(__cpu_dispatch__) & set(enabled) == set(__cpu_dispatch__) & set(names)
+        assert digest == _tie_tree_digest()
 
 
 class TestTreeScoringOracle:
