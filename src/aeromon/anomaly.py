@@ -114,8 +114,6 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
     `ae_train` holds raw (unscaled) samples; the scaler is applied here so
     calibration and classification share one transformation.
     """
-    if ae_train.n == 0:
-        raise DataError("cannot calibrate on an empty dataset")
     if ae_train.is_labeled and int(ae_train.labels.max(initial=0)) != 0:
         raise DataError("calibration data must contain only normal samples")
     _require_scaler_width(scaler, net)

@@ -256,13 +256,10 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> PipelineConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: a JSON error or a UnicodeDecodeError
+        raise ConfigError(f"config file {path} is not found, not readable or not valid JSON: {exc}") from None
     return resolve_config(raw, overrides)
 
 

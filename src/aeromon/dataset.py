@@ -152,8 +152,6 @@ def load_csv(path, has_labels: bool) -> Dataset:
     which finds and reports the first bad row.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"telemetry file not found: {path}")
     expected = list(CHANNELS) + (["label"] if has_labels else [])
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -180,6 +178,8 @@ def load_csv(path, has_labels: bool) -> Dataset:
             _check_rows(path, has_labels)
     except UnicodeDecodeError:
         raise DataError(f"{path}: the file is not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"telemetry file {path} is not found or not readable: {exc}") from None
     if not readable:
         raise DataError(f"{path}: a row cannot be parsed")
     if not len(table):
@@ -223,16 +223,6 @@ def save_csv(data: Dataset, path, include_labels: bool | None = None) -> None:
     write_csv(path, header, "{},{}\n" if include_labels else "{}\n", *columns)
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    """Held-out test set plus the two training views derived from the rest."""
-
-    test: Dataset
-    supervised_train: Dataset
-    ae_train: Dataset
-    ae_val: Dataset
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -259,8 +249,10 @@ def split(
     test_fraction: float = 0.10,
     ae_val_fraction: float = 0.10,
     seed: int = 0,
-) -> SplitResult:
-    """Stratified shuffled test holdout plus unsupervised training views.
+) -> dict[str, Dataset]:
+    """Stratified shuffled test holdout plus unsupervised training views: a
+    dict of `test`, `supervised_train`, `ae_train` and `ae_val` in that order,
+    each named for the CSV file the split stage writes it to.
 
     The test set takes round(test_fraction * n) samples with per-class counts
     within one sample of the global class ratio. Normals of the remaining
@@ -297,7 +289,7 @@ def split(
     for name, idx in parts.items():
         if idx.size == 0:
             raise DataError(f"the {name} part of the split would be empty")
-    return SplitResult(**{name: data.subset(idx) for name, idx in parts.items()})
+    return {name: data.subset(idx) for name, idx in parts.items()}
 
 
 @dataclass(frozen=True)

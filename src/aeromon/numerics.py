@@ -78,7 +78,8 @@ class Rng:
     derive_seed(seed, k), so a draw costs a fixed number of numpy calls
     whatever its size, and can be recomputed from the seed and its index
     alone. For the same reason `sample_indices` takes any number of
-    consecutive draws in one pass. Every method returns arrays; equal seeds
+    consecutive draws in one pass. `uniform` is the one float draw (`normal`
+    takes its candidates from it). Every method returns arrays; equal seeds
     give identical draws on one machine and numpy build.
     """
 
@@ -93,12 +94,9 @@ class Rng:
         self.draws += 1
         return _splitmix64_block(key, size)
 
-    def random(self, size: int) -> np.ndarray:
-        """`size` uniform doubles in [0, 1), each from the top 53 bits of one output."""
-        return (self._block(size) >> np.uint64(11)) * 2.0**-53
-
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
-        return low + (high - low) * self.random(size)
+        """`size` draws of low + (high - low) * r, r a double in [0, 1) from the top 53 bits of one output."""
+        return low + (high - low) * ((self._block(size) >> np.uint64(11)) * 2.0**-53)
 
     def normal(self, mean: float, std: float, size: int) -> np.ndarray:
         """`size` Gaussian draws by the Marsaglia polar method over whole
@@ -108,7 +106,7 @@ class Rng:
         out = np.empty(size)
         filled = 0
         while filled < size:
-            v = 2.0 * self.random(2 * (size - filled)) - 1.0
+            v = self.uniform(-1.0, 1.0, 2 * (size - filled))
             v1, v2 = v[0::2], v[1::2]
             s = v1 * v1 + v2 * v2
             keep = (s > 0.0) & (s < 1.0)

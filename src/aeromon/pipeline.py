@@ -75,7 +75,10 @@ class _OutputDir:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file of that name, or no permission
+            raise ConfigError(f"cannot create the output directory {self.path}: {exc}") from None
         self.written: list[str] = []
         self.memo: dict | None = None
 
@@ -166,17 +169,12 @@ def stage_ingest(cfg: PipelineConfig, out: _OutputDir) -> None:
 
 def stage_split(cfg: PipelineConfig, out: _OutputDir) -> None:
     data = out.read_csv("data.csv")
-    result = split(
-        data,
-        test_fraction=cfg["test_fraction"],
-        ae_val_fraction=cfg["ae_val_fraction"],
-        seed=derive_seed(cfg["seed"], STAGE_SPLIT),
-    )
-    out.write("test.csv", result.test, save_csv)
-    save_csv(result.test, out.writes("test_features.csv"), include_labels=False)
-    out.write("supervised_train.csv", result.supervised_train, save_csv)
-    out.write("ae_train.csv", result.ae_train, save_csv)
-    out.write("ae_val.csv", result.ae_val, save_csv)
+    seed = derive_seed(cfg["seed"], STAGE_SPLIT)
+    parts = split(data, test_fraction=cfg["test_fraction"], ae_val_fraction=cfg["ae_val_fraction"], seed=seed)
+    for name, part in parts.items():
+        out.write(f"{name}.csv", part, save_csv)
+        if name == "test":
+            save_csv(part, out.writes("test_features.csv"), include_labels=False)
 
 
 def _save_scaler(scaler: MinMaxScaler, path) -> None:
@@ -282,12 +280,8 @@ def _comparison_row(r: dict) -> tuple:
 
 
 def stage_compare(cfg: PipelineConfig, out: _OutputDir) -> None:
-    rows = []
-    for name in ["ae"] + cfg.baseline_kinds():
-        path = out.file(f"report_{name}.json")
-        if not path.exists():
-            raise DataError(f"missing report for '{name}'; run evaluate first")
-        rows.append(read_json_artifact(path, _comparison_row))
+    reports = [out.file(f"report_{name}.json") for name in ["ae"] + cfg.baseline_kinds()]
+    rows = [read_json_artifact(path, _comparison_row) for path in reports]
     header = "Model,Precision,Recall,F1-score,Accuracy"
     write_csv(out.writes("comparison.csv"), header, "{},{!r},{!r},{!r},{!r}\n", *map(np.array, zip(*rows)))
 

@@ -1,0 +1,93 @@
+"""Check that this tree writes the same artifact bytes as a base commit.
+
+    python tests/byte_identical.py [BASE]        # BASE defaults to HEAD~1
+
+The base commit is checked out with `git worktree add` into a temporary
+directory. Every case of `golden.py` then runs once under each tree's `src`
+and `tests`, each tree in its own child process, and the artifact digests of
+the two trees are compared. Unlike `test_golden.py`, this holds on any
+machine: both trees run on the same numpy, BLAS and CPU.
+
+Exits 0 if every digest matches. If some differ, prints the differing files
+and each tree's `comparison.csv`, then exits 0 if this tree changes
+`tests/golden_digests.json` (a change meant to alter outputs must rewrite it)
+and 1 if it does not.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = "tests/golden_digests.json"
+
+# run in a child whose sys.path starts with one tree's src and tests; argv[1] is the tree, argv[2] the result file
+_CHILD = """
+import json, sys, tempfile
+from pathlib import Path
+import aeromon, golden
+tree = Path(sys.argv[1]).resolve()
+assert Path(aeromon.__file__).resolve().is_relative_to(tree), f"imported {aeromon.__file__}, not {tree}'s"
+results = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for case in golden.CASES:
+        work = Path(tmp) / case
+        work.mkdir()
+        comparison = work / "out" / "comparison.csv"
+        digests = golden.run_case(case, work)
+        results[case] = {"digests": digests, "comparison": comparison.read_text() if comparison.exists() else ""}
+Path(sys.argv[2]).write_text(json.dumps(results))
+"""
+
+
+def run_cases(tree: Path, result: Path) -> dict:
+    """case -> {"digests": artifact name -> sha256, "comparison": comparison.csv text}, run under `tree`."""
+    paths = [str(tree / "src"), str(tree / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    # stdout only holds train-clf's CV lines; errors go to stderr
+    child = [sys.executable, "-c", _CHILD, str(tree), str(result)]
+    subprocess.run(child, env=env, cwd=tree, stdout=subprocess.DEVNULL, check=True)
+    return json.loads(result.read_text())
+
+
+def differences(base: dict, head: dict) -> dict:
+    """case -> names whose digests differ or that only one tree wrote, for each case that differs."""
+    found = {}
+    for case in sorted(set(base) | set(head)):
+        b, h = (side.get(case, {}).get("digests", {}) for side in (base, head))
+        names = sorted(name for name in set(b) | set(h) if b.get(name) != h.get(name))
+        if names:
+            found[case] = names
+    return found
+
+
+def main(base_ref: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        worktree = Path(tmp) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", str(worktree), base_ref], cwd=ROOT, check=True)
+        try:
+            base = run_cases(worktree, Path(tmp) / "base.json")
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT, check=True)
+        head = run_cases(ROOT, Path(tmp) / "head.json")
+    found = differences(base, head)
+    if not found:
+        print(f"every artifact of {len(head)} cases is byte-identical to {base_ref}")
+        return 0
+    for case, names in found.items():
+        print(f"{case}: differs from {base_ref} in {', '.join(names)}")
+        for side, results in ((base_ref, base), ("this tree", head)):
+            print(f"--- comparison.csv of {case} at {side}:\n{results.get(case, {}).get('comparison', '')}")
+    rewritten = subprocess.run(["git", "diff", "--quiet", base_ref, "--", DIGESTS], cwd=ROOT).returncode != 0
+    if rewritten:
+        print(f"outputs differ and {DIGESTS} is rewritten: an intended output change")
+        return 0
+    print(f"outputs differ but {DIGESTS} is unchanged: rewrite it with tests/golden.py if the change is intended")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else "HEAD~1"))

@@ -62,9 +62,9 @@ def trained():
     """One small trained pipeline shared by the scorer tests."""
     data = generate_synthetic(SynthConfig(n_samples=4000, seed=18))
     res = split(data, seed=18)
-    scaler = fit_scaler(res.ae_train)
-    train_scaled = apply_scaler(scaler, res.ae_train)
-    val_scaled = apply_scaler(scaler, res.ae_val)
+    scaler = fit_scaler(res["ae_train"])
+    train_scaled = apply_scaler(scaler, res["ae_train"])
+    val_scaled = apply_scaler(scaler, res["ae_val"])
     net, history = train(
         init_network(default_autoencoder_specs(), seed=18),
         train_scaled,
@@ -75,9 +75,9 @@ def trained():
         "net": net,
         "history": history,
         "scaler": scaler,
-        "ae_train": res.ae_train,
+        "ae_train": res["ae_train"],
         "train_scaled": train_scaled,
-        "test": res.test,
+        "test": res["test"],
     }
 
 

@@ -311,8 +311,8 @@ def _constant_sets(n=256, dim=7):
 def _scaled_normal_sets(n=5000, seed=6):
     data = generate_synthetic(SynthConfig(n_samples=n, seed=seed))
     res = split(data, seed=seed)
-    scaler = fit_scaler(res.ae_train)
-    return apply_scaler(scaler, res.ae_train), apply_scaler(scaler, res.ae_val)
+    scaler = fit_scaler(res["ae_train"])
+    return apply_scaler(scaler, res["ae_train"]), apply_scaler(scaler, res["ae_val"])
 
 
 class TestTrain:

@@ -43,6 +43,10 @@ class TestResolve:
             resolve_config({"ae_batch_size": 12.5})
         with pytest.raises(ConfigError, match="forest_bootstrap"):
             resolve_config({"forest_bootstrap": "true"})
+        with pytest.raises(ConfigError, match="'csv_path' must be a string"):
+            resolve_config({"source": "csv", "csv_path": 5})
+        with pytest.raises(ConfigError, match="'threshold_policy' must be one of"):
+            resolve_config({"threshold_policy": "median"})
 
     def test_both_sources_rejected(self):
         with pytest.raises(ConfigError, match="both csv and synthetic"):

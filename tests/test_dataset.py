@@ -18,7 +18,7 @@ from aeromon.dataset import (
     save_csv,
     split,
 )
-from aeromon.errors import DataError, DomainError, write_atomic
+from aeromon.errors import DataError, DomainError, write_atomic, write_json_artifact
 
 HEADER = ",".join(CHANNELS)
 
@@ -371,7 +371,7 @@ class TestCsvParity:
 
         monkeypatch.setattr(dataset, "_row_text", unexpected)
         for name in ("test", "supervised_train", "ae_train", "ae_val"):
-            part = getattr(parts, name)
+            part = parts[name]
             for include_labels in (True, False):
                 ours, ref = tmp_path / f"{name}{include_labels}.csv", tmp_path / "ref.csv"
                 save_csv(part, ours, include_labels=include_labels)
@@ -423,6 +423,11 @@ class TestWriteAtomic:
         assert target.read_bytes() == b"str"
         assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
+    def test_non_finite_json_payload_writes_nothing(self, tmp_path):
+        with pytest.raises(DomainError, match="cannot write .*report.json: Out of range float values"):
+            write_json_artifact(tmp_path / "report.json", {"f1": float("nan")})
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSplit:
     def _labeled(self, n_normal, n_anom, seed=1):
@@ -437,18 +442,18 @@ class TestSplit:
         # quotas 1.2 N and 0.8 A; one leftover seat goes to the larger remainder
         ds = self._labeled(12, 8)
         res = split(ds, test_fraction=0.10, seed=5)
-        assert res.test.n == 2
-        assert _count(res.test, Label.NORMAL) == 1
-        assert _count(res.test, Label.ANOMALOUS) == 1
+        assert res["test"].n == 2
+        assert _count(res["test"], Label.NORMAL) == 1
+        assert _count(res["test"], Label.ANOMALOUS) == 1
 
     def test_same_seed_identical_membership(self):
         ds = self._labeled(60, 40)
         a = split(ds, seed=9)
         b = split(ds, seed=9)
         for part in ("test", "supervised_train", "ae_train", "ae_val"):
-            assert np.array_equal(_source_rows(ds, getattr(a, part)), _source_rows(ds, getattr(b, part)))
+            assert np.array_equal(_source_rows(ds, a[part]), _source_rows(ds, b[part]))
         c = split(ds, seed=10)
-        assert not np.array_equal(_source_rows(ds, a.test), _source_rows(ds, c.test))
+        assert not np.array_equal(_source_rows(ds, a["test"]), _source_rows(ds, c["test"]))
 
     @pytest.mark.invariant
     def test_partition_laws(self):
@@ -456,16 +461,16 @@ class TestSplit:
             ds = self._labeled(130 + seed, 70, seed=seed + 50)
             res = split(ds, seed=seed)
             test_idx, train_idx, ae_train_idx, ae_val_idx = (
-                _source_rows(ds, part) for part in (res.test, res.supervised_train, res.ae_train, res.ae_val)
+                _source_rows(ds, res[part]) for part in ("test", "supervised_train", "ae_train", "ae_val")
             )
             test, train = set(test_idx), set(train_idx)
             assert not test & train
             assert test | train == set(range(ds.n))
-            assert abs(res.test.n - round(0.10 * ds.n)) <= 1
+            assert abs(res["test"].n - round(0.10 * ds.n)) <= 1
             # per-class ratio within one sample of the global ratio
             for c in (Label.NORMAL, Label.ANOMALOUS):
                 expected = 0.10 * _count(ds, c)
-                assert abs(_count(res.test, c) - expected) <= 1
+                assert abs(_count(res["test"], c) - expected) <= 1
             ae_all = set(ae_train_idx) | set(ae_val_idx)
             assert not set(ae_train_idx) & set(ae_val_idx)
             normals_in_train = {i for i in train_idx if ds.labels[i] == 0}
@@ -475,18 +480,18 @@ class TestSplit:
     def test_ae_parts_contain_only_normals(self):
         ds = self._labeled(80, 60, seed=2)
         res = split(ds, seed=21)
-        assert (res.ae_train.labels == 0).all()
-        assert (res.ae_val.labels == 0).all()
+        assert (res["ae_train"].labels == 0).all()
+        assert (res["ae_val"].labels == 0).all()
 
     def test_fleet_scale_proportions(self):
         # 1% of the production corpus size, same 60/40 mix
         ds = self._labeled(4456, 2970, seed=77)
         res = split(ds, test_fraction=0.10, ae_val_fraction=0.10, seed=3)
-        assert res.test.n == round(0.10 * ds.n)
-        normals_after_test = _count(ds, Label.NORMAL) - _count(res.test, Label.NORMAL)
-        assert res.ae_val.n == round(0.10 * normals_after_test)
-        assert res.ae_train.n == normals_after_test - res.ae_val.n
-        assert res.ae_train.n == pytest.approx(0.9 * 0.9 * _count(ds, Label.NORMAL), rel=0.01)
+        assert res["test"].n == round(0.10 * ds.n)
+        normals_after_test = _count(ds, Label.NORMAL) - _count(res["test"], Label.NORMAL)
+        assert res["ae_val"].n == round(0.10 * normals_after_test)
+        assert res["ae_train"].n == normals_after_test - res["ae_val"].n
+        assert res["ae_train"].n == pytest.approx(0.9 * 0.9 * _count(ds, Label.NORMAL), rel=0.01)
 
     def test_small_class_rejected(self):
         feats = np.zeros((5, 7))
@@ -555,8 +560,8 @@ class TestScaler:
     def test_normals_only_fit_differs_from_full_fit(self):
         data = generate_synthetic(SynthConfig(n_samples=2000, seed=3))
         res = split(data, seed=3)
-        normals_scaler = fit_scaler(res.ae_train)
-        full_scaler = fit_scaler(res.supervised_train)
+        normals_scaler = fit_scaler(res["ae_train"])
+        full_scaler = fit_scaler(res["supervised_train"])
         assert not (
             np.array_equal(normals_scaler.mins, full_scaler.mins)
             and np.array_equal(normals_scaler.ranges, full_scaler.ranges)

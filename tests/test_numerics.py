@@ -45,7 +45,7 @@ class TestRng:
     def test_reference_seed_first_outputs_pinned(self):
         rng = Rng(REFERENCE_SEED)
         expected = [(v >> 11) * 2.0**-53 for v in _reference_stream(REFERENCE_SEED, 0, 4)]
-        assert rng.random(4).tolist() == expected
+        assert rng.uniform(0.0, 1.0, 4).tolist() == expected
         # n = 2**63 rejects nothing: each value is an output's low 63 bits
         expected = [v & (2**63 - 1) for v in _reference_stream(REFERENCE_SEED, 1, 4)]
         assert rng.randrange(2**63, 4).tolist() == expected
@@ -71,13 +71,13 @@ class TestRng:
     def test_equal_seeds_bit_identical_streams(self):
         for seed in (0, 1, 7, 2**63, REFERENCE_SEED):
             a, b = Rng(seed), Rng(seed)
-            assert np.array_equal(a.random(64), b.random(64))
+            assert np.array_equal(a.uniform(0.0, 1.0, 64), b.uniform(0.0, 1.0, 64))
             assert np.array_equal(a.normal(0.0, 1.0, 16), b.normal(0.0, 1.0, 16))
             assert np.array_equal(a.randrange(7, 16), b.randrange(7, 16))
             assert np.array_equal(a.uniform(-2.0, 3.0, 16), b.uniform(-2.0, 3.0, 16))
 
     def test_random_in_unit_interval(self):
-        vals = Rng(3).random(2000)
+        vals = Rng(3).uniform(0.0, 1.0, 2000)
         assert vals.shape == (2000,)
         assert ((0.0 <= vals) & (vals < 1.0)).all()
         assert 0.45 < vals.mean() < 0.55
@@ -175,7 +175,7 @@ class TestRng:
 
     def test_derive_seed_deterministic_and_decorrelated(self):
         assert derive_seed(42, 3) == derive_seed(42, 3)
-        assert Rng(derive_seed(42, 3)).random(1) != Rng(derive_seed(42, 4)).random(1)
+        assert Rng(derive_seed(42, 3)).uniform(0.0, 1.0, 1) != Rng(derive_seed(42, 4)).uniform(0.0, 1.0, 1)
         assert derive_seed(42, 3) != derive_seed(42, 4)
         assert derive_seed(42, 3) != derive_seed(43, 3)
 
@@ -239,7 +239,7 @@ class TestBlockRng:
                 rng.randrange(2**20, 1000)  # a power of two: no rejections
         assert rng.draws == 3
         twin.draws = 3
-        assert np.array_equal(rng.random(8), twin.random(8))
+        assert np.array_equal(rng.uniform(0.0, 1.0, 8), twin.uniform(0.0, 1.0, 8))
 
     def test_large_shuffle_is_one_draw(self):
         rng = Rng(5)
@@ -373,6 +373,10 @@ class TestCholesky:
             cholesky(np.array([[-1.0, 0.0], [0.0, -2.0]]))
         with pytest.raises(NumericError, match=not_pd):
             cholesky(np.zeros((3, 3)))
+        # eigenvalues 3 and -1: no jitter up to the cap 1e-3 * trace/d makes it positive definite
+        at_cap = "^covariance is not positive definite: factorization failed at jitter cap 0.001$"
+        with pytest.raises(NumericError, match=at_cap):
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_asymmetric_and_nonsquare(self):
         with pytest.raises(ShapeError):

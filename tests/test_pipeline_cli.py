@@ -369,6 +369,51 @@ class TestExitCodes:
         bad.write_text(json.dumps({"n_sample": 100}))
         assert main(["--config", str(bad), "--quiet", "run"]) == 2
 
+    def test_non_object_config_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert main(["--config", str(bad), "--quiet", "run"]) == 2
+        assert "error: config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["cv_folds", "histogram_bins"])
+    def test_one_fold_or_bin_is_2_before_any_stage(self, tmp_path, capsys, key):
+        cfg_file = _fast_config_file(tmp_path, **{key: 1})
+        out = tmp_path / "work"
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "run"]) == 2
+        assert f"error: {key} must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--out", "{file}", "generate"], 2),
+            (["--config", "{dir}", "generate"], 2),
+            (["--config", "{not_utf8}", "generate"], 2),
+            (["--out", "{tmp}", "histogram", "--input", "a_directory"], 3),
+            (["--config", "{csv_dir}", "--out", "{tmp}/work", "generate"], 3),
+        ],
+        ids=["out_is_a_file", "config_is_a_directory", "config_not_utf8", "histogram_input_is_a_directory",
+             "csv_path_is_a_directory"],
+    )
+    def test_unreadable_path_exits_with_its_code_not_a_traceback(self, tmp_path, args, code):
+        paths = {"tmp": tmp_path, "file": tmp_path / "a_file", "dir": tmp_path / "a_directory"}
+        paths["file"].write_text("")
+        paths["dir"].mkdir()
+        paths["not_utf8"] = tmp_path / "not_utf8.json"
+        paths["not_utf8"].write_bytes(b"\xff\xfe{}")
+        paths["csv_dir"] = tmp_path / "csv_source.json"
+        paths["csv_dir"].write_text(json.dumps({"source": "csv", "csv_path": str(paths["dir"])}))
+        argv = [arg.format(**paths) for arg in args]
+        child = subprocess.run(
+            [sys.executable, "-m", "aeromon.cli", "--quiet", *argv],
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == code, child.stderr
+        assert child.stderr.startswith("error:") and "Traceback" not in child.stderr
+
     def test_data_error_is_3(self, tmp_path):
         cfg_file = _fast_config_file(tmp_path)
         out = str(tmp_path / "empty")
@@ -403,12 +448,21 @@ class TestExitCodes:
             assert main(base + [command]) == 0
         # every row relabelled anomalous: early stopping on anomalies would pick the wrong epoch
         path = out / name
-        header, *body = path.read_text().splitlines()
-        path.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",1" for row in body]) + "\n")
+        clean = path.read_text()
+        header, *body = clean.splitlines()
+        relabelled = "\n".join([header] + [row.rsplit(",", 1)[0] + ",1" for row in body]) + "\n"
+        path.write_text(relabelled)
         capsys.readouterr()
         assert main(base + ["train-ae"]) == 3
         assert "must contain only normal samples" in capsys.readouterr().err
         assert not (out / "model_ae.json").exists()
+        if name == "ae_train.csv":  # the only split calibrate reads
+            path.write_text(clean)
+            assert main(base + ["train-ae"]) == 0
+            path.write_text(relabelled)
+            assert main(base + ["calibrate"]) == 3
+            assert "calibration data must contain only normal samples" in capsys.readouterr().err
+            assert not (out / "scorer.json").exists()
 
     @pytest.mark.parametrize(
         "key, value, keys",
@@ -420,6 +474,11 @@ class TestExitCodes:
             ("forest_n_trees", 0, "random_forest baseline"),
             ("knn_k_grid", "4", "knn baseline"),
             ("mlp_hidden_units", 0, "mlp baseline"),
+            ("synth_oat_high", -10, "synth_*"),
+            ("synth_coupling_gap", 0.5, "synth_*"),
+            ("ae_batch_size", 0, "ae_*"),
+            ("logreg_l2_grid", "-1", "logreg baseline"),
+            ("tree_max_depth", -1, "decision_tree baseline"),
         ],
     )
     def test_out_of_range_value_is_2_before_any_stage(self, tmp_path, capsys, key, value, keys):
@@ -898,6 +957,8 @@ class TestBrokenArtifacts:
             ("evaluate", "model_ae.json", _put_network(_SIX_WIDE_AE)),
             ("calibrate", "model_ae.json", _put_network(_SIGMOID_7_3_7)),
             ("score", "model_ae.json", _put_network(_SIGMOID_7_3_7)),
+            ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d["config"].update(kind="svm"))),
+            ("compare", "report_knn.json", lambda p: p.unlink()),
         ],
         ids=[
             "garbage_scaler",
@@ -969,6 +1030,8 @@ class TestBrokenArtifacts:
             "ae_six_wide_evaluate",
             "ae_sigmoid_7_3_7_calibrate",
             "ae_sigmoid_7_3_7_score",
+            "clf_kind_unknown",
+            "report_missing",
         ],
     )
     def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):
