@@ -7,10 +7,10 @@ scores strictly above the p-th percentile of the healthy training scores,
 taken as the order statistic at rank ceil(p/100 * (n-1)) (`order_statistic`), so
 between (100-p)% - 2/n and (100-p)% of tie-free training scores are flagged.
 
-Every call takes an (n, d) matrix of samples. `classify` and `calibrate` score
-residuals through one batch kernel, `score_residuals`, built from elementwise
-operations only, so a row's score is bit-identical alone or inside any batch,
-and a calibration score equals the later classification score.
+Every call takes an (n, d) matrix of samples; `classify` and `calibrate` score
+it channel-major, (d, n), through one kernel of elementwise operations only,
+`score_residuals`, so a sample's score is bit-identical alone or inside any
+batch, and a calibration score equals the later classification score.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import numpy as np
 from .autoencoder import Network, forward, forward_rows, network_to_dict  # noqa: F401
 from .dataset import Dataset, MinMaxScaler
 from .errors import DataError, DomainError, ShapeError, read_json_artifact, write_json_artifact
-from .numerics import CholeskyFactor, as_matrix, cholesky, covariance, order_statistic, row_sums, solve_spd
+from .numerics import CholeskyFactor, as_matrix, cholesky, covariance, leading_sums, order_statistic, solve_spd
 
 SCORER_FORMAT_VERSION = 2
 
 MSE_POLICY = "mse"
 MAHALANOBIS_POLICY = "mahalanobis"
 POLICY_KINDS = (MSE_POLICY, MAHALANOBIS_POLICY)
-SCORE_BLOCK_ROWS = 1024
+SCORE_BLOCK_ROWS = 4096  # samples per block: one (7, 4096) temporary is 224 KiB
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,18 @@ class ResidualStats:
 
 
 def residual(net: Network, x_scaled: np.ndarray) -> np.ndarray:
-    """r = reconstruction - input, for a scaled batch (n, d)."""
+    """r = reconstruction - input, for a scaled channel-major batch (d, n)."""
     return forward_rows(net, x_scaled) - x_scaled
 
 
 def score_residuals(stats: ResidualStats | None, r: np.ndarray) -> np.ndarray:
-    """Scores of every row of a residual batch (n, d), as an (n,) array: the mean
-    squared residual without stats, else sqrt((r - mean)^T Sigma^{-1} (r - mean))
+    """Scores of every column of a residual batch (d, n), as an (n,) array: the
+    mean squared residual without stats, else sqrt((r - mean)^T Sigma^{-1} (r - mean))
     through the Cholesky solve."""
     if stats is None:
-        return row_sums(r * r) / r.shape[-1]
-    centered = r - stats.mean
-    return np.sqrt(np.maximum(row_sums(centered * solve_spd(stats.chol, centered)), 0.0))
+        return leading_sums(r * r) / r.shape[0]
+    centered = r - stats.mean[:, None]
+    return np.sqrt(np.maximum(leading_sums(centered * solve_spd(stats.chol, centered)), 0.0))
 
 
 def fit_residual_stats(r: np.ndarray) -> ResidualStats:
@@ -117,22 +117,22 @@ def calibrate(net: Network, scaler: MinMaxScaler, ae_train: Dataset, policy: Thr
     if ae_train.is_labeled and int(ae_train.labels.max(initial=0)) != 0:
         raise DataError("calibration data must contain only normal samples")
     _require_scaler_width(scaler, net)
-    r = residual(net, scaler.transform(as_matrix(ae_train.features, net.in_dim)))
-    stats = fit_residual_stats(r) if policy.kind == MAHALANOBIS_POLICY else None
+    r = residual(net, np.ascontiguousarray(scaler.transform(as_matrix(ae_train.features, net.in_dim)).T))
+    stats = fit_residual_stats(r.T) if policy.kind == MAHALANOBIS_POLICY else None
     threshold = order_statistic(score_residuals(stats, r), policy.percentile)
     return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)
 
 
 def classify(scorer: AnomalyScorer, x_raw) -> tuple[np.ndarray, np.ndarray]:
     """(labels, scores) arrays for an (n, d) matrix of raw samples: scale,
-    reconstruct, score by MSE or Mahalanobis in row blocks that keep the
+    reconstruct, score by MSE or Mahalanobis in blocks of samples that keep the
     temporaries small, then anomalous (1) iff score > threshold, so a tie is
     normal (0). Non-finite samples raise DomainError."""
-    x = scorer.scaler.transform(as_matrix(x_raw, scorer.scaler.mins.shape[0]))
-    scores = np.empty(len(x))
-    for i in range(0, len(x), SCORE_BLOCK_ROWS):
+    x = np.ascontiguousarray(scorer.scaler.transform(as_matrix(x_raw, scorer.scaler.mins.shape[0])).T)
+    scores = np.empty(x.shape[1])
+    for i in range(0, x.shape[1], SCORE_BLOCK_ROWS):
         block = slice(i, i + SCORE_BLOCK_ROWS)
-        scores[block] = score_residuals(scorer.stats, residual(scorer.net, x[block]))
+        scores[block] = score_residuals(scorer.stats, residual(scorer.net, x[:, block]))
     return (scores > scorer.threshold).astype(np.int8), scores
 
 

@@ -167,15 +167,15 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def forward_rows(net: Network, x: np.ndarray) -> np.ndarray:
-    """Network output for a batch (n, d), one input term at a time with
-    elementwise operations, so no row depends on the batch. Every prediction
-    uses it; training keeps the BLAS `forward`."""
+    """Network output (out_dim, n) for a channel-major batch (d, n), one input
+    term at a time with elementwise operations, so no sample (column) depends on
+    the batch. Every prediction uses it; training keeps the BLAS `forward`."""
     a = x
     for w, b, spec in zip(net.weights, net.biases, net.specs):
-        z = a[:, 0:1] * w[:, 0]
+        z = w[:, 0:1] * a[0]
         for k in range(1, w.shape[1]):
-            z += a[:, k : k + 1] * w[:, k]
-        z += b
+            z += w[:, k : k + 1] * a[k]
+        z += b[:, None]
         a = _activate(spec.activation, z)
     return a
 

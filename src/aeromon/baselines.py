@@ -33,7 +33,7 @@ from .autoencoder import (
 from .dataset import Dataset, Label
 from .errors import ConfigError, DataError, DomainError, NumericError, read_json_artifact, write_json_artifact
 from .evaluation import confusion
-from .numerics import Rng, as_labels, as_matrix, derive_seed, row_sums
+from .numerics import Rng, as_labels, as_matrix, derive_seed, leading_sums
 
 CLASSIFIER_FORMAT_VERSION = 3
 
@@ -143,7 +143,7 @@ def _train_logreg(cfg: ClassifierConfig, x, y, seed):
 
 def _network_proba(model, x):
     """The output unit of a logreg or mlp network, through the row-exact `forward_rows`."""
-    return forward_rows(model.payload["network"], x)[:, 0]
+    return forward_rows(model.payload["network"], x)[0]
 
 
 def _read_network(layers, d, cfg: ClassifierConfig, n_channels: int):
@@ -171,7 +171,7 @@ def _train_gaussian_nb(cfg: ClassifierConfig, x, y, seed):
 def _gaussian_nb_proba(model, x):
     p = model.payload
     l0, l1 = (
-        -0.5 * row_sums(np.log(2.0 * math.pi * var) + (x - mean) ** 2 / var) + log_prior
+        -0.5 * leading_sums(np.log(2.0 * math.pi * var)[:, None] + (x - mean[:, None]) ** 2 / var[:, None]) + log_prior
         for mean, var, log_prior in zip(p["means"], p["variances"], p["log_priors"])
     )
     # the posterior e^l1 / (e^l0 + e^l1) is the logistic of the log-likelihood gap
@@ -209,12 +209,12 @@ def _read_knn(d, cfg: ClassifierConfig, n_channels: int):
 
 
 def _knn_neighbours(train_x, q, k):
-    """(b, n_train) mask of the k nearest training rows of each query row;
+    """(b, n_train) mask of the k nearest training rows of each query, a column of q (d, b);
     among tied distances the lower training index wins, as in a stable argsort."""
-    d2 = np.zeros((q.shape[0], train_x.shape[0]))
+    d2 = np.zeros((q.shape[1], train_x.shape[0]))
     for j in range(train_x.shape[1]):
-        # column by column: the additions of a row sum over j, in its order
-        d2 += (train_x[:, j] - q[:, j, None]) ** 2
+        # channel by channel: the additions of a row sum over j, in its order
+        d2 += (train_x[:, j] - q[j, :, None]) ** 2
     kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
     closer, tied = d2 < kth, d2 == kth
     slots = k - closer.sum(axis=1, keepdims=True)
@@ -224,9 +224,9 @@ def _knn_neighbours(train_x, q, k):
 def _knn_proba(model, x):
     train_x, positive, k = model.payload["train_features"], model.payload["train_labels"] == 1, model.config.k
     block = max(1, _KNN_BLOCK_ELEMS // train_x.shape[0])
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], block):
-        nearest = _knn_neighbours(train_x, x[start : start + block], k)
+    out = np.empty(x.shape[1])
+    for start in range(0, x.shape[1], block):
+        nearest = _knn_neighbours(train_x, x[:, start : start + block], k)
         out[start : start + block] = np.count_nonzero(nearest & positive, axis=1) / k
     return out
 
@@ -315,13 +315,13 @@ def _grow_tree(x, y, order, max_depth, min_leaf, choose_features) -> _Tree:
 
 
 def _tree_leaves(tree: _Tree, x) -> np.ndarray:
-    """Leaf index of every row of x. All rows move down one level at a time,
-    and a row goes left when x <= threshold."""
-    node = np.zeros(x.shape[0], dtype=np.int64)
-    rows = np.arange(x.shape[0])
-    while (rows := rows[tree.feature[node[rows]] >= 0]).size:  # rows still at a split
+    """Leaf index of every sample, a column of x (d, n). All samples move down
+    one level at a time, and a sample goes left when x <= threshold."""
+    node = np.zeros(x.shape[1], dtype=np.int64)
+    rows = np.arange(x.shape[1])
+    while (rows := rows[tree.feature[node[rows]] >= 0]).size:  # samples still at a split
         at = node[rows]
-        node[rows] = np.where(x[rows, tree.feature[at]] <= tree.threshold[at], tree.left[at], tree.right[at])
+        node[rows] = np.where(x[tree.feature[at], rows] <= tree.threshold[at], tree.left[at], tree.right[at])
     return node
 
 
@@ -390,10 +390,7 @@ def _train_forest(cfg: ClassifierConfig, x, y, seed: int):
 
 def _forest_proba(model, x):
     trees = model.payload["trees"]
-    votes = np.zeros(x.shape[0])
-    for tree in trees:
-        votes += tree.leaf[_tree_leaves(tree, x)] > 0.5
-    return votes / len(trees)
+    return sum(tree.leaf[_tree_leaves(tree, x)] > 0.5 for tree in trees) / len(trees)
 
 
 def _read_forest(d, cfg: ClassifierConfig, n_channels: int):
@@ -428,7 +425,7 @@ class _Kind(NamedTuple):
     """How one classifier kind trains, predicts and reads its payload back."""
 
     train: Callable  # (cfg, x, y, seed) -> payload dict
-    proba: Callable  # (model, (n, d) x) -> (n,) anomalous-class probabilities
+    proba: Callable  # (model, channel-major (d, n) x) -> (n,) anomalous-class probabilities
     read: Callable  # (file dict, cfg, n_channels) -> payload dict of a model for n_channels-wide samples
 
 
@@ -456,7 +453,7 @@ def train_classifier(cfg: ClassifierConfig, train: Dataset, seed: int) -> Classi
 def predict_proba(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
     """Anomalous-class probability of every row of an (n, d) feature matrix, d
     the model's width; another shape raises ShapeError, a non-finite value DomainError."""
-    return _KINDS[model.kind].proba(model, as_matrix(features, model.n_channels))
+    return _KINDS[model.kind].proba(model, np.ascontiguousarray(as_matrix(features, model.n_channels).T))
 
 
 def predict(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,16 +1,18 @@
 """Deterministic small-scale linear algebra, statistics, and random numbers.
 
 Everything is double precision. Matrices are C-order (row-major) float64
-ndarrays. All functions are pure; results are bit-identical for identical
-inputs on the same machine and numpy/BLAS build, which is what makes whole
-pipeline runs replayable. Random numbers come from one counter-based
-generator, `Rng`: every draw is a SplitMix64 block computed with numpy, a
-run of consecutive draws (one forest tree's feature subsets) can be computed
-as one 2-d block, and normals use numpy's `log` and `sqrt`. A block's values
-never tie, so a permutation, the argsort of one block, takes the fastest
-sort kind. Quantiles are order statistics. Every sample matrix the package
-takes is checked by one function, `as_matrix`, and every label or decision
-vector by another, `as_labels`.
+ndarrays. A sample matrix enters as (n, d), one row per sample; the scoring
+kernels (`leading_sums`, `solve_spd`) take it channel-major, as (d, n), one
+column per sample. All functions are pure; results are bit-identical for
+identical inputs on the same machine and numpy/BLAS build, which is what
+makes whole pipeline runs replayable. Random numbers come from one
+counter-based generator, `Rng`: every draw is a SplitMix64 block computed
+with numpy, a run of consecutive draws (one forest tree's feature subsets)
+can be computed as one 2-d block, and normals use numpy's `log` and `sqrt`. A
+block's values never tie, so a permutation, the argsort of one block, takes
+the fastest sort kind. Quantiles are order statistics. Every sample matrix
+the package takes is checked by one function, `as_matrix`, and every label or
+decision vector by another, `as_labels`.
 """
 
 from __future__ import annotations
@@ -268,25 +270,25 @@ def cholesky(a) -> CholeskyFactor:
     raise NumericError(f"covariance is not positive definite: factorization failed at jitter cap {cap:g}")
 
 
-def row_sums(m: np.ndarray) -> np.ndarray:
-    """Left-to-right sum over the last axis, one column at a time, so a row's
-    sum is bit-identical alone or inside any batch."""
-    acc = m[..., 0].copy()
-    for k in range(1, m.shape[-1]):
-        acc += m[..., k]
+def leading_sums(m: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, one row at a time from the first: the sum of
+    a (d, n) matrix's column is bit-identical alone or inside any batch."""
+    acc = m[0].copy()
+    for row in m[1:]:
+        acc += row
     return acc
 
 
 def solve_spd(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve (L @ L.T) x = b by forward then back substitution.
 
-    `b` is one float64 right-hand side (d,) or a batch of rows (n, d), which the
-    caller has checked; the result has the same shape. Each substitution step
-    subtracts one term at a time with elementwise operations only, so a row's
-    solution is bit-identical whether it is solved alone or inside any batch.
+    `b` is one float64 right-hand side (d,) or one per column (d, n), as in
+    `np.linalg.solve`; the caller has checked it, and the result has its shape.
+    Each step subtracts one term at a time with elementwise operations only, so
+    a column's solution is bit-identical alone or inside any batch.
     """
     lower, d = factor.lower, len(factor.lower)
-    x = np.array(b.T)  # row i holds coordinate i of every right-hand side
+    x = np.array(b)  # row i holds coordinate i of every right-hand side
     for i in range(d):  # forward: L y = b, y overwrites b
         for k in range(i):
             x[i] -= lower[i, k] * x[k]
@@ -295,7 +297,7 @@ def solve_spd(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
         for k in range(i + 1, d):
             x[i] -= lower[k, i] * x[k]
         x[i] /= lower[i, i]
-    return x.T
+    return x
 
 
 def order_statistic(values, p: float) -> float:

@@ -233,12 +233,12 @@ def train_baseline(cfg: PipelineConfig, out: _OutputDir, kind: str, train_set: D
     return best, list(zip(candidates, scores))
 
 
-def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> None:
-    """train-baselines for one kind; prints each grid candidate's CV F1 (or
-    where it stopped, against the best mean before it) and the one selected."""
+def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> list[str]:
+    """train-baselines for one kind; returns, for the runner to print, each grid candidate's
+    CV F1 (or where it stopped, against the best mean before it) and the one selected."""
     best, cv = train_baseline(cfg, out, kind, scaled_supervised_train(out))
     field = BASELINE_GRIDS[kind][0] if kind in BASELINE_GRIDS else "kind"
-    best_mean = -math.inf
+    best_mean, lines = -math.inf, []
     for cand, result in cv:
         if result is None:
             cv_f1 = "diverged"
@@ -247,8 +247,8 @@ def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> None:
         else:
             cv_f1 = f"mean F1 {result[0]:.4f} per-fold {[round(f, 4) for f in result[1]]}"
             best_mean = max(best_mean, result[0])
-        print(f"{kind} {field}={getattr(cand, field)}: {cv_f1}")
-    print(f"selected {field}={getattr(best, field)}")
+        lines.append(f"{kind} {field}={getattr(cand, field)}: {cv_f1}")
+    return lines + [f"selected {field}={getattr(best, field)}"]
 
 
 def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> None:
@@ -312,15 +312,16 @@ _STAGES.update({"score": stage_score, "train-clf": stage_train_clf, "histogram":
 
 
 def _run_stage(cfg: PipelineConfig, out: _OutputDir, name: str, fn, quiet: bool, **inputs) -> list[str]:
-    """Run one stage under the caller's lock, log its time and return the names it wrote through `out.writes`."""
+    """Run one stage under the caller's lock, log its time and return the names it wrote through `out.writes`.
+    Unless quiet, print the lines the stage returned, if any, then what it wrote."""
     out.written = []
     started = time.perf_counter()
-    fn(cfg, out, **inputs)
+    lines = fn(cfg, out, **inputs) or []
     seconds = time.perf_counter() - started
     with open(out.file("run_log.csv"), "a", encoding="utf-8", newline="") as log:
         log.write(("" if log.tell() else "stage,seconds\n") + f"{name},{seconds:.3f}\n")
     if not quiet:
-        print(f"[{name}] wrote {', '.join(out.written)} ({seconds:.2f}s)")
+        print(*lines, f"[{name}] wrote {', '.join(out.written)} ({seconds:.2f}s)", sep="\n")
     return out.written
 
 

@@ -47,7 +47,7 @@ def run_cases(tree: Path, result: Path) -> dict:
     """case -> {"digests": artifact name -> sha256, "comparison": comparison.csv text}, run under `tree`."""
     paths = [str(tree / "src"), str(tree / "tests"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    # stdout only holds train-clf's CV lines; errors go to stderr
+    # stdout holds nothing the comparison reads (a base tree may print CV lines); errors go to stderr
     child = [sys.executable, "-c", _CHILD, str(tree), str(result)]
     subprocess.run(child, env=env, cwd=tree, stdout=subprocess.DEVNULL, check=True)
     return json.loads(result.read_text())

@@ -83,23 +83,23 @@ def trained():
 
 class TestResidual:
     def test_perfect_reconstructor_zero_residual(self):
-        x = np.linspace(0.1, 0.7, 7)[None]
-        assert np.array_equal(residual(_identity_net(), x), np.zeros((1, 7)))
+        x = np.linspace(0.1, 0.7, 7)[:, None]
+        assert np.array_equal(residual(_identity_net(), x), np.zeros((7, 1)))
 
     def test_zero_network_negates_input(self):
-        x = np.full((1, 7), 0.5)
+        x = np.full((7, 1), 0.5)
         assert np.array_equal(residual(_zero_net(), x), -x)
 
-    def test_batch_rows_equal_single_rows(self, trained):
-        feats = trained["train_scaled"].features[:50]
+    def test_batch_columns_equal_single_columns(self, trained):
+        feats = trained["train_scaled"].features[:50].T
         batch = residual(trained["net"], feats)
         assert batch.shape == feats.shape
-        for row, r in zip(feats, batch):
-            assert np.array_equal(residual(trained["net"], row[None])[0], r)
+        for j in range(feats.shape[1]):
+            assert np.array_equal(residual(trained["net"], feats[:, j : j + 1])[:, 0], batch[:, j])
 
     def test_trained_residual_matches_reported_error_scale(self, trained):
         feats = trained["train_scaled"].features
-        per_sample = score_residuals(None, residual(trained["net"], feats))
+        per_sample = score_residuals(None, residual(trained["net"], feats.T))
         final_train_mse = trained["history"][-1][0]
         assert per_sample.mean() < 3.0 * final_train_mse
         assert per_sample.mean() > final_train_mse / 3.0
@@ -107,10 +107,10 @@ class TestResidual:
 
 class TestScoreMse:
     def test_perfect_reconstruction_scores_zero(self):
-        assert score_residuals(None, residual(_identity_net(), np.full((1, 7), 0.3))).tolist() == [0.0]
+        assert score_residuals(None, residual(_identity_net(), np.full((7, 1), 0.3))).tolist() == [0.0]
 
     def test_equals_residual_mse_against_zero(self, trained):
-        x = trained["train_scaled"].features[3:4]
+        x = trained["train_scaled"].features[3:4].T
         r = residual(trained["net"], x)
         assert score_residuals(None, r)[0] == pytest.approx(float(np.mean(r * r)), abs=1e-15)
 
@@ -118,7 +118,7 @@ class TestScoreMse:
         # independent oracle: pure-Python accumulation, no vectorized loss
         net = trained["net"]
         feats = trained["train_scaled"].features
-        mean_score = float(np.mean(score_residuals(None, residual(net, feats))))
+        mean_score = float(np.mean(score_residuals(None, residual(net, feats.T))))
         total = 0.0
         for row in feats:
             out = row
@@ -138,7 +138,7 @@ class TestResidualStats:
         # sees either the degeneracy error or a pure-jitter factor
         feats = np.tile(np.linspace(0.1, 0.7, 7), (20, 1))
         try:
-            stats = fit_residual_stats(residual(_zero_net(), feats))
+            stats = fit_residual_stats(residual(_zero_net(), feats.T).T)
         except NumericError as exc:  # not a ShapeError or any other numeric failure
             assert str(exc).startswith("covariance is not positive definite")
             return
@@ -150,27 +150,27 @@ class TestResidualStats:
         # cannot be rescued by jitter (non-positive trace)
         feats = np.zeros((20, 7))
         with pytest.raises(NumericError, match="^covariance is not positive definite: its trace is not positive$"):
-            fit_residual_stats(residual(_zero_net(), feats))
+            fit_residual_stats(residual(_zero_net(), feats.T).T)
 
     def test_minimum_sample_count(self):
         feats = np.random.default_rng(0).random((5, 7))
         with pytest.raises(DataError, match="residual statistics need >= 8 samples, got 5"):
-            fit_residual_stats(residual(_zero_net(), feats))
+            fit_residual_stats(residual(_zero_net(), feats.T).T)
 
     def test_recovers_generator_covariance(self):
         # zero net: residual = -x, so residual covariance equals data covariance
         rng = np.random.default_rng(55)
         sigmas = np.array([0.5, 1.0, 1.5, 2.0, 0.8, 1.2, 0.3])
         feats = np.array([[rng.normal(0.0, s) for s in sigmas] for _ in range(10_000)])
-        stats = fit_residual_stats(residual(_zero_net(), feats))
+        stats = fit_residual_stats(residual(_zero_net(), feats.T).T)
         recovered = np.diag(stats.cov)
         assert np.abs(recovered - sigmas**2).max() / (sigmas**2).max() < 0.10
         off = stats.cov - np.diag(np.diag(stats.cov))
         assert np.abs(off).max() < 0.10 * (sigmas**2).max()
 
     def test_deterministic(self, trained):
-        a = fit_residual_stats(residual(trained["net"], trained["train_scaled"].features))
-        b = fit_residual_stats(residual(trained["net"], trained["train_scaled"].features))
+        a = fit_residual_stats(residual(trained["net"], trained["train_scaled"].features.T).T)
+        b = fit_residual_stats(residual(trained["net"], trained["train_scaled"].features.T).T)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.chol.lower, b.chol.lower)
         assert a.n_fit == b.n_fit == trained["train_scaled"].n
@@ -184,11 +184,11 @@ class TestScoreMahalanobis:
 
     def test_zero_at_the_mean(self):
         stats = self._stats(np.eye(3), mean=[0.2, -0.1, 0.4])
-        assert score_residuals(stats, np.array([[0.2, -0.1, 0.4]])).tolist() == [0.0]
+        assert score_residuals(stats, np.array([[0.2], [-0.1], [0.4]])).tolist() == [0.0]
 
     def test_diagonal_two_dim_rig(self):
         stats = self._stats([[4.0, 0.0], [0.0, 1.0]])
-        assert score_residuals(stats, np.array([[2.0, 1.0]]))[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert score_residuals(stats, np.array([[2.0], [1.0]]))[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     @pytest.mark.invariant
     def test_identity_covariance_is_euclidean_norm(self):
@@ -196,12 +196,12 @@ class TestScoreMahalanobis:
         stats = self._stats(np.eye(7))
         for _ in range(50):
             r = np.array([rng.normal() for _ in range(7)])
-            assert score_residuals(stats, r[None])[0] == pytest.approx(float(np.linalg.norm(r)), abs=1e-10)
+            assert score_residuals(stats, r[:, None])[0] == pytest.approx(float(np.linalg.norm(r)), abs=1e-10)
 
     def test_centered_before_whitening(self):
         mean = np.array([1.0, 1.0])
         stats = self._stats(np.eye(2), mean=mean)
-        assert score_residuals(stats, np.array([[1.0, 2.0]]))[0] == pytest.approx(1.0, abs=1e-12)
+        assert score_residuals(stats, np.array([[1.0], [2.0]]))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCalibrationThreshold:
@@ -394,6 +394,16 @@ class TestBatchScoring:
                 m.setattr(anomaly, "SCORE_BLOCK_ROWS", 7)  # many blocks, a short last one
                 assert classify(scorer, feats)[1].tobytes() == full.tobytes()
 
+    def test_non_contiguous_input_scores_like_its_contiguous_copy(self, trained):
+        feats = trained["test"].features
+        for kind in POLICIES:
+            scorer = self._scorer(trained, kind)
+            for view in (feats[::2], np.asfortranarray(feats)):
+                assert not view.flags.c_contiguous
+                expected = classify(scorer, np.ascontiguousarray(view))
+                got = classify(scorer, view)
+                assert got[0].tobytes() == expected[0].tobytes() and got[1].tobytes() == expected[1].tobytes()
+
     def test_matrix_classify_matches_row_classify(self, trained):
         feats = trained["test"].features
         for kind in POLICIES:
@@ -414,7 +424,7 @@ class TestBatchScoring:
     def test_calibration_runs_the_network_once_per_row(self, trained, monkeypatch):
         rows = []
         real = anomaly.forward_rows
-        monkeypatch.setattr(anomaly, "forward_rows", lambda net, x: rows.append(len(x)) or real(net, x))
+        monkeypatch.setattr(anomaly, "forward_rows", lambda net, x: rows.append(x.shape[1]) or real(net, x))
         for kind in POLICIES:
             rows.clear()
             self._scorer(trained, kind)

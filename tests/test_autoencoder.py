@@ -17,6 +17,7 @@ from aeromon.autoencoder import (
     backward,
     default_autoencoder_specs,
     forward,
+    forward_rows,
     init_network,
     load_network,
     mse_loss,
@@ -99,6 +100,19 @@ class TestInit:
         with pytest.raises(ShapeError):
             init_network([LayerSpec(7, 5, "elu"), LayerSpec(4, 3, "identity")], seed=0)
 
+    @pytest.mark.parametrize("in_dim, out_dim", [(0, 3), (3, 0), (-1, 2)])
+    def test_layer_dimension_below_one_rejected(self, in_dim, out_dim):
+        with pytest.raises(DomainError, match="^layer dimensions must be >= 1$"):
+            LayerSpec(in_dim, out_dim, "elu")
+
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(DomainError, match="^unknown activation 'relu'$"):
+            LayerSpec(7, 5, "relu")
+
+    def test_network_without_layers_rejected(self):
+        with pytest.raises(ShapeError, match="^a network needs at least one layer$"):
+            Network(np.zeros(0), [])
+
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
@@ -141,6 +155,20 @@ class TestForward:
         for i in range(9):
             out_row, _ = forward(net, batch[i : i + 1])
             assert np.allclose(out_batch[i], out_row[0], atol=1e-12)
+
+    @pytest.mark.invariant
+    def test_forward_rows_reads_a_strided_view_as_its_copy(self):
+        # forward_rows takes samples channel-major, (d, n); x.T is such a view with a stride of d elements
+        net = init_network(default_autoencoder_specs(), seed=3)
+        x = np.random.default_rng(5).random((300, 7))
+        view = x.T
+        assert not view.flags.c_contiguous
+        out = forward_rows(net, view)
+        assert out.shape == (7, 300)
+        assert out.tobytes() == forward_rows(net, np.ascontiguousarray(view)).tobytes()
+        for j in range(0, 300, 37):  # a sample alone gives its column, bit for bit
+            assert forward_rows(net, view[:, j : j + 1])[:, 0].tobytes() == out[:, j].tobytes()
+        assert np.allclose(out, forward(net, x)[0].T, atol=1e-12)
 
 
 class TestMseLoss:

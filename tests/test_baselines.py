@@ -132,6 +132,11 @@ class TestGaussianNb:
 
 
 class TestLogReg:
+    @pytest.mark.parametrize("l2", [math.nan, math.inf, -math.inf])
+    def test_non_finite_l2_strength_rejected(self, l2):
+        with pytest.raises(DomainError, match="^l2_strength and learning_rate must be finite$"):
+            ClassifierConfig(LOGREG, l2_strength=l2)
+
     def test_zero_weight_model_is_tied_normal(self):
         model = ClassifierModel(
             config=ClassifierConfig(LOGREG),
@@ -263,7 +268,7 @@ class TestKnn:
         train_y = np.array([1 if rng.random() < 0.4 else 0 for _ in range(150)], dtype=np.int8)
         queries = np.array([[round(rng.uniform(0, 2)) / 2.0 for _ in range(3)] for _ in range(150)])
         for k in (1, 3, 7):
-            mask = baselines._knn_neighbours(train_x, queries, k)
+            mask = baselines._knn_neighbours(train_x, queries.T, k)
             want = []
             for q, row in zip(queries, mask):
                 nearest = np.argsort(((train_x - q) ** 2).sum(axis=1), kind="stable")[:k]
@@ -426,7 +431,7 @@ def nested_leaf_prob(node, row):
 
 
 def _leaf_sizes(tree, x):
-    return np.bincount(baselines._tree_leaves(tree, x), minlength=tree.feature.size)
+    return np.bincount(baselines._tree_leaves(tree, x.T), minlength=tree.feature.size)
 
 
 class TestPresortedGrowerOracle:
@@ -777,6 +782,11 @@ class TestSharedContracts:
 
 
 class TestCrossValidation:
+    @pytest.mark.parametrize("folds", [1, 0])
+    def test_fewer_than_two_folds_rejected(self, folds):
+        with pytest.raises(DomainError, match="^need at least 2 folds$"):
+            stratified_folds(_blobs(44, 10).labels, folds, seed=0)
+
     def test_exact_stratification_10_10(self):
         ds = _blobs(41, 10)
         folds = stratified_folds(ds.labels, 5, seed=1)

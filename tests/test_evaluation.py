@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from aeromon.config import default_config
 from aeromon.dataset import CHANNELS, Dataset, Label, save_csv
-from aeromon.errors import DataError, NumericError, ShapeError
+from aeromon.errors import DataError, DomainError, NumericError, ShapeError
 from aeromon.evaluation import (
     auroc,
     confusion,
@@ -195,6 +196,14 @@ class TestFeatureHistograms:
         feats[labels == 1, CHANNELS.index("ot")] -= 6.0
         return Dataset(feats, labels)
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(DataError, match="^cannot histogram an empty dataset$"):
+            feature_histograms(Dataset(np.zeros((0, 7)), np.zeros(0, dtype=np.int8)))
+
+    def test_one_bin_rejected(self):
+        with pytest.raises(DomainError, match="^need at least 2 bins$"):
+            feature_histograms(self._toy(), bins=1)
+
     @pytest.mark.invariant
     def test_counts_conserved_per_class(self):
         ds = self._toy()
@@ -337,3 +346,9 @@ class TestEvaluateModel:
         ds = self._test_set()
         with pytest.raises(ShapeError):
             evaluate_model(lambda x: (np.zeros(len(x) - 1), np.zeros(len(x))), ds)
+
+    @pytest.mark.parametrize("shape", [(101,), (100, 1), ()])
+    def test_wrong_shape_scores_rejected(self, shape):
+        ds = self._test_set()  # 100 rows
+        with pytest.raises(ShapeError, match=re.escape(f"decider returned scores of shape {shape}, expected (100,)")):
+            evaluate_model(lambda x: (np.zeros(len(x)), np.zeros(shape)), ds)

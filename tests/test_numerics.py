@@ -403,6 +403,21 @@ class TestSolveSpd:
             assert np.abs(a @ x - b).max() < 1e-9
 
     @pytest.mark.invariant
+    def test_each_column_solves_as_alone(self):
+        # B (d, n) holds one right-hand side per column, as in np.linalg.solve
+        rng = np.random.default_rng(37)
+        for d in (1, 3, 7):
+            a = _random_spd(rng, d)
+            b = rng.normal(size=(d, 40))
+            kept = b.copy()
+            x = solve_spd(cholesky(a), b)
+            assert x.shape == (d, 40) and np.array_equal(b, kept)
+            for j in range(40):
+                assert solve_spd(cholesky(a), b[:, j]).tobytes() == x[:, j].tobytes()
+            assert solve_spd(cholesky(a), b[:, ::3]).tobytes() == x[:, ::3].tobytes()  # a strided B
+            assert np.abs(a @ x - b).max() < 1e-9
+
+    @pytest.mark.invariant
     def test_round_trip_recovers_solution(self):
         # solve_spd(cholesky(A, 0), A @ x0) == x0 for seeded SPD systems, d <= 10
         rng = np.random.default_rng(31)

@@ -306,9 +306,10 @@ class TestCliStages:
         fits = []
         fit = baselines.train_classifier
         monkeypatch.setattr(baselines, "train_classifier", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
-        assert main(base + ["train-clf", "--kind", "knn", "--k", "1,5"]) == 0
+        assert main(base[:-1] + ["train-clf", "--kind", "knn", "--k", "1,5"]) == 0  # not quiet
         monkeypatch.undo()
         printed = capsys.readouterr().out.splitlines()
+        assert printed.pop().startswith("[train-clf] wrote clf_knn.json (")
         assert (Path(out) / "clf_knn.json").exists()
 
         # the racing rule replayed on each candidate's exhaustive cross_validate
@@ -343,11 +344,22 @@ class TestCliStages:
             written = (out / f"clf_{kind}.json").read_bytes()
             (out / f"clf_{kind}.json").unlink()
             capsys.readouterr()
-            assert main(base + ["train-clf", "--kind", kind]) == 0
+            assert main(base[:-1] + ["train-clf", "--kind", kind]) == 0  # not quiet
             assert (out / f"clf_{kind}.json").read_bytes() == written, kind
-        printed = capsys.readouterr().out.splitlines()  # one line per grid value, then the selected one
+        # one line per grid value, then the selected one, then what the stage wrote
+        printed = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in printed[:2]] == ["logreg l2_strength=0.0", "logreg l2_strength=0.1"]
-        assert len(printed) == 2 + 1 and printed[2].startswith("selected l2_strength=")
+        assert len(printed) == 2 + 1 + 1 and printed[2].startswith("selected l2_strength=")
+        assert printed[3].startswith("[train-clf] wrote clf_logreg.json (")
+
+    def test_quiet_train_clf_prints_nothing(self, tmp_path, capsys):
+        cfg_file = _fast_config_file(tmp_path, logreg_l2_grid="0,0.1")  # a grid, so there are CV lines to hold back
+        base = ["--config", str(cfg_file), "--out", str(tmp_path / "work"), "--quiet"]
+        for command in ("generate", "split", "fit-scalers"):
+            assert main(base + [command]) == 0
+        capsys.readouterr()
+        assert main(base + ["train-clf", "--kind", "logreg"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_run_command(self, tmp_path):
         cfg_file = _fast_config_file(tmp_path)
