@@ -7,10 +7,11 @@ scores strictly above the p-th percentile of the healthy training scores,
 taken as the order statistic at rank ceil(p/100 * (n-1)) (`order_statistic`), so
 between (100-p)% - 2/n and (100-p)% of tie-free training scores are flagged.
 
-Every call takes an (n, d) matrix of samples; `classify` and `calibrate` score
-it channel-major, (d, n), through one kernel of elementwise operations only,
-`score_residuals`, so a sample's score is bit-identical alone or inside any
+`classify` and `calibrate` take an (n, d) matrix of samples and score it
+channel-major: `residual` and `score_residuals`, elementwise operations only,
+take a (d, n) batch, so a sample's score is bit-identical alone or inside any
 batch, and a calibration score equals the later classification score.
+`fit_residual_stats` takes the healthy residuals row-major, (n, d).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .baselines import CLASSIFIER_KINDS, ClassifierConfig
-from .config import PipelineConfig, baseline_key, default_config, load_config
+from .baselines import CLASSIFIER_KINDS
+from .config import PipelineConfig, default_config, load_config
 from .errors import ToolkitError
 from .pipeline import run_pipeline, run_stage
 
@@ -36,19 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="score a feature-only CSV (never reads labels)")
     p_score.add_argument("--input", dest="input_name", help="feature CSV inside the output directory")
 
-    p_clf = sub.add_parser("train-clf", help="train one supervised baseline standalone")
+    # no abbreviations: --k, a removed flag, would otherwise be taken for --kind
+    p_clf = sub.add_parser("train-clf", allow_abbrev=False, help="train-baselines for one kind, listed or not")
     p_clf.add_argument("--kind", required=True, choices=CLASSIFIER_KINDS)
-    # each hyperparameter flag's dest is its ClassifierConfig field; it overrides the kind's config key
-    p_clf.add_argument("--k", help="k-NN neighbour count (a comma grid is selected over by CV F1)")
-    p_clf.add_argument("--l2", dest="l2_strength", help="logreg L2 strength (a comma grid is selected over by CV F1)")
-    p_clf.add_argument("--lr", dest="learning_rate", type=float, help="learning rate (logreg/mlp)")
-    p_clf.add_argument("--epochs", type=int, help="training epochs (logreg/mlp)")
-    p_clf.add_argument("--trees", dest="n_trees", type=int, help="forest size")
-    p_clf.add_argument("--features-per-split", type=int)
-    p_clf.add_argument("--max-depth", type=int, help="0 means unbounded")
-    p_clf.add_argument("--min-leaf", type=int)
-    p_clf.add_argument("--hidden-units", type=int)
-    p_clf.add_argument("--batch-size", type=int)
 
     sub.add_parser("evaluate", help="evaluate the scorer and every configured baseline on the test set")
     sub.add_parser("compare", help="assemble the per-model comparison CSV")
@@ -66,10 +56,6 @@ def _resolve(args) -> PipelineConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.command == "train-clf":
-        for name, value in vars(args).items():
-            if name != "kind" and name in ClassifierConfig.__dataclass_fields__ and value is not None:
-                overrides[baseline_key(args.kind, name)] = value
     if args.config is not None:
         return load_config(args.config, overrides)
     return default_config(overrides)

@@ -75,13 +75,6 @@ _BASELINE_PREFIXES = {
 BASELINE_GRIDS = {"logreg": ("l2_strength", "logreg_l2_grid"), "knn": ("k", "knn_k_grid")}
 
 
-def baseline_key(kind: str, name: str) -> str:
-    """The config key that sets ClassifierConfig field `name` of a `kind` baseline;
-    a kind that has no such key gets a name that resolve_config rejects."""
-    grid_field, grid_key = BASELINE_GRIDS.get(kind, (None, None))
-    return grid_key if name == grid_field else _BASELINE_PREFIXES[kind] + name
-
-
 # stage indexes for deriving per-stage seeds from the config seed
 STAGE_GENERATE = 11
 STAGE_SPLIT = 12

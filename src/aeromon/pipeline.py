@@ -7,7 +7,7 @@ takes the CSV splits, scalers, autoencoder and scorer that an earlier stage of
 that command wrote from memory; a standalone command parses the files it
 reads. The labelled test split is written twice: `test.csv` with its labels,
 which only the evaluate stage opens, and `test_features.csv` without them,
-which the scoring stage reads.
+which the scoring stage reads. `train-clf` is train-baselines for one kind.
 
 Fixed artifact names inside the output directory:
 
@@ -26,7 +26,7 @@ Fixed artifact names inside the output directory:
     comparison.csv              Model,Precision,Recall,F1-score,Accuracy
     scores.csv                  index,score,decision (score stage)
     histograms.csv              channel,class,bin_index,bin_left,bin_right,count (histogram stage)
-    manifest.json               config hash + artifact list (deterministic)
+    manifest.json               config hash + artifact list (deterministic; removed as run starts)
     run_log.csv                 stage,seconds appended by every stage, standalone or in run (not hashed)
 """
 
@@ -222,40 +222,31 @@ def scaled_supervised_train(out: _OutputDir) -> Dataset:
     return apply_scaler(out.read_scaler("scaler_supervised.json"), supervised)
 
 
-def train_baseline(cfg: PipelineConfig, out: _OutputDir, kind: str, train_set: Dataset) -> tuple:
-    """Fit the `kind` baseline on `train_set` and write clf_<kind>.json. A grid
-    of more than one value is selected over by CV F1, a candidate that can no
-    longer win stopping early. Returns the chosen candidate and (candidate,
-    cross_validate result) per candidate, none for one."""
-    candidates = cfg.baseline_candidates(kind)
-    best, model, scores = select_model(candidates, train_set, seed=cfg.baseline_seed(kind), folds=cfg["cv_folds"])
-    save_model(model, out.writes(f"clf_{kind}.json"))
-    return best, list(zip(candidates, scores))
-
-
-def stage_train_clf(cfg: PipelineConfig, out: _OutputDir, kind: str) -> list[str]:
-    """train-baselines for one kind; returns, for the runner to print, each grid candidate's
-    CV F1 (or where it stopped, against the best mean before it) and the one selected."""
-    best, cv = train_baseline(cfg, out, kind, scaled_supervised_train(out))
-    field = BASELINE_GRIDS[kind][0] if kind in BASELINE_GRIDS else "kind"
-    best_mean, lines = -math.inf, []
-    for cand, result in cv:
-        if result is None:
-            cv_f1 = "diverged"
-        elif len(result[1]) < cfg["cv_folds"]:
-            cv_f1 = f"stopped after fold {len(result[1])} (bound {result[0]:.4f} <= {best_mean:.4f})"
-        else:
-            cv_f1 = f"mean F1 {result[0]:.4f} per-fold {[round(f, 4) for f in result[1]]}"
-            best_mean = max(best_mean, result[0])
-        lines.append(f"{kind} {field}={getattr(cand, field)}: {cv_f1}")
-    return lines + [f"selected {field}={getattr(best, field)}"]
-
-
-def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir) -> None:
-    kinds = cfg.baseline_kinds()
+def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir, kind: str | None = None) -> list[str]:
+    """Fit `kind`, or with none every kind of `baseline_kinds`, and write each clf_<kind>.json.
+    A grid of more than one value is selected over by CV F1, a candidate that can no longer
+    win stopping early. Returns, for the runner to print, each grid candidate's CV F1 (or
+    where it stopped, against the best mean before it) and the one selected, kind by kind."""
+    kinds = cfg.baseline_kinds() if kind is None else [kind]
     train_set = scaled_supervised_train(out) if kinds else None  # no baselines, no supervised_train.csv read
+    lines = []
     for kind in kinds:
-        train_baseline(cfg, out, kind, train_set)
+        candidates = cfg.baseline_candidates(kind)
+        best, model, cv = select_model(candidates, train_set, seed=cfg.baseline_seed(kind), folds=cfg["cv_folds"])
+        save_model(model, out.writes(f"clf_{kind}.json"))
+        field = BASELINE_GRIDS[kind][0] if kind in BASELINE_GRIDS else "kind"
+        best_mean = -math.inf
+        for cand, result in zip(candidates, cv):
+            if result is None:
+                cv_f1 = "diverged"
+            elif len(result[1]) < cfg["cv_folds"]:
+                cv_f1 = f"stopped after fold {len(result[1])} (bound {result[0]:.4f} <= {best_mean:.4f})"
+            else:
+                cv_f1 = f"mean F1 {result[0]:.4f} per-fold {[round(f, 4) for f in result[1]]}"
+                best_mean = max(best_mean, result[0])
+            lines.append(f"{kind} {field}={getattr(cand, field)}: {cv_f1}")
+        lines.append(f"selected {field}={getattr(best, field)}")
+    return lines
 
 
 def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> None:
@@ -306,9 +297,9 @@ _PIPELINE_STAGES = (
     ("compare", stage_compare),
 )
 
-# what one command runs alone: run's stages but train-baselines, whose one-kind form is train-clf
-_STAGES = {name: fn for name, fn in _PIPELINE_STAGES if fn is not stage_train_baselines}
-_STAGES.update({"score": stage_score, "train-clf": stage_train_clf, "histogram": stage_histogram})
+# what one command runs alone: run's stages, train-baselines as train-clf (one --kind), score and histogram
+_STAGES = {"train-clf" if name == "train-baselines" else name: fn for name, fn in _PIPELINE_STAGES}
+_STAGES.update({"score": stage_score, "histogram": stage_histogram})
 
 
 def _run_stage(cfg: PipelineConfig, out: _OutputDir, name: str, fn, quiet: bool, **inputs) -> list[str]:
@@ -336,8 +327,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> dict
     """Execute every stage in order; bit-identical outputs for a fixed config.
     Returns the manifest, the dict written to manifest.json.
 
-    A stage failure aborts the run with the stage name attached; the partial
-    manifest (flagged `partial`) lists only the artifacts of finished stages.
+    An earlier run's manifest.json is removed before the first stage, so a run
+    that is stopped leaves none that describes files it replaced. A stage
+    failure aborts the run with the stage name attached; the partial manifest
+    (flagged `partial`) lists only the artifacts of finished stages.
     """
     out = _OutputDir(out_dir if out_dir is not None else cfg["out_dir"])
     # stage timings go to run_log.csv, not here: the manifest file must be
@@ -349,6 +342,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> dict
         "artifacts": [],
     }
     with _locked(out):
+        out.file("manifest.json").unlink(missing_ok=True)
         for name, fn in _PIPELINE_STAGES:
             try:
                 written = _run_stage(cfg, out, name, fn, quiet)

@@ -4,12 +4,11 @@ import json
 import pytest
 
 from aeromon.baselines import _KINDS, CLASSIFIER_KINDS, ClassifierConfig
-from aeromon.cli import _build_parser, _resolve
+from aeromon.cli import _build_parser
 from aeromon.config import (
     BASELINE_GRIDS,
     _BASELINE_PREFIXES,
     _SCHEMA,
-    baseline_key,
     default_config,
     load_config,
     resolve_config,
@@ -186,17 +185,6 @@ class TestBaselineKeys:
         # the order fixes each kind's training seed (PipelineConfig.baseline_seed) in every run
         assert CLASSIFIER_KINDS == ("logreg", "gaussian_nb", "knn", "decision_tree", "random_forest", "mlp")
 
-    def test_train_clf_flags_override_the_kinds_keys(self):
-        parser = _build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        # a flag whose dest names no ClassifierConfig field would be dropped silently
-        dests = {a.dest for a in sub.choices["train-clf"]._actions} - {"help", "kind"}
-        assert dests <= set(ClassifierConfig.__dataclass_fields__)
-        args = parser.parse_args(["train-clf", "--kind", "random_forest", "--trees", "5", "--max-depth", "3"])
-        assert _resolve(args).baseline_candidates("random_forest") == [
-            ClassifierConfig("random_forest", n_trees=5, max_depth=3)
-        ]
-
     def test_table_names_schema_keys_and_config_fields(self):
         # a key under a kind's prefix that names no field would silently miss its model
         fields = set(ClassifierConfig.__dataclass_fields__) - {"kind"}
@@ -204,9 +192,10 @@ class TestBaselineKeys:
             grid_field, grid_key = BASELINE_GRIDS.get(kind, (None, None))
             for key in (k for k in _SCHEMA if k.startswith(prefix)):
                 assert key == grid_key or key[len(prefix) :] in fields, key
-                assert baseline_key(kind, grid_field if key == grid_key else key[len(prefix) :]) == key
             if grid_key is not None:
+                # the grid is its field's one key: no prefix + field key beside it
                 assert grid_field in fields and _SCHEMA[grid_key][0].startswith("grid_")
+                assert grid_key.startswith(prefix) and prefix + grid_field not in _SCHEMA
 
     def test_candidates_read_their_keys(self):
         cfg = default_config(

@@ -222,6 +222,22 @@ class TestRunPipeline:
         finished = {p.name for p in out.iterdir()} - {"clf_gaussian_nb.json", "manifest.json", "run_log.csv"}
         assert manifest["artifacts"] == sorted(finished)
 
+    def test_stopped_run_leaves_no_earlier_manifest(self, tmp_path, monkeypatch):
+        # a finished seed-1 run, then a seed-2 run into the same directory stopped in fit-scalers
+        out, _ = _run(tmp_path, "a", seed=1)
+        first_data = (out / "data.csv").read_bytes()
+
+        def stopped(cfg, out):
+            raise KeyboardInterrupt
+
+        stages = tuple((name, stopped if name == "fit-scalers" else fn) for name, fn in _PIPELINE_STAGES)
+        monkeypatch.setattr(pipeline, "_PIPELINE_STAGES", stages)
+        with pytest.raises(KeyboardInterrupt):
+            _run(tmp_path, "a", seed=2)
+        assert (out / "data.csv").read_bytes() != first_data  # seed 2's files ...
+        assert not (out / "manifest.json").exists()  # ... and no manifest of seed 1 beside them
+        assert not (out / LOCK_NAME).exists()
+
     def test_csv_source_round_trip(self, tmp_path):
         data = generate_synthetic(SynthConfig(n_samples=600, seed=3))
         src = tmp_path / "telemetry.csv"
@@ -254,9 +270,8 @@ class TestCliStages:
         base = ["--config", str(cfg_file), "--out", out, "--quiet"]
         for command in ("generate", "split", "fit-scalers", "train-ae", "calibrate", "score"):
             assert main(base + [command]) == 0, command
-        assert main(base + ["train-clf", "--kind", "knn", "--k", "5"]) == 0
-        # evaluate needs every configured baseline; train the rest
-        for kind in ("logreg", "gaussian_nb", "decision_tree", "random_forest", "mlp"):
+        # evaluate needs every configured baseline
+        for kind in baselines.CLASSIFIER_KINDS:
             assert main(base + ["train-clf", "--kind", kind]) == 0
         assert main(base + ["evaluate"]) == 0
         assert main(base + ["compare"]) == 0
@@ -297,7 +312,7 @@ class TestCliStages:
         assert len(lines) > 1
 
     def test_train_clf_cv_selects_over_grid(self, tmp_path, capsys, monkeypatch):
-        cfg_file = _fast_config_file(tmp_path)
+        cfg_file = _fast_config_file(tmp_path, knn_k_grid="1,5")
         out = str(tmp_path / "work")
         base = ["--config", str(cfg_file), "--out", out, "--quiet"]
         for command in ("generate", "split", "fit-scalers"):
@@ -306,7 +321,7 @@ class TestCliStages:
         fits = []
         fit = baselines.train_classifier
         monkeypatch.setattr(baselines, "train_classifier", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
-        assert main(base[:-1] + ["train-clf", "--kind", "knn", "--k", "1,5"]) == 0  # not quiet
+        assert main(base[:-1] + ["train-clf", "--kind", "knn"]) == 0  # not quiet
         monkeypatch.undo()
         printed = capsys.readouterr().out.splitlines()
         assert printed.pop().startswith("[train-clf] wrote clf_knn.json (")
@@ -351,6 +366,36 @@ class TestCliStages:
         assert [line.split(":")[0] for line in printed[:2]] == ["logreg l2_strength=0.0", "logreg l2_strength=0.1"]
         assert len(printed) == 2 + 1 + 1 and printed[2].startswith("selected l2_strength=")
         assert printed[3].startswith("[train-clf] wrote clf_logreg.json (")
+
+    def test_run_prints_each_kinds_train_clf_lines(self, tmp_path, capsys):
+        # run not quiet prints, before what train-baselines wrote, what train-clf prints for each kind
+        cfg_file = _fast_config_file(tmp_path, logreg_l2_grid="0,0.1")
+        out = tmp_path / "work"
+        base = ["--config", str(cfg_file), "--out", str(out)]
+        assert main(base + ["run"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        wrote = next(i for i, line in enumerate(printed) if line.startswith("[train-baselines] wrote "))
+        kinds, expected = default_config(dict(FAST_KEYS)).baseline_kinds(), []
+        for kind in kinds:
+            written = (out / f"clf_{kind}.json").read_bytes()
+            assert main(base + ["train-clf", "--kind", kind]) == 0
+            assert (out / f"clf_{kind}.json").read_bytes() == written, kind
+            alone = capsys.readouterr().out.splitlines()
+            assert alone.pop().startswith("[train-clf] wrote ")
+            expected += alone
+        # logreg's two candidates, then each kind's selection
+        assert [line.split(":")[0] for line in expected[:2]] == ["logreg l2_strength=0.0", "logreg l2_strength=0.1"]
+        assert len(expected) == 2 + len(kinds)
+        assert printed[wrote - len(expected) - 1].startswith("[calibrate] wrote ")
+        assert printed[wrote - len(expected) : wrote] == expected
+
+    def test_train_clf_fits_a_kind_baseline_kinds_leaves_out(self, tmp_path):
+        cfg_file = _fast_config_file(tmp_path, baseline_kinds="")
+        out = tmp_path / "work"
+        base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
+        for command in ("generate", "split", "fit-scalers", "train-clf --kind knn"):
+            assert main(base + command.split()) == 0
+        assert sorted(p.name for p in out.glob("clf_*.json")) == ["clf_knn.json"]
 
     def test_quiet_train_clf_prints_nothing(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path, logreg_l2_grid="0,0.1")  # a grid, so there are CV lines to hold back
@@ -509,9 +554,11 @@ class TestExitCodes:
         base = ["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet"]
         for command in ("generate", "split", "fit-scalers"):
             assert main(base + [command]) == 0
-        assert main(base + ["train-clf", "--kind", "random_forest", "--features-per-split", "8"]) == 2
+        _fast_config_file(tmp_path, forest_features_per_split=8)  # rewrites the config file
+        assert main(base + ["train-clf", "--kind", "random_forest"]) == 2
         assert not (out / "clf_random_forest.json").exists()
-        assert main(base + ["train-clf", "--kind", "random_forest", "--features-per-split", "7"]) == 0
+        _fast_config_file(tmp_path, forest_features_per_split=7)
+        assert main(base + ["train-clf", "--kind", "random_forest"]) == 0
 
     def test_zero_ae_val_fraction_is_2_before_any_stage(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path, ae_val_fraction=0)
@@ -529,19 +576,26 @@ class TestExitCodes:
         assert "stage 'split' failed" in err and "test part of the split would be empty" in err
         assert json.loads((out / "manifest.json").read_text())["artifacts"] == ["data.csv"]
 
-    def test_non_finite_train_clf_flag_is_rejected(self, tmp_path, capsys):
+    def test_non_finite_baseline_key_stops_train_clf(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path)
         out = tmp_path / "work"
         base = ["--config", str(cfg_file), "--out", str(out), "--quiet"]
         for command in ("generate", "split", "fit-scalers"):
             assert main(base + [command]) == 0
-        # a flag overrides the kind's config key and is validated like that key in a file;
-        # a flag the kind has no key for is rejected, not ignored
-        for kind, flags in (("logreg", ["--lr", "nan"]), ("logreg", ["--l2", "inf"]), ("knn", ["--trees", "5"])):
-            assert main(base + ["train-clf", "--kind", kind, *flags]) == 2
-        assert "knn_n_trees" in capsys.readouterr().err
+        capsys.readouterr()
+        for key, value in (("logreg_learning_rate", math.nan), ("logreg_l2_grid", "inf")):
+            _fast_config_file(tmp_path, **{key: value})  # rewrites cfg_file
+            assert main(base + ["train-clf", "--kind", "logreg"]) == 2
+            assert key in capsys.readouterr().err
         assert not (out / "clf_logreg.json").exists()
-        assert not (out / "clf_knn.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--k", "5"], ["--trees", "5"], ["--l2", "0"]])
+    def test_hyperparameter_flag_is_2_through_argparse(self, capsys, flag):
+        # hyperparameters come from the config file only; --k is not taken for --kind
+        with pytest.raises(SystemExit) as exited:
+            main(["train-clf", "--kind", "knn", *flag])
+        assert exited.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_diverged_fit_is_not_written(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path)
@@ -554,7 +608,8 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             capsys.readouterr()
-            assert main(base + ["train-clf", "--kind", "mlp", "--lr", "1e300", "--epochs", "3"]) == 4
+            _fast_config_file(tmp_path, mlp_learning_rate=1e300, mlp_epochs=3)  # rewrites cfg_file
+            assert main(base + ["train-clf", "--kind", "mlp"]) == 4
             assert capsys.readouterr().err == "error: mlp fit diverged\n"
             _fast_config_file(tmp_path, ae_learning_rate=1e300)  # rewrites cfg_file
             assert main(base + ["train-ae"]) == 4
@@ -573,20 +628,22 @@ class TestExitCodes:
         # outputs saturate to exactly 0 and 1, whose log raises no divide warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for flags in (["--l2", "1"], ["--lr", "1e300"]):
-                assert main(base + ["train-clf", "--kind", "logreg", *flags]) == 4
+            for keys in ({"logreg_l2_grid": "1"}, {"logreg_learning_rate": 1e300}):
+                _fast_config_file(tmp_path, **keys)  # rewrites cfg_file
+                assert main(base + ["train-clf", "--kind", "logreg"]) == 4
                 assert capsys.readouterr().err == "error: logreg fit diverged\n"
         assert not (out / "clf_logreg.json").exists()
 
     def test_diverged_candidate_is_reported_and_skipped(self, tmp_path, capsys):
         out = tmp_path / "work"
-        base = ["--config", str(_fast_config_file(tmp_path)), "--out", str(out)]
+        base = ["--config", str(_fast_config_file(tmp_path, logreg_l2_grid="0")), "--out", str(out)]
         for command in ("generate", "split", "fit-scalers"):
             assert main(base + ["--quiet", command]) == 0
-        assert main(base + ["--quiet", "train-clf", "--kind", "logreg", "--l2", "0"]) == 0
+        assert main(base + ["--quiet", "train-clf", "--kind", "logreg"]) == 0
         alone = (out / "clf_logreg.json").read_bytes()
         capsys.readouterr()
-        assert main(base + ["train-clf", "--kind", "logreg", "--l2", "0,1"]) == 0
+        _fast_config_file(tmp_path, logreg_l2_grid="0,1")  # rewrites the config file
+        assert main(base + ["train-clf", "--kind", "logreg"]) == 0
         printed = capsys.readouterr().out.splitlines()
         assert printed[0].startswith("logreg l2_strength=0.0: mean F1 ")
         assert printed[1:3] == ["logreg l2_strength=1.0: diverged", "selected l2_strength=0.0"]
@@ -686,6 +743,19 @@ class TestStageRunner:
         rows = log[len(standalone) :].splitlines()
         assert [row.split(",")[0] for row in rows] == [name for name, _ in _PIPELINE_STAGES]
         assert all(re.fullmatch(r"[a-z-]+,\d+\.\d{3}", row) for row in standalone.splitlines()[1:] + rows)
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        commands = [line.split("#")[0].split() for block in blocks for line in block.splitlines()]
+        commands = [argv for argv in commands if argv[:1] == ["aeromon"]]
+        assert len(commands) >= 12
+        parser = _build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {' '.join(argv)}")
 
     def test_runner_table_matches_the_parser(self):
         parser = _build_parser()
