@@ -93,16 +93,6 @@ def _times_prime(name, delta, z, a):
     return delta
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=0) of an (n, k) matrix, bit for bit. On a C-order matrix of
-    two or more columns, sum adds whole rows in order, one inner call per row,
-    and einsum makes the same adds in one call. With one column (or another
-    memory order) sum adds pairwise and einsum does not, so those keep sum."""
-    if a.shape[1] > 1 and a.flags.c_contiguous:
-        return np.einsum("ij->j", a)
-    return a.sum(axis=0)
-
-
 def _layer_views(flat: np.ndarray, specs: list[LayerSpec]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Each layer's (out_dim, in_dim) weights and (out_dim,) biases as views into
     one flat vector that holds, layer by layer, the weights row-major, then the biases."""
@@ -156,11 +146,14 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
 
 
 def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run the network over a batch (n, d); cache holds (input, [(z, a) per layer])."""
+    """Run the network over a channel-major batch x (d, n), one column per
+    sample, with BLAS products; the output is (out_dim, n). Training uses it;
+    cache holds (input, [(z, a) per layer])."""
     a = x
     layer_cache = []
     for w, b, spec in zip(net.weights, net.biases, net.specs):
-        z = a @ w.T + b
+        z = w @ a
+        z += b[:, None]
         a = _activate(spec.activation, z)
         layer_cache.append((z, a))
     return a, [x, layer_cache]
@@ -169,7 +162,8 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, list]:
 def forward_rows(net: Network, x: np.ndarray) -> np.ndarray:
     """Network output (out_dim, n) for a channel-major batch (d, n), one input
     term at a time with elementwise operations, so no sample (column) depends on
-    the batch. Every prediction uses it; training keeps the BLAS `forward`."""
+    the batch. Every prediction uses it; training keeps the BLAS `forward`,
+    which takes the same layout."""
     a = x
     for w, b, spec in zip(net.weights, net.biases, net.specs):
         z = w[:, 0:1] * a[0]
@@ -187,28 +181,29 @@ def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> float:
 
 
 def _backprop_from_output_delta(net: Network, cache, delta: np.ndarray) -> np.ndarray:
-    """Gradient of every parameter given dL/dz at the output layer, one row per
-    batch sample; each gradient sums over the rows. Laid out like `net.params`."""
+    """Gradient of every parameter given dL/dz at the output layer, (out_dim, n),
+    one column per batch sample; each gradient sums over the columns. Laid out
+    like `net.params`."""
     x, layer_cache = cache
     grad = np.empty_like(net.params)
     grad_w, grad_b = _layer_views(grad, net.specs)
     for i in range(len(net.specs) - 1, -1, -1):
         a_prev = x if i == 0 else layer_cache[i - 1][1]
-        grad_w[i][...] = delta.T @ a_prev
-        grad_b[i][...] = _column_sums(delta)
+        np.matmul(delta, a_prev.T, out=grad_w[i])
+        delta.sum(axis=1, out=grad_b[i])
         if i > 0:
             z_prev, a_prev_act = layer_cache[i - 1]
-            delta = _times_prime(net.specs[i - 1].activation, delta @ net.weights[i], z_prev, a_prev_act)
+            delta = _times_prime(net.specs[i - 1].activation, net.weights[i].T @ delta, z_prev, a_prev_act)
     return grad
 
 
 def backward(net: Network, cache, x: np.ndarray) -> np.ndarray:
     """Exact gradient of mse_loss(x, forward(net, x)) for every parameter,
-    for a batch x (n, d): gradients are averaged over rows (the mean-loss
-    gradient). The vector is laid out like `net.params`.
+    for a channel-major batch x (d, n): gradients are averaged over the samples
+    (the mean-loss gradient). The vector is laid out like `net.params`.
     """
     z_last, a_last = cache[1][-1]
-    n, d = x.shape
+    d, n = x.shape
     dloss_da = (2.0 / d) * (a_last - x) / n
     delta = _times_prime(net.specs[-1].activation, dloss_da, z_last, a_last)
     return _backprop_from_output_delta(net, cache, delta)
@@ -246,20 +241,20 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
 
 def adam_epochs(net: Network, x: np.ndarray, target, batch_size: int, lr: float, rng: Rng, grads_of):
     """Endless minibatch Adam on `net.params` in place, one epoch per iteration:
-    shuffle the rows of x (n, d) with `rng`, then one `adam_step` per slice of
-    `batch_size` rows (the last may be short) with `grads_of(net, cache,
-    target_rows)`. `target` (n, k) is the output to fit, None to reconstruct x.
-    Yields (AdamState, the epoch's summed squared output error); a caller may
-    change `state.lr` between epochs."""
+    shuffle the samples, the columns of the channel-major x (d, n), with `rng`,
+    then one `adam_step` per slice of `batch_size` samples (the last may be
+    short) with `grads_of(net, cache, batch_target)`. `target` (k, n) is the
+    output to fit, None to reconstruct x. Yields (AdamState, the epoch's summed
+    squared output error); a caller may change `state.lr` between epochs."""
     state = AdamState.for_params(net.params, lr)
-    order = np.arange(x.shape[0])
+    order = np.arange(x.shape[1])
     while True:
         rng.shuffle(order)
         sq_err_sum = 0.0
-        for start in range(0, x.shape[0], batch_size):
-            rows = order[start : start + batch_size]
-            batch = x[rows]
-            batch_target = batch if target is None else target[rows]
+        for start in range(0, x.shape[1], batch_size):
+            cols = order[start : start + batch_size]
+            batch = x.take(cols, axis=1)  # C-order; x[:, cols] would come out Fortran-order
+            batch_target = batch if target is None else target.take(cols, axis=1)
             out, cache = forward(net, batch)
             diff = out - batch_target
             sq_err_sum += float((diff * diff).sum())
@@ -303,9 +298,9 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
     training at once: NaN weights never recover. Returns the weights of the
     best validation epoch and the history, one (train_mse, val_mse, lr) per epoch run.
     """
-    train_feats = as_matrix(ae_train.features, net.in_dim)
-    val_feats = as_matrix(ae_val.features, net.in_dim)
-    if train_feats.shape[0] == 0 or val_feats.shape[0] == 0:
+    # channel-major (d, n) copies, the layout of `forward` and `adam_epochs`
+    train_feats, val_feats = (np.ascontiguousarray(as_matrix(ds.features, net.in_dim).T) for ds in (ae_train, ae_val))
+    if train_feats.size == 0 or val_feats.size == 0:
         raise DataError("training and validation sets must be non-empty")
     if any(part.is_labeled and int(part.labels.max(initial=0)) != 0 for part in (ae_train, ae_val)):
         raise DataError("reconstruction training and validation data must contain only normal samples")
@@ -322,7 +317,7 @@ def train(net: Network, ae_train, ae_val, cfg: TrainConfig) -> tuple[Network, li
 
     # range first: zip stops on it without advancing the generator, which would train one more epoch
     for _epoch, (state, sq_err_sum) in zip(range(cfg.max_epochs), epochs):
-        train_mse = sq_err_sum / (train_feats.shape[0] * work.in_dim)
+        train_mse = sq_err_sum / train_feats.size
         val_mse = mse_loss(val_feats, forward(work, val_feats)[0])
         history.append((train_mse, val_mse, state.lr))
 

@@ -122,8 +122,9 @@ class FitDiverged(DomainError):
 
 def _train_logreg(cfg: ClassifierConfig, x, y, seed):
     n, d = x.shape
+    x = np.ascontiguousarray(x.T)  # channel-major (d, n), the layout of `forward`
     net = Network(np.zeros(d + 1), _logreg_layers(cfg, d))
-    target = y.reshape(-1, 1)
+    target = y.reshape(1, -1)
     for epoch in range(cfg.epochs):
         out, cache = forward(net, x)
         if epoch & (epoch - 1) == 0:  # epochs 0, 1, 2, 4, ...: a log pass every epoch costs what stopping saves
@@ -134,7 +135,7 @@ def _train_logreg(cfg: ClassifierConfig, x, y, seed):
             elif not objective <= start:  # risen above its start, or NaN
                 raise FitDiverged("logreg fit diverged")
         # sigmoid + cross-entropy: dL/dz at the output is p - y. Summed over the
-        # rows, then divided, the mean gradient rounds as x.T @ (p - y) / n
+        # samples, then divided, the mean gradient rounds as x @ (p - y) / n
         grads = _backprop_from_output_delta(net, cache, out - target) / n
         grads[:d] += cfg.l2_strength * net.params[:d]  # (l2/2)*||w||^2; the bias is not regularized
         net.params -= cfg.learning_rate * grads
@@ -410,9 +411,10 @@ def _train_mlp(cfg: ClassifierConfig, x, y, seed: int):
     net = init_network(_mlp_layers(cfg, x.shape[1]), seed)
 
     def grads(net, cache, yb):  # sigmoid + cross-entropy: dL/dz at the output is (p - y)/batch, p the cached output
-        return _backprop_from_output_delta(net, cache, (cache[1][-1][1] - yb) / yb.shape[0])
+        return _backprop_from_output_delta(net, cache, (cache[1][-1][1] - yb) / yb.shape[1])
 
-    epochs = adam_epochs(net, x, y.reshape(-1, 1), cfg.batch_size, cfg.learning_rate, Rng(derive_seed(seed, 1)), grads)
+    x = np.ascontiguousarray(x.T)  # channel-major (d, n), the layout of `adam_epochs`
+    epochs = adam_epochs(net, x, y.reshape(1, -1), cfg.batch_size, cfg.learning_rate, Rng(derive_seed(seed, 1)), grads)
     if not all(math.isfinite(sq_err_sum) for _, (_, sq_err_sum) in zip(range(cfg.epochs), epochs)):
         raise FitDiverged("mlp fit diverged")  # at the first non-finite epoch: NaN weights never recover
     return {"network": net}

@@ -74,7 +74,7 @@ class TestCriterion1Gradients:
         for trial in range(25):
             net = init_network(default_autoencoder_specs(), seed=5000 + trial)
             rng = np.random.default_rng(6000 + trial)
-            x = np.array([[rng.random() for _ in range(7)]])  # one-row batch
+            x = np.array([[rng.random()] for _ in range(7)])  # a channel-major batch (7, 1) of one sample
             _, cache = forward(net, x)
             analytic = backward(net, cache, x)
             numeric = _central_difference_grads(net, x)

@@ -11,7 +11,6 @@ from aeromon.autoencoder import (
     Network,
     TrainConfig,
     _backprop_from_output_delta,
-    _column_sums,
     _sigmoid,
     adam_step,
     backward,
@@ -52,10 +51,10 @@ def _net(weights, biases, specs):
     return Network(np.concatenate([part for w, b in zip(weights, biases) for part in (w.ravel(), b)]), specs)
 
 
-def _one_row(seed, dim=7):
-    """One (1, dim) batch of uniform [0, 1) draws."""
+def _one_sample(seed, dim=7):
+    """A channel-major batch (dim, 1) of one sample of uniform [0, 1) draws."""
     rng = np.random.default_rng(seed)
-    return np.array([[rng.random() for _ in range(dim)]])
+    return np.array([[rng.random()] for _ in range(dim)])
 
 
 def masked_sigmoid(z):
@@ -118,12 +117,12 @@ class TestForward:
     def test_zero_network_outputs_zero(self):
         specs = default_autoencoder_specs()
         net = _net([np.zeros((s.out_dim, s.in_dim)) for s in specs], [np.zeros(s.out_dim) for s in specs], specs)
-        out, _ = forward(net, np.arange(7.0)[None])
-        assert np.array_equal(out, np.zeros((1, 7)))
+        out, _ = forward(net, np.arange(7.0)[:, None])
+        assert np.array_equal(out, np.zeros((7, 1)))
 
     def test_identity_layer(self):
         net = _net([np.eye(7)], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
-        x = np.linspace(-1, 1, 7)[None]
+        x = np.linspace(-1, 1, 7)[:, None]
         out, _ = forward(net, x)
         assert np.array_equal(out, x)
 
@@ -147,14 +146,14 @@ class TestForward:
 
     def test_batch_matches_per_row(self):
         # batch evaluation is a training-loop optimization; it agrees with
-        # one-row batches to rounding (BLAS kernels differ by shape)
+        # one-sample batches to rounding (BLAS kernels differ by shape)
         net = init_network(default_autoencoder_specs(), seed=3)
         rng = np.random.default_rng(5)
-        batch = np.array([[rng.random() for _ in range(7)] for _ in range(9)])
+        batch = np.array([[rng.random() for _ in range(7)] for _ in range(9)]).T  # channel-major (7, 9)
         out_batch, _ = forward(net, batch)
         for i in range(9):
-            out_row, _ = forward(net, batch[i : i + 1])
-            assert np.allclose(out_batch[i], out_row[0], atol=1e-12)
+            out_row, _ = forward(net, batch[:, i : i + 1])
+            assert np.allclose(out_batch[:, i], out_row[:, 0], atol=1e-12)
 
     @pytest.mark.invariant
     def test_forward_rows_reads_a_strided_view_as_its_copy(self):
@@ -168,7 +167,26 @@ class TestForward:
         assert out.tobytes() == forward_rows(net, np.ascontiguousarray(view)).tobytes()
         for j in range(0, 300, 37):  # a sample alone gives its column, bit for bit
             assert forward_rows(net, view[:, j : j + 1])[:, 0].tobytes() == out[:, j].tobytes()
-        assert np.allclose(out, forward(net, x)[0].T, atol=1e-12)
+        assert np.allclose(out, forward(net, np.ascontiguousarray(view))[0], atol=1e-12)
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            default_autoencoder_specs(),
+            [LayerSpec(7, 1, "sigmoid")],  # logreg
+            [LayerSpec(7, 8, "elu"), LayerSpec(8, 1, "sigmoid")],  # the mlp
+        ],
+        ids=["autoencoder", "logreg", "mlp"],
+    )
+    def test_forward_and_forward_rows_share_one_layout(self, specs):
+        # training's BLAS kernel and scoring's row-exact kernel take the same
+        # channel-major (d, n) batch and give the same (out_dim, n) output
+        net = init_network(specs, seed=8)
+        x = np.random.default_rng(9).normal(0.5, 1.0, (7, 1030))
+        out = forward(net, x)[0]
+        assert out.shape == forward_rows(net, x).shape == (specs[-1].out_dim, 1030)
+        assert np.allclose(out, forward_rows(net, x), rtol=0.0, atol=1e-12)
 
 
 class TestMseLoss:
@@ -183,9 +201,11 @@ class TestMseLoss:
 
 
 def reference_backprop(net, cache, delta):
-    """The textbook backward pass from dL/dz at the output: each hidden delta is
-    multiplied by its activation's derivative array (ones for identity) and each
-    bias gradient is `delta.sum(axis=0)`. The oracle of the library's shortcuts."""
+    """The textbook backward pass from dL/dz at the output, (out_dim, n), one
+    column per sample: each hidden delta is multiplied by its activation's
+    derivative array (ones for identity), each weight gradient is
+    `delta @ a_prev.T` and each bias gradient `delta.sum(axis=1)`. The oracle of
+    the library's shortcuts."""
     primes = {
         "elu": lambda z, a: np.where(z > 0.0, 1.0, np.exp(z)),
         "sigmoid": lambda z, a: a * (1.0 - a),
@@ -195,23 +215,23 @@ def reference_backprop(net, cache, delta):
     grads = []
     for i in range(len(net.specs) - 1, -1, -1):
         a_prev = x if i == 0 else layer_cache[i - 1][1]
-        grads[:0] = [(delta.T @ a_prev).ravel(), delta.sum(axis=0)]
+        grads[:0] = [(delta @ a_prev.T).ravel(), delta.sum(axis=1)]
         if i > 0:
-            delta = (delta @ net.weights[i]) * primes[net.specs[i - 1].activation](*layer_cache[i - 1])
+            delta = (net.weights[i].T @ delta) * primes[net.specs[i - 1].activation](*layer_cache[i - 1])
     return np.concatenate(grads)
 
 
 class TestBackward:
     def test_zero_gradient_at_perfect_reconstruction(self):
         net = _net([np.eye(7)], [np.zeros(7)], [LayerSpec(7, 7, "identity")])
-        x = np.linspace(0.1, 0.7, 7)[None]
+        x = np.linspace(0.1, 0.7, 7)[:, None]
         _, cache = forward(net, x)
         grads = backward(net, cache, x)
         assert np.array_equal(grads, np.zeros_like(grads))
 
     def test_matches_finite_differences(self):
         net = init_network(default_autoencoder_specs(), seed=17)
-        x = _one_row(29)
+        x = _one_sample(29)
         _, cache = forward(net, x)
         analytic = backward(net, cache, x)
         numeric = finite_difference_grads(net, x)
@@ -221,7 +241,7 @@ class TestBackward:
         # single identity layer; scaling the residual (x_hat - x) by c must
         # scale the weight gradient by c at a fixed forward cache
         net = _net([np.eye(3) * 0.5], [np.zeros(3)], [LayerSpec(3, 3, "identity")])
-        x0 = np.array([[0.2, 0.4, 0.6]])
+        x0 = np.array([[0.2], [0.4], [0.6]])
         out, cache = forward(net, x0)
         x1 = out - (out - x0) * 3.0  # residual scaled by 3
         g0 = backward(net, cache, x0)
@@ -232,23 +252,24 @@ class TestBackward:
     def test_batch_gradient_is_mean_of_rows(self):
         net = init_network(default_autoencoder_specs(), seed=23)
         rng = np.random.default_rng(31)
-        batch = np.array([[rng.random() for _ in range(7)] for _ in range(5)])
+        batch = np.array([[rng.random() for _ in range(7)] for _ in range(5)]).T  # channel-major (7, 5)
         _, cache = forward(net, batch)
         batch_grads = backward(net, cache, batch)
         sums = np.zeros_like(batch_grads)
         for i in range(5):
-            _, row_cache = forward(net, batch[i : i + 1])
-            sums += backward(net, row_cache, batch[i : i + 1])
+            _, row_cache = forward(net, batch[:, i : i + 1])
+            sums += backward(net, row_cache, batch[:, i : i + 1])
         assert np.allclose(batch_grads, sums / 5.0, atol=1e-14)
 
     @pytest.mark.invariant
     @pytest.mark.parametrize("rows", [1, 2, 5, 256, 764, 1024])
     def test_backprop_bit_equals_reference(self, rows):
-        """Skipping identity derivatives and summing biases with `_column_sums`
-        change no bit of any gradient: the autoencoder's (identity bottleneck
-        and output), a sigmoid one's and an MLP's (one sigmoid output column)."""
+        """Skipping identity derivatives and writing each product and sum into
+        the gradient vector change no bit of any gradient: the autoencoder's
+        (identity bottleneck and output), a sigmoid one's and an MLP's (one
+        sigmoid output row)."""
         rng = np.random.default_rng(rows)
-        x = rng.random((rows, 7))
+        x = rng.random((7, rows))
         sigmoid_specs = [LayerSpec(7, 5, "sigmoid"), LayerSpec(5, 3, "identity"), LayerSpec(3, 7, "sigmoid")]
         for seed in (3, 4):
             for specs in (default_autoencoder_specs(), sigmoid_specs):
@@ -259,29 +280,15 @@ class TestBackward:
                 assert backward(net, cache, x).tobytes() == reference_backprop(net, cache, delta).tobytes()
             mlp = init_network([LayerSpec(7, 8, "elu"), LayerSpec(8, 1, "sigmoid")], seed=seed)
             out, cache = forward(mlp, x)
-            delta = (out - (x[:, :1] > 0.5)) / rows
+            delta = (out - (x[:1] > 0.5)) / rows
             want = reference_backprop(mlp, cache, delta).tobytes()
             assert _backprop_from_output_delta(mlp, cache, delta).tobytes() == want
-
-    @pytest.mark.invariant
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 764, 1024, 4860])
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 16])
-    def test_column_sums_bit_equal_sum(self, n, k):
-        """`_column_sums` is `sum(axis=0)` bit for bit, on values of mixed
-        magnitude with signed zeros and subnormals, in either memory order."""
-        rng = np.random.default_rng(1000 * n + k)
-        a = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-300, 300, size=(n, k))
-        pick = rng.random((n, k))
-        a[pick < 0.1] = -0.0
-        a[pick > 0.9] = 5e-324 * rng.integers(-10**6, 10**6, size=int((pick > 0.9).sum()))
-        for m in (a, np.asfortranarray(a), np.full((n, k), -0.0)):
-            assert _column_sums(m).tobytes() == m.sum(axis=0).tobytes()
 
     @pytest.mark.invariant
     def test_gradient_check_over_seeded_pairs(self):
         for trial in range(25):
             net = init_network(default_autoencoder_specs(), seed=1000 + trial)
-            x = _one_row(2000 + trial)
+            x = _one_sample(2000 + trial)
             _, cache = forward(net, x)
             assert max_relative_error(backward(net, cache, x), finite_difference_grads(net, x)) < 1e-4
 
@@ -322,7 +329,7 @@ class TestAdam:
         net = init_network(default_autoencoder_specs(), seed=21)
         twin = net.clone()
         assert not np.shares_memory(twin.params, net.params)
-        x = _one_row(22)
+        x = _one_sample(22)
         before = forward(net, x)[0]
         _, cache = forward(net, x)
         adam_step(AdamState.for_params(net.params, lr=0.01), net.params, backward(net, cache, x))
@@ -375,7 +382,8 @@ class TestTrain:
         drops = sum(1 for a, b in zip(train_losses, train_losses[1:]) if b <= a + 1e-12)
         assert drops >= 0.95 * (len(train_losses) - 1)
         # the returned weights are those of the epoch with the minimum validation loss
-        recomputed = mse_loss(val_ds.features, forward(best, val_ds.features)[0])
+        val_x = np.ascontiguousarray(val_ds.features.T)  # channel-major, as `train` holds it
+        recomputed = mse_loss(val_x, forward(best, val_x)[0])
         assert abs(recomputed - min(v for _, v, _ in history)) < 1e-12
 
     @pytest.mark.invariant
@@ -441,8 +449,8 @@ class TestTrain:
         train_ds, val_ds = _scaled_normal_sets(n=1500, seed=12)
         net = init_network(default_autoencoder_specs(), seed=12)
         best, history = train(net, train_ds, val_ds, TrainConfig(max_epochs=40, batch_size=128, seed=12))
-        out, _ = forward(best, val_ds.features)
-        recomputed = mse_loss(val_ds.features, out)
+        val_x = np.ascontiguousarray(val_ds.features.T)  # channel-major, as `train` holds it
+        recomputed = mse_loss(val_x, forward(best, val_x)[0])
         assert abs(recomputed - min(v for _, v, _ in history)) < 1e-12
 
     @pytest.mark.invariant
@@ -455,6 +463,7 @@ class TestTrain:
         assert min(v for _, v, _ in hist_a) == min(v for _, v, _ in hist_b)
         for wa, wb in zip(net_a.weights, net_b.weights):
             assert np.array_equal(wa, wb)
+        assert net_a.params.tobytes() == net_b.params.tobytes()  # every gradient element is written each step
 
     def test_input_network_untouched(self):
         train_ds, val_ds = _constant_sets(n=64)
@@ -500,11 +509,12 @@ class TestTrain:
 
 def reference_train(net, train_feats, val_feats, cfg):
     """`train` with its own minibatch loop, as written before the loop was
-    shared with the MLP: the oracle of `adam_epochs` under the autoencoder."""
+    shared with the MLP: the oracle of `adam_epochs` under the autoencoder.
+    Takes channel-major (d, n) features."""
     work = net.clone()
     state = AdamState.for_params(work.params, cfg.learning_rate)
     rng = Rng(cfg.seed)
-    n = train_feats.shape[0]
+    n = train_feats.shape[1]
     order = np.arange(n)
     best_val, best, patience_best, stale, history = math.inf, None, math.inf, 0, []
     for _epoch in range(cfg.max_epochs):
@@ -512,7 +522,7 @@ def reference_train(net, train_feats, val_feats, cfg):
         rng.shuffle(order)
         sq_err_sum = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = train_feats[order[start : start + cfg.batch_size]]
+            batch = train_feats.take(order[start : start + cfg.batch_size], axis=1)
             out, cache = forward(work, batch)
             diff = out - batch
             sq_err_sum += float((diff * diff).sum())
@@ -541,13 +551,14 @@ def reference_mlp(cfg, x, y, seed, epochs):
     state = AdamState.for_params(net.params, cfg.learning_rate)
     rng = Rng(derive_seed(seed, 1))
     order = np.arange(x.shape[0])
-    target = y.astype(np.float64).reshape(-1, 1)
+    x_cm = np.ascontiguousarray(x.T)
+    target = y.astype(np.float64).reshape(1, -1)
     for _ in range(epochs):
         rng.shuffle(order)
         for start in range(0, x.shape[0], cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            out, cache = forward(net, x[rows])
-            delta = (out - target[rows]) / rows.size
+            cols = order[start : start + cfg.batch_size]
+            out, cache = forward(net, x_cm.take(cols, axis=1))
+            delta = (out - target.take(cols, axis=1)) / cols.size
             adam_step(state, net.params, _backprop_from_output_delta(net, cache, delta))
     return net.params
 
@@ -570,7 +581,8 @@ class TestAdamEpochs:
         )
         net = init_network(default_autoencoder_specs(), seed=batch_size)
         best, history = train(net, Dataset(train_feats), Dataset(val_feats), cfg)
-        want_best, want_history = reference_train(net, train_feats, val_feats, cfg)
+        channel_major = (np.ascontiguousarray(feats.T) for feats in (train_feats, val_feats))
+        want_best, want_history = reference_train(net, *channel_major, cfg)
         assert best.params.tobytes() == want_best.params.tobytes()
         assert np.array(history).tobytes() == np.array(want_history).tobytes()
         assert len({lr for _, _, lr in history}) > 1 and len(history) < cfg.max_epochs
@@ -600,7 +612,7 @@ class TestSerialization:
         path = tmp_path / "ae.json"
         save_network(net, path)
         back = load_network(path)
-        x = val_ds.features[:50]
+        x = np.ascontiguousarray(val_ds.features[:50].T)
         assert np.array_equal(forward(back, x)[0], forward(net, x)[0])
         for wa, wb in zip(net.weights, back.weights):
             assert np.array_equal(wa, wb)

@@ -59,18 +59,19 @@ def _six_configs():
     ]
 
 
-def reference_logreg_gradient(weights, bias, x, y, l2_strength):
-    """Gradient of the mean cross-entropy plus (l2/2)*||w||^2 (bias free), in closed form."""
-    p = _sigmoid(x @ weights + bias)
+def reference_logreg_gradient(weights, bias, x_cm, y, l2_strength):
+    """Gradient of the mean cross-entropy plus (l2/2)*||w||^2 (bias free), in
+    closed form, over channel-major samples x_cm (d, n)."""
+    p = _sigmoid(weights @ x_cm + bias)
     diff = p - y
-    gw = x.T @ diff / x.shape[0] + l2_strength * weights
+    gw = x_cm @ diff / x_cm.shape[1] + l2_strength * weights
     gb = float(diff.mean())
     return gw, gb
 
 
-def logreg_loss(weights, bias, x, y, l2_strength):
+def logreg_loss(weights, bias, x_cm, y, l2_strength):
     """Mean cross-entropy plus (l2/2)*||w||^2: the loss `reference_logreg_gradient` differentiates."""
-    p = _sigmoid(x @ weights + bias)
+    p = _sigmoid(weights @ x_cm + bias)
     eps = 1e-12
     ce = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
     return float(ce + 0.5 * l2_strength * float(weights @ weights))
@@ -156,7 +157,7 @@ class TestLogReg:
     @pytest.mark.invariant
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(41)
-        x = np.array([[rng.normal() for _ in range(4)] for _ in range(30)])
+        x = np.array([[rng.normal() for _ in range(4)] for _ in range(30)]).T  # channel-major (4, 30)
         y = np.array([1.0 if rng.random() < 0.5 else 0.0 for _ in range(30)])
         for lam in (0.0, 0.1):
             w = np.array([rng.normal() for _ in range(4)])
@@ -178,11 +179,12 @@ class TestLogReg:
         steps, bit for bit, as descent on the closed-form gradient."""
         ds = _blobs(43, 40, dim=5, separation=1.0)
         y = ds.labels.astype(np.float64)
+        x_cm = np.ascontiguousarray(ds.features.T)
         for lam in (0.0, 0.1):
             cfg = ClassifierConfig(LOGREG, l2_strength=lam, learning_rate=0.3, epochs=60)
             w, b = np.zeros(5), 0.0
             for _ in range(cfg.epochs):
-                gw, gb = reference_logreg_gradient(w, b, ds.features, y, lam)
+                gw, gb = reference_logreg_gradient(w, b, x_cm, y, lam)
                 w -= cfg.learning_rate * gw
                 b -= cfg.learning_rate * gb
             params = train_classifier(cfg, ds, seed=0).payload["network"].params
@@ -745,6 +747,22 @@ class TestSharedContracts:
                 assert one_probs[0] == prob, cfg.kind  # bit for bit, whatever the batch
             reordered = test_ds.features[::-1][:7]
             assert np.array_equal(predict_proba(model, reordered), probs[::-1][:7]), cfg.kind
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize(
+        "cfg",
+        [ClassifierConfig(LOGREG, epochs=40), ClassifierConfig(MLP, epochs=5, batch_size=16, learning_rate=0.01)],
+        ids=[LOGREG, MLP],
+    )
+    def test_network_fit_reads_a_fortran_order_matrix_as_its_copy(self, cfg):
+        # a network fit transposes its (n, d) matrix into one channel-major copy, whatever the matrix's memory order
+        ds = _blobs(37, 40)
+        y = ds.labels.astype(np.float64)
+        fortran = np.asfortranarray(ds.features)
+        assert not fortran.flags.c_contiguous
+        fit = baselines._KINDS[cfg.kind].train
+        want = fit(cfg, np.ascontiguousarray(fortran), y, 3)["network"].params.tobytes()
+        assert fit(cfg, fortran, y, 3)["network"].params.tobytes() == want
 
     def test_non_finite_features_rejected(self):
         train_ds = _blobs(33, 20)
