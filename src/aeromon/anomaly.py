@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scoring uses `forward_rows`; `forward` stays bound here for bench/tracer.py to patch
+# scoring uses `forward_rows`; training's BLAS `forward` (same (d, n) layout) stays bound for bench/tracer.py to patch
 from .autoencoder import Network, forward, forward_rows, network_to_dict  # noqa: F401
 from .dataset import Dataset, MinMaxScaler
 from .errors import DataError, DomainError, ShapeError, read_json_artifact, write_json_artifact

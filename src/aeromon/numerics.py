@@ -1,18 +1,18 @@
 """Deterministic small-scale linear algebra, statistics, and random numbers.
 
 Everything is double precision. Matrices are C-order (row-major) float64
-ndarrays. A sample matrix enters as (n, d), one row per sample; the scoring
-kernels (`leading_sums`, `solve_spd`) take it channel-major, as (d, n), one
-column per sample. All functions are pure; results are bit-identical for
-identical inputs on the same machine and numpy/BLAS build, which is what
-makes whole pipeline runs replayable. Random numbers come from one
-counter-based generator, `Rng`: every draw is a SplitMix64 block computed
-with numpy, a run of consecutive draws (one forest tree's feature subsets)
-can be computed as one 2-d block, and normals use numpy's `log` and `sqrt`. A
-block's values never tie, so a permutation, the argsort of one block, takes
-the fastest sort kind. Quantiles are order statistics. Every sample matrix
-the package takes is checked by one function, `as_matrix`, and every label or
-decision vector by another, `as_labels`.
+ndarrays. A sample matrix enters as (n, d), one row per sample; every network
+and scoring kernel (here `leading_sums` and `solve_spd`) takes it
+channel-major, as (d, n), one column per sample. All functions are pure;
+results are bit-identical for identical inputs on the same machine and
+numpy/BLAS build, which is what makes whole pipeline runs replayable. Random
+numbers come from one counter-based generator, `Rng`: every draw is a
+SplitMix64 block computed with numpy, a run of consecutive draws (one forest
+tree's feature subsets) can be computed as one 2-d block, and normals use
+numpy's `log` and `sqrt`. A block's values never tie, so a permutation, the
+argsort of one block, takes the fastest sort kind. Quantiles are order
+statistics. Every sample matrix the package takes is checked by one function,
+`as_matrix`, and every label or decision vector by another, `as_labels`.
 """
 
 from __future__ import annotations

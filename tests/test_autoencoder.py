@@ -522,7 +522,7 @@ def reference_train(net, train_feats, val_feats, cfg):
         rng.shuffle(order)
         sq_err_sum = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = train_feats.take(order[start : start + cfg.batch_size], axis=1)
+            batch = train_feats.take(order[start : start + cfg.batch_size], axis=1)  # a C-order gather, as in `train`
             out, cache = forward(work, batch)
             diff = out - batch
             sq_err_sum += float((diff * diff).sum())
