@@ -285,6 +285,26 @@ class TestBackward:
             assert _backprop_from_output_delta(mlp, cache, delta).tobytes() == want
 
     @pytest.mark.invariant
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 764, 1024, 4860])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 16])
+    def test_gradient_sums_bit_equal_reference(self, n, k):
+        """The weight product and bias sum written into the gradient vector are
+        `delta @ a_prev.T` and `delta.sum(axis=1)` bit for bit, on deltas
+        (k, n) of mixed magnitude with signed zeros and subnormals, in either
+        memory order."""
+        rng = np.random.default_rng(1000 * n + k)
+        net = init_network([LayerSpec(3, k, "identity")], seed=k)
+        _, cache = forward(net, rng.random((3, n)))
+        delta = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-300, 300, size=(k, n))
+        pick = rng.random((k, n))
+        delta[pick < 0.1] = -0.0
+        delta[pick > 0.9] = 5e-324 * rng.integers(-10**6, 10**6, size=int((pick > 0.9).sum()))
+        for d in (delta, np.asfortranarray(delta), np.full((k, n), -0.0)):
+            grad = _backprop_from_output_delta(net, cache, d)
+            assert grad.tobytes() == reference_backprop(net, cache, d).tobytes()
+            assert grad[-k:].tobytes() == d.sum(axis=1).tobytes()
+
+    @pytest.mark.invariant
     def test_gradient_check_over_seeded_pairs(self):
         for trial in range(25):
             net = init_network(default_autoencoder_specs(), seed=1000 + trial)
