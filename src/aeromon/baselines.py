@@ -12,7 +12,7 @@ anomalous iff that probability exceeds 0.5 (ties go to normal).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -35,7 +35,7 @@ from .errors import ConfigError, DataError, DomainError, NumericError, read_json
 from .evaluation import confusion
 from .numerics import Rng, as_labels, as_matrix, derive_seed, leading_sums
 
-CLASSIFIER_FORMAT_VERSION = 3
+CLASSIFIER_FORMAT_VERSION = 4
 
 LOGREG = "logreg"
 GAUSSIAN_NB = "gaussian_nb"
@@ -49,45 +49,67 @@ _KNN_BLOCK_ELEMS = 2**17  # distance-matrix entries per block of test rows (1 Mi
 _DRAW_CHUNK = 256  # forest feature subsets per draw call; a tree has ~90 splits at n=2000, ~310 at n=20000
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Kind plus the hyperparameters that kind consumes; others are ignored."""
+# a per-kind config field -> (does a value pass, the rule its DomainError states); any other field must be >= 1
+_RANGES = {
+    "l2_strength": (lambda v: 0.0 <= v < math.inf, ">= 0 and finite"),
+    "learning_rate": (lambda v: 0.0 < v < math.inf, "positive and finite"),
+    "k": (lambda v: v >= 1 and v % 2 == 1, "odd and >= 1 to avoid vote ties"),
+    "max_depth": (lambda v: v >= 0, ">= 0 (0 = unbounded)"),
+    "bootstrap": (lambda v: v in (False, True), "true or false"),
+}
 
-    kind: str
-    # logreg / mlp optimization
+
+class BaselineConfig:
+    """A per-kind config: its kind as a class attribute, the hyperparameters the kind reads as fields."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            passes, rule = _RANGES.get(name, (lambda v: v >= 1, ">= 1"))
+            if not passes(value):
+                raise DomainError(f"{name} must be {rule}")
+
+
+@dataclass(frozen=True)
+class LogregConfig(BaselineConfig):
+    kind = LOGREG
     l2_strength: float = 0.0
-    learning_rate: float = 0.1
-    epochs: int = 400
-    # knn
+    learning_rate: float = 2.0
+    epochs: int = 600
+
+
+@dataclass(frozen=True)
+class GaussianNbConfig(BaselineConfig):
+    kind = GAUSSIAN_NB
+
+
+@dataclass(frozen=True)
+class KnnConfig(BaselineConfig):
+    kind = KNN
     k: int = 5
-    # tree growth (also used by forest trees); max_depth None = unbounded
-    max_depth: int | None = None
+
+
+@dataclass(frozen=True)
+class TreeConfig(BaselineConfig):
+    kind = DECISION_TREE
+    max_depth: int = 0  # 0 = unbounded
     min_leaf: int = 1
-    # forest
+
+
+@dataclass(frozen=True)
+class ForestConfig(TreeConfig):
+    kind = RANDOM_FOREST
     n_trees: int = 100
     features_per_split: int = 3
     bootstrap: bool = True
-    # mlp
-    hidden_units: int = 8
-    batch_size: int = 256
 
-    def __post_init__(self):
-        if self.kind not in CLASSIFIER_KINDS:
-            raise DomainError(f"unknown classifier kind '{self.kind}'")
-        if self.kind == KNN and (self.k < 1 or self.k % 2 == 0):
-            raise DomainError("k must be odd and >= 1 to avoid vote ties")
-        if not (math.isfinite(self.l2_strength) and math.isfinite(self.learning_rate)):
-            raise DomainError("l2_strength and learning_rate must be finite")
-        if self.l2_strength < 0:
-            raise DomainError("l2_strength must be >= 0")
-        if self.n_trees < 1 or self.features_per_split < 1 or self.min_leaf < 1:
-            raise DomainError("tree/forest parameters must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise DomainError("max_depth must be >= 1 or None")
-        if self.kind in (LOGREG, MLP) and (self.learning_rate <= 0 or self.epochs < 1):
-            raise DomainError("learning_rate must be positive and epochs >= 1")
-        if self.kind == MLP and (self.hidden_units < 1 or self.batch_size < 1):
-            raise DomainError("hidden_units and batch_size must be >= 1")
+
+@dataclass(frozen=True)
+class MlpConfig(BaselineConfig):
+    kind = MLP
+    hidden_units: int = 8
+    learning_rate: float = 0.01
+    epochs: int = 120
+    batch_size: int = 256
 
 
 @dataclass(frozen=True)
@@ -95,7 +117,7 @@ class ClassifierModel:
     """A fitted baseline: its config, the arrays its kind predicts from, and
     the width of the samples it predicts from."""
 
-    config: ClassifierConfig
+    config: BaselineConfig
     payload: dict
     n_channels: int
 
@@ -104,15 +126,10 @@ class ClassifierModel:
         return self.config.kind
 
 
-def _require_both_classes(labels: np.ndarray) -> None:
-    if labels.min(initial=1) == labels.max(initial=0):
-        raise NumericError("training data contains a single class")
-
-
 # --- logistic regression ----------------------------------------------------
 
 
-def _logreg_layers(cfg: ClassifierConfig, d: int) -> list[LayerSpec]:
+def _logreg_layers(cfg: LogregConfig, d: int) -> list[LayerSpec]:
     return [LayerSpec(d, 1, "sigmoid")]
 
 
@@ -120,7 +137,7 @@ class FitDiverged(DomainError):
     """A logreg fit whose objective rose above its start or a non-finite mlp fit; `cross_validate` reports None."""
 
 
-def _train_logreg(cfg: ClassifierConfig, x, y, seed):
+def _train_logreg(cfg: LogregConfig, x, y, seed):
     n, d = x.shape
     x = np.ascontiguousarray(x.T)  # channel-major (d, n), the layout of `forward`
     net = Network(np.zeros(d + 1), _logreg_layers(cfg, d))
@@ -147,7 +164,7 @@ def _network_proba(model, x):
     return forward_rows(model.payload["network"], x)[0]
 
 
-def _read_network(layers, d, cfg: ClassifierConfig, n_channels: int):
+def _read_network(layers, d, cfg: LogregConfig | MlpConfig, n_channels: int):
     """A logreg or mlp file's network, which must have the layers `layers(cfg, n_channels)` the kind trains."""
     return {"network": network_from_dict(d["network"], layers(cfg, n_channels))}
 
@@ -155,7 +172,7 @@ def _read_network(layers, d, cfg: ClassifierConfig, n_channels: int):
 # --- gaussian naive bayes ---------------------------------------------------
 
 
-def _train_gaussian_nb(cfg: ClassifierConfig, x, y, seed):
+def _train_gaussian_nb(cfg: GaussianNbConfig, x, y, seed):
     means, variances, log_priors = [], [], []
     for c in (0, 1):
         sub = x[y == c]
@@ -179,7 +196,7 @@ def _gaussian_nb_proba(model, x):
     return _sigmoid(l1 - l0)
 
 
-def _read_gaussian_nb(d, cfg: ClassifierConfig, n_channels: int):
+def _read_gaussian_nb(d, cfg: GaussianNbConfig, n_channels: int):
     names = ("means", "variances", "log_priors")
     means, variances, log_priors = (np.array(d[name], dtype=np.float64) for name in names)
     if means.shape != (2, n_channels) or variances.shape != (2, n_channels) or log_priors.shape != (2,):
@@ -192,15 +209,15 @@ def _read_gaussian_nb(d, cfg: ClassifierConfig, n_channels: int):
 # --- k-nearest-neighbours ---------------------------------------------------
 
 
-def _train_knn(cfg: ClassifierConfig, x, y, seed):
+def _train_knn(cfg: KnnConfig, x, y, seed):
     if cfg.k > x.shape[0]:
         raise DataError(f"k={cfg.k} exceeds training size {x.shape[0]}")
     # integer labels, so the model file holds 0/1 and not 0.0/1.0
     return {"train_features": x.copy(), "train_labels": y.astype(np.int8)}
 
 
-def _read_knn(d, cfg: ClassifierConfig, n_channels: int):
-    """kNN's training rows; `k` comes from the config (a stray `k` key in the file is ignored)."""
+def _read_knn(d, cfg: KnnConfig, n_channels: int):
+    """kNN's training rows; `k` comes from the config."""
     x = np.array(d["train_features"], dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != n_channels:
         raise DataError(f"knn train_features must be (m, {n_channels})")
@@ -286,7 +303,7 @@ class _Tree(NamedTuple):
 
 
 def _grow_tree(x, y, order, max_depth, min_leaf, choose_features) -> _Tree:
-    """Preorder growth from `order`, the (d, n) presort of the rows. One mask
+    """Preorder growth from `order`, the (d, n) presort of the rows, to `max_depth` (0 = unbounded). One mask
     filters every row of a node's order and keeps it sorted, so nodes never sort.
     Any presort serves: a split is scored only where a feature's value changes,
     and the positives up to there do not depend on the order of tied rows.
@@ -297,7 +314,7 @@ def _grow_tree(x, y, order, max_depth, min_leaf, choose_features) -> _Tree:
     def grow(make_order, n, pos, depth):
         node = [-1, 0.0, -1, -1, pos / n]
         nodes.append(node)
-        if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+        if pos == 0 or pos == n or n < 2 * min_leaf or 0 < max_depth <= depth:
             return
         order = make_order()
         best = _best_split(x, y, order, choose_features(), min_leaf, pos, sizes)
@@ -331,7 +348,7 @@ def _tree_proba(model, x):
     return tree.leaf[_tree_leaves(tree, x)]
 
 
-def _train_tree(cfg: ClassifierConfig, x, y, seed):
+def _train_tree(cfg: TreeConfig, x, y, seed):
     all_features = np.arange(x.shape[1])
     order = np.argsort(x.T, axis=1)
     return {"root": _grow_tree(x, y, order, cfg.max_depth, cfg.min_leaf, lambda: all_features)}
@@ -364,7 +381,7 @@ def _tree_from_json(d: dict, n_channels: int) -> _Tree:
 # --- random forest ----------------------------------------------------------
 
 
-def _train_single_forest_tree(x, y, cfg: ClassifierConfig, tree_rng: Rng):
+def _train_single_forest_tree(x, y, cfg: ForestConfig, tree_rng: Rng):
     n, d = x.shape
     m = min(cfg.features_per_split, d)  # the config refuses more than the 7 channels; a narrower library fit clamps
     if cfg.bootstrap:
@@ -384,7 +401,7 @@ def _feature_draws(rng: Rng, d: int, m: int):
         yield from rng.sample_indices(d, m, _DRAW_CHUNK)
 
 
-def _train_forest(cfg: ClassifierConfig, x, y, seed: int):
+def _train_forest(cfg: ForestConfig, x, y, seed: int):
     trees = [_train_single_forest_tree(x, y, cfg, Rng(derive_seed(seed, t))) for t in range(cfg.n_trees)]
     return {"trees": trees}
 
@@ -394,7 +411,7 @@ def _forest_proba(model, x):
     return sum(tree.leaf[_tree_leaves(tree, x)] > 0.5 for tree in trees) / len(trees)
 
 
-def _read_forest(d, cfg: ClassifierConfig, n_channels: int):
+def _read_forest(d, cfg: ForestConfig, n_channels: int):
     if len(d["trees"]) != cfg.n_trees:
         raise DataError(f"forest file holds {len(d['trees'])} trees but its config says {cfg.n_trees}")
     return {"trees": [_tree_from_json(tree, n_channels) for tree in d["trees"]]}
@@ -403,11 +420,11 @@ def _read_forest(d, cfg: ClassifierConfig, n_channels: int):
 # --- single-hidden-layer perceptron ----------------------------------------
 
 
-def _mlp_layers(cfg: ClassifierConfig, d: int) -> list[LayerSpec]:
+def _mlp_layers(cfg: MlpConfig, d: int) -> list[LayerSpec]:
     return [LayerSpec(d, cfg.hidden_units, "elu"), LayerSpec(cfg.hidden_units, 1, "sigmoid")]
 
 
-def _train_mlp(cfg: ClassifierConfig, x, y, seed: int):
+def _train_mlp(cfg: MlpConfig, x, y, seed: int):
     net = init_network(_mlp_layers(cfg, x.shape[1]), seed)
 
     def grads(net, cache, yb):  # sigmoid + cross-entropy: dL/dz at the output is (p - y)/batch, p the cached output
@@ -424,28 +441,30 @@ def _train_mlp(cfg: ClassifierConfig, x, y, seed: int):
 
 
 class _Kind(NamedTuple):
-    """How one classifier kind trains, predicts and reads its payload back."""
+    """How one classifier kind is configured, trains, predicts and reads its payload back."""
 
+    config: type  # the kind's BaselineConfig subclass
     train: Callable  # (cfg, x, y, seed) -> payload dict
     proba: Callable  # (model, channel-major (d, n) x) -> (n,) anomalous-class probabilities
     read: Callable  # (file dict, cfg, n_channels) -> payload dict of a model for n_channels-wide samples
 
 
 _KINDS = {
-    LOGREG: _Kind(_train_logreg, _network_proba, partial(_read_network, _logreg_layers)),
-    GAUSSIAN_NB: _Kind(_train_gaussian_nb, _gaussian_nb_proba, _read_gaussian_nb),
-    KNN: _Kind(_train_knn, _knn_proba, _read_knn),
-    DECISION_TREE: _Kind(_train_tree, _tree_proba, lambda d, cfg, n: {"root": _tree_from_json(d["root"], n)}),
-    RANDOM_FOREST: _Kind(_train_forest, _forest_proba, _read_forest),
-    MLP: _Kind(_train_mlp, _network_proba, partial(_read_network, _mlp_layers)),
+    LOGREG: _Kind(LogregConfig, _train_logreg, _network_proba, partial(_read_network, _logreg_layers)),
+    GAUSSIAN_NB: _Kind(GaussianNbConfig, _train_gaussian_nb, _gaussian_nb_proba, _read_gaussian_nb),
+    KNN: _Kind(KnnConfig, _train_knn, _knn_proba, _read_knn),
+    DECISION_TREE: _Kind(TreeConfig, _train_tree, _tree_proba, lambda d, _, n: {"root": _tree_from_json(d["root"], n)}),
+    RANDOM_FOREST: _Kind(ForestConfig, _train_forest, _forest_proba, _read_forest),
+    MLP: _Kind(MlpConfig, _train_mlp, _network_proba, partial(_read_network, _mlp_layers)),
 }
 CLASSIFIER_KINDS = tuple(_KINDS)
 
 
-def train_classifier(cfg: ClassifierConfig, train: Dataset, seed: int) -> ClassifierModel:
+def train_classifier(cfg: BaselineConfig, train: Dataset, seed: int) -> ClassifierModel:
     """Fit one classifier on scaled, labelled data. Deterministic per seed."""
     y = train.require_labels().astype(np.float64)
-    _require_both_classes(train.labels)
+    if y.min(initial=1) == y.max(initial=0):
+        raise NumericError("training data contains a single class")
     # a diverged fit surfaces once, as FitDiverged or the writer's DomainError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         payload = _KINDS[cfg.kind].train(cfg, train.features, y, seed)
@@ -485,16 +504,15 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
 
 def _anomalous_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     # 2tp / (2tp + fp + fn), not `metrics`' 2pr / (p + r): the two round
-    # differently, and a rounding flip could change which candidate wins
+    # differently, and a rounding flip could change which candidate wins.
+    # The denominator is at least the fold's positives, and `stratified_folds` deals each fold one
     cm = confusion(pred, truth)
     tp, fp, fn = cm["tp"], cm["fp"], cm["fn"]
-    if 2 * tp + fp + fn == 0:
-        return 0.0
     return 2.0 * tp / (2.0 * tp + fp + fn)
 
 
 def cross_validate(
-    cfg: ClassifierConfig, train: Dataset, folds: int = 5, seed: int = 0, *, beat: float = -math.inf
+    cfg: BaselineConfig, train: Dataset, folds: int = 5, seed: int = 0, *, beat: float = -math.inf
 ) -> tuple[float, list[float]] | None:
     """Mean anomalous-class F1 over stratified folds (plus per-fold scores); None if a fit diverges.
 
@@ -520,8 +538,8 @@ def cross_validate(
 
 
 def select_model(
-    candidates: list[ClassifierConfig], train: Dataset, seed: int, folds: int = 5
-) -> tuple[ClassifierConfig, ClassifierModel, list[tuple[float, list[float]] | None]]:
+    candidates: list[BaselineConfig], train: Dataset, seed: int, folds: int = 5
+) -> tuple[BaselineConfig, ClassifierModel, list[tuple[float, list[float]] | None]]:
     """Pick the candidate with the highest mean CV F1 and refit on all data.
 
     Also returns each candidate's `cross_validate` result, in candidate order. A
@@ -554,15 +572,13 @@ def _to_json(value):
         return network_to_dict(value)
     if isinstance(value, _Tree):
         return {name: column.tolist() for name, column in value._asdict().items()}
-    if isinstance(value, list):
-        return [_to_json(item) for item in value]
-    return value
+    return [_to_json(item) for item in value]  # a forest's trees
 
 
 def model_to_dict(model: ClassifierModel) -> dict:
     return {
         "format_version": CLASSIFIER_FORMAT_VERSION,
-        "config": asdict(model.config),
+        "config": {"kind": model.kind, **asdict(model.config)},
         **{name: _to_json(value) for name, value in model.payload.items()},
     }
 
@@ -571,8 +587,12 @@ def model_from_dict(d: dict, n_channels: int) -> ClassifierModel:
     """The classifier in `d`, which must predict from n_channels-wide samples."""
     if d.get("format_version") != CLASSIFIER_FORMAT_VERSION:
         raise DataError(f"unsupported classifier format version {d.get('format_version')!r}")
-    cfg = ClassifierConfig(**d["config"])
-    return ClassifierModel(config=cfg, payload=_KINDS[cfg.kind].read(d, cfg, n_channels), n_channels=n_channels)
+    config = dict(d["config"])
+    kind = _KINDS[config.pop("kind")]
+    if set(config) != (names := {f.name for f in fields(kind.config)}):
+        raise DataError(f"{kind.config.kind} config must hold kind and {sorted(names)}, not kind and {sorted(config)}")
+    cfg = kind.config(**config)
+    return ClassifierModel(config=cfg, payload=kind.read(d, cfg, n_channels), n_channels=n_channels)
 
 
 def save_model(model: ClassifierModel, path) -> None:

@@ -17,17 +17,31 @@ from functools import partial
 from pathlib import Path
 
 from .autoencoder import TrainConfig
-from .baselines import CLASSIFIER_KINDS, ClassifierConfig
+from .baselines import _KINDS, CLASSIFIER_KINDS, BaselineConfig
 from .anomaly import POLICY_KINDS, ThresholdPolicy
 from .dataset import N_CHANNELS, SynthConfig
 from .errors import ConfigError, DomainError
 from .numerics import derive_seed
 
 
+# baseline kind -> the prefix of its keys; each key is the prefix plus a field of the kind's config class
+_BASELINE_PREFIXES = {
+    "logreg": "logreg_",
+    "gaussian_nb": "gaussian_nb_",
+    "knn": "knn_",
+    "decision_tree": "tree_",
+    "random_forest": "forest_",
+    "mlp": "mlp_",
+}
+# baseline kind -> (the field that takes one candidate per grid value, the grid key)
+BASELINE_GRIDS = {"logreg": ("l2_strength", "logreg_l2_grid"), "knn": ("k", "knn_k_grid")}
+
+
 def _section_schema(prefix: str, cls) -> dict[str, tuple[str, object]]:
-    """One key per dataclass field: prefix + name, its annotated type, its default.
-    `seed` is derived from the config seed, so it has no key."""
-    return {prefix + f.name: (f.type, f.default) for f in fields(cls) if f.name != "seed"}
+    """One key per dataclass field: prefix + name, its annotated type, its default. `seed` is
+    derived from the config seed and a baseline's grid field from its grid key, so neither has a key."""
+    derived = {"seed", *(grid_field for grid_field, _ in BASELINE_GRIDS.values())}
+    return {prefix + f.name: (f.type, f.default) for f in fields(cls) if f.name not in derived}
 
 
 # key -> (type, default); grids are comma-separated numbers in the file
@@ -45,35 +59,11 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "baseline_kinds": ("str", ",".join(CLASSIFIER_KINDS)),
     "cv_folds": ("int", 5),
     "logreg_l2_grid": ("grid_float", "0,0.01,0.1,1"),
-    "logreg_learning_rate": ("float", 2.0),
-    "logreg_epochs": ("int", 600),
     "knn_k_grid": ("grid_int", "5"),
-    "tree_max_depth": ("int", 0),  # 0 = unbounded
-    "tree_min_leaf": ("int", 1),
-    "forest_n_trees": ("int", 100),
-    "forest_features_per_split": ("int", 3),
-    "forest_max_depth": ("int", 0),
-    "forest_min_leaf": ("int", 1),
-    "forest_bootstrap": ("bool", True),
-    "mlp_hidden_units": ("int", 8),
-    "mlp_learning_rate": ("float", 0.01),
-    "mlp_epochs": ("int", 120),
-    "mlp_batch_size": ("int", 256),
+    **{key: spec for kind, prefix in _BASELINE_PREFIXES.items()
+       for key, spec in _section_schema(prefix, _KINDS[kind].config).items()},
     "histogram_bins": ("int", 50),
 }
-
-# baseline kind -> the prefix of its keys; each key is the prefix plus a ClassifierConfig field
-_BASELINE_PREFIXES = {
-    "logreg": "logreg_",
-    "gaussian_nb": "gaussian_nb_",
-    "knn": "knn_",
-    "decision_tree": "tree_",
-    "random_forest": "forest_",
-    "mlp": "mlp_",
-}
-# baseline kind -> (the field that takes one candidate per grid value, the grid key)
-BASELINE_GRIDS = {"logreg": ("l2_strength", "logreg_l2_grid"), "knn": ("k", "knn_k_grid")}
-
 
 # stage indexes for deriving per-stage seeds from the config seed
 STAGE_GENERATE = 11
@@ -164,19 +154,16 @@ class PipelineConfig:
     def threshold_policy(self) -> ThresholdPolicy:
         return ThresholdPolicy(self.resolved["threshold_policy"], self.resolved["threshold_percentile"])
 
-    def baseline_candidates(self, kind: str) -> list[ClassifierConfig]:
-        """One ClassifierConfig per value of the kind's grid key (one if it has none)."""
+    def baseline_candidates(self, kind: str) -> list[BaselineConfig]:
+        """One config of the kind's class per value of its grid key (one if it has none)."""
         if kind not in _BASELINE_PREFIXES:
             raise ConfigError(f"unknown baseline kind '{kind}'")
-        prefix = _BASELINE_PREFIXES[kind]
-        fixed = {"kind": kind}
-        if self.resolved.get(prefix + "max_depth") == 0:
-            fixed["max_depth"] = None  # 0 = unbounded
+        prefix, cls = _BASELINE_PREFIXES[kind], _KINDS[kind].config
         if kind not in BASELINE_GRIDS:
-            return [self._section(prefix, ClassifierConfig, **fixed)]
+            return [self._section(prefix, cls)]
         grid_field, grid_key = BASELINE_GRIDS[kind]
         values = _parse_grid(grid_key, _SCHEMA[grid_key][0], self.resolved[grid_key])
-        return [self._section(prefix, ClassifierConfig, **fixed, **{grid_field: v}) for v in values]
+        return [self._section(prefix, cls, **{grid_field: v}) for v in values]
 
     def baseline_seed(self, kind: str) -> int:
         """A baseline's training seed, keyed by its kind, so `run` and `train-clf`
@@ -210,8 +197,6 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> PipelineConfig:
         resolved[key] = _coerce(key, kind, value)
 
     for key, value in (overrides or {}).items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown override '{key}'")
         resolved[key] = _coerce(key, _SCHEMA[key][0], value)
 
     explicit = set(raw)

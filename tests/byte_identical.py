@@ -9,9 +9,12 @@ the two trees are compared. Unlike `test_golden.py`, this holds on any
 machine: both trees run on the same numpy, BLAS and CPU.
 
 Exits 0 if every digest matches. If some differ, prints the differing files
-and each tree's `comparison.csv`, then exits 0 if this tree changes
-`tests/golden_digests.json` (a change meant to alter outputs must rewrite it)
-and 1 if it does not.
+and each tree's `comparison.csv`. A change meant to alter outputs must rewrite
+`tests/golden_digests.json`. When the base's record and this tree's share a
+fingerprint, the files that differ, case by case, must be exactly those whose
+recorded digests the rewrite changed: exit 0 if they are, 1 if not. When the
+fingerprints differ, the records cannot be compared digest by digest, and a
+rewritten record is enough: exit 0 if this tree changes the file, 1 if not.
 """
 
 import json
@@ -64,6 +67,18 @@ def differences(base: dict, head: dict) -> dict:
     return found
 
 
+def recorded_differences(base_ref: str) -> dict | None:
+    """`differences` between the digests recorded in golden_digests.json at `base_ref` and in
+    this tree; None if the base holds no record or the two records hold different fingerprints."""
+    shown = subprocess.run(["git", "show", f"{base_ref}:{DIGESTS}"], cwd=ROOT, capture_output=True, text=True)
+    if shown.returncode != 0:
+        return None
+    base, head = json.loads(shown.stdout), json.loads((ROOT / DIGESTS).read_text())
+    if base["fingerprint"] != head["fingerprint"]:
+        return None
+    return differences(*({case: {"digests": d} for case, d in r["cases"].items()} for r in (base, head)))
+
+
 def main(base_ref: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         worktree = Path(tmp) / "base"
@@ -74,16 +89,26 @@ def main(base_ref: str) -> int:
             subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT, check=True)
         head = run_cases(ROOT, Path(tmp) / "head.json")
     found = differences(base, head)
-    if not found:
-        print(f"every artifact of {len(head)} cases is byte-identical to {base_ref}")
-        return 0
     for case, names in found.items():
         print(f"{case}: differs from {base_ref} in {', '.join(names)}")
         for side, results in ((base_ref, base), ("this tree", head)):
             print(f"--- comparison.csv of {case} at {side}:\n{results.get(case, {}).get('comparison', '')}")
+    recorded = recorded_differences(base_ref)
+    if not found and not recorded:
+        print(f"every artifact of {len(head)} cases is byte-identical to {base_ref}")
+        return 0
+    if recorded is not None:
+        if found == recorded:
+            print(f"{len(head)} cases: the files that differ from {base_ref} are exactly the rewritten digests")
+            return 0
+        for case in sorted(set(found) | set(recorded)):
+            if found.get(case) != recorded.get(case):
+                print(f"{case}: files that differ {found.get(case, [])}, digests rewritten {recorded.get(case, [])}")
+        print(f"rewrite {DIGESTS} with tests/golden.py so that it changes the digests of exactly the files that differ")
+        return 1
     rewritten = subprocess.run(["git", "diff", "--quiet", base_ref, "--", DIGESTS], cwd=ROOT).returncode != 0
     if rewritten:
-        print(f"outputs differ and {DIGESTS} is rewritten: an intended output change")
+        print(f"outputs differ and {DIGESTS} is rewritten (the base records none or another fingerprint)")
         return 0
     print(f"outputs differ but {DIGESTS} is unchanged: rewrite it with tests/golden.py if the change is intended")
     return 1

@@ -24,7 +24,7 @@ from aeromon.anomaly import (
     classify,
 )
 from aeromon.autoencoder import default_autoencoder_specs, forward, init_network, load_network, mse_loss
-from aeromon.baselines import ClassifierConfig, predict, train_classifier
+from aeromon.baselines import KnnConfig, predict, train_classifier
 from aeromon.config import default_config, resolve_config
 from aeromon.dataset import Dataset, MinMaxScaler, load_csv
 from aeromon.evaluation import auroc, confusion, metrics
@@ -111,7 +111,7 @@ class TestCriterion2Oracles:
         labels = np.array([rng.integers(2) for _ in range(200)], dtype=np.int8)
         ds = Dataset(feats, labels)
         for k in (1, 3, 5, 7):
-            model = train_classifier(ClassifierConfig("knn", k=k), ds, seed=0)
+            model = train_classifier(KnnConfig(k=k), ds, seed=0)
             for _ in range(30):
                 q = np.array([rng.integers(8) / 2.0 for _ in range(3)])
                 ranked = sorted(

@@ -25,7 +25,7 @@ from aeromon.autoencoder import (
     save_network,
     train,
 )
-from aeromon.baselines import ClassifierConfig, train_classifier
+from aeromon.baselines import MlpConfig, train_classifier
 from aeromon.dataset import Dataset, SynthConfig, apply_scaler, fit_scaler, generate_synthetic, split
 from aeromon.errors import DataError, DomainError, ShapeError
 from aeromon.numerics import Rng, derive_seed
@@ -524,7 +524,7 @@ class TestTrain:
             with pytest.raises(DomainError, match="learning rates must be positive"):
                 TrainConfig(learning_rate=lr)
             with pytest.raises(DomainError, match="learning_rate must be positive"):
-                ClassifierConfig("mlp", learning_rate=lr)
+                MlpConfig(learning_rate=lr)
 
 
 def reference_train(net, train_feats, val_feats, cfg):
@@ -613,7 +613,7 @@ class TestAdamEpochs:
         rng = np.random.default_rng(100 + batch_size)
         x = rng.random((self.N, 7))
         y = (x[:, 0] + 0.3 * rng.random(self.N) > 0.6).astype(np.int8)
-        cfg = ClassifierConfig(kind="mlp", epochs=4, batch_size=batch_size)
+        cfg = MlpConfig(epochs=4, batch_size=batch_size, learning_rate=0.1)
         params = train_classifier(cfg, Dataset(x, y), seed=batch_size).payload["network"].params
         assert params.tobytes() == reference_mlp(cfg, x, y, batch_size, cfg.epochs).tobytes()
         # one epoch more changes the weights, so a loop that ran one too many would fail above

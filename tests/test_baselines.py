@@ -21,8 +21,13 @@ from aeromon.baselines import (
     MLP,
     CLASSIFIER_FORMAT_VERSION,
     RANDOM_FOREST,
-    ClassifierConfig,
     ClassifierModel,
+    ForestConfig,
+    GaussianNbConfig,
+    KnnConfig,
+    LogregConfig,
+    MlpConfig,
+    TreeConfig,
     cross_validate,
     load_model,
     model_from_dict,
@@ -50,12 +55,12 @@ def _ds(features, labels):
 def _six_configs():
     """One small, fast configuration of every classifier kind."""
     return [
-        ClassifierConfig(LOGREG, epochs=20),
-        ClassifierConfig(GAUSSIAN_NB),
-        ClassifierConfig(KNN, k=3),
-        ClassifierConfig(DECISION_TREE),
-        ClassifierConfig(RANDOM_FOREST, n_trees=5),
-        ClassifierConfig(MLP, epochs=10, batch_size=16, learning_rate=0.01),
+        LogregConfig(epochs=20, learning_rate=0.1),
+        GaussianNbConfig(),
+        KnnConfig(k=3),
+        TreeConfig(),
+        ForestConfig(n_trees=5),
+        MlpConfig(epochs=10, batch_size=16, learning_rate=0.01),
     ]
 
 
@@ -93,7 +98,7 @@ def _blobs(seed, n_per_class, dim=7, separation=3.0):
 class TestGaussianNb:
     def test_exact_class_statistics_on_rig(self):
         ds = _ds([0.0] * 5 + [10.0] * 5, [0] * 5 + [1] * 5)
-        model = train_classifier(ClassifierConfig(GAUSSIAN_NB), ds, seed=0)
+        model = train_classifier(GaussianNbConfig(), ds, seed=0)
         assert model.payload["means"][0][0] == 0.0
         assert model.payload["means"][1][0] == 10.0
 
@@ -101,14 +106,14 @@ class TestGaussianNb:
         # two point-mass Gaussians at 0 and 10 (floored variance); the
         # likelihood ratio at x=9 is overwhelmingly anomalous
         ds = _ds([0.0] * 5 + [10.0] * 5, [0] * 5 + [1] * 5)
-        model = train_classifier(ClassifierConfig(GAUSSIAN_NB), ds, seed=0)
+        model = train_classifier(GaussianNbConfig(), ds, seed=0)
         labels, probs = predict(model, np.array([[9.0]]))
         assert labels.tolist() == [Label.ANOMALOUS]
         assert probs[0] > 0.99
 
     def test_priors_reflect_imbalance(self):
         ds = _ds([0.0] * 9 + [10.0], [0] * 9 + [1])
-        model = train_classifier(ClassifierConfig(GAUSSIAN_NB), ds, seed=0)
+        model = train_classifier(GaussianNbConfig(), ds, seed=0)
         assert model.payload["log_priors"][0] == pytest.approx(np.log(0.9))
 
     @pytest.mark.invariant
@@ -122,7 +127,7 @@ class TestGaussianNb:
         for shift in (0.0, 800.0, -800.0):
             log_priors = np.log([0.6, 0.4]) + [0.0, shift]
             payload = {"means": means, "variances": variances, "log_priors": log_priors}
-            model = ClassifierModel(config=ClassifierConfig(GAUSSIAN_NB), payload=payload, n_channels=2)
+            model = ClassifierModel(config=GaussianNbConfig(), payload=payload, n_channels=2)
             l0, l1 = (
                 -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var).sum(axis=1) + prior
                 for mean, var, prior in zip(means, variances, log_priors)
@@ -135,12 +140,12 @@ class TestGaussianNb:
 class TestLogReg:
     @pytest.mark.parametrize("l2", [math.nan, math.inf, -math.inf])
     def test_non_finite_l2_strength_rejected(self, l2):
-        with pytest.raises(DomainError, match="^l2_strength and learning_rate must be finite$"):
-            ClassifierConfig(LOGREG, l2_strength=l2)
+        with pytest.raises(DomainError, match="^l2_strength must be >= 0 and finite$"):
+            LogregConfig(l2_strength=l2)
 
     def test_zero_weight_model_is_tied_normal(self):
         model = ClassifierModel(
-            config=ClassifierConfig(LOGREG),
+            config=LogregConfig(),
             payload={"network": Network(np.zeros(4), [LayerSpec(3, 1, "sigmoid")])},
             n_channels=3,
         )
@@ -150,7 +155,7 @@ class TestLogReg:
 
     def test_learns_separable_data(self):
         ds = _blobs(3, 60, dim=3)
-        model = train_classifier(ClassifierConfig(LOGREG, learning_rate=0.5, epochs=400), ds, seed=0)
+        model = train_classifier(LogregConfig(learning_rate=0.5, epochs=400), ds, seed=0)
         pred = (predict_proba(model, ds.features) > 0.5).astype(int)
         assert (pred == ds.labels).mean() > 0.95
 
@@ -181,7 +186,7 @@ class TestLogReg:
         y = ds.labels.astype(np.float64)
         x_cm = np.ascontiguousarray(ds.features.T)
         for lam in (0.0, 0.1):
-            cfg = ClassifierConfig(LOGREG, l2_strength=lam, learning_rate=0.3, epochs=60)
+            cfg = LogregConfig(l2_strength=lam, learning_rate=0.3, epochs=60)
             w, b = np.zeros(5), 0.0
             for _ in range(cfg.epochs):
                 gw, gb = reference_logreg_gradient(w, b, x_cm, y, lam)
@@ -203,14 +208,14 @@ class TestLogRegDivergence:
 
     def test_diverged_candidate_is_never_selected(self):
         # every row called anomalous gives l2=1 a higher CV F1 than l2=0.1 has
-        candidates = [ClassifierConfig(LOGREG, l2_strength=lam, learning_rate=2.0, epochs=600) for lam in (0.1, 1.0)]
+        candidates = [LogregConfig(l2_strength=lam, learning_rate=2.0, epochs=600) for lam in (0.1, 1.0)]
         best, model, scores = select_model(candidates, _scaled_telemetry(600, 13), seed=4)
         assert scores[0] is not None and scores[1] is None
         assert best == candidates[0] and model.config == candidates[0]
 
     def test_every_candidate_diverged_is_domain_error(self):
         ds = _scaled_telemetry(600, 13)
-        candidates = [ClassifierConfig(LOGREG, l2_strength=1.0, learning_rate=lr, epochs=600) for lr in (2.0, 1e300)]
+        candidates = [LogregConfig(l2_strength=1.0, learning_rate=lr, epochs=600) for lr in (2.0, 1e300)]
         with pytest.raises(DomainError, match="every logreg candidate diverged"):
             select_model(candidates, ds, seed=4)
         with pytest.raises(DomainError, match="logreg fit diverged"):
@@ -221,7 +226,7 @@ class TestLogRegDivergence:
             raise DomainError("not a divergence")
 
         monkeypatch.setitem(baselines._KINDS, LOGREG, baselines._KINDS[LOGREG]._replace(train=refuse))
-        candidates = [ClassifierConfig(LOGREG, l2_strength=lam) for lam in (0.0, 1.0)]
+        candidates = [LogregConfig(l2_strength=lam) for lam in (0.0, 1.0)]
         with pytest.raises(DomainError, match="not a divergence"):
             select_model(candidates, _scaled_telemetry(600, 13), seed=4)
 
@@ -240,7 +245,7 @@ def _brute_force_knn(train_x, train_y, k, query):
 class TestKnn:
     def test_single_neighbour_rig(self):
         ds = _ds([0.0, 1.0], [0, 1])
-        model = train_classifier(ClassifierConfig(KNN, k=1), ds, seed=0)
+        model = train_classifier(KnnConfig(k=1), ds, seed=0)
         labels, probs = predict(model, np.array([[0.1]]))
         assert labels.tolist() == [Label.NORMAL]
         assert probs.tolist() == [0.0]
@@ -253,7 +258,7 @@ class TestKnn:
         labels = np.array([1 if rng.random() < 0.4 else 0 for _ in range(n)], dtype=np.int8)
         ds = Dataset(feats, labels)
         for k in (1, 3, 5):
-            model = train_classifier(ClassifierConfig(KNN, k=k), ds, seed=0)
+            model = train_classifier(KnnConfig(k=k), ds, seed=0)
             for _ in range(40):
                 q = np.array([round(rng.uniform(0, 4)) / 2.0 for _ in range(3)])
                 prob = predict(model, q[None])[1][0]
@@ -276,29 +281,29 @@ class TestKnn:
                 nearest = np.argsort(((train_x - q) ** 2).sum(axis=1), kind="stable")[:k]
                 assert np.flatnonzero(row).tolist() == sorted(nearest.tolist())
                 want.append(train_y[nearest].mean())
-            model = train_classifier(ClassifierConfig(KNN, k=k), Dataset(train_x, train_y), seed=0)
+            model = train_classifier(KnnConfig(k=k), Dataset(train_x, train_y), seed=0)
             assert predict_proba(model, queries).tolist() == want
 
     def test_model_file_holds_integer_labels(self):
-        model = train_classifier(ClassifierConfig(KNN, k=3), _blobs(77, 10), seed=0)
+        model = train_classifier(KnnConfig(k=3), _blobs(77, 10), seed=0)
         labels = model_to_dict(model)["train_labels"]
         assert sorted(set(labels)) == [0, 1] and all(type(v) is int for v in labels)
 
     def test_k_above_training_size_rejected(self):
         six_rows = _ds([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0, 0, 0, 1, 1, 1])
         with pytest.raises(DataError, match="exceeds training size"):
-            train_classifier(ClassifierConfig(KNN, k=7), six_rows, seed=0)
+            train_classifier(KnnConfig(k=7), six_rows, seed=0)
 
     def test_even_k_rejected(self):
         with pytest.raises(DomainError):
-            ClassifierConfig(KNN, k=4)
+            KnnConfig(k=4)
 
 
-def _reference_tree(x, y, max_depth=None, min_leaf=1, depth=0):
-    """Independent exhaustive-split CART: pure-python loops, same tie rules."""
+def _reference_tree(x, y, max_depth=0, min_leaf=1, depth=0):
+    """Independent exhaustive-split CART: pure-python loops, same tie rules; max_depth 0 = unbounded."""
     n = len(y)
     pos = sum(y)
-    if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+    if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth > 0 and depth >= max_depth):
         return ("leaf", pos / n)
     best = None
     for f in range(x.shape[1]):
@@ -378,10 +383,10 @@ def per_node_sort_best_split(x, y, feature_ids, min_leaf):
 
 def per_node_sort_grow_tree(x, y, depth, max_depth, min_leaf, choose_features):
     """Reference grower: copies the node's rows into each child and re-sorts
-    there, and returns the tree as nested dicts."""
+    there, and returns the tree as nested dicts; max_depth 0 = unbounded."""
     n = y.size
     pos = int(y.sum())
-    if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+    if pos == 0 or pos == n or n < 2 * min_leaf or (max_depth > 0 and depth >= max_depth):
         return {"leaf": pos / n}
     best = per_node_sort_best_split(x, y, choose_features(), min_leaf)
     if best is None:
@@ -453,16 +458,14 @@ class TestPresortedGrowerOracle:
     @pytest.mark.parametrize("growth", [{}, {"min_leaf": 3}, {"max_depth": 4}])
     def test_decision_tree(self, monkeypatch, growth):
         for seed in (1, 2):
-            self._assert_matches_reference(monkeypatch, ClassifierConfig(DECISION_TREE, **growth), _tie_heavy_rig(seed), 0)
+            self._assert_matches_reference(monkeypatch, TreeConfig(**growth), _tie_heavy_rig(seed), 0)
 
     @pytest.mark.invariant
     @pytest.mark.parametrize("bootstrap", [True, False])
     @pytest.mark.parametrize("features_per_split", [1, 2, 3, 7])
     @pytest.mark.parametrize("growth", [{}, {"min_leaf": 3}, {"max_depth": 4}])
     def test_random_forest(self, monkeypatch, bootstrap, features_per_split, growth):
-        cfg = ClassifierConfig(
-            RANDOM_FOREST, n_trees=4, features_per_split=features_per_split, bootstrap=bootstrap, **growth
-        )
+        cfg = ForestConfig(n_trees=4, features_per_split=features_per_split, bootstrap=bootstrap, **growth)
         self._assert_matches_reference(monkeypatch, cfg, _tie_heavy_rig(3), 11)
 
     @pytest.mark.invariant
@@ -472,12 +475,12 @@ class TestPresortedGrowerOracle:
         """Scaled telemetry has few exact ties but many gains that differ in
         the last bits, which a change in the order of the Gini arithmetic
         would flip."""
-        cfg = ClassifierConfig(RANDOM_FOREST, n_trees=10, features_per_split=features_per_split, min_leaf=min_leaf)
+        cfg = ForestConfig(n_trees=10, features_per_split=features_per_split, min_leaf=min_leaf)
         self._assert_matches_reference(monkeypatch, cfg, _scaled_telemetry(600, 13), 11)
 
     def test_zero_gain_node_is_a_leaf(self, monkeypatch):
         ds = _zero_gain_rig()
-        tree = self._assert_matches_reference(monkeypatch, ClassifierConfig(DECISION_TREE), ds, 0)["root"]
+        tree = self._assert_matches_reference(monkeypatch, TreeConfig(), ds, 0)["root"]
         assert tree.feature[0] == 2
         leaves = np.flatnonzero(tree.feature < 0)
         assert (0.5, 8) in zip(tree.leaf[leaves].tolist(), _leaf_sizes(tree, ds.features)[leaves].tolist())
@@ -495,7 +498,7 @@ class TestForestDrawOrder:
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_equals_per_split_permutation_draws(self, monkeypatch, chunk, features_per_split, bootstrap):
         monkeypatch.setattr(baselines, "_DRAW_CHUNK", chunk)
-        cfg = ClassifierConfig(RANDOM_FOREST, n_trees=5, features_per_split=features_per_split, bootstrap=bootstrap)
+        cfg = ForestConfig(n_trees=5, features_per_split=features_per_split, bootstrap=bootstrap)
         ds = _tie_heavy_rig(6)
         x, y, n = ds.features, ds.labels, ds.n
         got = baselines._train_forest(cfg, x, y, 5)["trees"]
@@ -504,7 +507,7 @@ class TestForestDrawOrder:
             idx = rng.randrange(n, n) if bootstrap else np.arange(n)
             order = np.argsort(x[idx], axis=0, kind="stable").T
             want = baselines._grow_tree(
-                x[idx], y[idx], order, None, 1, lambda: np.sort(rng.permutation(7)[:features_per_split])
+                x[idx], y[idx], order, 0, 1, lambda: np.sort(rng.permutation(7)[:features_per_split])
             )
             assert (tree.feature >= 0).sum() > 4  # enough splits to span several chunks of 4
             for column, expected in zip(tree, want):
@@ -514,7 +517,7 @@ class TestForestDrawOrder:
 def _tie_tree_digest():
     """sha256 of the arrays of a decision tree and a 20-tree forest grown on 2000 tie-heavy rows."""
     ds, digest = _tie_heavy_rig(8, n=2000), hashlib.sha256()
-    for cfg in (ClassifierConfig(DECISION_TREE), ClassifierConfig(RANDOM_FOREST, n_trees=20)):
+    for cfg in (TreeConfig(), ForestConfig(n_trees=20)):
         payload = train_classifier(cfg, ds, seed=3).payload
         for tree in payload.get("trees", [payload.get("root")]):
             for column in tree:
@@ -550,8 +553,9 @@ class TestPresortTieOrder:
         stable = np.argsort(x, axis=0, kind="stable").T
         reversed_ties = np.array([np.lexsort((-np.arange(ds.n), column)) for column in x.T])
         assert not np.array_equal(stable, reversed_ties)  # the bootstrap duplicates rows, so ties abound
+        max_depth, min_leaf = growth.get("max_depth", 0), growth.get("min_leaf", 1)
         trees = [
-            baselines._grow_tree(x, y, order, growth.get("max_depth"), growth.get("min_leaf", 1), lambda: np.arange(7))
+            baselines._grow_tree(x, y, order, max_depth, min_leaf, lambda: np.arange(7))
             for order in (stable, np.argsort(x.T, axis=1), reversed_ties)
         ]
         assert (trees[0].feature >= 0).sum() > 5
@@ -584,7 +588,7 @@ class TestTreeScoringOracle:
     down the nested-dict trees, also for rows that sit exactly on a threshold."""
 
     @pytest.mark.invariant
-    @pytest.mark.parametrize("cfg", [ClassifierConfig(DECISION_TREE), ClassifierConfig(RANDOM_FOREST, n_trees=9)])
+    @pytest.mark.parametrize("cfg", [TreeConfig(), ForestConfig(n_trees=9)])
     def test_equals_nested_walk(self, cfg):
         ds = _tie_heavy_rig(4)
         model = train_classifier(cfg, ds, seed=2)
@@ -610,7 +614,7 @@ class TestTreeScoringOracle:
 class TestDecisionTree:
     def test_one_dimensional_separable(self):
         ds = _ds([0.1, 0.2, 0.3, 0.7, 0.8, 0.9], [0, 0, 0, 1, 1, 1])
-        model = train_classifier(ClassifierConfig(DECISION_TREE), ds, seed=0)
+        model = train_classifier(TreeConfig(), ds, seed=0)
         assert nested_tree(model.payload["root"]) == {
             "feature": 0,
             "threshold": 0.5,
@@ -633,7 +637,7 @@ class TestDecisionTree:
         sets.append((x2, y2))
         for x, y in sets:
             ds = Dataset(x, np.array(y, dtype=np.int8))
-            model = train_classifier(ClassifierConfig(DECISION_TREE), ds, seed=0)
+            model = train_classifier(TreeConfig(), ds, seed=0)
             reference = _reference_tree(x, list(map(int, y)))
             for row in x:
                 mine = predict_proba(model, row[None, :])[0]
@@ -641,7 +645,7 @@ class TestDecisionTree:
 
     def test_max_depth_and_min_leaf_respected(self):
         ds = _blobs(5, 50, dim=2, separation=1.0)
-        model = train_classifier(ClassifierConfig(DECISION_TREE, max_depth=2, min_leaf=5), ds, seed=0)
+        model = train_classifier(TreeConfig(max_depth=2, min_leaf=5), ds, seed=0)
         tree = model.payload["root"]
         depth = np.zeros(tree.feature.size, dtype=int)
         for i in np.flatnonzero(tree.feature >= 0):  # preorder: a parent precedes its children
@@ -661,7 +665,7 @@ class TestDecisionTree:
         """(a + b) / 2 rounds onto b for adjacent doubles and overflows near the
         largest double; the threshold is then a, and the split still separates."""
         ds = _ds([a, a, b, b], [0, 0, 1, 1])
-        model = train_classifier(ClassifierConfig(DECISION_TREE), ds, seed=0)
+        model = train_classifier(TreeConfig(), ds, seed=0)
         tree = model.payload["root"]
         assert tree.feature.size == 3 and tree.threshold[0] == a
         assert predict(model, ds.features)[0].tolist() == [0, 0, 1, 1]
@@ -670,7 +674,7 @@ class TestDecisionTree:
 class TestRandomForest:
     def test_deterministic_ensemble(self):
         ds = _blobs(7, 40, dim=4)
-        cfg = ClassifierConfig(RANDOM_FOREST, n_trees=11, features_per_split=2)
+        cfg = ForestConfig(n_trees=11, features_per_split=2)
         a = train_classifier(cfg, ds, seed=5)
         b = train_classifier(cfg, ds, seed=5)
         assert model_to_dict(a) == model_to_dict(b)
@@ -682,8 +686,8 @@ class TestRandomForest:
     def test_single_full_tree_reduces_to_plain_cart(self):
         for seed in (1, 2):
             ds = _blobs(30 + seed, 30, dim=3, separation=1.5)
-            forest_cfg = ClassifierConfig(RANDOM_FOREST, n_trees=1, features_per_split=3, bootstrap=False)
-            tree_cfg = ClassifierConfig(DECISION_TREE)
+            forest_cfg = ForestConfig(n_trees=1, features_per_split=3, bootstrap=False)
+            tree_cfg = TreeConfig()
             forest = train_classifier(forest_cfg, ds, seed=seed)
             tree = train_classifier(tree_cfg, ds, seed=seed)
             queries = np.vstack([ds.features, _blobs(99, 20, dim=3).features])
@@ -693,7 +697,7 @@ class TestRandomForest:
 
     def test_separates_blobs(self):
         ds = _blobs(13, 80)
-        model = train_classifier(ClassifierConfig(RANDOM_FOREST, n_trees=25), ds, seed=1)
+        model = train_classifier(ForestConfig(n_trees=25), ds, seed=1)
         pred = (predict_proba(model, ds.features) > 0.5).astype(int)
         assert (pred == ds.labels).mean() > 0.97
 
@@ -701,14 +705,14 @@ class TestRandomForest:
 class TestMlp:
     def test_learns_separable_data(self):
         ds = _blobs(21, 80, dim=4, separation=2.5)
-        cfg = ClassifierConfig(MLP, learning_rate=0.01, epochs=150, hidden_units=8, batch_size=32)
+        cfg = MlpConfig(learning_rate=0.01, epochs=150, hidden_units=8, batch_size=32)
         model = train_classifier(cfg, ds, seed=2)
         pred = (predict_proba(model, ds.features) > 0.5).astype(int)
         assert (pred == ds.labels).mean() > 0.95
 
     def test_deterministic(self):
         ds = _blobs(22, 30, dim=3)
-        cfg = ClassifierConfig(MLP, epochs=20, learning_rate=0.01, batch_size=16)
+        cfg = MlpConfig(epochs=20, learning_rate=0.01, batch_size=16)
         a = train_classifier(cfg, ds, seed=9)
         b = train_classifier(cfg, ds, seed=9)
         assert np.array_equal(predict_proba(a, ds.features), predict_proba(b, ds.features))
@@ -720,12 +724,12 @@ class TestSharedContracts:
         train_ds = _blobs(31, 60)
         test_ds = _blobs(32, 40)
         configs = [
-            ClassifierConfig(LOGREG, epochs=80),
-            ClassifierConfig(GAUSSIAN_NB),
-            ClassifierConfig(KNN, k=5),
-            ClassifierConfig(DECISION_TREE),
-            ClassifierConfig(RANDOM_FOREST, n_trees=15),
-            ClassifierConfig(MLP, epochs=30, batch_size=32, learning_rate=0.01),
+            LogregConfig(epochs=80, learning_rate=0.1),
+            GaussianNbConfig(),
+            KnnConfig(k=5),
+            TreeConfig(),
+            ForestConfig(n_trees=15),
+            MlpConfig(epochs=30, batch_size=32, learning_rate=0.01),
         ]
         for cfg in configs:
             model = train_classifier(cfg, train_ds, seed=0)
@@ -751,7 +755,7 @@ class TestSharedContracts:
     @pytest.mark.invariant
     @pytest.mark.parametrize(
         "cfg",
-        [ClassifierConfig(LOGREG, epochs=40), ClassifierConfig(MLP, epochs=5, batch_size=16, learning_rate=0.01)],
+        [LogregConfig(epochs=40, learning_rate=0.1), MlpConfig(epochs=5, batch_size=16, learning_rate=0.01)],
         ids=[LOGREG, MLP],
     )
     def test_network_fit_reads_a_fortran_order_matrix_as_its_copy(self, cfg):
@@ -767,12 +771,12 @@ class TestSharedContracts:
     def test_non_finite_features_rejected(self):
         train_ds = _blobs(33, 20)
         configs = [
-            ClassifierConfig(LOGREG, epochs=10),
-            ClassifierConfig(GAUSSIAN_NB),
-            ClassifierConfig(KNN, k=3),
-            ClassifierConfig(DECISION_TREE),
-            ClassifierConfig(RANDOM_FOREST, n_trees=3),
-            ClassifierConfig(MLP, epochs=2, batch_size=16),
+            LogregConfig(epochs=10, learning_rate=0.1),
+            GaussianNbConfig(),
+            KnnConfig(k=3),
+            TreeConfig(),
+            ForestConfig(n_trees=3),
+            MlpConfig(epochs=2, batch_size=16, learning_rate=0.1),
         ]
         for cfg in configs:
             model = train_classifier(cfg, train_ds, seed=0)
@@ -796,7 +800,7 @@ class TestSharedContracts:
     def test_single_class_rejected(self):
         ds = _ds([1.0, 2.0, 3.0], [0, 0, 0])
         with pytest.raises(NumericError, match="training data contains a single class"):
-            train_classifier(ClassifierConfig(GAUSSIAN_NB), ds, seed=0)
+            train_classifier(GaussianNbConfig(), ds, seed=0)
 
 
 class TestCrossValidation:
@@ -841,20 +845,20 @@ class TestCrossValidation:
             v for v, l in zip(values, labels) if l == 1
         )
         ds = _ds(values, labels)
-        mean_f1, per_fold = cross_validate(ClassifierConfig(DECISION_TREE), ds, folds=5, seed=2)
+        mean_f1, per_fold = cross_validate(TreeConfig(), ds, folds=5, seed=2)
         assert mean_f1 == 1.0
         assert per_fold == [1.0] * 5
 
     def test_deterministic(self):
         ds = _blobs(43, 25, separation=1.0)
-        a = cross_validate(ClassifierConfig(KNN, k=3), ds, folds=5, seed=4)
-        b = cross_validate(ClassifierConfig(KNN, k=3), ds, folds=5, seed=4)
+        a = cross_validate(KnnConfig(k=3), ds, folds=5, seed=4)
+        b = cross_validate(KnnConfig(k=3), ds, folds=5, seed=4)
         assert a == b
 
     def test_small_class_rejected(self):
         ds = _ds([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0, 0, 0, 0, 1, 1])
         with pytest.raises(DataError, match="class NORMAL has 4 members, fewer than 5 folds"):
-            cross_validate(ClassifierConfig(KNN, k=1), ds, folds=5, seed=0)
+            cross_validate(KnnConfig(k=1), ds, folds=5, seed=0)
 
 
 def _noisy_blobs():
@@ -878,7 +882,7 @@ def _count_fits(monkeypatch):
 class TestSelectModel:
     def test_single_candidate_refit(self):
         ds = _blobs(51, 20)
-        cfg = ClassifierConfig(GAUSSIAN_NB)
+        cfg = GaussianNbConfig()
         best, model, scores = select_model([cfg], ds, seed=0)
         assert best is cfg
         assert model.kind == GAUSSIAN_NB
@@ -886,7 +890,7 @@ class TestSelectModel:
 
     def test_smoother_k_wins_on_noisy_data(self):
         ds = _noisy_blobs()
-        k1, k5 = ClassifierConfig(KNN, k=1), ClassifierConfig(KNN, k=5)
+        k1, k5 = KnnConfig(k=1), KnnConfig(k=5)
         cv_k1 = cross_validate(k1, ds, folds=5, seed=7)
         cv_k5 = cross_validate(k5, ds, folds=5, seed=7)
         assert cv_k5[0] > cv_k1[0]
@@ -896,7 +900,7 @@ class TestSelectModel:
 
     def test_tie_goes_to_first_listed(self, monkeypatch):
         ds = _blobs(52, 20)  # trivially separable: every candidate scores 1.0
-        candidates = [ClassifierConfig(KNN, k=3), ClassifierConfig(KNN, k=5)]
+        candidates = [KnnConfig(k=3), KnnConfig(k=5)]
         fits = _count_fits(monkeypatch)
         best, _, scores = select_model(candidates, ds, seed=1)
         assert best is candidates[0]
@@ -919,7 +923,7 @@ class TestSelectModel:
             candidates = default_config().baseline_candidates("logreg")
         else:
             ds, seed = _noisy_blobs(), 7
-            candidates = [ClassifierConfig(KNN, k=k) for k in grid]
+            candidates = [KnnConfig(k=k) for k in grid]
         exhaustive = [cross_validate(c, ds, folds=5, seed=seed) for c in candidates]
         means = [-math.inf if result is None else result[0] for result in exhaustive]
         expected = candidates[means.index(max(means))]
@@ -966,12 +970,12 @@ class TestSerialization:
         train_ds = _blobs(71, 25, dim=4)
         queries = _blobs(72, 10, dim=4).features
         configs = [
-            ClassifierConfig(LOGREG, epochs=50),
-            ClassifierConfig(GAUSSIAN_NB),
-            ClassifierConfig(KNN, k=3),
-            ClassifierConfig(DECISION_TREE, max_depth=4),
-            ClassifierConfig(RANDOM_FOREST, n_trees=7, features_per_split=2),
-            ClassifierConfig(MLP, epochs=15, batch_size=16, learning_rate=0.01),
+            LogregConfig(epochs=50, learning_rate=0.1),
+            GaussianNbConfig(),
+            KnnConfig(k=3),
+            TreeConfig(max_depth=4),
+            ForestConfig(n_trees=7, features_per_split=2),
+            MlpConfig(epochs=15, batch_size=16, learning_rate=0.01),
         ]
         for cfg in configs:
             model = train_classifier(cfg, train_ds, seed=3)
@@ -991,11 +995,11 @@ class TestSerialization:
             assert first.read_bytes() == second.read_bytes(), cfg.kind
 
     def test_file_holds_version_config_and_payload(self):
-        model = train_classifier(ClassifierConfig(LOGREG, epochs=5), _blobs(75, 10), seed=0)
+        model = train_classifier(LogregConfig(epochs=5, learning_rate=0.1), _blobs(75, 10), seed=0)
         d = model_to_dict(model)
         assert set(d) == {"format_version", "config", "network"}
-        assert d["format_version"] == CLASSIFIER_FORMAT_VERSION == 3
-        assert d["config"]["kind"] == LOGREG
+        assert d["format_version"] == CLASSIFIER_FORMAT_VERSION == 4
+        assert d["config"] == {"kind": LOGREG, "l2_strength": 0.0, "learning_rate": 0.1, "epochs": 5}
         assert d["network"]["topology"] == [7, 1] and d["network"]["activations"] == ["sigmoid"]
         assert len(d["network"]["params"]) == 8
         with pytest.raises(DataError, match="format version 2"):
@@ -1003,7 +1007,7 @@ class TestSerialization:
 
     def test_dict_round_trip(self):
         ds = _blobs(73, 15, dim=3)
-        model = train_classifier(ClassifierConfig(DECISION_TREE), ds, seed=0)
+        model = train_classifier(TreeConfig(), ds, seed=0)
         back = model_from_dict(model_to_dict(model), 3)
         assert nested_tree(back.payload["root"]) == nested_tree(model.payload["root"])
 
@@ -1018,10 +1022,10 @@ class TestSerialization:
 
     def test_knn_takes_k_from_its_config(self):
         train_ds, queries = _blobs(77, 10, dim=4), _blobs(78, 5, dim=4).features
-        model = train_classifier(ClassifierConfig(KNN, k=3), train_ds, seed=0)
+        model = train_classifier(KnnConfig(k=3), train_ds, seed=0)
         d = model_to_dict(model)
         assert "k" not in d
-        # a version-3 file written before k moved to the config alone still loads; its k is ignored
+        # k is read from the config alone: a top-level k beside the payload is not consulted
         back = model_from_dict({**d, "k": 9}, 4)
         assert np.array_equal(predict_proba(back, queries), predict_proba(model, queries))
         with pytest.raises(DataError, match="k=21 exceeds training size 20"):

@@ -1,9 +1,19 @@
 import argparse
+import dataclasses
 import json
 
 import pytest
 
-from aeromon.baselines import _KINDS, CLASSIFIER_KINDS, ClassifierConfig
+from aeromon.baselines import (
+    _KINDS,
+    CLASSIFIER_KINDS,
+    ForestConfig,
+    GaussianNbConfig,
+    KnnConfig,
+    LogregConfig,
+    MlpConfig,
+    TreeConfig,
+)
 from aeromon.cli import _build_parser
 from aeromon.config import (
     BASELINE_GRIDS,
@@ -186,12 +196,15 @@ class TestBaselineKeys:
         assert CLASSIFIER_KINDS == ("logreg", "gaussian_nb", "knn", "decision_tree", "random_forest", "mlp")
 
     def test_table_names_schema_keys_and_config_fields(self):
-        # a key under a kind's prefix that names no field would silently miss its model
-        fields = set(ClassifierConfig.__dataclass_fields__) - {"kind"}
+        # a key under a kind's prefix that names no field would silently miss its model,
+        # and a field without a key (or a grid) could not be set
         for kind, prefix in _BASELINE_PREFIXES.items():
+            cls = _KINDS[kind].config
+            assert cls.kind == kind
+            fields = {f.name for f in dataclasses.fields(cls)}
             grid_field, grid_key = BASELINE_GRIDS.get(kind, (None, None))
-            for key in (k for k in _SCHEMA if k.startswith(prefix)):
-                assert key == grid_key or key[len(prefix) :] in fields, key
+            keys = {k for k in _SCHEMA if k.startswith(prefix)}
+            assert keys == {prefix + name for name in fields - {grid_field}} | ({grid_key} - {None}), kind
             if grid_key is not None:
                 # the grid is its field's one key: no prefix + field key beside it
                 assert grid_field in fields and _SCHEMA[grid_key][0].startswith("grid_")
@@ -217,19 +230,46 @@ class TestBaselineKeys:
             }
         )
         assert cfg.baseline_candidates("logreg") == [
-            ClassifierConfig("logreg", l2_strength=lam, learning_rate=0.3, epochs=9) for lam in (0.5, 2.0)
+            LogregConfig(l2_strength=lam, learning_rate=0.3, epochs=9) for lam in (0.5, 2.0)
         ]
-        assert cfg.baseline_candidates("gaussian_nb") == [ClassifierConfig("gaussian_nb")]
-        assert cfg.baseline_candidates("knn") == [ClassifierConfig("knn", k=3), ClassifierConfig("knn", k=7)]
-        assert cfg.baseline_candidates("decision_tree") == [ClassifierConfig("decision_tree", max_depth=4, min_leaf=2)]
+        assert cfg.baseline_candidates("gaussian_nb") == [GaussianNbConfig()]
+        assert cfg.baseline_candidates("knn") == [KnnConfig(k=3), KnnConfig(k=7)]
+        assert cfg.baseline_candidates("decision_tree") == [TreeConfig(max_depth=4, min_leaf=2)]
         assert cfg.baseline_candidates("random_forest") == [
-            ClassifierConfig(
-                "random_forest", n_trees=6, features_per_split=2, max_depth=None, min_leaf=3, bootstrap=False
-            )
+            ForestConfig(n_trees=6, features_per_split=2, max_depth=0, min_leaf=3, bootstrap=False)
         ]
         assert cfg.baseline_candidates("mlp") == [
-            ClassifierConfig("mlp", hidden_units=5, learning_rate=0.02, epochs=11, batch_size=64)
+            MlpConfig(hidden_units=5, learning_rate=0.02, epochs=11, batch_size=64)
         ]
-        assert default_config().baseline_candidates("decision_tree")[0].max_depth is None  # 0 = unbounded
+        assert default_config().baseline_candidates("decision_tree")[0].max_depth == 0  # 0 = unbounded
+        # each class's defaults are the config defaults (a grid's first value for its field)
+        assert [default_config().baseline_candidates(kind)[0] for kind in CLASSIFIER_KINDS] == [
+            _KINDS[kind].config() for kind in CLASSIFIER_KINDS
+        ]
         with pytest.raises(ConfigError):
             cfg.baseline_candidates("svm")
+
+    def test_baseline_keys_types_and_defaults_are_pinned(self):
+        # the 15 baseline keys, each with its type and default, as written by hand before the
+        # config classes generated them: generating them moves no key, type or default
+        pinned = {
+            "logreg_l2_grid": ("grid_float", "0,0.01,0.1,1"),
+            "logreg_learning_rate": ("float", 2.0),
+            "logreg_epochs": ("int", 600),
+            "knn_k_grid": ("grid_int", "5"),
+            "tree_max_depth": ("int", 0),
+            "tree_min_leaf": ("int", 1),
+            "forest_n_trees": ("int", 100),
+            "forest_features_per_split": ("int", 3),
+            "forest_max_depth": ("int", 0),
+            "forest_min_leaf": ("int", 1),
+            "forest_bootstrap": ("bool", True),
+            "mlp_hidden_units": ("int", 8),
+            "mlp_learning_rate": ("float", 0.01),
+            "mlp_epochs": ("int", 120),
+            "mlp_batch_size": ("int", 256),
+        }
+        prefixes = tuple(_BASELINE_PREFIXES.values())
+        generated = {key: spec for key, spec in _SCHEMA.items() if key.startswith(prefixes)}
+        typed = lambda schema: {key: (kind, default, type(default)) for key, (kind, default) in schema.items()}
+        assert typed(generated) == typed(pinned)

@@ -974,6 +974,7 @@ class TestBrokenArtifacts:
             ("calibrate", "model_ae.json", lambda p: _edit_json(p, lambda d: d["params"].pop(0))),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d.pop("config"))),
             ("evaluate", "clf_logreg.json", lambda p: _edit_json(p, lambda d: d.update(format_version=1))),
+            ("evaluate", "clf_mlp.json", lambda p: _edit_json(p, lambda d: d.update(format_version=3))),
             ("evaluate", "scaler_supervised.json", lambda p: _edit_json(p, lambda d: d.pop("ranges"))),
             ("compare", "report_knn.json", lambda p: p.write_text("")),
             ("compare", "report_knn.json", lambda p: _edit_json(p, lambda d: d.update(f1=None))),
@@ -1048,6 +1049,7 @@ class TestBrokenArtifacts:
             "short_model_weights",
             "clf_without_config",
             "clf_format_v1",
+            "clf_format_v3",
             "scaler_without_ranges",
             "empty_report",
             "report_f1_null",
@@ -1143,6 +1145,46 @@ class TestBrokenArtifacts:
         assert f"cannot load {out / name}:" in err
         assert "unsupported model format version 1" in err
 
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            # a stray key is a field of another kind; a dropped key is one of the kind's own fields
+            ("logreg", lambda config: config.update(k=5)),
+            ("logreg", lambda config: config.pop("epochs")),
+            ("gaussian_nb", lambda config: config.update(epochs=400)),
+            ("knn", lambda config: config.update(epochs=400)),
+            ("knn", lambda config: config.pop("k")),
+            ("decision_tree", lambda config: config.update(n_trees=100)),
+            ("decision_tree", lambda config: config.pop("max_depth")),
+            ("random_forest", lambda config: config.update(hidden_units=8)),
+            ("random_forest", lambda config: config.pop("bootstrap")),
+            ("mlp", lambda config: config.update(l2_strength=0.0)),
+            ("mlp", lambda config: config.pop("batch_size")),
+        ],
+        ids=[
+            "logreg_stray",
+            "logreg_missing",
+            "gaussian_nb_stray",
+            "knn_stray",
+            "knn_missing",
+            "decision_tree_stray",
+            "decision_tree_missing",
+            "random_forest_stray",
+            "random_forest_missing",
+            "mlp_stray",
+            "mlp_missing",
+        ],
+    )
+    def test_classifier_config_holds_exactly_its_kinds_fields(self, evaluated, tmp_path, capsys, kind, edit):
+        cfg_file, src = evaluated
+        out = tmp_path / "work"
+        shutil.copytree(src, out)
+        name = f"clf_{kind}.json"
+        _edit_json(out / name, lambda d: edit(d["config"]))
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "evaluate"]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot load {out / name}: DataError: {kind} config" in err
+
 
 def _layers_changed(edit):
     """A fault of the layers: `edit` changes `topology` and `activations`, and
@@ -1200,8 +1242,8 @@ class TestOneNetworkRule:
         "specs",
         [
             default_autoencoder_specs(),
-            baselines._logreg_layers(baselines.ClassifierConfig("logreg"), 7),
-            baselines._mlp_layers(baselines.ClassifierConfig("mlp"), 7),
+            baselines._logreg_layers(baselines.LogregConfig(), 7),
+            baselines._mlp_layers(baselines.MlpConfig(), 7),
         ],
         ids=["ae", "logreg", "mlp"],
     )

@@ -16,7 +16,18 @@ import pytest
 
 from aeromon.anomaly import MAHALANOBIS_POLICY, MSE_POLICY, ThresholdPolicy, calibrate, classify
 from aeromon.autoencoder import TrainConfig, default_autoencoder_specs, init_network, train
-from aeromon.baselines import CLASSIFIER_KINDS, ClassifierConfig, predict, predict_proba, train_classifier
+from aeromon.baselines import (
+    CLASSIFIER_KINDS,
+    ForestConfig,
+    GaussianNbConfig,
+    KnnConfig,
+    LogregConfig,
+    MlpConfig,
+    TreeConfig,
+    predict,
+    predict_proba,
+    train_classifier,
+)
 from aeromon.dataset import Dataset, SynthConfig, apply_scaler, fit_scaler, generate_synthetic
 from aeromon.errors import DomainError, ShapeError
 from aeromon.evaluation import auroc, confusion, evaluate_model
@@ -64,10 +75,18 @@ def entries():
     for policy in POLICIES:
         scorer = calibrate(net, scaler, normals, ThresholdPolicy(policy))
         table[f"classify-{policy}"] = (lambda x, s=scorer: classify(s, x), good)
-    for kind in CLASSIFIER_KINDS:
-        model = train_classifier(ClassifierConfig(kind, epochs=5, n_trees=3, k=3), scaled, seed=5)
-        table[f"predict-{kind}"] = (lambda x, m=model: predict(m, x), good_scaled)
-        table[f"predict_proba-{kind}"] = (lambda x, m=model: predict_proba(m, x), good_scaled)
+    fast = (
+        LogregConfig(learning_rate=0.1, epochs=5),
+        GaussianNbConfig(),
+        KnnConfig(k=3),
+        TreeConfig(),
+        ForestConfig(n_trees=3),
+        MlpConfig(learning_rate=0.1, epochs=5),
+    )
+    for cfg in fast:
+        model = train_classifier(cfg, scaled, seed=5)
+        table[f"predict-{cfg.kind}"] = (lambda x, m=model: predict(m, x), good_scaled)
+        table[f"predict_proba-{cfg.kind}"] = (lambda x, m=model: predict_proba(m, x), good_scaled)
     return table
 
 
