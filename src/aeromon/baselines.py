@@ -31,7 +31,8 @@ from .autoencoder import (
     network_to_dict,
 )
 from .dataset import Dataset, Label
-from .errors import ConfigError, DataError, DomainError, NumericError, read_json_artifact, write_json_artifact
+from .errors import VALUE_TYPES, ConfigError, DataError, DomainError, NumericError
+from .errors import read_json_artifact, write_json_artifact
 from .evaluation import confusion
 from .numerics import Rng, as_labels, as_matrix, derive_seed, leading_sums
 
@@ -49,24 +50,28 @@ _KNN_BLOCK_ELEMS = 2**17  # distance-matrix entries per block of test rows (1 Mi
 _DRAW_CHUNK = 256  # forest feature subsets per draw call; a tree has ~90 splits at n=2000, ~310 at n=20000
 
 
-# a per-kind config field -> (does a value pass, the rule its DomainError states); any other field must be >= 1
+# a per-kind config field -> (does a value pass, the rule its DomainError states); any other number must be >= 1
 _RANGES = {
     "l2_strength": (lambda v: 0.0 <= v < math.inf, ">= 0 and finite"),
     "learning_rate": (lambda v: 0.0 < v < math.inf, "positive and finite"),
     "k": (lambda v: v >= 1 and v % 2 == 1, "odd and >= 1 to avoid vote ties"),
     "max_depth": (lambda v: v >= 0, ">= 0 (0 = unbounded)"),
-    "bootstrap": (lambda v: v in (False, True), "true or false"),
 }
 
 
 class BaselineConfig:
-    """A per-kind config: its kind as a class attribute, the hyperparameters the kind reads as fields."""
+    """A per-kind config: its kind as a class attribute, the hyperparameters the kind reads as fields,
+    each of the type `VALUE_TYPES` gives its annotation."""
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            passes, rule = _RANGES.get(name, (lambda v: v >= 1, ">= 1"))
-            if not passes(value):
-                raise DomainError(f"{name} must be {rule}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            has_type, wording = VALUE_TYPES[f.type]
+            if not has_type(value):
+                raise DomainError(f"{f.name} must be {wording}, got {value!r}")
+            passes, rule = _RANGES.get(f.name, (lambda v: v >= 1, ">= 1"))
+            if f.type != "bool" and not passes(value):
+                raise DomainError(f"{f.name} must be {rule}")
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         if args.command == "run":
-            manifest = run_pipeline(cfg, quiet=args.quiet)
-            if not args.quiet:
-                print(f"config hash {manifest['config_hash']}")
+            run_pipeline(cfg, quiet=args.quiet)
         else:
             inputs = {k: v for k, v in vars(args).items() if k in ("input_name", "kind") and v is not None}
             run_stage(cfg, "ingest" if args.command == "generate" else args.command, args.quiet, **inputs)

@@ -20,7 +20,7 @@ from .autoencoder import TrainConfig
 from .baselines import _KINDS, CLASSIFIER_KINDS, BaselineConfig
 from .anomaly import POLICY_KINDS, ThresholdPolicy
 from .dataset import N_CHANNELS, SynthConfig
-from .errors import ConfigError, DomainError
+from .errors import VALUE_TYPES, ConfigError, DomainError
 from .numerics import derive_seed
 
 
@@ -93,23 +93,6 @@ def _parse_grid(key: str, kind: str, value) -> list:
 
 
 def _coerce(key: str, kind: str, value):
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"'{key}' must be an integer, got {value!r}")
-        return value
-    if kind == "float":
-        # the bound also rejects NaN, +-inf and integers too large for a float
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
-        return float(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"'{key}' must be true or false, got {value!r}")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"'{key}' must be a string, got {value!r}")
-        return value
     if kind.startswith("choice:"):
         choices = kind.split(":", 1)[1].split(",")
         if value not in choices:
@@ -118,7 +101,11 @@ def _coerce(key: str, kind: str, value):
     if kind in ("grid_float", "grid_int"):
         _parse_grid(key, kind, value)
         return value  # keep the raw string; baseline_candidates parses it
-    raise ConfigError(f"internal: unknown schema type {kind}")
+    has_type, wording = VALUE_TYPES[kind]
+    # the bound also rejects NaN, +-inf and integers too large for a float
+    if not has_type(value) or kind == "float" and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"'{key}' must be {wording}, got {value!r}")
+    return float(value) if kind == "float" else value
 
 
 @dataclass(frozen=True)

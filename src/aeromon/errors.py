@@ -45,6 +45,16 @@ class DomainError(NumericError):
     """Argument outside its mathematical domain."""
 
 
+# the type of a config key or per-kind config field -> (does a value have it, what the value must be).
+# A float takes an int, only a bool takes a bool; each user bounds a float to be finite itself.
+VALUE_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _finite_float(literal: str) -> float:
     """A JSON number or constant (NaN, Infinity, -Infinity) that must be finite."""
     value = float(literal)

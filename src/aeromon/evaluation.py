@@ -33,21 +33,16 @@ def metrics(cm: dict) -> dict:
     `degenerate` list of the ratios whose denominator was zero."""
     tp, fp, fn, tn = cm["tp"], cm["fp"], cm["fn"], cm["tn"]
     degenerate = []
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision = 0.0
-        degenerate.append("precision")
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall = 0.0
-        degenerate.append("recall")
-    if precision + recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        degenerate.append("f1")
+
+    def ratio(name, num, den):
+        if den > 0:
+            return num / den
+        degenerate.append(name)
+        return 0.0
+
+    precision = ratio("precision", tp, tp + fp)
+    recall = ratio("recall", tp, tp + fn)
+    f1 = ratio("f1", 2.0 * precision * recall, precision + recall)
     accuracy = (tp + tn) / (tp + fp + fn + tn)
     return {"precision": precision, "recall": recall, "f1": f1, "accuracy": accuracy, "degenerate": degenerate}
 

@@ -36,27 +36,21 @@ _SM_MUL1 = 0xBF58476D1CE4E5B9
 _SM_MUL2 = 0x94D049BB133111EB
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output mix of each element of the uint64 array z, in place
-    (uint64 arithmetic wraps like masked integer steps); returns z."""
+def _splitmix64_block(key: int | np.ndarray, n: int) -> np.ndarray:
+    """The first n SplitMix64 outputs of state `key`, as one uint64 array.
+
+    Output i mixes state key + (i+1) * golden (mod 2**64); uint64 arithmetic
+    wraps like masked integer steps. The mix is a bijection, so the n outputs
+    are distinct for n <= 2**64. A uint64 array of keys broadcasts against the
+    n outputs: `keys[:, None]` gives one row of n outputs per key.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.asarray(key, dtype=np.uint64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_SM_MUL1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_SM_MUL2)
     z ^= z >> np.uint64(31)
     return z
-
-
-def _splitmix64_block(key: int, n: int) -> np.ndarray:
-    """The first n SplitMix64 outputs of state `key`, as one uint64 array.
-
-    Output i mixes state key + (i+1) * golden (mod 2**64). The mix is a
-    bijection, so the n outputs are distinct for n <= 2**64.
-    """
-    z = np.arange(1, n + 1, dtype=np.uint64)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(key & _MASK64)
-    return _mix64(z)
 
 
 def derive_seed(seed: int, index: int | np.ndarray) -> int | np.ndarray:
@@ -158,8 +152,7 @@ class Rng:
             raise DomainError(f"cannot sample {k} of {n}")
         keys = derive_seed(self.seed, np.arange(self.draws, self.draws + rows, dtype=np.uint64))
         self.draws += rows
-        block = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + keys[:, None]
-        return np.sort(np.argsort(_mix64(block), axis=1)[:, :k], axis=1)
+        return np.sort(np.argsort(_splitmix64_block(keys[:, None], n), axis=1)[:, :k], axis=1)
 
 
 def as_matrix(rows, width: int | None = None) -> np.ndarray:

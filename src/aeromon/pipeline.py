@@ -1,13 +1,14 @@
 """End-to-end orchestration with file-based stage handoff.
 
 Every stage writes files inside one output directory, so stages can be
-re-run standalone and compared by hash. Every command, `run` or one stage,
-holds the lock `.aeromon.lock` while it runs. Within one command, a stage
+re-run standalone and compared by hash. A command, `run` or one stage, is one
+`_OutputDir`: it holds the lock `.aeromon.lock`, and every file a stage opens,
+progress line and run_log.csv row goes through it. Within one command, a stage
 takes the CSV splits, scalers, autoencoder and scorer that an earlier stage of
 that command wrote from memory; a standalone command parses the files it
-reads. The labelled test split is written twice: `test.csv` with its labels,
-which only the evaluate stage opens, and `test_features.csv` without them,
-which the scoring stage reads. `train-clf` is train-baselines for one kind.
+reads. `test.csv`, the labelled test split, is opened only by the evaluate
+stage; the scoring stage reads `test_features.csv`, the same rows without
+labels. `train-clf` is train-baselines for one kind.
 
 Fixed artifact names inside the output directory:
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,20 +68,45 @@ LOCK_NAME = ".aeromon.lock"
 
 
 class _OutputDir:
-    """Stages write each artifact to the path `writes(name)` gives, which appends name to `written`;
-    `file` gives a path without recording it. `write(name, value, save)` saves through `writes` and,
-    while a command holds the lock, keeps value in `memo`; `read(name, load)` returns the kept value,
-    else parses the file. So a command trusts only its own writes, and outside a command (`memo` is
-    None) every read parses."""
+    """The one object of a command. `with _OutputDir(path, quiet) as out:` takes the lock (a gone
+    process's lock is taken over, its unfinished writes removed) and opens `memo`; exit drops both.
+    `writes(name)` gives the path to write an artifact to and appends name to `written` (`file` gives
+    one unrecorded); `write(name, value, save)` saves through `writes` and, inside `with`, keeps value
+    in `memo`; `read(name, load)` returns the kept value, else parses the file. So a command trusts
+    only its own writes, and outside `with` every read parses. `run` runs one stage and appends its
+    time to run_log.csv, even when it raises; `say` prints unless quiet."""
 
-    def __init__(self, path):
+    def __init__(self, path, quiet: bool = False):
         self.path = Path(path)
         try:
             self.path.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file of that name, or no permission
             raise ConfigError(f"cannot create the output directory {self.path}: {exc}") from None
+        self.quiet = quiet
         self.written: list[str] = []
         self.memo: dict | None = None
+
+    def __enter__(self) -> _OutputDir:
+        lock = self.file(LOCK_NAME)
+        for attempt in range(2):
+            try:
+                with open(lock, "x", encoding="ascii") as fh:
+                    fh.write(str(os.getpid()))
+                break
+            except FileExistsError:
+                dead = _dead_lock_holder(lock) if attempt == 0 else None
+                if dead is None:
+                    raise ConfigError(
+                        f"output directory is locked by another run ({lock}); remove the lock file if that run is dead"
+                    ) from None
+                remove_unfinished_writes(self.path, dead)
+                lock.unlink(missing_ok=True)
+        self.memo = {}
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.memo = None
+        self.file(LOCK_NAME).unlink(missing_ok=True)
 
     def file(self, name: str) -> Path:
         return self.path / name
@@ -101,7 +127,7 @@ class _OutputDir:
 
     def read_csv(self, name: str) -> Dataset:
         """A labelled CSV split."""
-        return self.read(name, lambda path: load_csv(path, has_labels=True))
+        return self.read(name, partial(load_csv, has_labels=True))
 
     def read_scaler(self, name: str) -> MinMaxScaler:
         """A scaler file, which must scale the telemetry channels."""
@@ -113,6 +139,24 @@ class _OutputDir:
 
     def read_scorer(self) -> AnomalyScorer:
         return self.read("scorer.json", lambda path: load_scorer(path, self.read("model_ae.json", load_network)))
+
+    def say(self, *lines: str) -> None:
+        if not self.quiet:
+            print(*lines, sep="\n")
+
+    def run(self, cfg: PipelineConfig, name: str, fn, **inputs) -> list[str]:
+        """Run the stage `fn` as `name` and return the names it wrote through `writes`. Its
+        `stage,seconds` row goes to run_log.csv whether it finishes or raises."""
+        self.written = []
+        started = time.perf_counter()
+        try:
+            fn(cfg, self, **inputs)
+        finally:
+            seconds = time.perf_counter() - started
+            with open(self.file("run_log.csv"), "a", encoding="utf-8", newline="") as log:
+                log.write(("" if log.tell() else "stage,seconds\n") + f"{name},{seconds:.3f}\n")
+        self.say(f"[{name}] wrote {', '.join(self.written)} ({seconds:.2f}s)")
+        return self.written
 
 
 def _dead_lock_holder(path: Path) -> int | None:
@@ -126,33 +170,6 @@ def _dead_lock_holder(path: Path) -> int | None:
     except (OSError, ValueError):  # no file, no pid written yet, or another user's live process
         pass
     return None
-
-
-@contextmanager
-def _locked(out: _OutputDir):
-    """Rejects a second concurrent command on the same output directory. A lock
-    whose process is gone is taken over, after removing the temporary files
-    that process's unfinished atomic writes left."""
-    path = out.file(LOCK_NAME)
-    for attempt in range(2):
-        try:
-            with open(path, "x", encoding="ascii") as fh:
-                fh.write(str(os.getpid()))
-            break
-        except FileExistsError:
-            dead = _dead_lock_holder(path) if attempt == 0 else None
-            if dead is None:
-                raise ConfigError(
-                    f"output directory is locked by another run ({path}); remove the lock file if that run is dead"
-                ) from None
-            remove_unfinished_writes(out.path, dead)
-            path.unlink(missing_ok=True)
-    out.memo = {}
-    try:
-        yield
-    finally:
-        out.memo = None
-        path.unlink(missing_ok=True)
 
 
 # --- standalone stages -------------------------------------------------------
@@ -210,7 +227,7 @@ def stage_calibrate(cfg: PipelineConfig, out: _OutputDir) -> None:
 def stage_score(cfg: PipelineConfig, out: _OutputDir, input_name: str = "test_features.csv") -> None:
     """Score a feature-only CSV; never touches labels."""
     scorer = out.read_scorer()
-    features = load_csv(out.file(input_name), has_labels=False)
+    features = out.read(input_name, partial(load_csv, has_labels=False))
     decisions, scores = classify(scorer, features.features)
     columns = np.arange(len(scores)), scores, decisions
     write_csv(out.writes("scores.csv"), "index,score,decision", "{},{!r},{}\n", *columns)
@@ -222,20 +239,19 @@ def scaled_supervised_train(out: _OutputDir) -> Dataset:
     return apply_scaler(out.read_scaler("scaler_supervised.json"), supervised)
 
 
-def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir, kind: str | None = None) -> list[str]:
+def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir, kind: str | None = None) -> None:
     """Fit `kind`, or with none every kind of `baseline_kinds`, and write each clf_<kind>.json.
     A grid of more than one value is selected over by CV F1, a candidate that can no longer
-    win stopping early. Returns, for the runner to print, each grid candidate's CV F1 (or
-    where it stopped, against the best mean before it) and the one selected, kind by kind."""
+    win stopping early. Once a kind's file is written, says each grid candidate's CV F1 (or
+    where it stopped, against the best mean before it) and the one selected."""
     kinds = cfg.baseline_kinds() if kind is None else [kind]
     train_set = scaled_supervised_train(out) if kinds else None  # no baselines, no supervised_train.csv read
-    lines = []
     for kind in kinds:
         candidates = cfg.baseline_candidates(kind)
         best, model, cv = select_model(candidates, train_set, seed=cfg.baseline_seed(kind), folds=cfg["cv_folds"])
         save_model(model, out.writes(f"clf_{kind}.json"))
         field = BASELINE_GRIDS[kind][0] if kind in BASELINE_GRIDS else "kind"
-        best_mean = -math.inf
+        best_mean, lines = -math.inf, []
         for cand, result in zip(candidates, cv):
             if result is None:
                 cv_f1 = "diverged"
@@ -245,8 +261,7 @@ def stage_train_baselines(cfg: PipelineConfig, out: _OutputDir, kind: str | None
                 cv_f1 = f"mean F1 {result[0]:.4f} per-fold {[round(f, 4) for f in result[1]]}"
                 best_mean = max(best_mean, result[0])
             lines.append(f"{kind} {field}={getattr(cand, field)}: {cv_f1}")
-        lines.append(f"selected {field}={getattr(best, field)}")
-    return lines
+        out.say(*lines, f"selected {field}={getattr(best, field)}")
 
 
 def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> None:
@@ -257,10 +272,10 @@ def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> None:
     kinds = cfg.baseline_kinds()
     scaler = out.read_scaler("scaler_supervised.json") if kinds else None
     for kind in kinds:
-        path = out.file(f"clf_{kind}.json")
-        model = load_model(path, len(scaler.mins))
+        name = f"clf_{kind}.json"
+        model = out.read(name, partial(load_model, n_channels=len(scaler.mins)))
         if model.kind != kind:
-            raise DataError(f"{path} holds a '{model.kind}' classifier, not '{kind}'")
+            raise DataError(f"{out.file(name)} holds a '{model.kind}' classifier, not '{kind}'")
         deciders[kind] = lambda x, m=model: predict(m, scaler.transform(x))
     for name, decide in deciders.items():
         write_json_artifact(out.writes(f"report_{name}.json"), evaluate_model(decide, test, model_name=name))
@@ -271,14 +286,14 @@ def _comparison_row(r: dict) -> tuple:
 
 
 def stage_compare(cfg: PipelineConfig, out: _OutputDir) -> None:
-    reports = [out.file(f"report_{name}.json") for name in ["ae"] + cfg.baseline_kinds()]
-    rows = [read_json_artifact(path, _comparison_row) for path in reports]
+    parse = partial(read_json_artifact, from_dict=_comparison_row)
+    rows = [out.read(f"report_{name}.json", parse) for name in ["ae"] + cfg.baseline_kinds()]
     header = "Model,Precision,Recall,F1-score,Accuracy"
     write_csv(out.writes("comparison.csv"), header, "{},{!r},{!r},{!r},{!r}\n", *map(np.array, zip(*rows)))
 
 
 def stage_histogram(cfg: PipelineConfig, out: _OutputDir, input_name: str = "data.csv") -> None:
-    data = load_csv(out.file(input_name), has_labels=True)
+    data = out.read_csv(input_name)
     columns = feature_histograms(data, bins=cfg["histogram_bins"])
     header = "channel,class,bin_index,bin_left,bin_right,count"
     write_csv(out.writes("histograms.csv"), header, "{},{},{},{!r},{!r},{}\n", *columns)
@@ -302,37 +317,21 @@ _STAGES = {"train-clf" if name == "train-baselines" else name: fn for name, fn i
 _STAGES.update({"score": stage_score, "histogram": stage_histogram})
 
 
-def _run_stage(cfg: PipelineConfig, out: _OutputDir, name: str, fn, quiet: bool, **inputs) -> list[str]:
-    """Run one stage under the caller's lock, log its time and return the names it wrote through `out.writes`.
-    Unless quiet, print the lines the stage returned, if any, then what it wrote."""
-    out.written = []
-    started = time.perf_counter()
-    lines = fn(cfg, out, **inputs) or []
-    seconds = time.perf_counter() - started
-    with open(out.file("run_log.csv"), "a", encoding="utf-8", newline="") as log:
-        log.write(("" if log.tell() else "stage,seconds\n") + f"{name},{seconds:.3f}\n")
-    if not quiet:
-        print(*lines, f"[{name}] wrote {', '.join(out.written)} ({seconds:.2f}s)", sep="\n")
-    return out.written
-
-
 def run_stage(cfg: PipelineConfig, name: str, quiet: bool, **inputs) -> None:
     """Run the stage `name` of `_STAGES` alone, holding the lock of cfg["out_dir"]."""
-    out = _OutputDir(cfg["out_dir"])
-    with _locked(out):
-        _run_stage(cfg, out, name, _STAGES[name], quiet, **inputs)
+    with _OutputDir(cfg["out_dir"], quiet) as out:
+        out.run(cfg, name, _STAGES[name], **inputs)
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> dict:
     """Execute every stage in order; bit-identical outputs for a fixed config.
-    Returns the manifest, the dict written to manifest.json.
+    Returns the manifest, the dict written to manifest.json, and says its config hash.
 
     An earlier run's manifest.json is removed before the first stage, so a run
     that is stopped leaves none that describes files it replaced. A stage
     failure aborts the run with the stage name attached; the partial manifest
     (flagged `partial`) lists only the artifacts of finished stages.
     """
-    out = _OutputDir(out_dir if out_dir is not None else cfg["out_dir"])
     # stage timings go to run_log.csv, not here: the manifest file must be
     # byte-identical across reruns of the same config
     manifest = {
@@ -341,14 +340,15 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None, quiet: bool = False) -> dict
         "toolkit_version": __version__,
         "artifacts": [],
     }
-    with _locked(out):
+    with _OutputDir(out_dir if out_dir is not None else cfg["out_dir"], quiet) as out:
         out.file("manifest.json").unlink(missing_ok=True)
         for name, fn in _PIPELINE_STAGES:
             try:
-                written = _run_stage(cfg, out, name, fn, quiet)
+                written = out.run(cfg, name, fn)
             except ToolkitError as exc:
                 write_json_artifact(out.file("manifest.json"), {**manifest, "partial": True, "failed_stage": name})
                 raise type(exc)(f"stage '{name}' failed: {exc}") from exc
             manifest["artifacts"] = sorted(manifest["artifacts"] + written)
         write_json_artifact(out.file("manifest.json"), manifest)
+        out.say(f"config hash {manifest['config_hash']}")
     return manifest

@@ -298,6 +298,11 @@ class TestKnn:
         with pytest.raises(DomainError):
             KnnConfig(k=4)
 
+    def test_float_k_rejected(self):
+        # 3.0 is odd and >= 1, but a k that is not an integer would reach np.argpartition
+        with pytest.raises(DomainError, match=r"^k must be an integer, got 3\.0$"):
+            KnnConfig(k=3.0)
+
 
 def _reference_tree(x, y, max_depth=0, min_leaf=1, depth=0):
     """Independent exhaustive-split CART: pure-python loops, same tie rules; max_depth 0 = unbounded."""

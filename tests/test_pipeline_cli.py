@@ -1,6 +1,8 @@
 import argparse
+import builtins
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -32,7 +34,7 @@ from aeromon.config import STAGE_BASELINE_BASE, default_config
 from aeromon.dataset import MinMaxScaler, SynthConfig, apply_scaler, generate_synthetic, load_csv, save_csv
 from aeromon.errors import ConfigError, DataError, ShapeError, read_json_artifact
 from aeromon.numerics import derive_seed
-from aeromon.pipeline import _PIPELINE_STAGES, _STAGES, LOCK_NAME, _locked, _OutputDir, run_pipeline
+from aeromon.pipeline import _PIPELINE_STAGES, _STAGES, LOCK_NAME, _OutputDir, run_pipeline
 from aeromon.pipeline import stage_calibrate, stage_compare, stage_fit_scalers, stage_train_baselines
 
 FAST_KEYS = {
@@ -91,12 +93,12 @@ def _interrupted_write(out, hold_lock=False):
     code = (
         "import contextlib, os, sys\n"
         "from aeromon.errors import write_atomic\n"
-        "from aeromon.pipeline import _locked, _OutputDir\n"
+        "from aeromon.pipeline import _OutputDir\n"
         "def chunks():\n"
         "    yield 'half a file'\n"
         "    os._exit(0)\n"
         "out = _OutputDir(sys.argv[1])\n"
-        "with _locked(out) if sys.argv[2] == 'True' else contextlib.nullcontext():\n"
+        "with out if sys.argv[2] == 'True' else contextlib.nullcontext():\n"
         "    write_atomic(out.file('data.csv'), chunks())\n"
     )
     before = set(out.iterdir())
@@ -179,7 +181,7 @@ class TestRunPipeline:
 
     def test_lock_of_dead_process_is_taken_over(self, tmp_path):
         out, leftover, others = _dead_lock(tmp_path)
-        with _locked(_OutputDir(out)):
+        with _OutputDir(out):
             assert (out / LOCK_NAME).read_text() == str(os.getpid())
             assert not leftover.exists()
             assert all(path.exists() for path in others)
@@ -717,6 +719,66 @@ class TestStageRunner:
                 reported = set(_reported(capsys.readouterr().out)) | ({"manifest.json"} if command == "run" else set())
                 assert changed == reported, command
 
+    def test_each_command_opens_only_the_names_it_reads(self, tmp_path, capsys, monkeypatch):
+        # the read-side twin of the test above: each artifact a command opens in its output
+        # directory is a name it asked `_OutputDir.read` for; a standalone command opens each one
+        cfg_file = _fast_config_file(tmp_path)
+        asked, opened = [], []
+        read, real_open = _OutputDir.read, io.open
+        monkeypatch.setattr(_OutputDir, "read", lambda out, name, load: asked.append(name) or read(out, name, load))
+
+        def watched(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and set(mode) <= set("rbt"):
+                opened.append(Path(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", watched)
+        monkeypatch.setattr(io, "open", watched)
+        names = {}
+        for out, commands in ((tmp_path / "full", ["run"]), (tmp_path / "work", STANDALONE)):
+            for command in commands:
+                asked.clear()
+                opened.clear()
+                assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", *command.split()]) == 0, command
+                names[command] = {path.name for path in opened if path.parent == out}
+                names[command] -= {"run_log.csv", LOCK_NAME, "manifest.json"}
+                assert names[command] <= set(asked), command
+                if command != "run":
+                    assert names[command] == set(asked), command
+        assert names["run"] == {path.name for path in _classifiers_and_reports(tmp_path / "full")}
+
+    def test_failed_stage_says_its_finished_kinds_and_logs_its_time(self, tmp_path, capsys):
+        # knn is written, then logreg at l2 1 diverges in the same stage
+        cfg_file = _fast_config_file(tmp_path, baseline_kinds="knn,logreg", knn_k_grid="1,5", logreg_l2_grid="1")
+        out = tmp_path / "work"
+        assert main(["--config", str(cfg_file), "--out", str(out), "run"]) == 4
+        printed, err = capsys.readouterr()
+        assert err.startswith("error: stage 'train-baselines' failed: ")
+        printed = printed.splitlines()
+        said = printed[next(i for i, line in enumerate(printed) if line.startswith("[calibrate] wrote ")) + 1 :]
+        # what train-clf prints for knn, but its last line, and nothing after it
+        assert main(["--config", str(cfg_file), "--out", str(out), "train-clf", "--kind", "knn"]) == 0
+        alone = capsys.readouterr().out.splitlines()
+        assert alone.pop().startswith("[train-clf] wrote clf_knn.json (")
+        assert said == alone and [line.split(":")[0] for line in said[:2]] == ["knn k=1", "knn k=5"]
+        assert said[2].startswith("selected k=")
+        log = (out / "run_log.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in log] == ["stage", *(name for name, _ in _PIPELINE_STAGES[:6]), "train-clf"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["partial"] is True and manifest["failed_stage"] == "train-baselines"
+        finished = {p.name for p in out.iterdir()} - {"clf_knn.json", "manifest.json", "run_log.csv"}
+        assert manifest["artifacts"] == sorted(finished)
+
+    @pytest.mark.parametrize("held", ["", "starting"], ids=["empty", "no_number"])
+    def test_lock_without_a_pid_is_held(self, tmp_path, capsys, held):
+        # the lock of a live process that has created the file but not yet written its pid
+        out = tmp_path / "work"
+        out.mkdir()
+        (out / LOCK_NAME).write_text(held)
+        assert main(["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet", "generate"]) == 2
+        assert "error: output directory is locked by another run" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [LOCK_NAME] and (out / LOCK_NAME).read_text() == held
+
     def test_names_are_reported_in_write_order(self, evaluated, tmp_path, capsys):
         _, src = evaluated
         out = tmp_path / "work"
@@ -1146,20 +1208,25 @@ class TestBrokenArtifacts:
         assert "unsupported model format version 1" in err
 
     @pytest.mark.parametrize(
-        "kind, edit",
+        "kind, edit, error",
         [
             # a stray key is a field of another kind; a dropped key is one of the kind's own fields
-            ("logreg", lambda config: config.update(k=5)),
-            ("logreg", lambda config: config.pop("epochs")),
-            ("gaussian_nb", lambda config: config.update(epochs=400)),
-            ("knn", lambda config: config.update(epochs=400)),
-            ("knn", lambda config: config.pop("k")),
-            ("decision_tree", lambda config: config.update(n_trees=100)),
-            ("decision_tree", lambda config: config.pop("max_depth")),
-            ("random_forest", lambda config: config.update(hidden_units=8)),
-            ("random_forest", lambda config: config.pop("bootstrap")),
-            ("mlp", lambda config: config.update(l2_strength=0.0)),
-            ("mlp", lambda config: config.pop("batch_size")),
+            ("logreg", lambda config: config.update(k=5), "DataError: logreg config"),
+            ("logreg", lambda config: config.pop("epochs"), "DataError: logreg config"),
+            ("gaussian_nb", lambda config: config.update(epochs=400), "DataError: gaussian_nb config"),
+            ("knn", lambda config: config.update(epochs=400), "DataError: knn config"),
+            ("knn", lambda config: config.pop("k"), "DataError: knn config"),
+            ("decision_tree", lambda config: config.update(n_trees=100), "DataError: decision_tree config"),
+            ("decision_tree", lambda config: config.pop("max_depth"), "DataError: decision_tree config"),
+            ("random_forest", lambda config: config.update(hidden_units=8), "DataError: random_forest config"),
+            ("random_forest", lambda config: config.pop("bootstrap"), "DataError: random_forest config"),
+            ("mlp", lambda config: config.update(l2_strength=0.0), "DataError: mlp config"),
+            ("mlp", lambda config: config.pop("batch_size"), "DataError: mlp config"),
+            # a field of the kind holding a value of another type than its annotation
+            ("knn", lambda config: config.update(k=3.0), "DomainError: k must be an integer, got 3.0"),
+            ("random_forest", lambda config: config.update(bootstrap=1), "DomainError: bootstrap must be true or"),
+            ("logreg", lambda config: config.update(epochs=True), "DomainError: epochs must be an integer, got True"),
+            ("mlp", lambda config: config.update(learning_rate="0.01"), "DomainError: learning_rate must be a finite"),
         ],
         ids=[
             "logreg_stray",
@@ -1173,9 +1240,13 @@ class TestBrokenArtifacts:
             "random_forest_missing",
             "mlp_stray",
             "mlp_missing",
+            "knn_k_float",
+            "random_forest_bootstrap_int",
+            "logreg_epochs_bool",
+            "mlp_learning_rate_string",
         ],
     )
-    def test_classifier_config_holds_exactly_its_kinds_fields(self, evaluated, tmp_path, capsys, kind, edit):
+    def test_classifier_config_holds_exactly_its_kinds_fields(self, evaluated, tmp_path, capsys, kind, edit, error):
         cfg_file, src = evaluated
         out = tmp_path / "work"
         shutil.copytree(src, out)
@@ -1183,7 +1254,7 @@ class TestBrokenArtifacts:
         _edit_json(out / name, lambda d: edit(d["config"]))
         assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", "evaluate"]) == 3
         err = capsys.readouterr().err
-        assert f"cannot load {out / name}: DataError: {kind} config" in err
+        assert f"cannot load {out / name}: {error}" in err
 
 
 def _layers_changed(edit):
@@ -1424,11 +1495,11 @@ class TestCommandMemo:
         shutil.copytree(src, work)
         cfg = default_config(dict(FAST_KEYS))
         out = _OutputDir(work)
-        with _locked(out):
+        with out:
             stage_fit_scalers(cfg, out)
             fitted = out.read_scaler("scaler_ae.json")
         shutil.copyfile(work / "scaler_supervised.json", work / "scaler_ae.json")
-        with _locked(out):
+        with out:
             assert _flat(out.read_scaler("scaler_ae.json")) == _flat(out.read_scaler("scaler_supervised.json"))
         assert _flat(fitted) != _flat(out.read_scaler("scaler_ae.json"))
 
