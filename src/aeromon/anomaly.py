@@ -26,7 +26,7 @@ import numpy as np
 # scoring uses `forward_rows`; training's BLAS `forward` (same (d, n) layout) stays bound for bench/tracer.py to patch
 from .autoencoder import Network, forward, forward_rows, network_to_dict  # noqa: F401
 from .dataset import Dataset, MinMaxScaler
-from .errors import DataError, DomainError, ShapeError, read_json_artifact, write_json_artifact
+from .errors import VALUE_TYPES, DataError, DomainError, ShapeError, read_json_artifact, write_json_artifact
 from .numerics import CholeskyFactor, as_matrix, cholesky, covariance, leading_sums, order_statistic, solve_spd
 
 SCORER_FORMAT_VERSION = 2
@@ -143,24 +143,19 @@ def _network_sha256(net: Network) -> str:
 
 
 def scorer_to_dict(scorer: AnomalyScorer) -> dict:
-    d = {
+    stats = scorer.stats
+    return {
         "format_version": SCORER_FORMAT_VERSION,
         "policy": scorer.policy.kind,
         "percentile": scorer.policy.percentile,
         "threshold": scorer.threshold,
         "network_sha256": _network_sha256(scorer.net),
         "scaler": scorer.scaler.to_dict(),
-        "residual_mean": None,
-        "residual_cov": None,
-        "residual_jitter": None,
-        "n_fit": None,
+        "residual_mean": [float(v) for v in stats.mean] if stats else None,
+        "residual_cov": [float(v) for v in stats.cov.ravel(order="C")] if stats else None,
+        "residual_jitter": stats.chol.jitter if stats else None,
+        "n_fit": stats.n_fit if stats else None,
     }
-    if scorer.stats is not None:
-        d["residual_mean"] = [float(v) for v in scorer.stats.mean]
-        d["residual_cov"] = [float(v) for v in scorer.stats.cov.ravel(order="C")]
-        d["residual_jitter"] = scorer.stats.chol.jitter
-        d["n_fit"] = scorer.stats.n_fit
-    return d
 
 
 def save_scorer(scorer: AnomalyScorer, path) -> None:
@@ -169,8 +164,8 @@ def save_scorer(scorer: AnomalyScorer, path) -> None:
 
 def load_scorer(path, net: Network) -> AnomalyScorer:
     """Rebuild a scorer around `net`, the network it was calibrated on. An
-    unreadable file, a missing key, an array of the wrong size, a value out of
-    range or a `network_sha256` that is not `net`'s raises DataError."""
+    unreadable file, a missing key, an array of the wrong size, a value of the
+    wrong type or out of range or a `network_sha256` not `net`'s raises DataError."""
     return read_json_artifact(path, lambda d: _scorer_from_dict(d, net))
 
 
@@ -181,12 +176,18 @@ def _scorer_from_dict(d: dict, net: Network) -> AnomalyScorer:
         raise DataError("calibrated on another network; rerun calibrate")
     scaler = MinMaxScaler.from_dict(d["scaler"])
     _require_scaler_width(scaler, net)
+    is_count = (lambda v: VALUE_TYPES["int"][0](v) and v >= 8, "an integer >= 8")
+    rules = {"threshold": VALUE_TYPES["float"], "percentile": VALUE_TYPES["float"], "n_fit": is_count}
+    if d["policy"] == MSE_POLICY:
+        rules["n_fit"] = (lambda v: v is None, f"null under the {MSE_POLICY} policy")
+    for key, (passes, rule) in rules.items():
+        if not passes(d[key]):
+            raise DataError(f"{key} must be {rule}, got {d[key]!r}")
     policy = ThresholdPolicy(kind=d["policy"], percentile=d["percentile"])
-    threshold = float(d["threshold"])
     stats = None
     if policy.kind == MAHALANOBIS_POLICY:
         dim = net.out_dim
         mean = np.array(d["residual_mean"], dtype=np.float64).reshape(dim)
         cov = np.array(d["residual_cov"], dtype=np.float64).reshape(dim, dim)
-        stats = ResidualStats(mean=mean, cov=cov, chol=cholesky(cov), n_fit=int(d["n_fit"]))
-    return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=threshold, stats=stats)
+        stats = ResidualStats(mean=mean, cov=cov, chol=cholesky(cov), n_fit=d["n_fit"])
+    return AnomalyScorer(net=net, scaler=scaler, policy=policy, threshold=float(d["threshold"]), stats=stats)

@@ -91,9 +91,9 @@ def write_json_artifact(path, payload) -> None:
 _TMP_NAME = ".{name}.{pid}.{token}.tmp"
 
 
-def remove_unfinished_writes(directory, pid: int) -> None:
-    """Remove what unfinished `write_atomic` calls of the dead process `pid` left in `directory`."""
-    for tmp in Path(directory).glob(_TMP_NAME.format(name="*", pid=pid, token="????????")):
+def remove_unfinished_writes(directory) -> None:
+    """Remove every unfinished `write_atomic` call's temporary in `directory`: call it while none can run."""
+    for tmp in Path(directory).glob(_TMP_NAME.format(name="*", pid="*", token="????????")):
         tmp.unlink(missing_ok=True)
 
 

@@ -1,14 +1,14 @@
 """End-to-end orchestration with file-based stage handoff.
 
-Every stage writes files inside one output directory, so stages can be
-re-run standalone and compared by hash. A command, `run` or one stage, is one
-`_OutputDir`: it holds the lock `.aeromon.lock`, and every file a stage opens,
-progress line and run_log.csv row goes through it. Within one command, a stage
-takes the CSV splits, scalers, autoencoder and scorer that an earlier stage of
-that command wrote from memory; a standalone command parses the files it
-reads. `test.csv`, the labelled test split, is opened only by the evaluate
-stage; the scoring stage reads `test_features.csv`, the same rows without
-labels. `train-clf` is train-baselines for one kind.
+Every stage writes files inside one output directory, so stages can be re-run
+standalone and compared by hash. A command, `run` or one stage, is one
+`_OutputDir`: it holds the kernel lock (`flock`) on `.aeromon.lock`, and every
+file a stage opens, progress line and run_log.csv row goes through it. Within
+one command, a stage takes the CSV splits, scalers, autoencoder and scorer that
+an earlier stage of that command wrote from memory; a standalone command parses
+the files it reads. `test.csv`, the labelled test split, is opened only by the
+evaluate stage; the scoring stage reads `test_features.csv`, the same rows
+without labels. `train-clf` is train-baselines for one kind.
 
 Fixed artifact names inside the output directory:
 
@@ -33,6 +33,7 @@ Fixed artifact names inside the output directory:
 
 from __future__ import annotations
 
+import fcntl
 import math
 import os
 import time
@@ -58,7 +59,7 @@ from .dataset import (
     split,
     write_csv,
 )
-from .errors import ConfigError, DataError, ToolkitError, read_json_artifact, write_json_artifact
+from .errors import VALUE_TYPES, ConfigError, DataError, ToolkitError, read_json_artifact, write_json_artifact
 from .errors import remove_unfinished_writes
 from .evaluation import evaluate_model, feature_histograms
 from .numerics import derive_seed
@@ -68,8 +69,8 @@ LOCK_NAME = ".aeromon.lock"
 
 
 class _OutputDir:
-    """The one object of a command. `with _OutputDir(path, quiet) as out:` takes the lock (a gone
-    process's lock is taken over, its unfinished writes removed) and opens `memo`; exit drops both.
+    """The one object of a command. `with _OutputDir(path, quiet) as out:` flocks `.aeromon.lock` (the
+    kernel frees a killed holder's lock), removes every unfinished write and opens `memo`; exit drops both.
     `writes(name)` gives the path to write an artifact to and appends name to `written` (`file` gives
     one unrecorded); `write(name, value, save)` saves through `writes` and, inside `with`, keeps value
     in `memo`; `read(name, load)` returns the kept value, else parses the file. So a command trusts
@@ -87,26 +88,33 @@ class _OutputDir:
         self.memo: dict | None = None
 
     def __enter__(self) -> _OutputDir:
-        lock = self.file(LOCK_NAME)
-        for attempt in range(2):
+        path = self.file(LOCK_NAME)
+        while True:
             try:
-                with open(lock, "x", encoding="ascii") as fh:
-                    fh.write(str(os.getpid()))
-                break
-            except FileExistsError:
-                dead = _dead_lock_holder(lock) if attempt == 0 else None
-                if dead is None:
-                    raise ConfigError(
-                        f"output directory is locked by another run ({lock}); remove the lock file if that run is dead"
-                    ) from None
-                remove_unfinished_writes(self.path, dead)
-                lock.unlink(missing_ok=True)
+                self.lock = open(path, "ab")
+            except PermissionError:  # another user's lock file: lock it read-only and, if free, take its place
+                self.lock = open(path, "rb")
+            try:
+                fcntl.flock(self.lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                # a holder that exits between our open and flock unlinks the file we locked: open again
+                if os.path.samestat(os.fstat(self.lock.fileno()), os.stat(path)):
+                    if self.lock.writable():
+                        break
+                    path.unlink()
+            except BlockingIOError:
+                self.lock.close()
+                raise ConfigError(f"output directory is locked by another run ({path})") from None
+            except FileNotFoundError:
+                pass
+            self.lock.close()
+        remove_unfinished_writes(self.path)
         self.memo = {}
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.memo = None
         self.file(LOCK_NAME).unlink(missing_ok=True)
+        self.lock.close()  # releases the lock
 
     def file(self, name: str) -> Path:
         return self.path / name
@@ -157,19 +165,6 @@ class _OutputDir:
                 log.write(("" if log.tell() else "stage,seconds\n") + f"{name},{seconds:.3f}\n")
         self.say(f"[{name}] wrote {', '.join(self.written)} ({seconds:.2f}s)")
         return self.written
-
-
-def _dead_lock_holder(path: Path) -> int | None:
-    """The pid in the lock file if it names no process any more, else None."""
-    try:
-        pid = int(path.read_text(encoding="ascii"))
-        if pid > 0:  # kill(0 or a negative pid) would signal a process group
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return pid
-    except (OSError, ValueError):  # no file, no pid written yet, or another user's live process
-        pass
-    return None
 
 
 # --- standalone stages -------------------------------------------------------
@@ -281,13 +276,16 @@ def stage_evaluate(cfg: PipelineConfig, out: _OutputDir) -> None:
         write_json_artifact(out.writes(f"report_{name}.json"), evaluate_model(decide, test, model_name=name))
 
 
-def _comparison_row(r: dict) -> tuple:
-    return (r["model"], *(float(r[key]) for key in ("precision", "recall", "f1", "accuracy")))
+def _report_row(name: str, r: dict) -> tuple:
+    values = [r[key] for key in ("precision", "recall", "f1", "accuracy")]
+    if r["model"] != name or not all(map(VALUE_TYPES["float"][0], values)):
+        raise DataError(f"not a report of {name!r} with four numbers: model {r['model']!r}, values {values}")
+    return (name, *map(float, values))
 
 
 def stage_compare(cfg: PipelineConfig, out: _OutputDir) -> None:
-    parse = partial(read_json_artifact, from_dict=_comparison_row)
-    rows = [out.read(f"report_{name}.json", parse) for name in ["ae"] + cfg.baseline_kinds()]
+    names = ["ae"] + cfg.baseline_kinds()
+    rows = [out.read(f"report_{n}.json", partial(read_json_artifact, from_dict=partial(_report_row, n))) for n in names]
     header = "Model,Precision,Recall,F1-score,Accuracy"
     write_csv(out.writes("comparison.csv"), header, "{},{!r},{!r},{!r},{!r}\n", *map(np.array, zip(*rows)))
 

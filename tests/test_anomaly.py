@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -276,6 +277,13 @@ class TestCalibrate:
                 threshold=scorer.threshold,
                 stats=None,
             )
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+    def test_threshold_must_be_finite(self, trained, threshold):
+        # a loaded scorer.json cannot hold one (its reader refuses non-finite and non-numbers first)
+        scorer = calibrate(trained["net"], trained["scaler"], trained["ae_train"], ThresholdPolicy(MSE_POLICY))
+        with pytest.raises(DomainError, match="threshold must be finite"):
+            dataclasses.replace(scorer, threshold=threshold)
 
 
 class TestClassify:

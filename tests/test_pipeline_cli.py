@@ -1,6 +1,8 @@
 import argparse
 import builtins
+import contextlib
 import dataclasses
+import fcntl
 import hashlib
 import io
 import json
@@ -109,17 +111,63 @@ def _interrupted_write(out, hold_lock=False):
 
 
 def _dead_lock(tmp_path):
-    """An output directory locked by an exited process: (directory, that process's
-    unfinished write, temporary files that are not its)."""
+    """An output directory whose lock file a killed command left: (directory, the temporary
+    files of two dead processes' unfinished writes, names that are not `write_atomic` names)."""
     out = tmp_path / "stale"
     out.mkdir()
-    dead, leftover = _interrupted_write(out)
-    (out / LOCK_NAME).write_text(str(dead))
-    other_pid, other = _interrupted_write(out)  # another dead process's unfinished write
-    assert other_pid != dead
-    unlike = out / f".data.csv.{dead}.tmp"  # the lock holder's pid, but not a write_atomic name
-    unlike.write_text("not the dead run's")
-    return out, leftover, [other, unlike]
+    dead, leftover = _interrupted_write(out, hold_lock=True)
+    other_pid, other = _interrupted_write(out)  # another dead process's unfinished write, outside the lock
+    assert other_pid != dead and (out / LOCK_NAME).read_text() == ""
+    unlike = [out / f".data.csv.{dead}.tmp", out / f".data.csv.{dead}.{'0' * 7}.tmp"]  # no token, a short one
+    for path in unlike:
+        path.write_text("not a write_atomic temporary")
+    return out, [leftover, other], unlike
+
+
+@contextlib.contextmanager
+def _holding(path, text=""):
+    """Plant the lock file `path` holding `text` and hold its lock, as a live command does."""
+    path.write_text(text)
+    with open(path, "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+
+
+# a child Python that says `ready`, waits for a line on stdin, then holds the lock of the directory
+# argv[1] for argv[2] seconds (saying `entered`) or exits 2 if another process holds it
+_HOLDER = (
+    "import sys, time\n"
+    "from aeromon.errors import ConfigError\n"
+    "from aeromon.pipeline import _OutputDir\n"
+    "print('ready', flush=True)\n"
+    "sys.stdin.readline()\n"
+    "try:\n"
+    "    with _OutputDir(sys.argv[1]):\n"
+    "        print('entered', flush=True)\n"
+    "        time.sleep(float(sys.argv[2]))\n"
+    "except ConfigError:\n"
+    "    sys.exit(2)\n"
+)
+
+
+def _holders(out, seconds, count):
+    """Start `count` `_HOLDER` children on `out`, wait until each is ready, then let them all go at once."""
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _HOLDER, str(out), str(seconds)],
+            env=_child_env(),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(count)
+    ]
+    for child in children:
+        assert child.stdout.readline() == "ready\n"
+    for child in children:
+        child.stdin.write("go\n")
+        child.stdin.flush()
+    return children
 
 
 class TestRunPipeline:
@@ -172,19 +220,19 @@ class TestRunPipeline:
 
     def test_lock_rejects_concurrent_run(self, tmp_path):
         out = tmp_path / "locked"
-        out.mkdir()
-        (out / LOCK_NAME).write_text(str(os.getpid()))  # a live process holds the lock
         cfg = default_config({**FAST_KEYS, "out_dir": str(out)})
-        with pytest.raises(ConfigError, match="locked"):
-            run_pipeline(cfg, quiet=True)
-        assert (out / LOCK_NAME).read_text() == str(os.getpid())
+        with _OutputDir(out):  # a live command holds the lock
+            with pytest.raises(ConfigError, match="locked"):
+                run_pipeline(cfg, quiet=True)
+            assert [p.name for p in out.iterdir()] == [LOCK_NAME]
+        assert not (out / LOCK_NAME).exists()
 
     def test_lock_of_dead_process_is_taken_over(self, tmp_path):
-        out, leftover, others = _dead_lock(tmp_path)
+        out, leftovers, unlike = _dead_lock(tmp_path)
         with _OutputDir(out):
-            assert (out / LOCK_NAME).read_text() == str(os.getpid())
-            assert not leftover.exists()
-            assert all(path.exists() for path in others)
+            assert (out / LOCK_NAME).read_text() == ""  # the lock holds no pid
+            assert not any(path.exists() for path in leftovers)
+            assert all(path.exists() for path in unlike)
         assert not (out / LOCK_NAME).exists()
 
     def test_failed_stage_writes_partial_manifest(self, tmp_path):
@@ -684,27 +732,125 @@ class TestStageRunner:
         cfg_file, src = evaluated
         out = tmp_path / "work"
         shutil.copytree(src, out)
-        (out / LOCK_NAME).write_text(str(os.getpid()))  # a live process holds the lock
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", *command.split()]) == 2
-        assert "error: output directory is locked by another run" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        with _OutputDir(out):  # a live command holds the lock
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert main(["--config", str(cfg_file), "--out", str(out), "--quiet", *command.split()]) == 2
+            assert "error: output directory is locked by another run" in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_standalone_command_takes_over_a_dead_lock(self, tmp_path):
-        out, leftover, others = _dead_lock(tmp_path)
+        out, leftovers, unlike = _dead_lock(tmp_path)
         assert main(["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet", "generate"]) == 0
         assert (out / "data.csv").exists()
-        assert not leftover.exists()
-        assert all(path.exists() for path in others)
+        assert not any(path.exists() for path in leftovers)
+        assert all(path.exists() for path in unlike)
         assert not (out / LOCK_NAME).exists()
 
     def test_next_command_removes_a_killed_commands_write(self, tmp_path):
         out = tmp_path / "work"
         out.mkdir()
-        dead, leftover = _interrupted_write(out, hold_lock=True)
-        assert (out / LOCK_NAME).read_text() == str(dead) and not (out / "data.csv").exists()
+        _, leftover = _interrupted_write(out, hold_lock=True)
+        # the killed holder leaves its lock file, which holds no pid and no lock
+        assert (out / LOCK_NAME).read_text() == "" and not (out / "data.csv").exists()
         assert main(["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet", "generate"]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["data.csv", "run_log.csv"]
+
+    @pytest.mark.parametrize("stale", ["1", "own pid", ""], ids=["pid_1", "own_pid", "empty"])
+    def test_lock_file_no_process_holds_is_taken_over(self, tmp_path, stale):
+        # pid 1 is alive but holds no lock; a killed command's pid may come back as this process's
+        out = tmp_path / "work"
+        out.mkdir()
+        (out / LOCK_NAME).write_text(str(os.getpid()) if stale == "own pid" else stale)
+        assert main(["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet", "generate"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["data.csv", "run_log.csv"]
+
+    def test_lock_held_by_another_process_stops_a_command_until_it_dies(self, tmp_path, capsys):
+        out = tmp_path / "work"
+        base = ["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet"]
+        assert main(base + ["generate"]) == 0
+        (child,) = _holders(out, 600, 1)
+        try:
+            assert child.stdout.readline() == "entered\n"
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert main(base + ["split"]) == 2
+            assert "error: output directory is locked by another run" in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        finally:
+            child.kill()
+            child.communicate(timeout=60)
+        # the kernel drops a killed holder's lock; its lock file stays behind, and the next command runs
+        assert (out / LOCK_NAME).exists()
+        assert main(base + ["split"]) == 0
+        assert not (out / LOCK_NAME).exists()
+
+    def test_one_of_two_commands_on_a_stale_lock_enters(self, tmp_path):
+        out = tmp_path / "work"
+        out.mkdir()
+        (out / LOCK_NAME).write_text("1")
+        said = sorted((child.communicate(timeout=60)[0], child.returncode) for child in _holders(out, 2, 2))
+        assert said == [("", 2), ("entered\n", 0)]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("replaced, code", [(True, 2), (False, 0)], ids=["by_a_new_holder", "by_nothing"])
+    def test_lock_file_unlinked_before_flock_is_not_held(self, tmp_path, capsys, monkeypatch, replaced, code):
+        # the holder before this command finishes between this command's open and flock, unlinking the file
+        # it opened; a new holder may take the path. Locking the unlinked file would let two commands in.
+        out = tmp_path / "work"
+        out.mkdir()
+        lock, real_flock, held = out / LOCK_NAME, fcntl.flock, []
+
+        def racing(fh, operation):
+            if not held:
+                lock.unlink()
+                held.append(open(lock, "ab") if replaced else None)
+                if replaced:
+                    real_flock(held[0], fcntl.LOCK_EX | fcntl.LOCK_NB)
+            real_flock(fh, operation)
+
+        monkeypatch.setattr(pipeline.fcntl, "flock", racing)
+        argv = ["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet", "generate"]
+        try:
+            assert main(argv) == code
+        finally:
+            if replaced:
+                held[0].close()
+        names = sorted(p.name for p in out.iterdir())
+        if replaced:
+            assert "error: output directory is locked by another run" in capsys.readouterr().err
+            assert names == [LOCK_NAME]
+        else:
+            assert names == ["data.csv", "run_log.csv"]
+
+    @pytest.mark.parametrize("held, code", [(False, 0), (True, 2)], ids=["free", "held"])
+    def test_lock_file_of_another_user(self, tmp_path, capsys, monkeypatch, held, code):
+        # this process may not open the lock file for writing, as with another user's file (tests run as
+        # root, so the refusal is made): it locks the file read-only; free, it takes the file's place
+        out = tmp_path / "work"
+        out.mkdir()
+        lock, real_open, refused = out / LOCK_NAME, open, []
+
+        def foreign(file, mode="r", *args, **kwargs):
+            if Path(file) == lock and mode == "ab" and not refused:
+                refused.append(mode)
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "open", foreign, raising=False)
+        # what the lock file holds once the command has its lock
+        locked = []
+        monkeypatch.setattr(pipeline, "remove_unfinished_writes", lambda directory: locked.append(lock.read_text()))
+        argv = ["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet", "generate"]
+        lock.write_text("4242")  # another user's pid
+        with _holding(lock, "4242") if held else contextlib.nullcontext():
+            assert main(argv) == code
+            assert refused == ["ab"]
+            if held:
+                assert "error: output directory is locked by another run" in capsys.readouterr().err
+                assert [p.name for p in out.iterdir()] == [LOCK_NAME] and lock.read_text() == "4242"
+                assert locked == []
+        if not held:
+            assert locked == [""]  # a file of its own in the other user's file's place
+            assert sorted(p.name for p in out.iterdir()) == ["data.csv", "run_log.csv"]
 
     def test_each_command_writes_exactly_the_names_it_reports(self, tmp_path, capsys):
         cfg_file = _fast_config_file(tmp_path)
@@ -769,15 +915,14 @@ class TestStageRunner:
         finished = {p.name for p in out.iterdir()} - {"clf_knn.json", "manifest.json", "run_log.csv"}
         assert manifest["artifacts"] == sorted(finished)
 
-    @pytest.mark.parametrize("held", ["", "starting"], ids=["empty", "no_number"])
-    def test_lock_without_a_pid_is_held(self, tmp_path, capsys, held):
-        # the lock of a live process that has created the file but not yet written its pid
+    def test_lock_without_a_pid_is_held(self, tmp_path, capsys):
+        # the lock of a live holder that has created the file but written nothing
         out = tmp_path / "work"
         out.mkdir()
-        (out / LOCK_NAME).write_text(held)
-        assert main(["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet", "generate"]) == 2
-        assert "error: output directory is locked by another run" in capsys.readouterr().err
-        assert [p.name for p in out.iterdir()] == [LOCK_NAME] and (out / LOCK_NAME).read_text() == held
+        with _holding(out / LOCK_NAME):
+            assert main(["--config", str(_fast_config_file(tmp_path)), "--out", str(out), "--quiet", "generate"]) == 2
+            assert "error: output directory is locked by another run" in capsys.readouterr().err
+            assert [p.name for p in out.iterdir()] == [LOCK_NAME] and (out / LOCK_NAME).read_text() == ""
 
     def test_names_are_reported_in_write_order(self, evaluated, tmp_path, capsys):
         _, src = evaluated
@@ -1104,6 +1249,13 @@ class TestBrokenArtifacts:
             ("score", "model_ae.json", _put_network(_SIGMOID_7_3_7)),
             ("evaluate", "clf_knn.json", lambda p: _edit_json(p, lambda d: d["config"].update(kind="svm"))),
             ("compare", "report_knn.json", lambda p: p.unlink()),
+            ("evaluate", "scorer.json", lambda p: _edit_json(p, lambda d: d.update(threshold=True))),
+            ("score", "scorer.json", lambda p: _edit_json(p, lambda d: d.update(threshold="1.5"))),
+            ("score", "scorer.json", lambda p: _edit_json(p, lambda d: d.update(percentile=True))),
+            ("score", "scorer.json", lambda p: _edit_json(p, lambda d: d.update(n_fit=-2.5))),
+            ("score", "scorer.json", lambda p: _edit_json(p, lambda d: d.update(policy="mse"))),
+            ("compare", "report_knn.json", lambda p: shutil.copyfile(p.with_name("report_logreg.json"), p)),
+            ("compare", "report_ae.json", lambda p: _edit_json(p, lambda d: d.update(f1=True))),
         ],
         ids=[
             "garbage_scaler",
@@ -1178,6 +1330,13 @@ class TestBrokenArtifacts:
             "ae_sigmoid_7_3_7_score",
             "clf_kind_unknown",
             "report_missing",
+            "scorer_threshold_true",
+            "scorer_threshold_string",
+            "scorer_percentile_true",
+            "scorer_n_fit_fraction",
+            "scorer_mse_with_n_fit",
+            "report_of_another_model",
+            "report_f1_true",
         ],
     )
     def test_exits_3(self, evaluated, tmp_path, capsys, command, name, damage):

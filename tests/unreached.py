@@ -12,9 +12,10 @@ A statement counts as run when one of its own lines ran: a compound
 statement's own lines are the ones before its body (`if x:`, `def f(...):`
 with its decorators), a simple statement's are all its lines. Docstrings, and
 statements none of whose own lines compile to code (`try:`, say), are left
-out. Prints `file:line: source` for each statement that never ran and exits
-with pytest's code. Opt-in and outside tier-1: under the tracer the suite
-takes about twice as long.
+out. Prints `file:line: source` for each statement that never ran and is not
+in `ALLOWED`, and each statement of `ALLOWED` that ran. Exits with pytest's
+code if the tests fail, else 1 if it printed anything, else 0. Outside tier-1
+(under the tracer the suite takes about twice as long); CI runs it as a job.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "aeromon"
 TIER1_ARGS = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+
+# (file, source line) of a statement the tests cannot reach -> why it stays in src
+ALLOWED = {
+    ("src/aeromon/dataset.py", 'raise DataError(f"{path}: a row cannot be parsed")'): (
+        "load_csv's guard for a file numpy's parser refuses but `_check_rows` (csv plus `float`) accepts; "
+        "numpy accepted every such cell tried (' 1.5', '1.5 ', '+1.5', '1.', '.5', leading '\\t', '\\x0b', "
+        "'\\x0c', '\\x1c', '\\xa0', U+2002), so no input is known to reach it"
+    ),
+}
 
 # what each child Python runs at start-up: record its lines into the directory {out!r}
 _SITECUSTOMIZE = """\
@@ -116,10 +126,18 @@ def main(argv: list[str]) -> int:
     by_file: dict[str, set[int]] = {}
     for name, line in ran:
         by_file.setdefault(os.path.realpath(name), set()).add(line)
+    problems, reached = [], set(ALLOWED)
     for path in sorted(SRC.glob("*.py")):
+        name = path.relative_to(SRC.parents[1]).as_posix()
         for line, statement in unreached(path, by_file.get(os.path.realpath(path), set())):
-            print(f"{path.relative_to(SRC.parents[1])}:{line}: {statement}")
-    return int(code)
+            if (name, statement) in ALLOWED:
+                reached.discard((name, statement))
+            else:
+                problems.append(f"{name}:{line}: {statement}")
+    problems += [f"{name}: in ALLOWED but ran (or is gone): {statement}" for name, statement in sorted(reached)]
+    for problem in problems:
+        print(problem)
+    return int(code) or int(bool(problems))
 
 
 if __name__ == "__main__":
